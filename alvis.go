@@ -41,8 +41,8 @@
 // Publication and search fan out concurrently by default: key operations
 // are resolved in bulk and coalesced into one batched RPC per
 // responsible peer (see DESIGN.md, "The batching / fan-out layer").
-// Config.Concurrency tunes the fan-out width; setting it to 1 restores
-// the fully sequential per-key paths. Both settings produce identical
+// Config.Concurrency tunes the fan-out width; setting it to 1 sends the
+// same batch frames one at a time. Every width produces identical
 // results, traces and global index state.
 //
 // Config.ReplicationFactor makes the global index churn-tolerant: every

@@ -1,10 +1,10 @@
 package alvisp2p_test
 
 // Determinism regressions for the concurrent publish/search pipeline:
-// with identical inputs, a network running the batched parallel paths
-// (Config.Concurrency > 1) must be indistinguishable — global index
-// state, ranked results, traces — from one running the sequential paths
-// (Concurrency == 1).
+// with identical inputs, a network fanning its batch frames out eight
+// wide (Config.Concurrency 8) must be indistinguishable — global index
+// state, ranked results, traces — from one sending the same frames one
+// at a time (Concurrency 1).
 
 import (
 	"context"

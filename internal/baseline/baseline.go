@@ -80,7 +80,8 @@ func (s *Service) PublishLocal(ctx context.Context, local *localindex.Index, sta
 		if list.Len() == 0 {
 			continue
 		}
-		if _, err := s.gidx.Append(ctx, []string{term}, list, globalindex.HardCap, list.Len()); err != nil {
+		item := globalindex.AppendItem{Terms: []string{term}, List: list, Bound: globalindex.HardCap, AnnouncedDF: list.Len()}
+		if _, err := s.gidx.MultiAppend(ctx, []globalindex.AppendItem{item}, 1); err != nil {
 			return keys, shipped, fmt.Errorf("baseline: publish %q: %w", term, err)
 		}
 		keys++
@@ -116,14 +117,14 @@ func (s *Service) Query(ctx context.Context, terms []string) (*postings.List, Qu
 	}
 	tds := make([]termDF, 0, len(terms))
 	for _, t := range terms {
-		df, present, _, err := s.gidx.KeyInfo(ctx, []string{t})
+		info, err := s.gidx.MultiKeyInfo(ctx, []globalindex.KeyInfoItem{{Terms: []string{t}}}, 1)
 		if err != nil {
 			return nil, cost, err
 		}
-		if !present {
+		if !info[0].Present {
 			return &postings.List{}, cost, nil // a term nobody indexed: empty AND
 		}
-		tds = append(tds, termDF{term: t, df: df})
+		tds = append(tds, termDF{term: t, df: info[0].DF})
 	}
 	sort.Slice(tds, func(i, j int) bool {
 		if tds[i].df != tds[j].df {
@@ -133,11 +134,12 @@ func (s *Service) Query(ctx context.Context, terms []string) (*postings.List, Qu
 	})
 
 	// Fetch the complete list of the rarest term.
-	cand, found, _, err := s.gidx.Get(ctx, []string{tds[0].term}, 0, globalindex.ReadPrimary)
+	got, err := s.gidx.MultiGet(ctx, []globalindex.GetItem{{Terms: []string{tds[0].term}}}, 1, globalindex.ReadPrimary)
 	if err != nil {
 		return nil, cost, err
 	}
-	if !found || cand.Len() == 0 {
+	cand := got[0].List
+	if !got[0].Found || cand.Len() == 0 {
 		return &postings.List{}, cost, nil
 	}
 	cost.ListFetched = cand.Len()

@@ -72,11 +72,11 @@ func TestPublishLocalStoresFullLists(t *testing.T) {
 	}
 	seed(t, f, docs)
 	// "common" appears in all 40 documents and must be stored complete.
-	list, found, _, err := f.gidx[0].Get(context.Background(), []string{"common"}, 0, globalindex.ReadPrimary)
-	if err != nil || !found {
-		t.Fatalf("get: %v %v", found, err)
+	got, err := getOne(f.gidx[0], []string{"common"})
+	if err != nil || !got.Found {
+		t.Fatalf("get: %v %v", got.Found, err)
 	}
-	if list.Len() != 40 || list.Truncated {
+	if list := got.List; list.Len() != 40 || list.Truncated {
 		t.Fatalf("full list: len=%d trunc=%v", list.Len(), list.Truncated)
 	}
 }
@@ -171,12 +171,12 @@ func TestQueryScoresAreSummed(t *testing.T) {
 	}
 	// The survivor's score must exceed either single-term score (it is
 	// the sum of both BM25 contributions).
-	a, _, _, err := f.gidx[0].Get(context.Background(), []string{"alpha"}, 0, globalindex.ReadPrimary)
+	a, err := getOne(f.gidx[0], []string{"alpha"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var alphaScore float64
-	for _, p := range a.Entries {
+	for _, p := range a.List.Entries {
 		if p.Ref == result.Entries[0].Ref {
 			alphaScore = p.Score
 		}
@@ -222,4 +222,10 @@ func TestCentralizedSearch(t *testing.T) {
 	if len(res2) != len(res) || res2[0] != res[0] {
 		t.Fatalf("SearchTerms mismatch: %v vs %v", res2, res)
 	}
+}
+
+// getOne reads one key as a batch of one.
+func getOne(ix *globalindex.Index, terms []string) (globalindex.GetResult, error) {
+	res, err := ix.MultiGet(context.Background(), []globalindex.GetItem{{Terms: terms}}, 1, globalindex.ReadPrimary)
+	return res[0], err
 }

@@ -85,14 +85,14 @@ type Config struct {
 	DHT dht.Options
 	// Analyzer overrides the text pipeline (default textproc.Default).
 	Analyzer *textproc.Analyzer
-	// Concurrency is the network fan-out for publication and search: how
-	// many RPCs the peer keeps in flight while publishing its index
-	// (HDK appends and frequency probes, coalesced per responsible peer)
-	// and while exploring the query lattice (one batch per generation).
-	// 0 selects DefaultConcurrency; 1 forces the fully sequential
-	// per-key paths. Both settings produce identical results, ranked
-	// order, traces and global index state — the determinism tests pin
-	// that equivalence.
+	// Concurrency is the network fan-out width for publication and
+	// search: how many batch frames the peer keeps in flight while
+	// publishing its index (HDK appends and frequency probes, coalesced
+	// per responsible peer) and while exploring the query lattice (one
+	// batch per generation). 0 selects DefaultConcurrency; 1 sends the
+	// same frames one at a time. Every width produces identical results,
+	// ranked order, traces and global index state — the determinism
+	// tests pin that equivalence.
 	Concurrency int
 	// ReplicationFactor is the number of copies of every global-index
 	// entry: the responsible peer plus R−1 of its ring successors
@@ -199,9 +199,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.HDK.Concurrency == 0 {
 		c.HDK.Concurrency = c.Concurrency
-	}
-	if c.Lattice.Concurrency == 0 {
-		c.Lattice.Concurrency = c.Concurrency
 	}
 	if (c.ResultCache > 0 || c.PrefixCache > 0) && c.CacheTTL <= 0 {
 		c.CacheTTL = 2 * time.Second
@@ -901,11 +898,9 @@ func (p *Peer) presentLocal(ranked []scoredRef) []Result {
 	return out
 }
 
-// searchFetcher adapts the global index to the lattice's Fetcher and
-// BatchFetcher interfaces while gathering the per-key lists and QDI
-// activation requests a query accumulates. The mutex covers the gather
-// maps: the lattice may drive Get from concurrent workers when the
-// fetcher is used without batch support.
+// searchFetcher adapts the global index to the lattice's BatchFetcher
+// interface while gathering the per-key lists and QDI activation
+// requests a query accumulates.
 type searchFetcher struct {
 	p      *Peer
 	policy globalindex.ReadPolicy
@@ -915,38 +910,18 @@ type searchFetcher struct {
 	// the post-exploration threshold loop. The recorded lists are live
 	// session state that Refine extends in place.
 	sess      *globalindex.TopKSession
-	mu        sync.Mutex
 	wantIndex map[string]bool
 	perKey    map[string]*postings.List
 }
 
-func (sf *searchFetcher) record(key string, list *postings.List, found, want bool) {
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	if want {
-		sf.wantIndex[key] = true
-	}
-	if found {
-		sf.perKey[key] = list
-	}
-}
-
-// Get implements lattice.Fetcher (the sequential probe path).
+// Get implements lattice.Fetcher as a batch of one; Explore itself only
+// ever calls GetBatch.
 func (sf *searchFetcher) Get(ctx context.Context, ts []string, max int) (*postings.List, bool, error) {
-	if sf.sess != nil {
-		res, err := sf.sess.FetchPrefixes(ctx, []globalindex.GetItem{{Terms: ts}})
-		if err != nil {
-			return nil, false, err
-		}
-		sf.record(ids.KeyString(ts), res[0].List, res[0].Found, res[0].WantIndex)
-		return res[0].List, res[0].Found, nil
-	}
-	l, found, want, err := sf.p.gidx.Get(ctx, ts, max, sf.policy, globalindex.WithHedge(sf.hedge))
+	res, err := sf.GetBatch(ctx, [][]string{ts}, max)
 	if err != nil {
 		return nil, false, err
 	}
-	sf.record(ids.KeyString(ts), l, found, want)
-	return l, found, nil
+	return res[0].List, res[0].Found, nil
 }
 
 // GetBatch implements lattice.BatchFetcher: one generation of lattice
@@ -969,7 +944,13 @@ func (sf *searchFetcher) GetBatch(ctx context.Context, combos [][]string, max in
 	}
 	out := make([]lattice.BatchResult, len(res))
 	for i, r := range res {
-		sf.record(ids.KeyString(combos[i]), r.List, r.Found, r.WantIndex)
+		key := ids.KeyString(combos[i])
+		if r.WantIndex {
+			sf.wantIndex[key] = true
+		}
+		if r.Found {
+			sf.perKey[key] = r.List
+		}
 		out[i] = lattice.BatchResult{List: r.List, Found: r.Found}
 	}
 	return out, nil

@@ -30,7 +30,7 @@ func TestAntiEntropySweepRepairsMissedWriteThrough(t *testing.T) {
 	down := replicas[0].Self().Addr
 	net.SetDown(down, true)
 	list := &postings.List{Entries: []postings.Posting{post("w", 1, 4.0)}}
-	if _, err := idxs[0].Put(context.Background(), terms, list, 10); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], terms, list, 10); err != nil {
 		t.Fatal(err)
 	}
 	net.SetDown(down, false)
@@ -59,7 +59,7 @@ func TestAntiEntropySweepRepairsMissedWriteThrough(t *testing.T) {
 
 	// With replication off the sweep is a no-op.
 	_, soloIdxs, _ := replRing(t, 4, 1)
-	if _, err := soloIdxs[0].Put(context.Background(), []string{"solo"}, list, 10); err != nil {
+	if _, err := putOne(context.Background(), soloIdxs[0], []string{"solo"}, list, 10); err != nil {
 		t.Fatal(err)
 	}
 	for _, ix := range soloIdxs {

@@ -20,7 +20,6 @@ import (
 // one; handlers decode the whole frame before applying anything, so a
 // malformed batch is rejected without partial effects.
 const (
-	MsgMultiPut     uint8 = 0x16 // (n, n×(key, bound, list)) -> n×storedLen
 	MsgMultiAppend  uint8 = 0x17 // (n, n×(key, bound, announcedDF, list)) -> n×storedLen
 	MsgMultiGet     uint8 = 0x18 // (n, n×(key, maxResults)) -> n×(found, wantIndex, list?)
 	MsgMultiKeyInfo uint8 = 0x19 // (n, n×key) -> n×(present, approxDF, truncated)
@@ -34,13 +33,6 @@ const (
 // MaxBatchItems bounds the item count a batch handler accepts in one
 // frame; hostile counts beyond it are rejected as corrupt.
 const MaxBatchItems = 1 << 14
-
-// PutItem is one element of a MultiPut.
-type PutItem struct {
-	Terms []string
-	List  *postings.List
-	Bound int
-}
 
 // AppendItem is one element of a MultiAppend.
 type AppendItem struct {
@@ -56,7 +48,9 @@ type GetItem struct {
 	MaxResults int
 }
 
-// GetResult is the per-item answer of a MultiGet, mirroring Get.
+// GetResult is the per-item answer of a MultiGet. Found reports whether
+// the key is indexed; WantIndex is the serving peer's QDI activation
+// request for a missing-but-popular key.
 type GetResult struct {
 	List      *postings.List
 	Found     bool
@@ -68,8 +62,9 @@ type KeyInfoItem struct {
 	Terms []string
 }
 
-// KeyInfoResult is the per-item answer of a MultiKeyInfo, mirroring
-// KeyInfo.
+// KeyInfoResult is the per-item answer of a MultiKeyInfo: presence,
+// approximate global document frequency and truncation state of a key at
+// its responsible peer. HDK's frequency test is built on it.
 type KeyInfoResult struct {
 	DF        int64
 	Present   bool
@@ -80,9 +75,8 @@ type KeyInfoResult struct {
 // currently own. Batch frames arrive over cached routes; after a ring
 // change a stale route can deliver keys that moved to another node, and
 // silently absorbing them would strand the entries where no lookup finds
-// them. The rejection makes the client invalidate the route and re-drive
-// every item through a fresh per-key lookup. (The single-key handlers
-// skip the check: their requests follow a lookup issued moments before.)
+// them. The rejection makes the client invalidate the route and redrive
+// the items over fresh ring walks (see runBatch).
 func (ix *Index) checkResponsible(keys []string) error {
 	for _, key := range keys {
 		if !ix.node.Responsible(ids.HashString(key)) {
@@ -92,40 +86,12 @@ func (ix *Index) checkResponsible(keys []string) error {
 	return nil
 }
 
-// batchQuota asks the dispatcher's admission control how many of a
-// frame's items may be served within the request's remaining budget —
-// the batch-granular shed. A handler answers with the served prefix
-// only; the client redrives the suffix elsewhere (it provably was not
-// applied, because items apply in frame order).
-func (ix *Index) batchQuota(ctx context.Context, msgType uint8, n int) int {
-	return ix.disp.BatchQuota(ctx, msgType, n)
-}
-
-func (ix *Index) handleMultiPut(ctx context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	keys, bounds, _, lists, err := decodeMultiPutBody(body, false)
-	if err != nil {
-		return 0, nil, err
-	}
-	serve := ix.batchQuota(ctx, MsgMultiPut, len(keys))
-	if err := ix.checkResponsible(keys[:serve]); err != nil {
-		return 0, nil, err
-	}
-	start := time.Now()
-	w := wire.NewWriter(8 + 4*serve)
-	w.Uvarint(uint64(serve))
-	for i := 0; i < serve; i++ {
-		w.Uvarint(uint64(ix.store.Put(keys[i], lists[i], bounds[i])))
-	}
-	ix.disp.ObserveBatch(MsgMultiPut, time.Since(start), serve)
-	return MsgMultiPut, w.Bytes(), nil
-}
-
 func (ix *Index) handleMultiAppend(ctx context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	keys, bounds, dfs, lists, err := decodeMultiPutBody(body, true)
+	keys, bounds, dfs, lists, err := decodeAppendBody(body)
 	if err != nil {
 		return 0, nil, err
 	}
-	serve := ix.batchQuota(ctx, MsgMultiAppend, len(keys))
+	serve := ix.disp.BatchQuota(ctx, MsgMultiAppend, len(keys))
 	if err := ix.checkResponsible(keys[:serve]); err != nil {
 		return 0, nil, err
 	}
@@ -154,7 +120,7 @@ func (ix *Index) handleMultiGet(ctx context.Context, _ transport.Addr, msgType u
 	if err := r.Err(); err != nil {
 		return 0, nil, err
 	}
-	serve := ix.batchQuota(ctx, msgType, count)
+	serve := ix.disp.BatchQuota(ctx, msgType, count)
 	if msgType != MsgMultiGetAny {
 		if err := ix.checkResponsible(keys[:serve]); err != nil {
 			return 0, nil, err
@@ -189,15 +155,24 @@ func (ix *Index) handleMultiKeyInfo(ctx context.Context, _ transport.Addr, _ uin
 	if err := r.Err(); err != nil {
 		return 0, nil, err
 	}
-	serve := ix.batchQuota(ctx, MsgMultiKeyInfo, count)
+	serve := ix.disp.BatchQuota(ctx, MsgMultiKeyInfo, count)
 	if err := ix.checkResponsible(keys[:serve]); err != nil {
 		return 0, nil, err
 	}
 	start := time.Now()
 	w := wire.NewWriter(16 * serve)
 	w.Uvarint(uint64(serve))
-	for i := 0; i < serve; i++ {
-		ix.writeKeyInfoAnswer(w, keys[i])
+	for _, key := range keys[:serve] {
+		df, present := ix.store.ApproxDF(key)
+		truncated := false
+		if present {
+			if l, ok := ix.store.Peek(key); ok {
+				truncated = l.Truncated
+			}
+		}
+		w.Bool(present)
+		w.Uvarint(uint64(df))
+		w.Bool(truncated)
 	}
 	ix.disp.ObserveBatch(MsgMultiKeyInfo, time.Since(start), serve)
 	return MsgMultiKeyInfo, w.Bytes(), nil
@@ -215,9 +190,9 @@ func readBatchCount(r *wire.Reader) (int, error) {
 	return int(count), nil
 }
 
-// decodeMultiPutBody decodes a MultiPut/MultiAppend frame fully before
+// decodeAppendBody decodes a MultiAppend/ReplAppend frame fully before
 // returning, so callers apply either every item or none.
-func decodeMultiPutBody(body []byte, withDF bool) (keys []string, bounds, dfs []int, lists []*postings.List, err error) {
+func decodeAppendBody(body []byte) (keys []string, bounds, dfs []int, lists []*postings.List, err error) {
 	r := wire.NewReader(body)
 	count, err := readBatchCount(r)
 	if err != nil {
@@ -228,42 +203,25 @@ func decodeMultiPutBody(body []byte, withDF bool) (keys []string, bounds, dfs []
 	dfs = make([]int, count)
 	lists = make([]*postings.List, count)
 	for i := 0; i < count; i++ {
-		keys[i], bounds[i], dfs[i], lists[i], err = readKeyBoundList(r, withDF)
-		if err != nil {
+		keys[i] = r.String()
+		bounds[i] = int(r.Uvarint())
+		dfs[i] = int(r.Uvarint())
+		if lists[i], err = postings.Decode(r); err != nil {
+			return nil, nil, nil, nil, err
+		}
+		if err := r.Err(); err != nil {
 			return nil, nil, nil, nil, err
 		}
 	}
 	return keys, bounds, dfs, lists, nil
 }
 
-// readKeyBoundList reads one (key, bound, [announcedDF], list) group from
-// an open reader — the per-item layout shared by the single and batch
-// put/append frames.
-func readKeyBoundList(r *wire.Reader, withDF bool) (string, int, int, *postings.List, error) {
-	key := r.String()
-	bound := int(r.Uvarint())
-	announcedDF := 0
-	if withDF {
-		announcedDF = int(r.Uvarint())
-	}
-	list, err := postings.Decode(r)
-	if err != nil {
-		return "", 0, 0, nil, err
-	}
-	if err := r.Err(); err != nil {
-		return "", 0, 0, nil, err
-	}
-	return key, bound, announcedDF, list, nil
-}
-
-// writeKeyBoundList writes one (key, bound, [announcedDF], list) group.
-func writeKeyBoundList(w *wire.Writer, key string, bound, announcedDF int, list *postings.List, withDF bool) {
+// writeAppendItem writes one (key, bound, announcedDF, list) append item.
+func writeAppendItem(w *wire.Writer, key string, it AppendItem) {
 	w.String(key)
-	w.Uvarint(uint64(bound))
-	if withDF {
-		w.Uvarint(uint64(announcedDF))
-	}
-	list.Encode(w)
+	w.Uvarint(uint64(it.Bound))
+	w.Uvarint(uint64(it.AnnouncedDF))
+	it.List.Encode(w)
 }
 
 // Resolver exposes the index's caching key resolver (benchmarks reset it
@@ -295,8 +253,7 @@ func groupByPeer(peers []dht.Remote) []group {
 
 // chunkGroups splits any group larger than max into consecutive chunks,
 // keeping item order. Handlers reject frames above MaxBatchItems, so an
-// unchunked oversized group would be guaranteed-refused and degrade to
-// fully sequential per-item fallback.
+// unchunked oversized group would be guaranteed-refused.
 func chunkGroups(groups []group, max int) []group {
 	out := make([]group, 0, len(groups))
 	for _, g := range groups {
@@ -326,37 +283,15 @@ func (ix *Index) resolveAll(ctx context.Context, keys []string, workers int) ([]
 	return peers, nil
 }
 
-// MultiPut stores every item's list under its canonical key, coalescing
-// all items that resolve to the same responsible peer into one MsgMultiPut
-// round trip and issuing the per-peer calls concurrently (workers bounds
-// the fan-out; 0 = default, 1 = sequential). It returns the stored length
-// per item, in input order. Items whose batch call fails over a stale or
-// dead route are retried individually through the single-item path.
-func (ix *Index) MultiPut(ctx context.Context, items []PutItem, workers int) ([]int, error) {
-	keys := make([]string, len(items))
-	for i, it := range items {
-		keys[i] = ids.KeyString(it.Terms)
-		ix.pcache.Invalidate(keys[i]) // write watermark: never serve a pre-write prefix
-	}
-	out := make([]int, len(items))
-	err := ix.runBatch(ctx, keys, workers, MsgMultiPut, true, nil,
-		func(w *wire.Writer, i int) {
-			writeKeyBoundList(w, keys[i], items[i].Bound, 0, items[i].List, false)
-		},
-		func(r *wire.Reader, i int) error {
-			out[i] = int(r.Uvarint())
-			return r.Err()
-		},
-		func(i int) error {
-			n, err := ix.Put(ctx, items[i].Terms, items[i].List, items[i].Bound)
-			out[i] = n
-			return err
-		})
-	return out, err
-}
-
-// MultiAppend merges every item's list into its canonical key's entry,
-// with the same coalescing, fan-out and retry behaviour as MultiPut.
+// MultiAppend merges every item's list into the entry stored under its
+// canonical key, announcing the publisher's true local document
+// frequency (see Store.Append). All items that resolve to the same
+// responsible peer travel in one MsgMultiAppend round trip and the
+// per-peer calls are issued concurrently (workers bounds the fan-out;
+// 0 = default, 1 = one frame at a time). It returns the stored length per
+// item, in input order. Items whose frame provably was not applied — a
+// stale or dead route, a shed — are redriven once over fresh ring walks
+// (see runBatch).
 func (ix *Index) MultiAppend(ctx context.Context, items []AppendItem, workers int) ([]int, error) {
 	keys := make([]string, len(items))
 	for i, it := range items {
@@ -364,97 +299,58 @@ func (ix *Index) MultiAppend(ctx context.Context, items []AppendItem, workers in
 		ix.pcache.Invalidate(keys[i]) // write watermark: never serve a pre-write prefix
 	}
 	out := make([]int, len(items))
-	err := ix.runBatch(ctx, keys, workers, MsgMultiAppend, false, nil,
-		func(w *wire.Writer, i int) {
-			writeKeyBoundList(w, keys[i], items[i].Bound, items[i].AnnouncedDF, items[i].List, true)
-		},
-		func(r *wire.Reader, i int) error {
+	err := ix.runBatch(ctx, keys, workers, batchOp{
+		msg:    MsgMultiAppend,
+		replay: MsgReplAppend,
+		encode: func(w *wire.Writer, i int) { writeAppendItem(w, keys[i], items[i]) },
+		decode: func(r *wire.Reader, i int) error {
 			out[i] = int(r.Uvarint())
 			return r.Err()
 		},
-		func(i int) error {
-			n, err := ix.Append(ctx, items[i].Terms, items[i].List, items[i].Bound, items[i].AnnouncedDF)
-			out[i] = n
-			return err
-		})
+	})
 	return out, err
 }
 
-// MultiGet fetches every item's posting list, coalescing per serving
-// peer like MultiPut. Probes update usage statistics at the serving
-// peers exactly as per-item Gets would; because a probe is a side
-// effect, an ambiguously-failed batch call is surfaced as an error
-// rather than retried (see runBatch). Under ReadAnyReplica each key is
-// retargeted from its primary to a hash-chosen member of the primary's
-// replica set and the groups go out as MsgMultiGetAny frames (no
-// responsibility check: replicas serve keys they do not own).
+// MultiGet fetches every item's posting list, capped to the item's
+// MaxResults entries (0 = whole stored list), coalescing per serving
+// peer like MultiAppend. Each probe updates usage statistics at the
+// serving peer; because a probe is a side effect, an ambiguously-failed
+// frame is surfaced as an error rather than retried (see runBatch).
+// policy selects which copy serves a read: ReadPrimary asks the
+// responsible peer; under ReadAnyReplica each key is retargeted from its
+// primary to a hash-chosen member of the primary's replica set and the
+// groups go out as MsgMultiGetAny frames (no responsibility check:
+// replicas serve keys they do not own).
 //
 // WithHedge changes the AnyReplica plan: items group by *primary* — so
 // every item of a group shares one replica chain — and each group frame
-// is driven through callHedged over the chain ranked by observed
-// latency: the best copy first, escalating to the next-best copy after
-// the hedge delay or on a shed, first response wins.
+// is raced over the chain ranked by observed latency: the best copy
+// first, escalating to the next-best copy after the hedge delay or on a
+// shed, first response wins.
 func (ix *Index) MultiGet(ctx context.Context, items []GetItem, workers int, policy ReadPolicy, opts ...ReadOption) ([]GetResult, error) {
-	ro := resolveReadOpts(opts)
 	keys := make([]string, len(items))
 	for i, it := range items {
 		keys[i] = ids.KeyString(it.Terms)
 	}
-	msg := MsgMultiGet
-	var retarget func(key string, primary dht.Remote) dht.Remote
-	var callGroup groupCaller
-	if policy == ReadAnyReplica && ix.repl.factor > 1 {
-		msg = MsgMultiGetAny
-		if ro.hedge > 0 {
-			callGroup = func(ctx context.Context, primary transport.Addr, gmsg uint8, seed string, body []byte) ([]byte, error) {
-				chain := ix.readChain(ctx, seed, primary)
-				resp, _, err := ix.callHedged(ctx, chain, gmsg, body, ro.hedge)
-				if err != nil && ctx.Err() == nil {
-					// Every copy in the chain failed on its own: some cached
-					// member is stale, refetch the set on the next read.
-					ix.dropReplicaSet(primary)
-				}
-				return resp, err
-			}
-		} else {
-			retarget = func(key string, primary dht.Remote) dht.Remote {
-				return dht.Remote{ID: primary.ID, Addr: ix.readTarget(ctx, key, primary)}
-			}
-		}
-	}
 	out := make([]GetResult, len(items))
-	err := ix.runBatchCustom(ctx, keys, workers, msg, false, retarget, callGroup,
-		func(w *wire.Writer, i int) {
+	op := batchOp{
+		msg: MsgMultiGet,
+		encode: func(w *wire.Writer, i int) {
 			w.String(keys[i])
 			w.Uvarint(uint64(items[i].MaxResults))
 		},
-		func(r *wire.Reader, i int) error {
-			out[i].Found = r.Bool()
-			out[i].WantIndex = r.Bool()
-			if err := r.Err(); err != nil {
+		decode: func(r *wire.Reader, i int) error {
+			out[i] = GetResult{Found: r.Bool(), WantIndex: r.Bool()}
+			if err := r.Err(); err != nil || !out[i].Found {
 				return err
 			}
-			if out[i].Found {
-				list, err := postings.Decode(r)
-				if err != nil {
-					return err
-				}
-				out[i].List = list
-			}
-			return nil
-		},
-		func(i int) error {
-			// The per-item redrive keeps the caller's read policy and
-			// options: under ReadAnyReplica (hedged or not) a shed or
-			// dead copy must escalate to the other copies, exactly as
-			// the group call would have — falling back to a bare
-			// primary read would re-target the one overloaded peer the
-			// shed just steered us away from.
-			list, found, wantIndex, err := ix.Get(ctx, items[i].Terms, items[i].MaxResults, policy, opts...)
-			out[i] = GetResult{List: list, Found: found, WantIndex: wantIndex}
+			list, err := postings.Decode(r)
+			out[i].List = list
 			return err
-		})
-	return out, err
+		},
+	}
+	ix.planReplicaRead(&op, policy, resolveReadOpts(opts).hedge, ix.hardChain)
+	return out, ix.runBatch(ctx, keys, workers, op)
 }
 
 // MultiKeyInfo fetches presence, approximate global DF and truncation
@@ -467,76 +363,127 @@ func (ix *Index) MultiKeyInfo(ctx context.Context, items []KeyInfoItem, workers 
 		keys[i] = ids.KeyString(it.Terms)
 	}
 	out := make([]KeyInfoResult, len(items))
-	err := ix.runBatch(ctx, keys, workers, MsgMultiKeyInfo, true, nil,
-		func(w *wire.Writer, i int) {
-			w.String(keys[i])
-		},
-		func(r *wire.Reader, i int) error {
-			out[i].Present = r.Bool()
-			out[i].DF = int64(r.Uvarint())
-			out[i].Truncated = r.Bool()
+	err := ix.runBatch(ctx, keys, workers, batchOp{
+		msg:        MsgMultiKeyInfo,
+		idempotent: true,
+		encode:     func(w *wire.Writer, i int) { w.String(keys[i]) },
+		decode: func(r *wire.Reader, i int) error {
+			out[i] = KeyInfoResult{Present: r.Bool(), DF: int64(r.Uvarint()), Truncated: r.Bool()}
 			return r.Err()
 		},
-		func(i int) error {
-			df, present, truncated, err := ix.KeyInfo(ctx, items[i].Terms)
-			out[i] = KeyInfoResult{DF: df, Present: present, Truncated: truncated}
-			return err
-		})
+	})
 	return out, err
 }
 
-// groupCaller delivers one encoded group frame to the network on behalf
-// of runBatch. The default sends a single timed RPC to the group's
-// serving address; the hedged MultiGet path substitutes a caller that
-// races the frame across the group's replica chain. seed is the group's
-// first item key — per-call entropy for the chain rotation, so distinct
-// queries spread their first attempts across a primary's copies instead
-// of all starting at the same one.
-type groupCaller func(ctx context.Context, addr transport.Addr, msg uint8, seed string, body []byte) (resp []byte, err error)
+// batchOp describes one Multi operation to the batch engine.
+type batchOp struct {
+	// msg is the frame type of the first round: the responsibility-checked
+	// frame, or a read's Any variant once planReplicaRead spread it over
+	// the replica set.
+	msg uint8
+	// idempotent declares that re-applying an already-applied item is
+	// harmless (KeyInfo reads without side effects). Append accumulates
+	// the announced DF and a Get records a usage probe, so their frames
+	// are redriven only when the failure proves they never ran.
+	idempotent bool
+	// replay is the frame that replays an applied write on the serving
+	// peer's replicas (write-through); 0 for reads.
+	replay uint8
+	encode func(w *wire.Writer, i int)
+	decode func(r *wire.Reader, i int) error
 
-// runBatch is the shared engine of the Multi operations: resolve all
-// keys, group per serving peer, one concurrent RPC per peer, decode
-// per-item answers in order, and fall back to the per-item path for any
-// group whose call failed (after invalidating its cached route). The
-// context stops the fan-out from dispatching further group calls once it
-// dies, and its error propagates.
-//
-// retarget, when non-nil, maps each item's resolved primary to the peer
-// that actually serves it (the ReadAnyReplica policy redirects reads to
-// replica-set members); nil keeps the primaries.
-//
-// idempotent declares whether re-applying an already-applied item is
-// harmless (Put replaces, KeyInfo reads without side effects). For a
-// non-idempotent operation (Append accumulates the announced DF, Get
-// records a usage probe) the fallback runs only when the failure proves
-// the frame was never applied: the handler rejected it (RemoteError —
-// batch handlers mutate nothing before rejecting), the remote's
-// admission control refused it before any work (ErrShed), or the
-// transport never delivered it (ErrUnreachable, which includes a context
-// that died before the send). An interrupted call or a garbled response
-// propagates as an error instead, exactly as the sequential per-key path
-// would surface it.
-func (ix *Index) runBatch(ctx context.Context, keys []string, workers int, msg uint8, idempotent bool,
-	retarget func(key string, primary dht.Remote) dht.Remote,
-	encodeItem func(w *wire.Writer, i int),
-	decodeItem func(r *wire.Reader, i int) error,
-	fallbackItem func(i int) error,
-) error {
-	return ix.runBatchCustom(ctx, keys, workers, msg, idempotent, retarget, nil, encodeItem, decodeItem, fallbackItem)
+	// The ReadAnyReplica plans of the first round; at most one is set.
+	// retarget maps each item's resolved primary to the copy that serves
+	// it. callGroup replaces the single RPC per group frame: items stay
+	// grouped by primary and the frame is raced across the group's copies.
+	// seed is the group's first item key — per-call entropy for the chain
+	// rotation, so distinct queries spread their first attempts across a
+	// primary's copies instead of all starting at the same one.
+	retarget  func(ctx context.Context, key string, primary dht.Remote) transport.Addr
+	callGroup func(ctx context.Context, primary transport.Addr, msg uint8, seed string, body []byte) ([]byte, error)
 }
 
-// runBatchCustom is runBatch with an optional group caller: callGroup,
-// when non-nil, replaces the single-RPC delivery of each group frame
-// (the hedged read path). A custom caller owns its own addressing, so
-// the MsgMultiGetAny → MsgMultiGet downgrade for all-primary groups does
-// not apply to it.
-func (ix *Index) runBatchCustom(ctx context.Context, keys []string, workers int, msg uint8, idempotent bool,
-	retarget func(key string, primary dht.Remote) dht.Remote,
-	callGroup groupCaller,
-	encodeItem func(w *wire.Writer, i int),
-	decodeItem func(r *wire.Reader, i int) error,
-	fallbackItem func(i int) error,
-) error {
+// checkedVariant maps a replica-addressed read frame to its
+// responsibility-checked form; every other frame is its own.
+func checkedVariant(msg uint8) uint8 {
+	switch msg {
+	case MsgMultiGetAny:
+		return MsgMultiGet
+	case MsgMultiGetTopKAny:
+		return MsgMultiGetTopK
+	}
+	return msg
+}
+
+// anyVariant is checkedVariant's inverse: the frame a replica answers
+// for keys it does not own, or 0 for operations only the owner serves.
+func anyVariant(msg uint8) uint8 {
+	switch checkedVariant(msg) {
+	case MsgMultiGet:
+		return MsgMultiGetAny
+	case MsgMultiGetTopK:
+		return MsgMultiGetTopKAny
+	}
+	return 0
+}
+
+// planReplicaRead spreads a read over the replica set when the policy
+// asks for it and there is a second copy: op.msg becomes the Any variant
+// and the first round is either hedged over chain's targets per primary
+// (hedge > 0) or retargeted per key to readTarget's hash pick.
+func (ix *Index) planReplicaRead(op *batchOp, policy ReadPolicy, hedge time.Duration,
+	chain func(ctx context.Context, seed string, primary transport.Addr, body []byte) []hedgeTarget) {
+	if policy != ReadAnyReplica || ix.repl.factor <= 1 {
+		return
+	}
+	op.msg = anyVariant(op.msg)
+	if hedge <= 0 {
+		op.retarget = ix.readTarget
+		return
+	}
+	op.callGroup = func(ctx context.Context, primary transport.Addr, msg uint8, seed string, body []byte) ([]byte, error) {
+		resp, _, err := ix.callHedgedTargets(ctx, chain(ctx, seed, primary, body), msg, body, hedge)
+		if err != nil && ctx.Err() == nil {
+			// Every copy in the chain failed on its own: some cached
+			// member is stale, refetch the set on the next read.
+			ix.dropReplicaSet(primary)
+		}
+		return resp, err
+	}
+}
+
+// runBatch is the one engine of the keyed operations: resolve all keys
+// through the caching resolver, group per serving peer, one concurrent
+// frame per peer, decode per-item answers in order. The context stops
+// the fan-out from dispatching further frames once it dies, and its
+// error propagates. Whatever the first round leaves unserved climbs one
+// recovery ladder, the same for every operation:
+//
+//  1. A group whose frame failed has its cached route dropped — and,
+//     for a replica-addressed group, the replica sets naming the failed
+//     peer and the primary routes that produced it, since a stale
+//     primary mapping is a failure the unchecked replica frame cannot
+//     detect on its own. Its items join the redrive set only when
+//     re-applying them is safe: the operation is idempotent, or the
+//     failure proves the frame never ran (retryProvablySafe). An
+//     interrupted call or a garbled response of a non-idempotent frame
+//     surfaces as the operation's error.
+//  2. The shed suffix of a partially served frame joins the redrive set
+//     unconditionally: items apply in frame order, so the suffix
+//     provably never ran.
+//  3. The redrive set is re-resolved with fresh ring walks, regrouped
+//     per owner and resent once. Writes and frequency probes go as the
+//     responsibility-checked frame: an owner that still rejects them
+//     (the ring is in flux) fails the operation rather than stranding a
+//     write. Reads go as the frame's Any variant: the fresh walk is the
+//     best route there is, and a soft-state read answered by a copy that
+//     is about to hand the key over beats a failed query.
+//  4. A read with R > 1 whose redriven frame is still unserved — owner
+//     dead or shedding — asks the owner's replicas, at most R−1 of them
+//     (walkReplicas). Whatever is unserved after that fails the
+//     operation with the owner's error (ErrShed for a suffix shed
+//     twice).
+func (ix *Index) runBatch(ctx context.Context, keys []string, workers int, op batchOp) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -545,19 +492,22 @@ func (ix *Index) runBatchCustom(ctx context.Context, keys []string, workers int,
 		return err
 	}
 	serve := primaries
-	if retarget != nil {
+	if op.retarget != nil {
 		serve = make([]dht.Remote, len(primaries))
-		for i := range primaries {
-			serve[i] = retarget(keys[i], primaries[i])
+		for i, p := range primaries {
+			serve[i] = dht.Remote{ID: p.ID, Addr: op.retarget(ctx, keys[i], p)}
 		}
 	}
 	groups := chunkGroups(groupByPeer(serve), MaxBatchItems)
-	// groupRetargeted reports whether any of a group's items was steered
-	// away from its primary. A group whose every item is primary-served
-	// keeps the responsibility-checked frame even under a replica-read
-	// policy, preserving the batch path's stale-route detection for the
-	// ~1/R of keys the hash keeps on their primaries.
-	groupRetargeted := func(g group) bool {
+	// retargeted reports whether any of a group's items was steered away
+	// from its primary. A group whose every item is primary-served keeps
+	// the responsibility-checked frame even under a replica-read policy,
+	// preserving stale-route detection for the ~1/R of keys the hash
+	// keeps on their primaries. A hedged group owns its own addressing.
+	retargeted := func(g group) bool {
+		if op.callGroup != nil {
+			return true
+		}
 		for _, i := range g.items {
 			if serve[i].Addr != primaries[i].Addr {
 				return true
@@ -565,135 +515,169 @@ func (ix *Index) runBatchCustom(ctx context.Context, keys []string, workers int,
 		}
 		return false
 	}
+	served := make([]int, len(groups))
 	errs := make([]error, len(groups))
-	// servedOf[gi] >= 0 records a *partially served* group: the remote's
-	// admission control applied exactly that prefix of the frame's items
-	// and shed the rest, which the caller redrives individually below.
-	servedOf := make([]int, len(groups))
-	for gi := range servedOf {
-		servedOf[gi] = -1
-	}
-	replMsg := replicaWriteMsg(msg)
 	stopped := dht.RunBounded(ctx, len(groups), workers, func(gi int) {
-		g := groups[gi]
-		gmsg := msg
-		if gmsg == MsgMultiGetAny && callGroup == nil && !groupRetargeted(g) {
-			gmsg = MsgMultiGet
+		g, gop := groups[gi], op
+		if !retargeted(g) {
+			gop.msg = checkedVariant(op.msg)
 		}
-		w := wire.NewWriter(64 * len(g.items))
-		w.Uvarint(uint64(len(g.items)))
-		for _, i := range g.items {
-			encodeItem(w, i)
-		}
-		var resp []byte
-		var err error
-		if callGroup != nil {
-			resp, err = callGroup(ctx, g.addr, gmsg, keys[g.items[0]], w.Bytes())
-		} else {
-			_, resp, err = ix.timedCall(ctx, g.addr, gmsg, w.Bytes())
-		}
-		if err != nil {
-			errs[gi] = err
-			return
-		}
-		r := wire.NewReader(resp)
-		count := int(r.Uvarint())
-		if r.Err() != nil || count > len(g.items) {
-			errs[gi] = fmt.Errorf("globalindex: batch 0x%02x at %s: bad response count", gmsg, g.addr)
-			return
-		}
-		for _, i := range g.items[:count] {
-			if err := decodeItem(r, i); err != nil {
-				errs[gi] = fmt.Errorf("globalindex: batch 0x%02x at %s: %w", gmsg, g.addr, err)
-				return
-			}
-		}
-		if count < len(g.items) {
-			// Batch-level partial shed: items apply in frame order, so the
-			// suffix provably never ran — safe to redrive even for the
-			// non-idempotent operations, and only the shed subset moves
-			// again.
-			servedOf[gi] = count
-		}
-		if replMsg != 0 && ix.repl.factor > 1 && count > 0 {
-			// Write-through: the replica replay frame is the *applied*
-			// batch frame (the full frame verbatim normally; re-encoded to
-			// the served prefix after a partial shed — replicas must not
-			// replay items the primary refused).
-			body := w.Bytes()
-			if count < len(g.items) {
-				pw := wire.NewWriter(64 * count)
-				pw.Uvarint(uint64(count))
-				for _, i := range g.items[:count] {
-					encodeItem(pw, i)
-				}
-				body = pw.Bytes()
-			}
-			ix.replicate(ctx, g.addr, replMsg, body)
-		}
+		served[gi], errs[gi] = ix.sendGroup(ctx, g.addr, keys, g.items, gop)
 	})
 	if stopped != nil {
 		return stopped
 	}
-	for gi, gerr := range errs {
+	var redrive []int
+	var cause error
+	for gi, g := range groups {
+		gerr := errs[gi]
 		if gerr == nil {
+			redrive = append(redrive, g.items[served[gi]:]...)
 			continue
 		}
 		if ctx.Err() != nil {
 			// The group failed because the caller gave up: surface the
-			// cancellation instead of burning per-item retries.
+			// cancellation instead of burning a redrive.
 			return gerr
 		}
-		// The cached route was stale or the peer is gone: drop it from
-		// the cache either way. A retargeted (replica-read) group also
-		// drops the replica sets naming the failed peer — or every later
-		// AnyReplica read would re-route to the same dead replica — and
-		// the *primary* routes that produced the group, since a stale
-		// primary mapping is a failure the unchecked replica frame cannot
-		// detect on its own.
-		ix.resolver.Invalidate(groups[gi].addr)
-		if retarget != nil && groupRetargeted(groups[gi]) {
-			ix.invalidateReplicaTarget(groups[gi].addr)
-			dropped := map[transport.Addr]bool{groups[gi].addr: true}
-			for _, i := range groups[gi].items {
+		ix.resolver.Invalidate(g.addr)
+		if op.retarget != nil && retargeted(g) {
+			ix.invalidateReplicaTarget(g.addr)
+			dropped := map[transport.Addr]bool{g.addr: true}
+			for _, i := range g.items {
 				if p := primaries[i].Addr; !dropped[p] {
 					dropped[p] = true
 					ix.resolver.Invalidate(p)
 				}
 			}
 		}
-		if !idempotent && !retryProvablySafe(gerr) {
+		if !op.idempotent && !retryProvablySafe(gerr) {
 			return gerr
 		}
-		// Re-drive each item through the self-healing single path (which
-		// does a fresh lookup per key).
-		for _, i := range groups[gi].items {
-			if err := fallbackItem(i); err != nil {
-				return fmt.Errorf("globalindex: batch retry after %v: %w", gerr, err)
-			}
+		if cause == nil {
+			cause = gerr
 		}
+		redrive = append(redrive, g.items...)
 	}
-	// Redrive the shed suffix of every partially-served frame through
-	// the per-item path — fresh lookups route each item to a copy that
-	// still has budget headroom (or to the same peer once its load
-	// drops). Only the shed subset moves again.
-	for gi, served := range servedOf {
-		if served < 0 {
-			continue
+	if len(redrive) == 0 {
+		return nil
+	}
+	if err := ix.redrive(ctx, keys, redrive, workers, op); err != nil {
+		if cause != nil {
+			return fmt.Errorf("globalindex: batch redrive after %v: %w", cause, err)
 		}
-		for _, i := range groups[gi].items[served:] {
-			if err := fallbackItem(i); err != nil {
-				return fmt.Errorf("globalindex: partial-shed redrive: %w", err)
+		return fmt.Errorf("globalindex: partial-shed redrive: %w", err)
+	}
+	return nil
+}
+
+// redrive is rules 3 and 4 of runBatch's ladder over the item subset
+// items (indices into keys).
+func (ix *Index) redrive(ctx context.Context, keys []string, items []int, workers int, op batchOp) error {
+	hashes := make([]ids.ID, len(items))
+	for j, i := range items {
+		hashes[j] = ids.HashString(keys[i])
+	}
+	owners, err := ix.node.LookupBatch(ctx, hashes, workers)
+	if err != nil {
+		return err
+	}
+	groups := chunkGroups(groupByPeer(owners), MaxBatchItems)
+	errs := make([]error, len(groups))
+	op.callGroup = nil
+	anyMsg := anyVariant(op.msg)
+	if op.msg = checkedVariant(op.msg); anyMsg != 0 {
+		op.msg = anyMsg
+	}
+	stopped := dht.RunBounded(ctx, len(groups), workers, func(gi int) {
+		owner := owners[groups[gi].items[0]]
+		rest := make([]int, len(groups[gi].items))
+		for j, k := range groups[gi].items {
+			rest[j] = items[k]
+		}
+		n, err := ix.sendGroup(ctx, owner.Addr, keys, rest, op)
+		rest = rest[n:]
+		if len(rest) > 0 && anyMsg != 0 && ctx.Err() == nil && (err == nil || retryProvablySafe(err)) {
+			ix.walkReplicas(ctx, owner, func(replica transport.Addr) bool {
+				if n, rerr := ix.sendGroup(ctx, replica, keys, rest, op); rerr == nil {
+					rest = rest[n:]
+				}
+				return len(rest) == 0
+			})
+		}
+		if len(rest) > 0 {
+			if err == nil {
+				err = fmt.Errorf("%w: %d items shed twice at %s", transport.ErrShed, len(rest), owner.Addr)
 			}
+			errs[gi] = err
+		}
+	})
+	if stopped != nil {
+		return stopped
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// sendGroup ships the items (indices into keys) as one op.msg frame to
+// addr — through op.callGroup when the plan has one — and decodes the
+// served prefix. served < len(items) with a nil error is a batch-level
+// partial shed: the remote's admission control applied exactly that
+// prefix. A write that applied anything is replayed on the peer's
+// replicas before returning.
+func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []string, items []int, op batchOp) (served int, err error) {
+	encode := func(items []int) []byte {
+		w := wire.NewWriter(64 * len(items))
+		w.Uvarint(uint64(len(items)))
+		for _, i := range items {
+			op.encode(w, i)
+		}
+		return w.Bytes()
+	}
+	body := encode(items)
+	var resp []byte
+	if op.callGroup != nil {
+		resp, err = op.callGroup(ctx, addr, op.msg, keys[items[0]], body)
+	} else {
+		_, resp, err = ix.timedCall(ctx, addr, op.msg, body)
+	}
+	if err != nil {
+		return 0, err
+	}
+	r := wire.NewReader(resp)
+	count := int(r.Uvarint())
+	if r.Err() != nil || count > len(items) {
+		return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: bad response count", op.msg, addr)
+	}
+	for _, i := range items[:count] {
+		if err := op.decode(r, i); err != nil {
+			return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w", op.msg, addr, err)
+		}
+	}
+	if op.replay != 0 && ix.repl.factor > 1 && count > 0 {
+		// Write-through: the replica replay frame is the *applied* frame
+		// (verbatim normally; re-encoded to the served prefix after a
+		// partial shed — replicas must not replay items the primary
+		// refused).
+		if count < len(items) {
+			body = encode(items[:count])
+		}
+		ix.replicate(ctx, addr, op.replay, body)
+	}
+	return count, nil
+}
+
 // retryProvablySafe reports whether err guarantees the batch frame was
-// not applied at the remote store. A shed qualifies by construction:
-// admission control refuses the request before any work, precisely so
-// that callers can redrive it on another copy.
+// not applied at the remote store: the handler rejected it (RemoteError
+// — batch handlers mutate nothing before rejecting), the remote's
+// admission control refused it before any work (ErrShed — precisely so
+// that callers can redrive it on another copy), or the transport never
+// delivered it (ErrUnreachable, which includes a context that died
+// before the send).
 func retryProvablySafe(err error) bool {
 	var remote *transport.RemoteError
 	return errors.Is(err, transport.ErrUnreachable) ||

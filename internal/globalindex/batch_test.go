@@ -30,13 +30,15 @@ func multiItems(count, listLen int) []AppendItem {
 	return items
 }
 
+// TestMultiAppendMatchesSequential: sixty one-item batches at width one
+// and one sixty-item batch at width eight leave identical rings.
 func TestMultiAppendMatchesSequential(t *testing.T) {
 	_, seqIdxs, _ := ring(t, 10)
 	_, batIdxs, _ := ring(t, 10)
 	items := multiItems(60, 5)
 
 	for _, it := range items {
-		if _, err := seqIdxs[0].Append(context.Background(), it.Terms, it.List, it.Bound, it.AnnouncedDF); err != nil {
+		if _, err := appendOne(context.Background(), seqIdxs[0], it.Terms, it.List, it.Bound, it.AnnouncedDF); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,18 +68,18 @@ func TestMultiAppendMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestMultiPutAndMultiGetEndToEnd(t *testing.T) {
+func TestMultiAppendAndMultiGetEndToEnd(t *testing.T) {
 	_, idxs, net := ring(t, 12)
-	var puts []PutItem
+	var puts []AppendItem
 	for i := 0; i < 40; i++ {
 		l := &postings.List{}
 		for j := 0; j < 8; j++ {
 			l.Add(post("pub", uint32(j), float64(8-j)))
 		}
 		l.Normalize()
-		puts = append(puts, PutItem{Terms: []string{fmt.Sprintf("key%02d", i)}, List: l, Bound: 5})
+		puts = append(puts, AppendItem{Terms: []string{fmt.Sprintf("key%02d", i)}, List: l, Bound: 5})
 	}
-	ns, err := idxs[1].MultiPut(context.Background(), puts, 8)
+	ns, err := idxs[1].MultiAppend(context.Background(), puts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +112,13 @@ func TestMultiPutAndMultiGetEndToEnd(t *testing.T) {
 		t.Fatal("missing key reported found")
 	}
 
-	// The same fetches one at a time must cost meaningfully more round
-	// trips. Sequential singles route through the read-path resolver
-	// cache (repeat lookups skip the ring walk), so the margin is 1.5x
-	// rather than the 2x of the pre-cache uncached-lookup era — batching
-	// still wins on the data round trips themselves.
+	// The same fetches as one-item batches must cost meaningfully more
+	// round trips. They route through the same resolver cache (repeat
+	// lookups skip the ring walk), so the margin is 1.5x — batching wins
+	// on the data round trips themselves.
 	before = net.Meter().Snapshot().Messages
 	for _, g := range gets {
-		if _, _, _, err := idxs[3].Get(context.Background(), g.Terms, g.MaxResults, ReadPrimary); err != nil {
+		if _, _, _, err := getOne(context.Background(), idxs[3], g.Terms, g.MaxResults, ReadPrimary); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +154,7 @@ func selfIndex(t *testing.T) *Index {
 	return idxs[0]
 }
 
-func TestMultiPutWireRoundTrip(t *testing.T) {
+func TestMultiAppendWireRoundTripBounds(t *testing.T) {
 	ix := selfIndex(t)
 	items := []struct {
 		key   string
@@ -172,10 +173,10 @@ func TestMultiPutWireRoundTrip(t *testing.T) {
 			l.Add(post("p", uint32(j), float64(it.n-j)))
 		}
 		l.Normalize()
-		writeKeyBoundList(w, it.key, it.bound, 0, l, false)
+		writeAppendItem(w, it.key, AppendItem{List: l, Bound: it.bound})
 	}
-	msg, resp, err := ix.handleMultiPut(context.Background(), "tester", MsgMultiPut, w.Bytes())
-	if err != nil || msg != MsgMultiPut {
+	msg, resp, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, w.Bytes())
+	if err != nil || msg != MsgMultiAppend {
 		t.Fatalf("handler: %v (msg 0x%02x)", err, msg)
 	}
 	r := wire.NewReader(resp)
@@ -205,7 +206,7 @@ func TestMultiAppendWireRoundTripAnnouncedDF(t *testing.T) {
 	l := &postings.List{Entries: []postings.Posting{post("p", 1, 2), post("p", 2, 1)}}
 	w := wire.NewWriter(128)
 	w.Uvarint(1)
-	writeKeyBoundList(w, "df-key", 10, 50, l, true)
+	writeAppendItem(w, "df-key", AppendItem{List: l, Bound: 10, AnnouncedDF: 50})
 	_, resp, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, w.Bytes())
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +275,7 @@ func TestMultiHandlersRejectMalformed(t *testing.T) {
 	l := &postings.List{Entries: []postings.Posting{post("p", 1, 1)}}
 	good := wire.NewWriter(64)
 	good.Uvarint(1)
-	writeKeyBoundList(good, "k", 10, 0, l, false)
+	writeAppendItem(good, "k", AppendItem{List: l, Bound: 10})
 
 	cases := map[string][]byte{
 		"empty-truncated":   good.Bytes()[:1],
@@ -284,9 +285,6 @@ func TestMultiHandlersRejectMalformed(t *testing.T) {
 		"garbage":           {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 	}
 	for name, body := range cases {
-		if _, _, err := ix.handleMultiPut(context.Background(), "tester", MsgMultiPut, body); err == nil {
-			t.Errorf("MultiPut accepted %s body", name)
-		}
 		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, body); err == nil {
 			t.Errorf("MultiAppend accepted %s body", name)
 		}
@@ -297,10 +295,10 @@ func TestMultiHandlersRejectMalformed(t *testing.T) {
 	// A malformed later item must not leave earlier items applied.
 	w := wire.NewWriter(128)
 	w.Uvarint(2)
-	writeKeyBoundList(w, "first", 10, 0, l, false)
+	writeAppendItem(w, "first", AppendItem{List: l, Bound: 10})
 	w.String("second")
 	// second item is cut off after the key
-	if _, _, err := ix.handleMultiPut(context.Background(), "tester", MsgMultiPut, w.Bytes()); err == nil {
+	if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, w.Bytes()); err == nil {
 		t.Fatal("truncated second item accepted")
 	}
 	if _, ok := ix.Store().Peek("first"); ok {
@@ -344,28 +342,28 @@ func TestChunkGroupsSplitsOversized(t *testing.T) {
 func TestMultiEmptyBatchesAreFree(t *testing.T) {
 	_, idxs, net := ring(t, 4)
 	before := net.Meter().Snapshot().Messages
-	if ns, err := idxs[0].MultiPut(context.Background(), nil, 8); err != nil || len(ns) != 0 {
-		t.Fatalf("empty MultiPut: %v %v", ns, err)
-	}
 	if ns, err := idxs[0].MultiAppend(context.Background(), nil, 8); err != nil || len(ns) != 0 {
 		t.Fatalf("empty MultiAppend: %v %v", ns, err)
 	}
 	if rs, err := idxs[0].MultiGet(context.Background(), nil, 8, ReadPrimary); err != nil || len(rs) != 0 {
 		t.Fatalf("empty MultiGet: %v %v", rs, err)
 	}
+	if rs, err := idxs[0].MultiKeyInfo(context.Background(), nil, 8); err != nil || len(rs) != 0 {
+		t.Fatalf("empty MultiKeyInfo: %v %v", rs, err)
+	}
 	if used := net.Meter().Snapshot().Messages - before; used != 0 {
 		t.Fatalf("empty batches used %d messages", used)
 	}
 }
 
-func TestMultiFallbackAfterPeerDeath(t *testing.T) {
+func TestMultiRedriveAfterPeerDeath(t *testing.T) {
 	nodes, idxs, net := ring(t, 8)
 	items := multiItems(30, 3)
 	// Warm the resolver cache over every key, kill one remote peer, and
 	// let the ring repair. The cached routes naming the dead peer are now
-	// stale: the batch calls to it fail and must fall back to the
-	// self-healing per-item path, which re-resolves to the peer that took
-	// over the dead node's range.
+	// stale: the batch frames to it fail and the redrive's fresh ring
+	// walks must re-resolve to the peer that took over the dead node's
+	// range.
 	var gets []GetItem
 	for _, it := range items {
 		gets = append(gets, GetItem{Terms: it.Terms})
@@ -389,9 +387,9 @@ func TestMultiFallbackAfterPeerDeath(t *testing.T) {
 		t.Fatalf("batch append across peer death: %v", err)
 	}
 	for _, it := range items {
-		list, found, _, err := idxs[2].Get(context.Background(), it.Terms, 0, ReadPrimary)
+		list, found, _, err := getOne(context.Background(), idxs[2], it.Terms, 0, ReadPrimary)
 		if err != nil || !found || list.Len() == 0 {
-			t.Fatalf("key %v lost after fallback: found=%v err=%v", it.Terms, found, err)
+			t.Fatalf("key %v lost after redrive: found=%v err=%v", it.Terms, found, err)
 		}
 	}
 }

@@ -21,17 +21,17 @@ func (recoveredMemory) Recovered() bool { return true }
 
 // populateRing stores count single-term keys through the write-through
 // path and returns them.
-func populateRing(t *testing.T, ix *Index, count int, tag string) []PutItem {
+func populateRing(t *testing.T, ix *Index, count int, tag string) []AppendItem {
 	t.Helper()
-	var items []PutItem
+	var items []AppendItem
 	for i := 0; i < count; i++ {
-		items = append(items, PutItem{
+		items = append(items, AppendItem{
 			Terms: []string{fmt.Sprintf("%s%04d", tag, i)},
 			List:  &postings.List{Entries: []postings.Posting{post("src", uint32(i), float64(i%13)+1)}},
 			Bound: 10,
 		})
 	}
-	if _, err := ix.MultiPut(context.Background(), items, 4); err != nil {
+	if _, err := ix.MultiAppend(context.Background(), items, 4); err != nil {
 		t.Fatal(err)
 	}
 	return items
@@ -145,7 +145,7 @@ func TestDeltaRejoinTransfersOnlyChangedKeys(t *testing.T) {
 
 	// Every key still resolves network-wide after the delta rejoin.
 	for _, it := range items {
-		_, found, _, err := idxs2[3].Get(context.Background(), it.Terms, 0, ReadPrimary)
+		_, found, _, err := getOne(context.Background(), idxs2[3], it.Terms, 0, ReadPrimary)
 		if err != nil || !found {
 			t.Fatalf("get %v after delta rejoin: %v found=%v", it.Terms, err, found)
 		}

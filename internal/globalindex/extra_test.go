@@ -104,7 +104,7 @@ func TestStoreQuickAppendInvariants(t *testing.T) {
 func TestKeyInfoRPCEndToEnd(t *testing.T) {
 	_, idxs, _ := ring(t, 8)
 	// Unknown key.
-	df, present, truncated, err := idxs[0].KeyInfo(context.Background(), []string{"ghost"})
+	df, present, truncated, err := keyInfoOne(context.Background(), idxs[0], []string{"ghost"})
 	if err != nil || present || truncated || df != 0 {
 		t.Fatalf("unknown key info: %d %v %v %v", df, present, truncated, err)
 	}
@@ -113,10 +113,10 @@ func TestKeyInfoRPCEndToEnd(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		big.Add(post("pub", uint32(i), float64(i)))
 	}
-	if _, err := idxs[1].Append(context.Background(), []string{"busy"}, big, 10, 30); err != nil {
+	if _, err := appendOne(context.Background(), idxs[1], []string{"busy"}, big, 10, 30); err != nil {
 		t.Fatal(err)
 	}
-	df, present, truncated, err = idxs[2].KeyInfo(context.Background(), []string{"busy"})
+	df, present, truncated, err = keyInfoOne(context.Background(), idxs[2], []string{"busy"})
 	if err != nil || !present || !truncated || df != 30 {
 		t.Fatalf("busy key info: df=%d present=%v trunc=%v err=%v", df, present, truncated, err)
 	}
@@ -124,11 +124,11 @@ func TestKeyInfoRPCEndToEnd(t *testing.T) {
 
 func TestGetRoutesToResponsiblePeerOnly(t *testing.T) {
 	nodes, idxs, net := ring(t, 10)
-	if _, err := idxs[0].Put(context.Background(), []string{"target"}, &postings.List{Entries: []postings.Posting{post("a", 1, 1)}}, 10); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], []string{"target"}, &postings.List{Entries: []postings.Posting{post("a", 1, 1)}}, 10); err != nil {
 		t.Fatal(err)
 	}
 	// Record per-peer load, issue gets from every peer, and verify the
-	// Get requests (type MsgGet) all landed at the responsible peer.
+	// read frames (type MsgMultiGet) all landed at the responsible peer.
 	var responsible transport.Addr
 	{
 		r, _, err := nodes[0].Lookup(context.Background(), keyID("target"))
@@ -139,16 +139,16 @@ func TestGetRoutesToResponsiblePeerOnly(t *testing.T) {
 	}
 	before := map[transport.Addr]int64{}
 	for _, n := range nodes {
-		before[n.Self().Addr] = net.Load(n.Self().Addr).Snapshot().PerType[MsgGet].Messages
+		before[n.Self().Addr] = net.Load(n.Self().Addr).Snapshot().PerType[MsgMultiGet].Messages
 	}
 	for _, ix := range idxs {
-		if _, _, _, err := ix.Get(context.Background(), []string{"target"}, 0, ReadPrimary); err != nil {
+		if _, _, _, err := getOne(context.Background(), ix, []string{"target"}, 0, ReadPrimary); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, n := range nodes {
 		addr := n.Self().Addr
-		delta := net.Load(addr).Snapshot().PerType[MsgGet].Messages - before[addr]
+		delta := net.Load(addr).Snapshot().PerType[MsgMultiGet].Messages - before[addr]
 		if addr == responsible {
 			if delta == 0 {
 				t.Fatal("responsible peer received no Get")

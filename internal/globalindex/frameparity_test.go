@@ -1,7 +1,10 @@
 package globalindex
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dht"
@@ -11,18 +14,13 @@ import (
 )
 
 // indexMsgTypes names every wire message type the global index layer
-// declares — the single-key RPCs, the Multi* batch frames, the top-k
-// streaming frames, and the replication/anti-entropy protocol. The
-// frameparity analyzer keeps this table and the constant blocks in
-// sync.
+// declares — the batch frames every keyed operation travels in, the
+// top-k streaming frames, the two twinless RPCs, the soft-replica pair,
+// and the replication/anti-entropy protocol. The frameparity analyzer
+// keeps this table and the constant blocks in sync.
 var indexMsgTypes = map[string]uint8{
-	"MsgPut":             MsgPut,
-	"MsgAppend":          MsgAppend,
-	"MsgGet":             MsgGet,
 	"MsgRemove":          MsgRemove,
 	"MsgStats":           MsgStats,
-	"MsgKeyInfo":         MsgKeyInfo,
-	"MsgMultiPut":        MsgMultiPut,
 	"MsgMultiAppend":     MsgMultiAppend,
 	"MsgMultiGet":        MsgMultiGet,
 	"MsgMultiKeyInfo":    MsgMultiKeyInfo,
@@ -30,7 +28,6 @@ var indexMsgTypes = map[string]uint8{
 	"MsgMultiGetTopK":    MsgMultiGetTopK,
 	"MsgGetMore":         MsgGetMore,
 	"MsgMultiGetTopKAny": MsgMultiGetTopKAny,
-	"MsgReplPut":         MsgReplPut,
 	"MsgReplAppend":      MsgReplAppend,
 	"MsgReplRemove":      MsgReplRemove,
 	"MsgPullRange":       MsgPullRange,
@@ -41,14 +38,84 @@ var indexMsgTypes = map[string]uint8{
 	"MsgSoftGet":         MsgSoftGet,
 }
 
-// TestFrameParityGlobalIndex proves every index message type has a live
-// dispatcher handler that survives hostile frames without panicking.
-func TestFrameParityGlobalIndex(t *testing.T) {
+// pinnedMsgBytes fixes the surviving frames' wire bytes: the benchmark
+// books traffic by numeric frame type (publish 0x17/0x19, streamed reads
+// 0x1C–0x1E and 0x27, replication 0x21–0x26), so renumbering a frame
+// would silently move its bytes to another account.
+var pinnedMsgBytes = map[string]uint8{
+	"MsgRemove":          0x13,
+	"MsgStats":           0x14,
+	"MsgMultiAppend":     0x17,
+	"MsgMultiGet":        0x18,
+	"MsgMultiKeyInfo":    0x19,
+	"MsgMultiGetAny":     0x1B,
+	"MsgMultiGetTopK":    0x1C,
+	"MsgGetMore":         0x1D,
+	"MsgMultiGetTopKAny": 0x1E,
+	"MsgSoftAnnounce":    0x1F,
+	"MsgReplAppend":      0x21,
+	"MsgReplRemove":      0x22,
+	"MsgPullRange":       0x23,
+	"MsgReplSync":        0x24,
+	"MsgRangeManifest":   0x25,
+	"MsgFetchEntries":    0x26,
+	"MsgSoftGet":         0x27,
+}
+
+// retiredMsgBytes are the per-key and replace-write frames this layer
+// once served (Put, Append, Get, KeyInfo, MultiPut, ReplPut). They stay
+// unassigned: an old peer still sending one gets a typed refusal.
+var retiredMsgBytes = []uint8{0x10, 0x11, 0x12, 0x15, 0x16, 0x20}
+
+func parityPeer() (*transport.Mem, *transport.Dispatcher) {
 	net := transport.NewMem()
 	d := transport.NewDispatcher()
 	ep := net.Endpoint("parity", d.Serve)
 	rng := rand.New(rand.NewSource(7))
 	node := dht.NewNode(ids.ID(rng.Uint64()), ep, d, dht.Options{})
 	New(node, d)
+	return net, d
+}
+
+// TestFrameParityGlobalIndex proves every index message type has a live
+// dispatcher handler that survives hostile frames without panicking.
+func TestFrameParityGlobalIndex(t *testing.T) {
+	_, d := parityPeer()
 	paritytest.Check(t, d, indexMsgTypes)
+}
+
+// TestFrameRegistryPinned pins the registry's size and the survivors'
+// wire bytes.
+func TestFrameRegistryPinned(t *testing.T) {
+	if len(indexMsgTypes) != 17 {
+		t.Errorf("index registry has %d frame types, want 17", len(indexMsgTypes))
+	}
+	if len(pinnedMsgBytes) != len(indexMsgTypes) {
+		t.Errorf("pinned table has %d entries for %d frame types", len(pinnedMsgBytes), len(indexMsgTypes))
+	}
+	for name, b := range indexMsgTypes {
+		if want, ok := pinnedMsgBytes[name]; !ok || want != b {
+			t.Errorf("%s = 0x%02x, pinned 0x%02x (pinned: %v)", name, b, want, ok)
+		}
+	}
+}
+
+// TestRetiredFramesRefusedTyped sends every retired frame byte, with
+// every hostile body, to a live peer: the dispatcher must answer each
+// with its typed no-handler RemoteError — never a panic, never a handler.
+func TestRetiredFramesRefusedTyped(t *testing.T) {
+	net, d := parityPeer()
+	client := net.Endpoint("old-peer", transport.NewDispatcher().Serve)
+	for _, b := range retiredMsgBytes {
+		if d.Handles(b) {
+			t.Errorf("retired frame 0x%02x has a handler again", b)
+		}
+		for _, body := range paritytest.HostileBodies() {
+			_, _, err := client.Call(context.Background(), "parity", b, body)
+			var remote *transport.RemoteError
+			if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "no handler") {
+				t.Errorf("retired frame 0x%02x: got %v, want the no-handler RemoteError", b, err)
+			}
+		}
+	}
 }

@@ -231,11 +231,11 @@ func TestDistributedPutGet(t *testing.T) {
 	nodes, idxs, _ := ring(t, 12)
 	terms := []string{"peer", "retrieval"}
 	list := &postings.List{Entries: []postings.Posting{post("p3", 7, 1.5), post("p4", 1, 0.5)}}
-	if _, err := idxs[0].Put(context.Background(), terms, list, 100); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], terms, list, 100); err != nil {
 		t.Fatal(err)
 	}
 	// Any peer can fetch it.
-	got, found, _, err := idxs[7].Get(context.Background(), []string{"retrieval", "peer"}, 0, ReadPrimary) // order independent
+	got, found, _, err := getOne(context.Background(), idxs[7], []string{"retrieval", "peer"}, 0, ReadPrimary) // order independent
 	if err != nil || !found {
 		t.Fatalf("get: %v found=%v", err, found)
 	}
@@ -267,11 +267,11 @@ func TestDistributedAppendAccumulates(t *testing.T) {
 	terms := []string{"shared"}
 	for i := 0; i < 5; i++ {
 		l := &postings.List{Entries: []postings.Posting{post(fmt.Sprintf("pub%d", i), 1, float64(i))}}
-		if _, err := idxs[i].Append(context.Background(), terms, l, 100, 0); err != nil {
+		if _, err := appendOne(context.Background(), idxs[i], terms, l, 100, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, found, _, err := idxs[6].Get(context.Background(), terms, 0, ReadPrimary)
+	got, found, _, err := getOne(context.Background(), idxs[6], terms, 0, ReadPrimary)
 	if err != nil || !found {
 		t.Fatal(err)
 	}
@@ -282,24 +282,24 @@ func TestDistributedAppendAccumulates(t *testing.T) {
 
 func TestDistributedGetMissAndRemove(t *testing.T) {
 	_, idxs, _ := ring(t, 8)
-	if _, found, _, err := idxs[0].Get(context.Background(), []string{"nothing"}, 0, ReadPrimary); err != nil || found {
+	if _, found, _, err := getOne(context.Background(), idxs[0], []string{"nothing"}, 0, ReadPrimary); err != nil || found {
 		t.Fatalf("miss: %v %v", found, err)
 	}
-	if _, err := idxs[0].Put(context.Background(), []string{"gone"}, &postings.List{}, 10); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], []string{"gone"}, &postings.List{}, 10); err != nil {
 		t.Fatal(err)
 	}
 	removed, err := idxs[3].Remove(context.Background(), []string{"gone"})
 	if err != nil || !removed {
 		t.Fatalf("remove: %v %v", removed, err)
 	}
-	if _, found, _, _ := idxs[5].Get(context.Background(), []string{"gone"}, 0, ReadPrimary); found {
+	if _, found, _, _ := getOne(context.Background(), idxs[5], []string{"gone"}, 0, ReadPrimary); found {
 		t.Fatal("key must be gone after remove")
 	}
 }
 
 func TestPeerStatsRPC(t *testing.T) {
 	nodes, idxs, _ := ring(t, 6)
-	if _, err := idxs[0].Put(context.Background(), []string{"x"}, &postings.List{Entries: []postings.Posting{post("a", 1, 1)}}, 10); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], []string{"x"}, &postings.List{Entries: []postings.Posting{post("a", 1, 1)}}, 10); err != nil {
 		t.Fatal(err)
 	}
 	key := ids.KeyString([]string{"x"})
@@ -324,17 +324,17 @@ func TestGetBandwidthBoundedByCap(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		big.Add(post("pub", uint32(i), float64(i)))
 	}
-	if _, err := idxs[0].Put(context.Background(), []string{"huge"}, big, 0); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], []string{"huge"}, big, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := net.Meter().Snapshot()
-	if _, _, _, err := idxs[1].Get(context.Background(), []string{"huge"}, 50, ReadPrimary); err != nil {
+	if _, _, _, err := getOne(context.Background(), idxs[1], []string{"huge"}, 50, ReadPrimary); err != nil {
 		t.Fatal(err)
 	}
 	capped := net.Meter().Snapshot().Sub(before).Bytes
 
 	before = net.Meter().Snapshot()
-	if _, _, _, err := idxs[1].Get(context.Background(), []string{"huge"}, 0, ReadPrimary); err != nil {
+	if _, _, _, err := getOne(context.Background(), idxs[1], []string{"huge"}, 0, ReadPrimary); err != nil {
 		t.Fatal(err)
 	}
 	full := net.Meter().Snapshot().Sub(before).Bytes

@@ -27,7 +27,8 @@ type readOpts struct {
 	hedge time.Duration
 }
 
-// ReadOption tunes one Get/MultiGet call beyond its ReadPolicy.
+// ReadOption tunes one MultiGet call or top-k session beyond its
+// ReadPolicy.
 type ReadOption func(*readOpts)
 
 // WithHedge enables hedged, load-aware replica reads with the given
@@ -104,16 +105,6 @@ func (ix *Index) readChain(ctx context.Context, seed string, primary transport.A
 type hedgeTarget struct {
 	addr transport.Addr
 	soft bool
-}
-
-// callHedged is callHedgedTargets over hard targets only — the
-// unchanged entry point of the classic hedged read paths.
-func (ix *Index) callHedged(ctx context.Context, targets []transport.Addr, msg uint8, body []byte, delay time.Duration) (resp []byte, served transport.Addr, err error) {
-	hts := make([]hedgeTarget, len(targets))
-	for i, t := range targets {
-		hts[i] = hedgeTarget{addr: t}
-	}
-	return ix.callHedgedTargets(ctx, hts, msg, body, delay)
 }
 
 // callHedgedTargets fires at the targets in preference order with
@@ -263,6 +254,13 @@ func (ix *Index) hedgeTargetsFor(ctx context.Context, seed string, primary trans
 			return ix.readChainWithSoft(ctx, seed, primary)
 		}
 	}
+	return ix.hardChain(ctx, seed, primary, body)
+}
+
+// hardChain is readChain as hedge targets: the primary and its successor
+// replicas, all addressed with the caller's frame. It is the whole chain
+// of a classic MultiGet (whose frame layout soft copies do not answer).
+func (ix *Index) hardChain(ctx context.Context, seed string, primary transport.Addr, _ []byte) []hedgeTarget {
 	chain := ix.readChain(ctx, seed, primary)
 	out := make([]hedgeTarget, len(chain))
 	for i, a := range chain {

@@ -63,7 +63,7 @@ func putReplicated(t *testing.T, nodes []*dht.Node, idxs []*Index, terms []strin
 		l.Add(postings.Posting{Ref: postings.DocRef{Peer: "h0", Doc: uint32(j)}, Score: float64(9 - j)})
 	}
 	l.Normalize()
-	if _, err := idxs[0].Put(context.Background(), terms, l, 0); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], terms, l, 0); err != nil {
 		t.Fatal(err)
 	}
 	key := ids.KeyString(terms)
@@ -165,7 +165,7 @@ func TestGetShedAtPrimaryFallsOverToReplica(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	l, found, _, err := reader.Get(ctx, terms, 0, ReadPrimary)
+	l, found, _, err := getOne(ctx, reader, terms, 0, ReadPrimary)
 	if err != nil {
 		t.Fatalf("Get with shedding primary: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestHedgedReadWinsOverSlowPrimary(t *testing.T) {
 
 	// The single-key hedged path agrees.
 	start = time.Now()
-	l, found, _, err := reader.Get(context.Background(), terms, 0, ReadAnyReplica, WithHedge(20*time.Millisecond))
+	l, found, _, err := getOne(context.Background(), reader, terms, 0, ReadAnyReplica, WithHedge(20*time.Millisecond))
 	if err != nil || !found || l.Len() != want.Len() {
 		t.Fatalf("hedged Get: %v found=%v", err, found)
 	}
@@ -246,7 +246,7 @@ func TestHedgedReadLearnsToAvoidSlowReplica(t *testing.T) {
 	// One primary read observes the slowness directly (any timed RPC to
 	// the peer feeds the same EWMA the read chain ranks by).
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	if _, _, _, err := reader.Get(ctx, terms, 0, ReadPrimary); err != nil {
+	if _, _, _, err := getOne(ctx, reader, terms, 0, ReadPrimary); err != nil {
 		t.Fatal(err)
 	}
 	cancel()

@@ -2,6 +2,7 @@ package globalindex
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/ids"
 	"repro/internal/postings"
+	"repro/internal/transport"
 )
 
 // termsOwnedBy generates n distinct single-term keys whose responsible
@@ -32,32 +34,34 @@ func termsOwnedBy(t *testing.T, owner *dht.Node, n int, tag string) [][]string {
 // frame into an overloaded peer whose admission control can only afford
 // part of it: the peer must serve a prefix (item sheds > 0, no
 // whole-frame refusal) and the client must transparently redrive the
-// shed suffix so every item still answers correctly.
+// shed suffix — as one more batch frame — so every item still answers
+// correctly.
 func TestPartialShedMultiGetServesPrefixAndRedrives(t *testing.T) {
-	nodes, idxs, disps, _, _ := hedgeRing(t, 6, 1)
+	nodes, idxs, disps, net, _ := hedgeRing(t, 6, 1)
 	serverIdx := 1
 	server := nodes[serverIdx]
-	terms := termsOwnedBy(t, server, 24, "pshed")
+	terms := termsOwnedBy(t, server, 16, "pshed")
 
-	var items []PutItem
+	var items []AppendItem
 	for i, ts := range terms {
-		items = append(items, PutItem{
+		items = append(items, AppendItem{
 			Terms: ts,
 			List:  &postings.List{Entries: []postings.Posting{{Ref: postings.DocRef{Peer: "h0", Doc: uint32(i)}, Score: 5}}},
 			Bound: 10,
 		})
 	}
-	if _, err := idxs[0].MultiPut(context.Background(), items, 4); err != nil {
+	if _, err := idxs[0].MultiAppend(context.Background(), items, 4); err != nil {
 		t.Fatal(err)
 	}
 
 	// Overload the owner: watermark 1 (one stuck handler parks it
-	// there), a tiny frame floor so redriven single Gets still pass, and
-	// a trained 50ms-per-item MultiGet estimate so a ~500ms budget
-	// affords only ~10 of the 24 items.
+	// there) and a trained 50ms-per-item MultiGet estimate, so a ~500ms
+	// budget affords only ~10 of the 16 items per frame: the first frame
+	// serves a prefix, the one redrive frame the rest.
 	disps[serverIdx].SetAdmissionControl(1, time.Millisecond)
 	for i := 0; i < 32; i++ {
 		disps[serverIdx].ObserveBatch(MsgMultiGet, 500*time.Millisecond, 10)
+		disps[serverIdx].ObserveBatch(MsgMultiGetAny, 500*time.Millisecond, 10) // the redrive's frame
 	}
 	go func() {
 		_, _, _ = idxs[2].Node().Endpoint().Call(context.Background(), server.Self().Addr, 0x7E, nil)
@@ -76,9 +80,15 @@ func TestPartialShedMultiGetServesPrefixAndRedrives(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
+	load := net.Load(server.Self().Addr)
+	before := load.Snapshot()
 	res, err := idxs[0].MultiGet(ctx, gets, 1, ReadPrimary)
 	if err != nil {
 		t.Fatalf("MultiGet across a partial shed: %v", err)
+	}
+	delta := load.Snapshot().Sub(before).PerType
+	if b, r := delta[MsgMultiGet].Messages, delta[MsgMultiGetAny].Messages; b != 1 || r != 1 {
+		t.Errorf("owner received %d MsgMultiGet and %d MsgMultiGetAny frames, want the batch and one redrive", b, r)
 	}
 	for i, r := range res {
 		if !r.Found || r.List.Len() != 1 || r.List.Entries[0].Ref.Doc != uint32(i) {
@@ -89,6 +99,19 @@ func TestPartialShedMultiGetServesPrefixAndRedrives(t *testing.T) {
 		t.Fatal("no items were shed — the partial path was not exercised")
 	} else if shed >= int64(len(terms)) {
 		t.Fatalf("all %d items shed; expected a served prefix", shed)
+	}
+
+	// The ladder is bounded: a batch the budget cannot cover in two
+	// frames fails with the typed shed instead of redriving forever.
+	big := termsOwnedBy(t, server, 40, "pshed")
+	gets = gets[:0]
+	for _, ts := range big {
+		gets = append(gets, GetItem{Terms: ts})
+	}
+	ctx2, cancel2 := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel2()
+	if _, err := idxs[0].MultiGet(ctx2, gets, 1, ReadPrimary); !errors.Is(err, transport.ErrShed) {
+		t.Fatalf("unaffordable batch: got %v, want ErrShed", err)
 	}
 }
 

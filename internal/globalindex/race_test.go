@@ -143,7 +143,7 @@ func TestBatchClientConcurrentPublishers(t *testing.T) {
 	// interleaving was.
 	for i := 0; i < nKeys; i++ {
 		terms := []string{fmt.Sprintf("shared%03d", i)}
-		l, found, _, err := idxs[0].Get(context.Background(), terms, 0, ReadPrimary)
+		l, found, _, err := getOne(context.Background(), idxs[0], terms, 0, ReadPrimary)
 		if err != nil || !found {
 			t.Fatalf("key %d: found=%v err=%v", i, found, err)
 		}
@@ -166,13 +166,13 @@ func TestBatchClientSharedIndexConcurrentCallers(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				items := make([]PutItem, 15)
+				items := make([]AppendItem, 15)
 				for i := range items {
 					l := &postings.List{}
 					l.Add(post("p", uint32(i), 1))
-					items[i] = PutItem{Terms: []string{fmt.Sprintf("c%dr%di%d", c, r, i)}, List: l, Bound: 4}
+					items[i] = AppendItem{Terms: []string{fmt.Sprintf("c%dr%di%d", c, r, i)}, List: l, Bound: 4}
 				}
-				if _, err := ix.MultiPut(context.Background(), items, 4); err != nil {
+				if _, err := ix.MultiAppend(context.Background(), items, 4); err != nil {
 					t.Errorf("caller %d: %v", c, err)
 					return
 				}

@@ -13,16 +13,15 @@ import (
 	"repro/internal/wire"
 )
 
-// Replication message types (range 0x20–0x2F). ReplPut, ReplAppend and
-// ReplRemove replay a primary's writes on its successors verbatim — the
-// bodies reuse the Multi frame layouts, so a write-through replica stays
-// byte-identical to the primary — and deliberately skip the batch
+// Replication message types (range 0x20–0x2F). ReplAppend and ReplRemove
+// replay a primary's writes on its successors verbatim — ReplAppend's
+// body is the applied MultiAppend frame, so a write-through replica
+// stays byte-identical to the primary — and deliberately skip the write
 // handlers' responsibility check: a replica stores keys it does not own.
 // PullRange and ReplSync move *stored* entries (list plus accumulated
 // approximate DF) during anti-entropy; receivers merge them idempotently
 // (Store.AdoptReplica), so repeated passes converge.
 const (
-	MsgReplPut    uint8 = 0x20 // (n, n×(key, bound, list)) -> n×storedLen
 	MsgReplAppend uint8 = 0x21 // (n, n×(key, bound, announcedDF, list)) -> n×storedLen
 	MsgReplRemove uint8 = 0x22 // (n, n×key) -> n×removed
 	MsgPullRange  uint8 = 0x23 // (from, to) -> (n, n×(key, approxDF, list))
@@ -136,7 +135,6 @@ func (ix *Index) lifetimeCtx() context.Context {
 // are registered unconditionally (in New) so that a peer can hold
 // replicas for others whatever its own factor is.
 func (ix *Index) registerReplicationHandlers(d *transport.Dispatcher) {
-	d.Handle(MsgReplPut, ix.handleReplPut)
 	d.Handle(MsgReplAppend, ix.handleReplAppend)
 	d.Handle(MsgReplRemove, ix.handleReplRemove)
 	d.Handle(MsgPullRange, ix.handlePullRange)
@@ -145,21 +143,8 @@ func (ix *Index) registerReplicationHandlers(d *transport.Dispatcher) {
 	d.Handle(MsgFetchEntries, ix.handleFetchEntries)
 }
 
-func (ix *Index) handleReplPut(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	keys, bounds, _, lists, err := decodeMultiPutBody(body, false)
-	if err != nil {
-		return 0, nil, err
-	}
-	w := wire.NewWriter(8 + 4*len(keys))
-	w.Uvarint(uint64(len(keys)))
-	for i, key := range keys {
-		w.Uvarint(uint64(ix.store.Put(key, lists[i], bounds[i])))
-	}
-	return MsgReplPut, w.Bytes(), nil
-}
-
 func (ix *Index) handleReplAppend(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	keys, bounds, dfs, lists, err := decodeMultiPutBody(body, true)
+	keys, bounds, dfs, lists, err := decodeAppendBody(body)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -389,55 +374,71 @@ func (ix *Index) invalidateReplicaTarget(addr transport.Addr) {
 }
 
 // cachedReplicaTargets returns the cached replica set of primary without
-// any network traffic — the fallover read path uses it when the primary
-// is already known dead.
+// any network traffic.
 func (ix *Index) cachedReplicaTargets(primary transport.Addr) []dht.Remote {
 	ix.repl.mu.Lock()
 	defer ix.repl.mu.Unlock()
 	return ix.repl.succsOf[primary]
 }
 
-// CallFallover issues msg to primary and — when the primary is
-// unreachable and replication is on — retries the identical frame on
-// the primary's replicas: the cached replica set first (the only
-// routing information that survives into the churn window), then a
-// ring walk past the dead node once stabilization has begun repairing
-// the ring. The first successful answer wins; if every copy fails, the
-// primary's original error is returned. Sibling per-key services
-// (ranking.Replicator) read through it.
-func (ix *Index) CallFallover(ctx context.Context, primary dht.Remote, msg uint8, body []byte) ([]byte, error) {
-	_, resp, err := ix.node.Endpoint().Call(ctx, primary.Addr, msg, body)
-	if err == nil || ix.repl.factor <= 1 || !errors.Is(err, transport.ErrUnreachable) {
-		return resp, err
+// walkReplicas offers the peers that hold primary's replicas to try, one
+// at a time, until try reports done or R−1 of them were asked — there
+// are no more copies than that. The cached replica set comes first (the
+// only routing information that survives into the churn window), then a
+// ring walk past the primary: Lookup(prev.ID+1) resolves the next live
+// owner once stabilization has begun routing around a failure. It is the
+// fallover order of every read whose primary cannot serve it.
+func (ix *Index) walkReplicas(ctx context.Context, primary dht.Remote, try func(replica transport.Addr) (done bool)) {
+	left := ix.repl.factor - 1
+	if left <= 0 {
+		return
 	}
 	tried := map[transport.Addr]bool{primary.Addr: true}
-	for _, t := range ix.cachedReplicaTargets(primary.Addr) {
-		if t.IsZero() || tried[t.Addr] {
-			continue
+	stop := func(r dht.Remote) bool {
+		if r.IsZero() || tried[r.Addr] {
+			return false
 		}
-		tried[t.Addr] = true
-		if _, r2, err2 := ix.node.Endpoint().Call(ctx, t.Addr, msg, body); err2 == nil {
-			return r2, nil
+		tried[r.Addr] = true
+		left--
+		return try(r.Addr) || left == 0
+	}
+	for _, t := range ix.cachedReplicaTargets(primary.Addr) {
+		if stop(t) {
+			return
 		}
 	}
 	cur := primary
 	for i := 1; i < ix.repl.factor; i++ {
-		next, _, lerr := ix.node.Lookup(ctx, cur.ID+1)
-		if lerr != nil {
-			return nil, err
+		next, _, err := ix.node.Lookup(ctx, cur.ID+1)
+		if err != nil || next.IsZero() || next.Addr == primary.Addr {
+			return // unroutable, or walked back around to the primary
 		}
-		if next.IsZero() || next.Addr == primary.Addr {
-			return nil, err // walked back around to the dead node
-		}
-		if !tried[next.Addr] {
-			tried[next.Addr] = true
-			if _, r2, err2 := ix.node.Endpoint().Call(ctx, next.Addr, msg, body); err2 == nil {
-				return r2, nil
-			}
+		if stop(next) {
+			return
 		}
 		cur = next
 	}
-	return nil, err
+}
+
+// CallFallover issues msg to primary and — when the primary is
+// unreachable and replication is on — retries the identical frame on
+// the primary's replicas in walkReplicas order. The first successful
+// answer wins; if every copy fails, the primary's original error is
+// returned. Sibling per-key services (ranking.Replicator) read through
+// it.
+func (ix *Index) CallFallover(ctx context.Context, primary dht.Remote, msg uint8, body []byte) ([]byte, error) {
+	_, resp, err := ix.node.Endpoint().Call(ctx, primary.Addr, msg, body)
+	if err == nil || !errors.Is(err, transport.ErrUnreachable) {
+		return resp, err
+	}
+	ix.walkReplicas(ctx, primary, func(replica transport.Addr) bool {
+		_, r2, err2 := ix.node.Endpoint().Call(ctx, replica, msg, body)
+		if err2 == nil {
+			resp, err = r2, nil
+		}
+		return err2 == nil
+	})
+	return resp, err
 }
 
 // selectReplicas picks the first want distinct successors of primary,
@@ -475,82 +476,6 @@ func (ix *Index) replicate(ctx context.Context, primary transport.Addr, msg uint
 			ix.invalidateReplicaTarget(t.Addr)
 		}
 	}
-}
-
-// replicaWriteMsg maps a primary write message to its replica replay
-// frame (0 = not replicated).
-func replicaWriteMsg(msg uint8) uint8 {
-	switch msg {
-	case MsgPut, MsgMultiPut:
-		return MsgReplPut
-	case MsgAppend, MsgMultiAppend:
-		return MsgReplAppend
-	case MsgRemove:
-		return MsgReplRemove
-	default:
-		return 0
-	}
-}
-
-// getFromReplicas serves a read whose primary is unreachable — or
-// refused it under admission control — from the replica chain. It first
-// tries the cached replica set (learned while the primary was alive),
-// then walks the ring past the dead node (Lookup(prev.ID+1) resolves
-// the next live owner once stabilization has routed around the
-// failure). Both qualifying causes prove the primary never recorded the
-// probe, so retrying elsewhere cannot double-apply it. ok reports
-// whether a replica answered; a replica's miss is returned as an
-// authoritative absence.
-func (ix *Index) getFromReplicas(ctx context.Context, key string, maxResults int, primary dht.Remote, cause error) (list *postings.List, found, wantIndex, ok bool) {
-	if ix.repl.factor <= 1 ||
-		!(errors.Is(cause, transport.ErrUnreachable) || errors.Is(cause, transport.ErrShed)) {
-		return nil, false, false, false
-	}
-	tried := map[transport.Addr]bool{primary.Addr: true}
-	for _, t := range ix.cachedReplicaTargets(primary.Addr) {
-		if tried[t.Addr] {
-			continue
-		}
-		tried[t.Addr] = true
-		if list, found, wantIndex, ok = ix.getAt(ctx, t.Addr, key, maxResults); ok {
-			return list, found, wantIndex, true
-		}
-	}
-	cur := primary
-	for i := 1; i < ix.repl.factor; i++ {
-		next, _, err := ix.node.Lookup(ctx, cur.ID+1)
-		if err != nil {
-			return nil, false, false, false
-		}
-		if next.Addr == primary.Addr {
-			return nil, false, false, false // walked back to the dead node
-		}
-		if !tried[next.Addr] {
-			tried[next.Addr] = true
-			if list, found, wantIndex, ok = ix.getAt(ctx, next.Addr, key, maxResults); ok {
-				return list, found, wantIndex, true
-			}
-		}
-		cur = next
-	}
-	return nil, false, false, false
-}
-
-// getAt issues one plain Get to a specific peer (no routing); ok reports
-// a decodable answer.
-func (ix *Index) getAt(ctx context.Context, addr transport.Addr, key string, maxResults int) (list *postings.List, found, wantIndex, ok bool) {
-	w := wire.NewWriter(len(key) + 8)
-	w.String(key)
-	w.Uvarint(uint64(maxResults))
-	_, resp, err := ix.timedCall(ctx, addr, MsgGet, w.Bytes())
-	if err != nil {
-		return nil, false, false, false
-	}
-	list, found, wantIndex, err = decodeGetResponse(resp)
-	if err != nil {
-		return nil, false, false, false
-	}
-	return list, found, wantIndex, true
 }
 
 // onRingChange is the anti-entropy/handoff pass, invoked synchronously on
@@ -873,7 +798,7 @@ type ReadPolicy int
 
 const (
 	// ReadPrimary (the default) reads from the responsible peer, falling
-	// over to its replicas only when the primary is unreachable.
+	// over to its replicas only when the primary cannot serve the read.
 	ReadPrimary ReadPolicy = iota
 	// ReadAnyReplica spreads reads across the primary's whole replica set
 	// (primary + R−1 successors), chosen per key by hash, so query

@@ -71,7 +71,7 @@ func TestWriteThroughReplication(t *testing.T) {
 	terms := []string{"alpha", "beta"}
 	key := ids.KeyString(terms)
 	list := &postings.List{Entries: []postings.Posting{post("a", 1, 2.0), post("a", 2, 1.0)}}
-	if _, err := idxs[0].Append(context.Background(), terms, list, 100, 7); err != nil {
+	if _, err := appendOne(context.Background(), idxs[0], terms, list, 100, 7); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,15 +112,15 @@ func TestWriteThroughReplication(t *testing.T) {
 	}
 
 	// MultiPut write-through: many keys, every one at exactly R holders.
-	var items []PutItem
+	var items []AppendItem
 	for i := 0; i < 40; i++ {
-		items = append(items, PutItem{
+		items = append(items, AppendItem{
 			Terms: []string{fmt.Sprintf("term%03d", i)},
 			List:  &postings.List{Entries: []postings.Posting{post("b", uint32(i), 1.0)}},
 			Bound: 50,
 		})
 	}
-	if _, err := idxs[1].MultiPut(context.Background(), items, 4); err != nil {
+	if _, err := idxs[1].MultiAppend(context.Background(), items, 4); err != nil {
 		t.Fatal(err)
 	}
 	for _, it := range items {
@@ -146,7 +146,7 @@ func TestReplicationFactorOneUnchanged(t *testing.T) {
 	}
 	terms := []string{"solo"}
 	list := &postings.List{Entries: []postings.Posting{post("a", 1, 1.0)}}
-	if _, err := idxs[0].Put(context.Background(), terms, list, 10); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], terms, list, 10); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
@@ -175,7 +175,7 @@ func TestReplicateInvalidatesDeadReplica(t *testing.T) {
 
 	// The writer runs the write-through, so the first Put warms the
 	// writer's replica-target cache for the key's primary.
-	if _, err := idxs[0].Put(context.Background(), terms, list, 100); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], terms, list, 100); err != nil {
 		t.Fatal(err)
 	}
 	resp, _, err := nodes[0].Lookup(context.Background(), ids.HashString(key))
@@ -190,7 +190,7 @@ func TestReplicateInvalidatesDeadReplica(t *testing.T) {
 	// Kill one cached replica and write through again: the unreachable
 	// write-through must invalidate the stale set.
 	net.SetDown(cached[0].Addr, true)
-	if _, err := idxs[0].Put(context.Background(), terms, list, 100); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], terms, list, 100); err != nil {
 		t.Fatal(err)
 	}
 	if got := idxs[0].cachedReplicaTargets(resp.Addr); len(got) != 0 {
@@ -207,7 +207,7 @@ func TestReadFalloverToReplica(t *testing.T) {
 	key := ids.KeyString(terms)
 	list := &postings.List{Entries: []postings.Posting{post("x", 3, 9.0), post("y", 4, 5.0)}}
 	// The writer's replica cache warms during the write-through.
-	if _, err := idxs[2].Put(context.Background(), terms, list, 100); err != nil {
+	if _, err := putOne(context.Background(), idxs[2], terms, list, 100); err != nil {
 		t.Fatal(err)
 	}
 	resp, _, err := nodes[2].Lookup(context.Background(), ids.HashString(key))
@@ -219,7 +219,7 @@ func TestReadFalloverToReplica(t *testing.T) {
 	}
 	net.SetDown(resp.Addr, true)
 
-	got, found, _, err := idxs[2].Get(context.Background(), terms, 0, ReadPrimary)
+	got, found, _, err := getOne(context.Background(), idxs[2], terms, 0, ReadPrimary)
 	if err != nil || !found {
 		t.Fatalf("fallover get: %v found=%v", err, found)
 	}
@@ -245,7 +245,7 @@ func TestPromotionAfterPrimaryFailure(t *testing.T) {
 	terms := []string{"promote", "me"}
 	key := ids.KeyString(terms)
 	list := &postings.List{Entries: []postings.Posting{post("x", 1, 4.0)}}
-	if _, err := idxs[0].Put(context.Background(), terms, list, 100); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], terms, list, 100); err != nil {
 		t.Fatal(err)
 	}
 	resp, _, err := nodes[0].Lookup(context.Background(), ids.HashString(key))
@@ -276,7 +276,7 @@ func TestPromotionAfterPrimaryFailure(t *testing.T) {
 		}
 	}
 
-	got, found, _, err := reader.Get(context.Background(), terms, 0, ReadPrimary)
+	got, found, _, err := getOne(context.Background(), reader, terms, 0, ReadPrimary)
 	if err != nil || !found {
 		t.Fatalf("post-repair get: %v found=%v", err, found)
 	}
@@ -304,15 +304,15 @@ func TestPromotionAfterPrimaryFailure(t *testing.T) {
 // no lookup loses data.
 func TestJoinPullsOwnedRange(t *testing.T) {
 	nodes, idxs, net := replRing(t, 8, 3)
-	var items []PutItem
+	var items []AppendItem
 	for i := 0; i < 120; i++ {
-		items = append(items, PutItem{
+		items = append(items, AppendItem{
 			Terms: []string{fmt.Sprintf("mig%04d", i)},
 			List:  &postings.List{Entries: []postings.Posting{post("h", uint32(i), 1.0)}},
 			Bound: 10,
 		})
 	}
-	if _, err := idxs[0].MultiPut(context.Background(), items, 4); err != nil {
+	if _, err := idxs[0].MultiAppend(context.Background(), items, 4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -353,7 +353,7 @@ func TestJoinPullsOwnedRange(t *testing.T) {
 
 	// Every key still resolves and is found from an arbitrary peer.
 	for _, it := range items {
-		_, found, _, err := idxs[3].Get(context.Background(), it.Terms, 0, ReadPrimary)
+		_, found, _, err := getOne(context.Background(), idxs[3], it.Terms, 0, ReadPrimary)
 		if err != nil || !found {
 			t.Fatalf("get %v after join: %v found=%v", it.Terms, err, found)
 		}

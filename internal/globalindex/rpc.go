@@ -9,26 +9,23 @@ import (
 	"repro/internal/dht"
 	"repro/internal/ids"
 	"repro/internal/loadstat"
-	"repro/internal/postings"
 	"repro/internal/readcache"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Message types for the global-index protocol (range 0x10–0x2F).
+// Message types for the global-index protocol (range 0x10–0x2F). Every
+// keyed operation travels as a batch frame (batch.go, topk.go); a single
+// key is a batch of one. 0x10–0x12, 0x15, 0x16 and 0x20 carried the
+// retired per-key and replace-write frames and stay unassigned.
 const (
-	MsgPut     uint8 = 0x10 // (key, bound, list) -> storedLen
-	MsgAppend  uint8 = 0x11 // (key, bound, announcedDF, list) -> storedLen
-	MsgGet     uint8 = 0x12 // (key, maxResults) -> (found, wantIndex, list?)
-	MsgRemove  uint8 = 0x13 // (key) -> removed
-	MsgStats   uint8 = 0x14 // () -> (keys, postings, bytes)
-	MsgKeyInfo uint8 = 0x15 // (key) -> (present, approxDF, truncated)
+	MsgRemove uint8 = 0x13 // (key) -> removed
+	MsgStats  uint8 = 0x14 // () -> (keys, postings, bytes)
 )
 
 // Index is one peer's global-index component: the local store slice plus
 // client operations that route through the DHT to whichever peer is
-// responsible for a key. The single-key operations resolve each key with
-// a fresh lookup; the Multi operations (batch.go) share a caching
+// responsible for a key. The Multi operations (batch.go) share a caching
 // resolver and coalesce keys per responsible peer.
 type Index struct {
 	node     *dht.Node
@@ -70,13 +67,8 @@ func NewWithEngine(node *dht.Node, d *transport.Dispatcher, engine StorageEngine
 	}
 	ix := &Index{node: node, store: engine, disp: d, resolver: node.NewResolver(), lat: loadstat.NewTracker()}
 	ix.repl.factor = 1
-	d.Handle(MsgPut, ix.handlePut)
-	d.Handle(MsgAppend, ix.handleAppend)
-	d.Handle(MsgGet, ix.handleGet)
 	d.Handle(MsgRemove, ix.handleRemove)
 	d.Handle(MsgStats, ix.handleStats)
-	d.Handle(MsgKeyInfo, ix.handleKeyInfo)
-	d.Handle(MsgMultiPut, ix.handleMultiPut)
 	d.Handle(MsgMultiAppend, ix.handleMultiAppend)
 	d.Handle(MsgMultiGet, ix.handleMultiGet)
 	d.Handle(MsgMultiGetAny, ix.handleMultiGet)
@@ -89,7 +81,7 @@ func NewWithEngine(node *dht.Node, d *transport.Dispatcher, engine StorageEngine
 	// The Multi frames shed at item granularity under admission control:
 	// an under-budget frame is served as a prefix instead of refused
 	// whole, and the client redrives only the shed suffix.
-	for _, m := range []uint8{MsgMultiPut, MsgMultiAppend, MsgMultiGet, MsgMultiGetAny, MsgMultiKeyInfo,
+	for _, m := range []uint8{MsgMultiAppend, MsgMultiGet, MsgMultiGetAny, MsgMultiKeyInfo,
 		MsgMultiGetTopK, MsgMultiGetTopKAny, MsgGetMore} {
 		d.SetPartialShed(m)
 	}
@@ -112,50 +104,13 @@ func (ix *Index) LatencySnapshot() map[transport.Addr]time.Duration {
 	return ix.lat.Snapshot()
 }
 
-func (ix *Index) handlePut(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	key, bound, _, list, err := decodeKeyBoundList(body, false)
-	if err != nil {
-		return 0, nil, err
-	}
-	n := ix.store.Put(key, list, bound)
-	w := wire.NewWriter(8)
-	w.Uvarint(uint64(n))
-	return MsgPut, w.Bytes(), nil
-}
-
-func (ix *Index) handleAppend(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	key, bound, announcedDF, list, err := decodeKeyBoundList(body, true)
-	if err != nil {
-		return 0, nil, err
-	}
-	n := ix.store.Append(key, list, bound, announcedDF)
-	w := wire.NewWriter(8)
-	w.Uvarint(uint64(n))
-	return MsgAppend, w.Bytes(), nil
-}
-
-func (ix *Index) handleGet(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	r := wire.NewReader(body)
-	key := r.String()
-	maxResults := int(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
-	ix.observeRead(key)
-	list, found, wantIndex := ix.store.Get(key, maxResults)
-	w := wire.NewWriter(64)
-	w.Bool(found)
-	w.Bool(wantIndex)
-	if found {
-		list.Encode(w)
-	}
-	return MsgGet, w.Bytes(), nil
-}
-
 func (ix *Index) handleRemove(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	r := wire.NewReader(body)
 	key := r.String()
 	if err := r.Err(); err != nil {
+		return 0, nil, err
+	}
+	if err := ix.checkResponsible([]string{key}); err != nil {
 		return 0, nil, err
 	}
 	removed := ix.store.Remove(key)
@@ -173,203 +128,16 @@ func (ix *Index) handleStats(_ context.Context, _ transport.Addr, _ uint8, _ []b
 	return MsgStats, w.Bytes(), nil
 }
 
-func (ix *Index) handleKeyInfo(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	r := wire.NewReader(body)
-	key := r.String()
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
-	w := wire.NewWriter(16)
-	ix.writeKeyInfoAnswer(w, key)
-	return MsgKeyInfo, w.Bytes(), nil
-}
-
-// writeKeyInfoAnswer encodes one key's (present, approxDF, truncated)
-// answer — the per-key body shared by the single and batch KeyInfo
-// handlers.
-func (ix *Index) writeKeyInfoAnswer(w *wire.Writer, key string) {
-	df, present := ix.store.ApproxDF(key)
-	truncated := false
-	if present {
-		if l, ok := ix.store.Peek(key); ok {
-			truncated = l.Truncated
-		}
-	}
-	w.Bool(present)
-	w.Uvarint(uint64(df))
-	w.Bool(truncated)
-}
-
-func decodeKeyBoundList(body []byte, withDF bool) (string, int, int, *postings.List, error) {
-	return readKeyBoundList(wire.NewReader(body), withDF)
-}
-
-func encodeKeyBoundList(key string, bound, announcedDF int, list *postings.List, withDF bool) []byte {
-	w := wire.NewWriter(64 + 12*list.Len())
-	writeKeyBoundList(w, key, bound, announcedDF, list, withDF)
-	return append([]byte(nil), w.Bytes()...)
-}
-
-// resolve finds the peer responsible for a canonical key string with a
-// fresh ring walk. The write paths use it: single-key write handlers do
-// not responsibility-check, so a cached stale route would silently
-// misplace a write where no lookup finds it.
-func (ix *Index) resolve(ctx context.Context, key string) (dht.Remote, error) {
-	r, _, err := ix.node.Lookup(ctx, ids.HashString(key))
-	if err != nil {
-		return dht.Remote{}, fmt.Errorf("globalindex: resolve %q: %w", key, err)
-	}
-	return r, nil
-}
-
-// resolveRead resolves a key for a READ through the caching resolver:
-// successful reads record the responsible peer per ring interval, so
-// repeat lookups for hot ranges skip the ring walk entirely. Safe for
-// reads only — a stale cached route costs one failed or misdirected
-// read that the fallover/invalidate machinery repairs, never a
-// misplaced write. The cache drops itself whenever the local ring epoch
-// moves (see dht.Resolver).
-func (ix *Index) resolveRead(ctx context.Context, key string) (dht.Remote, error) {
-	peers, err := ix.resolver.Resolve(ctx, []ids.ID{ids.HashString(key)}, 1)
-	if err != nil {
-		return dht.Remote{}, fmt.Errorf("globalindex: resolve %q: %w", key, err)
-	}
-	return peers[0], nil
-}
-
-// Put stores list under the canonical key for terms, replacing any
-// previous list, truncated to bound (0 = hard cap only). It returns the
-// length stored at the responsible peer.
-func (ix *Index) Put(ctx context.Context, terms []string, list *postings.List, bound int) (int, error) {
-	return ix.putOrAppend(ctx, MsgPut, terms, list, bound, 0)
-}
-
-// Append merges list into the entry stored under the canonical key for
-// terms, announcing the publisher's true local document frequency (see
-// Store.Append). It returns the resulting stored length.
-func (ix *Index) Append(ctx context.Context, terms []string, list *postings.List, bound, announcedDF int) (int, error) {
-	return ix.putOrAppend(ctx, MsgAppend, terms, list, bound, announcedDF)
-}
-
-func (ix *Index) putOrAppend(ctx context.Context, msg uint8, terms []string, list *postings.List, bound, announcedDF int) (int, error) {
-	key := ids.KeyString(terms)
-	// Write watermark: a cached prefix must never outlive the key's last
-	// locally observed write.
-	ix.pcache.Invalidate(key)
-	peer, err := ix.resolve(ctx, key)
-	if err != nil {
-		return 0, err
-	}
-	_, resp, err := ix.node.Endpoint().Call(ctx, peer.Addr, msg, encodeKeyBoundList(key, bound, announcedDF, list, msg == MsgAppend))
-	if err != nil {
-		return 0, fmt.Errorf("globalindex: put %q at %s: %w", key, peer.Addr, err)
-	}
-	r := wire.NewReader(resp)
-	n := int(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return n, err
-	}
-	if replMsg := replicaWriteMsg(msg); replMsg != 0 && ix.repl.factor > 1 {
-		// Write-through: replay the applied write on the primary's
-		// replicas as a one-item batch frame.
-		w := wire.NewWriter(64 + 12*list.Len())
-		w.Uvarint(1)
-		writeKeyBoundList(w, key, bound, announcedDF, list, msg == MsgAppend)
-		ix.replicate(ctx, peer.Addr, replMsg, w.Bytes())
-	}
-	return n, nil
-}
-
-// Get fetches the posting list for the given term combination, capped to
-// maxResults entries (0 = whole stored list). found reports whether the
-// key is indexed; wantIndex is the serving peer's QDI activation request
-// for a missing-but-popular key. The probe updates the serving peer's
-// usage statistics either way. policy selects which copy serves the read:
-// ReadPrimary asks the responsible peer (falling over to replicas only
-// when it is unreachable); ReadAnyReplica spreads reads across the
-// primary's whole replica set (see readTarget).
-// Reads may additionally be tuned with ReadOptions: WithHedge turns an
-// AnyReplica read into a hedged, load-aware one — the key's replica
-// chain is ranked by observed per-peer latency and a slow (or shedding)
-// copy is raced against the next-best one, first response wins.
-func (ix *Index) Get(ctx context.Context, terms []string, maxResults int, policy ReadPolicy, opts ...ReadOption) (list *postings.List, found, wantIndex bool, err error) {
-	ro := resolveReadOpts(opts)
-	key := ids.KeyString(terms)
-	ix.observeRead(key)
-	peer, err := ix.resolveRead(ctx, key)
-	if err != nil {
-		return nil, false, false, err
-	}
-	w := wire.NewWriter(len(key) + 8)
-	w.String(key)
-	w.Uvarint(uint64(maxResults))
-	if policy == ReadAnyReplica && ro.hedge > 0 && ix.repl.factor > 1 {
-		if chain := ix.readChain(ctx, key, peer.Addr); len(chain) > 1 {
-			if resp, _, herr := ix.callHedged(ctx, chain, MsgGet, w.Bytes(), ro.hedge); herr == nil {
-				if l, f, wi, derr := decodeGetResponse(resp); derr == nil {
-					return l, f, wi, nil
-				}
-			} else if ctx.Err() == nil {
-				// The whole chain failed on its own: some cached member is
-				// stale; refetch it before the primary-path attempt below.
-				ix.dropReplicaSet(peer.Addr)
-			}
-		}
-	} else if policy == ReadAnyReplica {
-		if serve := ix.readTarget(ctx, key, peer); serve != peer.Addr {
-			// A replica read: decodable answers are authoritative enough
-			// for soft-state retrieval; any failure drops the stale replica
-			// set and falls back to the primary path.
-			if l, f, wi, ok := ix.getAt(ctx, serve, key, maxResults); ok {
-				return l, f, wi, nil
-			}
-			if ctx.Err() == nil {
-				// The replica itself failed (not the caller's context): the
-				// cached set is stale, stop routing there.
-				ix.invalidateReplicaTarget(serve)
-			}
-		}
-	}
-	_, resp, err := ix.timedCall(ctx, peer.Addr, MsgGet, w.Bytes())
-	if err != nil {
-		if ctx.Err() == nil {
-			// The cached read route may be what steered us at a dead or
-			// moved peer: drop it so the next read re-resolves.
-			ix.resolver.Invalidate(peer.Addr)
-		}
-		// The primary is unreachable: with replication on, fall over to
-		// its successor replicas before failing the read.
-		if l, f, wi, ok := ix.getFromReplicas(ctx, key, maxResults, peer, err); ok {
-			return l, f, wi, nil
-		}
-		return nil, false, false, fmt.Errorf("globalindex: get %q at %s: %w", key, peer.Addr, err)
-	}
-	return decodeGetResponse(resp)
-}
-
-// decodeGetResponse decodes a MsgGet answer — the (found, wantIndex,
-// list?) triple shared by the primary, replica and hedged read paths.
-func decodeGetResponse(resp []byte) (list *postings.List, found, wantIndex bool, err error) {
-	r := wire.NewReader(resp)
-	found = r.Bool()
-	wantIndex = r.Bool()
-	if !found {
-		return nil, false, wantIndex, r.Err()
-	}
-	list, err = postings.Decode(r)
-	if err != nil {
-		return nil, false, false, err
-	}
-	return list, true, wantIndex, nil
-}
-
-// Remove deletes the entry for the given term combination.
+// Remove deletes the entry for the given term combination — the one
+// keyed write without a batch frame. It routes over a fresh ring walk,
+// and the handler responsibility-checks like every write handler, so a
+// ring in flux surfaces as an error instead of removing the wrong copy.
 func (ix *Index) Remove(ctx context.Context, terms []string) (bool, error) {
 	key := ids.KeyString(terms)
 	ix.pcache.Invalidate(key)
-	peer, err := ix.resolve(ctx, key)
+	peer, _, err := ix.node.Lookup(ctx, ids.HashString(key))
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("globalindex: resolve %q: %w", key, err)
 	}
 	w := wire.NewWriter(len(key) + 4)
 	w.String(key)
@@ -385,28 +153,6 @@ func (ix *Index) Remove(ctx context.Context, terms []string) (bool, error) {
 	}
 	r := wire.NewReader(resp)
 	return r.Bool(), r.Err()
-}
-
-// KeyInfo fetches the presence, approximate global document frequency and
-// truncation state of a key from its responsible peer. HDK's frequency
-// test is built on it.
-func (ix *Index) KeyInfo(ctx context.Context, terms []string) (df int64, present, truncated bool, err error) {
-	key := ids.KeyString(terms)
-	peer, err := ix.resolve(ctx, key)
-	if err != nil {
-		return 0, false, false, err
-	}
-	w := wire.NewWriter(len(key) + 4)
-	w.String(key)
-	_, resp, err := ix.node.Endpoint().Call(ctx, peer.Addr, MsgKeyInfo, w.Bytes())
-	if err != nil {
-		return 0, false, false, fmt.Errorf("globalindex: keyinfo %q: %w", key, err)
-	}
-	r := wire.NewReader(resp)
-	present = r.Bool()
-	df = int64(r.Uvarint())
-	truncated = r.Bool()
-	return df, present, truncated, r.Err()
 }
 
 // PeerStats fetches the storage statistics of an arbitrary peer.

@@ -32,7 +32,7 @@ func TestPromoteHotKeysInstallsSoftCopies(t *testing.T) {
 	}
 	terms := []string{"hotterm"}
 	list := &postings.List{Entries: []postings.Posting{post("a", 1, 3), post("b", 2, 2), post("c", 3, 1)}}
-	if _, err := idxs[0].Put(context.Background(), terms, list, 100); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], terms, list, 100); err != nil {
 		t.Fatal(err)
 	}
 	key := ids.KeyString(terms)
@@ -102,7 +102,7 @@ func TestSoftGetServesAndFailsClosed(t *testing.T) {
 	}
 	terms := []string{"served"}
 	list := &postings.List{Entries: []postings.Posting{post("a", 1, 9), post("b", 2, 8), post("c", 3, 7), post("d", 4, 6)}}
-	if _, err := idxs[0].Put(context.Background(), terms, list, 100); err != nil {
+	if _, err := putOne(context.Background(), idxs[0], terms, list, 100); err != nil {
 		t.Fatal(err)
 	}
 	key := ids.KeyString(terms)
@@ -275,7 +275,7 @@ func TestPrefixCacheServesRepeatOpens(t *testing.T) {
 
 	// A local write to one key invalidates exactly that entry.
 	extra := &postings.List{Entries: []postings.Posting{post("zz", 99, 5000)}}
-	if _, err := reader.Append(context.Background(), items[0].Terms, extra, 100, 1); err != nil {
+	if _, err := appendOne(context.Background(), reader, items[0].Terms, extra, 100, 1); err != nil {
 		t.Fatal(err)
 	}
 	before = net.Meter().Snapshot().Messages

@@ -2,7 +2,6 @@ package globalindex
 
 import (
 	"context"
-
 	"fmt"
 	"testing"
 
@@ -12,8 +11,9 @@ import (
 	"repro/internal/transport"
 )
 
-// fixedRing builds peers at the given ring IDs with oracle tables.
-func fixedRing(t *testing.T, net *transport.Mem, ringIDs []ids.ID, opts dht.Options) ([]*dht.Node, []*Index) {
+// fixedRing builds peers at the given ring IDs with oracle tables and
+// replication factor r.
+func fixedRing(t *testing.T, net *transport.Mem, ringIDs []ids.ID, opts dht.Options, r int) ([]*dht.Node, []*Index) {
 	t.Helper()
 	nodes := make([]*dht.Node, len(ringIDs))
 	idxs := make([]*Index, len(ringIDs))
@@ -22,101 +22,152 @@ func fixedRing(t *testing.T, net *transport.Mem, ringIDs []ids.ID, opts dht.Opti
 		ep := net.Endpoint(fmt.Sprintf("f%d", i), d.Serve)
 		nodes[i] = dht.NewNode(id, ep, d, opts)
 		idxs[i] = New(nodes[i], d)
+		idxs[i].EnableReplication(context.Background(), r)
 	}
 	dht.BuildOracleTables(nodes)
 	return nodes, idxs
 }
 
 // keysHashingInto finds count distinct keys whose canonical hash lies in
-// (from, to].
-func keysHashingInto(from, to ids.ID, count int) []string {
+// (from, to] and passes keep.
+func keysHashingInto(t *testing.T, from, to ids.ID, count int, keep func(ids.ID) bool) []string {
+	t.Helper()
 	var out []string
 	for i := 0; len(out) < count && i < 1_000_000; i++ {
 		k := fmt.Sprintf("stale%06d", i)
-		if ids.Between(ids.HashString(k), from, to) {
+		if h := ids.HashString(k); ids.Between(h, from, to) && keep(h) {
 			out = append(out, k)
 		}
 	}
+	if len(out) < count {
+		t.Fatalf("key search exhausted: %d of %d", len(out), count)
+	}
 	return out
+}
+
+// staleRing is the stale-route fixture: twelve nodes evenly spread over
+// the full 64-bit ring (clustering them in a corner would leave hashed
+// keys nowhere near them), a client at the first one, and sixteen keys
+// owned by the node at slot 10 — eight of which move to a node that
+// joins at slot 9.5.
+//
+// The join happens more than SuccListLen positions away from the client,
+// so the client's own ring pointers — and hence its RingEpoch, the only
+// other cache-reset trigger — stay put; checkEpoch pins that, keeping the
+// tests honest about which path they cover.
+type staleRing struct {
+	t              *testing.T
+	net            *transport.Mem
+	nodes          []*dht.Node
+	idxs           []*Index
+	client         *Index
+	epoch          uint64
+	r              int
+	moved, staying []string
+	oldOwner       transport.Addr
+	joiner         *dht.Node
+	jix            *Index
+}
+
+const staleSlot = ids.ID(1) << 60
+
+func newStaleRing(t *testing.T, r int, keep func(ids.ID) bool) *staleRing {
+	t.Helper()
+	sr := &staleRing{t: t, net: transport.NewMem(), r: r}
+	var ringIDs []ids.ID
+	for i := 1; i <= 12; i++ {
+		ringIDs = append(ringIDs, ids.ID(i)*staleSlot)
+	}
+	sr.nodes, sr.idxs = fixedRing(t, sr.net, ringIDs, dht.Options{SuccListLen: 4}, r)
+	sr.client = sr.idxs[0] // node 1<<60
+	sr.epoch = sr.nodes[0].RingEpoch()
+	sr.oldOwner = sr.nodes[9].Self().Addr
+	joinID := 9*staleSlot + staleSlot/2
+	sr.moved = keysHashingInto(t, 9*staleSlot, joinID, 8, keep)
+	sr.staying = keysHashingInto(t, joinID, 10*staleSlot, 8, keep)
+	return sr
+}
+
+// items is one posting per key at the given score; republishing with a
+// higher score supersedes the stored one (Union keeps the maximum).
+func (sr *staleRing) items(score float64) []AppendItem {
+	var out []AppendItem
+	for _, k := range append(append([]string(nil), sr.moved...), sr.staying...) {
+		out = append(out, AppendItem{
+			Terms: []string{k},
+			List:  &postings.List{Entries: []postings.Posting{post("h", 1, score)}},
+			Bound: 10,
+		})
+	}
+	return out
+}
+
+// join brings a node up midway through the old owner's range; it takes
+// over the range's lower half (pulling it from the old owner when
+// replication is on).
+func (sr *staleRing) join() {
+	sr.t.Helper()
+	d := transport.NewDispatcher()
+	ep := sr.net.Endpoint("joiner", d.Serve)
+	sr.joiner = dht.NewNode(9*staleSlot+staleSlot/2, ep, d, dht.Options{SuccListLen: 4})
+	sr.jix = New(sr.joiner, d)
+	sr.jix.EnableReplication(context.Background(), sr.r)
+	if err := sr.joiner.Join(context.Background(), sr.nodes[0].Self().Addr); err != nil {
+		sr.t.Fatal(err)
+	}
+	all := append(append([]*dht.Node(nil), sr.nodes...), sr.joiner)
+	for round := 0; round < 6; round++ {
+		for _, n := range all {
+			_ = n.Stabilize(context.Background())
+		}
+	}
+	sr.checkEpoch()
+}
+
+func (sr *staleRing) checkEpoch() {
+	sr.t.Helper()
+	if got := sr.nodes[0].RingEpoch(); got != sr.epoch {
+		sr.t.Fatalf("client's own epoch moved (%d -> %d); the join must stay outside its successor list for this test to cover the remote-reject path", sr.epoch, got)
+	}
+}
+
+// frames reads how many msg frames addr has received so far.
+func (sr *staleRing) frames(addr transport.Addr, msg uint8) int64 {
+	return sr.net.Load(addr).Snapshot().PerType[msg].Messages
 }
 
 // TestBatchRejectionInvalidatesStaleRoute is the regression test for the
 // stale-route loop: after a remote join moves responsibility, the cached
 // interval still routes a batch to the old owner, which rejects it. The
-// rejection must (a) fall back to the per-key path so the operation
-// succeeds against the new owner, and (b) drop the rejecting peer's
-// cached intervals, so the NEXT batch resolves the moved keys afresh
-// instead of re-rejecting and re-driving forever.
-//
-// The join happens more than SuccListLen positions away from the writer,
-// so the writer's own ring pointers — and hence its RingEpoch, the only
-// other cache-reset trigger — stay put; the guard assertions below pin
-// that, keeping the test honest about which path it covers.
+// rejection must (a) redrive the batch over fresh ring walks, as batch
+// frames, so the operation succeeds against the new owner, and (b) drop
+// the rejecting peer's cached intervals, so the NEXT batch resolves the
+// moved keys afresh instead of re-rejecting and re-driving forever.
 func TestBatchRejectionInvalidatesStaleRoute(t *testing.T) {
-	net := transport.NewMem()
-	// Twelve nodes evenly spread over the full 64-bit ring (clustering
-	// them in a corner would leave hashed keys nowhere near them).
-	const slot = ids.ID(1) << 60
-	var ringIDs []ids.ID
-	for i := 1; i <= 12; i++ {
-		ringIDs = append(ringIDs, ids.ID(i)*slot)
-	}
-	nodes, idxs := fixedRing(t, net, ringIDs, dht.Options{SuccListLen: 4})
-	writer := idxs[0] // node 1<<60
-	epoch := nodes[0].RingEpoch()
-
-	// Keys owned by the node at 10<<60; the ones hashing below the join
-	// point (9.5<<60) will move to the joiner.
-	joinID := 9*slot + slot/2
-	moved := keysHashingInto(9*slot, joinID, 8)
-	staying := keysHashingInto(joinID, 10*slot, 8)
-	if len(moved) < 8 || len(staying) < 8 {
-		t.Fatalf("key search exhausted: %d moved, %d staying", len(moved), len(staying))
-	}
-	items := func(score float64) []PutItem {
-		var out []PutItem
-		for _, k := range append(append([]string(nil), moved...), staying...) {
-			out = append(out, PutItem{
-				Terms: []string{k},
-				List:  &postings.List{Entries: []postings.Posting{post("h", 1, score)}},
-				Bound: 10,
-			})
-		}
-		return out
-	}
-	if _, err := writer.MultiPut(context.Background(), items(1.0), 4); err != nil {
+	sr := newStaleRing(t, 1, func(ids.ID) bool { return true })
+	if _, err := sr.client.MultiAppend(context.Background(), sr.items(1.0), 4); err != nil {
 		t.Fatal(err)
 	}
+	sr.join()
+	joinerAddr := sr.joiner.Self().Addr
 
-	// A node joins midway through the old owner's range and takes over
-	// its lower half.
-	d := transport.NewDispatcher()
-	ep := net.Endpoint("joiner", d.Serve)
-	joiner := dht.NewNode(joinID, ep, d, dht.Options{SuccListLen: 4})
-	jix := New(joiner, d)
-	if err := joiner.Join(context.Background(), nodes[0].Self().Addr); err != nil {
-		t.Fatal(err)
-	}
-	all := append(append([]*dht.Node(nil), nodes...), joiner)
-	for r := 0; r < 6; r++ {
-		for _, n := range all {
-			_ = n.Stabilize(context.Background())
-		}
-	}
-	if got := nodes[0].RingEpoch(); got != epoch {
-		t.Fatalf("writer's own epoch moved (%d -> %d); the join must stay outside its successor list for this test to cover the remote-reject path", epoch, got)
-	}
-
-	// Second batch: the stale cached route sends the moved keys to
-	// the old owner, which rejects; the fallback must land them on the joiner.
-	if _, err := writer.MultiPut(context.Background(), items(2.0), 4); err != nil {
+	// Second batch: the stale cached route sends all sixteen keys to the
+	// old owner in one frame, which rejects it whole; the redrive must
+	// land the moved keys on the joiner and the staying keys back on the
+	// old owner — one MsgMultiAppend frame per owner.
+	oldBefore, joinBefore := sr.frames(sr.oldOwner, MsgMultiAppend), sr.frames(joinerAddr, MsgMultiAppend)
+	if _, err := sr.client.MultiAppend(context.Background(), sr.items(2.0), 4); err != nil {
 		t.Fatalf("rejected batch must self-heal: %v", err)
 	}
-	if got := nodes[0].RingEpoch(); got != epoch {
-		t.Fatalf("writer's epoch moved during the batch (%d -> %d)", epoch, got)
+	sr.checkEpoch()
+	if n := sr.frames(joinerAddr, MsgMultiAppend) - joinBefore; n != 1 {
+		t.Errorf("redrive reached the joiner in %d MsgMultiAppend frames, want 1", n)
 	}
-	for _, k := range moved {
-		l, ok := jix.Store().Peek(k)
+	if n := sr.frames(sr.oldOwner, MsgMultiAppend) - oldBefore; n != 2 {
+		t.Errorf("old owner received %d MsgMultiAppend frames, want 2 (the rejected batch and its share of the redrive)", n)
+	}
+	for _, k := range sr.moved {
+		l, ok := sr.jix.Store().Peek(k)
 		if !ok {
 			t.Fatalf("moved key %q not re-driven to the joiner", k)
 		}
@@ -127,23 +178,133 @@ func TestBatchRejectionInvalidatesStaleRoute(t *testing.T) {
 
 	// Third batch: the rejecting peer's intervals were dropped, so the
 	// moved keys re-resolve to the joiner and coalesce into a clean batch
-	// — zero single-key fallback Puts.
-	before := net.Meter().Snapshot()
-	if _, err := writer.MultiPut(context.Background(), items(3.0), 4); err != nil {
+	// — one frame per owner, no rejection, no redrive.
+	oldBefore, joinBefore = sr.frames(sr.oldOwner, MsgMultiAppend), sr.frames(joinerAddr, MsgMultiAppend)
+	if _, err := sr.client.MultiAppend(context.Background(), sr.items(3.0), 4); err != nil {
 		t.Fatal(err)
 	}
-	delta := net.Meter().Snapshot().Sub(before)
-	if n := delta.PerType[MsgPut].Messages; n != 0 {
-		t.Errorf("third batch fell back to %d single Puts: stale route not invalidated", n)
+	if o, j := sr.frames(sr.oldOwner, MsgMultiAppend)-oldBefore, sr.frames(joinerAddr, MsgMultiAppend)-joinBefore; o != 1 || j != 1 {
+		t.Errorf("third batch cost %d frames at the old owner and %d at the joiner, want 1 and 1: stale route not invalidated", o, j)
 	}
-	for _, k := range moved {
-		if l, _ := jix.Store().Peek(k); l == nil || l.Entries[0].Score != 3.0 {
+	for _, k := range sr.moved {
+		if l, _ := sr.jix.Store().Peek(k); l == nil || l.Entries[0].Score != 3.0 {
 			t.Errorf("moved key %q not updated through the clean batch", k)
 		}
 	}
-	for _, k := range staying {
-		if l, _ := idxs[9].Store().Peek(k); l == nil || l.Entries[0].Score != 3.0 {
+	for _, k := range sr.staying {
+		if l, _ := sr.idxs[9].Store().Peek(k); l == nil || l.Entries[0].Score != 3.0 {
 			t.Errorf("staying key %q not updated at its owner", k)
 		}
+	}
+}
+
+// TestStreamedAnyReplicaReadDetectsStaleRoute covers the streamed twin of
+// the classic downgrade: under an unhedged ReadAnyReplica policy, a group
+// whose every key the hash keeps on its primary must go out as the
+// responsibility-checked MsgMultiGetTopK — not the unchecked Any variant
+// — or a stale cached route would keep reading the ex-owner's copy
+// indefinitely, serving stale postings once the new owner takes writes.
+func TestStreamedAnyReplicaReadDetectsStaleRoute(t *testing.T) {
+	const r = 2
+	// Keys the read-target hash keeps on the primary (index 0 of R copies).
+	sr := newStaleRing(t, r, func(h ids.ID) bool { return uint64(h)%r == 0 })
+	ctx := context.Background()
+	if _, err := sr.client.MultiAppend(ctx, sr.items(1.0), 4); err != nil {
+		t.Fatal(err)
+	}
+	var gets []GetItem
+	for _, k := range sr.moved {
+		gets = append(gets, GetItem{Terms: []string{k}})
+	}
+	read := func() {
+		t.Helper()
+		res, err := sr.client.NewTopKSession(5, 0, 4, ReadAnyReplica).FetchPrefixes(ctx, gets)
+		if err != nil {
+			t.Fatalf("streamed read over a stale route: %v", err)
+		}
+		for i, r := range res {
+			if !r.Found || r.List.Len() != 1 {
+				t.Fatalf("moved key %q: %+v", sr.moved[i], r)
+			}
+		}
+	}
+	read() // warms the route and the replica-set cache
+	sr.join()
+	joinerAddr := sr.joiner.Self().Addr
+
+	// The stale route delivers the checked frame to the ex-owner, which
+	// rejects it; the redrive reads the joiner (over a fresh ring walk,
+	// hence unchecked).
+	oldChecked, oldAny := sr.frames(sr.oldOwner, MsgMultiGetTopK), sr.frames(sr.oldOwner, MsgMultiGetTopKAny)
+	joinBefore := sr.frames(joinerAddr, MsgMultiGetTopKAny)
+	read()
+	sr.checkEpoch()
+	if n := sr.frames(sr.oldOwner, MsgMultiGetTopKAny) - oldAny; n != 0 {
+		t.Errorf("ex-owner received %d unchecked MsgMultiGetTopKAny frames for an all-primary group", n)
+	}
+	if n := sr.frames(sr.oldOwner, MsgMultiGetTopK) - oldChecked; n != 1 {
+		t.Errorf("ex-owner received %d MsgMultiGetTopK frames, want the 1 it rejects", n)
+	}
+	if n := sr.frames(joinerAddr, MsgMultiGetTopKAny) - joinBefore; n != 1 {
+		t.Errorf("redrive reached the joiner in %d MsgMultiGetTopKAny frames, want 1", n)
+	}
+
+	// The stale interval is gone: the next read goes straight to the
+	// joiner and never touches the ex-owner.
+	oldFrames := sr.frames(sr.oldOwner, MsgMultiGetTopK) + sr.frames(sr.oldOwner, MsgMultiGetTopKAny)
+	joinBefore = sr.frames(joinerAddr, MsgMultiGetTopK)
+	read()
+	if n := sr.frames(sr.oldOwner, MsgMultiGetTopK) + sr.frames(sr.oldOwner, MsgMultiGetTopKAny) - oldFrames; n != 0 {
+		t.Errorf("next read still sent %d frames to the ex-owner", n)
+	}
+	if n := sr.frames(joinerAddr, MsgMultiGetTopK) - joinBefore; n != 1 {
+		t.Errorf("next read reached the joiner in %d MsgMultiGetTopK frames, want 1", n)
+	}
+}
+
+// TestMultiGetDeadOwnerAnsweredFromReplicas is the read side of the
+// ladder: with the owner of a 16-key group killed under R = 3, the batch
+// frame and its redrive both fail unreachable, and the group is answered
+// from the owner's replicas with the Any variant — at most R−1 extra
+// frames for the whole group, not a read per key.
+func TestMultiGetDeadOwnerAnsweredFromReplicas(t *testing.T) {
+	const r = 3
+	nodes, idxs, net := replRing(t, 8, r)
+	owner := nodes[4]
+	terms := termsOwnedBy(t, owner, 16, "deadowner")
+	var items []AppendItem
+	var gets []GetItem
+	for i, ts := range terms {
+		items = append(items, AppendItem{
+			Terms: ts,
+			List:  &postings.List{Entries: []postings.Posting{post("h", uint32(i), 1)}},
+			Bound: 10,
+		})
+		gets = append(gets, GetItem{Terms: ts})
+	}
+	ctx := context.Background()
+	// The write-through leaves the reader knowing where the replicas live.
+	if _, err := idxs[0].MultiAppend(ctx, items, 4); err != nil {
+		t.Fatal(err)
+	}
+	net.SetDown(owner.Self().Addr, true)
+
+	before := net.Meter().Snapshot()
+	res, err := idxs[0].MultiGet(ctx, gets, 4, ReadPrimary)
+	if err != nil {
+		t.Fatalf("MultiGet with a dead owner: %v", err)
+	}
+	for i, r := range res {
+		if !r.Found || r.List.Len() != 1 || r.List.Entries[0].Ref.Doc != uint32(i) {
+			t.Fatalf("item %d (%v) not answered from a replica: %+v", i, terms[i], r)
+		}
+	}
+	delta := net.Meter().Snapshot().Sub(before)
+	// The network meter books a request and its reply, each under its type.
+	if n := delta.PerType[MsgMultiGetAny].Messages / 2; n < 1 || n > r-1 {
+		t.Errorf("group answered in %d MsgMultiGetAny frames, want 1..%d", n, r-1)
+	}
+	if n := delta.PerType[MsgMultiGet].Messages; n != 0 {
+		t.Errorf("%d MsgMultiGet frames delivered; the only owner is dead", n)
 	}
 }

@@ -84,7 +84,7 @@ func (ix *Index) handleTopK(ctx context.Context, _ transport.Addr, msgType uint8
 	if err := r.Err(); err != nil {
 		return 0, nil, err
 	}
-	serve := ix.batchQuota(ctx, msgType, count)
+	serve := ix.disp.BatchQuota(ctx, msgType, count)
 	if msgType == MsgMultiGetTopK {
 		if err := ix.checkResponsible(keys[:serve]); err != nil {
 			return 0, nil, err
@@ -309,33 +309,40 @@ func (s *TopKSession) state(key string, terms []string) *topkKeyState {
 	return st
 }
 
-// fullPullReplace is the per-item self-healing fallback: when a streamed
-// frame fails (stale route, dead peer, shed) or a continuation copy lost
-// the key, the item degrades to a classic full read through Get — fresh
-// lookup, replica fallover, caller's policy and hedging preserved. The
-// state ends the session exhausted (done, no tail), so the threshold
-// loop stays sound; the extra probe the full read records is the same
+// fullPullReplace degrades continuation streams whose serving copy can
+// no longer continue them (dead, shedding, or it lost the key) to classic
+// full reads: one MultiGet for all of them — fresh resolution, the batch
+// engine's recovery ladder, caller's policy and hedging preserved. The
+// states end the session exhausted (done, no tail), so the threshold
+// loop stays sound; the extra probe a full read records is the same
 // soft-state cost the pre-streaming path paid.
-func (s *TopKSession) fullPullReplace(ctx context.Context, st *topkKeyState) error {
-	list, found, wantIndex, err := s.ix.Get(ctx, st.terms, 0, s.policy, WithHedge(s.ro.hedge))
+func (s *TopKSession) fullPullReplace(ctx context.Context, sts []*topkKeyState) error {
+	if len(sts) == 0 {
+		return nil
+	}
+	items := make([]GetItem, len(sts))
+	for i, st := range sts {
+		items[i] = GetItem{Terms: st.terms}
+	}
+	res, err := s.ix.MultiGet(ctx, items, s.workers, s.policy, WithHedge(s.ro.hedge))
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st.found = found
-	st.fetched = true
-	if wantIndex {
-		st.wantIndex = true
-	}
-	st.done = true
-	if found {
+	for i, st := range sts {
+		st.found = res[i].Found
+		st.fetched = true
+		st.wantIndex = st.wantIndex || res[i].WantIndex
+		st.done = true
+		if !st.found {
+			continue
+		}
 		// Union keeps the maximum score per ref, so the full read's exact
 		// scores supersede any quantized chunk scores fetched earlier.
-		merged := postings.Union(st.list, list)
-		merged.Truncated = list.Truncated
+		merged := postings.Union(st.list, res[i].List)
 		st.list.Entries = merged.Entries
-		st.list.Truncated = merged.Truncated
+		st.list.Truncated = res[i].List.Truncated
 		st.cursor, st.total = merged.Len(), merged.Len()
 		for _, p := range merged.Entries {
 			st.seen[p.Ref] = true
@@ -393,7 +400,8 @@ func (cp *cachedPrefix) answerOf() topKAnswer {
 // the probe on the first chunk only). Keys group per serving peer into
 // MsgMultiGetTopK frames — or MsgMultiGetTopKAny under ReadAnyReplica,
 // hedged across the replica chain under WithHedge — and items whose
-// group fails or sheds degrade to classic full reads.
+// group fails or sheds are redriven by the batch engine's ladder, still
+// as streamed frames.
 //
 // With the hot-key path armed, two things short-circuit the fan-out:
 // a fresh item whose key has a live posting-prefix cache entry (same
@@ -443,33 +451,14 @@ func (s *TopKSession) FetchPrefixes(ctx context.Context, items []GetItem) ([]Get
 		fetchKeys[fi] = keys[i]
 	}
 
-	msg := MsgMultiGetTopK
-	var retarget func(key string, primary dht.Remote) dht.Remote
-	var callGroup groupCaller
-	if s.policy == ReadAnyReplica && s.ix.repl.factor > 1 {
-		msg = MsgMultiGetTopKAny
-		if s.ro.hedge > 0 {
-			callGroup = func(ctx context.Context, primary transport.Addr, gmsg uint8, seed string, body []byte) ([]byte, error) {
-				targets := s.ix.hedgeTargetsFor(ctx, seed, primary, body)
-				resp, _, err := s.ix.callHedgedTargets(ctx, targets, gmsg, body, s.ro.hedge)
-				if err != nil && ctx.Err() == nil {
-					s.ix.dropReplicaSet(primary)
-				}
-				return resp, err
-			}
-		} else {
-			retarget = func(key string, primary dht.Remote) dht.Remote {
-				return dht.Remote{ID: primary.ID, Addr: s.ix.readTarget(ctx, key, primary)}
-			}
-		}
-	}
-	err := s.ix.runBatchCustom(ctx, fetchKeys, s.workers, msg, false, retarget, callGroup,
-		func(w *wire.Writer, fi int) {
+	op := batchOp{
+		msg: MsgMultiGetTopK,
+		encode: func(w *wire.Writer, fi int) {
 			w.String(fetchKeys[fi])
 			w.Uvarint(0)               // cursor: opening chunk
 			w.Uvarint(uint64(s.chunk)) // chunk size
 		},
-		func(r *wire.Reader, fi int) error {
+		decode: func(r *wire.Reader, fi int) error {
 			a, err := readTopKAnswer(r)
 			if err != nil {
 				return err
@@ -486,10 +475,9 @@ func (s *TopKSession) FetchPrefixes(ctx context.Context, items []GetItem) ([]Get
 			}
 			return nil
 		},
-		func(fi int) error {
-			return s.fullPullReplace(ctx, sts[fetchIdx[fi]])
-		})
-	if err != nil {
+	}
+	s.ix.planReplicaRead(&op, s.policy, s.ro.hedge, s.ix.hedgeTargetsFor)
+	if err := s.ix.runBatch(ctx, fetchKeys, s.workers, op); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -718,8 +706,9 @@ func (s *TopKSession) couldImprove(ranked []postings.Posting, pending []*topkKey
 
 // continueRound fetches the next chunk of every pending key, grouped per
 // serving peer into MsgGetMore frames. A group that fails or sheds
-// degrades its items to classic full reads (fullPullReplace), as does a
-// continuation whose copy no longer holds the key.
+// degrades its items to classic full reads, as does a continuation whose
+// copy no longer holds the key — all of a round's degraded items in one
+// fullPullReplace.
 func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState, chunk int) error {
 	byPeer := make(map[transport.Addr][]*topkKeyState)
 	var peers []transport.Addr
@@ -742,10 +731,10 @@ func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState
 		}
 		groups = append(groups, gr{p, items})
 	}
-	// retry collects the items a failed or short group degrades to the
-	// per-item full-pull path (a continuation records no probe and reads
-	// only, so redriving is always safe); errs records failures that
-	// cannot be degraded because the caller's context died.
+	// retry collects the items a failed or short group degrades to full
+	// reads (a continuation records no probe and reads only, so redriving
+	// is always safe); errs records failures that cannot be degraded
+	// because the caller's context died.
 	retry := make([][]*topkKeyState, len(groups))
 	errs := make([]error, len(groups))
 	stopped := dht.RunBounded(ctx, len(groups), s.workers, func(gi int) {
@@ -797,7 +786,7 @@ func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState
 		}
 		if count < len(g.items) {
 			// Item-granular shed: the suffix provably was not served;
-			// degrade it to the self-healing per-item path.
+			// degrade it too.
 			retry[gi] = append(retry[gi], g.items[count:]...)
 		}
 	})
@@ -809,14 +798,11 @@ func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState
 			return err
 		}
 	}
+	var degraded []*topkKeyState
 	for _, items := range retry {
-		for _, st := range items {
-			if err := s.fullPullReplace(ctx, st); err != nil {
-				return err
-			}
-		}
+		degraded = append(degraded, items...)
 	}
-	return nil
+	return s.fullPullReplace(ctx, degraded)
 }
 
 // finish prices the stored tails the session never shipped into the

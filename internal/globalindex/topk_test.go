@@ -113,7 +113,7 @@ func publishLongLists(t *testing.T, ix *Index, nKeys, listLen int, seed int64) [
 			l.Add(post(fmt.Sprintf("host%d", rng.Intn(8)), uint32(ki*100000+i), score))
 		}
 		l.Normalize()
-		if _, err := ix.Put(context.Background(), terms, l, 0); err != nil {
+		if _, err := putOne(context.Background(), ix, terms, l, 0); err != nil {
 			t.Fatal(err)
 		}
 		items[ki] = GetItem{Terms: terms}
@@ -130,7 +130,7 @@ func TestTopKSessionMatchesFullPullAndSavesBytes(t *testing.T) {
 	// Ground truth: classic full pulls.
 	full := map[string]*postings.List{}
 	for _, it := range items {
-		l, found, _, err := ix.Get(context.Background(), it.Terms, 0, ReadPrimary)
+		l, found, _, err := getOne(context.Background(), ix, it.Terms, 0, ReadPrimary)
 		if err != nil || !found {
 			t.Fatalf("full pull: %v found=%v", err, found)
 		}
@@ -200,17 +200,19 @@ func TestTopKSessionExhaustsShortLists(t *testing.T) {
 }
 
 func TestTopKSessionRandomizedEquivalence(t *testing.T) {
-	_, idxs, _ := ring(t, 12)
-	ix := idxs[0]
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 5; trial++ {
+		// A fresh ring per trial: the trials reuse key names, and appends
+		// accumulate.
+		_, idxs, _ := ring(t, 12)
+		ix := idxs[0]
 		nKeys := 2 + rng.Intn(4)
 		listLen := 20 + rng.Intn(200)
 		k := 1 + rng.Intn(15)
 		items := publishLongLists(t, ix, nKeys, listLen, int64(1000+trial))
 		full := map[string]*postings.List{}
 		for _, it := range items {
-			l, found, _, err := ix.Get(context.Background(), it.Terms, 0, ReadPrimary)
+			l, found, _, err := getOne(context.Background(), ix, it.Terms, 0, ReadPrimary)
 			if err != nil || !found {
 				t.Fatal(err)
 			}
@@ -270,6 +272,60 @@ func TestTopKContinuationSurvivesLostKey(t *testing.T) {
 		if l.Len() == 0 {
 			t.Fatalf("surviving key %q has no postings", key)
 		}
+	}
+}
+
+// TestTopKContinuationDegradesLostKeysInOneFrame: when the copy serving
+// a continuation round has lost K of its keys, the K items degrade to
+// full reads through ONE MsgMultiGet frame at that peer — not K reads —
+// while the keys it still holds keep streaming.
+func TestTopKContinuationDegradesLostKeysInOneFrame(t *testing.T) {
+	nodes, idxs, net := ring(t, 8)
+	server := nodes[3]
+	client := idxs[0]
+	const lost, listLen = 6, 200
+	terms := termsOwnedBy(t, server, lost+1, "lostkey")
+	var items []GetItem
+	for ki, ts := range terms {
+		l := &postings.List{}
+		for i := 0; i < listLen; i++ {
+			l.Add(post("host", uint32(ki*1000+i), 1000*math.Pow(0.97, float64(i))))
+		}
+		l.Normalize()
+		if _, err := putOne(context.Background(), client, ts, l, 0); err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, GetItem{Terms: ts})
+	}
+	sess := client.NewTopKSession(5, 4, 2, ReadPrimary)
+	if _, err := sess.FetchPrefixes(context.Background(), items); err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range terms[:lost] {
+		if !idxs[3].Store().Remove(keyOf(ts)) {
+			t.Fatalf("key %v not at its owner", ts)
+		}
+	}
+	before := net.Meter().Snapshot()
+	atServer := net.Load(server.Self().Addr).Snapshot().PerType[MsgMultiGet].Messages
+	if err := sess.Refine(context.Background(), rankSumRefs); err != nil {
+		t.Fatal(err)
+	}
+	if n := net.Load(server.Self().Addr).Snapshot().PerType[MsgMultiGet].Messages - atServer; n != 1 {
+		t.Errorf("%d lost keys degraded through %d MsgMultiGet frames at their peer, want 1", lost, n)
+	}
+	// Request and reply are each booked under the frame type.
+	if n := net.Meter().Snapshot().Sub(before).PerType[MsgMultiGet].Messages; n != 2 {
+		t.Errorf("degrade cost %d MsgMultiGet messages ring-wide, want 2 (one frame, one reply)", n)
+	}
+	lists := sess.Lists()
+	for _, ts := range terms[:lost] {
+		if _, ok := lists[keyOf(ts)]; ok {
+			t.Errorf("key %v is gone everywhere but still reported found", ts)
+		}
+	}
+	if l := lists[keyOf(terms[lost])]; l == nil || l.Len() <= 4 {
+		t.Errorf("surviving key did not keep streaming: %v", l)
 	}
 }
 
@@ -350,7 +406,7 @@ func TestTopKRefineCoverReshuffle(t *testing.T) {
 	ctx := context.Background()
 	put := func(terms []string, l *postings.List) {
 		l.Normalize()
-		if _, err := ix.Put(ctx, terms, l, 0); err != nil {
+		if _, err := putOne(ctx, ix, terms, l, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -381,7 +437,7 @@ func TestTopKRefineCoverReshuffle(t *testing.T) {
 	}
 	full := map[string]*postings.List{}
 	for _, it := range items {
-		l, found, _, err := ix.Get(ctx, it.Terms, 0, ReadPrimary)
+		l, found, _, err := getOne(ctx, ix, it.Terms, 0, ReadPrimary)
 		if err != nil || !found {
 			t.Fatalf("full pull %v: %v found=%v", it.Terms, err, found)
 		}

@@ -50,12 +50,13 @@ type Config struct {
 	// PublishCap bounds how many of its local postings a peer ships per
 	// key (shipping more than TruncK can never help). 0 means TruncK.
 	PublishCap int
-	// Concurrency is the publication fan-out: when above 1, each round's
-	// appends and frequency probes go through the global index's batch
-	// client (one coalesced RPC per responsible peer, Concurrency
-	// concurrent calls). 0 or 1 keeps the fully sequential per-key path.
-	// Both paths produce the same global index state and the same Result
-	// counters; the package tests assert that equivalence.
+	// Concurrency is the publication fan-out width: each round's appends
+	// and frequency probes go through the global index's batch client
+	// (one coalesced frame per responsible peer) with at most Concurrency
+	// frames in flight: 1 sends them one at a time, 0 selects the batch
+	// client's default width. Every width produces the same global index
+	// state and the same Result counters; the package tests assert that
+	// equivalence.
 	Concurrency int
 }
 
@@ -149,10 +150,8 @@ func (p *Publisher) Run(ctx context.Context) (Result, error) {
 	return p.res, nil
 }
 
-// PublishTerms pushes this peer's postings for every local term (level 1).
-// With Concurrency > 1 the appends are coalesced per responsible peer and
-// issued concurrently; the resulting index state is identical to the
-// sequential path.
+// PublishTerms pushes this peer's postings for every local term (level 1),
+// coalesced per responsible peer.
 func (p *Publisher) PublishTerms(ctx context.Context) error {
 	var items []globalindex.AppendItem
 	for _, term := range p.local.Terms() {
@@ -180,20 +179,11 @@ func (p *Publisher) PublishTerms(ctx context.Context) error {
 	return nil
 }
 
-// publishItems ships prepared append items through the batched path
-// (Concurrency > 1) or one at a time, and accounts them in the result
-// counters. Both paths leave identical state at the responsible peers.
+// publishItems ships prepared append items as one MultiAppend and
+// accounts them in the result counters.
 func (p *Publisher) publishItems(ctx context.Context, items []globalindex.AppendItem) error {
-	if p.cfg.Concurrency > 1 {
-		if _, err := p.global.MultiAppend(ctx, items, p.cfg.Concurrency); err != nil {
-			return fmt.Errorf("hdk: publish %d keys: %w", len(items), err)
-		}
-	} else {
-		for _, it := range items {
-			if _, err := p.global.Append(ctx, it.Terms, it.List, it.Bound, it.AnnouncedDF); err != nil {
-				return fmt.Errorf("hdk: publish %v: %w", it.Terms, err)
-			}
-		}
+	if _, err := p.global.MultiAppend(ctx, items, p.cfg.Concurrency); err != nil {
+		return fmt.Errorf("hdk: publish %d keys: %w", len(items), err)
 	}
 	for _, it := range items {
 		p.res.KeysPublished++
@@ -206,12 +196,11 @@ func (p *Publisher) publishItems(ctx context.Context, items []globalindex.Append
 // publishes the expansions of the frequent ones, advancing one level. It
 // returns the number of keys published this round (0 = process finished).
 //
-// With Concurrency > 1 the round runs in two batched phases — frequency
-// probes for the whole frontier (one MultiKeyInfo), then all expansion
-// appends (one MultiAppend) — instead of interleaved per-key RPCs. The
-// phases touch disjoint key levels (probes read level s, appends write
-// level s+1), so the reordering cannot change any frequency decision and
-// the resulting index state is identical to the sequential path.
+// The round runs in two batched phases — frequency probes for the whole
+// frontier (one MultiKeyInfo), then all expansion appends (one
+// MultiAppend). The phases touch disjoint key levels (probes read level
+// s, appends write level s+1), so batching cannot change any frequency
+// decision.
 func (p *Publisher) ExpandRound(ctx context.Context) (int, error) {
 	if p.level == 0 {
 		return 0, fmt.Errorf("hdk: ExpandRound before PublishTerms")
@@ -260,20 +249,10 @@ func (p *Publisher) ExpandRound(ctx context.Context) (int, error) {
 
 // frontierFrequent evaluates the frequency test for every frontier key,
 // in frontier order. Single terms answer from the cached global
-// statistics; multi-term keys ask their responsible peers — batched when
-// Concurrency > 1, one KeyInfo RPC at a time otherwise.
+// statistics; multi-term keys ask their responsible peers' approximate
+// DF in one MultiKeyInfo.
 func (p *Publisher) frontierFrequent(ctx context.Context) ([]bool, error) {
 	out := make([]bool, len(p.frontier))
-	if p.cfg.Concurrency <= 1 {
-		for i, key := range p.frontier {
-			f, err := p.keyFrequent(ctx, key)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = f
-		}
-		return out, nil
-	}
 	var multiIdx []int
 	var items []globalindex.KeyInfoItem
 	for i, key := range p.frontier {
@@ -295,20 +274,6 @@ func (p *Publisher) frontierFrequent(ctx context.Context) ([]bool, error) {
 		out[multiIdx[j]] = info.DF > int64(p.cfg.DFMax)
 	}
 	return out, nil
-}
-
-// keyFrequent tests a key's global frequency: single terms against the
-// statistics service, multi-term keys against the responsible peer's
-// approximate DF.
-func (p *Publisher) keyFrequent(ctx context.Context, key []string) (bool, error) {
-	if len(key) == 1 {
-		return p.termFrequent(key[0]), nil
-	}
-	df, _, _, err := p.global.KeyInfo(ctx, key)
-	if err != nil {
-		return false, err
-	}
-	return df > int64(p.cfg.DFMax), nil
 }
 
 func (p *Publisher) termFrequent(term string) bool {

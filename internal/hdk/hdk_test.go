@@ -283,18 +283,18 @@ func TestPublisherTruncationAtStore(t *testing.T) {
 	if _, err := pub.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	list, found, _, err := f.gidx[1].Get(context.Background(), []string{"common"}, 0, globalindex.ReadPrimary)
-	if err != nil || !found {
-		t.Fatalf("get common: %v %v", found, err)
+	got, err := getOne(f.gidx[1], []string{"common"})
+	if err != nil || !got.Found {
+		t.Fatalf("get common: %v %v", got.Found, err)
 	}
-	if list.Len() != 5 || !list.Truncated {
+	if list := got.List; list.Len() != 5 || !list.Truncated {
 		t.Fatalf("stored list len=%d trunc=%v, want 5/true", list.Len(), list.Truncated)
 	}
-	df, _, _, err := f.gidx[1].KeyInfo(context.Background(), []string{"common"})
+	info, err := f.gidx[1].MultiKeyInfo(context.Background(), []globalindex.KeyInfoItem{{Terms: []string{"common"}}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if df != 20 {
+	if df := info[0].DF; df != 20 {
 		t.Fatalf("approx df = %d, want 20", df)
 	}
 }
@@ -323,4 +323,10 @@ func TestPublishCapBoundsShippedPostings(t *testing.T) {
 	if res.PostingsPublished != 20 {
 		t.Fatalf("shipped %d postings, want 20", res.PostingsPublished)
 	}
+}
+
+// getOne reads one key as a batch of one.
+func getOne(ix *globalindex.Index, terms []string) (globalindex.GetResult, error) {
+	res, err := ix.MultiGet(context.Background(), []globalindex.GetItem{{Terms: terms}}, 1, globalindex.ReadPrimary)
+	return res[0], err
 }

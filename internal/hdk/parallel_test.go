@@ -2,11 +2,12 @@ package hdk
 
 import (
 	"context"
-
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/globalindex"
 )
 
 // publishFleet runs the full lockstep HDK publication over a fresh fleet
@@ -88,8 +89,8 @@ func corpusTexts(docs int, seed int64) []string {
 }
 
 // TestParallelPublishMatchesSequential is the publication determinism
-// regression: the batched concurrent pipeline must leave byte-identical
-// global index state and identical publisher counters.
+// regression: fan-out width eight must leave byte-identical global index
+// state and identical publisher counters to width one.
 func TestParallelPublishMatchesSequential(t *testing.T) {
 	texts := corpusTexts(90, 11)
 	cfg := Config{DFMax: 10, SMax: 3, Window: 7, TruncK: 20}
@@ -116,24 +117,25 @@ func TestParallelPublishMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelPublishSavesRoundTrips asserts the batched pipeline's
-// message saving on a fleet publication.
-func TestParallelPublishSavesRoundTrips(t *testing.T) {
+// TestPublishWidthSendsSameFrames pins what Concurrency = 1 means: the
+// same batch frames as any other width, one at a time — not a per-key
+// protocol of its own.
+func TestPublishWidthSendsSameFrames(t *testing.T) {
 	texts := corpusTexts(90, 12)
 	cfg := Config{DFMax: 10, SMax: 3, Window: 7, TruncK: 20}
-
-	seqCfg := cfg
-	seqCfg.Concurrency = 1
-	f1, _ := publishFleet(t, 5, texts, seqCfg)
-	seqMsgs := f1.net.Meter().Snapshot().Messages
-
-	parCfg := cfg
-	parCfg.Concurrency = 8
-	f2, _ := publishFleet(t, 5, texts, parCfg)
-	parMsgs := f2.net.Meter().Snapshot().Messages
-
-	if parMsgs*2 > seqMsgs {
-		t.Fatalf("parallel publish used %d messages, sequential %d (want >=2x saving)", parMsgs, seqMsgs)
+	frames := func(width int) (appends, probes int64) {
+		wcfg := cfg
+		wcfg.Concurrency = width
+		f, _ := publishFleet(t, 5, texts, wcfg)
+		per := f.net.Meter().Snapshot().PerType
+		return per[globalindex.MsgMultiAppend].Messages, per[globalindex.MsgMultiKeyInfo].Messages
 	}
-	t.Logf("publish round trips: sequential %d, batched %d", seqMsgs, parMsgs)
+	a1, p1 := frames(1)
+	a8, p8 := frames(8)
+	if a1 == 0 || p1 == 0 {
+		t.Fatalf("fixture too small: %d append and %d probe frames", a1, p1)
+	}
+	if a1 != a8 || p1 != p8 {
+		t.Fatalf("width 1 sent %d MultiAppend / %d MultiKeyInfo messages, width 8 sent %d / %d", a1, p1, a8, p8)
+	}
 }

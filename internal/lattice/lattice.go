@@ -43,10 +43,9 @@ type BatchResult struct {
 
 // BatchFetcher is an optional Fetcher extension: fetch a whole
 // generation of combinations in one operation. When the fetcher
-// implements it and the exploration runs concurrently, each lattice
-// level becomes a single batch call (the global index coalesces it into
-// one RPC per responsible peer) instead of one Get per combination.
-// Results must be returned in input order.
+// implements it, each lattice level becomes a single batch call (the
+// global index coalesces it into one frame per responsible peer) instead
+// of one Get per combination. Results must be returned in input order.
 type BatchFetcher interface {
 	GetBatch(ctx context.Context, combos [][]string, maxResults int) ([]BatchResult, error)
 }
@@ -65,13 +64,14 @@ type Config struct {
 	// their first MaxQueryTerms distinct terms (default 6, i.e. at most
 	// 63 probes).
 	MaxQueryTerms int
-	// Concurrency, when above 1, explores each lattice generation
-	// (combination size) concurrently: the generation's unpruned
-	// combinations are fetched in one batch (BatchFetcher) or through at
-	// most Concurrency parallel Gets. Pruning decisions and the trace are
-	// identical to the sequential exploration, because a hit can only
+	// Concurrency is the probe fan-out width for a plain Fetcher: a
+	// generation's unpruned combinations are fetched through at most
+	// Concurrency parallel Gets; at 0 or 1 they are fetched inline, one
+	// after the other, on the caller's goroutine. A BatchFetcher gets the
+	// whole generation in one call whatever the width. Pruning decisions
+	// and the trace are the same at every width, because a hit can only
 	// prune strict sub-combinations, which always live in later
-	// generations. 0 or 1 keeps the sequential probe loop.
+	// generations.
 	Concurrency int
 }
 
@@ -119,11 +119,19 @@ func (t *Trace) String() string {
 
 // Explore runs the lattice exploration for the given distinct query terms
 // and returns the union of all retrieved posting lists plus the trace.
-// A context that dies mid-exploration stops at the next probe (or
-// generation) boundary: the error is the context's, and the trace
-// reflects exactly the probes that completed — the caller still holds
-// every list its fetcher gathered, which is what turns a deadline expiry
-// into usable partial results.
+// A context that dies mid-exploration stops at the next generation
+// boundary: the error is the context's, and the trace reflects exactly
+// the probes that completed — the caller still holds every list its
+// fetcher gathered, which is what turns a deadline expiry into usable
+// partial results.
+//
+// The sorted masks are walked one generation (combination size) at a
+// time. Within a generation no mask can prune another — a covering mask
+// only dominates strict subsets, which have strictly fewer bits — so all
+// of a generation's unpruned combinations are independent and are
+// fetched together (fetchGeneration). Skips, probes, covering updates
+// and the trace are then applied in the generation's mask order, so the
+// result and trace do not depend on the fan-out width.
 func Explore(ctx context.Context, f Fetcher, queryTerms []string, cfg Config) (*postings.List, *Trace, error) {
 	cfg.fillDefaults()
 	terms := dedupeSorted(queryTerms)
@@ -153,37 +161,59 @@ func Explore(ctx context.Context, f Fetcher, queryTerms []string, cfg Config) (*
 		return lexLess(a, b, n)
 	})
 
-	if cfg.Concurrency > 1 {
-		return exploreGenerational(ctx, f, terms, masks, cfg)
-	}
-
 	trace := &Trace{}
 	var lists []*postings.List
-	var covering []uint // masks whose sublattice is pruned
+	var covering []uint
+	// Every generation's probe set is a window of one backing array, so
+	// the bookkeeping allocates per exploration, not per generation.
+	probeBuf := make([]uint, 0, len(masks))
+	comboBuf := make([][]string, 0, len(masks))
+	resultBuf := make([]BatchResult, len(masks))
 
-	for _, m := range masks {
+	for start := 0; start < len(masks); {
 		if err := ctx.Err(); err != nil {
+			// Between generations: everything gathered so far is a clean
+			// prefix of the exploration.
 			return postings.Union(lists...), trace, err
 		}
-		if coveredBy(m, covering) {
-			trace.Skipped = append(trace.Skipped, maskTerms(m, terms))
+		end := start
+		size := popcount(masks[start])
+		for end < len(masks) && popcount(masks[end]) == size {
+			end++
+		}
+		gen := masks[start:end]
+		start = end
+
+		first := len(probeBuf)
+		for _, m := range gen {
+			if coveredBy(m, covering) {
+				trace.Skipped = append(trace.Skipped, maskTerms(m, terms))
+				continue
+			}
+			probeBuf = append(probeBuf, m)
+			comboBuf = append(comboBuf, maskTerms(m, terms))
+		}
+		probe, combos := probeBuf[first:], comboBuf[first:]
+		if len(probe) == 0 {
 			continue
 		}
-		combo := maskTerms(m, terms)
-		list, found, err := f.Get(ctx, combo, cfg.MaxResultsPerProbe)
+
+		results, err := fetchGeneration(ctx, f, combos, cfg, resultBuf[first:len(probeBuf)])
 		if err != nil {
-			return nil, trace, fmt.Errorf("lattice: probe %v: %w", combo, err)
+			return nil, trace, err
 		}
-		p := Probe{Terms: combo, Found: found}
-		if found {
-			p.Truncated = list.Truncated
-			p.Postings = list.Len()
-			lists = append(lists, list)
-			if !list.Truncated || cfg.PruneTruncated {
-				covering = append(covering, m)
+		for i, r := range results {
+			p := Probe{Terms: combos[i], Found: r.Found}
+			if r.Found {
+				p.Truncated = r.List.Truncated
+				p.Postings = r.List.Len()
+				lists = append(lists, r.List)
+				if !r.List.Truncated || cfg.PruneTruncated {
+					covering = append(covering, probe[i])
+				}
 			}
+			trace.Probed = append(trace.Probed, p)
 		}
-		trace.Probed = append(trace.Probed, p)
 	}
 	return postings.Union(lists...), trace, nil
 }
@@ -199,96 +229,53 @@ func coveredBy(m uint, covering []uint) bool {
 	return false
 }
 
-// exploreGenerational is the concurrent exploration: the sorted masks
-// are walked one generation (combination size) at a time. Within a
-// generation no mask can prune another — a covering mask only dominates
-// strict subsets, which have strictly fewer bits — so all of a
-// generation's unpruned combinations are independent and fetch
-// concurrently. Skips, probes, covering updates and the trace are then
-// applied in the generation's mask order, making the result and trace
-// byte-identical to the sequential exploration.
-func exploreGenerational(ctx context.Context, f Fetcher, terms []string, masks []uint, cfg Config) (*postings.List, *Trace, error) {
-	trace := &Trace{}
-	var lists []*postings.List
-	var covering []uint
-
-	bf, hasBatch := f.(BatchFetcher)
-	for start := 0; start < len(masks); {
-		if err := ctx.Err(); err != nil {
-			// Between generations: everything gathered so far is a clean
-			// prefix of the exploration.
-			return postings.Union(lists...), trace, err
+// fetchGeneration fetches one generation's combinations, in order: one
+// GetBatch when the fetcher batches; otherwise one Get per combination —
+// inline on the caller's goroutine at width <= 1, through at most
+// cfg.Concurrency goroutines above. results, one slot per combination,
+// receives the per-combination answers.
+func fetchGeneration(ctx context.Context, f Fetcher, combos [][]string, cfg Config, results []BatchResult) ([]BatchResult, error) {
+	if bf, ok := f.(BatchFetcher); ok {
+		rs, err := bf.GetBatch(ctx, combos, cfg.MaxResultsPerProbe)
+		if err != nil {
+			return nil, fmt.Errorf("lattice: batch probe level %d: %w", len(combos[0]), err)
 		}
-		end := start
-		size := popcount(masks[start])
-		for end < len(masks) && popcount(masks[end]) == size {
-			end++
+		if len(rs) != len(combos) {
+			return nil, fmt.Errorf("lattice: batch probe level %d: %d results for %d combos", len(combos[0]), len(rs), len(combos))
 		}
-		gen := masks[start:end]
-		start = end
-
-		var probe []uint
-		var combos [][]string
-		for _, m := range gen {
-			if coveredBy(m, covering) {
-				trace.Skipped = append(trace.Skipped, maskTerms(m, terms))
-				continue
-			}
-			probe = append(probe, m)
-			combos = append(combos, maskTerms(m, terms))
-		}
-		if len(probe) == 0 {
-			continue
-		}
-
-		results := make([]BatchResult, len(probe))
-		if hasBatch {
-			rs, err := bf.GetBatch(ctx, combos, cfg.MaxResultsPerProbe)
+		return rs, nil
+	}
+	if cfg.Concurrency <= 1 {
+		for i, combo := range combos {
+			list, found, err := f.Get(ctx, combo, cfg.MaxResultsPerProbe)
 			if err != nil {
-				return nil, trace, fmt.Errorf("lattice: batch probe level %d: %w", size, err)
+				return nil, fmt.Errorf("lattice: probe %v: %w", combo, err)
 			}
-			if len(rs) != len(probe) {
-				return nil, trace, fmt.Errorf("lattice: batch probe level %d: %d results for %d combos", size, len(rs), len(probe))
-			}
-			copy(results, rs)
-		} else {
-			errs := make([]error, len(probe))
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, cfg.Concurrency)
-			for i := range probe {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(i int) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					list, found, err := f.Get(ctx, combos[i], cfg.MaxResultsPerProbe)
-					results[i] = BatchResult{List: list, Found: found}
-					errs[i] = err
-				}(i)
-			}
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					return nil, trace, fmt.Errorf("lattice: probe %v: %w", combos[i], err)
-				}
-			}
+			results[i] = BatchResult{List: list, Found: found}
 		}
-
-		for i, m := range probe {
-			p := Probe{Terms: combos[i], Found: results[i].Found}
-			if results[i].Found {
-				list := results[i].List
-				p.Truncated = list.Truncated
-				p.Postings = list.Len()
-				lists = append(lists, list)
-				if !list.Truncated || cfg.PruneTruncated {
-					covering = append(covering, m)
-				}
-			}
-			trace.Probed = append(trace.Probed, p)
+		return results, nil
+	}
+	errs := make([]error, len(combos))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, cfg.Concurrency)
+	for i := range combos {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			list, found, err := f.Get(ctx, combos[i], cfg.MaxResultsPerProbe)
+			results[i] = BatchResult{List: list, Found: found}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("lattice: probe %v: %w", combos[i], err)
 		}
 	}
-	return postings.Union(lists...), trace, nil
+	return results, nil
 }
 
 func dedupeSorted(terms []string) []string {

@@ -2,10 +2,11 @@ package lattice
 
 import (
 	"context"
-
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,11 +70,11 @@ type batchingFetcher struct {
 	batchCalls atomic.Int64
 }
 
-func (f *batchingFetcher) GetBatch(combos [][]string, maxResults int) ([]BatchResult, error) {
+func (f *batchingFetcher) GetBatch(ctx context.Context, combos [][]string, maxResults int) ([]BatchResult, error) {
 	f.batchCalls.Add(1)
 	out := make([]BatchResult, len(combos))
 	for i, c := range combos {
-		l, found, err := f.Get(context.Background(), c, maxResults)
+		l, found, err := f.Get(ctx, c, maxResults)
 		if err != nil {
 			return nil, err
 		}
@@ -94,9 +95,10 @@ func tracesEqual(t *testing.T, name string, seq, par *Trace) {
 }
 
 // TestExploreParallelMatchesSequential fuzzes random index contents and
-// asserts the concurrent exploration is byte-identical to the sequential
-// one — union, probe sequence and skip sequence — with and without the
-// truncated-hit pruning approximation, with and without a batch fetcher.
+// asserts the exploration is byte-identical at width one (inline probes),
+// at width eight (a goroutine pool) and through a batch fetcher — union,
+// probe sequence and skip sequence — with and without the truncated-hit
+// pruning approximation.
 func TestExploreParallelMatchesSequential(t *testing.T) {
 	terms := []string{"a", "b", "c", "d", "e"}
 	for seed := int64(0); seed < 30; seed++ {
@@ -131,7 +133,7 @@ func TestExploreParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("%s: unions differ", name)
 			}
 			// One batch call per explored generation, at most n of them.
-			if calls := batch.batchCalls.Load(); calls > int64(len(terms)) {
+			if calls := batch.batchCalls.Load(); calls < 1 || calls > int64(len(terms)) {
 				t.Fatalf("%s: %d batch calls for %d generations", name, calls, len(terms))
 			}
 			// Exactly as many probes as the sequential exploration issued.
@@ -142,22 +144,53 @@ func TestExploreParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestExploreConcurrencyZeroIsSequential pins the default: Concurrency 0
-// must behave exactly like the historical sequential exploration.
-func TestExploreConcurrencyZeroIsSequential(t *testing.T) {
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine N [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestExploreWidthZeroOrOneIsInline pins what width <= 1 means for a plain
+// Fetcher: every probe runs on the caller's goroutine — no pool, nothing
+// spawned — and widths 0 and 1 yield the same union and trace. Width 8
+// is the control: its probes leave the caller's goroutine.
+func TestExploreWidthZeroOrOneIsInline(t *testing.T) {
 	terms := []string{"x", "y", "z"}
-	a := newRandomFetcher(terms, 99)
-	b := newRandomFetcher(terms, 99)
-	l0, t0, err := Explore(context.Background(), a, terms, Config{})
-	if err != nil {
-		t.Fatal(err)
+	explore := func(width int) (*postings.List, *Trace, map[string]bool) {
+		base := newRandomFetcher(terms, 99)
+		var mu sync.Mutex
+		ran := make(map[string]bool)
+		f := FetchFunc(func(ctx context.Context, ts []string, max int) (*postings.List, bool, error) {
+			mu.Lock()
+			ran[goid()] = true
+			mu.Unlock()
+			return base.Get(ctx, ts, max)
+		})
+		l, tr, err := Explore(context.Background(), f, terms, Config{Concurrency: width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l, tr, ran
 	}
-	l1, t1, err := Explore(context.Background(), b, terms, Config{Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
+	self := goid()
+	l0, t0, ran0 := explore(0)
+	l1, t1, ran1 := explore(1)
+	for width, ran := range []map[string]bool{ran0, ran1} {
+		if len(ran) != 1 || !ran[self] {
+			t.Errorf("width %d probed on goroutines %v, want only the caller's (%s)", width, ran, self)
+		}
 	}
 	tracesEqual(t, "zero-vs-one", t0, t1)
 	if !reflect.DeepEqual(l0, l1) {
+		t.Fatal("unions differ")
+	}
+	l8, t8, ran8 := explore(8)
+	if ran8[self] {
+		t.Errorf("width 8 probed on the caller's goroutine: %v", ran8)
+	}
+	tracesEqual(t, "one-vs-eight", t1, t8)
+	if !reflect.DeepEqual(l1, l8) {
 		t.Fatal("unions differ")
 	}
 }

@@ -56,7 +56,8 @@ func pl(truncated bool, peer string, docs ...uint32) *postings.List {
 func seedTerms(t *testing.T, f *fleet, terms map[string]*postings.List) {
 	t.Helper()
 	for term, list := range terms {
-		if _, err := f.gidx[0].Put(context.Background(), []string{term}, list, 0); err != nil {
+		item := globalindex.AppendItem{Terms: []string{term}, List: list}
+		if _, err := f.gidx[0].MultiAppend(context.Background(), []globalindex.AppendItem{item}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +71,7 @@ func TestActivationSignalAfterThreshold(t *testing.T) {
 	var want bool
 	for i := 0; i < 3; i++ {
 		var err error
-		_, _, want, err = f.gidx[1].Get(context.Background(), terms, 0, globalindex.ReadPrimary)
+		_, _, want, err = getOne(f.gidx[1], terms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestActivationSignalAfterThreshold(t *testing.T) {
 func TestSingleTermsNeverActivate(t *testing.T) {
 	f := newFleet(t, 4, Config{ActivateThreshold: 1})
 	for i := 0; i < 5; i++ {
-		_, _, want, err := f.gidx[0].Get(context.Background(), []string{"solo"}, 0, globalindex.ReadPrimary)
+		_, _, want, err := getOne(f.gidx[0], []string{"solo"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestOnDemandIndexingEndToEnd(t *testing.T) {
 	runQuery := func() (map[string]bool, *postings.List, *lattice.Trace) {
 		wantIndex := map[string]bool{}
 		fetch := lattice.FetchFunc(func(ctx context.Context, terms []string, max int) (*postings.List, bool, error) {
-			l, found, want, err := gi.Get(ctx, terms, max, globalindex.ReadPrimary)
+			l, found, want, err := getOne(gi, terms)
 			if want {
 				wantIndex[ids.KeyString(terms)] = true
 			}
@@ -143,7 +144,7 @@ func TestOnDemandIndexingEndToEnd(t *testing.T) {
 	}
 
 	// The key is now indexed with the query's top-ranked documents.
-	list, found, _, err := f.gidx[5].Get(context.Background(), query, 0, globalindex.ReadPrimary)
+	list, found, _, err := getOne(f.gidx[5], query)
 	if err != nil || !found {
 		t.Fatalf("activated key not retrievable: %v %v", found, err)
 	}
@@ -171,7 +172,7 @@ func TestRedundantKeyNotActivated(t *testing.T) {
 	gi := f.gidx[2]
 	wantIndex := map[string]bool{}
 	fetch := lattice.FetchFunc(func(ctx context.Context, terms []string, max int) (*postings.List, bool, error) {
-		l, found, want, err := gi.Get(ctx, terms, max, globalindex.ReadPrimary)
+		l, found, want, err := getOne(gi, terms)
 		if want {
 			wantIndex[ids.KeyString(terms)] = true
 		}
@@ -215,9 +216,9 @@ func TestEvictionOfColdKeys(t *testing.T) {
 	// Keep it hot: probe, then tick. Count 1*0.4 < 0.5 would evict, so
 	// probe twice per tick to stay above the threshold.
 	for i := 0; i < 3; i++ {
-		f.gidx[1].Get(context.Background(), []string{"x", "y"}, 0, globalindex.ReadPrimary)
-		f.gidx[2].Get(context.Background(), []string{"x", "y"}, 0, globalindex.ReadPrimary)
-		f.gidx[3].Get(context.Background(), []string{"x", "y"}, 0, globalindex.ReadPrimary)
+		getOne(f.gidx[1], []string{"x", "y"})
+		getOne(f.gidx[2], []string{"x", "y"})
+		getOne(f.gidx[3], []string{"x", "y"})
 		if evicted := f.mgrs[owner].MaintenanceTick(); evicted != 0 {
 			t.Fatalf("hot key evicted at tick %d", i)
 		}
@@ -230,7 +231,7 @@ func TestEvictionOfColdKeys(t *testing.T) {
 	if evictedTotal != 1 {
 		t.Fatalf("cold key evictions = %d, want 1", evictedTotal)
 	}
-	if _, found, _, _ := f.gidx[1].Get(context.Background(), []string{"x", "y"}, 0, globalindex.ReadPrimary); found {
+	if _, found, _, _ := getOne(f.gidx[1], []string{"x", "y"}); found {
 		t.Fatal("evicted key still retrievable")
 	}
 	if len(f.mgrs[owner].OwnedKeys()) != 0 {
@@ -286,4 +287,10 @@ func TestCoveredBy(t *testing.T) {
 			t.Errorf("coveredBy(%v, %v) = %v, want %v", c.terms, c.unt, got, c.want)
 		}
 	}
+}
+
+// getOne reads one key as a batch of one.
+func getOne(ix *globalindex.Index, terms []string) (*postings.List, bool, bool, error) {
+	res, err := ix.MultiGet(context.Background(), []globalindex.GetItem{{Terms: terms}}, 1, globalindex.ReadPrimary)
+	return res[0].List, res[0].Found, res[0].WantIndex, err
 }

@@ -264,7 +264,7 @@ func TestHotKeyCacheChurnInvalidation(t *testing.T) {
 }
 
 // BenchmarkHotKeyRead runs the E14 experiment once and reports the
-// hot-key arm's headline numbers — CI uploads them as BENCH_pr10.json.
+// hot-key arm's headline numbers.
 func BenchmarkHotKeyRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl, err := RunE14(ScaleSmall)

@@ -57,9 +57,8 @@ func TestRunE12SmallShape(t *testing.T) {
 }
 
 // BenchmarkRejoinTransfer reports the restart experiment's transfer
-// counts as benchmark metrics (CI uploads them as BENCH_pr5.json): one
-// sub-benchmark per arm, keys/rejoin being the full-entry transfers the
-// restarted peers paid.
+// counts as benchmark metrics: one sub-benchmark per arm, keys/rejoin
+// being the full-entry transfers the restarted peers paid.
 func BenchmarkRejoinTransfer(b *testing.B) {
 	for _, arm := range []struct {
 		name       string

@@ -11,9 +11,11 @@ import (
 //     before the work (sheds > 0) and executes strictly fewer
 //     expired-budget requests than the PR 3 style run without admission
 //     (fewer wasted RPCs);
-//   - hedged, load-aware replica reads keep p99 read latency materially
-//     below the unhedged hash-spread reads on the slow-replica shape —
-//     under the slow peer's delay instead of at it.
+//   - hedged, load-aware replica reads keep the slow copy out of the
+//     answer: it wins at most a quarter as many reads as under the
+//     unhedged hash spread. (The p99 rows are information only — the p99
+//     of 60 wall-clock samples is their maximum, which one scheduler
+//     hiccup moves.)
 func TestRunE11SmallShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment shape test skipped in -short mode")
@@ -23,8 +25,18 @@ func TestRunE11SmallShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := tableRows(tbl.String())
-	if len(rows) != 6 {
-		t.Fatalf("E11 rows = %d, want 6\n%s", len(rows), tbl)
+	if len(rows) != 8 {
+		t.Fatalf("E11 rows = %d, want 8\n%s", len(rows), tbl)
+	}
+	cellHas := func(prefix, suffix string) int {
+		t.Helper()
+		for _, r := range rows {
+			if strings.HasPrefix(r[0], prefix) && strings.HasSuffix(r[0], suffix) {
+				return atoi(t, r[1])
+			}
+		}
+		t.Fatalf("row %q…%q not found\n%s", prefix, suffix, tbl)
+		return 0
 	}
 	cell := func(prefix string) int {
 		t.Helper()
@@ -40,8 +52,8 @@ func TestRunE11SmallShape(t *testing.T) {
 	doomedOff := cell("doomed requests executed, admission off")
 	shedsOn := cell("sheds, admission on")
 	doomedOn := cell("doomed requests executed, admission on")
-	p99Unhedged := cell("read p99 ms, any-replica unhedged")
-	p99Hedged := cell("read p99 ms, any-replica hedged")
+	slowUnhedged := cellHas("reads won by the slow copy", "any-replica unhedged")
+	slowHedged := cellHas("reads won by the slow copy", "any-replica hedged")
 
 	if shedsOff != 0 {
 		t.Errorf("admission-off run shed %d requests; shedding must be opt-in\n%s", shedsOff, tbl)
@@ -56,13 +68,11 @@ func TestRunE11SmallShape(t *testing.T) {
 		t.Errorf("wasted work did not drop: %d doomed executions with admission vs %d without\n%s",
 			doomedOn, doomedOff, tbl)
 	}
-	// "Materially below": the unhedged tail sits at the slow peer's delay
-	// (>= 90ms of the configured 100ms); the hedged tail must stay under
-	// half of it.
-	if p99Unhedged < 90 {
-		t.Fatalf("unhedged p99 = %dms; the slow replica never landed in the read path\n%s", p99Unhedged, tbl)
+	if slowUnhedged == 0 {
+		t.Fatalf("the slow replica never landed in the unhedged read path\n%s", tbl)
 	}
-	if p99Hedged >= p99Unhedged/2 {
-		t.Errorf("hedged p99 = %dms, not materially below unhedged %dms\n%s", p99Hedged, p99Unhedged, tbl)
+	if slowHedged*4 > slowUnhedged {
+		t.Errorf("the slow copy won %d hedged reads, more than a quarter of the %d unhedged ones\n%s",
+			slowHedged, slowUnhedged, tbl)
 	}
 }
