@@ -154,11 +154,11 @@ var (
 	WithHedging = core.WithHedging
 	// WithStrategy overrides HDK/QDI for this query only.
 	WithStrategy = core.WithStrategy
-	// WithStreaming switches this query between the streamed
-	// score-bounded read path and classic one-shot pulls, overriding
-	// Config.StreamTopK. Same top-k set (up to score-quantization ties
-	// at the boundary), a fraction of the bytes; see core.WithStreaming
-	// for the exact result contract.
+	// WithStreaming switches this query between a streamed
+	// score-bounded read and one-shot whole-list reads (same frame,
+	// same session), overriding Config.StreamTopK. Same top-k set (up
+	// to score-quantization ties at the boundary), a fraction of the
+	// bytes; see core.WithStreaming for the exact result contract.
 	WithStreaming = core.WithStreaming
 	// WithTrace toggles the response's QueryTrace (default on).
 	WithTrace = core.WithTrace

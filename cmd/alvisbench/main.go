@@ -45,7 +45,7 @@ func main() {
 		{"E10", "wasted-RPC reduction from per-query cancellation", sim.RunE10},
 		{"E11", "admission control sheds + hedged replica-read tail latency", sim.RunE11},
 		{"E12", "restart recovery: cold rejoin vs WAL/snapshot delta rejoin", sim.RunE12},
-		{"E13", "streamed score-bounded top-k vs one-shot full pulls", sim.RunE13},
+		{"E13", "bounded-chunk streamed top-k vs whole-list reads on the one read frame", sim.RunE13},
 		{"E14", "hot-key caching + soft replication under zipfian reads", sim.RunE14},
 	}
 

@@ -66,7 +66,7 @@ func main() {
 	resultCache := flag.Int("result-cache", 0,
 		"resolved-result cache entries for repeat HDK queries (0 = off)")
 	prefixCache := flag.Int("prefix-cache", 0,
-		"posting-prefix cache entries for the streamed read path (0 = off)")
+		"posting-prefix cache entries consulted by every search's index reads (0 = off)")
 	cacheTTL := flag.Duration("cache-ttl", 0,
 		"staleness bound for both client caches (0 = the 2s default when a cache is on)")
 	hotKeyThreshold := flag.Float64("hot-key-threshold", 0,

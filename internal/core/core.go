@@ -73,9 +73,11 @@ type Config struct {
 	HDK hdk.Config
 	// QDI parameters (defaults per qdi.Config).
 	QDI qdi.Config
-	// Lattice controls retrieval-side exploration. The paper's
-	// load-balancing approximation (pruning under truncated hits) is on
-	// by default; set Lattice.PruneTruncated explicitly to override.
+	// Lattice controls retrieval-side exploration. Its PruneTruncated
+	// field is not read from here: the paper's load-balancing
+	// approximation (pruning under truncated hits) is on by default and
+	// PruneTruncatedOff is its one switch — fillDefaults overwrites
+	// Lattice.PruneTruncated from it.
 	Lattice lattice.Config
 	// PruneTruncatedOff disables the truncated-hit pruning approximation.
 	PruneTruncatedOff bool
@@ -129,11 +131,16 @@ type Config struct {
 	// it takes precedence over DataDir. The peer takes ownership: Close
 	// closes the engine.
 	Engine globalindex.StorageEngine
-	// StreamTopK makes every search default to the streamed
-	// score-bounded read path (score-sorted posting prefixes with
-	// threshold-test continuation, compressed chunks on the wire) instead
-	// of one-shot full-list pulls. Off by default: the classic path stays
-	// byte-identical. Per-query override: WithStreaming.
+	// StreamTopK makes every search default to a streamed read: each
+	// probed key opens with a short score-sorted chunk (compressed on the
+	// wire) and a threshold loop fetches continuation chunks only while
+	// the top k could still change. Off (the default), each probed key
+	// is read in one shot — the whole list, or the per-probe cap, with
+	// exact scores and no refinement. Both shapes travel in the same
+	// read frame through the same session (prefix cache, replica
+	// policy, hedging, soft replicas); the knob only selects the first
+	// chunk and whether the threshold loop runs. Per-query override:
+	// WithStreaming.
 	StreamTopK bool
 	// AntiEntropyInterval enables the background replica-repair sweep:
 	// every interval the peer re-replicates its owned key range to its
@@ -149,9 +156,10 @@ type Config struct {
 	// CacheTTL, no local write happened, and the ring has not changed.
 	// 0 (the default) disables it. Per-query opt-out: WithResultCache.
 	ResultCache int
-	// PrefixCache bounds the peer's client-side cache of streamed
-	// posting-prefix chunks (entries), consulted by top-k session opens
-	// and refilled by finished sessions. 0 (the default) disables it.
+	// PrefixCache bounds the peer's client-side cache of posting-list
+	// prefixes (entries), consulted by every search's key opens —
+	// streamed or one-shot — and refilled by them. 0 (the default)
+	// disables it.
 	PrefixCache int
 	// CacheTTL bounds both caches' staleness against remote writes this
 	// peer never observed (default 2s when either cache is on).
@@ -159,7 +167,7 @@ type Config struct {
 	// HotKeyThreshold is the decayed per-key read rate at which a key
 	// counts as hot: owners push soft replicas of it to non-successor
 	// peers, and readers interleave those soft copies into hedged
-	// streamed reads. 0 (the default) disables soft replication.
+	// single-key reads. 0 (the default) disables soft replication.
 	HotKeyThreshold float64
 	// SoftReplicas is the number of soft copies per hot key (default 2).
 	SoftReplicas int
@@ -726,7 +734,8 @@ func (p *Peer) doSearch(ctx context.Context, query string, opts ...SearchOption)
 		// per-probe transfer cap: no peer ships more postings than the
 		// user will see. Under streaming the cap is unnecessary — the
 		// threshold loop bounds transfers by score, and the probes must
-		// see the STORED truncation marks so pruning matches a full pull.
+		// see the STORED truncation marks so pruning matches a whole-list
+		// read.
 		topK = o.topK
 		if !streaming && (latCfg.MaxResultsPerProbe == 0 || o.topK < latCfg.MaxResultsPerProbe) {
 			latCfg.MaxResultsPerProbe = o.topK
@@ -755,16 +764,15 @@ func (p *Peer) doSearch(ctx context.Context, query string, opts ...SearchOption)
 		}
 	}
 
+	chunk := 0 // one shot: each probe reads its whole (or capped) list
+	if streaming {
+		chunk = globalindex.DefaultChunk(topK)
+	}
 	fetch := &searchFetcher{
-		p:         p,
-		policy:    o.consistency.policy(),
-		hedge:     o.hedge,
+		sess: p.gidx.NewTopKSession(topK, chunk, p.cfg.Concurrency,
+			o.consistency.policy(), globalindex.WithHedge(o.hedge)),
 		wantIndex: make(map[string]bool),
 		perKey:    make(map[string]*postings.List),
-	}
-	if streaming {
-		fetch.sess = p.gidx.NewTopKSession(topK, 0, p.cfg.Concurrency,
-			fetch.policy, globalindex.WithHedge(o.hedge))
 	}
 	pctx, probeSpan := telemetry.StartSpan(ctx, "probe")
 	_, trace, exploreErr := lattice.Explore(pctx, fetch, terms, latCfg)
@@ -782,7 +790,7 @@ func (p *Peer) doSearch(ctx context.Context, query string, opts ...SearchOption)
 		return resp, exploreErr
 	}
 
-	if fetch.sess != nil && ctx.Err() == nil {
+	if streaming && ctx.Err() == nil {
 		// Threshold loop: extend the fetched prefixes only while the
 		// aggregate top k could still change, then re-gather the (live,
 		// extended in place) per-key lists for the final union.
@@ -898,17 +906,11 @@ func (p *Peer) presentLocal(ranked []scoredRef) []Result {
 	return out
 }
 
-// searchFetcher adapts the global index to the lattice's BatchFetcher
-// interface while gathering the per-key lists and QDI activation
-// requests a query accumulates.
+// searchFetcher adapts one query's read session to the lattice's
+// BatchFetcher interface while gathering the per-key lists and QDI
+// activation requests the query accumulates. In a streamed session the
+// recorded lists are live session state that Refine extends in place.
 type searchFetcher struct {
-	p      *Peer
-	policy globalindex.ReadPolicy
-	hedge  time.Duration // WithHedging delay; 0 = unhedged reads
-	// sess, when non-nil, switches every probe to the streamed
-	// score-bounded read path: prefixes now, continuation chunks during
-	// the post-exploration threshold loop. The recorded lists are live
-	// session state that Refine extends in place.
 	sess      *globalindex.TopKSession
 	wantIndex map[string]bool
 	perKey    map[string]*postings.List
@@ -925,20 +927,13 @@ func (sf *searchFetcher) Get(ctx context.Context, ts []string, max int) (*postin
 }
 
 // GetBatch implements lattice.BatchFetcher: one generation of lattice
-// probes becomes one MultiGet — or one streamed prefix batch — coalesced
-// per serving peer.
+// probes becomes one batch of key opens, coalesced per serving peer.
 func (sf *searchFetcher) GetBatch(ctx context.Context, combos [][]string, max int) ([]lattice.BatchResult, error) {
 	items := make([]globalindex.GetItem, len(combos))
 	for i, c := range combos {
 		items[i] = globalindex.GetItem{Terms: c, MaxResults: max}
 	}
-	var res []globalindex.GetResult
-	var err error
-	if sf.sess != nil {
-		res, err = sf.sess.FetchPrefixes(ctx, items)
-	} else {
-		res, err = sf.p.gidx.MultiGet(ctx, items, sf.p.cfg.Concurrency, sf.policy, globalindex.WithHedge(sf.hedge))
-	}
+	res, err := sf.sess.FetchPrefixes(ctx, items)
 	if err != nil {
 		return nil, err
 	}

@@ -110,9 +110,12 @@ func WithTopK(n int) SearchOption {
 	}
 }
 
-// WithStreaming switches this query between the streamed score-bounded
-// read path and the classic one-shot pulls, overriding the peer's
-// Config.StreamTopK default. A streaming query fetches a score-sorted
+// WithStreaming switches this query between a streamed score-bounded
+// read and one-shot reads, overriding the peer's Config.StreamTopK
+// default. It selects no protocol: both shapes are the same read frame
+// through the same session, and differ only in the first chunk (bounded
+// vs. the whole list) and in whether the threshold loop runs. A
+// streaming query fetches a score-sorted
 // prefix of every probed list plus a bound on the unseen scores, then
 // requests continuation chunks only while the k-th best aggregate could
 // still change — the same top-k result set, a fraction of the bytes when
@@ -128,7 +131,8 @@ func WithTopK(n int) SearchOption {
 // correct top k of scores that close. "Same result set" therefore holds
 // exactly for sets separated by more than the quantization error at the
 // boundary, which every practically ranked corpus satisfies.
-// Non-streamed reads keep the legacy one-shot frames byte for byte.
+// A one-shot read ships whole lists with exact scores; only one capped
+// by WithTopK or Lattice.MaxResultsPerProbe travels compressed too.
 func WithStreaming(enabled bool) SearchOption {
 	return func(o *searchOpts) { o.streaming, o.streamingSet = enabled, true }
 }

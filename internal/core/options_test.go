@@ -70,10 +70,20 @@ func TestWithTraceDisabled(t *testing.T) {
 	}
 }
 
+// readsPerPeer snapshots how many MsgRead frames each peer has received.
+func readsPerPeer(n *sim.Network) []int64 {
+	out := make([]int64, len(n.Peers))
+	for i, p := range n.Peers {
+		out[i] = n.Net.Load(p.Addr()).Snapshot().PerType[globalindex.MsgRead].Messages
+	}
+	return out
+}
+
 // TestWithReadConsistencyAnyReplica: on a replicated network the
-// AnyReplica knob routes index reads through MsgMultiGetAny frames to
-// replica-set members — and returns the same result set the primary-only
-// read does (replicas are write-through copies).
+// AnyReplica knob routes index reads to replica-set members — peers that
+// own none of the probed keys, so a primary-only run of the same query
+// sends them no read frame — and returns the same result set the
+// primary-only read does (replicas are write-through copies).
 func TestWithReadConsistencyAnyReplica(t *testing.T) {
 	cfg := core.Config{
 		Strategy:          core.StrategyHDK,
@@ -95,29 +105,29 @@ func TestWithReadConsistencyAnyReplica(t *testing.T) {
 	p := n.Peers[0]
 	const query = "term0000 term0001"
 
-	before := n.Net.Meter().Snapshot()
+	before := readsPerPeer(n)
 	primary, err := p.Search(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := n.Net.Meter().Snapshot().Sub(before)
-	if got := delta.PerType[globalindex.MsgMultiGetAny].Messages; got != 0 {
-		t.Fatalf("primary-only search sent %d MultiGetAny frames", got)
-	}
-
-	before = n.Net.Meter().Snapshot()
+	atPrimary := readsPerPeer(n)
 	replica, err := p.Search(context.Background(), query,
 		core.WithReadConsistency(core.ReadAnyReplica))
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta = n.Net.Meter().Snapshot().Sub(before)
-	if got := delta.PerType[globalindex.MsgMultiGetAny].Messages; got == 0 {
-		t.Fatal("AnyReplica search sent no MultiGetAny frames")
+	atReplica := readsPerPeer(n)
+	offPrimary := false
+	for i := range n.Peers {
+		owner := atPrimary[i] > before[i]
+		offPrimary = offPrimary || (!owner && atReplica[i] > atPrimary[i])
 	}
-	// Plain MultiGet frames may legitimately remain: a batch group whose
-	// every key hashed onto its primary keeps the responsibility-checked
-	// frame (stale-route detection).
+	if !offPrimary {
+		t.Fatal("AnyReplica search sent read frames only to the keys' owners")
+	}
+	// Owners may legitimately still be read: a batch group whose every
+	// key hashed onto its primary stays there, responsibility-checked
+	// (stale-route detection).
 
 	if len(primary.Results) == 0 {
 		t.Fatal("fixture query found nothing")
@@ -184,18 +194,25 @@ func TestWithReadConsistencyDeadReplica(t *testing.T) {
 }
 
 // TestWithReadConsistencyUnreplicated: with replication off, AnyReplica
-// degrades to the primary path (no special frames, same results).
+// degrades to the primary path (the same frames to the same peers, same
+// results).
 func TestWithReadConsistencyUnreplicated(t *testing.T) {
 	n := smallHDKNet(t)
-	before := n.Net.Meter().Snapshot()
+	before := readsPerPeer(n)
+	if _, err := n.Peers[3].Search(context.Background(), "term0000"); err != nil {
+		t.Fatal(err)
+	}
+	atPrimary := readsPerPeer(n)
 	resp, err := n.Peers[3].Search(context.Background(), "term0000",
 		core.WithReadConsistency(core.ReadAnyReplica))
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := n.Net.Meter().Snapshot().Sub(before)
-	if got := delta.PerType[globalindex.MsgMultiGetAny].Messages; got != 0 {
-		t.Fatalf("unreplicated network sent %d MultiGetAny frames", got)
+	for i, after := range readsPerPeer(n) {
+		if after-atPrimary[i] != atPrimary[i]-before[i] {
+			t.Fatalf("peer %d received %d read frames under AnyReplica, %d under primary reads",
+				i, after-atPrimary[i], atPrimary[i]-before[i])
+		}
 	}
 	if len(resp.Results) == 0 {
 		t.Fatal("query found nothing")

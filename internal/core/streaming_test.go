@@ -7,11 +7,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/globalindex"
 	"repro/internal/postings"
 )
 
 // Streamed searches carry the threshold algorithm's contract: the
-// returned top-k result SET equals the classic one-shot path's (modulo
+// returned top-k result SET equals a one-shot whole-list search's (modulo
 // documents tied at the k-th score, where either resolution is valid),
 // and every reported score is a sound lower bound of the document's
 // exact aggregate — a streamed score never exceeds the exact one beyond
@@ -24,7 +25,9 @@ func TestStreamingSearchMatchesDefault(t *testing.T) {
 	peer := n.Peers[1]
 	tol := func(s float64) float64 { return 1e-4 * math.Max(1, s) }
 	for qi, q := range w.Queries {
-		// An uncapped classic search yields every candidate's exact score.
+		// A one-shot search with a cap no list reaches yields every
+		// candidate's score (capped reads travel compressed: exact to
+		// within the codec's 2^-21, far inside tol).
 		all, err := peer.Search(context.Background(), q.Text(), core.WithTopK(100000))
 		if err != nil {
 			t.Fatalf("query %d classic: %v", qi, err)
@@ -93,8 +96,8 @@ func topkFamily(t *testing.T, p *core.Peer, name string) float64 {
 	return 0
 }
 
-// Config.StreamTopK flips the default path — observable through the
-// coordinator-side topk counters — and WithStreaming(false) opts a
+// Config.StreamTopK flips the default read shape — observable through
+// the coordinator-side topk counters — and WithStreaming(false) opts a
 // single query back out.
 func TestStreamingConfigDefaultAndOverride(t *testing.T) {
 	cfg := hdkTestCfg
@@ -117,5 +120,42 @@ func TestStreamingConfigDefaultAndOverride(t *testing.T) {
 	}
 	if after := topkFamily(t, peer, "alvis_index_topk_bytes_saved_total"); after != saved {
 		t.Fatalf("WithStreaming(false) still streamed: %v -> %v", saved, after)
+	}
+}
+
+// A non-streamed search goes through the same session as a streamed one,
+// so the posting-prefix cache works for it: with the result cache
+// bypassed, a repeated query is served from cached prefixes and sends no
+// index read frame at all.
+func TestOneShotSearchUsesPrefixCache(t *testing.T) {
+	cfg := hdkTestCfg
+	cfg.PrefixCache = 64 // StreamTopK stays off
+	n := publishedNet(t, 6, cfg)
+	peer := n.Peers[0]
+	const query = "term0000 term0001"
+
+	first, err := peer.Search(context.Background(), query, core.WithResultCache(false))
+	if err != nil || len(first.Results) == 0 {
+		t.Fatalf("first search: %d results, %v", len(first.Results), err)
+	}
+	hits := peer.GlobalIndex().PrefixCacheStats().Hits
+	before := n.Net.Meter().Snapshot()
+	again, err := peer.Search(context.Background(), query, core.WithResultCache(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Net.Meter().Snapshot().Sub(before).PerType[globalindex.MsgRead].Messages; got != 0 {
+		t.Fatalf("repeated one-shot search sent %d read messages, want 0", got)
+	}
+	if got := peer.GlobalIndex().PrefixCacheStats().Hits - hits; got == 0 {
+		t.Fatal("repeated one-shot search recorded no prefix-cache hit")
+	}
+	if len(again.Results) != len(first.Results) {
+		t.Fatalf("cached search returned %d results, fetched %d", len(again.Results), len(first.Results))
+	}
+	for i := range first.Results {
+		if again.Results[i].Ref != first.Results[i].Ref || again.Results[i].Score != first.Results[i].Score {
+			t.Fatalf("result %d: cached %+v, fetched %+v", i, again.Results[i], first.Results[i])
+		}
 	}
 }

@@ -19,15 +19,12 @@ import (
 // resolved to the same responsible peer, collapsing N round trips into
 // one; handlers decode the whole frame before applying anything, so a
 // malformed batch is rejected without partial effects.
+// Posting lists are read through the one MsgRead frame (topk.go); 0x18
+// and 0x1B carried the retired one-shot read frames and stay unassigned
+// (0x1A is the single-term baseline's MsgIntersect).
 const (
 	MsgMultiAppend  uint8 = 0x17 // (n, n×(key, bound, announcedDF, list)) -> n×storedLen
-	MsgMultiGet     uint8 = 0x18 // (n, n×(key, maxResults)) -> n×(found, wantIndex, list?)
 	MsgMultiKeyInfo uint8 = 0x19 // (n, n×key) -> n×(present, approxDF, truncated)
-	// MsgMultiGetAny is MsgMultiGet minus the responsibility check: it is
-	// addressed to a *replica* of the keys' primary (the ReadAnyReplica
-	// policy), which legitimately serves keys it does not own. (0x1A is
-	// taken by the single-term baseline's MsgIntersect.)
-	MsgMultiGetAny uint8 = 0x1B
 )
 
 // MaxBatchItems bounds the item count a batch handler accepts in one
@@ -103,43 +100,6 @@ func (ix *Index) handleMultiAppend(ctx context.Context, _ transport.Addr, _ uint
 	}
 	ix.disp.ObserveBatch(MsgMultiAppend, time.Since(start), serve)
 	return MsgMultiAppend, w.Bytes(), nil
-}
-
-func (ix *Index) handleMultiGet(ctx context.Context, _ transport.Addr, msgType uint8, body []byte) (uint8, []byte, error) {
-	r := wire.NewReader(body)
-	count, err := readBatchCount(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	keys := make([]string, count)
-	maxes := make([]int, count)
-	for i := 0; i < count; i++ {
-		keys[i] = r.String()
-		maxes[i] = int(r.Uvarint())
-	}
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
-	serve := ix.disp.BatchQuota(ctx, msgType, count)
-	if msgType != MsgMultiGetAny {
-		if err := ix.checkResponsible(keys[:serve]); err != nil {
-			return 0, nil, err
-		}
-	}
-	start := time.Now()
-	w := wire.NewWriter(64 * serve)
-	w.Uvarint(uint64(serve))
-	for i := 0; i < serve; i++ {
-		ix.observeRead(keys[i])
-		list, found, wantIndex := ix.store.Get(keys[i], maxes[i])
-		w.Bool(found)
-		w.Bool(wantIndex)
-		if found {
-			list.Encode(w)
-		}
-	}
-	ix.disp.ObserveBatch(msgType, time.Since(start), serve)
-	return msgType, w.Bytes(), nil
 }
 
 func (ix *Index) handleMultiKeyInfo(ctx context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
@@ -311,46 +271,15 @@ func (ix *Index) MultiAppend(ctx context.Context, items []AppendItem, workers in
 	return out, err
 }
 
-// MultiGet fetches every item's posting list, capped to the item's
-// MaxResults entries (0 = whole stored list), coalescing per serving
-// peer like MultiAppend. Each probe updates usage statistics at the
-// serving peer; because a probe is a side effect, an ambiguously-failed
-// frame is surfaced as an error rather than retried (see runBatch).
-// policy selects which copy serves a read: ReadPrimary asks the
-// responsible peer; under ReadAnyReplica each key is retargeted from its
-// primary to a hash-chosen member of the primary's replica set and the
-// groups go out as MsgMultiGetAny frames (no responsibility check:
-// replicas serve keys they do not own).
-//
-// WithHedge changes the AnyReplica plan: items group by *primary* — so
-// every item of a group shares one replica chain — and each group frame
-// is raced over the chain ranked by observed latency: the best copy
-// first, escalating to the next-best copy after the hedge delay or on a
-// shed, first response wins.
+// MultiGet fetches every item's posting list in one shot, capped to the
+// item's MaxResults entries (0 = whole stored list, exact scores): a read
+// session that opens and never refines (see NewTopKSession, whose policy
+// and options it takes). A list the cap cut short comes back marked
+// Truncated. Each probe updates usage statistics at the serving peer;
+// because a probe is a side effect, an ambiguously-failed frame is
+// surfaced as an error rather than retried (see runBatch).
 func (ix *Index) MultiGet(ctx context.Context, items []GetItem, workers int, policy ReadPolicy, opts ...ReadOption) ([]GetResult, error) {
-	keys := make([]string, len(items))
-	for i, it := range items {
-		keys[i] = ids.KeyString(it.Terms)
-	}
-	out := make([]GetResult, len(items))
-	op := batchOp{
-		msg: MsgMultiGet,
-		encode: func(w *wire.Writer, i int) {
-			w.String(keys[i])
-			w.Uvarint(uint64(items[i].MaxResults))
-		},
-		decode: func(r *wire.Reader, i int) error {
-			out[i] = GetResult{Found: r.Bool(), WantIndex: r.Bool()}
-			if err := r.Err(); err != nil || !out[i].Found {
-				return err
-			}
-			list, err := postings.Decode(r)
-			out[i].List = list
-			return err
-		},
-	}
-	ix.planReplicaRead(&op, policy, resolveReadOpts(opts).hedge, ix.hardChain)
-	return out, ix.runBatch(ctx, keys, workers, op)
+	return ix.NewTopKSession(1, 0, workers, policy, opts...).FetchPrefixes(ctx, items)
 }
 
 // MultiKeyInfo fetches presence, approximate global DF and truncation
@@ -377,13 +306,10 @@ func (ix *Index) MultiKeyInfo(ctx context.Context, items []KeyInfoItem, workers 
 
 // batchOp describes one Multi operation to the batch engine.
 type batchOp struct {
-	// msg is the frame type of the first round: the responsibility-checked
-	// frame, or a read's Any variant once planReplicaRead spread it over
-	// the replica set.
 	msg uint8
 	// idempotent declares that re-applying an already-applied item is
 	// harmless (KeyInfo reads without side effects). Append accumulates
-	// the announced DF and a Get records a usage probe, so their frames
+	// the announced DF and a read records a usage probe, so their frames
 	// are redriven only when the failure proves they never ran.
 	idempotent bool
 	// replay is the frame that replays an applied write on the serving
@@ -392,63 +318,31 @@ type batchOp struct {
 	encode func(w *wire.Writer, i int)
 	decode func(r *wire.Reader, i int) error
 
+	// The rest applies to MsgRead only. mode leads the request body; the
+	// engine picks it per group: readOwner for a group every key of which
+	// goes to its resolved primary (stale-route detection), readAny for
+	// retargeted, hedged and redriven groups.
+	mode uint8
 	// The ReadAnyReplica plans of the first round; at most one is set.
 	// retarget maps each item's resolved primary to the copy that serves
-	// it. callGroup replaces the single RPC per group frame: items stay
-	// grouped by primary and the frame is raced across the group's copies.
-	// seed is the group's first item key — per-call entropy for the chain
-	// rotation, so distinct queries spread their first attempts across a
-	// primary's copies instead of all starting at the same one.
-	retarget  func(ctx context.Context, key string, primary dht.Remote) transport.Addr
-	callGroup func(ctx context.Context, primary transport.Addr, msg uint8, seed string, body []byte) ([]byte, error)
-}
-
-// checkedVariant maps a replica-addressed read frame to its
-// responsibility-checked form; every other frame is its own.
-func checkedVariant(msg uint8) uint8 {
-	switch msg {
-	case MsgMultiGetAny:
-		return MsgMultiGet
-	case MsgMultiGetTopKAny:
-		return MsgMultiGetTopK
-	}
-	return msg
-}
-
-// anyVariant is checkedVariant's inverse: the frame a replica answers
-// for keys it does not own, or 0 for operations only the owner serves.
-func anyVariant(msg uint8) uint8 {
-	switch checkedVariant(msg) {
-	case MsgMultiGet:
-		return MsgMultiGetAny
-	case MsgMultiGetTopK:
-		return MsgMultiGetTopKAny
-	}
-	return 0
+	// it. hedge keeps items grouped by primary and races each group frame
+	// across the group's copies (hedgedRead).
+	retarget func(ctx context.Context, key string, primary dht.Remote) transport.Addr
+	hedge    time.Duration
 }
 
 // planReplicaRead spreads a read over the replica set when the policy
-// asks for it and there is a second copy: op.msg becomes the Any variant
-// and the first round is either hedged over chain's targets per primary
-// (hedge > 0) or retargeted per key to readTarget's hash pick.
-func (ix *Index) planReplicaRead(op *batchOp, policy ReadPolicy, hedge time.Duration,
-	chain func(ctx context.Context, seed string, primary transport.Addr, body []byte) []hedgeTarget) {
+// asks for it and there is a second copy: the first round is either
+// hedged per primary (hedge > 0) or retargeted per key to readTarget's
+// hash pick.
+func (ix *Index) planReplicaRead(op *batchOp, policy ReadPolicy, hedge time.Duration) {
 	if policy != ReadAnyReplica || ix.repl.factor <= 1 {
 		return
 	}
-	op.msg = anyVariant(op.msg)
-	if hedge <= 0 {
+	if hedge > 0 {
+		op.hedge = hedge
+	} else {
 		op.retarget = ix.readTarget
-		return
-	}
-	op.callGroup = func(ctx context.Context, primary transport.Addr, msg uint8, seed string, body []byte) ([]byte, error) {
-		resp, _, err := ix.callHedgedTargets(ctx, chain(ctx, seed, primary, body), msg, body, hedge)
-		if err != nil && ctx.Err() == nil {
-			// Every copy in the chain failed on its own: some cached
-			// member is stale, refetch the set on the next read.
-			ix.dropReplicaSet(primary)
-		}
-		return resp, err
 	}
 }
 
@@ -472,12 +366,12 @@ func (ix *Index) planReplicaRead(op *batchOp, policy ReadPolicy, hedge time.Dura
 //     unconditionally: items apply in frame order, so the suffix
 //     provably never ran.
 //  3. The redrive set is re-resolved with fresh ring walks, regrouped
-//     per owner and resent once. Writes and frequency probes go as the
-//     responsibility-checked frame: an owner that still rejects them
-//     (the ring is in flux) fails the operation rather than stranding a
-//     write. Reads go as the frame's Any variant: the fresh walk is the
-//     best route there is, and a soft-state read answered by a copy that
-//     is about to hand the key over beats a failed query.
+//     per owner and resent once. Writes and frequency probes stay
+//     responsibility-checked: an owner that still rejects them (the ring
+//     is in flux) fails the operation rather than stranding a write.
+//     Reads go in readAny mode: the fresh walk is the best route there
+//     is, and a soft-state read answered by a copy that is about to hand
+//     the key over beats a failed query.
 //  4. A read with R > 1 whose redriven frame is still unserved — owner
 //     dead or shedding — asks the owner's replicas, at most R−1 of them
 //     (walkReplicas). Whatever is unserved after that fails the
@@ -501,11 +395,11 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, workers int, op ba
 	groups := chunkGroups(groupByPeer(serve), MaxBatchItems)
 	// retargeted reports whether any of a group's items was steered away
 	// from its primary. A group whose every item is primary-served keeps
-	// the responsibility-checked frame even under a replica-read policy,
+	// the responsibility check even under a replica-read policy,
 	// preserving stale-route detection for the ~1/R of keys the hash
 	// keeps on their primaries. A hedged group owns its own addressing.
 	retargeted := func(g group) bool {
-		if op.callGroup != nil {
+		if op.hedge > 0 {
 			return true
 		}
 		for _, i := range g.items {
@@ -519,8 +413,8 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, workers int, op ba
 	errs := make([]error, len(groups))
 	stopped := dht.RunBounded(ctx, len(groups), workers, func(gi int) {
 		g, gop := groups[gi], op
-		if !retargeted(g) {
-			gop.msg = checkedVariant(op.msg)
+		if retargeted(g) {
+			gop.mode = readAny
 		}
 		served[gi], errs[gi] = ix.sendGroup(ctx, g.addr, keys, g.items, gop)
 	})
@@ -584,11 +478,8 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, worker
 	}
 	groups := chunkGroups(groupByPeer(owners), MaxBatchItems)
 	errs := make([]error, len(groups))
-	op.callGroup = nil
-	anyMsg := anyVariant(op.msg)
-	if op.msg = checkedVariant(op.msg); anyMsg != 0 {
-		op.msg = anyMsg
-	}
+	op.hedge, op.mode = 0, readAny
+	read := op.msg == MsgRead
 	stopped := dht.RunBounded(ctx, len(groups), workers, func(gi int) {
 		owner := owners[groups[gi].items[0]]
 		rest := make([]int, len(groups[gi].items))
@@ -597,7 +488,7 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, worker
 		}
 		n, err := ix.sendGroup(ctx, owner.Addr, keys, rest, op)
 		rest = rest[n:]
-		if len(rest) > 0 && anyMsg != 0 && ctx.Err() == nil && (err == nil || retryProvablySafe(err)) {
+		if len(rest) > 0 && read && ctx.Err() == nil && (err == nil || retryProvablySafe(err)) {
 			ix.walkReplicas(ctx, owner, func(replica transport.Addr) bool {
 				if n, rerr := ix.sendGroup(ctx, replica, keys, rest, op); rerr == nil {
 					rest = rest[n:]
@@ -624,7 +515,7 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, worker
 }
 
 // sendGroup ships the items (indices into keys) as one op.msg frame to
-// addr — through op.callGroup when the plan has one — and decodes the
+// addr — raced over addr's copies when the plan hedges — and decodes the
 // served prefix. served < len(items) with a nil error is a batch-level
 // partial shed: the remote's admission control applied exactly that
 // prefix. A write that applied anything is replayed on the peer's
@@ -632,6 +523,9 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, worker
 func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []string, items []int, op batchOp) (served int, err error) {
 	encode := func(items []int) []byte {
 		w := wire.NewWriter(64 * len(items))
+		if op.msg == MsgRead {
+			w.Byte(op.mode)
+		}
 		w.Uvarint(uint64(len(items)))
 		for _, i := range items {
 			op.encode(w, i)
@@ -640,8 +534,8 @@ func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []stri
 	}
 	body := encode(items)
 	var resp []byte
-	if op.callGroup != nil {
-		resp, err = op.callGroup(ctx, addr, op.msg, keys[items[0]], body)
+	if op.hedge > 0 {
+		resp, err = ix.hedgedRead(ctx, addr, keys[items[0]], len(items) == 1, body, op.hedge)
 	} else {
 		_, resp, err = ix.timedCall(ctx, addr, op.msg, body)
 	}
@@ -649,26 +543,29 @@ func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []stri
 		return 0, err
 	}
 	r := wire.NewReader(resp)
-	count := int(r.Uvarint())
-	if r.Err() != nil || count > len(items) {
-		return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: bad response count", op.msg, addr)
+	// Compared as uint64: a garbled count in [2^63, 2^64) would wrap
+	// negative through int() and slip past a signed check into the slice.
+	count := r.Uvarint()
+	if r.Err() != nil || count > uint64(len(items)) {
+		return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w: bad response count", op.msg, addr, wire.ErrCorrupt)
 	}
-	for _, i := range items[:count] {
+	served = int(count)
+	for _, i := range items[:served] {
 		if err := op.decode(r, i); err != nil {
 			return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w", op.msg, addr, err)
 		}
 	}
-	if op.replay != 0 && ix.repl.factor > 1 && count > 0 {
+	if op.replay != 0 && ix.repl.factor > 1 && served > 0 {
 		// Write-through: the replica replay frame is the *applied* frame
 		// (verbatim normally; re-encoded to the served prefix after a
 		// partial shed — replicas must not replay items the primary
 		// refused).
-		if count < len(items) {
-			body = encode(items[:count])
+		if served < len(items) {
+			body = encode(items[:served])
 		}
 		ix.replicate(ctx, addr, op.replay, body)
 	}
-	return count, nil
+	return served, nil
 }
 
 // retryProvablySafe reports whether err guarantees the batch frame was

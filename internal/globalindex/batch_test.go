@@ -2,7 +2,7 @@ package globalindex
 
 import (
 	"context"
-
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -227,7 +227,26 @@ func TestMultiAppendWireRoundTripAnnouncedDF(t *testing.T) {
 	}
 }
 
-func TestMultiGetWireRoundTrip(t *testing.T) {
+// readItem is one (key, cursor, chunk) item of a MsgRead request.
+type readItem struct {
+	key           string
+	cursor, chunk uint64
+}
+
+// readRequest encodes one MsgRead request body.
+func readRequest(mode uint8, items ...readItem) []byte {
+	w := wire.NewWriter(64)
+	w.Byte(mode)
+	w.Uvarint(uint64(len(items)))
+	for _, it := range items {
+		w.String(it.key)
+		w.Uvarint(it.cursor)
+		w.Uvarint(it.chunk)
+	}
+	return w.Bytes()
+}
+
+func TestReadWireRoundTrip(t *testing.T) {
 	ix := selfIndex(t)
 	big := &postings.List{}
 	for j := 0; j < 20; j++ {
@@ -236,37 +255,46 @@ func TestMultiGetWireRoundTrip(t *testing.T) {
 	big.Normalize()
 	ix.Store().Put("stored", big, 0)
 
-	w := wire.NewWriter(64)
-	w.Uvarint(2)
-	w.String("stored")
-	w.Uvarint(6) // capped fetch
-	w.String("missing")
-	w.Uvarint(0)
-	_, resp, err := ix.handleMultiGet(context.Background(), "tester", MsgMultiGet, w.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	// Every mode that consults the store answers the same layout: a
+	// bounded chunk with its horizon, a whole-list continuation, a miss.
+	for _, mode := range []uint8{readOwner, readAny} {
+		body := readRequest(mode, readItem{"stored", 0, 6}, readItem{"stored", 6, 0}, readItem{"missing", 0, 0})
+		msg, resp, err := ix.handleRead(context.Background(), "tester", MsgRead, body)
+		if err != nil || msg != MsgRead {
+			t.Fatalf("mode %d: %v (msg 0x%02x)", mode, err, msg)
+		}
+		r := wire.NewReader(resp)
+		if n := r.Uvarint(); n != 3 {
+			t.Fatalf("mode %d: count %d", mode, n)
+		}
+		a, err := readTopKAnswer(r)
+		if err != nil || !a.found || a.wantIndex || len(a.entries) != 6 || a.cursor != 6 || a.total != 20 || a.truncated {
+			t.Fatalf("mode %d: bounded chunk %+v err=%v", mode, a, err)
+		}
+		if a.bound != big.Entries[5].Score || a.served != ix.node.Self().Addr {
+			t.Fatalf("mode %d: bound %v served %q", mode, a.bound, a.served)
+		}
+		a, err = readTopKAnswer(r)
+		if err != nil || len(a.entries) != 14 || a.cursor != 20 || a.entries[0] != big.Entries[6] {
+			t.Fatalf("mode %d: continuation to the end %+v err=%v", mode, a, err)
+		}
+		a, err = readTopKAnswer(r)
+		if err != nil || a.found || a.wantIndex {
+			t.Fatalf("mode %d: missing key %+v err=%v", mode, a, err)
+		}
+		if r.Err() != nil || r.Remaining() != 0 {
+			t.Fatalf("mode %d: trailer: %v, %d", mode, r.Err(), r.Remaining())
+		}
 	}
-	r := wire.NewReader(resp)
-	if n := r.Uvarint(); n != 2 {
-		t.Fatalf("count %d", n)
+	// The one-shot client turns the cap into MsgRead's chunk and marks
+	// the list it cut short.
+	lst, found, _, err := getOne(context.Background(), ix, []string{"stored"}, 6, ReadPrimary)
+	if err != nil || !found || lst.Len() != 6 || !lst.Truncated {
+		t.Fatalf("capped one-shot read: %+v found=%v err=%v", lst, found, err)
 	}
-	found, wantIndex := r.Bool(), r.Bool()
-	if !found || wantIndex {
-		t.Fatalf("stored: found=%v wantIndex=%v", found, wantIndex)
-	}
-	lst, err := postings.Decode(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lst.Len() != 6 || !lst.Truncated {
-		t.Fatalf("capped list: len=%d trunc=%v", lst.Len(), lst.Truncated)
-	}
-	found, wantIndex = r.Bool(), r.Bool()
-	if found || wantIndex {
-		t.Fatalf("missing: found=%v wantIndex=%v", found, wantIndex)
-	}
-	if r.Err() != nil || r.Remaining() != 0 {
-		t.Fatalf("trailer: %v, %d", r.Err(), r.Remaining())
+	lst, _, _, err = getOne(context.Background(), ix, []string{"stored"}, 0, ReadPrimary)
+	if err != nil || lst.Len() != 20 || lst.Truncated || lst.Entries[19] != big.Entries[19] {
+		t.Fatalf("whole-list one-shot read: %+v err=%v", lst, err)
 	}
 }
 
@@ -288,9 +316,13 @@ func TestMultiHandlersRejectMalformed(t *testing.T) {
 		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, body); err == nil {
 			t.Errorf("MultiAppend accepted %s body", name)
 		}
-		if _, _, err := ix.handleMultiGet(context.Background(), "tester", MsgMultiGet, body); err == nil {
-			t.Errorf("MultiGet accepted %s body", name)
+		if _, _, err := ix.handleRead(context.Background(), "tester", MsgRead, append([]byte{readAny}, body...)); err == nil {
+			t.Errorf("Read accepted %s body", name)
 		}
+	}
+	// A mode byte beyond readSoft is corrupt, whatever follows it.
+	if _, _, err := ix.handleRead(context.Background(), "tester", MsgRead, readRequest(readSoft+1, readItem{"k", 0, 0})); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("unknown read mode: got %v, want ErrCorrupt", err)
 	}
 	// A malformed later item must not leave earlier items applied.
 	w := wire.NewWriter(128)

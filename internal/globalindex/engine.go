@@ -6,8 +6,8 @@ import (
 )
 
 // StorageEngine is the mutation and query surface of one peer's slice of
-// the global index. The protocol layers (single-key RPCs, batch frames,
-// replication, QDI's activation policy) operate exclusively through this
+// the global index. The protocol layers (batch frames, replication,
+// QDI's activation policy) operate exclusively through this
 // interface, so the state behind it is swappable:
 //
 //   - Memory (this package) is the default engine: pure in-RAM maps,
@@ -28,12 +28,14 @@ type StorageEngine interface {
 	Append(key string, list *postings.List, bound, announcedDF int) int
 	// Get returns a copy of key's list capped to maxResults (0 = all),
 	// recording the probe in the usage statistics either way. wantIndex
-	// is the QDI activation signal for missing-but-popular keys.
+	// is the QDI activation signal for missing-but-popular keys. No
+	// handler calls it any more — every read is a GetPrefix — it stays
+	// only because the frozen bench/ decorates it (see ROADMAP).
 	Get(key string, maxResults int) (list *postings.List, found, wantIndex bool)
 	// GetPrefix returns the score-ordered chunk [offset, offset+limit) of
-	// key's stored list for the streamed top-k read path. Only the first
-	// chunk (offset 0) records a probe — a continuation is part of the
-	// same logical probe, not new popularity evidence.
+	// key's stored list (limit 0 = to the end) — what MsgRead serves.
+	// Only the first chunk (offset 0) records a probe — a continuation
+	// is part of the same logical probe, not new popularity evidence.
 	GetPrefix(key string, offset, limit int) PrefixResult
 	// Peek returns the stored list without touching usage statistics.
 	Peek(key string) (*postings.List, bool)

@@ -128,7 +128,7 @@ func TestGetRoutesToResponsiblePeerOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Record per-peer load, issue gets from every peer, and verify the
-	// read frames (type MsgMultiGet) all landed at the responsible peer.
+	// read frames all landed at the responsible peer.
 	var responsible transport.Addr
 	{
 		r, _, err := nodes[0].Lookup(context.Background(), keyID("target"))
@@ -139,7 +139,7 @@ func TestGetRoutesToResponsiblePeerOnly(t *testing.T) {
 	}
 	before := map[transport.Addr]int64{}
 	for _, n := range nodes {
-		before[n.Self().Addr] = net.Load(n.Self().Addr).Snapshot().PerType[MsgMultiGet].Messages
+		before[n.Self().Addr] = net.Load(n.Self().Addr).Snapshot().PerType[MsgRead].Messages
 	}
 	for _, ix := range idxs {
 		if _, _, _, err := getOne(context.Background(), ix, []string{"target"}, 0, ReadPrimary); err != nil {
@@ -148,7 +148,7 @@ func TestGetRoutesToResponsiblePeerOnly(t *testing.T) {
 	}
 	for _, n := range nodes {
 		addr := n.Self().Addr
-		delta := net.Load(addr).Snapshot().PerType[MsgMultiGet].Messages - before[addr]
+		delta := net.Load(addr).Snapshot().PerType[MsgRead].Messages - before[addr]
 		if addr == responsible {
 			if delta == 0 {
 				t.Fatal("responsible peer received no Get")

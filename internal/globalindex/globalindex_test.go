@@ -219,7 +219,7 @@ func ring(t *testing.T, n int) ([]*dht.Node, []*Index, *transport.Mem) {
 	idxs := make([]*Index, n)
 	for i := 0; i < n; i++ {
 		d := transport.NewDispatcher()
-		ep := net.Endpoint(fmt.Sprintf("p%d", i), d.Serve)
+		ep := tapped(net, fmt.Sprintf("p%d", i), d)
 		nodes[i] = dht.NewNode(ids.ID(rng.Uint64()), ep, d, dht.Options{})
 		idxs[i] = New(nodes[i], d)
 	}

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/ids"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // This file implements the load-aware / hedged side of replica reads
@@ -75,51 +75,82 @@ func (ix *Index) timedCall(ctx context.Context, to transport.Addr, msg uint8, bo
 	return respType, resp, err
 }
 
-// readChain returns the full preference order for replica reads of keys
-// whose primary is primary: the primary plus its replica set, rotated
-// deterministically by the seed's hash (so distinct keys and groups
-// spread across the copies, exactly like readTarget's hash pick) and
-// then stable-ranked by each peer's latency EWMA — with no load signal
-// the rotation order survives unchanged; a measurably slow copy sinks to
-// the end of the chain.
-func (ix *Index) readChain(ctx context.Context, seed string, primary transport.Addr) []transport.Addr {
-	chain := []transport.Addr{primary}
-	for _, r := range ix.replicaTargets(ctx, primary) {
-		chain = append(chain, r.Addr)
-	}
-	if len(chain) > 1 {
-		rot := int(uint64(ids.HashString(seed)) % uint64(len(chain)))
-		rotated := make([]transport.Addr, 0, len(chain))
-		rotated = append(rotated, chain[rot:]...)
-		rotated = append(rotated, chain[:rot]...)
-		chain = rotated
-		ix.lat.Rank(chain)
-	}
-	return chain
-}
-
 // hedgeTarget is one copy a hedged read may try: a hard target (the
-// primary or a successor replica, addressed with the caller's frame) or
-// a soft one (a popularity replica, addressed with MsgSoftGet — whose
-// request layout the streamed top-k frames already share).
+// primary or a successor replica, read in readAny mode) or a soft one (a
+// popularity replica, read in readSoft mode).
 type hedgeTarget struct {
 	addr transport.Addr
 	soft bool
 }
 
-// callHedgedTargets fires at the targets in preference order with
-// hedging: targets[0] immediately, and another target every time
-// `delay` passes without a winner or the newest attempt fails fast
-// (shed, unreachable, remote error). Hard targets get msg, soft targets
-// get MsgSoftGet — a soft copy that misses any key answers with an
-// error, which is exactly a fast failure escalating to the next copy.
-// The first success wins and every other in-flight attempt is cancelled
-// through a shared child context; their goroutines drain into a
-// buffered channel, so nothing leaks. If every target fails, the last
-// error is returned.
-func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, msg uint8, body []byte, delay time.Duration) (resp []byte, served transport.Addr, err error) {
+// readChain returns the full preference order for replica reads of keys
+// whose primary is primary: the primary plus its replica set — and, with
+// soft set, the soft-placement peers of the key seed names — as one
+// pool, rotated deterministically by the seed's hash (so distinct keys
+// and groups spread across the copies, exactly like readTarget's hash
+// pick) and then stable-ranked by each peer's latency EWMA. With no load
+// signal the rotation order survives unchanged; a measurably slow copy
+// sinks to the end of the chain. A derived soft peer holding no live
+// copy fails fast and the hedge escalates past it.
+func (ix *Index) readChain(ctx context.Context, seed string, primary transport.Addr, soft bool) []hedgeTarget {
+	addrs := []transport.Addr{primary}
+	for _, r := range ix.replicaTargets(ctx, primary) {
+		addrs = append(addrs, r.Addr)
+	}
+	isSoft := make(map[transport.Addr]bool)
+	if soft {
+		for _, a := range ix.softTargets(ctx, seed, primary) {
+			if !slices.Contains(addrs, a) {
+				addrs = append(addrs, a)
+				isSoft[a] = true
+			}
+		}
+	}
+	if len(addrs) > 1 {
+		rot := int(uint64(ids.HashString(seed)) % uint64(len(addrs)))
+		rotated := make([]transport.Addr, 0, len(addrs))
+		rotated = append(rotated, addrs[rot:]...)
+		rotated = append(rotated, addrs[:rot]...)
+		addrs = rotated
+		ix.lat.Rank(addrs)
+	}
+	out := make([]hedgeTarget, len(addrs))
+	for i, a := range addrs {
+		out[i] = hedgeTarget{addr: a, soft: isSoft[a]}
+	}
+	return out
+}
+
+// hedgedRead races one read frame over the copies of the group's
+// primary. A single-key group whose key the local popularity tracker
+// scores at or above the hot threshold gets the soft-augmented chain —
+// the seed IS that key; multi-key groups (soft copies are per-key, a
+// group frame cannot split across them) and cold keys race the hard
+// copies only.
+func (ix *Index) hedgedRead(ctx context.Context, primary transport.Addr, seed string, single bool, body []byte, delay time.Duration) ([]byte, error) {
+	soft := single && ix.hot.threshold > 0 && ix.hotScore(seed) >= ix.hot.threshold
+	resp, err := ix.callHedgedTargets(ctx, ix.readChain(ctx, seed, primary, soft), body, delay)
+	if err != nil && ctx.Err() == nil {
+		// Every copy in the chain failed on its own: some cached member
+		// is stale, refetch the set on the next read.
+		ix.dropReplicaSet(primary)
+	}
+	return resp, err
+}
+
+// callHedgedTargets fires the MsgRead request body at the targets in
+// preference order with hedging: targets[0] immediately, and another
+// target every time `delay` passes without a winner or the newest
+// attempt fails fast (shed, unreachable, remote error). Soft targets get
+// the same request in readSoft mode — a soft copy that misses any key
+// answers with an error, which is exactly a fast failure escalating to
+// the next copy. The first success wins and every other in-flight
+// attempt is cancelled through a shared child context; their goroutines
+// drain into a buffered channel, so nothing leaks. If every target
+// fails, the last error is returned.
+func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, body []byte, delay time.Duration) ([]byte, error) {
 	if len(targets) == 0 {
-		return nil, "", transport.ErrUnreachable
+		return nil, transport.ErrUnreachable
 	}
 	_, span := telemetry.StartSpan(ctx, "hedge")
 	defer span.Finish()
@@ -136,14 +167,14 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, m
 	launch := func(i int) {
 		as := span.NewChild("attempt")
 		as.SetAttr("peer", string(targets[i].addr))
-		m := msg
+		b := body
 		if targets[i].soft {
-			m = MsgSoftGet
+			b = append([]byte{readSoft}, body[1:]...) // the mode byte leads the request
 			as.SetAttr("soft", "1")
 		}
 		spans[i] = as
 		go func() {
-			_, r, e := ix.timedCall(cctx, targets[i].addr, m, body)
+			_, r, e := ix.timedCall(cctx, targets[i].addr, MsgRead, b)
 			ch <- attempt{idx: i, resp: r, err: e}
 		}()
 	}
@@ -163,13 +194,13 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, m
 			spans[a.idx].Finish()
 			if a.err == nil {
 				span.SetAttr("winner", string(targets[a.idx].addr))
-				return a.resp, targets[a.idx].addr, nil
+				return a.resp, nil
 			}
 			lastErr = a.err
 			if ctx.Err() != nil {
 				// The caller's own context died: the losers are already
 				// being cancelled, surface the failure as-is.
-				return nil, "", lastErr
+				return nil, lastErr
 			}
 			if next < len(targets) {
 				// The attempt failed fast (shed / unreachable / rejected):
@@ -179,7 +210,7 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, m
 				next++
 				inflight++
 			} else if inflight == 0 {
-				return nil, "", lastErr
+				return nil, lastErr
 			}
 		case <-timerC:
 			if next < len(targets) {
@@ -194,79 +225,9 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, m
 			// Abandon the hedge wholesale; in-flight attempts unwind via
 			// cctx and drain into the buffered channel. At least one
 			// request was on the wire, so this is the in-flight taxonomy.
-			return nil, "", fmt.Errorf("%w: %w", transport.ErrCallInterrupted, ctx.Err())
+			return nil, fmt.Errorf("%w: %w", transport.ErrCallInterrupted, ctx.Err())
 		}
 	}
-}
-
-// readChainWithSoft is readChain with the key's soft-placement peers
-// interleaved: the primary, its successor replicas, and the soft copies
-// derived from the key's placement points form one pool, hash-rotated
-// by the key and then latency-ranked — so repeat reads of a hot key
-// genuinely spread across hard AND soft copies instead of merely
-// hedging to them. Soft members are flagged so callHedgedTargets
-// addresses them with MsgSoftGet; a derived peer holding no live copy
-// fails fast and the hedge escalates past it.
-func (ix *Index) readChainWithSoft(ctx context.Context, key string, primary transport.Addr) []hedgeTarget {
-	addrs := []transport.Addr{primary}
-	for _, r := range ix.replicaTargets(ctx, primary) {
-		addrs = append(addrs, r.Addr)
-	}
-	isSoft := make(map[transport.Addr]bool)
-	for _, a := range ix.softTargets(ctx, key, primary) {
-		dup := false
-		for _, b := range addrs {
-			if a == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			addrs = append(addrs, a)
-			isSoft[a] = true
-		}
-	}
-	if len(addrs) > 1 {
-		rot := int(uint64(ids.HashString(key)) % uint64(len(addrs)))
-		rotated := make([]transport.Addr, 0, len(addrs))
-		rotated = append(rotated, addrs[rot:]...)
-		rotated = append(rotated, addrs[:rot]...)
-		addrs = rotated
-		ix.lat.Rank(addrs)
-	}
-	out := make([]hedgeTarget, len(addrs))
-	for i, a := range addrs {
-		out[i] = hedgeTarget{addr: a, soft: isSoft[a]}
-	}
-	return out
-}
-
-// hedgeTargetsFor builds the hedged preference chain for one streamed
-// read group. A single-key group whose key the local popularity tracker
-// scores at or above the hot threshold gets the soft-augmented chain;
-// everything else — multi-key groups (soft copies are per-key, a group
-// frame cannot split across them) and cold keys — gets the classic hard
-// chain. The group seed IS the single key when the group has one item,
-// which is exactly when the soft chain is usable.
-func (ix *Index) hedgeTargetsFor(ctx context.Context, seed string, primary transport.Addr, body []byte) []hedgeTarget {
-	if ix.hotRate != nil && ix.hot.threshold > 0 {
-		if wire.NewReader(body).Uvarint() == 1 && ix.hotScore(seed) >= ix.hot.threshold {
-			return ix.readChainWithSoft(ctx, seed, primary)
-		}
-	}
-	return ix.hardChain(ctx, seed, primary, body)
-}
-
-// hardChain is readChain as hedge targets: the primary and its successor
-// replicas, all addressed with the caller's frame. It is the whole chain
-// of a classic MultiGet (whose frame layout soft copies do not answer).
-func (ix *Index) hardChain(ctx context.Context, seed string, primary transport.Addr, _ []byte) []hedgeTarget {
-	chain := ix.readChain(ctx, seed, primary)
-	out := make([]hedgeTarget, len(chain))
-	for i, a := range chain {
-		out[i] = hedgeTarget{addr: a}
-	}
-	return out
 }
 
 // dropReplicaSet forgets the cached replica set of primary; the next

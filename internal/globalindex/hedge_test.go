@@ -31,7 +31,7 @@ func hedgeRing(t *testing.T, n, r int) ([]*dht.Node, []*Index, []*transport.Disp
 			<-release
 			return 0x7E, nil, nil
 		})
-		ep := net.Endpoint(fmt.Sprintf("h%d", i), d.Serve)
+		ep := tapped(net, fmt.Sprintf("h%d", i), d)
 		nodes[i] = dht.NewNode(ids.ID(rng.Uint64()), ep, d, dht.Options{})
 		idxs[i] = New(nodes[i], d)
 		idxs[i].EnableReplication(context.Background(), r)
@@ -262,11 +262,11 @@ func TestHedgedReadLearnsToAvoidSlowReplica(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
 		t.Fatalf("4 hedged reads with a demoted slow copy took %s", elapsed)
 	}
-	chain := reader.readChain(context.Background(), string(primaryAddr), primaryAddr)
+	chain := reader.readChain(context.Background(), string(primaryAddr), primaryAddr, false)
 	if len(chain) < 2 {
 		t.Fatalf("chain = %v, want primary + replicas", chain)
 	}
-	if chain[len(chain)-1] != primaryAddr {
+	if chain[len(chain)-1].addr != primaryAddr {
 		// The slow primary must have sunk to the end of the preference
 		// order once observed.
 		est, ok := reader.lat.Estimate(primaryAddr)

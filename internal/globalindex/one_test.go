@@ -2,8 +2,12 @@ package globalindex
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/dht"
 	"repro/internal/postings"
+	"repro/internal/transport"
 )
 
 // A single key is a batch of one: the index exports only the Multi
@@ -26,4 +30,46 @@ func getOne(ctx context.Context, ix *Index, terms []string, maxResults int, poli
 func keyInfoOne(ctx context.Context, ix *Index, terms []string) (df int64, present, truncated bool, err error) {
 	res, err := ix.MultiKeyInfo(ctx, []KeyInfoItem{{Terms: terms}}, 1)
 	return res[0].DF, res[0].Present, res[0].Truncated, err
+}
+
+// The network meters book frames by type, and every read is one type:
+// the ring fixtures attach their endpoints through tapped, which counts
+// the MsgRead frames each peer receives by mode — the tests' view of
+// which copy a read was addressed to, and how.
+type tapKey struct {
+	net  *transport.Mem
+	addr transport.Addr
+}
+
+var readTaps sync.Map // tapKey -> *[3]atomic.Int64
+
+func tapped(net *transport.Mem, name string, d *transport.Dispatcher) transport.Endpoint {
+	tap := new([3]atomic.Int64)
+	ep := net.Endpoint(name, func(ctx context.Context, from transport.Addr, msg uint8, body []byte) (uint8, []byte, error) {
+		if msg == MsgRead && len(body) > 0 && body[0] <= readSoft {
+			tap[body[0]].Add(1)
+		}
+		return d.Serve(ctx, from, msg, body)
+	})
+	readTaps.Store(tapKey{net, ep.Addr()}, tap)
+	return ep
+}
+
+// readFrames reports how many MsgRead frames in the given mode the
+// addressed peers have received so far, summed.
+func readFrames(net *transport.Mem, mode uint8, addrs ...transport.Addr) (n int64) {
+	for _, addr := range addrs {
+		tap, _ := readTaps.Load(tapKey{net, addr})
+		n += tap.(*[3]atomic.Int64)[mode].Load()
+	}
+	return n
+}
+
+// addrsOf lists the nodes' addresses, for ring-wide readFrames counts.
+func addrsOf(nodes []*dht.Node) []transport.Addr {
+	out := make([]transport.Addr, len(nodes))
+	for i, n := range nodes {
+		out[i] = n.Self().Addr
+	}
+	return out
 }

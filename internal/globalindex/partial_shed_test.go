@@ -55,13 +55,12 @@ func TestPartialShedMultiGetServesPrefixAndRedrives(t *testing.T) {
 	}
 
 	// Overload the owner: watermark 1 (one stuck handler parks it
-	// there) and a trained 50ms-per-item MultiGet estimate, so a ~500ms
+	// there) and a trained 50ms-per-item read estimate, so a ~500ms
 	// budget affords only ~10 of the 16 items per frame: the first frame
 	// serves a prefix, the one redrive frame the rest.
 	disps[serverIdx].SetAdmissionControl(1, time.Millisecond)
 	for i := 0; i < 32; i++ {
-		disps[serverIdx].ObserveBatch(MsgMultiGet, 500*time.Millisecond, 10)
-		disps[serverIdx].ObserveBatch(MsgMultiGetAny, 500*time.Millisecond, 10) // the redrive's frame
+		disps[serverIdx].ObserveBatch(MsgRead, 500*time.Millisecond, 10)
 	}
 	go func() {
 		_, _, _ = idxs[2].Node().Endpoint().Call(context.Background(), server.Self().Addr, 0x7E, nil)
@@ -80,15 +79,14 @@ func TestPartialShedMultiGetServesPrefixAndRedrives(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	load := net.Load(server.Self().Addr)
-	before := load.Snapshot()
+	addr := server.Self().Addr
+	ownerBefore, anyBefore := readFrames(net, readOwner, addr), readFrames(net, readAny, addr)
 	res, err := idxs[0].MultiGet(ctx, gets, 1, ReadPrimary)
 	if err != nil {
 		t.Fatalf("MultiGet across a partial shed: %v", err)
 	}
-	delta := load.Snapshot().Sub(before).PerType
-	if b, r := delta[MsgMultiGet].Messages, delta[MsgMultiGetAny].Messages; b != 1 || r != 1 {
-		t.Errorf("owner received %d MsgMultiGet and %d MsgMultiGetAny frames, want the batch and one redrive", b, r)
+	if b, r := readFrames(net, readOwner, addr)-ownerBefore, readFrames(net, readAny, addr)-anyBefore; b != 1 || r != 1 {
+		t.Errorf("owner received %d readOwner and %d readAny frames, want the batch and one redrive", b, r)
 	}
 	for i, r := range res {
 		if !r.Found || r.List.Len() != 1 || r.List.Entries[0].Ref.Doc != uint32(i) {

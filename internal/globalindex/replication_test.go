@@ -24,7 +24,7 @@ func replRing(t *testing.T, n, r int) ([]*dht.Node, []*Index, *transport.Mem) {
 	idxs := make([]*Index, n)
 	for i := 0; i < n; i++ {
 		d := transport.NewDispatcher()
-		ep := net.Endpoint(fmt.Sprintf("r%d", i), d.Serve)
+		ep := tapped(net, fmt.Sprintf("r%d", i), d)
 		nodes[i] = dht.NewNode(ids.ID(rng.Uint64()), ep, d, dht.Options{})
 		idxs[i] = New(nodes[i], d)
 		idxs[i].EnableReplication(context.Background(), r)

@@ -15,9 +15,10 @@ import (
 )
 
 // Message types for the global-index protocol (range 0x10–0x2F). Every
-// keyed operation travels as a batch frame (batch.go, topk.go); a single
-// key is a batch of one. 0x10–0x12, 0x15, 0x16 and 0x20 carried the
-// retired per-key and replace-write frames and stay unassigned.
+// keyed operation travels as a batch frame — MsgMultiAppend and
+// MsgMultiKeyInfo (batch.go), MsgRead (topk.go); a single key is a batch
+// of one. 0x10–0x12, 0x15, 0x16 and 0x20 carried the retired per-key and
+// replace-write frames and stay unassigned.
 const (
 	MsgRemove uint8 = 0x13 // (key) -> removed
 	MsgStats  uint8 = 0x14 // () -> (keys, postings, bytes)
@@ -45,7 +46,7 @@ type Index struct {
 	hotRate *loadstat.KeyRate
 	hot     hotKeyState
 
-	// Streamed top-k read counters (topk.go); see TopKStats.
+	// Streamed-read counters (topk.go); see TopKStats.
 	topkRounds atomic.Int64
 	topkEarly  atomic.Int64
 	topkSaved  atomic.Int64
@@ -70,19 +71,13 @@ func NewWithEngine(node *dht.Node, d *transport.Dispatcher, engine StorageEngine
 	d.Handle(MsgRemove, ix.handleRemove)
 	d.Handle(MsgStats, ix.handleStats)
 	d.Handle(MsgMultiAppend, ix.handleMultiAppend)
-	d.Handle(MsgMultiGet, ix.handleMultiGet)
-	d.Handle(MsgMultiGetAny, ix.handleMultiGet)
 	d.Handle(MsgMultiKeyInfo, ix.handleMultiKeyInfo)
-	d.Handle(MsgMultiGetTopK, ix.handleTopK)
-	d.Handle(MsgMultiGetTopKAny, ix.handleTopK)
-	d.Handle(MsgGetMore, ix.handleTopK)
+	d.Handle(MsgRead, ix.handleRead)
 	d.Handle(MsgSoftAnnounce, ix.handleSoftAnnounce)
-	d.Handle(MsgSoftGet, ix.handleSoftGet)
-	// The Multi frames shed at item granularity under admission control:
+	// The batch frames shed at item granularity under admission control:
 	// an under-budget frame is served as a prefix instead of refused
 	// whole, and the client redrives only the shed suffix.
-	for _, m := range []uint8{MsgMultiAppend, MsgMultiGet, MsgMultiGetAny, MsgMultiKeyInfo,
-		MsgMultiGetTopK, MsgMultiGetTopKAny, MsgGetMore} {
+	for _, m := range []uint8{MsgMultiAppend, MsgMultiKeyInfo, MsgRead} {
 		d.SetPartialShed(m)
 	}
 	ix.registerReplicationHandlers(d)

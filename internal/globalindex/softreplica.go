@@ -3,7 +3,6 @@ package globalindex
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -26,24 +25,17 @@ import (
 // whose decayed read rate crosses the configured threshold therefore
 // gets *soft* copies pushed to peers chosen outside its replica set
 // (PromoteHotKeys), and hot hedged reads interleave those copies into
-// the replica chain (readChainWithSoft), spreading the head load across
+// the replica chain (readChain), spreading the head load across
 // R + SoftReplicas peers. Soft copies are pure cache: they expire by
-// TTL and by the holder's ring epoch, are never written through, and a
-// missing copy is an RPC error the hedge machinery escalates past —
-// never an authoritative absence.
-const (
-	// MsgSoftAnnounce installs one soft copy at the receiver:
-	// (key, ttlSec, approxDF, list) -> accepted bool. Best-effort: a
-	// refused or lost announce only costs spread, not correctness.
-	MsgSoftAnnounce uint8 = 0x1F
-	// MsgSoftGet reads soft copies with the streamed top-k request
-	// layout: (n, n×(key, cursor, chunk)) -> (n, n×topKAnswer). Unlike
-	// every other read frame it FAILS the whole request if any named
-	// key has no live soft copy — a soft miss must surface as an RPC
-	// error so the hedged caller escalates to an authoritative copy
-	// instead of reading a false absence. (0x20–0x26 are replication.)
-	MsgSoftGet uint8 = 0x27
-)
+// TTL and by the holder's ring epoch, are never written through, and are
+// read through MsgRead's readSoft mode, where a missing copy is an RPC
+// error the hedge machinery escalates past — never an authoritative
+// absence.
+
+// MsgSoftAnnounce installs one soft copy at the receiver:
+// (key, ttlSec, approxDF, list) -> accepted bool. Best-effort: a
+// refused or lost announce only costs spread, not correctness.
+const MsgSoftAnnounce uint8 = 0x1F
 
 const (
 	// maxSoftCopies bounds the copies one peer holds for others; the
@@ -65,7 +57,7 @@ const (
 // everything; each part is independently optional.
 type HotKeyConfig struct {
 	// PrefixCache is the entry bound of the client-side posting-prefix
-	// cache consulted by streamed top-k opens (0 = no cache).
+	// cache consulted by every read session's opens (0 = no cache).
 	PrefixCache int
 	// PrefixCacheTTL bounds a cached prefix's staleness against writes
 	// this peer never observed (default 2s when the cache is on).
@@ -278,8 +270,8 @@ func (ix *Index) SoftCopyCount() int {
 }
 
 // EnableHotKeyPath arms the hot-key read path: the client-side
-// posting-prefix cache (consulted by streamed top-k opens and filled
-// back by refined sessions), the per-key popularity tracker feeding it,
+// posting-prefix cache (consulted by read-session opens and filled back
+// by them and by refined sessions), the per-key popularity tracker,
 // and — with a positive threshold — popularity-triggered soft
 // replication. Like EnableReplication it must be called before the node
 // joins a network: a prefix cache registers a ring-change callback so
@@ -448,44 +440,6 @@ func (ix *Index) handleSoftAnnounce(_ context.Context, _ transport.Addr, _ uint8
 	w := wire.NewWriter(2)
 	w.Bool(true)
 	return MsgSoftAnnounce, w.Bytes(), nil
-}
-
-// handleSoftGet serves streamed chunks from soft copies. The request
-// layout is exactly MsgMultiGetTopK's; the per-item answer layout is
-// exactly topKAnswer's, so the client decodes both paths identically.
-// The one semantic difference: a missing or dead copy fails the WHOLE
-// request with an error — soft copies are cache, and a cache miss must
-// read as "ask someone else", never as an authoritative absence.
-func (ix *Index) handleSoftGet(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	r := wire.NewReader(body)
-	count, err := readBatchCount(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	keys := make([]string, count)
-	cursors := make([]int, count)
-	chunks := make([]int, count)
-	for i := 0; i < count; i++ {
-		keys[i] = r.String()
-		cursors[i] = clampPrefixArg(r.Uvarint())
-		chunks[i] = clampPrefixArg(r.Uvarint())
-	}
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
-	epoch := ix.node.RingEpoch()
-	self := ix.node.Self().Addr
-	w := wire.NewWriter(64 * count)
-	w.Uvarint(uint64(count))
-	for i := 0; i < count; i++ {
-		res, ok := ix.hot.getPrefix(keys[i], cursors[i], chunks[i], epoch)
-		if !ok {
-			return 0, nil, fmt.Errorf("globalindex: no soft copy of %q", keys[i])
-		}
-		writeTopKAnswer(w, self, cursors[i], res)
-		ix.hot.servedN.Add(1)
-	}
-	return MsgSoftGet, w.Bytes(), nil
 }
 
 // SoftCopyKeys lists the keys this peer currently holds soft copies of,

@@ -95,7 +95,12 @@ func TestPromoteHotKeysInstallsSoftCopies(t *testing.T) {
 	}
 }
 
-func TestSoftGetServesAndFailsClosed(t *testing.T) {
+// TestSoftCopyReadModes reads one holder's soft copy in every mode: soft
+// and any serve it with the answer layout of a stored list, owner never
+// consults it; a key with no live copy fails a soft frame whole — a
+// cache miss must escalate, never read as authoritative absence — and
+// reads as plain found=false in any mode.
+func TestSoftCopyReadModes(t *testing.T) {
 	nodes, idxs, _ := ring(t, 8)
 	for _, ix := range idxs {
 		ix.EnableHotKeyPath(HotKeyConfig{HotThreshold: 1, SoftReplicas: 2, SoftReplicaTTL: time.Minute})
@@ -114,45 +119,66 @@ func TestSoftGetServesAndFailsClosed(t *testing.T) {
 		t.Fatalf("promoted %d, want 1", n)
 	}
 	holder := idxs[owner].softTargets(context.Background(), key, idxs[owner].node.Self().Addr)[0]
-
-	// A SoftGet for the copy decodes exactly like a topK answer and
-	// serves the canonical prefix.
-	w := wire.NewWriter(64)
-	w.Uvarint(1)
-	w.String(key)
-	w.Uvarint(0) // cursor
-	w.Uvarint(2) // chunk
-	_, resp, err := nodes[0].Endpoint().Call(context.Background(), holder, MsgSoftGet, w.Bytes())
-	if err != nil {
-		t.Fatalf("soft get: %v", err)
+	var holderIx *Index
+	for _, ix := range idxs {
+		if ix.node.Self().Addr == holder {
+			holderIx = ix
+		}
 	}
-	r := wire.NewReader(resp)
-	if n, err := readBatchCount(r); err != nil || n != 1 {
-		t.Fatalf("batch count %d, %v", n, err)
-	}
-	a, err := readTopKAnswer(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.found || len(a.entries) != 2 || a.total != 4 || a.entries[0] != list.Entries[0] {
-		t.Fatalf("soft answer %+v", a)
-	}
-	if a.served != holder {
-		t.Fatalf("served by %s, want %s", a.served, holder)
+	call := func(mode uint8, items ...readItem) ([]topKAnswer, error) {
+		_, resp, err := nodes[0].Endpoint().Call(context.Background(), holder, MsgRead, readRequest(mode, items...))
+		if err != nil {
+			return nil, err
+		}
+		r := wire.NewReader(resp)
+		n, err := readBatchCount(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]topKAnswer, n)
+		for i := range out {
+			if out[i], err = readTopKAnswer(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out, nil
 	}
 
-	// A request touching any key without a live copy fails whole — a
-	// cache miss must escalate, never read as authoritative absence.
-	w = wire.NewWriter(64)
-	w.Uvarint(2)
-	w.String(key)
-	w.Uvarint(0)
-	w.Uvarint(2)
-	w.String("never-announced")
-	w.Uvarint(0)
-	w.Uvarint(2)
-	if _, _, err := nodes[0].Endpoint().Call(context.Background(), holder, MsgSoftGet, w.Bytes()); err == nil {
-		t.Fatal("soft get of a missing copy must fail the request")
+	for _, tc := range []struct {
+		name   string
+		mode   uint8
+		cursor uint64
+	}{{"soft open", readSoft, 0}, {"soft continuation", readSoft, 1}, {"any open", readAny, 0}, {"any continuation", readAny, 1}} {
+		served := holderIx.SoftReplicaStats().Served
+		as, err := call(tc.mode, readItem{key, tc.cursor, 2})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		a := as[0]
+		if !a.found || len(a.entries) != 2 || a.total != 4 || a.entries[0] != list.Entries[tc.cursor] || a.cursor != int(tc.cursor)+2 {
+			t.Fatalf("%s: answer %+v", tc.name, a)
+		}
+		if a.served != holder {
+			t.Fatalf("%s: served by %s, want %s", tc.name, a.served, holder)
+		}
+		if got := holderIx.SoftReplicaStats().Served - served; got != 1 {
+			t.Fatalf("%s: soft-served counter moved by %d, want 1", tc.name, got)
+		}
+	}
+
+	// Owner mode is about the stored index only: the holder does not own
+	// the key and rejects the frame instead of serving its cache.
+	if _, err := call(readOwner, readItem{key, 0, 2}); err == nil {
+		t.Fatal("owner-mode read of a soft copy at a non-owner must be rejected")
+	}
+	// A soft frame touching any key without a live copy fails whole...
+	if _, err := call(readSoft, readItem{key, 0, 2}, readItem{"never-announced", 0, 2}); err == nil {
+		t.Fatal("soft read of a missing copy must fail the request")
+	}
+	// ...while any mode answers the same pair item by item.
+	as, err := call(readAny, readItem{key, 0, 2}, readItem{"never-announced", 0, 2})
+	if err != nil || !as[0].found || as[1].found {
+		t.Fatalf("any-mode read: %+v, %v", as, err)
 	}
 }
 

@@ -19,7 +19,7 @@ func fixedRing(t *testing.T, net *transport.Mem, ringIDs []ids.ID, opts dht.Opti
 	idxs := make([]*Index, len(ringIDs))
 	for i, id := range ringIDs {
 		d := transport.NewDispatcher()
-		ep := net.Endpoint(fmt.Sprintf("f%d", i), d.Serve)
+		ep := tapped(net, fmt.Sprintf("f%d", i), d)
 		nodes[i] = dht.NewNode(id, ep, d, opts)
 		idxs[i] = New(nodes[i], d)
 		idxs[i].EnableReplication(context.Background(), r)
@@ -108,7 +108,7 @@ func (sr *staleRing) items(score float64) []AppendItem {
 func (sr *staleRing) join() {
 	sr.t.Helper()
 	d := transport.NewDispatcher()
-	ep := sr.net.Endpoint("joiner", d.Serve)
+	ep := tapped(sr.net, "joiner", d)
 	sr.joiner = dht.NewNode(9*staleSlot+staleSlot/2, ep, d, dht.Options{SuccListLen: 4})
 	sr.jix = New(sr.joiner, d)
 	sr.jix.EnableReplication(context.Background(), sr.r)
@@ -134,6 +134,11 @@ func (sr *staleRing) checkEpoch() {
 // frames reads how many msg frames addr has received so far.
 func (sr *staleRing) frames(addr transport.Addr, msg uint8) int64 {
 	return sr.net.Load(addr).Snapshot().PerType[msg].Messages
+}
+
+// reads is frames for MsgRead, split by mode.
+func (sr *staleRing) reads(addr transport.Addr, mode uint8) int64 {
+	return readFrames(sr.net, mode, addr)
 }
 
 // TestBatchRejectionInvalidatesStaleRoute is the regression test for the
@@ -198,75 +203,79 @@ func TestBatchRejectionInvalidatesStaleRoute(t *testing.T) {
 	}
 }
 
-// TestStreamedAnyReplicaReadDetectsStaleRoute covers the streamed twin of
-// the classic downgrade: under an unhedged ReadAnyReplica policy, a group
-// whose every key the hash keeps on its primary must go out as the
-// responsibility-checked MsgMultiGetTopK — not the unchecked Any variant
-// — or a stale cached route would keep reading the ex-owner's copy
-// indefinitely, serving stale postings once the new owner takes writes.
-func TestStreamedAnyReplicaReadDetectsStaleRoute(t *testing.T) {
-	const r = 2
-	// Keys the read-target hash keeps on the primary (index 0 of R copies).
-	sr := newStaleRing(t, r, func(h ids.ID) bool { return uint64(h)%r == 0 })
-	ctx := context.Background()
-	if _, err := sr.client.MultiAppend(ctx, sr.items(1.0), 4); err != nil {
-		t.Fatal(err)
-	}
-	var gets []GetItem
-	for _, k := range sr.moved {
-		gets = append(gets, GetItem{Terms: []string{k}})
-	}
-	read := func() {
-		t.Helper()
-		res, err := sr.client.NewTopKSession(5, 0, 4, ReadAnyReplica).FetchPrefixes(ctx, gets)
-		if err != nil {
-			t.Fatalf("streamed read over a stale route: %v", err)
-		}
-		for i, r := range res {
-			if !r.Found || r.List.Len() != 1 {
-				t.Fatalf("moved key %q: %+v", sr.moved[i], r)
+// TestAnyReplicaReadDetectsStaleRoute: under an unhedged ReadAnyReplica
+// policy, a group whose every key the hash keeps on its primary must go
+// out in readOwner mode — not the unchecked readAny — or a stale cached
+// route would keep reading the ex-owner's copy indefinitely, serving
+// stale postings once the new owner takes writes. One row per read
+// shape: the mode is chosen by the batch engine, whatever the chunk.
+func TestAnyReplicaReadDetectsStaleRoute(t *testing.T) {
+	for name, chunk := range map[string]int{"one-shot": 0, "streamed": DefaultChunk(5)} {
+		t.Run(name, func(t *testing.T) {
+			const r = 2
+			// Keys the read-target hash keeps on the primary (index 0 of R copies).
+			sr := newStaleRing(t, r, func(h ids.ID) bool { return uint64(h)%r == 0 })
+			ctx := context.Background()
+			if _, err := sr.client.MultiAppend(ctx, sr.items(1.0), 4); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	read() // warms the route and the replica-set cache
-	sr.join()
-	joinerAddr := sr.joiner.Self().Addr
+			var gets []GetItem
+			for _, k := range sr.moved {
+				gets = append(gets, GetItem{Terms: []string{k}})
+			}
+			read := func() {
+				t.Helper()
+				res, err := sr.client.NewTopKSession(5, chunk, 4, ReadAnyReplica).FetchPrefixes(ctx, gets)
+				if err != nil {
+					t.Fatalf("read over a stale route: %v", err)
+				}
+				for i, r := range res {
+					if !r.Found || r.List.Len() != 1 {
+						t.Fatalf("moved key %q: %+v", sr.moved[i], r)
+					}
+				}
+			}
+			read() // warms the route and the replica-set cache
+			sr.join()
+			joinerAddr := sr.joiner.Self().Addr
 
-	// The stale route delivers the checked frame to the ex-owner, which
-	// rejects it; the redrive reads the joiner (over a fresh ring walk,
-	// hence unchecked).
-	oldChecked, oldAny := sr.frames(sr.oldOwner, MsgMultiGetTopK), sr.frames(sr.oldOwner, MsgMultiGetTopKAny)
-	joinBefore := sr.frames(joinerAddr, MsgMultiGetTopKAny)
-	read()
-	sr.checkEpoch()
-	if n := sr.frames(sr.oldOwner, MsgMultiGetTopKAny) - oldAny; n != 0 {
-		t.Errorf("ex-owner received %d unchecked MsgMultiGetTopKAny frames for an all-primary group", n)
-	}
-	if n := sr.frames(sr.oldOwner, MsgMultiGetTopK) - oldChecked; n != 1 {
-		t.Errorf("ex-owner received %d MsgMultiGetTopK frames, want the 1 it rejects", n)
-	}
-	if n := sr.frames(joinerAddr, MsgMultiGetTopKAny) - joinBefore; n != 1 {
-		t.Errorf("redrive reached the joiner in %d MsgMultiGetTopKAny frames, want 1", n)
-	}
+			// The stale route delivers the owner-mode frame to the ex-owner,
+			// which rejects it; the redrive reads the joiner (over a fresh
+			// ring walk, hence in any mode).
+			oldOwner, oldAny := sr.reads(sr.oldOwner, readOwner), sr.reads(sr.oldOwner, readAny)
+			joinBefore := sr.reads(joinerAddr, readAny)
+			read()
+			sr.checkEpoch()
+			if n := sr.reads(sr.oldOwner, readAny) - oldAny; n != 0 {
+				t.Errorf("ex-owner received %d unchecked readAny frames for an all-primary group", n)
+			}
+			if n := sr.reads(sr.oldOwner, readOwner) - oldOwner; n != 1 {
+				t.Errorf("ex-owner received %d readOwner frames, want the 1 it rejects", n)
+			}
+			if n := sr.reads(joinerAddr, readAny) - joinBefore; n != 1 {
+				t.Errorf("redrive reached the joiner in %d readAny frames, want 1", n)
+			}
 
-	// The stale interval is gone: the next read goes straight to the
-	// joiner and never touches the ex-owner.
-	oldFrames := sr.frames(sr.oldOwner, MsgMultiGetTopK) + sr.frames(sr.oldOwner, MsgMultiGetTopKAny)
-	joinBefore = sr.frames(joinerAddr, MsgMultiGetTopK)
-	read()
-	if n := sr.frames(sr.oldOwner, MsgMultiGetTopK) + sr.frames(sr.oldOwner, MsgMultiGetTopKAny) - oldFrames; n != 0 {
-		t.Errorf("next read still sent %d frames to the ex-owner", n)
-	}
-	if n := sr.frames(joinerAddr, MsgMultiGetTopK) - joinBefore; n != 1 {
-		t.Errorf("next read reached the joiner in %d MsgMultiGetTopK frames, want 1", n)
+			// The stale interval is gone: the next read goes straight to the
+			// joiner and never touches the ex-owner.
+			oldFrames := sr.reads(sr.oldOwner, readOwner) + sr.reads(sr.oldOwner, readAny)
+			joinBefore = sr.reads(joinerAddr, readOwner)
+			read()
+			if n := sr.reads(sr.oldOwner, readOwner) + sr.reads(sr.oldOwner, readAny) - oldFrames; n != 0 {
+				t.Errorf("next read still sent %d frames to the ex-owner", n)
+			}
+			if n := sr.reads(joinerAddr, readOwner) - joinBefore; n != 1 {
+				t.Errorf("next read reached the joiner in %d readOwner frames, want 1", n)
+			}
+		})
 	}
 }
 
 // TestMultiGetDeadOwnerAnsweredFromReplicas is the read side of the
 // ladder: with the owner of a 16-key group killed under R = 3, the batch
 // frame and its redrive both fail unreachable, and the group is answered
-// from the owner's replicas with the Any variant — at most R−1 extra
-// frames for the whole group, not a read per key.
+// from the owner's replicas in readAny mode — at most R−1 extra frames
+// for the whole group, not a read per key.
 func TestMultiGetDeadOwnerAnsweredFromReplicas(t *testing.T) {
 	const r = 3
 	nodes, idxs, net := replRing(t, 8, r)
@@ -289,7 +298,8 @@ func TestMultiGetDeadOwnerAnsweredFromReplicas(t *testing.T) {
 	}
 	net.SetDown(owner.Self().Addr, true)
 
-	before := net.Meter().Snapshot()
+	served := func(mode uint8) int64 { return readFrames(net, mode, addrsOf(nodes)...) }
+	anyBefore, ownerBefore := served(readAny), served(readOwner)
 	res, err := idxs[0].MultiGet(ctx, gets, 4, ReadPrimary)
 	if err != nil {
 		t.Fatalf("MultiGet with a dead owner: %v", err)
@@ -299,12 +309,10 @@ func TestMultiGetDeadOwnerAnsweredFromReplicas(t *testing.T) {
 			t.Fatalf("item %d (%v) not answered from a replica: %+v", i, terms[i], r)
 		}
 	}
-	delta := net.Meter().Snapshot().Sub(before)
-	// The network meter books a request and its reply, each under its type.
-	if n := delta.PerType[MsgMultiGetAny].Messages / 2; n < 1 || n > r-1 {
-		t.Errorf("group answered in %d MsgMultiGetAny frames, want 1..%d", n, r-1)
+	if n := served(readAny) - anyBefore; n < 1 || n > r-1 {
+		t.Errorf("group answered in %d readAny frames, want 1..%d", n, r-1)
 	}
-	if n := delta.PerType[MsgMultiGet].Messages; n != 0 {
-		t.Errorf("%d MsgMultiGet frames delivered; the only owner is dead", n)
+	if n := served(readOwner) - ownerBefore; n != 0 {
+		t.Errorf("%d readOwner frames delivered; the only owner is dead", n)
 	}
 }

@@ -183,7 +183,7 @@ type PrefixResult struct {
 // descending-score order, so a chunk is a plain slice and a continuation
 // cursor is a stored-list offset. Truncated reports the stored list's
 // own truncation mark — NOT whether this chunk cut the list short; the
-// retrieval layer's pruning decisions must match a full-pull read, and
+// retrieval layer's pruning decisions must match a whole-list read, and
 // the chunk horizon travels separately as Total. Only an offset-0 call
 // records a probe (and can raise the QDI activation signal): the
 // continuations of a streamed read are part of the same logical probe.

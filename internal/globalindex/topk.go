@@ -14,41 +14,51 @@ import (
 	"repro/internal/wire"
 )
 
-// This file implements the score-bounded streamed read path (the
-// threshold-algorithm family of Akbarinia et al.): instead of pulling a
-// probed key's whole stored list in one shot, the coordinator fetches a
-// score-sorted *prefix* per key plus an upper bound on the scores it has
-// not seen, and requests continuation chunks only while the k-th best
-// aggregate could still change. Chunks travel in the compressed postings
-// encoding; the classic one-shot frames keep the legacy encoding as the
-// compatibility default.
+// This file implements the one posting-list read. A read names, per key,
+// a cursor into the stored score-sorted list and a chunk size; the answer
+// is that chunk plus an upper bound on the scores it did not ship. A
+// whole-list fetch is the degenerate read with no bound (chunk 0); the
+// score-bounded streamed path (the threshold-algorithm family of
+// Akbarinia et al.) opens with a short chunk per key and requests
+// continuation chunks only while the k-th best aggregate could still
+// change.
+
+// MsgRead reads posting lists: (mode, n, n×(key, cursor, chunk)) ->
+// (n, n×answer). cursor is 0 on an open and a stored-list offset on a
+// continuation; chunk 0 reads to the end of the list. Each answer carries
+// the serving peer's address, the continuation cursor, the stored-list
+// total and the exact score bound on unserved entries; its entries are
+// exact-encoded when chunk == 0 and compressed (delta-gap, quantized
+// scores) otherwise. The frame sheds at item granularity like the other
+// batch frames. 0x1D, 0x1E and 0x27 carried the retired continuation,
+// replica and soft-copy variants of this frame and stay unassigned.
+const MsgRead uint8 = 0x1C
+
+// The read modes — the leading byte of a MsgRead request — say which
+// copy may answer.
 const (
-	// MsgMultiGetTopK opens streamed reads: (n, n×(key, cursor, chunk))
-	// -> (n×prefix answer). cursor is 0 on open; the answer carries the
-	// serving peer's address, the continuation cursor, the stored-list
-	// total, and the exact score bound on unserved entries.
-	MsgMultiGetTopK uint8 = 0x1C
-	// MsgGetMore continues streams at the peer that served the prefix:
-	// same layout as MsgMultiGetTopK with cursor > 0. No responsibility
-	// check — like a replica read, the serving copy may legitimately not
-	// own the key anymore; the coordinator falls back to a fresh full
-	// read if the copy lost the list.
-	MsgGetMore uint8 = 0x1D
-	// MsgMultiGetTopKAny is MsgMultiGetTopK minus the responsibility
-	// check, addressed to a replica under the ReadAnyReplica policy
-	// (mirrors MsgMultiGetAny).
-	MsgMultiGetTopKAny uint8 = 0x1E
+	// readOwner: the receiver must be responsible for every served key,
+	// else it rejects the frame — how a stale cached route is detected.
+	readOwner uint8 = iota
+	// readAny: serve the stored copy whoever owns the key (a replica
+	// read, a continuation at the copy that served the prefix, a
+	// redrive), else a live soft copy, else found=false.
+	readAny
+	// readSoft: live soft copies only; a miss on any key fails the whole
+	// frame, so a cache miss makes the hedged caller escalate to an
+	// authoritative copy instead of reading a false absence.
+	readSoft
 )
 
-// approxFullPostingBytes estimates the legacy wire cost of one posting
-// (delta-gap uvarint + Float64 score); the bytes-saved counter prices the
-// stored tail entries a streamed read never shipped.
+// approxFullPostingBytes estimates the exact-encoding wire cost of one
+// posting (delta-gap uvarint + Float64 score); the bytes-saved counter
+// prices the stored tail entries a streamed read never shipped.
 const approxFullPostingBytes = 9
 
 // TopKStats are the cumulative streamed-read counters of one Index,
 // exported as the alvis_index_topk_* telemetry families.
 type TopKStats struct {
-	Rounds            int64 // continuation (MsgGetMore) rounds issued
+	Rounds            int64 // continuation rounds issued
 	EarlyTerminations int64 // sessions ended by the threshold test with unread tail remaining
 	BytesSaved        int64 // estimated bytes of stored tails never shipped
 }
@@ -62,16 +72,13 @@ func (ix *Index) TopKStats() TopKStats {
 	}
 }
 
-// handleTopK serves all three streamed-read frames. The request layout
-// is shared: (n, n×(key, cursor, chunk)). Responsibility is checked only
-// for MsgMultiGetTopK — continuations and replica-addressed opens go to
-// a copy that may not own the key. The frames shed at item granularity
-// like the other Multi* frames.
-func (ix *Index) handleTopK(ctx context.Context, _ transport.Addr, msgType uint8, body []byte) (uint8, []byte, error) {
+// handleRead serves MsgRead in all three modes.
+func (ix *Index) handleRead(ctx context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	r := wire.NewReader(body)
+	mode := r.Byte()
 	count, err := readBatchCount(r)
-	if err != nil {
-		return 0, nil, err
+	if err != nil || mode > readSoft {
+		return 0, nil, wire.ErrCorrupt
 	}
 	keys := make([]string, count)
 	cursors := make([]int, count)
@@ -84,8 +91,8 @@ func (ix *Index) handleTopK(ctx context.Context, _ transport.Addr, msgType uint8
 	if err := r.Err(); err != nil {
 		return 0, nil, err
 	}
-	serve := ix.disp.BatchQuota(ctx, msgType, count)
-	if msgType == MsgMultiGetTopK {
+	serve := ix.disp.BatchQuota(ctx, MsgRead, count)
+	if mode == readOwner {
 		if err := ix.checkResponsible(keys[:serve]); err != nil {
 			return 0, nil, err
 		}
@@ -96,23 +103,25 @@ func (ix *Index) handleTopK(ctx context.Context, _ transport.Addr, msgType uint8
 	w.Uvarint(uint64(serve))
 	epoch := ix.node.RingEpoch()
 	for i := 0; i < serve; i++ {
-		if cursors[i] == 0 {
-			ix.observeRead(keys[i])
+		var res PrefixResult
+		if mode != readSoft {
+			if cursors[i] == 0 {
+				ix.observeRead(keys[i])
+			}
+			res = ix.store.GetPrefix(keys[i], cursors[i], chunks[i])
 		}
-		res := ix.store.GetPrefix(keys[i], cursors[i], chunks[i])
-		if !res.Found && msgType == MsgGetMore {
-			// A continuation for a key this peer does not store may still
-			// target a live soft copy here: a hedged open won by MsgSoftGet
-			// continues against the serving peer.
+		if !res.Found && mode != readOwner {
 			if sres, ok := ix.hot.getPrefix(keys[i], cursors[i], chunks[i], epoch); ok {
 				res = sres
 				ix.hot.servedN.Add(1)
+			} else if mode == readSoft {
+				return 0, nil, fmt.Errorf("globalindex: no soft copy of %q", keys[i])
 			}
 		}
-		writeTopKAnswer(w, self, cursors[i], res)
+		writeTopKAnswer(w, self, cursors[i], chunks[i] == 0, res)
 	}
-	ix.disp.ObserveBatch(msgType, time.Since(start), serve)
-	return msgType, w.Bytes(), nil
+	ix.disp.ObserveBatch(MsgRead, time.Since(start), serve)
+	return MsgRead, w.Bytes(), nil
 }
 
 // clampPrefixArg bounds a wire-supplied cursor or chunk size to the
@@ -127,20 +136,20 @@ func clampPrefixArg(v uint64) int {
 	return int(v)
 }
 
-// writeTopKAnswer encodes one streamed-read item answer:
+// writeTopKAnswer encodes one read item answer:
 //
 //	found bool; wantIndex bool;
 //	if found: served addr; truncated bool; total uvarint; cursor uvarint;
 //	          if cursor < total: bound Float64;
-//	          chunk entries (compressed postings frame)
+//	          chunk entries (postings frame, exact or compressed)
 //
 // truncated is the STORED list's truncation mark — the retrieval layer's
-// pruning must decide exactly as a full-pull read would; the chunk
+// pruning must decide exactly as a whole-list read would; the chunk
 // horizon travels separately as (cursor, total). bound is the exact
 // stored score of the last served entry: every unserved entry scores at
 // most that, and because the compressed chunk encoding floors its
 // quantized scores, every *decoded* score respects the same bound.
-func writeTopKAnswer(w *wire.Writer, self transport.Addr, offset int, res PrefixResult) {
+func writeTopKAnswer(w *wire.Writer, self transport.Addr, offset int, exact bool, res PrefixResult) {
 	w.Bool(res.Found)
 	w.Bool(res.WantIndex)
 	if !res.Found {
@@ -162,10 +171,14 @@ func writeTopKAnswer(w *wire.Writer, self transport.Addr, offset int, res Prefix
 		w.Float64(bound)
 	}
 	chunk := postings.List{Entries: res.Entries, Truncated: res.Truncated}
-	chunk.EncodeCompressed(w)
+	if exact {
+		chunk.Encode(w)
+	} else {
+		chunk.EncodeCompressed(w)
+	}
 }
 
-// topKAnswer is one decoded streamed-read item answer.
+// topKAnswer is one decoded read item answer.
 type topKAnswer struct {
 	found     bool
 	wantIndex bool
@@ -189,14 +202,16 @@ func readTopKAnswer(r *wire.Reader) (topKAnswer, error) {
 	}
 	a.served = transport.Addr(r.String())
 	a.truncated = r.Bool()
-	a.total = int(r.Uvarint())
-	a.cursor = int(r.Uvarint())
+	// Compared as uint64: values in [2^63, 2^64) would wrap negative
+	// through int() and pass a signed check as a pair.
+	total, cursor := r.Uvarint(), r.Uvarint()
 	if err := r.Err(); err != nil {
 		return a, err
 	}
-	if a.cursor > a.total || a.total > HardCap {
+	if cursor > total || total > HardCap {
 		return a, wire.ErrCorrupt
 	}
+	a.total, a.cursor = int(total), int(cursor)
 	if a.cursor < a.total {
 		a.bound = r.Float64()
 	}
@@ -208,7 +223,7 @@ func readTopKAnswer(r *wire.Reader) (topKAnswer, error) {
 	return a, nil
 }
 
-// topkKeyState tracks one probed key through a streamed session.
+// topkKeyState tracks one probed key through a read session.
 type topkKeyState struct {
 	key       string
 	terms     []string
@@ -220,7 +235,7 @@ type topkKeyState struct {
 	cursor    int // stored-list offset of the next unfetched entry
 	total     int // stored-list length at the serving copy
 	bound     float64
-	done      bool // every stored entry fetched (or key absent / full-pulled)
+	done      bool // every stored entry fetched (or key absent)
 	fetched   bool // a network answer was absorbed this session (vs. pure cache replay)
 }
 
@@ -228,8 +243,8 @@ func (st *topkKeyState) pending() bool { return st.found && !st.done }
 
 // absorb merges one chunk answer into the state. Chunks are consecutive
 // slices of the serving copy's canonical-order list, so appending keeps
-// the fetched prefix in canonical order; the seen filter drops the rare
-// duplicate when a fallback re-serves entries from a different copy.
+// the fetched prefix in canonical order; the seen filter drops the
+// entries a re-open after a lost continuation serves again.
 func (st *topkKeyState) absorb(a topKAnswer) {
 	st.found, st.peer = true, a.served
 	st.list.Truncated = a.truncated
@@ -243,15 +258,29 @@ func (st *topkKeyState) absorb(a topKAnswer) {
 	st.done = a.cursor >= a.total
 }
 
-// TopKSession is the coordinator side of one streamed top-k read: it
-// opens score-sorted prefixes for every probed key (FetchPrefixes, one
-// call per lattice generation) and then runs the threshold loop
-// (Refine), requesting continuation chunks only from keys whose unseen
-// scores could still lift a document into the aggregate top k.
+// capped shapes a one-shot answer: at most max entries (0 = all), marked
+// truncated whenever stored entries were left out — no refinement will
+// fetch them, so the retrieval layer must prune as on a truncated list.
+func (st *topkKeyState) capped(max int) *postings.List {
+	entries, cut := st.list.Entries, st.cursor < st.total
+	if max > 0 && len(entries) > max {
+		entries, cut = entries[:max], true
+	}
+	if !cut {
+		return st.list
+	}
+	return &postings.List{Entries: entries, Truncated: true}
+}
+
+// TopKSession is the coordinator side of one read: it opens every probed
+// key's list (FetchPrefixes, one call per lattice generation) and — when
+// streaming — runs the threshold loop (Refine), requesting continuation
+// chunks only from keys whose unseen scores could still lift a document
+// into the aggregate top k.
 type TopKSession struct {
 	ix      *Index
 	k       int
-	chunk   int
+	chunk   int // first chunk per key; 0 = one shot, the item's MaxResults
 	workers int
 	policy  ReadPolicy
 	ro      readOpts
@@ -268,20 +297,30 @@ type TopKSession struct {
 	epochOK bool
 }
 
-// NewTopKSession starts a streamed read session targeting the best k
-// aggregate results. chunk is the per-key prefix size of the first round
-// (<= 0 selects 2k, floored at 8); continuation rounds double it.
-// policy and opts carry the caller's read policy exactly as MultiGet
-// would: replica spreading and hedging apply to the prefix round.
+// DefaultChunk is the streamed first-chunk size for a top-k target: 2k,
+// floored at 8. Continuation rounds double it.
+func DefaultChunk(k int) int {
+	if k < 4 {
+		return 8
+	}
+	return 2 * k
+}
+
+// NewTopKSession starts a read session targeting the best k aggregate
+// results. chunk selects the shape of the read, not a protocol: chunk > 0
+// streams — every key opens with that many entries in the compressed
+// encoding and Refine fetches more while the top k could still change —
+// and chunk 0 reads in one shot: every key opens with its item's
+// MaxResults (0 = the whole list, exact scores) and Refine is not run.
+// Under ReadAnyReplica the opens spread over the replica set: hedged
+// across each primary's copies under WithHedge, else retargeted per key
+// to a hash-chosen copy.
 func (ix *Index) NewTopKSession(k, chunk, workers int, policy ReadPolicy, opts ...ReadOption) *TopKSession {
 	if k <= 0 {
 		k = 1
 	}
-	if chunk <= 0 {
-		chunk = 2 * k
-		if chunk < 8 {
-			chunk = 8
-		}
+	if chunk < 0 {
+		chunk = 0
 	}
 	return &TopKSession{
 		ix:      ix,
@@ -307,48 +346,6 @@ func (s *TopKSession) state(key string, terms []string) *topkKeyState {
 		s.order = append(s.order, key)
 	}
 	return st
-}
-
-// fullPullReplace degrades continuation streams whose serving copy can
-// no longer continue them (dead, shedding, or it lost the key) to classic
-// full reads: one MultiGet for all of them — fresh resolution, the batch
-// engine's recovery ladder, caller's policy and hedging preserved. The
-// states end the session exhausted (done, no tail), so the threshold
-// loop stays sound; the extra probe a full read records is the same
-// soft-state cost the pre-streaming path paid.
-func (s *TopKSession) fullPullReplace(ctx context.Context, sts []*topkKeyState) error {
-	if len(sts) == 0 {
-		return nil
-	}
-	items := make([]GetItem, len(sts))
-	for i, st := range sts {
-		items[i] = GetItem{Terms: st.terms}
-	}
-	res, err := s.ix.MultiGet(ctx, items, s.workers, s.policy, WithHedge(s.ro.hedge))
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, st := range sts {
-		st.found = res[i].Found
-		st.fetched = true
-		st.wantIndex = st.wantIndex || res[i].WantIndex
-		st.done = true
-		if !st.found {
-			continue
-		}
-		// Union keeps the maximum score per ref, so the full read's exact
-		// scores supersede any quantized chunk scores fetched earlier.
-		merged := postings.Union(st.list, res[i].List)
-		st.list.Entries = merged.Entries
-		st.list.Truncated = res[i].List.Truncated
-		st.cursor, st.total = merged.Len(), merged.Len()
-		for _, p := range merged.Entries {
-			st.seen[p.Ref] = true
-		}
-	}
-	return nil
 }
 
 // cachedPrefix is a posting-prefix cache entry: one key's last known
@@ -392,16 +389,72 @@ func (cp *cachedPrefix) answerOf() topKAnswer {
 	}
 }
 
-// FetchPrefixes opens the streamed read for one batch of probed keys and
-// returns per-item results shaped exactly like MultiGet's: List is the
-// fetched prefix carrying the STORED list's truncation mark (the lattice
-// must prune exactly as it would on a full pull), Found and WantIndex
-// are the probe semantics of a classic read (the serving store records
-// the probe on the first chunk only). Keys group per serving peer into
-// MsgMultiGetTopK frames — or MsgMultiGetTopKAny under ReadAnyReplica,
-// hedged across the replica chain under WithHedge — and items whose
-// group fails or sheds are redriven by the batch engine's ladder, still
-// as streamed frames.
+// readOp is the batch op of one read round over sts: item i asks for
+// chunkOf(i) entries of sts[i]'s list — from the top (an open; lost ==
+// nil) or from the state's cursor (a continuation). An answer that finds
+// the key is absorbed into its state. One that does not ends an opened
+// key as absent; on a continuation it means the serving copy lost the
+// list (restart, eviction) and is only flagged in lost, for the caller
+// to re-open.
+func (s *TopKSession) readOp(sts []*topkKeyState, chunkOf func(i int) int, lost []bool) batchOp {
+	return batchOp{
+		msg: MsgRead,
+		encode: func(w *wire.Writer, i int) {
+			cursor := 0
+			if lost != nil {
+				s.mu.Lock()
+				cursor = sts[i].cursor
+				s.mu.Unlock()
+			}
+			w.String(sts[i].key)
+			w.Uvarint(uint64(cursor))
+			w.Uvarint(uint64(chunkOf(i)))
+		},
+		decode: func(r *wire.Reader, i int) error {
+			a, err := readTopKAnswer(r)
+			if err != nil {
+				return err
+			}
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			st := sts[i]
+			if !a.found && lost != nil {
+				lost[i] = true
+				return nil
+			}
+			st.fetched = true
+			st.wantIndex = st.wantIndex || a.wantIndex
+			if a.found {
+				st.absorb(a)
+			} else {
+				st.found, st.done = false, true
+			}
+			return nil
+		},
+	}
+}
+
+// open reads the opening chunk of every state through the batch engine:
+// fresh resolution, the caller's policy and hedging, and the engine's
+// recovery ladder for groups that fail or shed.
+func (s *TopKSession) open(ctx context.Context, sts []*topkKeyState, chunkOf func(i int) int) error {
+	keys := make([]string, len(sts))
+	for i, st := range sts {
+		keys[i] = st.key
+	}
+	op := s.readOp(sts, chunkOf, nil)
+	s.ix.planReplicaRead(&op, s.policy, s.ro.hedge)
+	return s.ix.runBatch(ctx, keys, s.workers, op)
+}
+
+// FetchPrefixes opens the read for one batch of probed keys. In a
+// streamed session List is the fetched prefix carrying the STORED list's
+// truncation mark (the lattice must prune exactly as it would on a whole
+// list; Refine extends the prefix in place); in a one-shot session it is
+// the item's capped list, marked truncated when the cap cut it. Found and
+// WantIndex are the probe semantics either way: the serving store
+// records the probe on the opening chunk only. Keys group per serving
+// peer into MsgRead frames (see runBatch for modes and recovery).
 //
 // With the hot-key path armed, two things short-circuit the fan-out:
 // a fresh item whose key has a live posting-prefix cache entry (same
@@ -409,75 +462,48 @@ func (cp *cachedPrefix) answerOf() topKAnswer {
 // the cached chunk and skips the network entirely — no probe is
 // recorded at the store, the accepted cost of serving from cache — and
 // a single-key hedged group whose key is locally hot interleaves the
-// key's soft replicas into the hedge chain (hedgeTargetsFor).
+// key's soft replicas into the hedge chain (hedgedRead).
 func (s *TopKSession) FetchPrefixes(ctx context.Context, items []GetItem) ([]GetResult, error) {
-	keys := make([]string, len(items))
-	s.mu.Lock()
-	sts := make([]*topkKeyState, len(items))
-	for i, it := range items {
-		keys[i] = ids.KeyString(it.Terms)
-		sts[i] = s.state(keys[i], it.Terms)
-	}
-	s.mu.Unlock()
-
 	// Cache consult: a hit replays the cached answer into the session
 	// state; only the misses go to the network. Items that already
 	// carry session state (a repeated key within one session) keep the
 	// pre-cache behaviour of re-fetching, so the absorb dedup — not the
 	// cache — stays the arbiter of their contents.
 	epoch := s.ix.node.RingEpoch()
-	fetchIdx := make([]int, 0, len(items))
+	sts := make([]*topkKeyState, len(items))
+	var fetch []*topkKeyState
+	var chunks []int
 	s.mu.Lock()
 	if !s.epochOK {
 		s.epoch, s.epochOK = epoch, true
 	}
-	for i := range items {
-		s.ix.observeRead(keys[i])
-		st := sts[i]
+	for i, it := range items {
+		key := ids.KeyString(it.Terms)
+		st := s.state(key, it.Terms)
+		sts[i] = st
+		s.ix.observeRead(key)
+		want := s.chunk
+		if want == 0 {
+			want = it.MaxResults
+		}
 		if !st.found && !st.done && st.list.Len() == 0 {
-			if v, ok := s.ix.pcache.Get(keys[i], epoch); ok {
+			if v, ok := s.ix.pcache.Get(key, epoch); ok {
+				// A one-shot read can only use an entry that covers its
+				// cap: nothing will fetch the rest.
 				cp := v.(*cachedPrefix)
-				st.absorb(cp.answerOf())
-				st.wantIndex = st.wantIndex || cp.wantIndex
-				continue
+				if s.chunk > 0 || cp.cursor >= cp.total || (want > 0 && cp.cursor >= want) {
+					st.absorb(cp.answerOf())
+					st.wantIndex = st.wantIndex || cp.wantIndex
+					continue
+				}
 			}
 		}
-		fetchIdx = append(fetchIdx, i)
+		fetch = append(fetch, st)
+		chunks = append(chunks, want)
 	}
 	s.mu.Unlock()
 
-	fetchKeys := make([]string, len(fetchIdx))
-	for fi, i := range fetchIdx {
-		fetchKeys[fi] = keys[i]
-	}
-
-	op := batchOp{
-		msg: MsgMultiGetTopK,
-		encode: func(w *wire.Writer, fi int) {
-			w.String(fetchKeys[fi])
-			w.Uvarint(0)               // cursor: opening chunk
-			w.Uvarint(uint64(s.chunk)) // chunk size
-		},
-		decode: func(r *wire.Reader, fi int) error {
-			a, err := readTopKAnswer(r)
-			if err != nil {
-				return err
-			}
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			st := sts[fetchIdx[fi]]
-			st.fetched = true
-			st.wantIndex = st.wantIndex || a.wantIndex
-			if a.found {
-				st.absorb(a)
-			} else {
-				st.done = true
-			}
-			return nil
-		},
-	}
-	s.ix.planReplicaRead(&op, s.policy, s.ro.hedge, s.ix.hedgeTargetsFor)
-	if err := s.ix.runBatch(ctx, fetchKeys, s.workers, op); err != nil {
+	if err := s.open(ctx, fetch, func(i int) int { return chunks[i] }); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -489,8 +515,8 @@ func (s *TopKSession) FetchPrefixes(ctx context.Context, items []GetItem) ([]Get
 		// later generation may mix data fetched under an older ring, and
 		// a conservative old stamp only costs the refill, never serves
 		// mixed-epoch data as current.
-		for _, i := range fetchIdx {
-			if st := sts[i]; st.found {
+		for _, st := range fetch {
+			if st.found {
 				s.ix.pcache.Put(st.key, s.epoch, cachedPrefixOf(st))
 			}
 		}
@@ -500,13 +526,16 @@ func (s *TopKSession) FetchPrefixes(ctx context.Context, items []GetItem) ([]Get
 		out[i] = GetResult{Found: st.found, WantIndex: st.wantIndex}
 		if st.found {
 			out[i].List = st.list
+			if s.chunk == 0 {
+				out[i].List = st.capped(items[i].MaxResults)
+			}
 		}
 	}
 	return out, nil
 }
 
 // Lists returns the per-key fetched lists of every found key — the same
-// shape rankUnion consumes after a classic exploration. The lists are
+// shape rankUnion consumes after an exploration. The lists are
 // live session state: Refine extends them in place.
 func (s *TopKSession) Lists() map[string]*postings.List {
 	s.mu.Lock()
@@ -704,105 +733,51 @@ func (s *TopKSession) couldImprove(ranked []postings.Posting, pending []*topkKey
 	return false
 }
 
-// continueRound fetches the next chunk of every pending key, grouped per
-// serving peer into MsgGetMore frames. A group that fails or sheds
-// degrades its items to classic full reads, as does a continuation whose
-// copy no longer holds the key — all of a round's degraded items in one
-// fullPullReplace.
+// continueRound fetches the next chunk of every pending key from the
+// copy that served its prefix, one readAny frame per serving peer (the
+// copy may legitimately not own the key anymore). Items a group leaves
+// unserved — its call failed, it shed them, or the copy lost the key —
+// are re-opened whole in one batch: they end the session exhausted, so
+// the threshold loop stays sound, and the extra probe the re-open
+// records is the same soft-state cost a one-shot read pays.
 func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState, chunk int) error {
-	byPeer := make(map[transport.Addr][]*topkKeyState)
-	var peers []transport.Addr
-	for _, st := range pending {
-		if _, ok := byPeer[st.peer]; !ok {
-			peers = append(peers, st.peer)
-		}
-		byPeer[st.peer] = append(byPeer[st.peer], st)
+	keys := make([]string, len(pending))
+	peers := make([]dht.Remote, len(pending))
+	s.mu.Lock()
+	for i, st := range pending {
+		keys[i], peers[i] = st.key, dht.Remote{Addr: st.peer}
 	}
-	type gr struct {
-		addr  transport.Addr
-		items []*topkKeyState
-	}
-	var groups []gr
-	for _, p := range peers {
-		items := byPeer[p]
-		for len(items) > MaxBatchItems {
-			groups = append(groups, gr{p, items[:MaxBatchItems]})
-			items = items[MaxBatchItems:]
-		}
-		groups = append(groups, gr{p, items})
-	}
-	// retry collects the items a failed or short group degrades to full
-	// reads (a continuation records no probe and reads only, so redriving
-	// is always safe); errs records failures that cannot be degraded
-	// because the caller's context died.
-	retry := make([][]*topkKeyState, len(groups))
+	s.mu.Unlock()
+	groups := chunkGroups(groupByPeer(peers), MaxBatchItems)
+	lost := make([]bool, len(pending))
+	op := s.readOp(pending, func(int) int { return chunk }, lost)
+	op.mode = readAny
+	served := make([]int, len(groups))
 	errs := make([]error, len(groups))
 	stopped := dht.RunBounded(ctx, len(groups), s.workers, func(gi int) {
-		g := groups[gi]
-		w := wire.NewWriter(32 * len(g.items))
-		w.Uvarint(uint64(len(g.items)))
-		s.mu.Lock()
-		for _, st := range g.items {
-			w.String(st.key)
-			w.Uvarint(uint64(st.cursor))
-			w.Uvarint(uint64(chunk))
-		}
-		s.mu.Unlock()
-		_, resp, err := s.ix.timedCall(ctx, g.addr, MsgGetMore, w.Bytes())
-		if err != nil {
-			if ctx.Err() != nil {
-				errs[gi] = err
-				return
-			}
-			// The serving copy is gone or overloaded: stop routing there
-			// and degrade the whole group to fresh full reads.
-			s.ix.resolver.Invalidate(g.addr)
-			retry[gi] = g.items
-			return
-		}
-		r := wire.NewReader(resp)
-		count := int(r.Uvarint())
-		if r.Err() != nil || count > len(g.items) {
-			retry[gi] = g.items
-			return
-		}
-		for idx, st := range g.items[:count] {
-			a, derr := readTopKAnswer(r)
-			if derr != nil {
-				// Garbled from here on: degrade the undecoded remainder.
-				retry[gi] = append(retry[gi], g.items[idx:count]...)
-				break
-			}
-			if !a.found {
-				// The copy lost the key (restart, eviction): degrade to a
-				// fresh full read.
-				retry[gi] = append(retry[gi], st)
-				continue
-			}
-			s.mu.Lock()
-			st.fetched = true
-			st.absorb(a)
-			s.mu.Unlock()
-		}
-		if count < len(g.items) {
-			// Item-granular shed: the suffix provably was not served;
-			// degrade it too.
-			retry[gi] = append(retry[gi], g.items[count:]...)
-		}
+		served[gi], errs[gi] = s.ix.sendGroup(ctx, groups[gi].addr, keys, groups[gi].items, op)
 	})
 	if stopped != nil {
 		return stopped
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var reopen []*topkKeyState
+	for gi, g := range groups {
+		if errs[gi] != nil {
+			if ctx.Err() != nil {
+				return errs[gi]
+			}
+			// The serving copy is gone, overloaded or garbling: stop
+			// routing there and re-open the whole group (a read is always
+			// safe to redrive; absorb drops what was already decoded).
+			s.ix.resolver.Invalidate(g.addr)
+		}
+		for j, i := range g.items {
+			if j >= served[gi] || lost[i] {
+				reopen = append(reopen, pending[i])
+			}
 		}
 	}
-	var degraded []*topkKeyState
-	for _, items := range retry {
-		degraded = append(degraded, items...)
-	}
-	return s.fullPullReplace(ctx, degraded)
+	return s.open(ctx, reopen, func(int) int { return 0 })
 }
 
 // finish prices the stored tails the session never shipped into the

@@ -2,6 +2,7 @@ package globalindex
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -127,7 +128,7 @@ func TestTopKSessionMatchesFullPullAndSavesBytes(t *testing.T) {
 	const k, listLen = 10, 400
 	items := publishLongLists(t, ix, 5, listLen, 42)
 
-	// Ground truth: classic full pulls.
+	// Ground truth: one-shot whole-list reads.
 	full := map[string]*postings.List{}
 	for _, it := range items {
 		l, found, _, err := getOne(context.Background(), ix, it.Terms, 0, ReadPrimary)
@@ -138,7 +139,7 @@ func TestTopKSessionMatchesFullPullAndSavesBytes(t *testing.T) {
 	}
 	wantTop := topRefs(rankSumRefs(full), k)
 
-	sess := ix.NewTopKSession(k, 0, 4, ReadPrimary)
+	sess := ix.NewTopKSession(k, DefaultChunk(k), 4, ReadPrimary)
 	res, err := sess.FetchPrefixes(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestTopKSessionExhaustsShortLists(t *testing.T) {
 	_, idxs, _ := ring(t, 8)
 	ix := idxs[2]
 	items := publishLongLists(t, ix, 3, 4, 7)
-	sess := ix.NewTopKSession(10, 0, 4, ReadPrimary)
+	sess := ix.NewTopKSession(10, DefaultChunk(10), 4, ReadPrimary)
 	if _, err := sess.FetchPrefixes(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +239,8 @@ func TestTopKSessionRandomizedEquivalence(t *testing.T) {
 
 func TestTopKContinuationSurvivesLostKey(t *testing.T) {
 	// A serving copy that loses a key mid-stream (restart, eviction)
-	// degrades that item to a fresh full read instead of failing or
-	// silently under-reporting.
+	// degrades that item to a fresh whole-list open instead of failing
+	// or silently under-reporting.
 	nodes, idxs, _ := ring(t, 8)
 	ix := idxs[1]
 	items := publishLongLists(t, ix, 2, 300, 5)
@@ -276,9 +277,10 @@ func TestTopKContinuationSurvivesLostKey(t *testing.T) {
 }
 
 // TestTopKContinuationDegradesLostKeysInOneFrame: when the copy serving
-// a continuation round has lost K of its keys, the K items degrade to
-// full reads through ONE MsgMultiGet frame at that peer — not K reads —
-// while the keys it still holds keep streaming.
+// a continuation round (cursor > 0, readAny) has lost K of its keys, the
+// K items degrade to whole-list opens (cursor 0, chunk 0, routed afresh:
+// readOwner under this policy) through ONE frame at that peer — not K
+// reads — while the keys it still holds keep streaming.
 func TestTopKContinuationDegradesLostKeysInOneFrame(t *testing.T) {
 	nodes, idxs, net := ring(t, 8)
 	server := nodes[3]
@@ -306,17 +308,16 @@ func TestTopKContinuationDegradesLostKeysInOneFrame(t *testing.T) {
 			t.Fatalf("key %v not at its owner", ts)
 		}
 	}
-	before := net.Meter().Snapshot()
-	atServer := net.Load(server.Self().Addr).Snapshot().PerType[MsgMultiGet].Messages
+	opens := func() int64 { return readFrames(net, readOwner, addrsOf(nodes)...) }
+	ringWide, atServer := opens(), readFrames(net, readOwner, server.Self().Addr)
 	if err := sess.Refine(context.Background(), rankSumRefs); err != nil {
 		t.Fatal(err)
 	}
-	if n := net.Load(server.Self().Addr).Snapshot().PerType[MsgMultiGet].Messages - atServer; n != 1 {
-		t.Errorf("%d lost keys degraded through %d MsgMultiGet frames at their peer, want 1", lost, n)
+	if n := readFrames(net, readOwner, server.Self().Addr) - atServer; n != 1 {
+		t.Errorf("%d lost keys degraded through %d re-open frames at their peer, want 1", lost, n)
 	}
-	// Request and reply are each booked under the frame type.
-	if n := net.Meter().Snapshot().Sub(before).PerType[MsgMultiGet].Messages; n != 2 {
-		t.Errorf("degrade cost %d MsgMultiGet messages ring-wide, want 2 (one frame, one reply)", n)
+	if n := opens() - ringWide; n != 1 {
+		t.Errorf("degrade cost %d re-open frames ring-wide, want 1", n)
 	}
 	lists := sess.Lists()
 	for _, ts := range terms[:lost] {
@@ -469,12 +470,12 @@ func TestTopKRefineCoverReshuffle(t *testing.T) {
 	}
 }
 
-// TestHandleTopKHostileCursorChunk feeds the streamed-read handler
+// TestHandleReadHostileCursorChunk feeds the read handler
 // cursor/chunk values near MaxUint64. The handler must clamp them (as
 // the postings codec clamps its counts) instead of letting offset+limit
 // wrap negative and panic on the stored-list slice — a crafted frame
 // must never crash the serving peer.
-func TestHandleTopKHostileCursorChunk(t *testing.T) {
+func TestHandleReadHostileCursorChunk(t *testing.T) {
 	_, idxs, _ := ring(t, 4)
 	ix := idxs[0]
 	l := &postings.List{}
@@ -491,14 +492,9 @@ func TestHandleTopKHostileCursorChunk(t *testing.T) {
 		{uint64(HardCap) + 1, 3},
 	}
 	for _, c := range cases {
-		w := wire.NewWriter(64)
-		w.Uvarint(1)
-		w.String("k")
-		w.Uvarint(c[0])
-		w.Uvarint(c[1])
-		// MsgGetMore skips the responsibility check, so the handler runs
+		// readAny skips the responsibility check, so the handler runs
 		// regardless of which ring slice owns "k".
-		_, resp, err := ix.handleTopK(context.Background(), "attacker", MsgGetMore, w.Bytes())
+		_, resp, err := ix.handleRead(context.Background(), "attacker", MsgRead, readRequest(readAny, readItem{"k", c[0], c[1]}))
 		if err != nil {
 			t.Fatalf("cursor=%d chunk=%d: %v", c[0], c[1], err)
 		}
@@ -536,22 +532,32 @@ func TestGetPrefixOverflowArgs(t *testing.T) {
 	}
 }
 
-// TestReadTopKAnswerRejectsHugeTotal: the coordinator-side decoder
+// TestReadTopKAnswerRejectsHostileHorizon: the coordinator-side decoder
 // refuses answers whose claimed stored length exceeds the store hard
 // cap — no honest peer stores more, and the value feeds cursor echo and
-// byte accounting.
-func TestReadTopKAnswerRejectsHugeTotal(t *testing.T) {
-	w := wire.NewWriter(64)
-	w.Bool(true)  // found
-	w.Bool(false) // wantIndex
-	w.String("peer")
-	w.Bool(false)                  // truncated
-	w.Uvarint(uint64(HardCap) + 1) // total
-	w.Uvarint(0)                   // cursor
-	w.Float64(1)                   // bound
-	(&postings.List{}).EncodeCompressed(w)
-	if _, err := readTopKAnswer(wire.NewReader(w.Bytes())); err == nil {
-		t.Fatal("total beyond HardCap must be rejected")
+// byte accounting — including totals and cursors in [2^63, 2^64), which
+// wrap negative through int() and would pass a signed comparison as a
+// pair (−1/−2).
+func TestReadTopKAnswerRejectsHostileHorizon(t *testing.T) {
+	for _, c := range []struct{ total, cursor uint64 }{
+		{uint64(HardCap) + 1, 0},
+		{math.MaxUint64, math.MaxUint64 - 1}, // −1 / −2 as ints
+		{1 << 63, 1 << 63},
+		{10, 1 << 63}, // negative cursor under a sane total
+		{5, 6},
+	} {
+		w := wire.NewWriter(64)
+		w.Bool(true)  // found
+		w.Bool(false) // wantIndex
+		w.String("peer")
+		w.Bool(false) // truncated
+		w.Uvarint(c.total)
+		w.Uvarint(c.cursor)
+		w.Float64(1) // bound
+		(&postings.List{}).EncodeCompressed(w)
+		if _, err := readTopKAnswer(wire.NewReader(w.Bytes())); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("total=%d cursor=%d: got %v, want ErrCorrupt", c.total, c.cursor, err)
+		}
 	}
 }
 
@@ -562,25 +568,29 @@ func TestTopKAnswerRoundTrip(t *testing.T) {
 	}
 	l.Normalize()
 	res := PrefixResult{Entries: l.Entries[:5], Total: 12, Truncated: true, Found: true}
-	w := wire.NewWriter(256)
-	writeTopKAnswer(w, "peer-x:1", 0, res)
-	a, err := readTopKAnswer(wire.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.found || a.served != "peer-x:1" || !a.truncated || a.total != 12 || a.cursor != 5 {
-		t.Fatalf("answer: %+v", a)
-	}
-	if a.bound != l.Entries[4].Score {
-		t.Fatalf("bound %v, want last served score %v", a.bound, l.Entries[4].Score)
-	}
-	if len(a.entries) != 5 {
-		t.Fatalf("entries: %d", len(a.entries))
+	// The decoder takes either chunk encoding; only the exact one (what a
+	// chunk-0 request gets) is guaranteed to round-trip scores bit for bit.
+	for _, exact := range []bool{false, true} {
+		w := wire.NewWriter(256)
+		writeTopKAnswer(w, "peer-x:1", 0, exact, res)
+		a, err := readTopKAnswer(wire.NewReader(w.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.found || a.served != "peer-x:1" || !a.truncated || a.total != 12 || a.cursor != 5 {
+			t.Fatalf("exact=%v answer: %+v", exact, a)
+		}
+		if a.bound != l.Entries[4].Score {
+			t.Fatalf("exact=%v bound %v, want last served score %v", exact, a.bound, l.Entries[4].Score)
+		}
+		if len(a.entries) != 5 || (exact && a.entries[4] != l.Entries[4]) {
+			t.Fatalf("exact=%v entries: %v", exact, a.entries)
+		}
 	}
 	// Exhausted answers omit the bound.
-	w = wire.NewWriter(256)
-	writeTopKAnswer(w, "peer-x:1", 7, PrefixResult{Entries: l.Entries[7:], Total: 12, Found: true})
-	a, err = readTopKAnswer(wire.NewReader(w.Bytes()))
+	w := wire.NewWriter(256)
+	writeTopKAnswer(w, "peer-x:1", 7, false, PrefixResult{Entries: l.Entries[7:], Total: 12, Found: true})
+	a, err := readTopKAnswer(wire.NewReader(w.Bytes()))
 	if err != nil || !a.found || a.cursor != 12 || a.bound != 0 {
 		t.Fatalf("exhausted answer: %+v err=%v", a, err)
 	}

@@ -1,6 +1,6 @@
 // Package readcache is the client-side read cache for the hot-key path:
-// bounded LRU caches of posting-prefix chunks (consulted by the streamed
-// top-k coordinator before it issues MsgMultiGetTopK) and of fully
+// bounded LRU caches of posting-prefix chunks (consulted by every read
+// session before it opens a key with MsgRead) and of fully
 // resolved top-k results (consulted by the query layer before it
 // explores the lattice at all). Under zipfian query skew a small cache
 // absorbs most repeat reads locally, which is the only lever that takes
