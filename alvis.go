@@ -40,10 +40,10 @@
 //
 // Publication and search fan out concurrently by default: key operations
 // are resolved in bulk and coalesced into one batched RPC per
-// responsible peer (see DESIGN.md, "The batching / fan-out layer").
-// Config.Concurrency tunes the fan-out width; setting it to 1 sends the
-// same batch frames one at a time. Every width produces identical
-// results, traces and global index state.
+// responsible peer, at most eight frames in flight per operation (see
+// DESIGN.md, "The batching / fan-out layer"). Two runs over the same
+// ring and documents produce identical results, traces and global index
+// state.
 //
 // Config.ReplicationFactor makes the global index churn-tolerant: every
 // entry is kept at its responsible peer plus R−1 ring successors
@@ -79,7 +79,6 @@ import (
 	"repro/internal/docs"
 	"repro/internal/hdk"
 	"repro/internal/ids"
-	"repro/internal/lattice"
 	"repro/internal/qdi"
 	"repro/internal/telemetry"
 	"repro/internal/textproc"
@@ -116,8 +115,6 @@ type (
 	HDKConfig = hdk.Config
 	// QDIConfig are the Query-Driven-Indexing parameters.
 	QDIConfig = qdi.Config
-	// LatticeConfig controls retrieval-side lattice exploration.
-	LatticeConfig = lattice.Config
 	// Addr is a peer's transport address.
 	Addr = transport.Addr
 )

@@ -1,28 +1,84 @@
 package alvisp2p_test
 
 // Determinism regressions for the concurrent publish/search pipeline:
-// with identical inputs, a network fanning its batch frames out eight
-// wide (Config.Concurrency 8) must be indistinguishable — global index
-// state, ranked results, traces — from one sending the same frames one
-// at a time (Concurrency 1).
+// with identical inputs, a network fanning its batch frames out
+// concurrently must be indistinguishable — global index state, ranked
+// results, traces — from one whose peers send the same frames one at a
+// time, and from a second independent concurrent run.
 
 import (
 	"context"
-
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	alvisp2p "repro"
+	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/ids"
+	"repro/internal/transport"
 )
 
-// publishCorpusNetwork builds a fresh ring of nPeers, spreads a
-// deterministic synthetic collection over them round-robin, and
-// publishes every peer's index.
-func publishCorpusNetwork(t *testing.T, nPeers int, cfg alvisp2p.Config) []*alvisp2p.Peer {
+// serialEndpoint lets its peer have at most one call in flight: each
+// Call waits until the previous one has returned.
+type serialEndpoint struct {
+	transport.Endpoint
+	mu sync.Mutex
+}
+
+func (e *serialEndpoint) Call(ctx context.Context, to transport.Addr, msgType uint8, body []byte) (uint8, []byte, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.Endpoint.Call(ctx, to, msgType, body)
+}
+
+// buildSerialNetwork is buildNetwork over endpoints that send one frame
+// at a time. Peers get the same generated addresses, hence the same
+// ring positions, as buildNetwork's.
+func buildSerialNetwork(t *testing.T, count int, cfg alvisp2p.Config) []*core.Peer {
 	t.Helper()
-	peers := buildNetwork(t, nPeers, cfg)
+	mem := transport.NewMem()
+	peers := make([]*core.Peer, count)
+	for i := range peers {
+		d := transport.NewDispatcher()
+		ep := &serialEndpoint{Endpoint: mem.Endpoint("", d.Serve)}
+		p, err := core.OpenPeer(ids.HashString(string(ep.Addr())), ep, d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[i] = p
+		if i > 0 {
+			if err := p.Join(context.Background(), peers[0].Addr()); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range peers[:i+1] {
+				q.Maintain(context.Background())
+			}
+		}
+	}
+	for round := 0; round < 8; round++ {
+		for _, p := range peers {
+			p.Maintain(context.Background())
+		}
+	}
+	return peers
+}
+
+// publishCorpusNetwork builds a fresh ring of nPeers (with serial set,
+// one whose peers send one frame at a time), spreads a deterministic
+// synthetic collection over them round-robin, and publishes every
+// peer's index.
+func publishCorpusNetwork(t *testing.T, nPeers int, cfg alvisp2p.Config, serial bool) []*core.Peer {
+	t.Helper()
+	var peers []*core.Peer
+	if serial {
+		peers = buildSerialNetwork(t, nPeers, cfg)
+	} else {
+		for _, p := range buildNetwork(t, nPeers, cfg) {
+			peers = append(peers, p.Core())
+		}
+	}
 	coll := corpus.Generate(corpus.Params{NumDocs: 60, VocabSize: 300, MeanDocLen: 30, Seed: 42})
 	for i, d := range coll.Docs {
 		if _, err := peers[i%nPeers].AddFile(d.Name+".txt", []byte(d.Title+"\n"+d.Body)); err != nil {
@@ -30,7 +86,7 @@ func publishCorpusNetwork(t *testing.T, nPeers int, cfg alvisp2p.Config) []*alvi
 		}
 	}
 	for _, p := range peers {
-		if err := p.PublishIndex(context.Background()); err != nil {
+		if _, err := p.PublishIndex(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,10 +95,10 @@ func publishCorpusNetwork(t *testing.T, nPeers int, cfg alvisp2p.Config) []*alvi
 
 // globalIndexFingerprint renders the whole network's global index state
 // (per peer: stored keys, lengths, truncation marks) as one string.
-func globalIndexFingerprint(peers []*alvisp2p.Peer) string {
+func globalIndexFingerprint(peers []*core.Peer) string {
 	out := ""
 	for _, p := range peers {
-		store := p.Core().GlobalIndex().Store()
+		store := p.GlobalIndex().Store()
 		for _, k := range store.Keys() {
 			l, _ := store.Peek(k)
 			df, _ := store.ApproxDF(k)
@@ -52,12 +108,7 @@ func globalIndexFingerprint(peers []*alvisp2p.Peer) string {
 	return out
 }
 
-func determinismConfig(concurrency int) alvisp2p.Config {
-	return alvisp2p.Config{
-		HDK:         alvisp2p.HDKConfig{DFMax: 8, SMax: 3, Window: 12, TruncK: 15},
-		Concurrency: concurrency,
-	}
-}
+var determinismConfig = alvisp2p.Config{HDK: alvisp2p.HDKConfig{DFMax: 8, SMax: 3, Window: 12, TruncK: 15}}
 
 // TestRepublishAfterJoinReachesNewResponsiblePeer pins a staleness bug
 // found driving the TCP binary: a peer that published as a single-node
@@ -117,20 +168,23 @@ func TestRepublishAfterJoinReachesNewResponsiblePeer(t *testing.T) {
 }
 
 func TestParallelPublishIndexStateMatchesSequential(t *testing.T) {
-	seq := publishCorpusNetwork(t, 6, determinismConfig(1))
-	par := publishCorpusNetwork(t, 6, determinismConfig(8))
-	seqFP, parFP := globalIndexFingerprint(seq), globalIndexFingerprint(par)
-	if seqFP != parFP {
-		t.Fatalf("global index state diverged:\n--- sequential ---\n%s--- parallel ---\n%s", seqFP, parFP)
-	}
+	seq := publishCorpusNetwork(t, 6, determinismConfig, true)
+	seqFP := globalIndexFingerprint(seq)
 	if seqFP == "" {
 		t.Fatal("fixture published nothing")
+	}
+	for run := 1; run <= 2; run++ {
+		par := publishCorpusNetwork(t, 6, determinismConfig, false)
+		if parFP := globalIndexFingerprint(par); seqFP != parFP {
+			t.Fatalf("run %d: global index state diverged:\n--- sequential ---\n%s--- parallel ---\n%s", run, seqFP, parFP)
+		}
 	}
 }
 
 func TestParallelSearchMatchesSequential(t *testing.T) {
-	seq := publishCorpusNetwork(t, 6, determinismConfig(1))
-	par := publishCorpusNetwork(t, 6, determinismConfig(8))
+	seq := publishCorpusNetwork(t, 6, determinismConfig, true)
+	parA := publishCorpusNetwork(t, 6, determinismConfig, false)
+	parB := publishCorpusNetwork(t, 6, determinismConfig, false)
 
 	queries := []string{
 		"term0001 term0002",
@@ -146,23 +200,25 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parResp, err := par[pi].Search(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqRes, seqTrace := seqResp.Results, seqResp.Trace
-			parRes, parTrace := parResp.Results, parResp.Trace
-			if !reflect.DeepEqual(seqRes, parRes) {
-				t.Fatalf("query %d from peer %d: results diverged:\nseq: %+v\npar: %+v", qi, pi, seqRes, parRes)
-			}
 			// Span trees carry wall-clock timings, so the determinism
 			// contract covers the counters only.
-			seqCounters, parCounters := *seqTrace, *parTrace
-			seqCounters.Spans, parCounters.Spans = nil, nil
-			if !reflect.DeepEqual(seqCounters, parCounters) {
-				t.Fatalf("query %d from peer %d: traces diverged:\nseq: %+v\npar: %+v", qi, pi, seqCounters, parCounters)
+			seqCounters := *seqResp.Trace
+			seqCounters.Spans = nil
+			for run, par := range [][]*core.Peer{parA, parB} {
+				parResp, err := par[pi].Search(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(seqResp.Results, parResp.Results) {
+					t.Fatalf("query %d from peer %d, run %d: results diverged:\nseq: %+v\npar: %+v", qi, pi, run+1, seqResp.Results, parResp.Results)
+				}
+				parCounters := *parResp.Trace
+				parCounters.Spans = nil
+				if !reflect.DeepEqual(seqCounters, parCounters) {
+					t.Fatalf("query %d from peer %d, run %d: traces diverged:\nseq: %+v\npar: %+v", qi, pi, run+1, seqCounters, parCounters)
+				}
 			}
-			if len(seqRes) > 0 {
+			if len(seqResp.Results) > 0 {
 				sawResults = true
 			}
 		}

@@ -57,8 +57,6 @@ func main() {
 	topK := flag.Int("topk", 0, "per-query result budget (0 = peer default)")
 	admission := flag.Int("admission-watermark", 0,
 		"in-flight handler count above which doomed requests are shed (0 = admission control off)")
-	admissionFloor := flag.Duration("admission-min-service", 2*time.Millisecond,
-		"service-time floor for the admission check before the per-type estimates warm up")
 	dataDir := flag.String("data-dir", "",
 		"directory for durable global-index storage (WAL + snapshots); empty = in-memory only")
 	antiEntropy := flag.Duration("anti-entropy", 0,
@@ -86,7 +84,6 @@ func main() {
 	cfg := alvisp2p.Config{
 		ReplicationFactor:   *replication,
 		AdmissionWatermark:  *admission,
-		AdmissionMinService: *admissionFloor,
 		DataDir:             *dataDir,
 		AntiEntropyInterval: *antiEntropy,
 		ResultCache:         *resultCache,

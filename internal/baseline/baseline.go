@@ -81,7 +81,7 @@ func (s *Service) PublishLocal(ctx context.Context, local *localindex.Index, sta
 			continue
 		}
 		item := globalindex.AppendItem{Terms: []string{term}, List: list, Bound: globalindex.HardCap, AnnouncedDF: list.Len()}
-		if _, err := s.gidx.MultiAppend(ctx, []globalindex.AppendItem{item}, 1); err != nil {
+		if _, err := s.gidx.MultiAppend(ctx, []globalindex.AppendItem{item}); err != nil {
 			return keys, shipped, fmt.Errorf("baseline: publish %q: %w", term, err)
 		}
 		keys++
@@ -117,7 +117,7 @@ func (s *Service) Query(ctx context.Context, terms []string) (*postings.List, Qu
 	}
 	tds := make([]termDF, 0, len(terms))
 	for _, t := range terms {
-		info, err := s.gidx.MultiKeyInfo(ctx, []globalindex.KeyInfoItem{{Terms: []string{t}}}, 1)
+		info, err := s.gidx.MultiKeyInfo(ctx, []globalindex.KeyInfoItem{{Terms: []string{t}}})
 		if err != nil {
 			return nil, cost, err
 		}
@@ -134,7 +134,7 @@ func (s *Service) Query(ctx context.Context, terms []string) (*postings.List, Qu
 	})
 
 	// Fetch the complete list of the rarest term.
-	got, err := s.gidx.MultiGet(ctx, []globalindex.GetItem{{Terms: []string{tds[0].term}}}, 1, globalindex.ReadPrimary)
+	got, err := s.gidx.MultiGet(ctx, []globalindex.GetItem{{Terms: []string{tds[0].term}}}, globalindex.ReadPrimary)
 	if err != nil {
 		return nil, cost, err
 	}

@@ -226,6 +226,6 @@ func TestCentralizedSearch(t *testing.T) {
 
 // getOne reads one key as a batch of one.
 func getOne(ix *globalindex.Index, terms []string) (globalindex.GetResult, error) {
-	res, err := ix.MultiGet(context.Background(), []globalindex.GetItem{{Terms: terms}}, 1, globalindex.ReadPrimary)
+	res, err := ix.MultiGet(context.Background(), []globalindex.GetItem{{Terms: terms}}, globalindex.ReadPrimary)
 	return res[0], err
 }

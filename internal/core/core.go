@@ -73,29 +73,12 @@ type Config struct {
 	HDK hdk.Config
 	// QDI parameters (defaults per qdi.Config).
 	QDI qdi.Config
-	// Lattice controls retrieval-side exploration. Its PruneTruncated
-	// field is not read from here: the paper's load-balancing
-	// approximation (pruning under truncated hits) is on by default and
-	// PruneTruncatedOff is its one switch — fillDefaults overwrites
-	// Lattice.PruneTruncated from it.
-	Lattice lattice.Config
-	// PruneTruncatedOff disables the truncated-hit pruning approximation.
+	// PruneTruncatedOff disables the paper's load-balancing
+	// approximation, on by default: pruning the sublattice under a
+	// truncated hit.
 	PruneTruncatedOff bool
 	// TopK is the number of results returned to the user (default 20).
 	TopK int
-	// DHT options (defaults per dht.Options).
-	DHT dht.Options
-	// Analyzer overrides the text pipeline (default textproc.Default).
-	Analyzer *textproc.Analyzer
-	// Concurrency is the network fan-out width for publication and
-	// search: how many batch frames the peer keeps in flight while
-	// publishing its index (HDK appends and frequency probes, coalesced
-	// per responsible peer) and while exploring the query lattice (one
-	// batch per generation). 0 selects DefaultConcurrency; 1 sends the
-	// same frames one at a time. Every width produces identical results,
-	// ranked order, traces and global index state — the determinism
-	// tests pin that equivalence.
-	Concurrency int
 	// ReplicationFactor is the number of copies of every global-index
 	// entry: the responsible peer plus R−1 of its ring successors
 	// (write-through on every publish, replica fallover on reads, and
@@ -113,11 +96,6 @@ type Config struct {
 	// Expired budgets are shed regardless of load. 0 (the default)
 	// disables admission control, preserving run-everything behaviour.
 	AdmissionWatermark int
-	// AdmissionMinService floors the learned service-time estimates the
-	// admission check compares budgets against, covering the cold-start
-	// window before the per-type EWMAs have observations. 0 keeps the
-	// pure EWMA.
-	AdmissionMinService time.Duration
 	// DataDir, when set, stores this peer's slice of the global index
 	// durably under the given directory (write-ahead log + snapshots,
 	// see internal/storage): a restarted peer recovers its slice from
@@ -182,9 +160,10 @@ type Config struct {
 	SoftReplicaInterval time.Duration
 }
 
-// DefaultConcurrency is the fan-out width used when Config.Concurrency
-// is left zero.
-const DefaultConcurrency = 8
+// admissionMinService floors the learned service-time estimates the
+// admission check compares budgets against, covering the cold-start
+// window before the per-type EWMAs have observations.
+const admissionMinService = 2 * time.Millisecond
 
 func (c *Config) fillDefaults() {
 	c.HDK.FillDefaults()
@@ -192,21 +171,8 @@ func (c *Config) fillDefaults() {
 	if c.TopK == 0 {
 		c.TopK = 20
 	}
-	if c.Analyzer == nil {
-		c.Analyzer = textproc.Default
-	}
-	c.Lattice.PruneTruncated = !c.PruneTruncatedOff
-	if c.Concurrency == 0 {
-		c.Concurrency = DefaultConcurrency
-	}
-	if c.Concurrency < 1 {
-		c.Concurrency = 1
-	}
 	if c.ReplicationFactor < 1 {
 		c.ReplicationFactor = 1
-	}
-	if c.HDK.Concurrency == 0 {
-		c.HDK.Concurrency = c.Concurrency
 	}
 	if (c.ResultCache > 0 || c.PrefixCache > 0) && c.CacheTTL <= 0 {
 		c.CacheTTL = 2 * time.Second
@@ -310,9 +276,9 @@ func OpenPeer(id ids.ID, ep transport.Endpoint, d *transport.Dispatcher, cfg Con
 		engine = e
 	}
 	if cfg.AdmissionWatermark > 0 {
-		d.SetAdmissionControl(cfg.AdmissionWatermark, cfg.AdmissionMinService)
+		d.SetAdmissionControl(cfg.AdmissionWatermark, admissionMinService)
 	}
-	node := dht.NewNode(id, ep, d, cfg.DHT)
+	node := dht.NewNode(id, ep, d, dht.Options{})
 	gidx := globalindex.NewWithEngine(node, d, engine)
 	//alvislint:ctxroot peer lifetime root, cancelled by Close
 	root, shutdown := context.WithCancel(context.Background())
@@ -325,7 +291,7 @@ func OpenPeer(id ids.ID, ep transport.Endpoint, d *transport.Dispatcher, cfg Con
 		shutdown:  shutdown,
 		strat:     cfg.Strategy,
 		docs:      docs.NewStore(),
-		local:     localindex.New(cfg.Analyzer),
+		local:     localindex.New(textproc.Default),
 		gidx:      gidx,
 		gstats:    ranking.NewGlobalStats(node, d),
 		qdiMgr:    qdi.New(cfg.QDI, gidx, d),
@@ -707,7 +673,7 @@ func (p *Peer) doSearch(ctx context.Context, query string, opts ...SearchOption)
 		return nil, err
 	}
 
-	terms := p.cfg.Analyzer.UniqueTerms(query)
+	terms := textproc.Default.UniqueTerms(query)
 	qt := &QueryTrace{Terms: terms}
 	resp := &SearchResponse{}
 	if o.trace {
@@ -728,7 +694,7 @@ func (p *Peer) doSearch(ctx context.Context, query string, opts ...SearchOption)
 		streaming = o.streaming
 	}
 	topK := p.cfg.TopK
-	latCfg := p.cfg.Lattice
+	latCfg := lattice.Config{PruneTruncated: !p.cfg.PruneTruncatedOff}
 	if o.topK > 0 {
 		// The per-query budget replaces both the result bound and the
 		// per-probe transfer cap: no peer ships more postings than the
@@ -737,7 +703,7 @@ func (p *Peer) doSearch(ctx context.Context, query string, opts ...SearchOption)
 		// see the STORED truncation marks so pruning matches a whole-list
 		// read.
 		topK = o.topK
-		if !streaming && (latCfg.MaxResultsPerProbe == 0 || o.topK < latCfg.MaxResultsPerProbe) {
+		if !streaming {
 			latCfg.MaxResultsPerProbe = o.topK
 		}
 	}
@@ -769,7 +735,7 @@ func (p *Peer) doSearch(ctx context.Context, query string, opts ...SearchOption)
 		chunk = globalindex.DefaultChunk(topK)
 	}
 	fetch := &searchFetcher{
-		sess: p.gidx.NewTopKSession(topK, chunk, p.cfg.Concurrency,
+		sess: p.gidx.NewTopKSession(topK, chunk,
 			o.consistency.policy(), globalindex.WithHedge(o.hedge)),
 		wantIndex: make(map[string]bool),
 		perKey:    make(map[string]*postings.List),
@@ -907,7 +873,7 @@ func (p *Peer) presentLocal(ranked []scoredRef) []Result {
 }
 
 // searchFetcher adapts one query's read session to the lattice's
-// BatchFetcher interface while gathering the per-key lists and QDI
+// Fetcher interface while gathering the per-key lists and QDI
 // activation requests the query accumulates. In a streamed session the
 // recorded lists are live session state that Refine extends in place.
 type searchFetcher struct {
@@ -916,17 +882,7 @@ type searchFetcher struct {
 	perKey    map[string]*postings.List
 }
 
-// Get implements lattice.Fetcher as a batch of one; Explore itself only
-// ever calls GetBatch.
-func (sf *searchFetcher) Get(ctx context.Context, ts []string, max int) (*postings.List, bool, error) {
-	res, err := sf.GetBatch(ctx, [][]string{ts}, max)
-	if err != nil {
-		return nil, false, err
-	}
-	return res[0].List, res[0].Found, nil
-}
-
-// GetBatch implements lattice.BatchFetcher: one generation of lattice
+// GetBatch implements lattice.Fetcher: one generation of lattice
 // probes becomes one batch of key opens, coalesced per serving peer.
 func (sf *searchFetcher) GetBatch(ctx context.Context, combos [][]string, max int) ([]lattice.BatchResult, error) {
 	items := make([]globalindex.GetItem, len(combos))

@@ -4,25 +4,27 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ids"
 	"repro/internal/transport"
 )
 
-// DefaultWorkers is the fan-out width used by batch resolution when the
-// caller passes 0.
-const DefaultWorkers = 8
+// FanOut is the network fan-out width of every batch layer: how many
+// lookups, batch frames or continuation frames one operation keeps in
+// flight (RunBounded), and how many cache misses one Resolver round
+// resolves. Like Kademlia's α it is a protocol constant, not a setting.
+const FanOut = 8
 
 // LookupBatch resolves the node responsible for each key, running at most
-// workers lookups concurrently (workers <= 1 means sequential, 0 means
-// DefaultWorkers). Results are returned in input order. If any lookup
-// fails the first error (by input position) is returned; the returned
-// slice still holds every resolution that succeeded. A cancelled context
-// stops the fan-out from dispatching further lookups.
-func (n *Node) LookupBatch(ctx context.Context, keys []ids.ID, workers int) ([]Remote, error) {
+// FanOut lookups concurrently. Results are returned in input order. If
+// any lookup fails the first error (by input position) is returned; the
+// returned slice still holds every resolution that succeeded. A cancelled
+// context stops the fan-out from dispatching further lookups.
+func (n *Node) LookupBatch(ctx context.Context, keys []ids.ID) ([]Remote, error) {
 	out := make([]Remote, len(keys))
 	errs := make([]error, len(keys))
-	stopped := RunBounded(ctx, len(keys), workers, func(i int) {
+	stopped := RunBounded(ctx, len(keys), func(i int) {
 		out[i], _, errs[i] = n.Lookup(ctx, keys[i])
 	})
 	for _, err := range errs {
@@ -36,34 +38,26 @@ func (n *Node) LookupBatch(ctx context.Context, keys []ids.ID, workers int) ([]R
 	return out, nil
 }
 
-// RunBounded invokes fn(0..count-1) with at most workers concurrent
-// invocations (0 = DefaultWorkers). With workers <= 1 it degenerates to
-// a plain loop on the caller's goroutine. It is the bounded-fan-out
-// primitive shared by the batch layers (this package's resolvers, the
-// global index's batch client). A context that dies mid-run stops workers
-// from picking up further indices — already dispatched fn calls finish —
-// and the context's error is returned so callers know the fan-out is
-// incomplete; nil means every index ran.
-func RunBounded(ctx context.Context, count, workers int, fn func(i int)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers == 0 {
-		workers = DefaultWorkers
-	}
-	if workers <= 1 || count <= 1 {
-		for i := 0; i < count; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
+// RunBounded invokes fn(0..count-1) with at most FanOut concurrent
+// invocations; a single index runs inline on the caller's goroutine. It
+// is the bounded-fan-out primitive shared by the batch layers (this
+// package's resolvers, the global index's batch client). A context that
+// dies mid-run stops workers from picking up further indices — already
+// dispatched fn calls finish. The context's error is returned exactly
+// when some index was skipped, so callers know the fan-out is
+// incomplete; nil means every index ran, even if the context died after
+// the last one.
+func RunBounded(ctx context.Context, count int, fn func(i int)) error {
+	if count == 1 {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		fn(0)
 		return nil
 	}
-	if workers > count {
-		workers = count
-	}
+	workers := min(FanOut, count)
 	var wg sync.WaitGroup
+	var skipped atomic.Bool
 	idx := make(chan int, count)
 	for i := 0; i < count; i++ {
 		idx <- i
@@ -75,6 +69,7 @@ func RunBounded(ctx context.Context, count, workers int, fn func(i int)) error {
 			defer wg.Done()
 			for i := range idx {
 				if ctx.Err() != nil {
+					skipped.Store(true)
 					return
 				}
 				fn(i)
@@ -82,7 +77,10 @@ func RunBounded(ctx context.Context, count, workers int, fn func(i int)) error {
 		}()
 	}
 	wg.Wait()
-	return ctx.Err()
+	if skipped.Load() {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // interval is one cached responsibility range: node owns every key in the
@@ -175,13 +173,15 @@ func (r *Resolver) Reset() {
 	r.mu.Unlock()
 }
 
-// Resolve returns the responsible node for each key, in input order, with
-// at most workers concurrent lookups for cache misses. Distinct keys
+// Resolve returns the responsible node for each key, in input order. Each
+// round resolves at most FanOut cache misses, concurrently. Keeping rounds
+// small is deliberate: every miss widens the cache by a whole successor
+// chain, so most keys left for later rounds resolve for free. Distinct keys
 // mapping into one already-discovered interval cost no RPC at all, which
 // is what turns N per-key resolutions into roughly one lookup + one state
 // fetch per distinct responsible peer. A cancelled context stops the
 // miss-resolution rounds and returns the context's error.
-func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID, workers int) ([]Remote, error) {
+func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error) {
 	// A change in the owning node's own ring pointers (a join, a failure,
 	// a repair) means cached responsibility intervals anywhere on the
 	// ring may have moved: drop the cache and re-learn. A stable ring
@@ -223,13 +223,10 @@ func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID, workers int) ([]R
 		// fetches the responsible node's ring state to widen the cache.
 		// Sorting makes the batch deterministic for a given cache state.
 		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-		batch := missing
-		if max := boundedBatch(workers); len(batch) > max {
-			batch = batch[:max]
-		}
+		batch := missing[:min(FanOut, len(missing))]
 		got := make([]Remote, len(batch))
 		errs := make([]error, len(batch))
-		stopped := RunBounded(ctx, len(batch), workers, func(i int) {
+		stopped := RunBounded(ctx, len(batch), func(i int) {
 			rem, _, err := r.n.Lookup(ctx, batch[i])
 			if err != nil {
 				errs[i] = err
@@ -262,19 +259,6 @@ func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID, workers int) ([]R
 			}
 		}
 	}
-}
-
-// boundedBatch caps how many cache misses one round resolves. Keeping
-// rounds small is deliberate: every miss widens the cache by a whole
-// successor chain, so most keys left for later rounds resolve for free.
-func boundedBatch(workers int) int {
-	if workers == 0 {
-		workers = DefaultWorkers
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }
 
 // learn records the responsibility intervals observable from rem: its

@@ -2,9 +2,10 @@ package dht
 
 import (
 	"context"
-
+	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ids"
@@ -42,15 +43,13 @@ func TestLookupBatchMatchesSequential(t *testing.T) {
 		}
 		want[i] = r
 	}
-	for _, workers := range []int{0, 1, 4, 32} {
-		got, err := src.LookupBatch(context.Background(), keys, workers)
-		if err != nil {
-			t.Fatalf("LookupBatch(workers=%d): %v", workers, err)
-		}
-		for i := range keys {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d key %d: got %v want %v", workers, i, got[i], want[i])
-			}
+	got, err := src.LookupBatch(context.Background(), keys)
+	if err != nil {
+		t.Fatalf("LookupBatch: %v", err)
+	}
+	for i := range keys {
+		if got[i] != want[i] {
+			t.Fatalf("key %d: got %v want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -77,7 +76,7 @@ func TestResolverMatchesSequentialAndSavesRPCs(t *testing.T) {
 
 	res := src.NewResolver()
 	before = net.Meter().Snapshot().Messages
-	got, err := res.Resolve(context.Background(), keys, 8)
+	got, err := res.Resolve(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestResolverMatchesSequentialAndSavesRPCs(t *testing.T) {
 
 	// A second pass over the same keys is served entirely from cache.
 	before = net.Meter().Snapshot().Messages
-	again, err := res.Resolve(context.Background(), keys, 8)
+	again, err := res.Resolve(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestResolverSingleNode(t *testing.T) {
 	net := transport.NewMem()
 	n := newTestNode(net, 42, Options{})
 	res := n.NewResolver()
-	got, err := res.Resolve(context.Background(), randomIDs(10, 5), 4)
+	got, err := res.Resolve(context.Background(), randomIDs(10, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestResolverInvalidate(t *testing.T) {
 	res := src.NewResolver()
 
 	keys := randomIDs(40, 7)
-	first, err := res.Resolve(context.Background(), keys, 4)
+	first, err := res.Resolve(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestResolverInvalidate(t *testing.T) {
 	res.Invalidate(victim.Addr)
 	convergeLoose(nodes)
 
-	second, err := res.Resolve(context.Background(), keys, 4)
+	second, err := res.Resolve(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +176,59 @@ func TestLookupBatchConcurrentCallers(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			keys := randomIDs(30, seed)
-			if _, err := src.LookupBatch(context.Background(), keys, 4); err != nil {
+			if _, err := src.LookupBatch(context.Background(), keys); err != nil {
 				t.Error(err)
 			}
-			if _, err := res.Resolve(context.Background(), keys, 4); err != nil {
+			if _, err := res.Resolve(context.Background(), keys); err != nil {
 				t.Error(err)
 			}
 		}(int64(100 + g))
 	}
 	wg.Wait()
+}
+
+// TestRunBoundedCompleteFanOutIsNotAnError pins that a fan-out every
+// index of which ran reports success even when the context dies before
+// RunBounded returns: the two indices rendezvous (so both are in flight
+// on their own workers), then one cancels. Callers such as the batch
+// client read a non-nil result as "some frame was never sent", so a
+// fully applied fan-out must not be reported as incomplete.
+func TestRunBoundedCompleteFanOutIsNotAnError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started sync.WaitGroup
+	started.Add(2)
+	ran := make([]bool, 2)
+	err := RunBounded(ctx, 2, func(i int) {
+		started.Done()
+		started.Wait()
+		ran[i] = true
+		if i == 1 {
+			cancel()
+		}
+	})
+	if !ran[0] || !ran[1] {
+		t.Fatalf("ran = %v, want every index", ran)
+	}
+	if err != nil {
+		t.Fatalf("err = %v for a fan-out that ran every index", err)
+	}
+}
+
+// TestRunBoundedSkippedIndexIsAnError is the converse: under a context
+// that is already dead no index runs, and the call says so — on the
+// parallel path and on the inline single-index path alike.
+func TestRunBoundedSkippedIndexIsAnError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, count := range []int{1, 2, 3 * FanOut} {
+		var ran atomic.Int64
+		err := RunBounded(ctx, count, func(int) { ran.Add(1) })
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("count %d: err = %v, want context.Canceled", count, err)
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("count %d: %d indices ran under a dead context", count, n)
+		}
+	}
 }

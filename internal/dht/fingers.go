@@ -46,7 +46,7 @@ func (n *Node) fixFingersHopSpace(ctx context.Context) error {
 	fingers := []Remote{succ}
 	cur := succ
 	var firstErr error
-	for level := 0; level < n.opts.MaxFingers; level++ {
+	for level := 0; level < maxFingers; level++ {
 		f, err := n.rpcGetFinger(ctx, cur.Addr, level)
 		if err != nil {
 			firstErr = err
@@ -89,9 +89,6 @@ func (n *Node) fingerBudget() int {
 	b := int(math.Ceil(math.Log2(nEst))) + 2
 	if b < 4 {
 		b = 4
-	}
-	if b > n.opts.MaxFingers {
-		b = n.opts.MaxFingers
 	}
 	if b > 62 {
 		b = 62

@@ -76,37 +76,18 @@ type Options struct {
 	Policy FingerPolicy
 	// SuccListLen is the length of the successor list (default 8).
 	SuccListLen int
-	// MaxHops bounds a single iterative lookup (default 128).
-	MaxHops int
-	// MaxFingers bounds the finger table (default 64, one per doubling).
-	MaxFingers int
-	// LookupRetries is how many times a failed lookup is restarted from
-	// scratch before giving up (default 3). Restarts give stabilization a
-	// chance to route around failed nodes.
-	LookupRetries int
-	// Seed is reserved for future randomized maintenance policies; the
-	// current implementation is fully deterministic. It defaults to a
-	// value derived from the node ID.
-	Seed int64
 }
 
-func (o *Options) fillDefaults(id ids.ID) {
-	if o.SuccListLen == 0 {
-		o.SuccListLen = 8
-	}
-	if o.MaxHops == 0 {
-		o.MaxHops = 128
-	}
-	if o.MaxFingers == 0 {
-		o.MaxFingers = 64
-	}
-	if o.LookupRetries == 0 {
-		o.LookupRetries = 3
-	}
-	if o.Seed == 0 {
-		o.Seed = int64(id) | 1
-	}
-}
+const (
+	// maxHops bounds a single iterative lookup.
+	maxHops = 128
+	// maxFingers bounds the finger table, one per doubling.
+	maxFingers = 64
+	// lookupRetries is how many times a failed lookup is restarted from
+	// scratch before giving up. Restarts give stabilization a chance to
+	// route around failed nodes.
+	lookupRetries = 3
+)
 
 // Node is one DHT participant.
 type Node struct {
@@ -146,7 +127,9 @@ func (n *Node) RingEpoch() uint64 {
 // single-member ring (its own successor); call Join to enter an existing
 // network.
 func NewNode(id ids.ID, ep transport.Endpoint, d *transport.Dispatcher, opts Options) *Node {
-	opts.fillDefaults(id)
+	if opts.SuccListLen == 0 {
+		opts.SuccListLen = 8
+	}
 	n := &Node{
 		id:      id,
 		self:    Remote{ID: id, Addr: ep.Addr()},
@@ -234,7 +217,7 @@ func (n *Node) Lookup(ctx context.Context, key ids.ID) (Remote, int, error) {
 		return n.self, 0, nil
 	}
 	var lastErr error
-	for attempt := 0; attempt <= n.opts.LookupRetries; attempt++ {
+	for attempt := 0; attempt <= lookupRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr == nil {
 				lastErr = err
@@ -267,7 +250,7 @@ func (n *Node) lookupFrom(ctx context.Context, start Remote, key ids.ID) (Remote
 	cur := start
 	hops := 0
 	var frontier []Remote
-	for hops <= n.opts.MaxHops {
+	for hops <= maxHops {
 		var cands []Remote
 		var curSucc Remote
 		if cur.Addr == n.self.Addr {
@@ -317,7 +300,7 @@ func (n *Node) lookupFrom(ctx context.Context, start Remote, key ids.ID) (Remote
 		}
 		cur, frontier = progress[0], append([]Remote(nil), progress[1:]...)
 	}
-	return Remote{}, hops, fmt.Errorf("dht: lookup exceeded %d hops", n.opts.MaxHops)
+	return Remote{}, hops, fmt.Errorf("dht: lookup exceeded %d hops", maxHops)
 }
 
 // nextHopCandidates returns up to four routing-table entries that

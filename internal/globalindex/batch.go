@@ -228,7 +228,7 @@ func chunkGroups(groups []group, max int) []group {
 
 // resolveAll resolves the canonical keys of a batch through the caching
 // resolver.
-func (ix *Index) resolveAll(ctx context.Context, keys []string, workers int) ([]dht.Remote, error) {
+func (ix *Index) resolveAll(ctx context.Context, keys []string) ([]dht.Remote, error) {
 	_, span := telemetry.StartSpan(ctx, "resolve")
 	defer span.Finish()
 	span.SetAttr("keys", fmt.Sprint(len(keys)))
@@ -236,7 +236,7 @@ func (ix *Index) resolveAll(ctx context.Context, keys []string, workers int) ([]
 	for i, k := range keys {
 		hashes[i] = ids.HashString(k)
 	}
-	peers, err := ix.resolver.Resolve(ctx, hashes, workers)
+	peers, err := ix.resolver.Resolve(ctx, hashes)
 	if err != nil {
 		return nil, fmt.Errorf("globalindex: batch resolve: %w", err)
 	}
@@ -247,19 +247,18 @@ func (ix *Index) resolveAll(ctx context.Context, keys []string, workers int) ([]
 // canonical key, announcing the publisher's true local document
 // frequency (see Store.Append). All items that resolve to the same
 // responsible peer travel in one MsgMultiAppend round trip and the
-// per-peer calls are issued concurrently (workers bounds the fan-out;
-// 0 = default, 1 = one frame at a time). It returns the stored length per
-// item, in input order. Items whose frame provably was not applied — a
-// stale or dead route, a shed — are redriven once over fresh ring walks
-// (see runBatch).
-func (ix *Index) MultiAppend(ctx context.Context, items []AppendItem, workers int) ([]int, error) {
+// per-peer calls are issued concurrently (at most dht.FanOut in flight).
+// It returns the stored length per item, in input order. Items whose
+// frame provably was not applied — a stale or dead route, a shed — are
+// redriven once over fresh ring walks (see runBatch).
+func (ix *Index) MultiAppend(ctx context.Context, items []AppendItem) ([]int, error) {
 	keys := make([]string, len(items))
 	for i, it := range items {
 		keys[i] = ids.KeyString(it.Terms)
 		ix.pcache.Invalidate(keys[i]) // write watermark: never serve a pre-write prefix
 	}
 	out := make([]int, len(items))
-	err := ix.runBatch(ctx, keys, workers, batchOp{
+	err := ix.runBatch(ctx, keys, batchOp{
 		msg:    MsgMultiAppend,
 		replay: MsgReplAppend,
 		encode: func(w *wire.Writer, i int) { writeAppendItem(w, keys[i], items[i]) },
@@ -278,21 +277,21 @@ func (ix *Index) MultiAppend(ctx context.Context, items []AppendItem, workers in
 // Truncated. Each probe updates usage statistics at the serving peer;
 // because a probe is a side effect, an ambiguously-failed frame is
 // surfaced as an error rather than retried (see runBatch).
-func (ix *Index) MultiGet(ctx context.Context, items []GetItem, workers int, policy ReadPolicy, opts ...ReadOption) ([]GetResult, error) {
-	return ix.NewTopKSession(1, 0, workers, policy, opts...).FetchPrefixes(ctx, items)
+func (ix *Index) MultiGet(ctx context.Context, items []GetItem, policy ReadPolicy, opts ...ReadOption) ([]GetResult, error) {
+	return ix.NewTopKSession(1, 0, policy, opts...).FetchPrefixes(ctx, items)
 }
 
 // MultiKeyInfo fetches presence, approximate global DF and truncation
 // state for every item's key, coalescing per responsible peer. HDK's
 // expansion rounds use it to frequency-test a whole frontier in a few
 // round trips.
-func (ix *Index) MultiKeyInfo(ctx context.Context, items []KeyInfoItem, workers int) ([]KeyInfoResult, error) {
+func (ix *Index) MultiKeyInfo(ctx context.Context, items []KeyInfoItem) ([]KeyInfoResult, error) {
 	keys := make([]string, len(items))
 	for i, it := range items {
 		keys[i] = ids.KeyString(it.Terms)
 	}
 	out := make([]KeyInfoResult, len(items))
-	err := ix.runBatch(ctx, keys, workers, batchOp{
+	err := ix.runBatch(ctx, keys, batchOp{
 		msg:        MsgMultiKeyInfo,
 		idempotent: true,
 		encode:     func(w *wire.Writer, i int) { w.String(keys[i]) },
@@ -377,11 +376,11 @@ func (ix *Index) planReplicaRead(op *batchOp, policy ReadPolicy, hedge time.Dura
 //     (walkReplicas). Whatever is unserved after that fails the
 //     operation with the owner's error (ErrShed for a suffix shed
 //     twice).
-func (ix *Index) runBatch(ctx context.Context, keys []string, workers int, op batchOp) error {
+func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	primaries, err := ix.resolveAll(ctx, keys, workers)
+	primaries, err := ix.resolveAll(ctx, keys)
 	if err != nil {
 		return err
 	}
@@ -411,7 +410,7 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, workers int, op ba
 	}
 	served := make([]int, len(groups))
 	errs := make([]error, len(groups))
-	stopped := dht.RunBounded(ctx, len(groups), workers, func(gi int) {
+	stopped := dht.RunBounded(ctx, len(groups), func(gi int) {
 		g, gop := groups[gi], op
 		if retargeted(g) {
 			gop.mode = readAny
@@ -456,7 +455,7 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, workers int, op ba
 	if len(redrive) == 0 {
 		return nil
 	}
-	if err := ix.redrive(ctx, keys, redrive, workers, op); err != nil {
+	if err := ix.redrive(ctx, keys, redrive, op); err != nil {
 		if cause != nil {
 			return fmt.Errorf("globalindex: batch redrive after %v: %w", cause, err)
 		}
@@ -467,12 +466,12 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, workers int, op ba
 
 // redrive is rules 3 and 4 of runBatch's ladder over the item subset
 // items (indices into keys).
-func (ix *Index) redrive(ctx context.Context, keys []string, items []int, workers int, op batchOp) error {
+func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op batchOp) error {
 	hashes := make([]ids.ID, len(items))
 	for j, i := range items {
 		hashes[j] = ids.HashString(keys[i])
 	}
-	owners, err := ix.node.LookupBatch(ctx, hashes, workers)
+	owners, err := ix.node.LookupBatch(ctx, hashes)
 	if err != nil {
 		return err
 	}
@@ -480,7 +479,7 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, worker
 	errs := make([]error, len(groups))
 	op.hedge, op.mode = 0, readAny
 	read := op.msg == MsgRead
-	stopped := dht.RunBounded(ctx, len(groups), workers, func(gi int) {
+	stopped := dht.RunBounded(ctx, len(groups), func(gi int) {
 		owner := owners[groups[gi].items[0]]
 		rest := make([]int, len(groups[gi].items))
 		for j, k := range groups[gi].items {

@@ -30,8 +30,8 @@ func multiItems(count, listLen int) []AppendItem {
 	return items
 }
 
-// TestMultiAppendMatchesSequential: sixty one-item batches at width one
-// and one sixty-item batch at width eight leave identical rings.
+// TestMultiAppendMatchesSequential: sixty one-item batches and one
+// sixty-item batch leave identical rings.
 func TestMultiAppendMatchesSequential(t *testing.T) {
 	_, seqIdxs, _ := ring(t, 10)
 	_, batIdxs, _ := ring(t, 10)
@@ -42,7 +42,7 @@ func TestMultiAppendMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ns, err := batIdxs[0].MultiAppend(context.Background(), items, 8)
+	ns, err := batIdxs[0].MultiAppend(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestMultiAppendAndMultiGetEndToEnd(t *testing.T) {
 		l.Normalize()
 		puts = append(puts, AppendItem{Terms: []string{fmt.Sprintf("key%02d", i)}, List: l, Bound: 5})
 	}
-	ns, err := idxs[1].MultiAppend(context.Background(), puts, 8)
+	ns, err := idxs[1].MultiAppend(context.Background(), puts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMultiAppendAndMultiGetEndToEnd(t *testing.T) {
 	gets = append(gets, GetItem{Terms: []string{"no-such-key"}})
 
 	before := net.Meter().Snapshot().Messages
-	res, err := idxs[2].MultiGet(context.Background(), gets, 8, ReadPrimary)
+	res, err := idxs[2].MultiGet(context.Background(), gets, ReadPrimary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestMultiAppendAndMultiGetEndToEnd(t *testing.T) {
 
 func TestMultiGetRecordsProbes(t *testing.T) {
 	nodes, idxs, _ := ring(t, 6)
-	if _, err := idxs[0].MultiGet(context.Background(), []GetItem{{Terms: []string{"absent"}}, {Terms: []string{"absent"}}}, 4, ReadPrimary); err != nil {
+	if _, err := idxs[0].MultiGet(context.Background(), []GetItem{{Terms: []string{"absent"}}, {Terms: []string{"absent"}}}, ReadPrimary); err != nil {
 		t.Fatal(err)
 	}
 	// Whichever peer is responsible recorded exactly two probes.
@@ -374,13 +374,13 @@ func TestChunkGroupsSplitsOversized(t *testing.T) {
 func TestMultiEmptyBatchesAreFree(t *testing.T) {
 	_, idxs, net := ring(t, 4)
 	before := net.Meter().Snapshot().Messages
-	if ns, err := idxs[0].MultiAppend(context.Background(), nil, 8); err != nil || len(ns) != 0 {
+	if ns, err := idxs[0].MultiAppend(context.Background(), nil); err != nil || len(ns) != 0 {
 		t.Fatalf("empty MultiAppend: %v %v", ns, err)
 	}
-	if rs, err := idxs[0].MultiGet(context.Background(), nil, 8, ReadPrimary); err != nil || len(rs) != 0 {
+	if rs, err := idxs[0].MultiGet(context.Background(), nil, ReadPrimary); err != nil || len(rs) != 0 {
 		t.Fatalf("empty MultiGet: %v %v", rs, err)
 	}
-	if rs, err := idxs[0].MultiKeyInfo(context.Background(), nil, 8); err != nil || len(rs) != 0 {
+	if rs, err := idxs[0].MultiKeyInfo(context.Background(), nil); err != nil || len(rs) != 0 {
 		t.Fatalf("empty MultiKeyInfo: %v %v", rs, err)
 	}
 	if used := net.Meter().Snapshot().Messages - before; used != 0 {
@@ -400,7 +400,7 @@ func TestMultiRedriveAfterPeerDeath(t *testing.T) {
 	for _, it := range items {
 		gets = append(gets, GetItem{Terms: it.Terms})
 	}
-	if _, err := idxs[0].MultiGet(context.Background(), gets, 4, ReadPrimary); err != nil {
+	if _, err := idxs[0].MultiGet(context.Background(), gets, ReadPrimary); err != nil {
 		t.Fatal(err)
 	}
 	victim := nodes[5].Self()
@@ -415,7 +415,7 @@ func TestMultiRedriveAfterPeerDeath(t *testing.T) {
 		}
 	}
 
-	if _, err := idxs[0].MultiAppend(context.Background(), items, 4); err != nil {
+	if _, err := idxs[0].MultiAppend(context.Background(), items); err != nil {
 		t.Fatalf("batch append across peer death: %v", err)
 	}
 	for _, it := range items {

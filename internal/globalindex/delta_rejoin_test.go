@@ -31,7 +31,7 @@ func populateRing(t *testing.T, ix *Index, count int, tag string) []AppendItem {
 			Bound: 10,
 		})
 	}
-	if _, err := ix.MultiAppend(context.Background(), items, 4); err != nil {
+	if _, err := ix.MultiAppend(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
 	return items
@@ -74,7 +74,7 @@ func TestDeltaRejoinTransfersOnlyChangedKeys(t *testing.T) {
 	// transfer cost.
 	nodes1, idxs1, net1 := replRing(t, 8, 3)
 	items := populateRing(t, idxs1[0], 150, "delta")
-	coldJoiner, coldIx := joinWith(t, nodes1, net1, "joiner", NewStore(0))
+	coldJoiner, coldIx := joinWith(t, nodes1, net1, "joiner", NewStore())
 	_, coldPulled := coldIx.PullTransferCounts()
 	ownedKeys := coldIx.Store().KeysInRange(coldJoiner.Predecessor().ID, coldJoiner.ID())
 	if coldPulled == 0 || len(ownedKeys) == 0 {
@@ -86,7 +86,7 @@ func TestDeltaRejoinTransfersOnlyChangedKeys(t *testing.T) {
 	// missed while down — and a persisted watermark.
 	nodes2, idxs2, net2 := replRing(t, 8, 3)
 	populateRing(t, idxs2[0], 150, "delta")
-	recovered := NewStore(0)
+	recovered := NewStore()
 	entries, probes, clock := coldIx.Store().(*Memory).ExportState()
 	missed := 3
 	if len(entries) <= missed {
@@ -168,7 +168,7 @@ func TestMaintainReplicationRetriesRejoinPull(t *testing.T) {
 	d := transport.NewDispatcher()
 	ep := net.Endpoint("joiner", d.Serve)
 	joiner := dht.NewNode(joinerID, ep, d, dht.Options{})
-	recovered := NewStore(0)
+	recovered := NewStore()
 	recovered.SetWatermark(0, joinerID)
 	jix := NewWithEngine(joiner, d, recoveredMemory{recovered})
 	if err := joiner.Join(context.Background(), nodes[0].Self().Addr); err != nil {

@@ -16,7 +16,7 @@ import (
 func keyID(term string) ids.ID { return ids.HashString(ids.KeyString([]string{term})) }
 
 func TestStoreHardCapEnforced(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	l := &postings.List{Entries: []postings.Posting{post("a", 1, 1)}}
 	// A bound beyond the hard cap is clamped to it.
 	if n := s.Put("k", l, HardCap*2); n != 1 {
@@ -29,7 +29,7 @@ func TestStoreHardCapEnforced(t *testing.T) {
 }
 
 func TestStoreActivationPolicyLifecycle(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	calls := 0
 	s.SetActivationPolicy(func(key string, ks KeyStats) bool {
 		calls++
@@ -64,7 +64,7 @@ func TestStoreQuickAppendInvariants(t *testing.T) {
 	// (c) approxDF equals the sum of announced DFs.
 	f := func(batches [][]uint16, bound8 uint8) bool {
 		bound := int(bound8)%20 + 1
-		s := NewStore(0)
+		s := NewStore()
 		var announced int64
 		for bi, batch := range batches {
 			if len(batch) == 0 {

@@ -18,7 +18,7 @@ func post(peer string, doc uint32, score float64) postings.Posting {
 }
 
 func TestStorePutGetRemove(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	l := &postings.List{Entries: []postings.Posting{post("a", 1, 2), post("a", 2, 1)}}
 	if n := s.Put("k", l, 10); n != 2 {
 		t.Fatalf("put stored %d", n)
@@ -36,7 +36,7 @@ func TestStorePutGetRemove(t *testing.T) {
 }
 
 func TestStorePutTruncates(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	l := &postings.List{}
 	for i := 0; i < 100; i++ {
 		l.Add(post("a", uint32(i), float64(100-i)))
@@ -55,7 +55,7 @@ func TestStorePutTruncates(t *testing.T) {
 }
 
 func TestStoreAppendMergesAndBounds(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	a := &postings.List{Entries: []postings.Posting{post("a", 1, 5), post("a", 2, 4)}}
 	b := &postings.List{Entries: []postings.Posting{post("b", 1, 6)}}
 	if n := s.Append("k", a, 3, 0); n != 2 {
@@ -92,7 +92,7 @@ func TestStoreAppendMergesAndBounds(t *testing.T) {
 }
 
 func TestStorePutUpgradesScore(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	s.Put("k", &postings.List{Entries: []postings.Posting{post("a", 2, 4)}}, 10)
 	s.Put("k", &postings.List{Entries: []postings.Posting{post("a", 2, 9)}}, 10)
 	got, _, _ := s.Get("k", 0)
@@ -102,7 +102,7 @@ func TestStorePutUpgradesScore(t *testing.T) {
 }
 
 func TestStoreGetCapMarksTruncated(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	l := &postings.List{Entries: []postings.Posting{post("a", 1, 3), post("a", 2, 2), post("a", 3, 1)}}
 	s.Put("k", l, 100)
 	got, _, _ := s.Get("k", 2)
@@ -116,7 +116,7 @@ func TestStoreGetCapMarksTruncated(t *testing.T) {
 }
 
 func TestStoreProbeStats(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	s.Put("present", &postings.List{Entries: []postings.Posting{post("a", 1, 1)}}, 10)
 	s.Get("present", 0)
 	s.Get("absent", 0)
@@ -138,7 +138,7 @@ func TestStoreProbeStats(t *testing.T) {
 }
 
 func TestPopularAbsentKeys(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	s.Put("indexed", &postings.List{}, 10)
 	for i := 0; i < 5; i++ {
 		s.Get("hot", 0)
@@ -152,7 +152,7 @@ func TestPopularAbsentKeys(t *testing.T) {
 }
 
 func TestColdIndexedKeys(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	s.Put("hot", &postings.List{}, 10)
 	s.Put("cold", &postings.List{}, 10)
 	for i := 0; i < 5; i++ {
@@ -165,7 +165,7 @@ func TestColdIndexedKeys(t *testing.T) {
 }
 
 func TestDecay(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	for i := 0; i < 8; i++ {
 		s.Get("k", 0)
 	}
@@ -183,21 +183,22 @@ func TestDecay(t *testing.T) {
 }
 
 func TestProbeTrackingBounded(t *testing.T) {
-	s := NewStore(10)
-	for i := 0; i < 100; i++ {
+	s := NewStore()
+	last := fmt.Sprintf("key-%d", maxTracked+99)
+	for i := 0; i < maxTracked+100; i++ {
 		s.Get(fmt.Sprintf("key-%d", i), 0)
 	}
-	if got := s.TrackedKeys(); got > 10 {
-		t.Fatalf("tracked %d records, cap is 10", got)
+	if got := s.TrackedKeys(); got > maxTracked {
+		t.Fatalf("tracked %d records, cap is %d", got, maxTracked)
 	}
 	// The most recent keys survive.
-	if ks := s.Popularity("key-99"); ks.Count != 1 {
+	if ks := s.Popularity(last); ks.Count != 1 {
 		t.Fatal("most recent record must survive eviction")
 	}
 }
 
 func TestStoreStats(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	l := &postings.List{Entries: []postings.Posting{post("a", 1, 1), post("a", 2, 1)}}
 	s.Put("k1", l, 10)
 	s.Put("k2", l, 10)

@@ -124,7 +124,7 @@ func TestShedThenRetryOnReplicaConverges(t *testing.T) {
 	// retry the item on the primary and return the data.
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	res, err := reader.MultiGet(ctx, []GetItem{{Terms: terms}}, 4, ReadAnyReplica)
+	res, err := reader.MultiGet(ctx, []GetItem{{Terms: terms}}, ReadAnyReplica)
 	if err != nil {
 		t.Fatalf("MultiGet after shed: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestHedgedReadWinsOverSlowPrimary(t *testing.T) {
 
 	// Warm the resolver and replica-set caches before slowing the
 	// primary, as a steady-state peer would have them warm.
-	if _, err := reader.MultiGet(context.Background(), []GetItem{{Terms: terms}}, 4, ReadAnyReplica); err != nil {
+	if _, err := reader.MultiGet(context.Background(), []GetItem{{Terms: terms}}, ReadAnyReplica); err != nil {
 		t.Fatal(err)
 	}
 
@@ -200,7 +200,7 @@ func TestHedgedReadWinsOverSlowPrimary(t *testing.T) {
 	defer net.SetPeerDelay(primaryAddr, 0)
 
 	start := time.Now()
-	res, err := reader.MultiGet(context.Background(), []GetItem{{Terms: terms}}, 4,
+	res, err := reader.MultiGet(context.Background(), []GetItem{{Terms: terms}},
 		ReadAnyReplica, WithHedge(20*time.Millisecond))
 	elapsed := time.Since(start)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestHedgedReadLearnsToAvoidSlowReplica(t *testing.T) {
 	_, primaryIdx, _ := putReplicated(t, nodes, idxs, terms)
 	primaryAddr := nodes[primaryIdx].Self().Addr
 
-	if _, err := reader.MultiGet(context.Background(), []GetItem{{Terms: terms}}, 4, ReadAnyReplica); err != nil {
+	if _, err := reader.MultiGet(context.Background(), []GetItem{{Terms: terms}}, ReadAnyReplica); err != nil {
 		t.Fatal(err)
 	}
 	net.SetPeerDelay(primaryAddr, 200*time.Millisecond)
@@ -254,7 +254,7 @@ func TestHedgedReadLearnsToAvoidSlowReplica(t *testing.T) {
 	// fast replica: well under one slow-peer delay of wall time.
 	start := time.Now()
 	for i := 0; i < 4; i++ {
-		if _, err := reader.MultiGet(context.Background(), []GetItem{{Terms: terms}}, 4,
+		if _, err := reader.MultiGet(context.Background(), []GetItem{{Terms: terms}},
 			ReadAnyReplica, WithHedge(15*time.Millisecond)); err != nil {
 			t.Fatal(err)
 		}

@@ -18,17 +18,17 @@ func putOne(ctx context.Context, ix *Index, terms []string, list *postings.List,
 }
 
 func appendOne(ctx context.Context, ix *Index, terms []string, list *postings.List, bound, announcedDF int) (int, error) {
-	ns, err := ix.MultiAppend(ctx, []AppendItem{{Terms: terms, List: list, Bound: bound, AnnouncedDF: announcedDF}}, 1)
+	ns, err := ix.MultiAppend(ctx, []AppendItem{{Terms: terms, List: list, Bound: bound, AnnouncedDF: announcedDF}})
 	return ns[0], err
 }
 
 func getOne(ctx context.Context, ix *Index, terms []string, maxResults int, policy ReadPolicy, opts ...ReadOption) (*postings.List, bool, bool, error) {
-	res, err := ix.MultiGet(ctx, []GetItem{{Terms: terms, MaxResults: maxResults}}, 1, policy, opts...)
+	res, err := ix.MultiGet(ctx, []GetItem{{Terms: terms, MaxResults: maxResults}}, policy, opts...)
 	return res[0].List, res[0].Found, res[0].WantIndex, err
 }
 
 func keyInfoOne(ctx context.Context, ix *Index, terms []string) (df int64, present, truncated bool, err error) {
-	res, err := ix.MultiKeyInfo(ctx, []KeyInfoItem{{Terms: terms}}, 1)
+	res, err := ix.MultiKeyInfo(ctx, []KeyInfoItem{{Terms: terms}})
 	return res[0].DF, res[0].Present, res[0].Truncated, err
 }
 

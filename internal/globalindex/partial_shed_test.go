@@ -50,7 +50,7 @@ func TestPartialShedMultiGetServesPrefixAndRedrives(t *testing.T) {
 			Bound: 10,
 		})
 	}
-	if _, err := idxs[0].MultiAppend(context.Background(), items, 4); err != nil {
+	if _, err := idxs[0].MultiAppend(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,7 +81,7 @@ func TestPartialShedMultiGetServesPrefixAndRedrives(t *testing.T) {
 	defer cancel()
 	addr := server.Self().Addr
 	ownerBefore, anyBefore := readFrames(net, readOwner, addr), readFrames(net, readAny, addr)
-	res, err := idxs[0].MultiGet(ctx, gets, 1, ReadPrimary)
+	res, err := idxs[0].MultiGet(ctx, gets, ReadPrimary)
 	if err != nil {
 		t.Fatalf("MultiGet across a partial shed: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestPartialShedMultiGetServesPrefixAndRedrives(t *testing.T) {
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel2()
-	if _, err := idxs[0].MultiGet(ctx2, gets, 1, ReadPrimary); !errors.Is(err, transport.ErrShed) {
+	if _, err := idxs[0].MultiGet(ctx2, gets, ReadPrimary); !errors.Is(err, transport.ErrShed) {
 		t.Fatalf("unaffordable batch: got %v, want ErrShed", err)
 	}
 }
@@ -149,7 +149,7 @@ func TestPartialShedMultiAppendNoDoubleApply(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
-	if _, err := idxs[0].MultiAppend(ctx, items, 1); err != nil {
+	if _, err := idxs[0].MultiAppend(ctx, items); err != nil {
 		t.Fatalf("MultiAppend across a partial shed: %v", err)
 	}
 	if shed := disps[serverIdx].ItemSheds(); shed == 0 {

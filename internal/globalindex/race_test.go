@@ -26,7 +26,7 @@ func stressScale(short int, full int, t *testing.T) int {
 // TestStoreConcurrentMixedOps drives every Store entry point from
 // concurrent goroutines.
 func TestStoreConcurrentMixedOps(t *testing.T) {
-	s := NewStore(256)
+	s := NewStore()
 	workers := 8
 	rounds := stressScale(50, 400, t)
 	keys := make([]string, 32)
@@ -83,7 +83,7 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 // TestStoreConcurrentActivationPolicy exercises the QDI activation hook
 // while probes and policy swaps race.
 func TestStoreConcurrentActivationPolicy(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	rounds := stressScale(100, 1000, t)
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -125,14 +125,14 @@ func TestBatchClientConcurrentPublishers(t *testing.T) {
 				l.Add(post(fmt.Sprintf("peer%d", p), uint32(i), float64(p+1)))
 				items[i] = AppendItem{Terms: []string{fmt.Sprintf("shared%03d", i)}, List: l, Bound: 0, AnnouncedDF: 1}
 			}
-			if _, err := idxs[p].MultiAppend(context.Background(), items, 4); err != nil {
+			if _, err := idxs[p].MultiAppend(context.Background(), items); err != nil {
 				t.Errorf("peer %d: %v", p, err)
 			}
 			gets := make([]GetItem, nKeys)
 			for i := range gets {
 				gets[i] = GetItem{Terms: []string{fmt.Sprintf("shared%03d", i)}}
 			}
-			if _, err := idxs[p].MultiGet(context.Background(), gets, 4, ReadPrimary); err != nil {
+			if _, err := idxs[p].MultiGet(context.Background(), gets, ReadPrimary); err != nil {
 				t.Errorf("peer %d get: %v", p, err)
 			}
 		}(p)
@@ -172,7 +172,7 @@ func TestBatchClientSharedIndexConcurrentCallers(t *testing.T) {
 					l.Add(post("p", uint32(i), 1))
 					items[i] = AppendItem{Terms: []string{fmt.Sprintf("c%dr%di%d", c, r, i)}, List: l, Bound: 4}
 				}
-				if _, err := ix.MultiAppend(context.Background(), items, 4); err != nil {
+				if _, err := ix.MultiAppend(context.Background(), items); err != nil {
 					t.Errorf("caller %d: %v", c, err)
 					return
 				}
@@ -180,7 +180,7 @@ func TestBatchClientSharedIndexConcurrentCallers(t *testing.T) {
 				for i, it := range items {
 					gets[i] = GetItem{Terms: it.Terms}
 				}
-				res, err := ix.MultiGet(context.Background(), gets, 4, ReadPrimary)
+				res, err := ix.MultiGet(context.Background(), gets, ReadPrimary)
 				if err != nil {
 					t.Errorf("caller %d get: %v", c, err)
 					return

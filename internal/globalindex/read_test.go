@@ -48,7 +48,7 @@ func TestReadShapesAndPoliciesAgree(t *testing.T) {
 		read  func(policy ReadPolicy, opts ...ReadOption) (map[string]*postings.List, error)
 	}{
 		{"one-shot MultiGet", true, func(policy ReadPolicy, opts ...ReadOption) (map[string]*postings.List, error) {
-			res, err := reader.MultiGet(ctx, items, 4, policy, opts...)
+			res, err := reader.MultiGet(ctx, items, policy, opts...)
 			out := map[string]*postings.List{}
 			for i, r := range res {
 				out[keyOf(items[i].Terms)] = r.List
@@ -56,12 +56,12 @@ func TestReadShapesAndPoliciesAgree(t *testing.T) {
 			return out, err
 		}},
 		{"session, whole-list chunk", true, func(policy ReadPolicy, opts ...ReadOption) (map[string]*postings.List, error) {
-			sess := reader.NewTopKSession(k, 0, 4, policy, opts...)
+			sess := reader.NewTopKSession(k, 0, policy, opts...)
 			_, err := sess.FetchPrefixes(ctx, items)
 			return sess.Lists(), err
 		}},
 		{"session, bounded chunk + Refine", false, func(policy ReadPolicy, opts ...ReadOption) (map[string]*postings.List, error) {
-			sess := reader.NewTopKSession(k, DefaultChunk(k), 4, policy, opts...)
+			sess := reader.NewTopKSession(k, DefaultChunk(k), policy, opts...)
 			if _, err := sess.FetchPrefixes(ctx, items); err != nil {
 				return nil, err
 			}
@@ -149,10 +149,10 @@ func TestHostileReplyCountIsTypedError(t *testing.T) {
 		appends[i] = AppendItem{Terms: ts, List: &postings.List{Entries: []postings.Posting{post("h", 1, 1)}}, Bound: 10}
 		gets[i] = GetItem{Terms: ts}
 	}
-	if _, err := ix.MultiAppend(ctx, appends, 2); !errors.Is(err, wire.ErrCorrupt) {
+	if _, err := ix.MultiAppend(ctx, appends); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("append frame: got %v, want ErrCorrupt", err)
 	}
-	if _, err := ix.MultiGet(ctx, gets, 2, ReadPrimary); !errors.Is(err, wire.ErrCorrupt) {
+	if _, err := ix.MultiGet(ctx, gets, ReadPrimary); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("read frame: got %v, want ErrCorrupt", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestHotHedgedReadLandsOnSoftCopy(t *testing.T) {
 			}
 			read := func() GetResult {
 				t.Helper()
-				res, err := reader.NewTopKSession(5, chunk, 2, ReadAnyReplica, WithHedge(50*time.Millisecond)).
+				res, err := reader.NewTopKSession(5, chunk, ReadAnyReplica, WithHedge(50*time.Millisecond)).
 					FetchPrefixes(context.Background(), []GetItem{{Terms: terms}})
 				if err != nil {
 					t.Fatalf("hedged read: %v", err)
@@ -230,12 +230,12 @@ func TestOneShotReadUsesPrefixCache(t *testing.T) {
 	items := publishLongLists(t, idxs[0], 3, 40, 11)
 	ctx := context.Background()
 
-	first, err := reader.MultiGet(ctx, items, 4, ReadPrimary)
+	first, err := reader.MultiGet(ctx, items, ReadPrimary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := net.Meter().Snapshot().Messages
-	again, err := reader.MultiGet(ctx, items, 4, ReadPrimary)
+	again, err := reader.MultiGet(ctx, items, ReadPrimary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestOneShotReadUsesPrefixCache(t *testing.T) {
 	}
 	// A capped one-shot read is served from the whole cached list, cut
 	// and marked like a network answer.
-	capped, err := reader.MultiGet(ctx, []GetItem{{Terms: items[0].Terms, MaxResults: 7}}, 4, ReadPrimary)
+	capped, err := reader.MultiGet(ctx, []GetItem{{Terms: items[0].Terms, MaxResults: 7}}, ReadPrimary)
 	if err != nil || capped[0].List.Len() != 7 || !capped[0].List.Truncated {
 		t.Fatalf("capped read from cache: %+v, %v", capped[0].List, err)
 	}
@@ -261,10 +261,10 @@ func TestOneShotReadUsesPrefixCache(t *testing.T) {
 	// a whole-list read there must go to the network for the full list.
 	reader = idxs[5]
 	reader.EnableHotKeyPath(HotKeyConfig{PrefixCache: 32, PrefixCacheTTL: time.Minute})
-	if _, err := reader.NewTopKSession(5, 4, 4, ReadPrimary).FetchPrefixes(ctx, items[:1]); err != nil {
+	if _, err := reader.NewTopKSession(5, 4, ReadPrimary).FetchPrefixes(ctx, items[:1]); err != nil {
 		t.Fatal(err)
 	}
-	whole, err := reader.MultiGet(ctx, items[:1], 4, ReadPrimary)
+	whole, err := reader.MultiGet(ctx, items[:1], ReadPrimary)
 	if err != nil || whole[0].List.Len() != 40 || whole[0].List.Truncated {
 		t.Fatalf("whole-list read over a short cached prefix: %v, %v", whole[0].List, err)
 	}

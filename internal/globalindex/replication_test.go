@@ -120,7 +120,7 @@ func TestWriteThroughReplication(t *testing.T) {
 			Bound: 50,
 		})
 	}
-	if _, err := idxs[1].MultiAppend(context.Background(), items, 4); err != nil {
+	if _, err := idxs[1].MultiAppend(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
 	for _, it := range items {
@@ -228,7 +228,7 @@ func TestReadFalloverToReplica(t *testing.T) {
 	}
 
 	// MultiGet drives the same fallover through the batch fallback path.
-	res, err := idxs[2].MultiGet(context.Background(), []GetItem{{Terms: terms}}, 4, ReadPrimary)
+	res, err := idxs[2].MultiGet(context.Background(), []GetItem{{Terms: terms}}, ReadPrimary)
 	if err != nil {
 		t.Fatalf("multiget fallover: %v", err)
 	}
@@ -312,7 +312,7 @@ func TestJoinPullsOwnedRange(t *testing.T) {
 			Bound: 10,
 		})
 	}
-	if _, err := idxs[0].MultiAppend(context.Background(), items, 4); err != nil {
+	if _, err := idxs[0].MultiAppend(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
 
@@ -362,7 +362,7 @@ func TestJoinPullsOwnedRange(t *testing.T) {
 
 // TestAdoptReplicaIdempotent pins the anti-entropy merge semantics.
 func TestAdoptReplicaIdempotent(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	l := &postings.List{Entries: []postings.Posting{post("a", 1, 3.0), post("a", 2, 2.0)}}
 	if n := s.AdoptReplica("k", l, 5); n != 2 {
 		t.Fatalf("first adopt len = %d", n)
@@ -387,7 +387,7 @@ func TestAdoptReplicaIdempotent(t *testing.T) {
 
 // TestKeysInRange pins the range selection used by migration.
 func TestKeysInRange(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	keys := []string{"one", "two", "three", "four", "five"}
 	for _, k := range keys {
 		s.Put(k, &postings.List{Entries: []postings.Posting{post("a", 1, 1.0)}}, 10)

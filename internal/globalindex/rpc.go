@@ -56,7 +56,7 @@ type Index struct {
 // registering its handlers on d. Replication is off by default (factor
 // 1); see EnableReplication.
 func New(node *dht.Node, d *transport.Dispatcher) *Index {
-	return NewWithEngine(node, d, NewStore(0))
+	return NewWithEngine(node, d, NewStore())
 }
 
 // NewWithEngine creates the component over an explicit storage engine —
@@ -64,7 +64,7 @@ func New(node *dht.Node, d *transport.Dispatcher) *Index {
 // implementation. A nil engine selects the default memory engine.
 func NewWithEngine(node *dht.Node, d *transport.Dispatcher, engine StorageEngine) *Index {
 	if engine == nil {
-		engine = NewStore(0)
+		engine = NewStore()
 	}
 	ix := &Index{node: node, store: engine, disp: d, resolver: node.NewResolver(), lat: loadstat.NewTracker()}
 	ix.repl.factor = 1

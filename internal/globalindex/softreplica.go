@@ -324,7 +324,7 @@ func (ix *Index) softTargets(ctx context.Context, key string, primary transport.
 	for i := range hashes {
 		hashes[i] = ids.HashString(key + "\x00soft" + strconv.Itoa(i))
 	}
-	owners, err := ix.resolver.Resolve(ctx, hashes, 1)
+	owners, err := ix.resolver.Resolve(ctx, hashes)
 	if err != nil {
 		return nil
 	}

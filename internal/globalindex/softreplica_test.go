@@ -264,7 +264,7 @@ func TestPrefixCacheServesRepeatOpens(t *testing.T) {
 	reader.EnableHotKeyPath(HotKeyConfig{PrefixCache: 32, PrefixCacheTTL: time.Minute})
 	items := publishLongLists(t, idxs[0], 3, 40, 11)
 
-	sess := reader.NewTopKSession(5, 4, 4, ReadPrimary)
+	sess := reader.NewTopKSession(5, 4, ReadPrimary)
 	res1, err := sess.FetchPrefixes(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestPrefixCacheServesRepeatOpens(t *testing.T) {
 
 	// The repeat open is served entirely from the cache: zero messages.
 	before := net.Meter().Snapshot().Messages
-	sess2 := reader.NewTopKSession(5, 4, 4, ReadPrimary)
+	sess2 := reader.NewTopKSession(5, 4, ReadPrimary)
 	res2, err := sess2.FetchPrefixes(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestPrefixCacheServesRepeatOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = net.Meter().Snapshot().Messages
-	sess3 := reader.NewTopKSession(5, 4, 4, ReadPrimary)
+	sess3 := reader.NewTopKSession(5, 4, ReadPrimary)
 	res3, err := sess3.FetchPrefixes(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestPrefixCacheHitDoesNotResetTTL(t *testing.T) {
 	// continuation, i.e. it advances purely from the cache.
 	items := publishLongLists(t, idxs[0], 2, 3, 11)
 
-	sess := reader.NewTopKSession(5, 4, 4, ReadPrimary)
+	sess := reader.NewTopKSession(5, 4, ReadPrimary)
 	if _, err := sess.FetchPrefixes(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestPrefixCacheHitDoesNotResetTTL(t *testing.T) {
 		t.Fatal("fetched session did not fill the prefix cache")
 	}
 
-	sess2 := reader.NewTopKSession(5, 4, 4, ReadPrimary)
+	sess2 := reader.NewTopKSession(5, 4, ReadPrimary)
 	if _, err := sess2.FetchPrefixes(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestFinishStampsSessionEpoch(t *testing.T) {
 	// network answers after the ring change and finish() wants to refill.
 	items := publishLongLists(t, idxs[0], 2, 40, 11)
 
-	sess := reader.NewTopKSession(5, 4, 4, ReadPrimary)
+	sess := reader.NewTopKSession(5, 4, ReadPrimary)
 	if _, err := sess.FetchPrefixes(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
@@ -414,12 +414,12 @@ func TestPrefixCacheDisabledByDefault(t *testing.T) {
 	// Both keys live on peer 1 (fixed seeds): read from a peer that owns
 	// neither, so every fetch is a metered network call.
 	reader := idxs[3]
-	sess := reader.NewTopKSession(5, 4, 4, ReadPrimary)
+	sess := reader.NewTopKSession(5, 4, ReadPrimary)
 	if _, err := sess.FetchPrefixes(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
 	before := net.Meter().Snapshot().Messages
-	sess2 := reader.NewTopKSession(5, 4, 4, ReadPrimary)
+	sess2 := reader.NewTopKSession(5, 4, ReadPrimary)
 	if _, err := sess2.FetchPrefixes(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}

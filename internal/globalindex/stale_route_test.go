@@ -150,7 +150,7 @@ func (sr *staleRing) reads(addr transport.Addr, mode uint8) int64 {
 // moved keys afresh instead of re-rejecting and re-driving forever.
 func TestBatchRejectionInvalidatesStaleRoute(t *testing.T) {
 	sr := newStaleRing(t, 1, func(ids.ID) bool { return true })
-	if _, err := sr.client.MultiAppend(context.Background(), sr.items(1.0), 4); err != nil {
+	if _, err := sr.client.MultiAppend(context.Background(), sr.items(1.0)); err != nil {
 		t.Fatal(err)
 	}
 	sr.join()
@@ -161,7 +161,7 @@ func TestBatchRejectionInvalidatesStaleRoute(t *testing.T) {
 	// land the moved keys on the joiner and the staying keys back on the
 	// old owner — one MsgMultiAppend frame per owner.
 	oldBefore, joinBefore := sr.frames(sr.oldOwner, MsgMultiAppend), sr.frames(joinerAddr, MsgMultiAppend)
-	if _, err := sr.client.MultiAppend(context.Background(), sr.items(2.0), 4); err != nil {
+	if _, err := sr.client.MultiAppend(context.Background(), sr.items(2.0)); err != nil {
 		t.Fatalf("rejected batch must self-heal: %v", err)
 	}
 	sr.checkEpoch()
@@ -185,7 +185,7 @@ func TestBatchRejectionInvalidatesStaleRoute(t *testing.T) {
 	// moved keys re-resolve to the joiner and coalesce into a clean batch
 	// — one frame per owner, no rejection, no redrive.
 	oldBefore, joinBefore = sr.frames(sr.oldOwner, MsgMultiAppend), sr.frames(joinerAddr, MsgMultiAppend)
-	if _, err := sr.client.MultiAppend(context.Background(), sr.items(3.0), 4); err != nil {
+	if _, err := sr.client.MultiAppend(context.Background(), sr.items(3.0)); err != nil {
 		t.Fatal(err)
 	}
 	if o, j := sr.frames(sr.oldOwner, MsgMultiAppend)-oldBefore, sr.frames(joinerAddr, MsgMultiAppend)-joinBefore; o != 1 || j != 1 {
@@ -216,7 +216,7 @@ func TestAnyReplicaReadDetectsStaleRoute(t *testing.T) {
 			// Keys the read-target hash keeps on the primary (index 0 of R copies).
 			sr := newStaleRing(t, r, func(h ids.ID) bool { return uint64(h)%r == 0 })
 			ctx := context.Background()
-			if _, err := sr.client.MultiAppend(ctx, sr.items(1.0), 4); err != nil {
+			if _, err := sr.client.MultiAppend(ctx, sr.items(1.0)); err != nil {
 				t.Fatal(err)
 			}
 			var gets []GetItem
@@ -225,7 +225,7 @@ func TestAnyReplicaReadDetectsStaleRoute(t *testing.T) {
 			}
 			read := func() {
 				t.Helper()
-				res, err := sr.client.NewTopKSession(5, chunk, 4, ReadAnyReplica).FetchPrefixes(ctx, gets)
+				res, err := sr.client.NewTopKSession(5, chunk, ReadAnyReplica).FetchPrefixes(ctx, gets)
 				if err != nil {
 					t.Fatalf("read over a stale route: %v", err)
 				}
@@ -293,14 +293,14 @@ func TestMultiGetDeadOwnerAnsweredFromReplicas(t *testing.T) {
 	}
 	ctx := context.Background()
 	// The write-through leaves the reader knowing where the replicas live.
-	if _, err := idxs[0].MultiAppend(ctx, items, 4); err != nil {
+	if _, err := idxs[0].MultiAppend(ctx, items); err != nil {
 		t.Fatal(err)
 	}
 	net.SetDown(owner.Self().Addr, true)
 
 	served := func(mode uint8) int64 { return readFrames(net, mode, addrsOf(nodes)...) }
 	anyBefore, ownerBefore := served(readAny), served(readOwner)
-	res, err := idxs[0].MultiGet(ctx, gets, 4, ReadPrimary)
+	res, err := idxs[0].MultiGet(ctx, gets, ReadPrimary)
 	if err != nil {
 		t.Fatalf("MultiGet with a dead owner: %v", err)
 	}

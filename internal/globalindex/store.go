@@ -43,9 +43,8 @@ type Memory struct {
 	// Usage statistics: probe counts per canonical key, for both present
 	// and absent keys (QDI candidates are exactly the popular absent
 	// keys). A logical clock orders observations; decay divides counts.
-	probes     map[string]*KeyStats
-	clock      int64
-	maxTracked int
+	probes map[string]*KeyStats
+	clock  int64
 
 	// activation, when set (by the QDI layer), decides whether a probe of
 	// a missing key should ask the querying peer to index it on demand.
@@ -69,17 +68,16 @@ type KeyStats struct {
 	Present   bool    // whether the key was indexed at last probe
 }
 
-// NewStore returns an empty memory engine tracking at most maxTracked
-// key-usage records (0 means the 4096 default).
-func NewStore(maxTracked int) *Memory {
-	if maxTracked <= 0 {
-		maxTracked = 4096
-	}
+// maxTracked bounds the key-usage records a memory engine keeps; the
+// coldest record is evicted to make room for a new one.
+const maxTracked = 4096
+
+// NewStore returns an empty memory engine.
+func NewStore() *Memory {
 	return &Memory{
-		entries:    make(map[string]*postings.List),
-		approxDF:   make(map[string]int64),
-		probes:     make(map[string]*KeyStats),
-		maxTracked: maxTracked,
+		entries:  make(map[string]*postings.List),
+		approxDF: make(map[string]int64),
+		probes:   make(map[string]*KeyStats),
 	}
 }
 
@@ -360,7 +358,7 @@ func (s *Memory) recordProbeLocked(key string, present bool) {
 	s.clock++
 	ks, ok := s.probes[key]
 	if !ok {
-		if len(s.probes) >= s.maxTracked {
+		if len(s.probes) >= maxTracked {
 			s.evictColdestLocked()
 		}
 		ks = &KeyStats{}

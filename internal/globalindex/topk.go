@@ -278,12 +278,11 @@ func (st *topkKeyState) capped(max int) *postings.List {
 // chunks only from keys whose unseen scores could still lift a document
 // into the aggregate top k.
 type TopKSession struct {
-	ix      *Index
-	k       int
-	chunk   int // first chunk per key; 0 = one shot, the item's MaxResults
-	workers int
-	policy  ReadPolicy
-	ro      readOpts
+	ix     *Index
+	k      int
+	chunk  int // first chunk per key; 0 = one shot, the item's MaxResults
+	policy ReadPolicy
+	ro     readOpts
 
 	mu     sync.Mutex
 	states map[string]*topkKeyState
@@ -315,7 +314,7 @@ func DefaultChunk(k int) int {
 // Under ReadAnyReplica the opens spread over the replica set: hedged
 // across each primary's copies under WithHedge, else retargeted per key
 // to a hash-chosen copy.
-func (ix *Index) NewTopKSession(k, chunk, workers int, policy ReadPolicy, opts ...ReadOption) *TopKSession {
+func (ix *Index) NewTopKSession(k, chunk int, policy ReadPolicy, opts ...ReadOption) *TopKSession {
 	if k <= 0 {
 		k = 1
 	}
@@ -323,13 +322,12 @@ func (ix *Index) NewTopKSession(k, chunk, workers int, policy ReadPolicy, opts .
 		chunk = 0
 	}
 	return &TopKSession{
-		ix:      ix,
-		k:       k,
-		chunk:   chunk,
-		workers: workers,
-		policy:  policy,
-		ro:      resolveReadOpts(opts),
-		states:  make(map[string]*topkKeyState),
+		ix:     ix,
+		k:      k,
+		chunk:  chunk,
+		policy: policy,
+		ro:     resolveReadOpts(opts),
+		states: make(map[string]*topkKeyState),
 	}
 }
 
@@ -444,7 +442,7 @@ func (s *TopKSession) open(ctx context.Context, sts []*topkKeyState, chunkOf fun
 	}
 	op := s.readOp(sts, chunkOf, nil)
 	s.ix.planReplicaRead(&op, s.policy, s.ro.hedge)
-	return s.ix.runBatch(ctx, keys, s.workers, op)
+	return s.ix.runBatch(ctx, keys, op)
 }
 
 // FetchPrefixes opens the read for one batch of probed keys. In a
@@ -754,7 +752,7 @@ func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState
 	op.mode = readAny
 	served := make([]int, len(groups))
 	errs := make([]error, len(groups))
-	stopped := dht.RunBounded(ctx, len(groups), s.workers, func(gi int) {
+	stopped := dht.RunBounded(ctx, len(groups), func(gi int) {
 		served[gi], errs[gi] = s.ix.sendGroup(ctx, groups[gi].addr, keys, groups[gi].items, op)
 	})
 	if stopped != nil {

@@ -18,7 +18,7 @@ import (
 func keyOf(terms []string) string { return ids.KeyString(terms) }
 
 func TestGetPrefixSemantics(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	l := &postings.List{}
 	for i := 0; i < 20; i++ {
 		l.Add(post("a", uint32(i), float64(100-i)))
@@ -139,7 +139,7 @@ func TestTopKSessionMatchesFullPullAndSavesBytes(t *testing.T) {
 	}
 	wantTop := topRefs(rankSumRefs(full), k)
 
-	sess := ix.NewTopKSession(k, DefaultChunk(k), 4, ReadPrimary)
+	sess := ix.NewTopKSession(k, DefaultChunk(k), ReadPrimary)
 	res, err := sess.FetchPrefixes(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestTopKSessionExhaustsShortLists(t *testing.T) {
 	_, idxs, _ := ring(t, 8)
 	ix := idxs[2]
 	items := publishLongLists(t, ix, 3, 4, 7)
-	sess := ix.NewTopKSession(10, DefaultChunk(10), 4, ReadPrimary)
+	sess := ix.NewTopKSession(10, DefaultChunk(10), ReadPrimary)
 	if _, err := sess.FetchPrefixes(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestTopKSessionRandomizedEquivalence(t *testing.T) {
 			full[it.Terms[0]] = l
 		}
 		wantTop := topRefs(rankSumRefs(full), k)
-		sess := ix.NewTopKSession(k, 1+rng.Intn(40), 4, ReadPrimary)
+		sess := ix.NewTopKSession(k, 1+rng.Intn(40), ReadPrimary)
 		if _, err := sess.FetchPrefixes(context.Background(), items); err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestTopKContinuationSurvivesLostKey(t *testing.T) {
 	nodes, idxs, _ := ring(t, 8)
 	ix := idxs[1]
 	items := publishLongLists(t, ix, 2, 300, 5)
-	sess := ix.NewTopKSession(5, 4, 2, ReadPrimary)
+	sess := ix.NewTopKSession(5, 4, ReadPrimary)
 	if _, err := sess.FetchPrefixes(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestTopKContinuationDegradesLostKeysInOneFrame(t *testing.T) {
 		}
 		items = append(items, GetItem{Terms: ts})
 	}
-	sess := client.NewTopKSession(5, 4, 2, ReadPrimary)
+	sess := client.NewTopKSession(5, 4, ReadPrimary)
 	if _, err := sess.FetchPrefixes(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestTopKRefineCoverReshuffle(t *testing.T) {
 		t.Fatalf("ground truth top-1 = %+v, want docX at 30.05", want[0])
 	}
 
-	sess := ix.NewTopKSession(k, 4, 4, ReadPrimary)
+	sess := ix.NewTopKSession(k, 4, ReadPrimary)
 	if _, err := sess.FetchPrefixes(ctx, items); err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestHandleReadHostileCursorChunk(t *testing.T) {
 // whose sum overflows int: the end index must be computed by
 // subtraction, never offset+limit.
 func TestGetPrefixOverflowArgs(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	l := &postings.List{}
 	for i := 0; i < 6; i++ {
 		l.Add(post("a", uint32(i), float64(6-i)))

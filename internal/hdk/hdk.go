@@ -45,19 +45,10 @@ type Config struct {
 	SMax int
 	// Window is the proximity window (tokens) for expansion candidates.
 	Window int
-	// TruncK is the posting-list truncation bound in the global index.
+	// TruncK is the posting-list truncation bound in the global index. A
+	// peer also ships at most TruncK of its local postings per key: more
+	// can never survive the store's truncation.
 	TruncK int
-	// PublishCap bounds how many of its local postings a peer ships per
-	// key (shipping more than TruncK can never help). 0 means TruncK.
-	PublishCap int
-	// Concurrency is the publication fan-out width: each round's appends
-	// and frequency probes go through the global index's batch client
-	// (one coalesced frame per responsible peer) with at most Concurrency
-	// frames in flight: 1 sends them one at a time, 0 selects the batch
-	// client's default width. Every width produces the same global index
-	// state and the same Result counters; the package tests assert that
-	// equivalence.
-	Concurrency int
 }
 
 // FillDefaults replaces zero fields with the defaults (DFmax 500, smax 3,
@@ -74,9 +65,6 @@ func (c *Config) FillDefaults() {
 	}
 	if c.TruncK == 0 {
 		c.TruncK = 500
-	}
-	if c.PublishCap == 0 {
-		c.PublishCap = c.TruncK
 	}
 }
 
@@ -182,7 +170,7 @@ func (p *Publisher) PublishTerms(ctx context.Context) error {
 // publishItems ships prepared append items as one MultiAppend and
 // accounts them in the result counters.
 func (p *Publisher) publishItems(ctx context.Context, items []globalindex.AppendItem) error {
-	if _, err := p.global.MultiAppend(ctx, items, p.cfg.Concurrency); err != nil {
+	if _, err := p.global.MultiAppend(ctx, items); err != nil {
 		return fmt.Errorf("hdk: publish %d keys: %w", len(items), err)
 	}
 	for _, it := range items {
@@ -266,7 +254,7 @@ func (p *Publisher) frontierFrequent(ctx context.Context) ([]bool, error) {
 	if len(items) == 0 {
 		return out, nil
 	}
-	infos, err := p.global.MultiKeyInfo(ctx, items, p.cfg.Concurrency)
+	infos, err := p.global.MultiKeyInfo(ctx, items)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +309,7 @@ func (p *Publisher) localExpansions(key []string) [][]string {
 
 // buildLocalList assembles this peer's scored postings for a key. docs
 // restricts the documents considered (nil = all local docs containing
-// every key term). The list is capped to PublishCap top-scored entries.
+// every key term). The list is capped to TruncK top-scored entries.
 func (p *Publisher) buildLocalList(key []string, docs []uint32) *postings.List {
 	if docs == nil {
 		docs = p.local.BooleanAnd(key)
@@ -335,8 +323,8 @@ func (p *Publisher) buildLocalList(key []string, docs []uint32) *postings.List {
 		})
 	}
 	list.Normalize()
-	if list.Len() > p.cfg.PublishCap {
-		list.Entries = list.Entries[:p.cfg.PublishCap]
+	if list.Len() > p.cfg.TruncK {
+		list.Entries = list.Entries[:p.cfg.TruncK]
 		// Not marked Truncated: the *store* decides global truncation;
 		// this cap only avoids shipping postings that cannot survive it.
 	}

@@ -158,7 +158,11 @@ type fleet struct {
 	locals []*localindex.Index
 }
 
-func newFleet(t *testing.T, count int) *fleet {
+func newFleet(t *testing.T, count int) *fleet { return newFleetWrapped(t, count, nil) }
+
+// newFleetWrapped is newFleet with every peer's endpoint passed through
+// wrap (nil = used as is).
+func newFleetWrapped(t *testing.T, count int, wrap func(transport.Endpoint) transport.Endpoint) *fleet {
 	t.Helper()
 	net := transport.NewMem()
 	rng := rand.New(rand.NewSource(77))
@@ -166,6 +170,9 @@ func newFleet(t *testing.T, count int) *fleet {
 	for i := 0; i < count; i++ {
 		d := transport.NewDispatcher()
 		ep := net.Endpoint(fmt.Sprintf("peer%d", i), d.Serve)
+		if wrap != nil {
+			ep = wrap(ep)
+		}
 		node := dht.NewNode(ids.ID(rng.Uint64()), ep, d, dht.Options{})
 		f.nodes = append(f.nodes, node)
 		f.gidx = append(f.gidx, globalindex.New(node, d))
@@ -290,7 +297,7 @@ func TestPublisherTruncationAtStore(t *testing.T) {
 	if list := got.List; list.Len() != 5 || !list.Truncated {
 		t.Fatalf("stored list len=%d trunc=%v, want 5/true", list.Len(), list.Truncated)
 	}
-	info, err := f.gidx[1].MultiKeyInfo(context.Background(), []globalindex.KeyInfoItem{{Terms: []string{"common"}}}, 1)
+	info, err := f.gidx[1].MultiKeyInfo(context.Background(), []globalindex.KeyInfoItem{{Terms: []string{"common"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +320,7 @@ func TestPublishCapBoundsShippedPostings(t *testing.T) {
 		f.locals[0].Add(d, "shared term")
 	}
 	gs := &ranking.FixedStats{N: 50, AvgLen: 2, DF: map[string]int64{"shared": 50, "term": 50}}
-	cfg := Config{DFMax: 100, SMax: 2, Window: 5, TruncK: 10} // PublishCap defaults to TruncK
+	cfg := Config{DFMax: 100, SMax: 2, Window: 5, TruncK: 10} // a peer ships at most TruncK per key
 	pub := NewPublisher(cfg, f.locals[0], f.gidx[0], gs, f.nodes[0].Self().Addr)
 	if err := pub.PublishTerms(context.Background()); err != nil {
 		t.Fatal(err)
@@ -327,6 +334,6 @@ func TestPublishCapBoundsShippedPostings(t *testing.T) {
 
 // getOne reads one key as a batch of one.
 func getOne(ix *globalindex.Index, terms []string) (globalindex.GetResult, error) {
-	res, err := ix.MultiGet(context.Background(), []globalindex.GetItem{{Terms: terms}}, 1, globalindex.ReadPrimary)
+	res, err := ix.MultiGet(context.Background(), []globalindex.GetItem{{Terms: terms}}, globalindex.ReadPrimary)
 	return res[0], err
 }

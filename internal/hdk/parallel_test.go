@@ -5,17 +5,41 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/globalindex"
+	"repro/internal/transport"
 )
+
+// serialEndpoint lets its peer have at most one call in flight: each
+// Call waits until the previous one has returned. Under it a batch
+// fan-out sends the same frames one at a time — the sequential
+// reference the concurrent fan-out must be indistinguishable from.
+type serialEndpoint struct {
+	transport.Endpoint
+	mu sync.Mutex
+}
+
+func (e *serialEndpoint) Call(ctx context.Context, to transport.Addr, msgType uint8, body []byte) (uint8, []byte, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.Endpoint.Call(ctx, to, msgType, body)
+}
+
+func serialize(ep transport.Endpoint) transport.Endpoint { return &serialEndpoint{Endpoint: ep} }
 
 // publishFleet runs the full lockstep HDK publication over a fresh fleet
 // holding the given texts (round-robin over peers) with the given config,
-// and returns the fleet plus per-peer publisher results.
-func publishFleet(t *testing.T, peers int, texts []string, cfg Config) (*fleet, []Result) {
+// and returns the fleet plus per-peer publisher results. With serial set
+// every peer sends one frame at a time.
+func publishFleet(t *testing.T, peers int, texts []string, cfg Config, serial bool) (*fleet, []Result) {
 	t.Helper()
-	f := newFleet(t, peers)
+	var wrap func(transport.Endpoint) transport.Endpoint
+	if serial {
+		wrap = serialize
+	}
+	f := newFleetWrapped(t, peers, wrap)
 	for d, text := range texts {
 		f.locals[d%peers].Add(uint32(d), text)
 	}
@@ -88,54 +112,55 @@ func corpusTexts(docs int, seed int64) []string {
 	return texts
 }
 
+// publishFrames counts the batch frames a fleet's publication sent.
+func publishFrames(f *fleet) (appends, probes int64) {
+	per := f.net.Meter().Snapshot().PerType
+	return per[globalindex.MsgMultiAppend].Messages, per[globalindex.MsgMultiKeyInfo].Messages
+}
+
 // TestParallelPublishMatchesSequential is the publication determinism
-// regression: fan-out width eight must leave byte-identical global index
-// state and identical publisher counters to width one.
+// regression: a lockstep publication fanning its batch frames out
+// concurrently must leave byte-identical global index state and
+// identical publisher counters to one whose peers send every frame one
+// at a time, and to a second independent concurrent run.
 func TestParallelPublishMatchesSequential(t *testing.T) {
 	texts := corpusTexts(90, 11)
 	cfg := Config{DFMax: 10, SMax: 3, Window: 7, TruncK: 20}
-
-	seqCfg := cfg
-	seqCfg.Concurrency = 1
-	seqFleet, seqRes := publishFleet(t, 5, texts, seqCfg)
-
-	parCfg := cfg
-	parCfg.Concurrency = 8
-	parFleet, parRes := publishFleet(t, 5, texts, parCfg)
-
-	for i := range seqRes {
-		if seqRes[i] != parRes[i] {
-			t.Errorf("peer %d result: sequential %+v parallel %+v", i, seqRes[i], parRes[i])
-		}
-	}
-	seqFP, parFP := indexFingerprint(seqFleet), indexFingerprint(parFleet)
-	if seqFP != parFP {
-		t.Fatalf("global index state diverged:\n--- sequential ---\n%s--- parallel ---\n%s", seqFP, parFP)
-	}
+	seqFleet, seqRes := publishFleet(t, 5, texts, cfg, true)
+	seqFP := indexFingerprint(seqFleet)
 	if !strings.Contains(seqFP, "trunc=true") {
 		t.Fatal("fixture too small: no truncated list exercised")
 	}
+	for run := 1; run <= 2; run++ {
+		parFleet, parRes := publishFleet(t, 5, texts, cfg, false)
+		for i := range seqRes {
+			if seqRes[i] != parRes[i] {
+				t.Errorf("run %d, peer %d result: sequential %+v parallel %+v", run, i, seqRes[i], parRes[i])
+			}
+		}
+		if parFP := indexFingerprint(parFleet); seqFP != parFP {
+			t.Fatalf("run %d: global index state diverged:\n--- sequential ---\n%s--- parallel ---\n%s", run, seqFP, parFP)
+		}
+	}
 }
 
-// TestPublishWidthSendsSameFrames pins what Concurrency = 1 means: the
-// same batch frames as any other width, one at a time — not a per-key
-// protocol of its own.
+// TestPublishWidthSendsSameFrames pins that the fan-out changes only
+// when frames leave, never which: a publication whose peers send one
+// frame at a time and two concurrent runs send the same numbers of
+// MsgMultiAppend and MsgMultiKeyInfo frames — not a per-key protocol of
+// their own.
 func TestPublishWidthSendsSameFrames(t *testing.T) {
 	texts := corpusTexts(90, 12)
 	cfg := Config{DFMax: 10, SMax: 3, Window: 7, TruncK: 20}
-	frames := func(width int) (appends, probes int64) {
-		wcfg := cfg
-		wcfg.Concurrency = width
-		f, _ := publishFleet(t, 5, texts, wcfg)
-		per := f.net.Meter().Snapshot().PerType
-		return per[globalindex.MsgMultiAppend].Messages, per[globalindex.MsgMultiKeyInfo].Messages
-	}
-	a1, p1 := frames(1)
-	a8, p8 := frames(8)
+	seqFleet, _ := publishFleet(t, 5, texts, cfg, true)
+	a1, p1 := publishFrames(seqFleet)
 	if a1 == 0 || p1 == 0 {
 		t.Fatalf("fixture too small: %d append and %d probe frames", a1, p1)
 	}
-	if a1 != a8 || p1 != p8 {
-		t.Fatalf("width 1 sent %d MultiAppend / %d MultiKeyInfo messages, width 8 sent %d / %d", a1, p1, a8, p8)
+	for run := 1; run <= 2; run++ {
+		parFleet, _ := publishFleet(t, 5, texts, cfg, false)
+		if a, p := publishFrames(parFleet); a1 != a || p1 != p {
+			t.Fatalf("sequential sent %d MultiAppend / %d MultiKeyInfo messages, parallel run %d sent %d / %d", a1, p1, run, a, p)
+		}
 	}
 }

@@ -15,24 +15,17 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/postings"
 )
 
-// Fetcher is the probe primitive: fetch the posting list stored for a
-// term combination (the global index implements it; tests stub it). The
-// context bounds the probe's network round trip.
+// Fetcher is the probe primitive: fetch the posting lists stored for one
+// generation of term combinations, in input order (the global index
+// implements it, coalescing a generation into one frame per responsible
+// peer; tests stub it). The context bounds the probes' network round
+// trips.
 type Fetcher interface {
-	Get(ctx context.Context, terms []string, maxResults int) (list *postings.List, found bool, err error)
-}
-
-// FetchFunc adapts a function to the Fetcher interface.
-type FetchFunc func(ctx context.Context, terms []string, maxResults int) (*postings.List, bool, error)
-
-// Get implements Fetcher.
-func (f FetchFunc) Get(ctx context.Context, terms []string, maxResults int) (*postings.List, bool, error) {
-	return f(ctx, terms, maxResults)
+	GetBatch(ctx context.Context, combos [][]string, maxResults int) ([]BatchResult, error)
 }
 
 // BatchResult is one combination's answer within a batch fetch.
@@ -41,13 +34,22 @@ type BatchResult struct {
 	Found bool
 }
 
-// BatchFetcher is an optional Fetcher extension: fetch a whole
-// generation of combinations in one operation. When the fetcher
-// implements it, each lattice level becomes a single batch call (the
-// global index coalesces it into one frame per responsible peer) instead
-// of one Get per combination. Results must be returned in input order.
-type BatchFetcher interface {
-	GetBatch(ctx context.Context, combos [][]string, maxResults int) ([]BatchResult, error)
+// FetchFunc adapts a one-combination probe function to the Fetcher
+// interface.
+type FetchFunc func(ctx context.Context, terms []string, maxResults int) (*postings.List, bool, error)
+
+// GetBatch implements Fetcher by calling f once per combination, in
+// order, on the caller's goroutine.
+func (f FetchFunc) GetBatch(ctx context.Context, combos [][]string, maxResults int) ([]BatchResult, error) {
+	out := make([]BatchResult, len(combos))
+	for i, combo := range combos {
+		list, found, err := f(ctx, combo, maxResults)
+		if err != nil {
+			return nil, fmt.Errorf("probe %v: %w", combo, err)
+		}
+		out[i] = BatchResult{List: list, Found: found}
+	}
+	return out, nil
 }
 
 // Config controls the exploration.
@@ -60,26 +62,11 @@ type Config struct {
 	// MaxResultsPerProbe caps how many postings a probe transfers
 	// (0 = the whole stored list, which is itself bounded by TruncK).
 	MaxResultsPerProbe int
-	// MaxQueryTerms bounds the lattice size; longer queries keep only
-	// their first MaxQueryTerms distinct terms (default 6, i.e. at most
-	// 63 probes).
-	MaxQueryTerms int
-	// Concurrency is the probe fan-out width for a plain Fetcher: a
-	// generation's unpruned combinations are fetched through at most
-	// Concurrency parallel Gets; at 0 or 1 they are fetched inline, one
-	// after the other, on the caller's goroutine. A BatchFetcher gets the
-	// whole generation in one call whatever the width. Pruning decisions
-	// and the trace are the same at every width, because a hit can only
-	// prune strict sub-combinations, which always live in later
-	// generations.
-	Concurrency int
 }
 
-func (c *Config) fillDefaults() {
-	if c.MaxQueryTerms == 0 {
-		c.MaxQueryTerms = 6
-	}
-}
+// maxQueryTerms bounds the lattice size: longer queries keep only their
+// first maxQueryTerms distinct terms, i.e. at most 63 probes.
+const maxQueryTerms = 6
 
 // Probe records one lattice node visit.
 type Probe struct {
@@ -129,17 +116,17 @@ func (t *Trace) String() string {
 // time. Within a generation no mask can prune another — a covering mask
 // only dominates strict subsets, which have strictly fewer bits — so all
 // of a generation's unpruned combinations are independent and are
-// fetched together (fetchGeneration). Skips, probes, covering updates
-// and the trace are then applied in the generation's mask order, so the
-// result and trace do not depend on the fan-out width.
+// fetched together, in one GetBatch. Skips, probes, covering updates and
+// the trace are then applied in the generation's mask order, so the
+// result and trace do not depend on how the fetcher orders or overlaps
+// its probes.
 func Explore(ctx context.Context, f Fetcher, queryTerms []string, cfg Config) (*postings.List, *Trace, error) {
-	cfg.fillDefaults()
 	terms := dedupeSorted(queryTerms)
 	if len(terms) == 0 {
 		return &postings.List{}, &Trace{}, nil
 	}
-	if len(terms) > cfg.MaxQueryTerms {
-		terms = terms[:cfg.MaxQueryTerms]
+	if len(terms) > maxQueryTerms {
+		terms = terms[:maxQueryTerms]
 	}
 	n := len(terms)
 
@@ -168,7 +155,6 @@ func Explore(ctx context.Context, f Fetcher, queryTerms []string, cfg Config) (*
 	// the bookkeeping allocates per exploration, not per generation.
 	probeBuf := make([]uint, 0, len(masks))
 	comboBuf := make([][]string, 0, len(masks))
-	resultBuf := make([]BatchResult, len(masks))
 
 	for start := 0; start < len(masks); {
 		if err := ctx.Err(); err != nil {
@@ -198,9 +184,12 @@ func Explore(ctx context.Context, f Fetcher, queryTerms []string, cfg Config) (*
 			continue
 		}
 
-		results, err := fetchGeneration(ctx, f, combos, cfg, resultBuf[first:len(probeBuf)])
+		results, err := f.GetBatch(ctx, combos, cfg.MaxResultsPerProbe)
 		if err != nil {
-			return nil, trace, err
+			return nil, trace, fmt.Errorf("lattice: level %d: %w", size, err)
+		}
+		if len(results) != len(combos) {
+			return nil, trace, fmt.Errorf("lattice: level %d: %d results for %d combos", size, len(results), len(combos))
 		}
 		for i, r := range results {
 			p := Probe{Terms: combos[i], Found: r.Found}
@@ -227,55 +216,6 @@ func coveredBy(m uint, covering []uint) bool {
 		}
 	}
 	return false
-}
-
-// fetchGeneration fetches one generation's combinations, in order: one
-// GetBatch when the fetcher batches; otherwise one Get per combination —
-// inline on the caller's goroutine at width <= 1, through at most
-// cfg.Concurrency goroutines above. results, one slot per combination,
-// receives the per-combination answers.
-func fetchGeneration(ctx context.Context, f Fetcher, combos [][]string, cfg Config, results []BatchResult) ([]BatchResult, error) {
-	if bf, ok := f.(BatchFetcher); ok {
-		rs, err := bf.GetBatch(ctx, combos, cfg.MaxResultsPerProbe)
-		if err != nil {
-			return nil, fmt.Errorf("lattice: batch probe level %d: %w", len(combos[0]), err)
-		}
-		if len(rs) != len(combos) {
-			return nil, fmt.Errorf("lattice: batch probe level %d: %d results for %d combos", len(combos[0]), len(rs), len(combos))
-		}
-		return rs, nil
-	}
-	if cfg.Concurrency <= 1 {
-		for i, combo := range combos {
-			list, found, err := f.Get(ctx, combo, cfg.MaxResultsPerProbe)
-			if err != nil {
-				return nil, fmt.Errorf("lattice: probe %v: %w", combo, err)
-			}
-			results[i] = BatchResult{List: list, Found: found}
-		}
-		return results, nil
-	}
-	errs := make([]error, len(combos))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Concurrency)
-	for i := range combos {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			list, found, err := f.Get(ctx, combos[i], cfg.MaxResultsPerProbe)
-			results[i] = BatchResult{List: list, Found: found}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("lattice: probe %v: %w", combos[i], err)
-		}
-	}
-	return results, nil
 }
 
 func dedupeSorted(terms []string) []string {

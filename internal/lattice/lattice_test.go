@@ -35,6 +35,10 @@ func (m *mapFetcher) Get(_ context.Context, terms []string, maxResults int) (*po
 	return out, true, nil
 }
 
+func (m *mapFetcher) GetBatch(ctx context.Context, combos [][]string, maxResults int) ([]BatchResult, error) {
+	return FetchFunc(m.Get).GetBatch(ctx, combos, maxResults)
+}
+
 func pl(truncated bool, docs ...uint32) *postings.List {
 	l := &postings.List{Truncated: truncated}
 	for i, d := range docs {
@@ -185,15 +189,23 @@ func TestAllMissesProbesEverything(t *testing.T) {
 	}
 }
 
+// TestMaxQueryTermsBounds drives a query one term over the bound: the
+// last term is dropped, so all-miss exploration probes 2^6 - 1
+// combinations and never one holding "g".
 func TestMaxQueryTermsBounds(t *testing.T) {
 	f := &mapFetcher{lists: map[string]*postings.List{}}
-	terms := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}
-	_, trace, err := Explore(context.Background(), f, terms, Config{MaxQueryTerms: 3})
+	terms := []string{"a", "b", "c", "d", "e", "f", "g"}
+	_, trace, err := Explore(context.Background(), f, terms, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trace.Probes() != 7 {
-		t.Fatalf("probes = %d, want 7", trace.Probes())
+	if want := 1<<maxQueryTerms - 1; trace.Probes() != want {
+		t.Fatalf("probes = %d, want %d", trace.Probes(), want)
+	}
+	for _, p := range f.probes {
+		if strings.Contains(p, "g") {
+			t.Fatalf("probed %q beyond the first %d terms", p, maxQueryTerms)
+		}
 	}
 }
 

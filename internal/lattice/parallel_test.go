@@ -21,7 +21,6 @@ import (
 type randomFetcher struct {
 	lists  map[string]*postings.List
 	probes atomic.Int64
-	mu     sync.Mutex
 }
 
 func newRandomFetcher(terms []string, seed int64) *randomFetcher {
@@ -54,33 +53,50 @@ func newRandomFetcher(terms []string, seed int64) *randomFetcher {
 
 func (f *randomFetcher) Get(_ context.Context, terms []string, _ int) (*postings.List, bool, error) {
 	f.probes.Add(1)
-	f.mu.Lock()
 	l, ok := f.lists[ids.KeyString(terms)]
-	f.mu.Unlock()
 	if !ok {
 		return nil, false, nil
 	}
 	return l.Clone(), true, nil
 }
 
-// batchingFetcher wraps randomFetcher with a GetBatch implementation and
-// counts batch calls.
-type batchingFetcher struct {
+// parallelFetcher answers a whole generation per call, the way the
+// global index does: one goroutine per combination, all in flight at
+// once. It counts batch calls and records the goroutines that probed.
+type parallelFetcher struct {
 	*randomFetcher
-	batchCalls atomic.Int64
+	batchCalls int
+	mu         sync.Mutex
+	ran        map[string]bool
 }
 
-func (f *batchingFetcher) GetBatch(ctx context.Context, combos [][]string, maxResults int) ([]BatchResult, error) {
-	f.batchCalls.Add(1)
+func (f *parallelFetcher) GetBatch(ctx context.Context, combos [][]string, maxResults int) ([]BatchResult, error) {
+	f.batchCalls++
 	out := make([]BatchResult, len(combos))
+	errs := make([]error, len(combos))
+	var wg sync.WaitGroup
 	for i, c := range combos {
-		l, found, err := f.Get(ctx, c, maxResults)
+		wg.Add(1)
+		go func(i int, c []string) {
+			defer wg.Done()
+			f.mu.Lock()
+			f.ran[goid()] = true
+			f.mu.Unlock()
+			l, found, err := f.Get(ctx, c, maxResults)
+			out[i], errs[i] = BatchResult{List: l, Found: found}, err
+		}(i, c)
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = BatchResult{List: l, Found: found}
 	}
 	return out, nil
+}
+
+func newParallelFetcher(terms []string, seed int64) *parallelFetcher {
+	return &parallelFetcher{randomFetcher: newRandomFetcher(terms, seed), ran: make(map[string]bool)}
 }
 
 // tracesEqual compares two traces entry by entry.
@@ -94,56 +110,6 @@ func tracesEqual(t *testing.T, name string, seq, par *Trace) {
 	}
 }
 
-// TestExploreParallelMatchesSequential fuzzes random index contents and
-// asserts the exploration is byte-identical at width one (inline probes),
-// at width eight (a goroutine pool) and through a batch fetcher — union,
-// probe sequence and skip sequence — with and without the truncated-hit
-// pruning approximation.
-func TestExploreParallelMatchesSequential(t *testing.T) {
-	terms := []string{"a", "b", "c", "d", "e"}
-	for seed := int64(0); seed < 30; seed++ {
-		for _, prune := range []bool{false, true} {
-			seqCfg := Config{PruneTruncated: prune, Concurrency: 1}
-			base := newRandomFetcher(terms, seed)
-			seqList, seqTrace, err := Explore(context.Background(), base, terms, seqCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			parCfg := Config{PruneTruncated: prune, Concurrency: 8}
-			plain := newRandomFetcher(terms, seed)
-			parList, parTrace, err := Explore(context.Background(), plain, terms, parCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("seed=%d prune=%v pool", seed, prune)
-			tracesEqual(t, name, seqTrace, parTrace)
-			if !reflect.DeepEqual(seqList, parList) {
-				t.Fatalf("%s: unions differ", name)
-			}
-
-			batch := &batchingFetcher{randomFetcher: newRandomFetcher(terms, seed)}
-			batList, batTrace, err := Explore(context.Background(), batch, terms, parCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name = fmt.Sprintf("seed=%d prune=%v batch", seed, prune)
-			tracesEqual(t, name, seqTrace, batTrace)
-			if !reflect.DeepEqual(seqList, batList) {
-				t.Fatalf("%s: unions differ", name)
-			}
-			// One batch call per explored generation, at most n of them.
-			if calls := batch.batchCalls.Load(); calls < 1 || calls > int64(len(terms)) {
-				t.Fatalf("%s: %d batch calls for %d generations", name, calls, len(terms))
-			}
-			// Exactly as many probes as the sequential exploration issued.
-			if batch.probes.Load() != base.probes.Load() {
-				t.Fatalf("%s: parallel issued %d probes, sequential %d", name, batch.probes.Load(), base.probes.Load())
-			}
-		}
-	}
-}
-
 // goid returns the calling goroutine's id, parsed from its stack header
 // ("goroutine N [running]:").
 func goid() string {
@@ -151,46 +117,85 @@ func goid() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }
 
-// TestExploreWidthZeroOrOneIsInline pins what width <= 1 means for a plain
-// Fetcher: every probe runs on the caller's goroutine — no pool, nothing
-// spawned — and widths 0 and 1 yield the same union and trace. Width 8
-// is the control: its probes leave the caller's goroutine.
+// exploreInline runs an exploration through a FetchFunc over base and
+// returns the union, the trace and the goroutines the probes ran on.
+func exploreInline(t *testing.T, base *randomFetcher, terms []string, cfg Config) (*postings.List, *Trace, map[string]bool) {
+	t.Helper()
+	ran := make(map[string]bool)
+	f := FetchFunc(func(ctx context.Context, ts []string, max int) (*postings.List, bool, error) {
+		ran[goid()] = true
+		return base.Get(ctx, ts, max)
+	})
+	l, tr, err := Explore(context.Background(), f, terms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, tr, ran
+}
+
+// TestExploreParallelMatchesSequential fuzzes random index contents and
+// asserts the exploration is identical through a FetchFunc (one inline
+// probe per combination, in order) and through a fetcher that probes
+// each generation's combinations concurrently — union, probe sequence
+// and skip sequence — with and without the truncated-hit pruning
+// approximation.
+func TestExploreParallelMatchesSequential(t *testing.T) {
+	terms := []string{"a", "b", "c", "d", "e"}
+	for seed := int64(0); seed < 30; seed++ {
+		for _, prune := range []bool{false, true} {
+			cfg := Config{PruneTruncated: prune}
+			name := fmt.Sprintf("seed=%d prune=%v", seed, prune)
+
+			base := newRandomFetcher(terms, seed)
+			seqList, seqTrace, _ := exploreInline(t, base, terms, cfg)
+
+			par := newParallelFetcher(terms, seed)
+			parList, parTrace, err := Explore(context.Background(), par, terms, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tracesEqual(t, name, seqTrace, parTrace)
+			if !reflect.DeepEqual(seqList, parList) {
+				t.Fatalf("%s: unions differ", name)
+			}
+			// One batch call per explored generation, at most n of them.
+			if par.batchCalls < 1 || par.batchCalls > len(terms) {
+				t.Fatalf("%s: %d batch calls for %d generations", name, par.batchCalls, len(terms))
+			}
+			// Exactly as many probes as the sequential exploration issued.
+			if par.probes.Load() != base.probes.Load() {
+				t.Fatalf("%s: parallel issued %d probes, sequential %d", name, par.probes.Load(), base.probes.Load())
+			}
+		}
+	}
+}
+
+// TestExploreWidthZeroOrOneIsInline pins the inline probing that widths
+// 0 and 1 used to select and that a FetchFunc now always gets: every
+// probe runs on the caller's goroutine — no pool, nothing spawned —
+// with and without pruning. A concurrent batch fetcher is the control:
+// its probes leave the caller's goroutine and give the same union and
+// trace.
 func TestExploreWidthZeroOrOneIsInline(t *testing.T) {
 	terms := []string{"x", "y", "z"}
-	explore := func(width int) (*postings.List, *Trace, map[string]bool) {
-		base := newRandomFetcher(terms, 99)
-		var mu sync.Mutex
-		ran := make(map[string]bool)
-		f := FetchFunc(func(ctx context.Context, ts []string, max int) (*postings.List, bool, error) {
-			mu.Lock()
-			ran[goid()] = true
-			mu.Unlock()
-			return base.Get(ctx, ts, max)
-		})
-		l, tr, err := Explore(context.Background(), f, terms, Config{Concurrency: width})
+	self := goid()
+	for _, cfg := range []Config{{}, {PruneTruncated: true}} {
+		name := fmt.Sprintf("prune=%v", cfg.PruneTruncated)
+		l, tr, ran := exploreInline(t, newRandomFetcher(terms, 99), terms, cfg)
+		if len(ran) != 1 || !ran[self] {
+			t.Errorf("%s: FetchFunc probed on goroutines %v, want only the caller's (%s)", name, ran, self)
+		}
+		par := newParallelFetcher(terms, 99)
+		lp, tp, err := Explore(context.Background(), par, terms, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return l, tr, ran
-	}
-	self := goid()
-	l0, t0, ran0 := explore(0)
-	l1, t1, ran1 := explore(1)
-	for width, ran := range []map[string]bool{ran0, ran1} {
-		if len(ran) != 1 || !ran[self] {
-			t.Errorf("width %d probed on goroutines %v, want only the caller's (%s)", width, ran, self)
+		if len(par.ran) == 0 || par.ran[self] {
+			t.Errorf("%s: parallel fetcher probed on goroutines %v, want none of them the caller's (%s)", name, par.ran, self)
 		}
-	}
-	tracesEqual(t, "zero-vs-one", t0, t1)
-	if !reflect.DeepEqual(l0, l1) {
-		t.Fatal("unions differ")
-	}
-	l8, t8, ran8 := explore(8)
-	if ran8[self] {
-		t.Errorf("width 8 probed on the caller's goroutine: %v", ran8)
-	}
-	tracesEqual(t, "one-vs-eight", t1, t8)
-	if !reflect.DeepEqual(l1, l8) {
-		t.Fatal("unions differ")
+		tracesEqual(t, name, tr, tp)
+		if !reflect.DeepEqual(l, lp) {
+			t.Fatalf("%s: unions differ", name)
+		}
 	}
 }

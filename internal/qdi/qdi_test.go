@@ -57,7 +57,7 @@ func seedTerms(t *testing.T, f *fleet, terms map[string]*postings.List) {
 	t.Helper()
 	for term, list := range terms {
 		item := globalindex.AppendItem{Terms: []string{term}, List: list}
-		if _, err := f.gidx[0].MultiAppend(context.Background(), []globalindex.AppendItem{item}, 1); err != nil {
+		if _, err := f.gidx[0].MultiAppend(context.Background(), []globalindex.AppendItem{item}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,6 +291,6 @@ func TestCoveredBy(t *testing.T) {
 
 // getOne reads one key as a batch of one.
 func getOne(ix *globalindex.Index, terms []string) (*postings.List, bool, bool, error) {
-	res, err := ix.MultiGet(context.Background(), []globalindex.GetItem{{Terms: terms}}, 1, globalindex.ReadPrimary)
+	res, err := ix.MultiGet(context.Background(), []globalindex.GetItem{{Terms: terms}}, globalindex.ReadPrimary)
 	return res[0].List, res[0].Found, res[0].WantIndex, err
 }

@@ -883,7 +883,7 @@ func RunF1() (*metrics.Table, error) {
 	n := NewNetwork(Options{NumPeers: 4, Seed: 111, Core: core.Config{}})
 	put := func(terms []string, truncated bool, docs ...uint32) error {
 		item := globalindex.AppendItem{Terms: terms, List: figureList(truncated, docs...)}
-		_, err := n.Peers[0].GlobalIndex().MultiAppend(context.Background(), []globalindex.AppendItem{item}, 1)
+		_, err := n.Peers[0].GlobalIndex().MultiAppend(context.Background(), []globalindex.AppendItem{item})
 		return err
 	}
 	// Single terms are always indexed; b and c truncated, a complete.
@@ -1057,7 +1057,6 @@ func buildE11Network(p e11Params, admission bool) (*Network, transport.Addr, []c
 	}
 	if admission {
 		cfg.AdmissionWatermark = 1
-		cfg.AdmissionMinService = 2 * time.Millisecond
 	}
 	n := NewNetwork(Options{NumPeers: p.peers, Seed: 111, Core: cfg})
 	coll := corpusFor(p.numDocs, 112)
@@ -1147,7 +1146,7 @@ func runE11ReadArm(p e11Params, hedged bool) (p99ms, slowReads int, err error) {
 	// Warm pass (no slow peer yet): resolver routes and replica sets are
 	// cached, as they would be on any steady-state peer.
 	for _, q := range queries {
-		if _, err := reader.MultiGet(context.Background(), itemsFor(q), 8, globalindex.ReadAnyReplica); err != nil {
+		if _, err := reader.MultiGet(context.Background(), itemsFor(q), globalindex.ReadAnyReplica); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -1161,7 +1160,7 @@ func runE11ReadArm(p e11Params, hedged bool) (p99ms, slowReads int, err error) {
 	for i := 0; i < p.numReads; i++ {
 		q := queries[i%len(queries)]
 		start := time.Now()
-		if _, err := reader.MultiGet(context.Background(), itemsFor(q), 8, globalindex.ReadAnyReplica, opts...); err != nil {
+		if _, err := reader.MultiGet(context.Background(), itemsFor(q), globalindex.ReadAnyReplica, opts...); err != nil {
 			return 0, 0, err
 		}
 		took := time.Since(start)
@@ -1316,7 +1315,7 @@ func e12Trial(coll *corpus.Collection, queries []corpus.Query, peers, kill int, 
 	for i := 0; i < 60; i++ {
 		writes = append(writes, globalindex.AppendItem{Terms: []string{fmt.Sprintf("e12fresh%04d", i)}, List: fresh, Bound: 10})
 	}
-	if _, err := n.Peers[0].GlobalIndex().MultiAppend(ctx, writes, 0); err != nil {
+	if _, err := n.Peers[0].GlobalIndex().MultiAppend(ctx, writes); err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("mid-downtime writes: %w", err)
 	}
 

@@ -41,9 +41,6 @@ import (
 
 // Options configure a durable engine.
 type Options struct {
-	// MaxTracked bounds the probe-statistics records, as in
-	// globalindex.NewStore (0 = the 4096 default).
-	MaxTracked int
 	// CompactBytes is the WAL size that triggers compaction into a fresh
 	// snapshot (0 = 1 MiB). Compaction also runs on Close.
 	CompactBytes int64
@@ -90,7 +87,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("storage: create %s: %w", dir, err)
 	}
 	e := &Engine{
-		mem:  globalindex.NewStore(opts.MaxTracked),
+		mem:  globalindex.NewStore(),
 		opts: opts,
 		dir:  dir,
 	}

@@ -254,7 +254,7 @@ func TestRecoverCloseMidStreamConverges(t *testing.T) {
 			}
 		}
 	}
-	straight := globalindex.NewStore(0)
+	straight := globalindex.NewStore()
 	ops(straight, 0, 100)
 
 	dir := t.TempDir()
@@ -316,7 +316,7 @@ func TestPersistSnapshotCRCRejected(t *testing.T) {
 // random-ish op stream must leave the durable engine (after a crash
 // reopen) byte-identical to a plain memory engine.
 func TestPersistEngineMatchesMemory(t *testing.T) {
-	mem := globalindex.NewStore(0)
+	mem := globalindex.NewStore()
 	dir := t.TempDir()
 	e := mustOpen(t, dir, Options{CompactBytes: 2048})
 	apply := func(eng globalindex.StorageEngine) {
