@@ -933,54 +933,70 @@ func rankUnionPostings(perKey map[string]*postings.List) []postings.Posting {
 // paper's Figure 1 example the result of query {a,b,c} unites the lists
 // of bc and a: the two keys are disjoint and their sum is the exact
 // three-term score.
+//
+// Every distinct term gets one bit, and each key its term set as a bit
+// mask computed once; a document's covered terms are a mask of the same
+// width in one shared slice, so no per-document state is allocated.
 func rankUnion(perKey map[string]*postings.List) []scoredRef {
 	type keyList struct {
+		name  string // the terms joined by single spaces
 		terms []string
 		list  *postings.List
 	}
 	kls := make([]keyList, 0, len(perKey))
+	bit := make(map[string]int)
+	entries := 0 // bounds the number of distinct documents
 	for k, l := range perKey {
-		kls = append(kls, keyList{terms: strings.Fields(k), list: l})
+		terms := strings.Fields(k)
+		kls = append(kls, keyList{name: strings.Join(terms, " "), terms: terms, list: l})
+		entries += len(l.Entries)
+		for _, t := range terms {
+			if _, ok := bit[t]; !ok {
+				bit[t] = len(bit)
+			}
+		}
 	}
 	// Largest keys first; deterministic tie-break on the key string.
 	sort.Slice(kls, func(i, j int) bool {
 		if len(kls[i].terms) != len(kls[j].terms) {
 			return len(kls[i].terms) > len(kls[j].terms)
 		}
-		return strings.Join(kls[i].terms, " ") < strings.Join(kls[j].terms, " ")
+		return kls[i].name < kls[j].name
 	})
 
-	type docState struct {
-		score   float64
-		covered map[string]bool
-	}
-	states := make(map[postings.DocRef]*docState)
-	for _, kl := range kls {
-		for _, pst := range kl.list.Entries {
-			st := states[pst.Ref]
-			if st == nil {
-				st = &docState{covered: make(map[string]bool)}
-				states[pst.Ref] = st
-			}
-			disjoint := true
-			for _, t := range kl.terms {
-				if st.covered[t] {
-					disjoint = false
-					break
-				}
-			}
-			if !disjoint {
-				continue
-			}
-			st.score += pst.Score
-			for _, t := range kl.terms {
-				st.covered[t] = true
-			}
+	words := (len(bit) + 63) / 64 // one word for any lattice query
+	keyMask := make([]uint64, len(kls)*words)
+	for i, kl := range kls {
+		for _, t := range kl.terms {
+			b := bit[t]
+			keyMask[i*words+b/64] |= 1 << (b % 64)
 		}
 	}
-	out := make([]scoredRef, 0, len(states))
-	for ref, st := range states {
-		out = append(out, scoredRef{ref: ref, score: st.score})
+	slot := make(map[postings.DocRef]int, entries)
+	out := make([]scoredRef, 0, entries)
+	covered := make([]uint64, 0, entries*words) // words per document, in out's order
+	for i, kl := range kls {
+		km := keyMask[i*words : (i+1)*words]
+	postingLoop:
+		for _, pst := range kl.list.Entries {
+			s, ok := slot[pst.Ref]
+			if !ok {
+				s = len(out)
+				slot[pst.Ref] = s
+				out = append(out, scoredRef{ref: pst.Ref})
+				covered = covered[:len(covered)+words] // zeroed, within capacity
+			}
+			dm := covered[s*words : (s+1)*words]
+			for w := range dm {
+				if dm[w]&km[w] != 0 {
+					continue postingLoop
+				}
+			}
+			out[s].score += pst.Score
+			for w := range dm {
+				dm[w] |= km[w]
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].score != out[j].score {

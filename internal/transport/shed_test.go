@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"sync/atomic"
@@ -202,10 +203,11 @@ func TestDispatcherServiceEstimateLearns(t *testing.T) {
 // byte-compatible with the pre-budget format and decodes budget 0.
 func TestFrameDeadlineBudgetRoundTrip(t *testing.T) {
 	pr := newPipeRW()
-	if err := writeFrame(pr, 7, kindRequest, 0x42, 1234, []byte("payload")); err != nil {
+	r := bufio.NewReader(pr)
+	if err := (&frameWriter{w: pr}).writeFrame(7, kindRequest, 0x42, 1234, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	id, kind, msgType, budget, payload, err := readFrame(pr)
+	id, kind, msgType, budget, payload, err := readFrame(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +216,10 @@ func TestFrameDeadlineBudgetRoundTrip(t *testing.T) {
 	}
 
 	// Absent field: the old five-field frame decodes unchanged.
-	if err := writeFrame(pr, 8, kindResponse, 0x43, 0, []byte("old")); err != nil {
+	if err := (&frameWriter{w: pr}).writeFrame(8, kindResponse, 0x43, 0, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	id, kind, msgType, budget, payload, err = readFrame(pr)
+	id, kind, msgType, budget, payload, err = readFrame(r)
 	if err != nil {
 		t.Fatal(err)
 	}

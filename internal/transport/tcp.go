@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -46,6 +47,15 @@ const (
 	kindMask     = 0x7f
 
 	maxFrame = 64 << 20
+
+	// frameReadBuf sizes the one buffered reader per connection: a frame
+	// that fits arrives in a single read(2), and back-to-back frames share
+	// one. A larger frame's remainder bypasses the buffer and is read
+	// straight into its payload.
+	frameReadBuf = 8 << 10
+	// maxKeptFrameBuf bounds the frame assembly buffer a connection keeps
+	// between writes; one grown beyond it by a large frame is let go.
+	maxKeptFrameBuf = 16 << 10
 )
 
 // TCP is a Transport endpoint backed by a real TCP listener. Outbound
@@ -57,6 +67,7 @@ const (
 // responses may legally return out of order.
 type TCP struct {
 	ln      net.Listener
+	addr    Addr // the listener's address, fixed for the endpoint's life
 	handler Handler
 	meter   *metrics.Meter
 
@@ -80,15 +91,15 @@ type TCP struct {
 // discarded by the (tolerant) reader.
 const maxAbandoned = 4096
 
-// tcpConn is one pooled outbound connection. wmu serializes frame
+// tcpConn is one pooled outbound connection. fw serializes frame
 // writes; mu guards the request-ID counter, the pending-call table the
 // reader goroutine dispatches into, and the abandoned set (requests whose
 // caller's context died while the response was in flight — their late
 // responses are discarded instead of being treated as protocol
 // violations).
 type tcpConn struct {
-	c   net.Conn
-	wmu sync.Mutex
+	c  net.Conn
+	fw frameWriter
 
 	mu            sync.Mutex
 	nextID        uint64
@@ -117,6 +128,7 @@ func ListenTCP(addr string, h Handler) (*TCP, error) {
 	baseCtx, cancelBase := context.WithCancel(context.Background())
 	t := &TCP{
 		ln:         ln,
+		addr:       Addr(ln.Addr().String()),
 		handler:    h,
 		meter:      metrics.NewMeter(),
 		baseCtx:    baseCtx,
@@ -134,7 +146,7 @@ func ListenTCP(addr string, h Handler) (*TCP, error) {
 func (t *TCP) Meter() *metrics.Meter { return t.meter }
 
 // Addr returns the listener's address.
-func (t *TCP) Addr() Addr { return Addr(t.ln.Addr().String()) }
+func (t *TCP) Addr() Addr { return t.addr }
 
 func (t *TCP) acceptLoop() {
 	defer t.wg.Done()
@@ -166,9 +178,11 @@ func (t *TCP) serveConn(c net.Conn) {
 		delete(t.accepted, c)
 		t.mu.Unlock()
 	}()
-	var wmu sync.Mutex // serializes response frames from concurrent handlers
+	r := bufio.NewReaderSize(c, frameReadBuf)
+	fw := &frameWriter{w: c} // serializes response frames from concurrent handlers
+	from := Addr(c.RemoteAddr().String())
 	for {
-		id, kind, msgType, budget, body, err := readFrame(c)
+		id, kind, msgType, budget, body, err := readFrame(r)
 		if err != nil {
 			return
 		}
@@ -184,9 +198,7 @@ func (t *TCP) serveConn(c net.Conn) {
 			// endpoint's lifetime.
 			hctx, hcancel := handlerContext(t.baseCtx, budget)
 			defer hcancel()
-			respType, resp, herr := t.handler(hctx, Addr(c.RemoteAddr().String()), msgType, body)
-			wmu.Lock()
-			defer wmu.Unlock()
+			respType, resp, herr := t.handler(hctx, from, msgType, body)
 			if herr != nil {
 				kind := uint8(kindError)
 				msg := herr.Error()
@@ -196,12 +208,12 @@ func (t *TCP) serveConn(c net.Conn) {
 					// client re-wraps with ErrShed); ship only the detail.
 					msg = strings.TrimPrefix(msg, ErrShed.Error()+": ")
 				}
-				if writeFrame(c, id, kind, msgType, 0, []byte(msg)) == nil {
+				if fw.writeFrame(id, kind, msgType, 0, []byte(msg)) == nil {
 					t.meter.Record(msgType, FrameOverhead+len(msg))
 				}
 				return
 			}
-			if writeFrame(c, id, kindResponse, respType, 0, resp) == nil {
+			if fw.writeFrame(id, kindResponse, respType, 0, resp) == nil {
 				t.meter.Record(respType, FrameOverhead+len(resp))
 			}
 		}(id, msgType, budget, body)
@@ -242,9 +254,7 @@ func (t *TCP) Call(ctx context.Context, to Addr, msgType uint8, body []byte) (ui
 			return 0, nil, fmt.Errorf("%w: connection closed", ErrUnreachable)
 		}
 		budget := deadlineBudgetMillis(ctx)
-		conn.wmu.Lock()
-		err = writeFrame(conn.c, id, kindRequest, msgType, budget, body)
-		conn.wmu.Unlock()
+		err = conn.fw.writeFrame(id, kindRequest, msgType, budget, body)
 		if err != nil {
 			// The request never left intact: unreachable, not interrupted.
 			conn.unregister(id)
@@ -384,8 +394,9 @@ func (c *tcpConn) abandonedLen() int {
 // unreadable frames and frame kinds a client must never receive.
 func (t *TCP) readLoop(to Addr, conn *tcpConn) {
 	defer t.wg.Done()
+	r := bufio.NewReaderSize(conn.c, frameReadBuf)
 	for {
-		id, kind, msgType, _, body, err := readFrame(conn.c)
+		id, kind, msgType, _, body, err := readFrame(r)
 		if err != nil {
 			t.failConn(to, conn, err)
 			return
@@ -454,11 +465,15 @@ func (t *TCP) getConn(ctx context.Context, to Addr) (*tcpConn, error) {
 		nc.Close()
 		return existing, nil
 	}
-	c := &tcpConn{c: nc, pending: make(map[uint64]chan tcpReply)}
+	c := newTCPConn(nc)
 	t.conns[to] = c
 	t.wg.Add(1)
 	go t.readLoop(to, c)
 	return c, nil
+}
+
+func newTCPConn(nc net.Conn) *tcpConn {
+	return &tcpConn{c: nc, fw: frameWriter{w: nc}, pending: make(map[uint64]chan tcpReply)}
 }
 
 func (t *TCP) dropConn(to Addr, conn *tcpConn) {
@@ -502,37 +517,57 @@ func (t *TCP) Close() error {
 	return err
 }
 
+// frameWriter serializes whole frames onto one connection. Each frame is
+// assembled in buf and handed over in a single Write: one system call per
+// frame, and frames from concurrent writers never interleave. The buffer
+// is reused frame after frame under mu; the connection does not retain
+// it past Write.
+type frameWriter struct {
+	mu  sync.Mutex
+	w   io.Writer
+	buf []byte
+}
+
 // writeFrame writes one frame. budgetMs > 0 sets flagDeadline and
 // prefixes the payload with the budget varint; 0 produces a frame
 // byte-identical to the pre-budget format.
-func writeFrame(w io.Writer, id uint64, kind, msgType uint8, budgetMs uint64, payload []byte) error {
+func (fw *frameWriter) writeFrame(id uint64, kind, msgType uint8, budgetMs uint64, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("transport: frame too large (%d bytes)", len(payload))
 	}
-	var budget []byte
 	if budgetMs > 0 {
 		kind |= flagDeadline
-		budget = wire.AppendDeadlineBudget(nil, budgetMs)
 	}
-	hdr := make([]byte, 14, 14+len(budget))
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(10+len(budget)+len(payload)))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = kind
-	hdr[13] = msgType
-	hdr = append(hdr, budget...)
-	if _, err := w.Write(hdr); err != nil {
-		return err
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	buf := binary.BigEndian.AppendUint32(fw.buf[:0], 0) // the length, set below
+	buf = binary.BigEndian.AppendUint64(buf, id)
+	buf = append(buf, kind, msgType)
+	if budgetMs > 0 {
+		buf = wire.AppendDeadlineBudget(buf, budgetMs)
 	}
-	_, err := w.Write(payload)
+	buf = append(buf, payload...)
+	binary.BigEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
+	if cap(buf) <= maxKeptFrameBuf {
+		fw.buf = buf
+	}
+	_, err := fw.w.Write(buf)
 	return err
 }
 
-func readFrame(r io.Reader) (id uint64, kind, msgType uint8, budgetMs uint64, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
+// readFrame reads one frame from r, which is the connection's buffered
+// reader. The payload is always a fresh allocation, never a view of the
+// reader's buffer: handlers and callers keep it on their own goroutines
+// while the reader moves on to the next frame.
+func readFrame(r *bufio.Reader) (id uint64, kind, msgType uint8, budgetMs uint64, payload []byte, err error) {
+	lenBuf, err := r.Peek(4)
+	if err != nil {
 		return
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(lenBuf)
+	if _, err = r.Discard(4); err != nil {
+		return
+	}
 	if n < 10 || n > maxFrame+20 {
 		err = fmt.Errorf("transport: bad frame length %d", n)
 		return

@@ -83,7 +83,7 @@ func TestTCPInterruptFailsAllInFlight(t *testing.T) {
 	addr := rawServer(t, func(c net.Conn) {
 		// Answer the warm-up, then swallow the in-flight batch and drop.
 		id, mt, body := readRawFrame(t, c)
-		if err := writeFrame(c, id, kindResponse, mt+1, 0, body); err != nil {
+		if err := (&frameWriter{w: c}).writeFrame(id, kindResponse, mt+1, 0, body); err != nil {
 			t.Errorf("warm-up write: %v", err)
 			return
 		}
@@ -172,7 +172,7 @@ func TestTCPOutOfOrderResponses(t *testing.T) {
 	addr := rawServer(t, func(c net.Conn) {
 		// Answer the warm-up that pins the pooled connection.
 		id, mt, body := readRawFrame(t, c)
-		if err := writeFrame(c, id, kindResponse, mt+1, 0, body); err != nil {
+		if err := (&frameWriter{w: c}).writeFrame(id, kindResponse, mt+1, 0, body); err != nil {
 			t.Errorf("warm-up write: %v", err)
 			return
 		}
@@ -191,7 +191,7 @@ func TestTCPOutOfOrderResponses(t *testing.T) {
 		for i := len(reqs) - 1; i >= 0; i-- {
 			r := reqs[i]
 			resp := append([]byte("ans:"), r.payload...)
-			if err := writeFrame(c, r.id, kindResponse, r.msgType+1, 0, resp); err != nil {
+			if err := (&frameWriter{w: c}).writeFrame(r.id, kindResponse, r.msgType+1, 0, resp); err != nil {
 				t.Errorf("raw write: %v", err)
 				return
 			}
