@@ -100,13 +100,17 @@ func TestSearchCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestSearchDeadlineCancelPartialResults: a deadline expiry surfaces
-// ErrPartialResults with the ranked prefix gathered before the cut.
+// TestSearchDeadlineCancelPartialResults: a deadline that expires during
+// exploration surfaces ErrPartialResults with whatever was ranked before
+// the cut. The query's exploration is one lattice generation and every
+// call pays 20ms, so a 10ms deadline expires inside it, before any probe
+// answers: the partial answer is typically empty. A deadline that lands
+// inside presentation is TestPresentationDeadlineKeepsRanking's.
 func TestSearchDeadlineCancelPartialResults(t *testing.T) {
 	defer leakcheck.Check(t)()
 	n := slowNet(t, 20*time.Millisecond, core.Config{Strategy: core.StrategyHDK})
 	resp, err := n.Peers[1].Search(context.Background(), "term0000 term0001",
-		core.WithTimeout(50*time.Millisecond))
+		core.WithTimeout(10*time.Millisecond))
 	if !errors.Is(err, core.ErrPartialResults) {
 		t.Fatalf("err = %v, want ErrPartialResults", err)
 	}

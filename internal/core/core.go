@@ -15,9 +15,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -760,7 +762,7 @@ func (p *Peer) doSearch(ctx context.Context, query string, opts ...SearchOption)
 		// Threshold loop: extend the fetched prefixes only while the
 		// aggregate top k could still change, then re-gather the (live,
 		// extended in place) per-key lists for the final union.
-		if err := fetch.sess.Refine(ctx, rankUnionPostings); err != nil && ctx.Err() == nil {
+		if err := fetch.sess.Refine(ctx, rankUnion); err != nil && ctx.Err() == nil {
 			return resp, fmt.Errorf("core: top-k refinement: %w", err)
 		}
 		for key, l := range fetch.sess.Lists() {
@@ -814,7 +816,7 @@ func (p *Peer) doSearch(ctx context.Context, query string, opts ...SearchOption)
 		// for the query's own key (bounded to the QDI truncation limit).
 		acquired := &postings.List{}
 		for _, sr := range rankedAll {
-			acquired.Add(postings.Posting{Ref: sr.ref, Score: sr.score})
+			acquired.Add(sr)
 			if acquired.Len() >= p.cfg.QDI.TruncK {
 				break
 			}
@@ -864,10 +866,10 @@ func resultCacheKey(terms []string, topK int, streaming bool, rc ReadConsistency
 // presentLocal renders ranked references without contacting their
 // hosting peers — the presentation used for partial (cancelled) results,
 // where further RPCs are pointless by definition.
-func (p *Peer) presentLocal(ranked []scoredRef) []Result {
+func (p *Peer) presentLocal(ranked []postings.Posting) []Result {
 	out := make([]Result, 0, len(ranked))
 	for _, sr := range ranked {
-		out = append(out, Result{Ref: sr.ref, Score: sr.score})
+		out = append(out, Result{Ref: sr.Ref, Score: sr.Score})
 	}
 	return out
 }
@@ -907,23 +909,6 @@ func (sf *searchFetcher) GetBatch(ctx context.Context, combos [][]string, max in
 	return out, nil
 }
 
-// scoredRef is an intermediate ranked document reference.
-type scoredRef struct {
-	ref   postings.DocRef
-	score float64
-}
-
-// rankUnionPostings adapts rankUnion to the global index's RankFn shape;
-// the threshold loop re-ranks with it after every continuation round.
-func rankUnionPostings(perKey map[string]*postings.List) []postings.Posting {
-	ranked := rankUnion(perKey)
-	out := make([]postings.Posting, len(ranked))
-	for i, sr := range ranked {
-		out[i] = postings.Posting{Ref: sr.ref, Score: sr.score}
-	}
-	return out
-}
-
 // rankUnion ranks the union of the retrieved per-key lists. Each posting
 // carries the publisher-computed BM25 score of its document for its key;
 // for a document appearing under several keys the scores of keys with
@@ -932,12 +917,15 @@ func rankUnionPostings(perKey map[string]*postings.List) []postings.Posting {
 // the best available approximation of the full-query score. In the
 // paper's Figure 1 example the result of query {a,b,c} unites the lists
 // of bc and a: the two keys are disjoint and their sum is the exact
-// three-term score.
+// three-term score. The ranking comes back as postings, best first —
+// the shape the threshold loop's RankFn takes.
 //
 // Every distinct term gets one bit, and each key its term set as a bit
 // mask computed once; a document's covered terms are a mask of the same
-// width in one shared slice, so no per-document state is allocated.
-func rankUnion(perKey map[string]*postings.List) []scoredRef {
+// width in one shared slice, and its slot is found through a
+// pointer-free id (postings.RefIDs), so no per-document state is
+// allocated and no string is hashed per posting.
+func rankUnion(perKey map[string]*postings.List) []postings.Posting {
 	type keyList struct {
 		name  string // the terms joined by single spaces
 		terms []string
@@ -957,11 +945,11 @@ func rankUnion(perKey map[string]*postings.List) []scoredRef {
 		}
 	}
 	// Largest keys first; deterministic tie-break on the key string.
-	sort.Slice(kls, func(i, j int) bool {
-		if len(kls[i].terms) != len(kls[j].terms) {
-			return len(kls[i].terms) > len(kls[j].terms)
+	slices.SortFunc(kls, func(a, b keyList) int {
+		if c := cmp.Compare(len(b.terms), len(a.terms)); c != 0 {
+			return c
 		}
-		return kls[i].name < kls[j].name
+		return cmp.Compare(a.name, b.name)
 	})
 
 	words := (len(bit) + 63) / 64 // one word for any lattice query
@@ -972,37 +960,34 @@ func rankUnion(perKey map[string]*postings.List) []scoredRef {
 			keyMask[i*words+b/64] |= 1 << (b % 64)
 		}
 	}
-	slot := make(map[postings.DocRef]int, entries)
-	out := make([]scoredRef, 0, entries)
+	var refIDs postings.RefIDs
+	slot := make(map[uint64]int32, entries)
+	out := make([]postings.Posting, 0, entries)
 	covered := make([]uint64, 0, entries*words) // words per document, in out's order
 	for i, kl := range kls {
 		km := keyMask[i*words : (i+1)*words]
 	postingLoop:
 		for _, pst := range kl.list.Entries {
-			s, ok := slot[pst.Ref]
+			id := refIDs.ID(pst.Ref)
+			s, ok := slot[id]
 			if !ok {
-				s = len(out)
-				slot[pst.Ref] = s
-				out = append(out, scoredRef{ref: pst.Ref})
+				s = int32(len(out))
+				slot[id] = s
+				out = append(out, postings.Posting{Ref: pst.Ref})
 				covered = covered[:len(covered)+words] // zeroed, within capacity
 			}
-			dm := covered[s*words : (s+1)*words]
+			dm := covered[int(s)*words : int(s+1)*words]
 			for w := range dm {
 				if dm[w]&km[w] != 0 {
 					continue postingLoop
 				}
 			}
-			out[s].score += pst.Score
+			out[s].Score += pst.Score
 			for w := range dm {
 				dm[w] |= km[w]
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
-		}
-		return out[i].ref.Less(out[j].ref)
-	})
+	slices.SortFunc(out, postings.CompareCanonical)
 	return out
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/dht"
+	"repro/internal/docs"
 	"repro/internal/postings"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -24,8 +26,6 @@ const (
 	// policy: (doc, user, password) -> (ok, body).
 	MsgFetchDoc uint8 = 0x52
 )
-
-const snippetLen = 160
 
 func (p *Peer) registerL5Handlers(d *transport.Dispatcher) {
 	d.Handle(MsgDocInfo, p.handleDocInfo)
@@ -51,7 +51,7 @@ func (p *Peer) handleDocInfo(_ context.Context, _ transport.Addr, _ uint8, body 
 		w.Bool(doc != nil)
 		if doc != nil {
 			w.String(doc.Title)
-			w.String(doc.Snippet(snippetLen))
+			w.String(doc.Snippet(docs.SnippetLen))
 			w.String(p.docURL(doc.Name, doc.URL))
 			w.Bool(doc.Access.Public)
 		}
@@ -66,7 +66,7 @@ func (p *Peer) docURL(name, original string) string {
 	if original != "" {
 		return original
 	}
-	return fmt.Sprintf("http://%s/shared/%s", p.Addr(), name)
+	return "http://" + string(p.Addr()) + "/shared/" + name
 }
 
 func (p *Peer) handleForwardQuery(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
@@ -88,7 +88,7 @@ func (p *Peer) handleForwardQuery(_ context.Context, _ transport.Addr, _ uint8, 
 		w.Float64(h.Score)
 		if doc != nil {
 			w.String(doc.Title)
-			w.String(doc.Snippet(snippetLen))
+			w.String(doc.Snippet(docs.SnippetLen))
 			w.String(p.docURL(doc.Name, doc.URL))
 		} else {
 			w.String("")
@@ -120,59 +120,64 @@ func (p *Peer) handleFetchDoc(_ context.Context, _ transport.Addr, _ uint8, body
 }
 
 // presentResults resolves titles, snippets and URLs for ranked document
-// references by asking each hosting peer (one batched RPC per peer).
-func (p *Peer) presentResults(ctx context.Context, ranked []scoredRef) ([]Result, error) {
-	byPeer := make(map[transport.Addr][]scoredRef)
+// references by asking each hosting peer: one batched MsgDocInfo call per
+// peer, all of them in one bounded round (dht.RunBounded). A peer whose
+// call fails — or that a dying context leaves unasked — presents its
+// references as "(peer unavailable)" rather than failing the query; a
+// garbled answer fails it, the first in peer order winning.
+func (p *Peer) presentResults(ctx context.Context, ranked []postings.Posting) ([]Result, error) {
+	out := make([]Result, len(ranked))
+	byPeer := make(map[transport.Addr][]int) // positions in ranked
 	var order []transport.Addr
-	for _, sr := range ranked {
-		if _, ok := byPeer[sr.ref.Peer]; !ok {
-			order = append(order, sr.ref.Peer)
+	for i, sr := range ranked {
+		out[i] = Result{Ref: sr.Ref, Score: sr.Score}
+		pos, ok := byPeer[sr.Ref.Peer]
+		if !ok {
+			order = append(order, sr.Ref.Peer)
 		}
-		byPeer[sr.ref.Peer] = append(byPeer[sr.ref.Peer], sr)
+		byPeer[sr.Ref.Peer] = append(pos, i)
 	}
-	info := make(map[postings.DocRef]Result, len(ranked))
-	for _, addr := range order {
-		refs := byPeer[addr]
-		w := wire.NewWriter(8 * len(refs))
-		w.Uvarint(uint64(len(refs)))
-		for _, sr := range refs {
-			w.Uvarint(uint64(sr.ref.Doc))
+	resps := make([][]byte, len(order))
+	reached := make([]bool, len(order))
+	// A context that dies mid-round leaves the remaining peers unasked;
+	// they present as unavailable and the caller marks the answer partial.
+	_ = dht.RunBounded(ctx, len(order), func(gi int) {
+		pos := byPeer[order[gi]]
+		w := wire.NewWriter(8 * len(pos))
+		w.Uvarint(uint64(len(pos)))
+		for _, i := range pos {
+			w.Uvarint(uint64(ranked[i].Ref.Doc))
 		}
-		_, resp, err := p.node.Endpoint().Call(ctx, addr, MsgDocInfo, w.Bytes())
-		if err != nil {
+		_, resp, err := p.node.Endpoint().Call(ctx, order[gi], MsgDocInfo, w.Bytes())
+		resps[gi], reached[gi] = resp, err == nil
+	})
+	for gi, addr := range order {
+		pos := byPeer[addr]
+		if !reached[gi] {
 			// The hosting peer is gone; present the reference without
 			// details rather than failing the query.
-			for _, sr := range refs {
-				info[sr.ref] = Result{Ref: sr.ref, Score: sr.score, Title: "(peer unavailable)"}
+			for _, i := range pos {
+				out[i].Title = "(peer unavailable)"
 			}
 			continue
 		}
-		r := wire.NewReader(resp)
+		r := wire.NewReader(resps[gi])
 		n := r.Uvarint()
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
+		for j := uint64(0); j < n && r.Err() == nil; j++ {
 			id := uint32(r.Uvarint())
-			found := r.Bool()
-			res := Result{Ref: postings.DocRef{Peer: addr, Doc: id}}
-			if found {
-				res.Title = r.String()
-				res.Snippet = r.String()
-				res.URL = r.String()
-				res.Public = r.Bool()
-			} else {
-				res.Title = "(document withdrawn)"
+			title, snippet, url, public := "(document withdrawn)", "", "", false
+			if r.Bool() {
+				title, snippet, url, public = r.String(), r.String(), r.String(), r.Bool()
 			}
-			info[res.Ref] = res
+			for _, i := range pos {
+				if out[i].Ref.Doc == id {
+					out[i].Title, out[i].Snippet, out[i].URL, out[i].Public = title, snippet, url, public
+				}
+			}
 		}
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("core: doc info from %s: %w", addr, err)
 		}
-	}
-	out := make([]Result, 0, len(ranked))
-	for _, sr := range ranked {
-		res := info[sr.ref]
-		res.Ref = sr.ref
-		res.Score = sr.score
-		out = append(out, res)
 	}
 	return out, nil
 }

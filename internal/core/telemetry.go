@@ -137,6 +137,16 @@ func (p *Peer) buildTelemetry() *telemetry.Registry {
 		func(emit func(float64, ...telemetry.Label)) {
 			emit(float64(p.gidx.TopKStats().BytesSaved))
 		})
+	r.RegisterCounter("alvis_index_hedges_launched_total",
+		"hedged-read attempts fired because the hedge delay passed without an answer",
+		func(emit func(float64, ...telemetry.Label)) {
+			emit(float64(p.gidx.TopKStats().HedgesLaunched))
+		})
+	r.RegisterCounter("alvis_index_hedges_won_total",
+		"hedged reads answered by an attempt the hedge delay fired",
+		func(emit func(float64, ...telemetry.Label)) {
+			emit(float64(p.gidx.TopKStats().HedgesWon))
+		})
 
 	r.RegisterGauge("alvis_storage_recovered",
 		"1 when the storage engine restored state from disk at open",

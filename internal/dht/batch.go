@@ -39,23 +39,26 @@ func (n *Node) LookupBatch(ctx context.Context, keys []ids.ID) ([]Remote, error)
 }
 
 // RunBounded invokes fn(0..count-1) with at most FanOut concurrent
-// invocations; a single index runs inline on the caller's goroutine. It
-// is the bounded-fan-out primitive shared by the batch layers (this
-// package's resolvers, the global index's batch client). A context that
-// dies mid-run stops workers from picking up further indices — already
-// dispatched fn calls finish. The context's error is returned exactly
-// when some index was skipped, so callers know the fan-out is
-// incomplete; nil means every index ran, even if the context died after
-// the last one.
+// invocations. The caller's goroutine is one of the workers, so a single
+// index runs inline and a fan-out of n starts min(n, FanOut)-1
+// goroutines. It is the bounded-fan-out primitive shared by the batch
+// layers (this package's resolvers, the global index's batch client,
+// result presentation). A context that dies mid-run stops workers from
+// picking up further indices — already dispatched fn calls finish. The
+// context's error is returned exactly when some index was skipped, so
+// callers know the fan-out is incomplete; nil means every index ran,
+// even if the context died after the last one.
 func RunBounded(ctx context.Context, count int, fn func(i int)) error {
-	if count == 1 {
+	switch count {
+	case 0:
+		return nil
+	case 1:
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		fn(0)
 		return nil
 	}
-	workers := min(FanOut, count)
 	var wg sync.WaitGroup
 	var skipped atomic.Bool
 	idx := make(chan int, count)
@@ -63,19 +66,24 @@ func RunBounded(ctx context.Context, count int, fn func(i int)) error {
 		idx <- i
 	}
 	close(idx)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for i := range idx {
+			if ctx.Err() != nil {
+				skipped.Store(true)
+				return
+			}
+			fn(i)
+		}
+	}
+	workers := min(FanOut, count)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					skipped.Store(true)
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if skipped.Load() {
 		return ctx.Err()

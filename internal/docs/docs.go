@@ -39,14 +39,30 @@ type Document struct {
 	Body   string // extracted text used for indexing and snippets
 	URL    string // original URL for externally published documents
 	Access Access
+
+	// snippet is Snippet(SnippetLen), computed once when the Store
+	// admits the document; snipped says it is set.
+	snippet string
+	snipped bool
 }
 
+// SnippetLen is the snippet length, in runes, results are presented with.
+const SnippetLen = 160
+
 // Snippet returns the first n runes of the body with whitespace collapsed,
-// for result presentation.
+// for result presentation. A stored document answers n == SnippetLen
+// from the snippet computed when it was added.
 func (d *Document) Snippet(n int) string {
+	if d.snipped && n == SnippetLen {
+		return d.snippet
+	}
+	return snippet(d.Body, n)
+}
+
+func snippet(body string, n int) string {
 	out := make([]rune, 0, n)
 	space := false
-	for _, r := range d.Body {
+	for _, r := range body {
 		if r == ' ' || r == '\n' || r == '\t' || r == '\r' {
 			space = len(out) > 0
 			continue
@@ -88,9 +104,10 @@ func (s *Store) Add(d *Document) (*Document, error) {
 	if d.Name == "" {
 		return nil, fmt.Errorf("docs: document needs a name")
 	}
+	cp := *d
+	cp.snippet, cp.snipped = snippet(cp.Body, SnippetLen), true
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := *d
 	if id, exists := s.byName[cp.Name]; exists {
 		cp.ID = id
 	} else {

@@ -114,6 +114,27 @@ func TestSnippet(t *testing.T) {
 	}
 }
 
+// TestStoredSnippetComputedOnce pins that a stored document answers the
+// presentation snippet without recomputing it, and that Snippet(n) reads
+// the same for every n as on a document that never entered a store.
+func TestStoredSnippetComputedOnce(t *testing.T) {
+	body := strings.Repeat("  lorem\tipsum dolor\n", 40)
+	s := NewStore()
+	stored, err := s.Add(&Document{Name: "a.txt", Body: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loose := &Document{Body: body}
+	for _, n := range []int{1, 9, SnippetLen - 1, SnippetLen, SnippetLen + 1, 10000} {
+		if got, want := stored.Snippet(n), loose.Snippet(n); got != want {
+			t.Fatalf("stored Snippet(%d) = %q, want %q", n, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { stored.Snippet(SnippetLen) }); allocs != 0 {
+		t.Fatalf("stored Snippet(SnippetLen) made %v allocations, want 0", allocs)
+	}
+}
+
 func TestParseText(t *testing.T) {
 	d, err := Parse("notes.txt", []byte("\n\nFirst line title\nbody text here"))
 	if err != nil {

@@ -164,6 +164,7 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, b
 	}
 	ch := make(chan attempt, len(targets))
 	spans := make([]*telemetry.Span, len(targets))
+	hedged := make([]bool, len(targets)) // launched by the delay, not by a failure
 	launch := func(i int) {
 		as := span.NewChild("attempt")
 		as.SetAttr("peer", string(targets[i].addr))
@@ -194,6 +195,9 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, b
 			spans[a.idx].Finish()
 			if a.err == nil {
 				span.SetAttr("winner", string(targets[a.idx].addr))
+				if hedged[a.idx] {
+					ix.hedgesWon.Add(1)
+				}
 				return a.resp, nil
 			}
 			lastErr = a.err
@@ -214,6 +218,8 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, b
 			}
 		case <-timerC:
 			if next < len(targets) {
+				hedged[next] = true
+				ix.hedgesLaunched.Add(1)
 				launch(next)
 				next++
 				inflight++

@@ -273,3 +273,63 @@ func TestHedgedReadLearnsToAvoidSlowReplica(t *testing.T) {
 		t.Fatalf("slow primary not demoted: chain=%v (estimate %v ok=%v)", chain, est, ok)
 	}
 }
+
+// TestHedgeCountersLaunchedAndWon pins the hedge counters: a first copy
+// slower than the hedge delay makes the read fire one hedge, and the
+// hedge's answer wins; with every copy fast, no hedge fires.
+func TestHedgeCountersLaunchedAndWon(t *testing.T) {
+	defer leakcheck.Check(t)()
+	nodes, idxs, _, net, _ := hedgeRing(t, 8, 3)
+	terms := []string{"hedge", "counters"}
+	key, primaryIdx, want := putReplicated(t, nodes, idxs, terms)
+	primaryAddr := nodes[primaryIdx].Self().Addr
+	// The reader holds no copy: a peer's call to itself skips the
+	// network, and with it the injected delay.
+	var reader *Index
+	for i := range idxs {
+		holds := false
+		for _, c := range idxs[i].readChain(context.Background(), key, primaryAddr, false) {
+			holds = holds || c.addr == nodes[i].Self().Addr
+		}
+		if !holds {
+			reader = idxs[i]
+			break
+		}
+	}
+	if reader == nil {
+		t.Fatal("every peer holds a copy")
+	}
+	if _, err := reader.MultiGet(context.Background(), []GetItem{{Terms: terms}}, ReadAnyReplica); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		t.Helper()
+		res, err := reader.MultiGet(context.Background(), []GetItem{{Terms: terms}},
+			ReadAnyReplica, WithHedge(30*time.Millisecond))
+		if err != nil || !res[0].Found || res[0].List.Len() != want.Len() {
+			t.Fatalf("hedged read: %+v, %v", res, err)
+		}
+	}
+
+	// The copy the hedged read asks first is the one made slow.
+	first := reader.readChain(context.Background(), key, primaryAddr, false)[0].addr
+	net.SetPeerDelay(first, 300*time.Millisecond)
+	before := reader.TopKStats()
+	read()
+	net.SetPeerDelay(first, 0)
+	after := reader.TopKStats()
+	if got := after.HedgesLaunched - before.HedgesLaunched; got != 1 {
+		t.Fatalf("slow first copy: %d hedges launched, want 1", got)
+	}
+	if got := after.HedgesWon - before.HedgesWon; got != 1 {
+		t.Fatalf("slow first copy: %d hedges won, want 1", got)
+	}
+
+	before = after
+	read()
+	after = reader.TopKStats()
+	if after.HedgesLaunched != before.HedgesLaunched || after.HedgesWon != before.HedgesWon {
+		t.Fatalf("fast copies: hedges launched %d won %d, want none",
+			after.HedgesLaunched-before.HedgesLaunched, after.HedgesWon-before.HedgesWon)
+	}
+}

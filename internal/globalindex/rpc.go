@@ -50,6 +50,9 @@ type Index struct {
 	topkRounds atomic.Int64
 	topkEarly  atomic.Int64
 	topkSaved  atomic.Int64
+	// Hedged-read counters (hedge.go); see TopKStats.
+	hedgesLaunched atomic.Int64
+	hedgesWon      atomic.Int64
 }
 
 // New creates the component for node with the default in-memory engine,

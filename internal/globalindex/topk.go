@@ -3,6 +3,7 @@ package globalindex
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,20 +56,25 @@ const (
 // prices the stored tail entries a streamed read never shipped.
 const approxFullPostingBytes = 9
 
-// TopKStats are the cumulative streamed-read counters of one Index,
-// exported as the alvis_index_topk_* telemetry families.
+// TopKStats are the cumulative read-session counters of one Index,
+// exported as the alvis_index_topk_* and alvis_index_hedges_* telemetry
+// families.
 type TopKStats struct {
 	Rounds            int64 // continuation rounds issued
 	EarlyTerminations int64 // sessions ended by the threshold test with unread tail remaining
 	BytesSaved        int64 // estimated bytes of stored tails never shipped
+	HedgesLaunched    int64 // read attempts fired because the hedge delay passed without an answer
+	HedgesWon         int64 // reads whose answer came from such an attempt
 }
 
-// TopKStats returns the index's cumulative streamed-read counters.
+// TopKStats returns the index's cumulative read-session counters.
 func (ix *Index) TopKStats() TopKStats {
 	return TopKStats{
 		Rounds:            ix.topkRounds.Load(),
 		EarlyTerminations: ix.topkEarly.Load(),
 		BytesSaved:        ix.topkSaved.Load(),
+		HedgesLaunched:    ix.hedgesLaunched.Load(),
+		HedgesWon:         ix.hedgesWon.Load(),
 	}
 }
 
@@ -227,9 +233,9 @@ func readTopKAnswer(r *wire.Reader) (topKAnswer, error) {
 type topkKeyState struct {
 	key       string
 	terms     []string
-	peer      transport.Addr // copy that served the last chunk; continuation target
-	list      *postings.List // fetched prefix so far, canonical order
-	seen      map[postings.DocRef]bool
+	peer      transport.Addr      // copy that served the last chunk; continuation target
+	list      *postings.List      // fetched prefix so far, canonical order
+	seen      map[uint64]struct{} // refIDs of list's entries; nil until a chunk could repeat one
 	found     bool
 	wantIndex bool
 	cursor    int // stored-list offset of the next unfetched entry
@@ -241,17 +247,32 @@ type topkKeyState struct {
 
 func (st *topkKeyState) pending() bool { return st.found && !st.done }
 
-// absorb merges one chunk answer into the state. Chunks are consecutive
-// slices of the serving copy's canonical-order list, so appending keeps
-// the fetched prefix in canonical order; the seen filter drops the
-// entries a re-open after a lost continuation serves again.
-func (st *topkKeyState) absorb(a topKAnswer) {
+// absorb merges one chunk answer into the state and takes ownership of
+// a.entries. Chunks are consecutive slices of the serving copy's
+// canonical-order list, so appending keeps the fetched prefix in
+// canonical order. The first chunk is a slice of one normalized stored
+// list and cannot repeat a ref, so it becomes the prefix as it is; only
+// a later chunk — a continuation, or the re-open after a lost one that
+// serves the top again — builds the seen set (ids from refIDs) that
+// drops the entries already held.
+func (st *topkKeyState) absorb(a topKAnswer, refIDs *postings.RefIDs) {
 	st.found, st.peer = true, a.served
 	st.list.Truncated = a.truncated
-	for _, p := range a.entries {
-		if !st.seen[p.Ref] {
-			st.seen[p.Ref] = true
-			st.list.Entries = append(st.list.Entries, p)
+	if st.seen == nil && len(st.list.Entries) == 0 {
+		st.list.Entries = a.entries
+	} else {
+		if st.seen == nil {
+			st.seen = make(map[uint64]struct{}, len(st.list.Entries)+len(a.entries))
+			for _, p := range st.list.Entries {
+				st.seen[refIDs.ID(p.Ref)] = struct{}{}
+			}
+		}
+		for _, p := range a.entries {
+			id := refIDs.ID(p.Ref)
+			if _, dup := st.seen[id]; !dup {
+				st.seen[id] = struct{}{}
+				st.list.Entries = append(st.list.Entries, p)
+			}
 		}
 	}
 	st.cursor, st.total, st.bound = a.cursor, a.total, a.bound
@@ -286,7 +307,8 @@ type TopKSession struct {
 
 	mu     sync.Mutex
 	states map[string]*topkKeyState
-	order  []string // insertion order, for deterministic iteration
+	order  []string        // insertion order, for deterministic iteration
+	refIDs postings.RefIDs // one numbering for every key's seen set
 
 	// epoch is the ring epoch captured before the session's first
 	// fan-out; every cache refill is stamped with it, so a mid-session
@@ -334,12 +356,7 @@ func (ix *Index) NewTopKSession(k, chunk int, policy ReadPolicy, opts ...ReadOpt
 func (s *TopKSession) state(key string, terms []string) *topkKeyState {
 	st, ok := s.states[key]
 	if !ok {
-		st = &topkKeyState{
-			key:   key,
-			terms: terms,
-			list:  &postings.List{},
-			seen:  make(map[postings.DocRef]bool),
-		}
+		st = &topkKeyState{key: key, terms: terms, list: &postings.List{}}
 		s.states[key] = st
 		s.order = append(s.order, key)
 	}
@@ -348,8 +365,8 @@ func (s *TopKSession) state(key string, terms []string) *topkKeyState {
 
 // cachedPrefix is a posting-prefix cache entry: one key's last known
 // chunk answer, replayable into a fresh session state exactly as the
-// wire answer it condenses. entries is immutable once cached — absorb
-// copies postings out, and fills always store a fresh copy.
+// wire answer it condenses. entries is immutable once cached — a replay
+// hands absorb a copy, and fills always store a fresh copy.
 type cachedPrefix struct {
 	entries   []postings.Posting
 	truncated bool
@@ -373,7 +390,8 @@ func cachedPrefixOf(st *topkKeyState) *cachedPrefix {
 	}
 }
 
-// answerOf replays the cached prefix as the chunk answer it condenses.
+// answerOf replays the cached prefix as the chunk answer it condenses,
+// over a copy of the entries for absorb to own.
 func (cp *cachedPrefix) answerOf() topKAnswer {
 	return topKAnswer{
 		found:     true,
@@ -383,7 +401,7 @@ func (cp *cachedPrefix) answerOf() topKAnswer {
 		total:     cp.total,
 		cursor:    cp.cursor,
 		bound:     cp.bound,
-		entries:   cp.entries,
+		entries:   slices.Clone(cp.entries),
 	}
 }
 
@@ -423,7 +441,7 @@ func (s *TopKSession) readOp(sts []*topkKeyState, chunkOf func(i int) int, lost 
 			st.fetched = true
 			st.wantIndex = st.wantIndex || a.wantIndex
 			if a.found {
-				st.absorb(a)
+				st.absorb(a, &s.refIDs)
 			} else {
 				st.found, st.done = false, true
 			}
@@ -490,7 +508,7 @@ func (s *TopKSession) FetchPrefixes(ctx context.Context, items []GetItem) ([]Get
 				// cap: nothing will fetch the rest.
 				cp := v.(*cachedPrefix)
 				if s.chunk > 0 || cp.cursor >= cp.total || (want > 0 && cp.cursor >= want) {
-					st.absorb(cp.answerOf())
+					st.absorb(cp.answerOf(), &s.refIDs)
 					st.wantIndex = st.wantIndex || cp.wantIndex
 					continue
 				}
@@ -717,10 +735,26 @@ func (s *TopKSession) couldImprove(ranked []postings.Posting, pending []*topkKey
 	if unseenSum >= sk {
 		return true // a completely unseen document could enter
 	}
-	for _, p := range ranked[s.k:] {
+	// shows[i*len(pending)+j]: pending key j has fetched trailing document
+	// i. One lookup over the trailing documents, one pass over each
+	// pending prefix — no per-key set.
+	trailing := ranked[s.k:]
+	pos := make(map[uint64]int32, len(trailing))
+	for i, p := range trailing {
+		pos[s.refIDs.ID(p.Ref)] = int32(i)
+	}
+	shows := make([]bool, len(trailing)*len(pending))
+	for j, st := range pending {
+		for _, p := range st.list.Entries {
+			if i, ok := pos[s.refIDs.ID(p.Ref)]; ok {
+				shows[int(i)*len(pending)+j] = true
+			}
+		}
+	}
+	for i, p := range trailing {
 		upper := p.Score
-		for _, st := range pending {
-			if !st.seen[p.Ref] {
+		for j, st := range pending {
+			if !shows[i*len(pending)+j] {
 				upper += st.bound
 			}
 		}

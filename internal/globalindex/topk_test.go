@@ -595,3 +595,74 @@ func TestTopKAnswerRoundTrip(t *testing.T) {
 		t.Fatalf("exhausted answer: %+v err=%v", a, err)
 	}
 }
+
+// chunkAnswer is the read answer serving entries[from:to] of a stored
+// list of len(entries).
+func chunkAnswer(entries []postings.Posting, from, to int) topKAnswer {
+	a := topKAnswer{found: true, served: "s", total: len(entries), cursor: to,
+		entries: append([]postings.Posting(nil), entries[from:to]...)}
+	if to < len(entries) {
+		a.bound = entries[to-1].Score
+	}
+	return a
+}
+
+func storedEntries(n int) []postings.Posting {
+	out := make([]postings.Posting, n)
+	for i := range out {
+		out[i] = postings.Posting{Ref: postings.DocRef{Peer: "p", Doc: uint32(i)}, Score: float64(n - i)}
+	}
+	return out
+}
+
+// TestAbsorbDedupsOnlyLaterChunks: an opening chunk becomes the prefix
+// as it is, with no seen set; a continuation and then a re-open that
+// serves the top again extend it without repeating a ref.
+func TestAbsorbDedupsOnlyLaterChunks(t *testing.T) {
+	stored := storedEntries(12)
+	var refIDs postings.RefIDs
+	st := &topkKeyState{list: &postings.List{}}
+	st.absorb(chunkAnswer(stored, 0, 4), &refIDs)
+	if st.seen != nil {
+		t.Fatal("an opening chunk built a seen set")
+	}
+	st.absorb(chunkAnswer(stored, 4, 8), &refIDs)
+	st.absorb(chunkAnswer(stored, 0, 12), &refIDs) // re-open after a lost continuation
+	if got := st.list.Entries; len(got) != len(stored) {
+		t.Fatalf("prefix has %d entries, want %d", len(got), len(stored))
+	}
+	for i, p := range st.list.Entries {
+		if p != stored[i] {
+			t.Fatalf("entry %d = %v, want %v", i, p, stored[i])
+		}
+	}
+	if !st.done {
+		t.Fatal("a whole-list re-open must end the stream")
+	}
+}
+
+// TestAbsorbOpenAllocatesNothing pins that absorbing an opening chunk
+// builds no dedup set: the chunk's entries become the prefix.
+func TestAbsorbOpenAllocatesNothing(t *testing.T) {
+	a := chunkAnswer(storedEntries(40), 0, 20)
+	var refIDs postings.RefIDs
+	st := &topkKeyState{list: &postings.List{}}
+	allocs := testing.AllocsPerRun(50, func() {
+		st.list.Entries, st.seen = nil, nil
+		st.absorb(a, &refIDs)
+	})
+	if allocs != 0 {
+		t.Fatalf("absorbing an opening chunk made %v allocations, want 0", allocs)
+	}
+}
+
+func BenchmarkAbsorbOpen(b *testing.B) {
+	a := chunkAnswer(storedEntries(40), 0, 20)
+	var refIDs postings.RefIDs
+	st := &topkKeyState{list: &postings.List{}}
+	b.ReportAllocs()
+	for b.Loop() {
+		st.list.Entries, st.seen = nil, nil
+		st.absorb(a, &refIDs)
+	}
+}

@@ -7,12 +7,14 @@
 // sub-combinations) from further exploration; as the paper's
 // load-balancing approximation, a hit with a *truncated* list may prune
 // its sublattice too, at a marginal loss in precision. The union of all
-// retrieved lists is the candidate set handed to the ranking layer.
+// retrieved lists is the candidate set the ranking layer draws from.
 package lattice
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,12 +107,14 @@ func (t *Trace) String() string {
 }
 
 // Explore runs the lattice exploration for the given distinct query terms
-// and returns the union of all retrieved posting lists plus the trace.
+// and returns the lists of every hit, in probe order, plus the trace. It
+// does not merge them: the caller ranks the per-key lists itself, and
+// postings.Union over the returned lists gives the candidate set.
 // A context that dies mid-exploration stops at the next generation
-// boundary: the error is the context's, and the trace reflects exactly
-// the probes that completed — the caller still holds every list its
-// fetcher gathered, which is what turns a deadline expiry into usable
-// partial results.
+// boundary: the error is the context's, and the trace and the lists
+// reflect exactly the probes that completed — the caller still holds
+// every list its fetcher gathered, which is what turns a deadline expiry
+// into usable partial results.
 //
 // The sorted masks are walked one generation (combination size) at a
 // time. Within a generation no mask can prune another — a covering mask
@@ -120,10 +124,10 @@ func (t *Trace) String() string {
 // the trace are then applied in the generation's mask order, so the
 // result and trace do not depend on how the fetcher orders or overlaps
 // its probes.
-func Explore(ctx context.Context, f Fetcher, queryTerms []string, cfg Config) (*postings.List, *Trace, error) {
+func Explore(ctx context.Context, f Fetcher, queryTerms []string, cfg Config) ([]*postings.List, *Trace, error) {
 	terms := dedupeSorted(queryTerms)
 	if len(terms) == 0 {
-		return &postings.List{}, &Trace{}, nil
+		return nil, &Trace{}, nil
 	}
 	if len(terms) > maxQueryTerms {
 		terms = terms[:maxQueryTerms]
@@ -137,15 +141,13 @@ func Explore(ctx context.Context, f Fetcher, queryTerms []string, cfg Config) (*
 	for m := uint(1); m < 1<<n; m++ {
 		masks = append(masks, m)
 	}
-	sort.Slice(masks, func(i, j int) bool {
-		a, b := masks[i], masks[j]
-		ca, cb := popcount(a), popcount(b)
-		if ca != cb {
-			return ca > cb
+	slices.SortFunc(masks, func(a, b uint) int {
+		if c := cmp.Compare(popcount(b), popcount(a)); c != 0 {
+			return c
 		}
 		// Lexicographic on the combination = numeric on the mask read as
 		// smallest-index-first: lower set bits first.
-		return lexLess(a, b, n)
+		return lexCompare(a, b, n)
 	})
 
 	trace := &Trace{}
@@ -160,7 +162,7 @@ func Explore(ctx context.Context, f Fetcher, queryTerms []string, cfg Config) (*
 		if err := ctx.Err(); err != nil {
 			// Between generations: everything gathered so far is a clean
 			// prefix of the exploration.
-			return postings.Union(lists...), trace, err
+			return lists, trace, err
 		}
 		end := start
 		size := popcount(masks[start])
@@ -204,7 +206,7 @@ func Explore(ctx context.Context, f Fetcher, queryTerms []string, cfg Config) (*
 			trace.Probed = append(trace.Probed, p)
 		}
 	}
-	return postings.Union(lists...), trace, nil
+	return lists, trace, nil
 }
 
 // coveredBy reports whether m is a strict sub-combination of any
@@ -240,18 +242,21 @@ func popcount(m uint) int {
 	return c
 }
 
-// lexLess orders equal-popcount masks so that the term combinations they
-// select over n sorted terms come out lexicographically: the combination
-// with the earliest differing index first.
-func lexLess(a, b uint, n int) bool {
+// lexCompare orders equal-popcount masks so that the term combinations
+// they select over n sorted terms come out lexicographically: the
+// combination with the earliest differing index first.
+func lexCompare(a, b uint, n int) int {
 	for i := 0; i < n; i++ {
 		ba := a&(1<<i) != 0
 		bb := b&(1<<i) != 0
 		if ba != bb {
-			return ba // a contains the earlier index: a first
+			if ba {
+				return -1 // a contains the earlier index: a first
+			}
+			return 1
 		}
 	}
-	return false
+	return 0
 }
 
 func maskTerms(m uint, terms []string) []string {

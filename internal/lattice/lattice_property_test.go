@@ -53,15 +53,17 @@ func TestPruningIsConservative(t *testing.T) {
 		mf := func() *mapFetcher { return &mapFetcher{lists: idx} }
 
 		fOn := mf()
-		unionOn, _, err := Explore(context.Background(), fOn, terms, Config{PruneTruncated: true})
+		listsOn, _, err := Explore(context.Background(), fOn, terms, Config{PruneTruncated: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		unionOn := postings.Union(listsOn...)
 		fOff := mf()
-		unionOff, _, err := Explore(context.Background(), fOff, terms, Config{PruneTruncated: false})
+		listsOff, _, err := Explore(context.Background(), fOff, terms, Config{PruneTruncated: false})
 		if err != nil {
 			t.Fatal(err)
 		}
+		unionOff := postings.Union(listsOff...)
 
 		probesOff := map[string]bool{}
 		for _, p := range fOff.probes {
@@ -134,10 +136,11 @@ func TestUnionMatchesProbedHits(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		idx := randomIndex(rng, terms, 0.6, 0.5)
 		f := &mapFetcher{lists: idx}
-		union, trace, err := Explore(context.Background(), f, terms, Config{PruneTruncated: true})
+		lists, trace, err := Explore(context.Background(), f, terms, Config{PruneTruncated: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		union := postings.Union(lists...)
 		want := map[postings.DocRef]bool{}
 		for _, p := range trace.Probed {
 			if !p.Found {

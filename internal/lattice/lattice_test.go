@@ -5,6 +5,7 @@ import (
 
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -64,10 +65,11 @@ func TestFigure1(t *testing.T) {
 		"b":   pl(true, 10, 11, 12),
 		"c":   pl(true, 10, 13),
 	}}
-	result, trace, err := Explore(context.Background(), f, []string{"a", "b", "c"}, Config{PruneTruncated: true})
+	lists, trace, err := Explore(context.Background(), f, []string{"a", "b", "c"}, Config{PruneTruncated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	result := postings.Union(lists...)
 	wantProbes := []string{"a b c", "a b", "a c", "b c", "a"}
 	if !reflect.DeepEqual(f.probes, wantProbes) {
 		t.Fatalf("probes = %v, want %v", f.probes, wantProbes)
@@ -127,10 +129,11 @@ func TestUntruncatedHitPrunesDominated(t *testing.T) {
 	f := &mapFetcher{lists: map[string]*postings.List{
 		"a b c": pl(false, 1, 2),
 	}}
-	result, trace, err := Explore(context.Background(), f, []string{"c", "b", "a"}, Config{})
+	lists, trace, err := Explore(context.Background(), f, []string{"c", "b", "a"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	result := postings.Union(lists...)
 	if len(f.probes) != 1 || f.probes[0] != "a b c" {
 		t.Fatalf("probes = %v", f.probes)
 	}
@@ -144,10 +147,11 @@ func TestUntruncatedHitPrunesDominated(t *testing.T) {
 
 func TestSingleTermQuery(t *testing.T) {
 	f := &mapFetcher{lists: map[string]*postings.List{"x": pl(false, 5)}}
-	result, trace, err := Explore(context.Background(), f, []string{"x"}, Config{})
+	lists, trace, err := Explore(context.Background(), f, []string{"x"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	result := postings.Union(lists...)
 	if trace.Probes() != 1 || result.Len() != 1 {
 		t.Fatalf("probes=%d result=%d", trace.Probes(), result.Len())
 	}
@@ -155,10 +159,11 @@ func TestSingleTermQuery(t *testing.T) {
 
 func TestEmptyQuery(t *testing.T) {
 	f := &mapFetcher{}
-	result, trace, err := Explore(context.Background(), f, nil, Config{})
+	lists, trace, err := Explore(context.Background(), f, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	result := postings.Union(lists...)
 	if result.Len() != 0 || trace.Probes() != 0 {
 		t.Fatal("empty query must produce nothing")
 	}
@@ -177,10 +182,11 @@ func TestDuplicateTermsCollapse(t *testing.T) {
 
 func TestAllMissesProbesEverything(t *testing.T) {
 	f := &mapFetcher{lists: map[string]*postings.List{}}
-	result, trace, err := Explore(context.Background(), f, []string{"a", "b", "c", "d"}, Config{})
+	lists, trace, err := Explore(context.Background(), f, []string{"a", "b", "c", "d"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	result := postings.Union(lists...)
 	if trace.Probes() != 15 { // 2^4 - 1
 		t.Fatalf("probes = %d, want 15", trace.Probes())
 	}
@@ -213,10 +219,11 @@ func TestMaxResultsPerProbePropagates(t *testing.T) {
 	f := &mapFetcher{lists: map[string]*postings.List{
 		"a": pl(false, 1, 2, 3, 4, 5),
 	}}
-	result, _, err := Explore(context.Background(), f, []string{"a"}, Config{MaxResultsPerProbe: 2})
+	lists, _, err := Explore(context.Background(), f, []string{"a"}, Config{MaxResultsPerProbe: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	result := postings.Union(lists...)
 	if result.Len() != 2 || !result.Truncated {
 		t.Fatalf("capped probe: len=%d trunc=%v", result.Len(), result.Truncated)
 	}
@@ -251,5 +258,42 @@ func TestDecreasingSizeOrder(t *testing.T) {
 	// Within size 3, combinations are lexicographic.
 	if f.probes[1] != "a b c" || f.probes[2] != "a b d" || f.probes[3] != "a c d" || f.probes[4] != "b c d" {
 		t.Fatalf("size-3 order: %v", f.probes[1:5])
+	}
+}
+
+// TestExploreAllocsIndependentOfPostings pins that exploration merges
+// nothing: over the same found lists, ten postings each or two thousand,
+// it allocates the same bytes. A union of the lists would copy and sort
+// every posting, ≈ 190 kB more for the larger lists.
+func TestExploreAllocsIndependentOfPostings(t *testing.T) {
+	bytesPerRun := func(perList int) int64 {
+		lists := map[string]*postings.List{}
+		for _, term := range []string{"a", "b", "c"} {
+			l := &postings.List{Truncated: true}
+			for d := 0; d < perList; d++ {
+				l.Entries = append(l.Entries, postings.Posting{
+					Ref: postings.DocRef{Peer: transport.Addr(term), Doc: uint32(d)}, Score: float64(perList - d)})
+			}
+			lists[term] = l
+		}
+		f := FetchFunc(func(_ context.Context, terms []string, _ int) (*postings.List, bool, error) {
+			l, ok := lists[ids.KeyString(terms)]
+			return l, ok, nil
+		})
+		terms := []string{"a", "b", "c"}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, _, err := Explore(context.Background(), f, terms, Config{PruneTruncated: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := bytesPerRun(10), bytesPerRun(2000)
+	if large-small > 1024 {
+		t.Fatalf("Explore allocated %d B per call over 10-posting lists, %d B over 2000-posting lists", small, large)
 	}
 }

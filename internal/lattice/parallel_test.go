@@ -126,11 +126,11 @@ func exploreInline(t *testing.T, base *randomFetcher, terms []string, cfg Config
 		ran[goid()] = true
 		return base.Get(ctx, ts, max)
 	})
-	l, tr, err := Explore(context.Background(), f, terms, cfg)
+	lists, tr, err := Explore(context.Background(), f, terms, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, tr, ran
+	return postings.Union(lists...), tr, ran
 }
 
 // TestExploreParallelMatchesSequential fuzzes random index contents and
@@ -150,10 +150,11 @@ func TestExploreParallelMatchesSequential(t *testing.T) {
 			seqList, seqTrace, _ := exploreInline(t, base, terms, cfg)
 
 			par := newParallelFetcher(terms, seed)
-			parList, parTrace, err := Explore(context.Background(), par, terms, cfg)
+			parLists, parTrace, err := Explore(context.Background(), par, terms, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			parList := postings.Union(parLists...)
 			tracesEqual(t, name, seqTrace, parTrace)
 			if !reflect.DeepEqual(seqList, parList) {
 				t.Fatalf("%s: unions differ", name)
@@ -186,10 +187,11 @@ func TestExploreWidthZeroOrOneIsInline(t *testing.T) {
 			t.Errorf("%s: FetchFunc probed on goroutines %v, want only the caller's (%s)", name, ran, self)
 		}
 		par := newParallelFetcher(terms, 99)
-		lp, tp, err := Explore(context.Background(), par, terms, cfg)
+		lists, tp, err := Explore(context.Background(), par, terms, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		lp := postings.Union(lists...)
 		if len(par.ran) == 0 || par.ran[self] {
 			t.Errorf("%s: parallel fetcher probed on goroutines %v, want none of them the caller's (%s)", name, par.ran, self)
 		}

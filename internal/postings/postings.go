@@ -11,8 +11,10 @@
 package postings
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/transport"
@@ -27,14 +29,48 @@ type DocRef struct {
 }
 
 // Less orders references by (peer, doc) for deterministic tie-breaking.
-func (r DocRef) Less(o DocRef) bool {
+func (r DocRef) Less(o DocRef) bool { return r.Compare(o) < 0 }
+
+// Compare orders references by (peer, doc): -1, 0 or +1.
+func (r DocRef) Compare(o DocRef) int {
 	if r.Peer != o.Peer {
-		return r.Peer < o.Peer
+		if r.Peer < o.Peer {
+			return -1
+		}
+		return 1
 	}
-	return r.Doc < o.Doc
+	return cmp.Compare(r.Doc, o.Doc)
 }
 
 func (r DocRef) String() string { return fmt.Sprintf("%s/%d", r.Peer, r.Doc) }
+
+// RefIDs numbers document references as pointer-free map keys: the
+// peer's ordinal of first appearance in the high 32 bits, the document
+// number in the low 32. A map keyed by them hashes no string and holds
+// nothing the garbage collector must scan. Ids are stable for the life
+// of one RefIDs and mean nothing across two. The zero value is ready to
+// use; it is not safe for concurrent use.
+type RefIDs struct {
+	peers   map[transport.Addr]uint64
+	last    transport.Addr // the previous call's peer, matched without hashing
+	lastOrd uint64
+}
+
+// ID returns ref's id.
+func (r *RefIDs) ID(ref DocRef) uint64 {
+	if r.peers == nil || ref.Peer != r.last {
+		ord, ok := r.peers[ref.Peer]
+		if !ok {
+			if r.peers == nil {
+				r.peers = make(map[transport.Addr]uint64)
+			}
+			ord = uint64(len(r.peers))
+			r.peers[ref.Peer] = ord
+		}
+		r.last, r.lastOrd = ref.Peer, ord
+	}
+	return r.lastOrd<<32 | uint64(ref.Doc)
+}
 
 // Posting is one scored entry.
 type Posting struct {
@@ -68,12 +104,11 @@ func (l *List) Normalize() {
 		return
 	}
 	// Merge duplicates by ref, keeping max score.
-	sort.Slice(l.Entries, func(i, j int) bool {
-		a, b := l.Entries[i], l.Entries[j]
-		if a.Ref != b.Ref {
-			return a.Ref.Less(b.Ref)
+	slices.SortFunc(l.Entries, func(a, b Posting) int {
+		if c := a.Ref.Compare(b.Ref); c != 0 {
+			return c
 		}
-		return a.Score > b.Score
+		return cmp.Compare(b.Score, a.Score)
 	})
 	out := l.Entries[:1]
 	for _, p := range l.Entries[1:] {
@@ -86,13 +121,16 @@ func (l *List) Normalize() {
 	sortCanonical(l.Entries)
 }
 
-func sortCanonical(ps []Posting) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Score != ps[j].Score {
-			return ps[i].Score > ps[j].Score
-		}
-		return ps[i].Ref.Less(ps[j].Ref)
-	})
+func sortCanonical(ps []Posting) { slices.SortFunc(ps, CompareCanonical) }
+
+// CompareCanonical orders postings canonically: decreasing score, ties
+// broken by ascending DocRef. It is a total order (NaN scores sort last),
+// so any sort under it yields one result.
+func CompareCanonical(a, b Posting) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return a.Ref.Compare(b.Ref)
 }
 
 // Add inserts a posting (without resorting; call Normalize afterwards, or
@@ -213,21 +251,12 @@ func Intersect(a, b *List) *List {
 // restored at decode time from the stored scores.
 func (l *List) Encode(w *wire.Writer) {
 	w.Bool(l.Truncated)
-	// Group by peer.
-	byPeer := make(map[transport.Addr][]Posting)
-	var peers []transport.Addr
-	for _, p := range l.Entries {
-		if _, ok := byPeer[p.Ref.Peer]; !ok {
-			peers = append(peers, p.Ref.Peer)
-		}
-		byPeer[p.Ref.Peer] = append(byPeer[p.Ref.Peer], p)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	w.Uvarint(uint64(len(peers)))
-	for _, peer := range peers {
-		group := byPeer[peer]
-		sort.Slice(group, func(i, j int) bool { return group[i].Ref.Doc < group[j].Ref.Doc })
-		w.String(string(peer))
+	sorted, peers := peerGroups(l.Entries)
+	w.Uvarint(uint64(peers))
+	for rest := sorted; len(rest) > 0; {
+		group := nextGroup(rest)
+		rest = rest[len(group):]
+		w.String(string(group[0].Ref.Peer))
 		w.Uvarint(uint64(len(group)))
 		prev := uint32(0)
 		for _, p := range group {
@@ -236,6 +265,32 @@ func (l *List) Encode(w *wire.Writer) {
 			w.Float64(p.Score)
 		}
 	}
+}
+
+// peerGroups returns a copy of entries ordered by peer, then document
+// number — the group order both encodings write — and the number of
+// distinct peers. The sort is stable: entries repeating a ref keep their
+// list order.
+func peerGroups(entries []Posting) ([]Posting, int) {
+	sorted := slices.Clone(entries)
+	slices.SortStableFunc(sorted, func(a, b Posting) int { return a.Ref.Compare(b.Ref) })
+	peers := 0
+	for i := range sorted {
+		if i == 0 || sorted[i].Ref.Peer != sorted[i-1].Ref.Peer {
+			peers++
+		}
+	}
+	return sorted, peers
+}
+
+// nextGroup returns the leading run of a non-empty peerGroups result
+// that shares one peer.
+func nextGroup(sorted []Posting) []Posting {
+	end := 1
+	for end < len(sorted) && sorted[end].Ref.Peer == sorted[0].Ref.Peer {
+		end++
+	}
+	return sorted[:end]
 }
 
 // EncodedSize returns the exact number of bytes Encode would produce.
@@ -277,20 +332,12 @@ func (l *List) EncodeCompressed(w *wire.Writer) {
 		flags |= 1
 	}
 	w.Byte(flags)
-	byPeer := make(map[transport.Addr][]Posting)
-	var peers []transport.Addr
-	for _, p := range l.Entries {
-		if _, ok := byPeer[p.Ref.Peer]; !ok {
-			peers = append(peers, p.Ref.Peer)
-		}
-		byPeer[p.Ref.Peer] = append(byPeer[p.Ref.Peer], p)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	w.Uvarint(uint64(len(peers)))
-	for _, peer := range peers {
-		group := byPeer[peer]
-		sort.Slice(group, func(i, j int) bool { return group[i].Ref.Doc < group[j].Ref.Doc })
-		w.String(string(peer))
+	sorted, peers := peerGroups(l.Entries)
+	w.Uvarint(uint64(peers))
+	for rest := sorted; len(rest) > 0; {
+		group := nextGroup(rest)
+		rest = rest[len(group):]
+		w.String(string(group[0].Ref.Peer))
 		w.Uvarint(uint64(len(group)))
 		prev := uint32(0)
 		for _, p := range group {
@@ -359,9 +406,13 @@ func decodeCompressed(r *wire.Reader) (*List, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if count > 1<<24 {
+		// Every entry takes at least one byte, its document gap: a count
+		// beyond the bytes left is corrupt, and anything else bounds the
+		// allocation.
+		if count > 1<<24 || count > uint64(r.Remaining()) {
 			return nil, wire.ErrCorrupt
 		}
+		l.Entries = slices.Grow(l.Entries, int(count))
 		start := len(l.Entries)
 		doc := uint32(0)
 		for j := uint64(0); j < count; j++ {
@@ -436,9 +487,10 @@ func Decode(r *wire.Reader) (*List, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if count > 1<<24 {
-			return nil, wire.ErrCorrupt
+		if count > 1<<24 || count > uint64(r.Remaining()) {
+			return nil, wire.ErrCorrupt // see decodeCompressed
 		}
+		l.Entries = slices.Grow(l.Entries, int(count))
 		doc := uint32(0)
 		for j := uint64(0); j < count; j++ {
 			doc += uint32(r.Uvarint())

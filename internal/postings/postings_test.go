@@ -1,8 +1,10 @@
 package postings
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +27,24 @@ func TestNormalizeOrdersAndDedupes(t *testing.T) {
 	want := []Posting{mk("b", 2, 0.9), mk("c", 3, 0.9), mk("a", 1, 0.7)}
 	if !reflect.DeepEqual(l.Entries, want) {
 		t.Fatalf("normalized = %v, want %v", l.Entries, want)
+	}
+}
+
+// TestCanonicalOrderIsTotal: every input order of the same postings
+// sorts to one result, NaN scores included (they sort last, by ref).
+func TestCanonicalOrderIsTotal(t *testing.T) {
+	nan := math.NaN()
+	want := []Posting{mk("b", 2, 0.9), mk("c", 3, 0.9), mk("a", 1, 0.5), mk("a", 4, nan), mk("d", 1, nan)}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		got := slices.Clone(want)
+		rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		sortCanonical(got)
+		for i := range got {
+			if got[i].Ref != want[i].Ref || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("trial %d: sorted = %v, want %v", trial, got, want)
+			}
+		}
 	}
 }
 

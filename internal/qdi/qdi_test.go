@@ -117,11 +117,11 @@ func TestOnDemandIndexingEndToEnd(t *testing.T) {
 			}
 			return l, found, err
 		})
-		union, trace, err := lattice.Explore(context.Background(), fetch, query, lattice.Config{PruneTruncated: true})
+		lists, trace, err := lattice.Explore(context.Background(), fetch, query, lattice.Config{PruneTruncated: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return wantIndex, union, trace
+		return wantIndex, postings.Union(lists...), trace
 	}
 
 	// First query: popularity 1, no activation request.
@@ -184,11 +184,11 @@ func TestRedundantKeyNotActivated(t *testing.T) {
 	var trace *lattice.Trace
 	var union *postings.List
 	for i := 0; i < 2; i++ {
-		var err error
-		union, trace, err = lattice.Explore(context.Background(), fetch, []string{"alpha", "beta"}, lattice.Config{})
+		lists, tr, err := lattice.Explore(context.Background(), fetch, []string{"alpha", "beta"}, lattice.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		union, trace = postings.Union(lists...), tr
 	}
 	if !wantIndex["alpha beta"] {
 		t.Skip("activation flag not raised; popularity semantics changed")
