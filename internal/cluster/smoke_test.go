@@ -35,14 +35,14 @@ func TestClusterSmoke(t *testing.T) {
 		Maintain:    300 * time.Millisecond,
 	})
 	client := cl.NewClient(t, clusterCfg(), 300*time.Millisecond)
-	// Let the ring stabilize before publishing. This settle matters more
-	// than usual: the statistics contributions behind the BM25 scores are
-	// published once per document (they are additive, so republishing
-	// would double-count), which means a stats write that races ring
-	// stabilization onto a stale owner is permanently misplaced — the
-	// republish retry below repairs misplaced postings but cannot repair
-	// misplaced stats.
-	//alvislint:allow sleepsync stats misplacement is unobservable and unrepairable (see above); only ring-settle wall time prevents it
+	// Let the ring stabilize before publishing. Every keyed write is
+	// responsibility-checked: a publish that races stabilization onto a
+	// stale owner is rejected "not responsible" and redriven once, and
+	// one still rejected fails the publish below, which is fatal. Nor can
+	// a failed publish be blindly retried: the statistics behind the BM25
+	// scores are additive deltas, so re-sending a document whose frames
+	// were partly applied would double-count it.
+	//alvislint:allow sleepsync no ring-settled signal crosses the process boundary; only ring-settle wall time keeps the first publish clear of a "not responsible" failure
 	time.Sleep(3 * time.Second)
 
 	for _, d := range c.Docs {

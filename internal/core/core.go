@@ -240,7 +240,38 @@ type Peer struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	published map[uint32]bool // docs already pushed to the network
+	// pubMu guards published, where each local document's statistics
+	// contribution stands. PublishStats and RemoveDocument claim a
+	// document under it, make the network call without it, then settle
+	// the claim, so concurrent publishes count each document once.
+	pubMu     sync.Mutex
+	published map[uint32]statsState
+}
+
+// statsState is where a local document's statistics contribution stands;
+// the zero value (absent from Peer.published) is "not in the network".
+type statsState uint8
+
+const (
+	statsNone      statsState = iota
+	statsClaimed              // a PublishStats or RemoveDocument call is in flight
+	statsPublished            // counted in the network
+)
+
+// swapStats moves id's statistics state from from to to and reports
+// whether it did; cur is the state it found.
+func (p *Peer) swapStats(id uint32, from, to statsState) (cur statsState, ok bool) {
+	p.pubMu.Lock()
+	defer p.pubMu.Unlock()
+	if cur = p.published[id]; cur != from {
+		return cur, false
+	}
+	if to == statsNone {
+		delete(p.published, id)
+	} else {
+		p.published[id] = to
+	}
+	return cur, true
 }
 
 // NewPeer assembles a peer on an endpoint created around d. Callers
@@ -295,9 +326,9 @@ func OpenPeer(id ids.ID, ep transport.Endpoint, d *transport.Dispatcher, cfg Con
 		docs:      docs.NewStore(),
 		local:     localindex.New(textproc.Default),
 		gidx:      gidx,
-		gstats:    ranking.NewGlobalStats(node, d),
+		gstats:    ranking.NewGlobalStats(gidx, d),
 		qdiMgr:    qdi.New(cfg.QDI, gidx, d),
-		published: make(map[uint32]bool),
+		published: make(map[uint32]statsState),
 	}
 	p.qdiMgr.SetEnabled(cfg.Strategy == StrategyQDI)
 	if cfg.PrefixCache > 0 || cfg.HotKeyThreshold > 0 {
@@ -317,14 +348,8 @@ func OpenPeer(id ids.ID, ep transport.Endpoint, d *transport.Dispatcher, cfg Con
 	}
 	p.tel = p.buildTelemetry()
 	p.registerL5Handlers(d)
-	if cfg.ReplicationFactor > 1 {
-		// Route the ranking layer's statistics writes through the global
-		// index's write-through machinery, so churn no longer loses BM25
-		// stats until republish (they share the replica-target cache).
-		p.gstats.EnableReplication(gidx)
-		if cfg.AntiEntropyInterval > 0 {
-			go p.antiEntropyLoop(root, cfg.AntiEntropyInterval)
-		}
+	if cfg.ReplicationFactor > 1 && cfg.AntiEntropyInterval > 0 {
+		go p.antiEntropyLoop(root, cfg.AntiEntropyInterval)
 	}
 	if cfg.HotKeyThreshold > 0 && cfg.SoftReplicaInterval > 0 {
 		go p.softReplicaLoop(root, cfg.SoftReplicaInterval)
@@ -553,12 +578,16 @@ func (p *Peer) RemoveDocument(ctx context.Context, id uint32) error {
 	if d == nil {
 		return fmt.Errorf("core: no document %d", id)
 	}
-	if p.published[id] {
-		terms := p.local.DocTerms(id)
-		if err := p.gstats.UnpublishDocument(ctx, terms, p.local.DocLen(id)); err != nil {
+	cur, ok := p.swapStats(id, statsPublished, statsClaimed)
+	if cur == statsClaimed {
+		return fmt.Errorf("core: document %d: statistics update in flight", id)
+	}
+	if ok {
+		if err := p.gstats.UnpublishDocument(ctx, p.local.DocTerms(id), p.local.DocLen(id)); err != nil {
+			p.swapStats(id, statsClaimed, statsPublished)
 			return err
 		}
-		delete(p.published, id)
+		p.swapStats(id, statsClaimed, statsNone)
 	}
 	p.local.Remove(id)
 	p.docs.Remove(id)
@@ -576,13 +605,14 @@ func (p *Peer) PublishStats(ctx context.Context) error {
 		return err
 	}
 	for _, id := range p.local.Docs() {
-		if p.published[id] {
-			continue
+		if _, ok := p.swapStats(id, statsNone, statsClaimed); !ok {
+			continue // published, or claimed by a concurrent call
 		}
 		if err := p.gstats.PublishDocument(ctx, p.local.DocTerms(id), p.local.DocLen(id)); err != nil {
+			p.swapStats(id, statsClaimed, statsNone)
 			return err
 		}
-		p.published[id] = true
+		p.swapStats(id, statsClaimed, statsPublished)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -139,6 +140,42 @@ func TestPublishIndexIdempotentStats(t *testing.T) {
 	}
 	if stats.N != 1 {
 		t.Fatalf("N = %d after repeated PublishStats", stats.N)
+	}
+}
+
+// TestConcurrentPublishStatsCountsOnce: the binary's publish handler may
+// run PublishStats concurrently. Each document's contribution must still
+// reach the network exactly once, so DF and N equal the document count.
+func TestConcurrentPublishStatsCountsOnce(t *testing.T) {
+	peers := protoNet(t, 4, core.Config{})
+	p := peers[1]
+	const docsN = 20
+	for i := 0; i < docsN; i++ {
+		if _, err := p.AddDocument(&docs.Document{Name: fmt.Sprintf("c%d.txt", i), Body: fmt.Sprintf("concurrent snowflake %d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = p.PublishStats(context.Background())
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := p.GlobalStats().Fetch(context.Background(), []string{"snowflak"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.DF["snowflak"] != docsN || stats.N != docsN {
+		t.Fatalf("df = %d, N = %d after two concurrent PublishStats, want %d", stats.DF["snowflak"], stats.N, docsN)
 	}
 }
 

@@ -303,6 +303,52 @@ func (ix *Index) MultiKeyInfo(ctx context.Context, items []KeyInfoItem) ([]KeyIn
 	return out, err
 }
 
+// KeyedOp describes a keyed operation of a sibling service (the ranking
+// layer's statistics) to the batch engine. Its request body is (mode, n,
+// n×item), mode being MsgRead's owner/any byte, and its answer (n,
+// n×value); the receiver checks the mode with AdmitKeyed before it
+// applies anything. Encode writes item i, Decode reads item i's value.
+//
+// A Write goes in owner mode on both rounds of the recovery ladder, is
+// redriven only when the failure proves the frame never ran, and each
+// applied frame is replayed once, in any mode, on the owner's replicas.
+// A read is redriven in any mode and, with R > 1, asks the owner's
+// replicas when the owner cannot serve it — the ladder MsgRead climbs.
+type KeyedOp struct {
+	Msg    uint8
+	Write  bool
+	Encode func(w *wire.Writer, i int)
+	Decode func(r *wire.Reader, i int) error
+}
+
+// RunKeyed runs op over keys — routing keys, hashed onto the ring like
+// index keys — through the engine every index operation uses (see
+// runBatch): the caching resolver, one frame per owner, the recovery
+// ladder and write-through. Groups decode concurrently, so Decode must
+// write only to item i's own slot.
+func (ix *Index) RunKeyed(ctx context.Context, keys []string, op KeyedOp) error {
+	bop := batchOp{msg: op.Msg, moded: true, idempotent: !op.Write, encode: op.Encode, decode: op.Decode}
+	if op.Write {
+		bop.replay = op.Msg
+	}
+	return ix.runBatch(ctx, keys, bop)
+}
+
+// AdmitKeyed is the receiving half of RunKeyed. It rejects an unknown
+// mode as corrupt and, in owner mode, the whole frame unless this node
+// owns every key: a cached route goes stale when a node joins, and the
+// rejection makes the sender redrive over a fresh ring walk instead of
+// misplacing the write.
+func (ix *Index) AdmitKeyed(mode uint8, keys []string) error {
+	switch mode {
+	case readOwner:
+		return ix.checkResponsible(keys)
+	case readAny:
+		return nil
+	}
+	return wire.ErrCorrupt
+}
+
 // batchOp describes one Multi operation to the batch engine.
 type batchOp struct {
 	msg uint8
@@ -317,12 +363,15 @@ type batchOp struct {
 	encode func(w *wire.Writer, i int)
 	decode func(r *wire.Reader, i int) error
 
-	// The rest applies to MsgRead only. mode leads the request body; the
-	// engine picks it per group: readOwner for a group every key of which
-	// goes to its resolved primary (stale-route detection), readAny for
-	// retargeted, hedged and redriven groups.
-	mode uint8
-	// The ReadAnyReplica plans of the first round; at most one is set.
+	// moded marks a request body led by the mode byte (MsgRead and the
+	// keyed ops). The engine picks the mode per group: readOwner for a
+	// group every key of which goes to its resolved primary (stale-route
+	// detection) and for every write, readAny for retargeted, hedged and
+	// redriven reads and for write-through replays.
+	moded bool
+	mode  uint8
+	// The ReadAnyReplica plans of a MsgRead's first round; at most one is
+	// set.
 	// retarget maps each item's resolved primary to the copy that serves
 	// it. hedge keeps items grouped by primary and races each group frame
 	// across the group's copies (hedgedRead).
@@ -368,12 +417,12 @@ func (ix *Index) planReplicaRead(op *batchOp, policy ReadPolicy, hedge time.Dura
 //     per owner and resent once. Writes and frequency probes stay
 //     responsibility-checked: an owner that still rejects them (the ring
 //     is in flux) fails the operation rather than stranding a write.
-//     Reads go in readAny mode: the fresh walk is the best route there
-//     is, and a soft-state read answered by a copy that is about to hand
-//     the key over beats a failed query.
-//  4. A read with R > 1 whose redriven frame is still unserved — owner
-//     dead or shedding — asks the owner's replicas, at most R−1 of them
-//     (walkReplicas). Whatever is unserved after that fails the
+//     Moded reads go in readAny mode: the fresh walk is the best route
+//     there is, and a soft-state read answered by a copy that is about
+//     to hand the key over beats a failed query.
+//  4. A moded read with R > 1 whose redriven frame is still unserved —
+//     owner dead or shedding — asks the owner's replicas, at most R−1 of
+//     them (walkReplicas). Whatever is unserved after that fails the
 //     operation with the owner's error (ErrShed for a suffix shed
 //     twice).
 func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error {
@@ -477,8 +526,11 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op bat
 	}
 	groups := chunkGroups(groupByPeer(owners), MaxBatchItems)
 	errs := make([]error, len(groups))
-	op.hedge, op.mode = 0, readAny
-	read := op.msg == MsgRead
+	op.hedge = 0
+	read := op.moded && op.replay == 0
+	if read {
+		op.mode = readAny
+	}
 	stopped := dht.RunBounded(ctx, len(groups), func(gi int) {
 		owner := owners[groups[gi].items[0]]
 		rest := make([]int, len(groups[gi].items))
@@ -522,7 +574,7 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op bat
 func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []string, items []int, op batchOp) (served int, err error) {
 	encode := func(items []int) []byte {
 		w := wire.NewWriter(64 * len(items))
-		if op.msg == MsgRead {
+		if op.moded {
 			w.Byte(op.mode)
 		}
 		w.Uvarint(uint64(len(items)))
@@ -558,8 +610,9 @@ func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []stri
 		// Write-through: the replica replay frame is the *applied* frame
 		// (verbatim normally; re-encoded to the served prefix after a
 		// partial shed — replicas must not replay items the primary
-		// refused).
-		if served < len(items) {
+		// refused — and in any mode, since a replica owns none of them).
+		if served < len(items) || op.moded {
+			op.mode = readAny
 			body = encode(items[:served])
 		}
 		ix.replicate(ctx, addr, op.replay, body)

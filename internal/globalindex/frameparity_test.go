@@ -15,17 +15,14 @@ import (
 
 // indexMsgTypes names every wire message type the global index layer
 // declares — the batch frames every keyed operation travels in (append,
-// frequency probe, the one read), the two twinless RPCs, the soft-replica
-// announce, and the replication/anti-entropy protocol. The frameparity
-// analyzer keeps this table and the constant blocks in sync.
+// frequency probe, the one read), the soft-replica announce, and the
+// replication/anti-entropy protocol. The frameparity analyzer keeps this
+// table and the constant blocks in sync.
 var indexMsgTypes = map[string]uint8{
-	"MsgRemove":        MsgRemove,
-	"MsgStats":         MsgStats,
 	"MsgMultiAppend":   MsgMultiAppend,
 	"MsgMultiKeyInfo":  MsgMultiKeyInfo,
 	"MsgRead":          MsgRead,
 	"MsgReplAppend":    MsgReplAppend,
-	"MsgReplRemove":    MsgReplRemove,
 	"MsgPullRange":     MsgPullRange,
 	"MsgReplSync":      MsgReplSync,
 	"MsgRangeManifest": MsgRangeManifest,
@@ -39,14 +36,11 @@ var indexMsgTypes = map[string]uint8{
 // replication 0x21–0x26), so renumbering a frame would silently move its
 // bytes to another account.
 var pinnedMsgBytes = map[string]uint8{
-	"MsgRemove":        0x13,
-	"MsgStats":         0x14,
 	"MsgMultiAppend":   0x17,
 	"MsgMultiKeyInfo":  0x19,
 	"MsgRead":          0x1C,
 	"MsgSoftAnnounce":  0x1F,
 	"MsgReplAppend":    0x21,
-	"MsgReplRemove":    0x22,
 	"MsgPullRange":     0x23,
 	"MsgReplSync":      0x24,
 	"MsgRangeManifest": 0x25,
@@ -54,11 +48,12 @@ var pinnedMsgBytes = map[string]uint8{
 }
 
 // retiredMsgBytes are the frames this layer once served: the per-key and
-// replace-write frames (Put, Append, Get, KeyInfo, MultiPut, ReplPut) and
+// replace-write frames (Put, Append, Get, KeyInfo, MultiPut, ReplPut),
 // the read variants MsgRead replaced (MultiGet, MultiGetAny, GetMore,
-// MultiGetTopKAny, SoftGet). They stay unassigned: an old peer still
-// sending one gets a typed refusal.
-var retiredMsgBytes = []uint8{0x10, 0x11, 0x12, 0x15, 0x16, 0x20, 0x18, 0x1B, 0x1D, 0x1E, 0x27}
+// MultiGetTopKAny, SoftGet), and the caller-less Remove, Stats and
+// ReplRemove. They stay unassigned: an old peer still sending one gets a
+// typed refusal.
+var retiredMsgBytes = []uint8{0x10, 0x11, 0x12, 0x15, 0x16, 0x20, 0x18, 0x1B, 0x1D, 0x1E, 0x27, 0x13, 0x14, 0x22}
 
 func parityPeer() (*transport.Mem, *transport.Dispatcher) {
 	net := transport.NewMem()
@@ -80,8 +75,8 @@ func TestFrameParityGlobalIndex(t *testing.T) {
 // TestFrameRegistryPinned pins the registry's size and the survivors'
 // wire bytes.
 func TestFrameRegistryPinned(t *testing.T) {
-	if len(indexMsgTypes) != 12 {
-		t.Errorf("index registry has %d frame types, want 12", len(indexMsgTypes))
+	if len(indexMsgTypes) != 9 {
+		t.Errorf("index registry has %d frame types, want 9", len(indexMsgTypes))
 	}
 	if len(pinnedMsgBytes) != len(indexMsgTypes) {
 		t.Errorf("pinned table has %d entries for %d frame types", len(pinnedMsgBytes), len(indexMsgTypes))

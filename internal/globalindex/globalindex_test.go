@@ -281,39 +281,10 @@ func TestDistributedAppendAccumulates(t *testing.T) {
 	}
 }
 
-func TestDistributedGetMissAndRemove(t *testing.T) {
+func TestDistributedGetMiss(t *testing.T) {
 	_, idxs, _ := ring(t, 8)
 	if _, found, _, err := getOne(context.Background(), idxs[0], []string{"nothing"}, 0, ReadPrimary); err != nil || found {
 		t.Fatalf("miss: %v %v", found, err)
-	}
-	if _, err := putOne(context.Background(), idxs[0], []string{"gone"}, &postings.List{}, 10); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := idxs[3].Remove(context.Background(), []string{"gone"})
-	if err != nil || !removed {
-		t.Fatalf("remove: %v %v", removed, err)
-	}
-	if _, found, _, _ := getOne(context.Background(), idxs[5], []string{"gone"}, 0, ReadPrimary); found {
-		t.Fatal("key must be gone after remove")
-	}
-}
-
-func TestPeerStatsRPC(t *testing.T) {
-	nodes, idxs, _ := ring(t, 6)
-	if _, err := putOne(context.Background(), idxs[0], []string{"x"}, &postings.List{Entries: []postings.Posting{post("a", 1, 1)}}, 10); err != nil {
-		t.Fatal(err)
-	}
-	key := ids.KeyString([]string{"x"})
-	resp, _, err := nodes[0].Lookup(context.Background(), ids.HashString(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := idxs[1].PeerStats(context.Background(), resp.Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Keys != 1 || st.Postings != 1 {
-		t.Fatalf("peer stats = %+v", st)
 	}
 }
 

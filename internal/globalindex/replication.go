@@ -13,17 +13,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Replication message types (range 0x20–0x2F). ReplAppend and ReplRemove
-// replay a primary's writes on its successors verbatim — ReplAppend's
-// body is the applied MultiAppend frame, so a write-through replica
-// stays byte-identical to the primary — and deliberately skip the write
-// handlers' responsibility check: a replica stores keys it does not own.
+// Replication message types (range 0x20–0x2F). ReplAppend replays a
+// primary's appends on its successors verbatim — its body is the applied
+// MultiAppend frame, so a write-through replica stays byte-identical to
+// the primary — and deliberately skips the write handlers'
+// responsibility check: a replica stores keys it does not own. 0x20 and
+// 0x22 carried the retired ReplPut and ReplRemove and stay unassigned.
 // PullRange and ReplSync move *stored* entries (list plus accumulated
 // approximate DF) during anti-entropy; receivers merge them idempotently
 // (Store.AdoptReplica), so repeated passes converge.
 const (
 	MsgReplAppend uint8 = 0x21 // (n, n×(key, bound, announcedDF, list)) -> n×storedLen
-	MsgReplRemove uint8 = 0x22 // (n, n×key) -> n×removed
 	MsgPullRange  uint8 = 0x23 // (from, to) -> (n, n×(key, approxDF, list))
 	MsgReplSync   uint8 = 0x24 // (n, n×(key, approxDF, list)) -> n×storedLen
 	// MsgRangeManifest is the delta-rejoin companion of MsgPullRange: the
@@ -136,7 +136,6 @@ func (ix *Index) lifetimeCtx() context.Context {
 // replicas for others whatever its own factor is.
 func (ix *Index) registerReplicationHandlers(d *transport.Dispatcher) {
 	d.Handle(MsgReplAppend, ix.handleReplAppend)
-	d.Handle(MsgReplRemove, ix.handleReplRemove)
 	d.Handle(MsgPullRange, ix.handlePullRange)
 	d.Handle(MsgReplSync, ix.handleReplSync)
 	d.Handle(MsgRangeManifest, ix.handleRangeManifest)
@@ -154,27 +153,6 @@ func (ix *Index) handleReplAppend(_ context.Context, _ transport.Addr, _ uint8, 
 		w.Uvarint(uint64(ix.store.Append(key, lists[i], bounds[i], dfs[i])))
 	}
 	return MsgReplAppend, w.Bytes(), nil
-}
-
-func (ix *Index) handleReplRemove(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	r := wire.NewReader(body)
-	count, err := readBatchCount(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	keys := make([]string, count)
-	for i := 0; i < count; i++ {
-		keys[i] = r.String()
-	}
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
-	w := wire.NewWriter(2 + count)
-	w.Uvarint(uint64(count))
-	for _, key := range keys {
-		w.Bool(ix.store.Remove(key))
-	}
-	return MsgReplRemove, w.Bytes(), nil
 }
 
 func (ix *Index) handlePullRange(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
@@ -420,27 +398,6 @@ func (ix *Index) walkReplicas(ctx context.Context, primary dht.Remote, try func(
 	}
 }
 
-// CallFallover issues msg to primary and — when the primary is
-// unreachable and replication is on — retries the identical frame on
-// the primary's replicas in walkReplicas order. The first successful
-// answer wins; if every copy fails, the primary's original error is
-// returned. Sibling per-key services (ranking.Replicator) read through
-// it.
-func (ix *Index) CallFallover(ctx context.Context, primary dht.Remote, msg uint8, body []byte) ([]byte, error) {
-	_, resp, err := ix.node.Endpoint().Call(ctx, primary.Addr, msg, body)
-	if err == nil || !errors.Is(err, transport.ErrUnreachable) {
-		return resp, err
-	}
-	ix.walkReplicas(ctx, primary, func(replica transport.Addr) bool {
-		_, r2, err2 := ix.node.Endpoint().Call(ctx, replica, msg, body)
-		if err2 == nil {
-			resp, err = r2, nil
-		}
-		return err2 == nil
-	})
-	return resp, err
-}
-
 // selectReplicas picks the first want distinct successors of primary,
 // excluding the primary itself.
 func selectReplicas(primary transport.Addr, succs []dht.Remote, want int) []dht.Remote {
@@ -459,7 +416,7 @@ func selectReplicas(primary transport.Addr, succs []dht.Remote, want int) []dht.
 	return out
 }
 
-// replicate ships a write-through frame (a ReplPut/ReplAppend/ReplRemove
+// replicate ships a write-through frame (a ReplAppend or keyed-write
 // replay of what the primary just applied) to every replica of primary.
 // Best effort: a replica that cannot be reached is repaired later by the
 // anti-entropy pass, and a failed replica write must not fail the
@@ -539,15 +496,6 @@ func (ix *Index) AntiEntropySweep() int {
 	n := ix.pushOwnedRange()
 	ix.recordWatermark()
 	return n
-}
-
-// ReplicateFrame ships an already-applied write frame to every replica
-// of primary — the write-through path the global index uses for its own
-// writes, exported so sibling per-key services (the ranking layer's
-// distributed statistics) replicate through the same cached replica
-// sets. Best effort, like every write-through.
-func (ix *Index) ReplicateFrame(ctx context.Context, primary transport.Addr, msg uint8, body []byte) {
-	ix.replicate(ctx, primary, msg, body)
 }
 
 // pullOwnedRange fetches the entries of this node's responsibility range

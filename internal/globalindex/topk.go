@@ -414,7 +414,8 @@ func (cp *cachedPrefix) answerOf() topKAnswer {
 // to re-open.
 func (s *TopKSession) readOp(sts []*topkKeyState, chunkOf func(i int) int, lost []bool) batchOp {
 	return batchOp{
-		msg: MsgRead,
+		msg:   MsgRead,
+		moded: true,
 		encode: func(w *wire.Writer, i int) {
 			cursor := 0
 			if lost != nil {

@@ -175,8 +175,9 @@ func newFleetWrapped(t *testing.T, count int, wrap func(transport.Endpoint) tran
 		}
 		node := dht.NewNode(ids.ID(rng.Uint64()), ep, d, dht.Options{})
 		f.nodes = append(f.nodes, node)
-		f.gidx = append(f.gidx, globalindex.New(node, d))
-		f.stats = append(f.stats, ranking.NewGlobalStats(node, d))
+		gidx := globalindex.New(node, d)
+		f.gidx = append(f.gidx, gidx)
+		f.stats = append(f.stats, ranking.NewGlobalStats(gidx, d))
 		f.locals = append(f.locals, plainIndex())
 	}
 	dht.BuildOracleTables(f.nodes)

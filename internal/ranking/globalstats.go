@@ -5,45 +5,45 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/dht"
+	"repro/internal/globalindex"
 	"repro/internal/ids"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Message types for the statistics protocol (range 0x40–0x4F).
+// Message types for the statistics protocol (range 0x40–0x4F). Both are
+// keyed batch frames of the global index's engine (globalindex.RunKeyed):
+// the body is (mode, n, n×item), mode being MsgRead's owner/any byte. An
+// item is a bare term; the empty term names the collection counters. An
+// update item carries the term's signed DF delta, and the collection
+// item the document-count and total-length deltas.
 const (
-	MsgStatsUpdate uint8 = 0x40 // (term deltas, collection deltas) -> ()
-	MsgStatsQuery  uint8 = 0x41 // (terms, wantCollection) -> (dfs, n, totalLen)
+	MsgStatsUpdate uint8 = 0x40 // (mode, n, n×(term, delta[, lenDelta])) -> n
+	MsgStatsQuery  uint8 = 0x41 // (mode, n, n×term) -> (n, n×(df | numDocs, totalLen))
 )
 
+// statsPrefix starts every reserved statistics key. The \x00 keeps
+// reserved keys out of the term namespace.
+const statsPrefix = "\x00stats\x00"
+
 // collectionKeyString names the reserved key under which the
-// collection-wide counters (document count, total length) live. The \x00
-// prefix keeps reserved keys out of the term namespace.
-const collectionKeyString = "\x00stats\x00##collection"
+// collection-wide counters (document count, total length) live.
+const collectionKeyString = statsPrefix + "##collection"
 
 // StatsKey returns the ring position of a term's document-frequency
 // counter.
-func StatsKey(term string) ids.ID { return ids.HashString("\x00stats\x00" + term) }
+func StatsKey(term string) ids.ID { return ids.HashString(statsPrefix + term) }
 
 // CollectionKey returns the ring position of the collection counters.
 func CollectionKey() ids.ID { return ids.HashString(collectionKeyString) }
 
-// Replicator is the slice of the global-index replication layer the
-// statistics service borrows for write-through: it knows where a
-// primary's replicas live (the cached successor sets) and ships an
-// already-applied frame to them best-effort. *globalindex.Index
-// implements it; the indirection avoids an import the ranking layer
-// does not otherwise need.
-type Replicator interface {
-	// ReplicationFactor returns the configured factor R (1 = off).
-	ReplicationFactor() int
-	// ReplicateFrame replays msg/body on every replica of primary.
-	ReplicateFrame(ctx context.Context, primary transport.Addr, msg uint8, body []byte)
-	// CallFallover issues msg to primary, retrying the frame on the
-	// primary's replicas (cached set first, then a ring walk) when the
-	// primary is unreachable.
-	CallFallover(ctx context.Context, primary dht.Remote, msg uint8, body []byte) ([]byte, error)
+// routeKey is the routing key of an item: the term's reserved key, or the
+// collection key for the empty term.
+func routeKey(term string) string {
+	if term == "" {
+		return collectionKeyString
+	}
+	return statsPrefix + term
 }
 
 // GlobalStats is the layer-4 distributed ranking component: it maintains
@@ -51,15 +51,14 @@ type Replicator interface {
 // and collection counters for the keys hashed onto it) and gives the
 // query side access to network-wide statistics.
 //
-// With replication enabled (EnableReplication), every statistics update
-// a publisher applies at a responsible peer is replayed on that peer's
-// R−1 ring successors through the global index's write-through path, and
-// a statistics fetch whose primary is unreachable walks the same
-// successor chain — so churn no longer silently zeroes BM25 document
-// frequencies until the next republish.
+// Its frames ride the global index's batch engine, so they share its
+// cached routes, its recovery ladder and, with R > 1, its write-through:
+// an applied update is replayed once on the owner's R−1 ring successors,
+// and a query whose owner cannot serve it asks those replicas, so the
+// death of an owner does not zero BM25 document frequencies until the
+// next republish.
 type GlobalStats struct {
-	node *dht.Node
-	repl Replicator // nil until EnableReplication
+	ix *globalindex.Index
 
 	mu       sync.Mutex
 	df       map[string]int64
@@ -67,94 +66,84 @@ type GlobalStats struct {
 	totalLen int64
 }
 
-// EnableReplication turns on statistics write-through and read fallover
-// using the global index's replication machinery. Call once during peer
-// assembly, before the node serves traffic; a factor <= 1 replicator
-// leaves behaviour unchanged.
-func (g *GlobalStats) EnableReplication(r Replicator) { g.repl = r }
-
-// replicationFactor returns the effective factor (1 = off).
-func (g *GlobalStats) replicationFactor() int {
-	if g.repl == nil {
-		return 1
-	}
-	if f := g.repl.ReplicationFactor(); f > 1 {
-		return f
-	}
-	return 1
-}
-
-// NewGlobalStats creates the service for node and registers its handlers
-// on d.
-func NewGlobalStats(node *dht.Node, d *transport.Dispatcher) *GlobalStats {
-	g := &GlobalStats{node: node, df: make(map[string]int64)}
+// NewGlobalStats creates the service over ix's routing and replication
+// and registers its handlers on d.
+func NewGlobalStats(ix *globalindex.Index, d *transport.Dispatcher) *GlobalStats {
+	g := &GlobalStats{ix: ix, df: make(map[string]int64)}
 	d.Handle(MsgStatsUpdate, g.handleUpdate)
 	d.Handle(MsgStatsQuery, g.handleQuery)
 	return g
 }
 
-func (g *GlobalStats) handleUpdate(_ context.Context, from transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
+// readItems decodes a statistics frame's mode and items — each item's
+// term, plus the extra its read callback takes — and admits the frame
+// (globalindex.AdmitKeyed) before anything is applied.
+func (g *GlobalStats) readItems(body []byte, item func(r *wire.Reader, term string)) ([]string, error) {
 	r := wire.NewReader(body)
+	mode := r.Byte()
 	n := r.Uvarint()
-	if r.Err() != nil || n > 1<<20 {
-		return 0, nil, wire.ErrCorrupt
+	if r.Err() != nil || n > globalindex.MaxBatchItems {
+		return nil, wire.ErrCorrupt
 	}
-	type td struct {
-		term  string
-		delta int64
+	terms := make([]string, n)
+	keys := make([]string, n)
+	for i := range terms {
+		terms[i] = r.String()
+		item(r, terms[i])
+		keys[i] = routeKey(terms[i])
 	}
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096 // hostile count prefixes must not reserve memory
-	}
-	deltas := make([]td, 0, capHint)
-	for i := uint64(0); i < n; i++ {
-		deltas = append(deltas, td{term: r.String(), delta: r.Varint()})
-	}
-	docsDelta := r.Varint()
-	lenDelta := r.Varint()
 	if err := r.Err(); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	g.mu.Lock()
-	for _, d := range deltas {
-		v := g.df[d.term] + d.delta
-		if v <= 0 {
-			delete(g.df, d.term)
-		} else {
-			g.df[d.term] = v
-		}
-	}
-	g.numDocs += docsDelta
-	if g.numDocs < 0 {
-		g.numDocs = 0
-	}
-	g.totalLen += lenDelta
-	if g.totalLen < 0 {
-		g.totalLen = 0
-	}
-	g.mu.Unlock()
-	return MsgStatsUpdate, nil, nil
+	return terms, g.ix.AdmitKeyed(mode, keys)
 }
 
-func (g *GlobalStats) handleQuery(_ context.Context, from transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	r := wire.NewReader(body)
-	terms := r.StringSlice()
-	wantCollection := r.Bool()
-	if err := r.Err(); err != nil {
+func (g *GlobalStats) handleUpdate(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
+	var deltas [][2]int64 // per item: the delta, and the collection's length delta
+	terms, err := g.readItems(body, func(r *wire.Reader, term string) {
+		d := [2]int64{r.Varint(), 0}
+		if term == "" {
+			d[1] = r.Varint()
+		}
+		deltas = append(deltas, d)
+	})
+	if err != nil {
 		return 0, nil, err
 	}
-	w := wire.NewWriter(64)
 	g.mu.Lock()
-	w.Uvarint(uint64(len(terms)))
-	for _, t := range terms {
-		w.String(t)
-		w.Varint(g.df[t])
+	for i, term := range terms {
+		if term == "" {
+			g.numDocs = max(g.numDocs+deltas[i][0], 0)
+			g.totalLen = max(g.totalLen+deltas[i][1], 0)
+			continue
+		}
+		if v := g.df[term] + deltas[i][0]; v <= 0 {
+			delete(g.df, term)
+		} else {
+			g.df[term] = v
+		}
 	}
-	w.Bool(wantCollection)
-	if wantCollection {
-		w.Varint(g.numDocs)
-		w.Varint(g.totalLen)
+	g.mu.Unlock()
+	w := wire.NewWriter(4)
+	w.Uvarint(uint64(len(terms)))
+	return MsgStatsUpdate, w.Bytes(), nil
+}
+
+func (g *GlobalStats) handleQuery(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
+	terms, err := g.readItems(body, func(*wire.Reader, string) {})
+	if err != nil {
+		return 0, nil, err
+	}
+	w := wire.NewWriter(8 + 4*len(terms))
+	w.Uvarint(uint64(len(terms)))
+	g.mu.Lock()
+	for _, term := range terms {
+		if term == "" {
+			w.Varint(g.numDocs)
+			w.Varint(g.totalLen)
+		} else {
+			w.Varint(g.df[term])
+		}
 	}
 	g.mu.Unlock()
 	return MsgStatsQuery, w.Bytes(), nil
@@ -170,7 +159,7 @@ func (g *GlobalStats) LocalCounters() (terms int, numDocs, totalLen int64) {
 
 // PublishDocument pushes the statistics contribution of one newly indexed
 // document: +1 document frequency for each distinct term, +1 document,
-// +docLen total length. Updates are batched per responsible peer.
+// +docLen total length — one keyed write, one frame per responsible peer.
 func (g *GlobalStats) PublishDocument(ctx context.Context, terms []string, docLen int) error {
 	return g.publish(ctx, terms, docLen, +1)
 }
@@ -181,129 +170,76 @@ func (g *GlobalStats) UnpublishDocument(ctx context.Context, terms []string, doc
 	return g.publish(ctx, terms, docLen, -1)
 }
 
-func (g *GlobalStats) publish(ctx context.Context, terms []string, docLen int, sign int64) error {
-	// Group term deltas by responsible peer so each peer gets one RPC.
-	groups := make(map[transport.Addr][]string)
+// withCollection returns the non-empty terms followed by the empty term
+// that names the collection counters.
+func withCollection(terms []string) []string {
+	out := make([]string, 0, len(terms)+1)
 	for _, t := range terms {
-		r, _, err := g.node.Lookup(ctx, StatsKey(t))
-		if err != nil {
-			return fmt.Errorf("ranking: stats publish %q: %w", t, err)
+		if t != "" {
+			out = append(out, t)
 		}
-		groups[r.Addr] = append(groups[r.Addr], t)
 	}
-	collPeer, _, err := g.node.Lookup(ctx, CollectionKey())
-	if err != nil {
-		return fmt.Errorf("ranking: stats publish collection: %w", err)
-	}
-	for addr, ts := range groups {
-		w := wire.NewWriter(256)
-		w.Uvarint(uint64(len(ts)))
-		for _, t := range ts {
-			w.String(t)
-			w.Varint(sign)
-		}
-		if addr == collPeer.Addr {
-			w.Varint(sign)
-			w.Varint(sign * int64(docLen))
-		} else {
-			w.Varint(0)
-			w.Varint(0)
-		}
-		if _, _, err := g.node.Endpoint().Call(ctx, addr, MsgStatsUpdate, w.Bytes()); err != nil {
-			return err
-		}
-		g.writeThrough(ctx, addr, w.Bytes())
-	}
-	if _, ok := groups[collPeer.Addr]; !ok {
-		w := wire.NewWriter(16)
-		w.Uvarint(0)
-		w.Varint(sign)
-		w.Varint(sign * int64(docLen))
-		if _, _, err := g.node.Endpoint().Call(ctx, collPeer.Addr, MsgStatsUpdate, w.Bytes()); err != nil {
-			return err
-		}
-		g.writeThrough(ctx, collPeer.Addr, w.Bytes())
-	}
-	return nil
+	return append(out, "")
 }
 
-// writeThrough replays an applied statistics-update frame on the
-// primary's replicas. Deltas are not idempotent, so — unlike index
-// entries — a replica never receives the same frame twice: exactly one
-// replay per applied primary write, and a dropped replay is repaired
-// only by the next republish (the same contract the primary itself has).
-func (g *GlobalStats) writeThrough(ctx context.Context, primary transport.Addr, body []byte) {
-	if g.replicationFactor() > 1 {
-		g.repl.ReplicateFrame(ctx, primary, MsgStatsUpdate, body)
+// routeKeys maps items to their routing keys.
+func routeKeys(items []string) []string {
+	keys := make([]string, len(items))
+	for i, t := range items {
+		keys[i] = routeKey(t)
 	}
+	return keys
+}
+
+func (g *GlobalStats) publish(ctx context.Context, terms []string, docLen int, sign int64) error {
+	items := withCollection(terms)
+	err := g.ix.RunKeyed(ctx, routeKeys(items), globalindex.KeyedOp{
+		Msg:   MsgStatsUpdate,
+		Write: true,
+		Encode: func(w *wire.Writer, i int) {
+			w.String(items[i])
+			w.Varint(sign)
+			if items[i] == "" {
+				w.Varint(sign * int64(docLen))
+			}
+		},
+		Decode: func(*wire.Reader, int) error { return nil },
+	})
+	if err != nil {
+		return fmt.Errorf("ranking: stats publish: %w", err)
+	}
+	return nil
 }
 
 // Fetch gathers network-wide statistics for the given terms plus the
 // collection counters, returning a Stats usable by the BM25 scorer.
 func (g *GlobalStats) Fetch(ctx context.Context, terms []string) (*FixedStats, error) {
-	out := &FixedStats{DF: make(map[string]int64, len(terms))}
-
-	groups := make(map[transport.Addr][]string)
-	remotes := make(map[transport.Addr]dht.Remote)
-	for _, t := range terms {
-		r, _, err := g.node.Lookup(ctx, StatsKey(t))
-		if err != nil {
-			return nil, fmt.Errorf("ranking: stats fetch %q: %w", t, err)
-		}
-		groups[r.Addr] = append(groups[r.Addr], t)
-		remotes[r.Addr] = r
-	}
-	collPeer, _, err := g.node.Lookup(ctx, CollectionKey())
-	if err != nil {
-		return nil, fmt.Errorf("ranking: stats fetch collection: %w", err)
-	}
-	if _, ok := groups[collPeer.Addr]; !ok {
-		groups[collPeer.Addr] = nil
-	}
-	remotes[collPeer.Addr] = collPeer
-
-	for addr, ts := range groups {
-		w := wire.NewWriter(128)
-		w.StringSlice(ts)
-		w.Bool(addr == collPeer.Addr)
-		resp, err := g.queryWithFallover(ctx, remotes[addr], w.Bytes())
-		if err != nil {
-			return nil, fmt.Errorf("ranking: stats query %s: %w", addr, err)
-		}
-		r := wire.NewReader(resp)
-		n := r.Uvarint()
-		if r.Err() != nil || n > 1<<20 {
-			return nil, wire.ErrCorrupt
-		}
-		for i := uint64(0); i < n; i++ {
-			term := r.String()
-			df := r.Varint()
-			out.DF[term] = df
-		}
-		if r.Bool() {
-			numDocs := r.Varint()
-			totalLen := r.Varint()
-			out.N = numDocs
-			if numDocs > 0 {
-				out.AvgLen = float64(totalLen) / float64(numDocs)
+	items := withCollection(terms)
+	coll := len(items) - 1
+	// One slot per item: the engine decodes groups concurrently. The
+	// collection item's slot holds the document count.
+	vals := make([]int64, len(items))
+	var totalLen int64
+	err := g.ix.RunKeyed(ctx, routeKeys(items), globalindex.KeyedOp{
+		Msg:    MsgStatsQuery,
+		Encode: func(w *wire.Writer, i int) { w.String(items[i]) },
+		Decode: func(r *wire.Reader, i int) error {
+			vals[i] = r.Varint()
+			if i == coll {
+				totalLen = r.Varint()
 			}
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
+			return r.Err()
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ranking: stats fetch: %w", err)
+	}
+	out := &FixedStats{DF: make(map[string]int64, coll), N: vals[coll]}
+	for i, t := range items[:coll] {
+		out.DF[t] = vals[i]
+	}
+	if out.N > 0 {
+		out.AvgLen = float64(totalLen) / float64(out.N)
 	}
 	return out, nil
-}
-
-// queryWithFallover issues one MsgStatsQuery to the primary; with
-// replication on, the query rides the index's shared read-fallover
-// path (Replicator.CallFallover), so a dead primary's replicas — kept
-// warm by write-through — answer for its statistics slice during the
-// churn window.
-func (g *GlobalStats) queryWithFallover(ctx context.Context, primary dht.Remote, body []byte) ([]byte, error) {
-	if g.replicationFactor() > 1 {
-		return g.repl.CallFallover(ctx, primary, MsgStatsQuery, body)
-	}
-	_, resp, err := g.node.Endpoint().Call(ctx, primary.Addr, MsgStatsQuery, body)
-	return resp, err
 }

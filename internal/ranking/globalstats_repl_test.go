@@ -12,11 +12,10 @@ import (
 	"repro/internal/transport"
 )
 
-// buildReplicatedStatsRing wires n peers with a GlobalStats service AND
-// a replication-enabled global index each, with the statistics routed
-// through the index's write-through path — the assembly core.OpenPeer
-// performs for ReplicationFactor > 1.
-func buildReplicatedStatsRing(t *testing.T, n, factor int) ([]*dht.Node, []*GlobalStats, *transport.Mem) {
+// buildReplicatedStatsRing wires n peers with a GlobalStats service over
+// a replication-enabled global index each — the assembly core.OpenPeer
+// performs.
+func buildReplicatedStatsRing(t testing.TB, n, factor int) ([]*dht.Node, []*GlobalStats, *transport.Mem) {
 	t.Helper()
 	net := transport.NewMem()
 	rng := rand.New(rand.NewSource(77))
@@ -28,10 +27,7 @@ func buildReplicatedStatsRing(t *testing.T, n, factor int) ([]*dht.Node, []*Glob
 		nodes[i] = dht.NewNode(ids.ID(rng.Uint64()), ep, d, dht.Options{})
 		gidx := globalindex.New(nodes[i], d)
 		gidx.EnableReplication(context.Background(), factor)
-		svcs[i] = NewGlobalStats(nodes[i], d)
-		if factor > 1 {
-			svcs[i].EnableReplication(gidx)
-		}
+		svcs[i] = NewGlobalStats(gidx, d)
 	}
 	dht.BuildOracleTables(nodes)
 	return nodes, svcs, net

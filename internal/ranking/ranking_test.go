@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dht"
+	"repro/internal/globalindex"
 	"repro/internal/ids"
 	"repro/internal/transport"
 )
@@ -76,7 +77,7 @@ func buildStatsRing(t *testing.T, n int) ([]*dht.Node, []*GlobalStats) {
 		d := transport.NewDispatcher()
 		ep := net.Endpoint(fmt.Sprintf("p%d", i), d.Serve)
 		nodes[i] = dht.NewNode(ids.ID(rng.Uint64()), ep, d, dht.Options{})
-		svcs[i] = NewGlobalStats(nodes[i], d)
+		svcs[i] = NewGlobalStats(globalindex.New(nodes[i], d), d)
 	}
 	dht.BuildOracleTables(nodes)
 	return nodes, svcs

@@ -24,7 +24,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Scale selects experiment sizes: ScaleFull for the alvisbench binary,
+// Scale selects experiment sizes: ScaleFull for report-size runs,
 // ScaleSmall for unit tests and the repository benchmarks.
 type Scale int
 
