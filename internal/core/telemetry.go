@@ -173,7 +173,7 @@ func (p *Peer) buildTelemetry() *telemetry.Registry {
 			emit(float64(p.gidx.ReplicationFactor()))
 		})
 	r.RegisterCounter("alvis_rejoin_manifest_keys_total",
-		"keys listed in range manifests served to delta-rejoining peers",
+		"manifest (key, fingerprint) pairs this peer's range pulls compared",
 		func(emit func(float64, ...telemetry.Label)) {
 			manifest, _ := p.gidx.PullTransferCounts()
 			emit(float64(manifest))

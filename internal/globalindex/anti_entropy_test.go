@@ -4,16 +4,28 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/dht"
 	"repro/internal/ids"
 	"repro/internal/postings"
+	"repro/internal/transport"
 )
+
+// replSyncFrames counts the MsgReplSync frames the nodes have received.
+func replSyncFrames(net *transport.Mem, nodes []*dht.Node) (n int64) {
+	for _, node := range nodes {
+		n += receivedFrames(net, node.Self().Addr)[MsgReplSync]
+	}
+	return n
+}
 
 // TestAntiEntropySweepRepairsMissedWriteThrough pins the background
 // repair satellite: a write-through that a momentarily-down replica
 // missed leaves the replica set divergent, and no ring change ever
-// notices — one AntiEntropySweep on the primary repairs it.
+// notices — one AntiEntropySweep on the primary repairs it, shipping
+// that one entry and nothing the replicas already hold.
 func TestAntiEntropySweepRepairsMissedWriteThrough(t *testing.T) {
 	nodes, idxs, net := replRing(t, 8, 3)
+	populateRing(t, idxs[0], 200, "held")
 
 	// Find a key and its primary/replica layout.
 	terms := []string{"sweep", "repair"}
@@ -40,19 +52,34 @@ func TestAntiEntropySweepRepairsMissedWriteThrough(t *testing.T) {
 		t.Fatal("fixture broken: the downed replica received the write anyway")
 	}
 
-	// No ring change happens. The periodic sweep alone must repair it.
-	if pushed := pix.AntiEntropySweep(); pushed == 0 {
-		t.Fatal("sweep pushed nothing from the primary")
+	// No ring change happens. The periodic sweep alone must repair it,
+	// in one ReplSync frame to the replica that missed the write.
+	if owned := pix.Store().KeysInRange(primaryNode.Predecessor().ID, primaryNode.ID()); len(owned) < 2 {
+		t.Fatalf("fixture too small: the primary owns %d keys", len(owned))
+	}
+	syncs := replSyncFrames(net, nodes)
+	downSyncs := receivedFrames(net, down)[MsgReplSync]
+	if pushed := pix.AntiEntropySweep(); pushed != 1 {
+		t.Fatalf("sweep shipped %d entries, want exactly the missed one", pushed)
+	}
+	if n, d := replSyncFrames(net, nodes)-syncs, receivedFrames(net, down)[MsgReplSync]-downSyncs; n != 1 || d != 1 {
+		t.Fatalf("sweep sent %d ReplSync frames (%d to the lagging replica), want 1 to it", n, d)
 	}
 	got, ok := downIx.Store().Peek(key)
 	if !ok || got.Len() != 1 || got.Entries[0] != post("w", 1, 4.0) {
 		t.Fatalf("replica not repaired by sweep: ok=%v %v", ok, got)
 	}
 
-	// The sweep is idempotent (merge semantics): running it again does
-	// not change the replica's entry.
+	// A second sweep finds the replica set converged: it walks the
+	// manifests and ships nothing.
 	df1, _ := downIx.Store().ApproxDF(key)
-	pix.AntiEntropySweep()
+	syncs = replSyncFrames(net, nodes)
+	if pushed := pix.AntiEntropySweep(); pushed != 0 {
+		t.Fatalf("sweep of a converged replica set shipped %d entries", pushed)
+	}
+	if n := replSyncFrames(net, nodes) - syncs; n != 0 {
+		t.Fatalf("sweep of a converged replica set sent %d ReplSync frames", n)
+	}
 	if df2, _ := downIx.Store().ApproxDF(key); df2 != df1 {
 		t.Fatalf("repeated sweep changed approxDF %d -> %d", df1, df2)
 	}

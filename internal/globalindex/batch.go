@@ -23,7 +23,7 @@ import (
 // and 0x1B carried the retired one-shot read frames and stay unassigned
 // (0x1A is the single-term baseline's MsgIntersect).
 const (
-	MsgMultiAppend  uint8 = 0x17 // (n, n×(key, bound, announcedDF, list)) -> n×storedLen
+	MsgMultiAppend  uint8 = 0x17 // (mode, n, n×(key, bound, announcedDF, list)) -> n×storedLen
 	MsgMultiKeyInfo uint8 = 0x19 // (n, n×key) -> n×(present, approxDF, truncated)
 )
 
@@ -83,13 +83,24 @@ func (ix *Index) checkResponsible(keys []string) error {
 	return nil
 }
 
+// handleMultiAppend applies a MultiAppend frame. Its leading byte is
+// MsgRead's mode: an owner-mode frame is a client write, served up to the
+// batch quota and only if this node owns every served key; an any-mode
+// frame is a primary's write-through replay, applied whole — the replica
+// owns none of its keys, and the primary, which already answered the
+// client, ignores the replica's count, so a shed suffix would be lost.
 func (ix *Index) handleMultiAppend(ctx context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	keys, bounds, dfs, lists, err := decodeAppendBody(body)
+	r := wire.NewReader(body)
+	mode := r.Byte()
+	keys, bounds, dfs, lists, err := decodeAppendItems(r)
 	if err != nil {
 		return 0, nil, err
 	}
-	serve := ix.disp.BatchQuota(ctx, MsgMultiAppend, len(keys))
-	if err := ix.checkResponsible(keys[:serve]); err != nil {
+	serve := len(keys)
+	if mode == readOwner {
+		serve = ix.disp.BatchQuota(ctx, MsgMultiAppend, serve)
+	}
+	if err := ix.AdmitKeyed(mode, keys[:serve]); err != nil {
 		return 0, nil, err
 	}
 	start := time.Now()
@@ -150,10 +161,9 @@ func readBatchCount(r *wire.Reader) (int, error) {
 	return int(count), nil
 }
 
-// decodeAppendBody decodes a MultiAppend/ReplAppend frame fully before
-// returning, so callers apply either every item or none.
-func decodeAppendBody(body []byte) (keys []string, bounds, dfs []int, lists []*postings.List, err error) {
-	r := wire.NewReader(body)
+// decodeAppendItems decodes a MultiAppend frame's items fully before
+// returning, so the handler applies either every item or none.
+func decodeAppendItems(r *wire.Reader) (keys []string, bounds, dfs []int, lists []*postings.List, err error) {
 	count, err := readBatchCount(r)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -258,11 +268,11 @@ func (ix *Index) MultiAppend(ctx context.Context, items []AppendItem) ([]int, er
 		ix.pcache.Invalidate(keys[i]) // write watermark: never serve a pre-write prefix
 	}
 	out := make([]int, len(items))
-	err := ix.runBatch(ctx, keys, batchOp{
-		msg:    MsgMultiAppend,
-		replay: MsgReplAppend,
-		encode: func(w *wire.Writer, i int) { writeAppendItem(w, keys[i], items[i]) },
-		decode: func(r *wire.Reader, i int) error {
+	err := ix.RunKeyed(ctx, keys, KeyedOp{
+		Msg:    MsgMultiAppend,
+		Write:  true,
+		Encode: func(w *wire.Writer, i int) { writeAppendItem(w, keys[i], items[i]) },
+		Decode: func(r *wire.Reader, i int) error {
 			out[i] = int(r.Uvarint())
 			return r.Err()
 		},
@@ -303,11 +313,12 @@ func (ix *Index) MultiKeyInfo(ctx context.Context, items []KeyInfoItem) ([]KeyIn
 	return out, err
 }
 
-// KeyedOp describes a keyed operation of a sibling service (the ranking
-// layer's statistics) to the batch engine. Its request body is (mode, n,
-// n×item), mode being MsgRead's owner/any byte, and its answer (n,
-// n×value); the receiver checks the mode with AdmitKeyed before it
-// applies anything. Encode writes item i, Decode reads item i's value.
+// KeyedOp describes a keyed operation — MultiAppend, or one of a sibling
+// service's such as the ranking layer's statistics — to the batch
+// engine. Its request body is (mode, n, n×item), mode being MsgRead's
+// owner/any byte, and its answer (n, n×value); the receiver checks the
+// mode with AdmitKeyed before it applies anything. Encode writes item i,
+// Decode reads item i's value.
 //
 // A Write goes in owner mode on both rounds of the recovery ladder, is
 // redriven only when the failure proves the frame never ran, and each
@@ -327,11 +338,7 @@ type KeyedOp struct {
 // ladder and write-through. Groups decode concurrently, so Decode must
 // write only to item i's own slot.
 func (ix *Index) RunKeyed(ctx context.Context, keys []string, op KeyedOp) error {
-	bop := batchOp{msg: op.Msg, moded: true, idempotent: !op.Write, encode: op.Encode, decode: op.Decode}
-	if op.Write {
-		bop.replay = op.Msg
-	}
-	return ix.runBatch(ctx, keys, bop)
+	return ix.runBatch(ctx, keys, batchOp{msg: op.Msg, moded: true, write: op.Write, idempotent: !op.Write, encode: op.Encode, decode: op.Decode})
 }
 
 // AdmitKeyed is the receiving half of RunKeyed. It rejects an unknown
@@ -357,9 +364,9 @@ type batchOp struct {
 	// the announced DF and a read records a usage probe, so their frames
 	// are redriven only when the failure proves they never ran.
 	idempotent bool
-	// replay is the frame that replays an applied write on the serving
-	// peer's replicas (write-through); 0 for reads.
-	replay uint8
+	// write marks a keyed write: each applied frame is replayed, in any
+	// mode, on the serving peer's replicas (write-through).
+	write  bool
 	encode func(w *wire.Writer, i int)
 	decode func(r *wire.Reader, i int) error
 
@@ -527,7 +534,7 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op bat
 	groups := chunkGroups(groupByPeer(owners), MaxBatchItems)
 	errs := make([]error, len(groups))
 	op.hedge = 0
-	read := op.moded && op.replay == 0
+	read := op.moded && !op.write
 	if read {
 		op.mode = readAny
 	}
@@ -606,16 +613,20 @@ func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []stri
 			return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w", op.msg, addr, err)
 		}
 	}
-	if op.replay != 0 && ix.repl.factor > 1 && served > 0 {
-		// Write-through: the replica replay frame is the *applied* frame
-		// (verbatim normally; re-encoded to the served prefix after a
-		// partial shed — replicas must not replay items the primary
-		// refused — and in any mode, since a replica owns none of them).
-		if served < len(items) || op.moded {
+	if op.write && ix.repl.factor > 1 && served > 0 {
+		// Write-through: the replay is the *applied* frame in any mode,
+		// since a replica owns none of its keys — the sent body with its
+		// mode byte flipped, re-encoded only to the served prefix after a
+		// partial shed (replicas must not replay items the primary
+		// refused).
+		if served < len(items) {
 			op.mode = readAny
 			body = encode(items[:served])
+		} else {
+			body = append([]byte(nil), body...)
+			body[0] = readAny
 		}
-		ix.replicate(ctx, addr, op.replay, body)
+		ix.replicate(ctx, addr, op.msg, body)
 	}
 	return served, nil
 }

@@ -166,6 +166,7 @@ func TestMultiAppendWireRoundTripBounds(t *testing.T) {
 		{"gamma", 1 << 30, 2}, // bound above HardCap clamps to HardCap
 	}
 	w := wire.NewWriter(256)
+	w.Byte(readOwner)
 	w.Uvarint(uint64(len(items)))
 	for _, it := range items {
 		l := &postings.List{}
@@ -205,6 +206,7 @@ func TestMultiAppendWireRoundTripAnnouncedDF(t *testing.T) {
 	ix := selfIndex(t)
 	l := &postings.List{Entries: []postings.Posting{post("p", 1, 2), post("p", 2, 1)}}
 	w := wire.NewWriter(128)
+	w.Byte(readOwner)
 	w.Uvarint(1)
 	writeAppendItem(w, "df-key", AppendItem{List: l, Bound: 10, AnnouncedDF: 50})
 	_, resp, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, w.Bytes())
@@ -313,7 +315,7 @@ func TestMultiHandlersRejectMalformed(t *testing.T) {
 		"garbage":           {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 	}
 	for name, body := range cases {
-		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, body); err == nil {
+		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, append([]byte{readOwner}, body...)); err == nil {
 			t.Errorf("MultiAppend accepted %s body", name)
 		}
 		if _, _, err := ix.handleRead(context.Background(), "tester", MsgRead, append([]byte{readAny}, body...)); err == nil {
@@ -326,6 +328,7 @@ func TestMultiHandlersRejectMalformed(t *testing.T) {
 	}
 	// A malformed later item must not leave earlier items applied.
 	w := wire.NewWriter(128)
+	w.Byte(readOwner)
 	w.Uvarint(2)
 	writeAppendItem(w, "first", AppendItem{List: l, Bound: 10})
 	w.String("second")

@@ -3,6 +3,7 @@ package globalindex
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dht"
@@ -63,22 +64,27 @@ func joinWith(t *testing.T, nodes []*dht.Node, net *transport.Mem, name string, 
 	return joiner, jix
 }
 
-// TestDeltaRejoinTransfersOnlyChangedKeys is the tentpole's protocol
-// test: a joiner with recovered state and a persisted watermark must
-// migrate its range via the fingerprint manifest, fetching only the
+// TestDeltaRejoinTransfersOnlyChangedKeys is the delta rejoin's
+// protocol test: a joiner with recovered state and a persisted watermark
+// walks the fingerprint manifest of its range and fetches only the
 // entries it lacks (or that changed while it was down), while a cold
-// joiner pulls every owned entry — and both end up holding identical
-// content.
+// joiner's walk fetches every owned entry — and both end up holding
+// identical content.
 func TestDeltaRejoinTransfersOnlyChangedKeys(t *testing.T) {
 	// Pass 1: a cold joiner, to learn the owned range and the baseline
 	// transfer cost.
 	nodes1, idxs1, net1 := replRing(t, 8, 3)
 	items := populateRing(t, idxs1[0], 150, "delta")
 	coldJoiner, coldIx := joinWith(t, nodes1, net1, "joiner", NewStore())
-	_, coldPulled := coldIx.PullTransferCounts()
+	coldManifest, coldPulled := coldIx.PullTransferCounts()
 	ownedKeys := coldIx.Store().KeysInRange(coldJoiner.Predecessor().ID, coldJoiner.ID())
 	if coldPulled == 0 || len(ownedKeys) == 0 {
 		t.Fatalf("cold join pulled %d entries over %d owned keys; fixture too small", coldPulled, len(ownedKeys))
+	}
+	// A cold join is the same manifest walk against an empty store: it
+	// fetches every pair it compares.
+	if coldPulled != coldManifest {
+		t.Fatalf("cold join pulled %d entries over %d manifest pairs, want every pair fetched", coldPulled, coldManifest)
 	}
 
 	// Pass 2: identical ring (same seed), but the joiner "restarts" with
@@ -115,8 +121,8 @@ func TestDeltaRejoinTransfersOnlyChangedKeys(t *testing.T) {
 	}
 
 	manifest, deltaPulled := deltaIx.PullTransferCounts()
-	if manifest == 0 {
-		t.Fatal("delta rejoin never walked the manifest — the cold path ran instead")
+	if deltaPulled >= manifest {
+		t.Fatalf("delta rejoin pulled %d entries over %d manifest pairs — the recovered slice saved nothing", deltaPulled, manifest)
 	}
 	if deltaPulled >= coldPulled {
 		t.Fatalf("delta rejoin pulled %d entries, cold pulled %d — no transfer saved", deltaPulled, coldPulled)
@@ -218,5 +224,91 @@ func TestEntryFingerprint(t *testing.T) {
 	c.Truncated = true
 	if entryFingerprint(5, a) == entryFingerprint(5, c) {
 		t.Fatal("a truncation-mark change must change the fingerprint")
+	}
+}
+
+// TestRecoveredPeerKeepsAbsorbedRange is the regression test for a
+// deletion sweep that outlived the rejoin: a peer restarted from disk
+// stays Recovered and keeps a watermark ending at its own position for
+// the rest of its life. When its predecessor later dies it absorbs the
+// dead range — its replica copies become primary — and walks its
+// successor's manifest of the widened range. The successor never held
+// the dead range, so only the first complete walk of a recovered slice
+// may drop keys the successor lacks; this one must keep them.
+func TestRecoveredPeerKeepsAbsorbedRange(t *testing.T) {
+	const R = 2
+	net := transport.NewMem()
+	rng := rand.New(rand.NewSource(14))
+	nodes := make([]*dht.Node, 8)
+	idxs := make([]*Index, 8)
+	for i := range nodes {
+		d := transport.NewDispatcher()
+		nodes[i] = dht.NewNode(ids.ID(rng.Uint64()), net.Endpoint(fmt.Sprintf("r%d", i), d.Serve), d, dht.Options{})
+		var engine StorageEngine = NewStore()
+		if i == 3 {
+			engine = recoveredMemory{NewStore()}
+		}
+		idxs[i] = NewWithEngine(nodes[i], d, engine)
+		idxs[i].EnableReplication(context.Background(), R)
+	}
+	dht.BuildOracleTables(nodes)
+
+	// The recovered peer rejoins: it has a watermark ending at its own
+	// position and completes its rejoin walk.
+	rec := nodes[3]
+	idxs[3].Store().SetWatermark(rec.Predecessor().ID, rec.ID())
+	idxs[3].MaintainReplication()
+	if idxs[3].repl.rejoinPending.Load() {
+		t.Fatal("the recovered peer's rejoin walk never completed")
+	}
+
+	populateRing(t, idxs[0], 400, "absorb")
+	dead, _ := findNode(t, nodes, idxs, rec.Predecessor().Addr)
+	var inDead []string
+	for i := 0; i < 400; i++ {
+		key := ids.KeyString([]string{fmt.Sprintf("absorb%04d", i)})
+		if ids.Between(ids.HashString(key), dead.Predecessor().ID, dead.ID()) {
+			inDead = append(inDead, key)
+		}
+	}
+	if len(inDead) == 0 {
+		t.Fatal("fixture broken: no key in the dying peer's range")
+	}
+
+	net.SetDown(dead.Self().Addr, true)
+	var live []*dht.Node
+	for _, n := range nodes {
+		if n != dead {
+			live = append(live, n)
+		}
+	}
+	for r := 0; r < 8; r++ {
+		for _, n := range live {
+			_ = n.Stabilize(context.Background())
+		}
+	}
+	if rec.Predecessor().Addr == dead.Self().Addr {
+		t.Fatal("fixture broken: the recovered peer never noticed its predecessor died")
+	}
+
+	lost := 0
+	for _, key := range inDead {
+		holders := 0
+		for i, ix := range idxs {
+			if nodes[i] == dead {
+				continue
+			}
+			if _, ok := ix.Store().Peek(key); ok {
+				holders++
+			}
+		}
+		if holders == 0 {
+			lost++
+		} else if holders < R {
+			t.Errorf("key %q held by %d live peers after the absorb, want %d", key, holders, R)
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of the %d keys in the dead peer's range were lost cluster-wide", lost, len(inDead))
 	}
 }

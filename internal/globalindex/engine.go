@@ -14,8 +14,8 @@ import (
 //     byte-identical to the pre-engine Store, nothing survives a restart;
 //   - storage.Engine (internal/storage) wraps a Memory behind an
 //     append-only CRC-framed write-ahead log compacted into snapshots,
-//     so a restarted peer recovers its slice from disk and rejoins with
-//     a delta pull instead of a full range migration.
+//     so a restarted peer recovers its slice from disk and its rejoin
+//     walk fetches only what changed instead of the whole range.
 //
 // Implementations must be safe for concurrent use; every method's
 // semantics are documented on Memory, the reference implementation.
@@ -74,12 +74,13 @@ type StorageEngine interface {
 	Watermark() (from, to ids.ID, ok bool)
 	// SetWatermark records the responsibility watermark. Durable engines
 	// journal it, so a restarted peer knows which range its recovered
-	// slice covers and can rejoin with a delta pull.
+	// slice covers, and may drop what its successor lacks there.
 	SetWatermark(from, to ids.ID)
 	// Recovered reports whether this engine restored state from durable
-	// storage when it was opened. The replication layer keys the
-	// delta-rejoin path on it: a recovered slice diffs fingerprints
-	// against its successor instead of re-pulling the whole range.
+	// storage when it was opened. The replication layer keys the rejoin
+	// sweep on it: the first complete manifest walk of a recovered slice
+	// whose watermark ends at this node drops the keys its successor
+	// lacks — deletions made while the peer was down.
 	Recovered() bool
 	// Close flushes any durable state and releases resources. The memory
 	// engine's Close is a no-op. Close is idempotent.

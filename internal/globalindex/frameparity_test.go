@@ -22,8 +22,6 @@ var indexMsgTypes = map[string]uint8{
 	"MsgMultiAppend":   MsgMultiAppend,
 	"MsgMultiKeyInfo":  MsgMultiKeyInfo,
 	"MsgRead":          MsgRead,
-	"MsgReplAppend":    MsgReplAppend,
-	"MsgPullRange":     MsgPullRange,
 	"MsgReplSync":      MsgReplSync,
 	"MsgRangeManifest": MsgRangeManifest,
 	"MsgFetchEntries":  MsgFetchEntries,
@@ -31,17 +29,16 @@ var indexMsgTypes = map[string]uint8{
 }
 
 // pinnedMsgBytes fixes the surviving frames' wire bytes: the benchmark
-// books traffic by numeric frame type (publish 0x17/0x19, reads in the
-// 0x1C–0x1E/0x27 block — of which 0x1C is the one still sent —
-// replication 0x21–0x26), so renumbering a frame would silently move its
-// bytes to another account.
+// books traffic by numeric frame type (publish 0x17/0x19 — write-through
+// replays included, since they are 0x17 in any mode — and replication
+// 0x24–0x26; reads in the 0x1C–0x1E/0x27 block, of which 0x1C is the one
+// still sent), so renumbering a frame would silently move its bytes to
+// another account.
 var pinnedMsgBytes = map[string]uint8{
 	"MsgMultiAppend":   0x17,
 	"MsgMultiKeyInfo":  0x19,
 	"MsgRead":          0x1C,
 	"MsgSoftAnnounce":  0x1F,
-	"MsgReplAppend":    0x21,
-	"MsgPullRange":     0x23,
 	"MsgReplSync":      0x24,
 	"MsgRangeManifest": 0x25,
 	"MsgFetchEntries":  0x26,
@@ -50,10 +47,12 @@ var pinnedMsgBytes = map[string]uint8{
 // retiredMsgBytes are the frames this layer once served: the per-key and
 // replace-write frames (Put, Append, Get, KeyInfo, MultiPut, ReplPut),
 // the read variants MsgRead replaced (MultiGet, MultiGetAny, GetMore,
-// MultiGetTopKAny, SoftGet), and the caller-less Remove, Stats and
-// ReplRemove. They stay unassigned: an old peer still sending one gets a
-// typed refusal.
-var retiredMsgBytes = []uint8{0x10, 0x11, 0x12, 0x15, 0x16, 0x20, 0x18, 0x1B, 0x1D, 0x1E, 0x27, 0x13, 0x14, 0x22}
+// MultiGetTopKAny, SoftGet), the caller-less Remove, Stats and
+// ReplRemove, and the second ways to converge replicas: ReplAppend
+// (write-through is an any-mode MultiAppend) and PullRange (a cold pull
+// is a manifest walk against an empty store). They stay unassigned: an
+// old peer still sending one gets a typed refusal.
+var retiredMsgBytes = []uint8{0x10, 0x11, 0x12, 0x15, 0x16, 0x20, 0x18, 0x1B, 0x1D, 0x1E, 0x27, 0x13, 0x14, 0x22, 0x21, 0x23}
 
 func parityPeer() (*transport.Mem, *transport.Dispatcher) {
 	net := transport.NewMem()
@@ -75,8 +74,8 @@ func TestFrameParityGlobalIndex(t *testing.T) {
 // TestFrameRegistryPinned pins the registry's size and the survivors'
 // wire bytes.
 func TestFrameRegistryPinned(t *testing.T) {
-	if len(indexMsgTypes) != 9 {
-		t.Errorf("index registry has %d frame types, want 9", len(indexMsgTypes))
+	if len(indexMsgTypes) != 7 {
+		t.Errorf("index registry has %d frame types, want 7", len(indexMsgTypes))
 	}
 	if len(pinnedMsgBytes) != len(indexMsgTypes) {
 		t.Errorf("pinned table has %d entries for %d frame types", len(pinnedMsgBytes), len(indexMsgTypes))

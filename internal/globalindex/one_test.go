@@ -32,37 +32,54 @@ func keyInfoOne(ctx context.Context, ix *Index, terms []string) (df int64, prese
 	return res[0].DF, res[0].Present, res[0].Truncated, err
 }
 
-// The network meters book frames by type, and every read is one type:
-// the ring fixtures attach their endpoints through tapped, which counts
-// the MsgRead frames each peer receives by mode — the tests' view of
-// which copy a read was addressed to, and how.
+// The network meters book frames by type, and every read — like every
+// append, owner write or write-through replay — is one type: the ring
+// fixtures attach their endpoints through tapped, which counts the
+// MsgRead and MsgMultiAppend frames each peer receives by mode — the
+// tests' view of which copy a frame was addressed to, and how.
 type tapKey struct {
 	net  *transport.Mem
 	addr transport.Addr
 }
 
-var readTaps sync.Map // tapKey -> *[3]atomic.Int64
+// modeTap counts one peer's moded frames by mode byte: [0] MsgRead,
+// [1] MsgMultiAppend.
+type modeTap [2][3]atomic.Int64
+
+var modeTaps sync.Map // tapKey -> *modeTap
 
 func tapped(net *transport.Mem, name string, d *transport.Dispatcher) transport.Endpoint {
-	tap := new([3]atomic.Int64)
+	tap := new(modeTap)
 	ep := net.Endpoint(name, func(ctx context.Context, from transport.Addr, msg uint8, body []byte) (uint8, []byte, error) {
-		if msg == MsgRead && len(body) > 0 && body[0] <= readSoft {
-			tap[body[0]].Add(1)
+		if (msg == MsgRead || msg == MsgMultiAppend) && len(body) > 0 && body[0] <= readSoft {
+			tap[tapIndex(msg)][body[0]].Add(1)
 		}
 		return d.Serve(ctx, from, msg, body)
 	})
-	readTaps.Store(tapKey{net, ep.Addr()}, tap)
+	modeTaps.Store(tapKey{net, ep.Addr()}, tap)
 	return ep
 }
 
-// readFrames reports how many MsgRead frames in the given mode the
-// addressed peers have received so far, summed.
-func readFrames(net *transport.Mem, mode uint8, addrs ...transport.Addr) (n int64) {
+func tapIndex(msg uint8) int {
+	if msg == MsgMultiAppend {
+		return 1
+	}
+	return 0
+}
+
+// modeFrames reports how many msg frames (MsgRead or MsgMultiAppend) in
+// the given mode the addressed peers have received so far, summed.
+func modeFrames(net *transport.Mem, msg, mode uint8, addrs ...transport.Addr) (n int64) {
 	for _, addr := range addrs {
-		tap, _ := readTaps.Load(tapKey{net, addr})
-		n += tap.(*[3]atomic.Int64)[mode].Load()
+		tap, _ := modeTaps.Load(tapKey{net, addr})
+		n += tap.(*modeTap)[tapIndex(msg)][mode].Load()
 	}
 	return n
+}
+
+// readFrames is modeFrames for MsgRead.
+func readFrames(net *transport.Mem, mode uint8, addrs ...transport.Addr) int64 {
+	return modeFrames(net, MsgRead, mode, addrs...)
 }
 
 // addrsOf lists the nodes' addresses, for ring-wide readFrames counts.

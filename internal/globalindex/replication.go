@@ -13,29 +13,22 @@ import (
 	"repro/internal/wire"
 )
 
-// Replication message types (range 0x20–0x2F). ReplAppend replays a
-// primary's appends on its successors verbatim — its body is the applied
-// MultiAppend frame, so a write-through replica stays byte-identical to
-// the primary — and deliberately skips the write handlers'
-// responsibility check: a replica stores keys it does not own. 0x20 and
-// 0x22 carried the retired ReplPut and ReplRemove and stay unassigned.
-// PullRange and ReplSync move *stored* entries (list plus accumulated
-// approximate DF) during anti-entropy; receivers merge them idempotently
-// (Store.AdoptReplica), so repeated passes converge.
+// Replication message types (range 0x20–0x2F). Write-through needs no
+// frame of its own: it replays the applied MsgMultiAppend in any mode.
+// Two copies of a range converge through one walk: a MsgRangeManifest of
+// the range — its (key, fingerprint) pairs, a fingerprint being a 64-bit
+// digest of the entry's stored bytes, paginated in ring order — diffed
+// against the local copy. A puller fetches the entries it lacks or holds
+// differently with MsgFetchEntries; an owner ships the entries a replica
+// lacks or holds differently with MsgReplSync. Receivers merge stored
+// entries (list plus accumulated approximate DF) idempotently
+// (Store.AdoptReplica), so repeated passes converge. 0x20–0x23 carried
+// the retired ReplPut, ReplAppend, ReplRemove and PullRange and stay
+// unassigned.
 const (
-	MsgReplAppend uint8 = 0x21 // (n, n×(key, bound, announcedDF, list)) -> n×storedLen
-	MsgPullRange  uint8 = 0x23 // (from, to) -> (n, n×(key, approxDF, list))
-	MsgReplSync   uint8 = 0x24 // (n, n×(key, approxDF, list)) -> n×storedLen
-	// MsgRangeManifest is the delta-rejoin companion of MsgPullRange: the
-	// same ring-ordered, paginated walk of a responsibility range, but
-	// shipping only (key, fingerprint) pairs — a fingerprint is a 64-bit
-	// digest of the entry's stored bytes — so a recovered peer can find
-	// the entries that changed while it was down without moving the
-	// posting lists themselves.
+	MsgReplSync      uint8 = 0x24 // (n, n×(key, approxDF, list)) -> n×storedLen
 	MsgRangeManifest uint8 = 0x25 // (from, to) -> (n, n×(key, fingerprint), more)
-	// MsgFetchEntries resolves a manifest diff: it fetches the full
-	// stored entries for an explicit key set.
-	MsgFetchEntries uint8 = 0x26 // (n, n×key) -> (n, n×(present, [approxDF, list]))
+	MsgFetchEntries  uint8 = 0x26 // (n, n×key) -> (n, n×(present, [approxDF, list]))
 )
 
 // replicator holds the replication state of one Index: the configured
@@ -54,9 +47,9 @@ type replicator struct {
 	mu      sync.Mutex
 	succsOf map[transport.Addr][]dht.Remote
 
-	// Rejoin transfer accounting, for the persistence experiments: how
-	// many full entries anti-entropy pulls moved into this store, and how
-	// many manifest (key, fingerprint) pairs the delta path inspected.
+	// Pull transfer accounting, for the persistence experiments: how
+	// many manifest (key, fingerprint) pairs this peer's pull walks
+	// compared, and how many full entries they fetched into this store.
 	pulledKeys   atomic.Int64
 	manifestKeys atomic.Int64
 
@@ -66,16 +59,17 @@ type replicator struct {
 	// that stabilizes immediately afterwards no further change arrives —
 	// if that one attempt fired before the pointers settled or its RPCs
 	// failed, MaintainReplication retries on the maintenance cadence
-	// until a walk completes.
+	// until a walk completes. Only this walk may delete (see
+	// pullOwnedRange).
 	rejoinPending atomic.Bool
 }
 
-// PullTransferCounts reports the anti-entropy transfer counters: pulled
-// is the number of full entries this index adopted from remote peers
-// during range pulls (cold or delta), manifest the number of cheap
-// (key, fingerprint) manifest pairs the delta path compared. Experiment
-// E12 reads them to quantify what WAL/snapshot recovery saves a
-// restarted peer.
+// PullTransferCounts reports the pull walks' transfer counters: manifest
+// is the number of (key, fingerprint) pairs they compared, pulled the
+// number of full entries they fetched and adopted. A walk over an empty
+// store fetches every pair it lists, so pulled < manifest shows a walk
+// that found entries already here. Experiment E12 reads them to quantify
+// what WAL/snapshot recovery saves a restarted peer.
 func (ix *Index) PullTransferCounts() (manifest, pulled int64) {
 	return ix.repl.manifestKeys.Load(), ix.repl.pulledKeys.Load()
 }
@@ -135,50 +129,14 @@ func (ix *Index) lifetimeCtx() context.Context {
 // are registered unconditionally (in New) so that a peer can hold
 // replicas for others whatever its own factor is.
 func (ix *Index) registerReplicationHandlers(d *transport.Dispatcher) {
-	d.Handle(MsgReplAppend, ix.handleReplAppend)
-	d.Handle(MsgPullRange, ix.handlePullRange)
 	d.Handle(MsgReplSync, ix.handleReplSync)
 	d.Handle(MsgRangeManifest, ix.handleRangeManifest)
 	d.Handle(MsgFetchEntries, ix.handleFetchEntries)
 }
 
-func (ix *Index) handleReplAppend(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	keys, bounds, dfs, lists, err := decodeAppendBody(body)
-	if err != nil {
-		return 0, nil, err
-	}
-	w := wire.NewWriter(8 + 4*len(keys))
-	w.Uvarint(uint64(len(keys)))
-	for i, key := range keys {
-		w.Uvarint(uint64(ix.store.Append(key, lists[i], bounds[i], dfs[i])))
-	}
-	return MsgReplAppend, w.Bytes(), nil
-}
-
-func (ix *Index) handlePullRange(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	r := wire.NewReader(body)
-	from := ids.ID(r.Uint64())
-	to := ids.ID(r.Uint64())
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
-	keys, more := pageRangeKeys(ix.store.KeysInRange(from, to))
-	w := wire.NewWriter(64 * len(keys))
-	w.Uvarint(uint64(len(keys)))
-	for _, key := range keys {
-		list, df, ok := ix.store.Export(key)
-		if !ok {
-			list = &postings.List{}
-		}
-		writeSyncItem(w, key, df, list)
-	}
-	w.Bool(more)
-	return MsgPullRange, w.Bytes(), nil
-}
-
-// pageRangeKeys caps one page of a ring-ordered range walk at the batch
-// bound. The puller resumes from the last returned key's hash (exclusive
-// lower bound), so a page must end on a hash boundary — the cut retreats
+// pageRangeKeys caps one page of a manifest walk at the batch bound. The
+// walker resumes from the last returned key's hash (exclusive lower
+// bound), so a page must end on a hash boundary — the cut retreats
 // past any keys sharing the boundary hash, or resuming would skip the
 // rest of the tie group.
 func pageRangeKeys(keys []string) (page []string, more bool) {
@@ -201,7 +159,7 @@ func pageRangeKeys(keys []string) (page []string, more bool) {
 // entryFingerprint digests one stored entry (its accumulated approximate
 // DF and the exact encoded list bytes) into the 64-bit value the range
 // manifest ships. Two peers holding byte-identical entries produce equal
-// fingerprints, so a recovered slice skips their transfer.
+// fingerprints, so a walk skips their transfer.
 func entryFingerprint(df int64, list *postings.List) uint64 {
 	w := wire.NewWriter(16 + 12*list.Len())
 	w.Varint(df)
@@ -258,49 +216,36 @@ func (ix *Index) handleFetchEntries(_ context.Context, _ transport.Addr, _ uint8
 }
 
 func (ix *Index) handleReplSync(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	keys, dfs, lists, err := decodeSyncItems(wire.NewReader(body))
+	r := wire.NewReader(body)
+	count, err := readBatchCount(r)
 	if err != nil {
 		return 0, nil, err
 	}
-	w := wire.NewWriter(8 + 4*len(keys))
-	w.Uvarint(uint64(len(keys)))
-	for i, key := range keys {
-		w.Uvarint(uint64(ix.store.AdoptReplica(key, lists[i], dfs[i])))
+	items := make([]syncItem, count)
+	for i := range items {
+		items[i].key = r.String()
+		items[i].df = int64(r.Uvarint())
+		if items[i].list, err = postings.Decode(r); err != nil {
+			return 0, nil, err
+		}
+	}
+	if err := r.Err(); err != nil {
+		return 0, nil, err
+	}
+	w := wire.NewWriter(8 + 4*count)
+	w.Uvarint(uint64(count))
+	for _, it := range items {
+		w.Uvarint(uint64(ix.store.AdoptReplica(it.key, it.list, it.df)))
 	}
 	return MsgReplSync, w.Bytes(), nil
 }
 
-// writeSyncItem writes one anti-entropy transfer item.
-func writeSyncItem(w *wire.Writer, key string, df int64, list *postings.List) {
-	w.String(key)
-	w.Uvarint(uint64(df))
-	list.Encode(w)
-}
-
-// decodeSyncItems decodes a run of anti-entropy transfer items (the
-// shared prefix of a PullRange response and a ReplSync body) fully
-// before returning; PullRange callers read their trailing continuation
-// flag from the same reader afterwards.
-func decodeSyncItems(r *wire.Reader) (keys []string, dfs []int64, lists []*postings.List, err error) {
-	count, err := readBatchCount(r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	keys = make([]string, count)
-	dfs = make([]int64, count)
-	lists = make([]*postings.List, count)
-	for i := 0; i < count; i++ {
-		keys[i] = r.String()
-		dfs[i] = int64(r.Uvarint())
-		lists[i], err = postings.Decode(r)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	return keys, dfs, lists, nil
+// syncItem is one stored entry (key, accumulated approximate DF, list)
+// in anti-entropy transfer.
+type syncItem struct {
+	key  string
+	df   int64
+	list *postings.List
 }
 
 // replicaTargets returns where primary's replicas live: the first R−1
@@ -416,8 +361,8 @@ func selectReplicas(primary transport.Addr, succs []dht.Remote, want int) []dht.
 	return out
 }
 
-// replicate ships a write-through frame (a ReplAppend or keyed-write
-// replay of what the primary just applied) to every replica of primary.
+// replicate ships a write-through frame (the any-mode replay of a keyed
+// write the primary just applied) to every replica of primary.
 // Best effort: a replica that cannot be reached is repaired later by the
 // anti-entropy pass, and a failed replica write must not fail the
 // client's operation.
@@ -444,11 +389,14 @@ func (ix *Index) replicate(ctx context.Context, primary transport.Addr, msg uint
 //     range (pred, self]: a joining node pulls the keys it now owns from
 //     its successor (which held them as primary until now), and a node
 //     that absorbed a failed predecessor's range — its replica copies
-//     promote to primary in place — re-replicates the range onward so the
+//     promote to primary in place — pushes the range onward so the
 //     replication factor is restored at the new depth;
-//   - a changed successor list re-replicates the owned range to the
-//     current successors (replicas must live on today's successor set,
-//     not yesterday's).
+//   - a changed successor list pushes the owned range to the current
+//     successors (replicas must live on today's successor set, not
+//     yesterday's).
+//
+// Both directions are the one manifest walk (walkManifest), so a copy
+// that is already converged costs fingerprints, not entries.
 //
 // A zero new predecessor (PredecessorFailed's transient state) is skipped:
 // the responsibility range is unknown until the repairing notify arrives,
@@ -474,7 +422,7 @@ func (ix *Index) onRingChange(ch dht.RingChange) {
 // recordWatermark persists the current responsibility range (pred, self]
 // into the storage engine after an anti-entropy pass. A durable engine
 // journals it, which is what lets a restarted peer prove "my recovered
-// slice covers this ring interval" and rejoin with a delta pull.
+// slice covers this ring interval" and sweep its rejoin walk.
 func (ix *Index) recordWatermark() {
 	pred := ix.node.Predecessor()
 	if pred.IsZero() {
@@ -484,11 +432,13 @@ func (ix *Index) recordWatermark() {
 }
 
 // AntiEntropySweep runs one background anti-entropy pass: the owned
-// range (pred, self] is re-replicated to the current successors via
-// idempotent ReplSync frames, repairing replica divergence left by
-// missed best-effort write-throughs — without waiting for a ring-change
-// event. It returns the number of keys pushed (0 with replication off).
-// Long-running peers call it on the Config.AntiEntropyInterval cadence.
+// range (pred, self] is diffed against each current successor's copy and
+// the entries a replica lacks or holds differently are shipped as
+// idempotent ReplSync frames, repairing replica divergence left by missed
+// best-effort write-throughs — without waiting for a ring-change event.
+// It returns the number of entries shipped (0 with replication off, or
+// on a converged replica set). Long-running peers call it on the
+// Config.AntiEntropyInterval cadence.
 func (ix *Index) AntiEntropySweep() int {
 	if ix.repl.factor <= 1 {
 		return 0
@@ -498,91 +448,19 @@ func (ix *Index) AntiEntropySweep() int {
 	return n
 }
 
-// pullOwnedRange fetches the entries of this node's responsibility range
-// (pred, self] from its immediate successor and merges them in. The
-// successor was the range's primary before this node joined (or holds its
-// replicas), so the pull is exactly the key migration a join requires.
-// Responses arrive in ring order capped at the batch bound; a full page
-// resumes from the last received key's position, so ranges of any size
-// migrate completely. complete reports whether the walk reached the end
-// of the owned range — a pull cut short by an RPC failure or unsettled
-// ring pointers leaves the pending-rejoin marker set, so the
-// maintenance cadence retries it.
-func (ix *Index) pullOwnedRange() (complete bool) {
-	defer func() {
-		if complete {
-			ix.repl.rejoinPending.Store(false)
-		}
-	}()
-	ctx := ix.lifetimeCtx()
-	self := ix.node.Self()
-	pred := ix.node.Predecessor()
-	succ := ix.node.Successor()
-	if pred.IsZero() || succ.IsZero() || succ.Addr == self.Addr {
-		return false
-	}
-	if ix.store.Recovered() {
-		// Delta rejoin: the engine replayed a WAL/snapshot slice whose
-		// persisted watermark proves it covered a range ending at this
-		// node's ring position — diff fingerprints against the successor
-		// and move only what changed while we were down. A watermark
-		// ending elsewhere (a data directory restored onto a different
-		// node identity) falls back to the cold pull: the recovered
-		// entries are still merged state, but they prove nothing about
-		// this position's range. The watermark's lower bound is
-		// informational: a predecessor that moved during the downtime
-		// only widens the diff (missing keys fetch like any other).
-		if _, wto, ok := ix.store.Watermark(); ok && wto == self.ID {
-			return ix.pullOwnedRangeDelta(ctx, pred.ID, self, succ)
-		}
-	}
-	from := pred.ID
+// walkManifest is the one range walk two copies converge by. It pages
+// peer's MsgRangeManifest of (from, to] in ring order and hands visit
+// each page: its keys in ring order, their fingerprints, and the exact
+// interval (lo, hi] the page speaks for — a page ends on a hash
+// boundary, so the local keys in (lo, hi] are precisely the ones to
+// compare it with. It reports whether the walk reached to; an RPC or
+// decode failure, or a visit returning false, cuts it short.
+func (ix *Index) walkManifest(ctx context.Context, peer transport.Addr, from, to ids.ID, visit func(lo, hi ids.ID, keys []string, fps map[string]uint64) bool) bool {
 	for page := 0; page < 1024; page++ { // hard stop against protocol bugs
 		w := wire.NewWriter(16)
 		w.Uint64(uint64(from))
-		w.Uint64(uint64(self.ID))
-		_, resp, err := ix.node.Endpoint().Call(ctx, succ.Addr, MsgPullRange, w.Bytes())
-		if err != nil {
-			return false // best effort; maintenance or the next ring change retries
-		}
-		r := wire.NewReader(resp)
-		keys, dfs, lists, err := decodeSyncItems(r)
-		if err != nil {
-			return false
-		}
-		more := r.Bool()
-		if r.Err() != nil {
-			return false
-		}
-		for i, key := range keys {
-			ix.store.AdoptReplica(key, lists[i], dfs[i])
-			ix.repl.pulledKeys.Add(1)
-		}
-		if !more || len(keys) == 0 {
-			return true
-		}
-		next := ids.HashString(keys[len(keys)-1])
-		if next == self.ID || next == from {
-			return true // boundary reached, or no forward progress possible
-		}
-		from = next
-	}
-	return false
-}
-
-// pullOwnedRangeDelta is the recovered peer's rejoin pull: it walks the
-// successor's (from, self] range as a manifest of (key, fingerprint)
-// pairs, compares each against the recovered local entry, and fetches
-// full entries only for keys that are missing locally or whose stored
-// bytes diverged — the writes that landed at the successor while this
-// peer was down. Same pagination and best-effort semantics as the full
-// pull; complete reports whether the walk reached the range's end.
-func (ix *Index) pullOwnedRangeDelta(ctx context.Context, from ids.ID, self, succ dht.Remote) (complete bool) {
-	for page := 0; page < 1024; page++ { // hard stop against protocol bugs
-		w := wire.NewWriter(16)
-		w.Uint64(uint64(from))
-		w.Uint64(uint64(self.ID))
-		_, resp, err := ix.node.Endpoint().Call(ctx, succ.Addr, MsgRangeManifest, w.Bytes())
+		w.Uint64(uint64(to))
+		_, resp, err := ix.node.Endpoint().Call(ctx, peer, MsgRangeManifest, w.Bytes())
 		if err != nil {
 			return false // best effort; maintenance or the next ring change retries
 		}
@@ -592,53 +470,78 @@ func (ix *Index) pullOwnedRangeDelta(ctx context.Context, from ids.ID, self, suc
 			return false
 		}
 		keys := make([]string, count)
-		fps := make([]uint64, count)
-		for i := 0; i < count; i++ {
+		fps := make(map[string]uint64, count)
+		for i := range keys {
 			keys[i] = r.String()
-			fps[i] = r.Uint64()
+			fps[keys[i]] = r.Uint64()
 		}
 		more := r.Bool()
 		if r.Err() != nil {
 			return false
 		}
-		ix.repl.manifestKeys.Add(int64(count))
-		remote := make(map[string]bool, count)
+		hi := to
+		if more && count > 0 {
+			hi = ids.HashString(keys[count-1])
+		}
+		if !visit(from, hi, keys, fps) {
+			return false
+		}
+		if hi == to || hi == from {
+			return true // range end reached, or no forward progress possible
+		}
+		from = hi
+	}
+	return false
+}
+
+// pullOwnedRange walks the immediate successor's manifest of this node's
+// responsibility range (pred, self] and fetches the entries that are
+// missing here or differ — the key migration a join requires, since the
+// successor was the range's primary before this node joined (or holds
+// its replicas). A cold join is this walk against an empty store; a
+// recovered slice moves only the writes that landed while it was down.
+//
+// Deletions propagate only on the rejoin walk of a recovered slice whose
+// persisted watermark ends at this node's ring position: a recovered key
+// the successor — the range's primary throughout the downtime — no longer
+// holds was removed cluster-wide meanwhile, and keeping it would
+// resurrect withdrawn postings. Any later walk keeps what it holds: a
+// range absorbed from a dead predecessor was never at the successor. A
+// walk cut short by an RPC failure or unsettled ring pointers leaves the
+// rejoin pending, so the maintenance cadence retries it.
+func (ix *Index) pullOwnedRange() {
+	ctx := ix.lifetimeCtx()
+	self := ix.node.Self()
+	pred := ix.node.Predecessor()
+	succ := ix.node.Successor()
+	if pred.IsZero() || succ.IsZero() || succ.Addr == self.Addr {
+		return
+	}
+	_, wto, ok := ix.store.Watermark()
+	sweep := ix.repl.rejoinPending.Load() && ok && wto == self.ID
+	complete := ix.walkManifest(ctx, succ.Addr, pred.ID, self.ID, func(lo, hi ids.ID, keys []string, fps map[string]uint64) bool {
+		ix.repl.manifestKeys.Add(int64(len(keys)))
 		var need []string
-		for i, key := range keys {
-			remote[key] = true
-			list, df, ok := ix.store.Export(key)
-			if !ok || entryFingerprint(df, list) != fps[i] {
+		for _, key := range keys {
+			if list, df, ok := ix.store.Export(key); !ok || entryFingerprint(df, list) != fps[key] {
 				need = append(need, key)
 			}
 		}
 		if !ix.fetchEntries(ctx, succ, need) {
 			return false
 		}
-		// Deletions propagate too: a key this peer recovered from disk
-		// but the successor (the range's primary throughout the
-		// downtime) no longer holds was removed cluster-wide while the
-		// peer was down — keeping it would resurrect withdrawn
-		// postings a cold rejoin would never see. The page's interval
-		// ends on a hash boundary, so the local sweep is exact.
-		pageTo := self.ID
-		if more && count > 0 {
-			pageTo = ids.HashString(keys[count-1])
-		}
-		for _, key := range ix.store.KeysInRange(from, pageTo) {
-			if !remote[key] {
-				ix.store.Remove(key)
+		if sweep {
+			for _, key := range ix.store.KeysInRange(lo, hi) {
+				if _, held := fps[key]; !held {
+					ix.store.Remove(key)
+				}
 			}
 		}
-		if !more || count == 0 {
-			return true
-		}
-		next := ids.HashString(keys[count-1])
-		if next == self.ID || next == from {
-			return true
-		}
-		from = next
+		return true
+	})
+	if complete {
+		ix.repl.rejoinPending.Store(false)
 	}
-	return false
 }
 
 // fetchEntries pulls the named full entries from succ (chunked at the
@@ -646,11 +549,7 @@ func (ix *Index) pullOwnedRangeDelta(ctx context.Context, from ids.ID, self, suc
 // transferred and decoded.
 func (ix *Index) fetchEntries(ctx context.Context, succ dht.Remote, need []string) bool {
 	for start := 0; start < len(need); start += MaxBatchItems {
-		end := start + MaxBatchItems
-		if end > len(need) {
-			end = len(need)
-		}
-		chunk := need[start:end]
+		chunk := need[start:min(start+MaxBatchItems, len(need))]
 		w := wire.NewWriter(32 * len(chunk))
 		w.Uvarint(uint64(len(chunk)))
 		for _, key := range chunk {
@@ -685,10 +584,13 @@ func (ix *Index) fetchEntries(ctx context.Context, succ dht.Remote, need []strin
 	return true
 }
 
-// pushOwnedRange re-replicates the entries of this node's responsibility
-// range (pred, self] to its current first R−1 successors, chunked at the
-// batch bound. Merging on the receiver makes repeated pushes idempotent.
-// It returns the number of owned keys shipped to the replica set.
+// pushOwnedRange walks each of this node's first R−1 successors'
+// manifests of its responsibility range (pred, self] and ships, as
+// ReplSync frames chunked at the batch bound, the local entries a
+// replica lacks or holds differently. A converged replica costs one
+// manifest walk and no entries; merging on the receiver makes repeated
+// pushes idempotent. It returns the number of entries shipped, summed
+// over the replicas.
 func (ix *Index) pushOwnedRange() int {
 	ctx := ix.lifetimeCtx()
 	self := ix.node.Self()
@@ -696,45 +598,47 @@ func (ix *Index) pushOwnedRange() int {
 	if pred.IsZero() {
 		return 0
 	}
-	keys := ix.store.KeysInRange(pred.ID, self.ID)
-	if len(keys) == 0 {
+	// The owned keys in ring order: each manifest page speaks for the
+	// contiguous run of them hashing into its interval.
+	owned := ix.store.KeysInRange(pred.ID, self.ID)
+	if len(owned) == 0 {
 		return 0
 	}
-	targets := selectReplicas(self.Addr, ix.node.Successors(), ix.repl.factor-1)
-	if len(targets) == 0 {
-		return 0
+	hashes := make([]ids.ID, len(owned))
+	for i, key := range owned {
+		hashes[i] = ids.HashString(key)
 	}
 	pushed := 0
-	for start := 0; start < len(keys); start += MaxBatchItems {
-		end := start + MaxBatchItems
-		if end > len(keys) {
-			end = len(keys)
-		}
-		type export struct {
-			key  string
-			df   int64
-			list *postings.List
-		}
-		var items []export
-		for _, key := range keys[start:end] {
-			if list, df, ok := ix.store.Export(key); ok {
-				items = append(items, export{key, df, list})
+	for _, t := range selectReplicas(self.Addr, ix.node.Successors(), ix.repl.factor-1) {
+		next := 0
+		ix.walkManifest(ctx, t.Addr, pred.ID, self.ID, func(lo, hi ids.ID, _ []string, fps map[string]uint64) bool {
+			var ship []syncItem
+			for ; next < len(owned) && ids.Between(hashes[next], lo, hi); next++ {
+				key := owned[next]
+				list, df, ok := ix.store.Export(key)
+				if !ok {
+					continue // removed since the range listing
+				}
+				if fp, held := fps[key]; !held || fp != entryFingerprint(df, list) {
+					ship = append(ship, syncItem{key, df, list})
+				}
 			}
-			// A key removed since the range listing is simply skipped.
-		}
-		if len(items) == 0 {
-			continue
-		}
-		w := wire.NewWriter(64 * len(items))
-		w.Uvarint(uint64(len(items)))
-		for _, it := range items {
-			writeSyncItem(w, it.key, it.df, it.list)
-		}
-		for _, t := range targets {
-			//alvislint:allow errsink anti-entropy push is idempotent and re-runs next round; targets come straight from Successors(), not the replica cache, so there is no stale state to invalidate
-			_, _, _ = ix.node.Endpoint().Call(ctx, t.Addr, MsgReplSync, w.Bytes())
-		}
-		pushed += len(items)
+			for start := 0; start < len(ship); start += MaxBatchItems {
+				chunk := ship[start:min(start+MaxBatchItems, len(ship))]
+				w := wire.NewWriter(64 * len(chunk))
+				w.Uvarint(uint64(len(chunk)))
+				for _, it := range chunk {
+					w.String(it.key)
+					w.Uvarint(uint64(it.df))
+					it.list.Encode(w)
+				}
+				if _, _, err := ix.node.Endpoint().Call(ctx, t.Addr, MsgReplSync, w.Bytes()); err != nil {
+					return false // the replica is gone or refusing; the next pass retries
+				}
+				pushed += len(chunk)
+			}
+			return true
+		})
 	}
 	return pushed
 }

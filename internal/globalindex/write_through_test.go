@@ -1,0 +1,222 @@
+package globalindex
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/ids"
+	"repro/internal/postings"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// receivedFrames reads how many frames of each type addr has received.
+func receivedFrames(net *transport.Mem, addr transport.Addr) map[uint8]int64 {
+	out := make(map[uint8]int64)
+	for msg, c := range net.Load(addr).Snapshot().PerType {
+		out[msg] = c.Messages
+	}
+	return out
+}
+
+// appendBody hand-encodes a MultiAppend frame in the given mode, one
+// single-posting item per key.
+func appendBody(mode uint8, keys ...string) []byte {
+	w := wire.NewWriter(64 * len(keys))
+	w.Byte(mode)
+	w.Uvarint(uint64(len(keys)))
+	for i, key := range keys {
+		writeAppendItem(w, key, AppendItem{List: &postings.List{Entries: []postings.Posting{post("m", uint32(i), 1)}}, Bound: 10})
+	}
+	return w.Bytes()
+}
+
+// TestWriteThroughIsOneAnyModeAppendPerReplica pins the write-through
+// wire contract: at R=3, one MultiAppend to one owner is exactly one
+// owner-mode MsgMultiAppend at the owner and one any-mode MsgMultiAppend
+// — the applied frame, replayed — at each of its two replicas, and no
+// other frame anywhere.
+func TestWriteThroughIsOneAnyModeAppendPerReplica(t *testing.T) {
+	const R = 3
+	nodes, idxs, net := replRing(t, 8, R)
+	terms := []string{"wire", "contract"}
+	key := ids.KeyString(terms)
+	resp, _, err := nodes[0].Lookup(context.Background(), ids.HashString(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, pix := findNode(t, nodes, idxs, resp.Addr)
+	replicas := ringSuccessors(nodes, primary, R)
+	role := map[transport.Addr]string{primary.Self().Addr: "owner"}
+	for _, r := range replicas {
+		role[r.Self().Addr] = "replica"
+	}
+	// A writer holding no copy, so every frame crosses the network.
+	var writer *Index
+	for i, n := range nodes {
+		if role[n.Self().Addr] == "" {
+			writer = idxs[i]
+			break
+		}
+	}
+
+	// The first write warms the writer's route and replica-set caches;
+	// the second is the one measured.
+	list := &postings.List{Entries: []postings.Posting{post("a", 1, 2)}}
+	if _, err := putOne(context.Background(), writer, terms, list, 10); err != nil {
+		t.Fatal(err)
+	}
+	before := make(map[transport.Addr]map[uint8]int64)
+	owner0, any0 := make(map[transport.Addr]int64), make(map[transport.Addr]int64)
+	for _, n := range nodes {
+		a := n.Self().Addr
+		before[a] = receivedFrames(net, a)
+		owner0[a], any0[a] = modeFrames(net, MsgMultiAppend, readOwner, a), modeFrames(net, MsgMultiAppend, readAny, a)
+	}
+	list2 := &postings.List{Entries: []postings.Posting{post("a", 2, 1)}}
+	if _, err := appendOne(context.Background(), writer, terms, list2, 10, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		a := n.Self().Addr
+		got := make(map[uint8]int64)
+		for msg, c := range receivedFrames(net, a) {
+			if d := c - before[a][msg]; d != 0 {
+				got[msg] = d
+			}
+		}
+		owner, any := modeFrames(net, MsgMultiAppend, readOwner, a)-owner0[a], modeFrames(net, MsgMultiAppend, readAny, a)-any0[a]
+		switch role[a] {
+		case "owner":
+			if len(got) != 1 || got[MsgMultiAppend] != 1 || owner != 1 || any != 0 {
+				t.Errorf("owner %s received %v (owner-mode %d, any-mode %d appends), want one owner-mode MsgMultiAppend", a, got, owner, any)
+			}
+		case "replica":
+			if len(got) != 1 || got[MsgMultiAppend] != 1 || owner != 0 || any != 1 {
+				t.Errorf("replica %s received %v (owner-mode %d, any-mode %d appends), want one any-mode MsgMultiAppend", a, got, owner, any)
+			}
+		default:
+			if len(got) != 0 {
+				t.Errorf("bystander %s received %v, want nothing", a, got)
+			}
+		}
+	}
+	// The replay keeps the replicas byte-identical to the owner.
+	wantList, wantDF, _ := pix.Store().Export(key)
+	for _, r := range replicas {
+		_, rix := findNode(t, nodes, idxs, r.Self().Addr)
+		l, df, ok := rix.Store().Export(key)
+		if !ok || df != wantDF || string(l.EncodeBytes()) != string(wantList.EncodeBytes()) {
+			t.Errorf("replica %s diverged from the owner: df %d vs %d", r.Self().Addr, df, wantDF)
+		}
+	}
+}
+
+// TestMultiAppendModeAdmission pins the receiving half of the moded
+// append: an owner-mode frame naming a key the receiver does not own is
+// rejected whole and applies nothing, an any-mode frame (a write-through
+// replay) applies whatever it names, and an unknown mode is corrupt.
+func TestMultiAppendModeAdmission(t *testing.T) {
+	nodes, idxs, _ := ring(t, 4)
+	ix, self := idxs[0], nodes[0]
+	var owned, foreign string
+	for i := 0; owned == "" || foreign == ""; i++ {
+		k := fmt.Sprintf("mode%04d", i)
+		if self.Responsible(ids.HashString(k)) {
+			if owned == "" {
+				owned = k
+			}
+		} else if foreign == "" {
+			foreign = k
+		}
+	}
+	absent := func(keys ...string) {
+		t.Helper()
+		for _, k := range keys {
+			if _, ok := ix.Store().Peek(k); ok {
+				t.Fatalf("%q applied by a rejected frame", k)
+			}
+		}
+	}
+	if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, appendBody(readOwner, owned, foreign)); err == nil {
+		t.Fatal("owner-mode frame naming a foreign key was accepted")
+	}
+	absent(owned, foreign)
+	for _, mode := range []uint8{readSoft, 0xff} {
+		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, appendBody(mode, owned)); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("mode %d: got %v, want ErrCorrupt", mode, err)
+		}
+	}
+	absent(owned)
+	_, resp, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, appendBody(readAny, owned, foreign))
+	if err != nil {
+		t.Fatalf("any-mode frame: %v", err)
+	}
+	if n := wire.NewReader(resp).Uvarint(); n != 2 {
+		t.Fatalf("any-mode frame served %d of 2 items", n)
+	}
+	for _, k := range []string{owned, foreign} {
+		if _, ok := ix.Store().Peek(k); !ok {
+			t.Errorf("any-mode frame did not apply %q", k)
+		}
+	}
+}
+
+// TestWriteThroughReplayIgnoresBatchQuota pins why a replay is applied
+// whole: the primary has already answered its client and ignores the
+// replica's count, so a shed suffix would be lost for good. An overloaded
+// peer whose per-item EWMA cuts an owner-mode frame short applies an
+// any-mode frame of the same size in full.
+func TestWriteThroughReplayIgnoresBatchQuota(t *testing.T) {
+	nodes, idxs, disps, _, _ := hedgeRing(t, 6, 1)
+	serverIdx := 2
+	server := nodes[serverIdx]
+	var owned, replayed []string
+	for i, ts := range termsOwnedBy(t, server, 32, "quota") {
+		if i < 16 {
+			owned = append(owned, ids.KeyString(ts))
+		} else {
+			replayed = append(replayed, ids.KeyString(ts))
+		}
+	}
+
+	disps[serverIdx].SetAdmissionControl(1, time.Millisecond)
+	for i := 0; i < 32; i++ {
+		disps[serverIdx].ObserveBatch(MsgMultiAppend, 400*time.Millisecond, 10)
+	}
+	go func() {
+		_, _, _ = idxs[3].Node().Endpoint().Call(context.Background(), server.Self().Addr, 0x7E, nil)
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for disps[serverIdx].Inflight() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("stall call never occupied the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	send := func(mode uint8, keys []string) uint64 {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+		defer cancel()
+		_, resp, err := idxs[0].Node().Endpoint().Call(ctx, server.Self().Addr, MsgMultiAppend, appendBody(mode, keys...))
+		if err != nil {
+			t.Fatalf("mode %d frame: %v", mode, err)
+		}
+		return wire.NewReader(resp).Uvarint()
+	}
+	if n := send(readOwner, owned); n == 0 || n >= 16 {
+		t.Fatalf("owner-mode frame served %d of 16 items; the fixture must cut it short", n)
+	}
+	if n := send(readAny, replayed); n != 16 {
+		t.Fatalf("any-mode frame served %d of 16 items, want all", n)
+	}
+	for _, k := range replayed {
+		if _, ok := idxs[serverIdx].Store().Peek(k); !ok {
+			t.Fatalf("replayed key %q not applied", k)
+		}
+	}
+}

@@ -1384,10 +1384,11 @@ func e12Trial(coll *corpus.Collection, queries []corpus.Query, peers, kill int, 
 
 // RunE12 measures what durable storage buys a restarting peer: 20% of
 // an R=3 network is killed and restarted mid-workload, once with plain
-// in-memory engines (cold rejoin: the whole owned range re-transfers)
-// and once with WAL+snapshot persistence (delta rejoin: the recovered
-// slice is diffed by fingerprint manifest and only the writes missed
-// during the downtime transfer). Retrieval quality must be unaffected
+// in-memory engines and once with WAL+snapshot persistence. Both arms
+// rejoin by the same fingerprint-manifest walk of the owned range; the
+// cold arm walks it against an empty store, so the whole range
+// re-transfers, while the delta arm's recovered slice matches most
+// pairs and only the writes missed during the downtime transfer. Retrieval quality must be unaffected
 // in both arms — replication already covers the downtime window — so
 // the delta column is pure bandwidth savings.
 func RunE12(scale Scale) (*metrics.Table, error) {
