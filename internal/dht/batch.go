@@ -2,6 +2,7 @@ package dht
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,28 +16,6 @@ import (
 // flight (RunBounded), and how many cache misses one Resolver round
 // resolves. Like Kademlia's α it is a protocol constant, not a setting.
 const FanOut = 8
-
-// LookupBatch resolves the node responsible for each key, running at most
-// FanOut lookups concurrently. Results are returned in input order. If
-// any lookup fails the first error (by input position) is returned; the
-// returned slice still holds every resolution that succeeded. A cancelled
-// context stops the fan-out from dispatching further lookups.
-func (n *Node) LookupBatch(ctx context.Context, keys []ids.ID) ([]Remote, error) {
-	out := make([]Remote, len(keys))
-	errs := make([]error, len(keys))
-	stopped := RunBounded(ctx, len(keys), func(i int) {
-		out[i], _, errs[i] = n.Lookup(ctx, keys[i])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	if stopped != nil {
-		return out, stopped
-	}
-	return out, nil
-}
 
 // RunBounded invokes fn(0..count-1) with at most FanOut concurrent
 // invocations. The caller's goroutine is one of the workers, so a single
@@ -124,6 +103,11 @@ func (n *Node) NewResolver() *Resolver {
 func (r *Resolver) cached(key ids.ID) (Remote, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.cachedLocked(key)
+}
+
+// cachedLocked is cached for callers holding r.mu.
+func (r *Resolver) cachedLocked(key ids.ID) (Remote, bool) {
 	for _, iv := range r.iv {
 		if ids.Between(key, iv.from, iv.to) {
 			return iv.node, true
@@ -140,15 +124,25 @@ func (r *Resolver) add(pred, node Remote, succs []Remote) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !pred.IsZero() && pred.Addr != node.Addr {
-		r.iv = append(r.iv, interval{from: pred.ID, to: node.ID, node: node})
+		r.addLocked(interval{from: pred.ID, to: node.ID, node: node})
 	}
 	prev := node
 	for _, s := range succs {
 		if s.IsZero() || s.Addr == prev.Addr {
 			continue
 		}
-		r.iv = append(r.iv, interval{from: prev.ID, to: s.ID, node: s})
+		r.addLocked(interval{from: prev.ID, to: s.ID, node: s})
 		prev = s
+	}
+}
+
+// addLocked installs iv unless the cache already holds it. The chains
+// learned from neighbouring nodes overlap, and every cached resolution
+// and successor step scans the list, so a duplicate only costs time.
+// Callers hold r.mu.
+func (r *Resolver) addLocked(iv interval) {
+	if !slices.Contains(r.iv, iv) {
+		r.iv = append(r.iv, iv)
 	}
 }
 
@@ -167,17 +161,19 @@ func (r *Resolver) Invalidate(addr transport.Addr) {
 	delete(r.known, addr)
 }
 
-func (r *Resolver) epochSnapshot() uint64 {
+// checkEpoch drops the whole cache when the owning node's own ring
+// pointers moved since it was filled (a join, a failure, a repair):
+// cached responsibility intervals anywhere on the ring may have moved
+// with them. A stable ring never bumps the epoch, so the warm cache
+// survives.
+func (r *Resolver) checkEpoch() {
+	ep := r.n.RingEpoch()
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
-}
-
-// Reset drops the whole cache.
-func (r *Resolver) Reset() {
-	r.mu.Lock()
-	r.iv = nil
-	r.known = make(map[transport.Addr]bool)
+	if ep != r.epoch {
+		r.iv = nil
+		r.known = make(map[transport.Addr]bool)
+		r.epoch = ep
+	}
 	r.mu.Unlock()
 }
 
@@ -190,17 +186,7 @@ func (r *Resolver) Reset() {
 // fetch per distinct responsible peer. A cancelled context stops the
 // miss-resolution rounds and returns the context's error.
 func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error) {
-	// A change in the owning node's own ring pointers (a join, a failure,
-	// a repair) means cached responsibility intervals anywhere on the
-	// ring may have moved: drop the cache and re-learn. A stable ring
-	// never bumps the epoch, so the warm cache survives.
-	if ep := r.n.RingEpoch(); ep != r.epochSnapshot() {
-		r.mu.Lock()
-		r.iv = nil
-		r.known = make(map[transport.Addr]bool)
-		r.epoch = ep
-		r.mu.Unlock()
-	}
+	r.checkEpoch()
 	out := make([]Remote, len(keys))
 	resolved := make([]bool, len(keys))
 	for {
@@ -269,6 +255,58 @@ func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error)
 	}
 }
 
+// Successors returns the first n distinct nodes following of on the
+// ring, in ring order: the owner of the point just past of, the owner of
+// the point just past that one, and so on. It is where of's replicas
+// live. Steps the cache covers cost nothing — one state fetch revealed a
+// whole successor chain, and the intervals past of survive
+// Invalidate(of.Addr), so the chain past a dead owner still answers
+// from cache; a step it misses costs one Resolve (a lookup plus a state
+// fetch). The walk stops early when it wraps back to of, revisits a
+// node, or a step cannot be resolved.
+func (r *Resolver) Successors(ctx context.Context, of Remote, n int) []Remote {
+	if n <= 0 {
+		return nil
+	}
+	r.checkEpoch()
+	out := make([]Remote, 0, n)
+	cur := of
+	r.mu.Lock()
+	for len(out) < n {
+		next, ok := r.cachedLocked(cur.ID + 1)
+		if !ok {
+			r.mu.Unlock()
+			got, err := r.Resolve(ctx, []ids.ID{cur.ID + 1})
+			r.mu.Lock()
+			if err != nil {
+				break
+			}
+			next = got[0]
+		}
+		if !extendsWalk(of, out, next) {
+			break
+		}
+		out = append(out, next)
+		cur = next
+	}
+	r.mu.Unlock()
+	return out
+}
+
+// extendsWalk reports whether next extends the successor walk from of that
+// has found out so far: a real node, neither of nor already walked.
+func extendsWalk(of Remote, out []Remote, next Remote) bool {
+	if next.IsZero() || next.Addr == of.Addr {
+		return false
+	}
+	for _, o := range out {
+		if o.Addr == next.Addr {
+			return false
+		}
+	}
+	return true
+}
+
 // learn records the responsibility intervals observable from rem: its
 // predecessor and successor list (fetched locally when rem is this node).
 // Each node's state is fetched at most once per cache lifetime.
@@ -315,7 +353,7 @@ func (r *Resolver) learn(ctx context.Context, rem Remote) {
 			// (from == to) is exactly the full-ring interval for
 			// ids.Between.
 			r.mu.Lock()
-			r.iv = append(r.iv, interval{from: rem.ID, to: rem.ID, node: rem})
+			r.addLocked(interval{from: rem.ID, to: rem.ID, node: rem})
 			r.mu.Unlock()
 		} else {
 			r.add(Remote{}, rem, succs)

@@ -27,8 +27,9 @@ func randomIDs(count int, seed int64) []ids.ID {
 	return out
 }
 
-// TestLookupBatchMatchesSequential checks that the concurrent batch
-// resolution agrees key-for-key with individual lookups.
+// TestLookupBatchMatchesSequential checks that re-resolving keys whose
+// owners' routes were invalidated — the batch client's redrive after a
+// failed frame — agrees key-for-key with individual fresh lookups.
 func TestLookupBatchMatchesSequential(t *testing.T) {
 	net := transport.NewMem()
 	nodes := buildRing(t, net, randomIDs(16, 1), Options{})
@@ -43,9 +44,16 @@ func TestLookupBatchMatchesSequential(t *testing.T) {
 		}
 		want[i] = r
 	}
-	got, err := src.LookupBatch(context.Background(), keys)
+	res := src.NewResolver()
+	if _, err := res.Resolve(context.Background(), keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range want[:len(want)/2] {
+		res.Invalidate(r.Addr)
+	}
+	got, err := res.Resolve(context.Background(), keys)
 	if err != nil {
-		t.Fatalf("LookupBatch: %v", err)
+		t.Fatalf("Resolve: %v", err)
 	}
 	for i := range keys {
 		if got[i] != want[i] {
@@ -162,8 +170,38 @@ func TestResolverInvalidate(t *testing.T) {
 	}
 }
 
-// TestLookupBatchConcurrentCallers hammers one node's batch resolution
-// from many goroutines (run under -race).
+// TestResolverCacheHoldsNoDuplicates checks that re-learning chains
+// after invalidations does not pile up copies of intervals the cache
+// already holds: every cached resolution and successor step scans the
+// whole list.
+func TestResolverCacheHoldsNoDuplicates(t *testing.T) {
+	net := transport.NewMem()
+	nodes := buildRing(t, net, randomIDs(8, 11), Options{})
+	res := nodes[0].NewResolver()
+	keys := randomIDs(64, 3)
+	owners, err := res.Resolve(context.Background(), keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		res.Invalidate(owners[i].Addr)
+		if _, err := res.Resolve(context.Background(), keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make(map[interval]bool)
+	for _, iv := range res.iv {
+		if seen[iv] {
+			t.Fatalf("interval %+v cached twice (%d intervals on an 8-node ring)", iv, len(res.iv))
+		}
+		seen[iv] = true
+	}
+}
+
+// TestLookupBatchConcurrentCallers hammers one shared resolver from many
+// goroutines — key resolution, successor walks and invalidation
+// interleaved, as concurrent batch operations drive it (run under
+// -race).
 func TestLookupBatchConcurrentCallers(t *testing.T) {
 	net := transport.NewMem()
 	nodes := buildRing(t, net, randomIDs(12, 8), Options{})
@@ -176,12 +214,15 @@ func TestLookupBatchConcurrentCallers(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			keys := randomIDs(30, seed)
-			if _, err := src.LookupBatch(context.Background(), keys); err != nil {
+			got, err := res.Resolve(context.Background(), keys)
+			if err != nil {
 				t.Error(err)
+				return
 			}
-			if _, err := res.Resolve(context.Background(), keys); err != nil {
-				t.Error(err)
+			if succs := res.Successors(context.Background(), got[0], 2); len(succs) != 2 {
+				t.Errorf("successors of %v = %v, want 2", got[0], succs)
 			}
+			res.Invalidate(got[len(got)-1].Addr)
 		}(int64(100 + g))
 	}
 	wg.Wait()

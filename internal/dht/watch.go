@@ -1,11 +1,5 @@
 package dht
 
-import (
-	"context"
-
-	"repro/internal/transport"
-)
-
 // RingChange describes one observed change to a node's ring pointers. It
 // is the delta behind a RingEpoch bump: which pointer moved, from what to
 // what. Upper layers (the global index's replicator) subscribe to react to
@@ -94,15 +88,4 @@ func (n *Node) deliver(ch RingChange) {
 	for _, fn := range watchers {
 		fn(ch)
 	}
-}
-
-// StateOf fetches the ring state (predecessor and successor list) of the
-// node at addr. It is the exported form of the GetState RPC, used by
-// upper layers that need to know where a peer's replicas live. Asking a
-// node for its own state answers locally without an RPC.
-func (n *Node) StateOf(ctx context.Context, addr transport.Addr) (pred Remote, succs []Remote, err error) {
-	if addr == n.self.Addr {
-		return n.Predecessor(), n.Successors(), nil
-	}
-	return n.rpcGetState(ctx, addr)
 }

@@ -2,7 +2,7 @@ package dht
 
 import (
 	"context"
-
+	"slices"
 	"sync"
 	"testing"
 
@@ -112,22 +112,61 @@ func TestRingChangePredecessorFailed(t *testing.T) {
 	}
 }
 
-// TestStateOf checks the exported ring-state fetch, both remote and
-// local.
-func TestStateOf(t *testing.T) {
-	net := transport.NewMem()
-	nodes := buildRing(t, net, []ids.ID{100, 200, 300}, Options{})
-	n := nodes[0]
-	for _, m := range nodes {
-		pred, succs, err := n.StateOf(context.Background(), m.Self().Addr)
-		if err != nil {
-			t.Fatalf("StateOf(%s): %v", m.Self().Addr, err)
+// TestResolverSuccessors checks the resolver's successor walk: a warm
+// chain answers with no frame and no allocation beyond the result, the
+// walk stops when it wraps, and the chain past an invalidated owner
+// still answers from cache.
+func TestResolverSuccessors(t *testing.T) {
+	ctx := context.Background()
+	t.Run("warm", func(t *testing.T) {
+		net := transport.NewMem()
+		nodes := buildRing(t, net, randomIDs(8, 11), Options{})
+		ring := sortedByID(nodes)
+		owner := ring[2].Self()
+		res := nodes[0].NewResolver()
+		if _, err := res.Resolve(ctx, []ids.ID{owner.ID}); err != nil {
+			t.Fatal(err)
 		}
-		if pred != m.Predecessor() {
-			t.Errorf("pred of %s = %v, want %v", m.Self().Addr, pred, m.Predecessor())
+		want := []Remote{ring[3].Self(), ring[4].Self(), ring[5].Self()}
+		before := net.Meter().Snapshot().Messages
+		if got := res.Successors(ctx, owner, 3); !slices.Equal(got, want) {
+			t.Fatalf("successors = %v, want %v", got, want)
 		}
-		if len(succs) == 0 || succs[0] != m.Successor() {
-			t.Errorf("succs of %s = %v", m.Self().Addr, succs)
+		// The chain past an invalidated owner survives: those intervals
+		// name its successors, not the owner.
+		res.Invalidate(owner.Addr)
+		if got := res.Successors(ctx, owner, 3); !slices.Equal(got, want) {
+			t.Fatalf("successors after Invalidate = %v, want %v", got, want)
 		}
-	}
+		if sent := net.Meter().Snapshot().Messages - before; sent != 0 {
+			t.Fatalf("warm successor walks sent %d messages, want 0", sent)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { res.Successors(ctx, owner, 3) }); allocs > 1 {
+			t.Fatalf("warm successor walk: %.1f allocations, want <= 1", allocs)
+		}
+	})
+	t.Run("cold", func(t *testing.T) {
+		net := transport.NewMem()
+		nodes := buildRing(t, net, randomIDs(8, 12), Options{})
+		ring := sortedByID(nodes)
+		res := ring[1].NewResolver()
+		before := net.Meter().Snapshot()
+		got := res.Successors(ctx, ring[6].Self(), 2)
+		if want := []Remote{ring[7].Self(), ring[0].Self()}; !slices.Equal(got, want) {
+			t.Fatalf("cold successors = %v, want %v", got, want)
+		}
+		// One state fetch (request + response) reveals the whole chain.
+		if n := net.Meter().Snapshot().Sub(before).PerType[MsgGetState].Messages; n != 2 {
+			t.Fatalf("cold successor walk booked %d GetState messages, want 2", n)
+		}
+	})
+	t.Run("wraps", func(t *testing.T) {
+		net := transport.NewMem()
+		nodes := buildRing(t, net, []ids.ID{100, 200, 300}, Options{})
+		res := nodes[0].NewResolver()
+		got := res.Successors(ctx, nodes[0].Self(), 5)
+		if want := []Remote{nodes[1].Self(), nodes[2].Self()}; !slices.Equal(got, want) {
+			t.Fatalf("successors on a 3-node ring = %v, want %v", got, want)
+		}
+	})
 }

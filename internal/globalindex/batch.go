@@ -194,15 +194,12 @@ func writeAppendItem(w *wire.Writer, key string, it AppendItem) {
 	it.List.Encode(w)
 }
 
-// Resolver exposes the index's caching key resolver (benchmarks reset it
-// to measure cold-cache behaviour).
-func (ix *Index) Resolver() *dht.Resolver { return ix.resolver }
-
 // group maps each item index to a responsible peer and collects the per
 // peer item order. Groups preserve first-occurrence order of peers and
-// input order of items, keeping batch frames deterministic.
+// input order of items, keeping batch frames deterministic. The peer
+// carries its ring ID: a primary's replicas are the nodes following it.
 type group struct {
-	addr  transport.Addr
+	peer  dht.Remote
 	items []int
 }
 
@@ -214,7 +211,7 @@ func groupByPeer(peers []dht.Remote) []group {
 		if !ok {
 			gi = len(out)
 			index[p.Addr] = gi
-			out = append(out, group{addr: p.Addr})
+			out = append(out, group{peer: p})
 		}
 		out[gi].items = append(out[gi].items, i)
 	}
@@ -228,7 +225,7 @@ func chunkGroups(groups []group, max int) []group {
 	out := make([]group, 0, len(groups))
 	for _, g := range groups {
 		for len(g.items) > max {
-			out = append(out, group{addr: g.addr, items: g.items[:max]})
+			out = append(out, group{peer: g.peer, items: g.items[:max]})
 			g.items = g.items[max:]
 		}
 		out = append(out, g)
@@ -382,7 +379,7 @@ type batchOp struct {
 	// retarget maps each item's resolved primary to the copy that serves
 	// it. hedge keeps items grouped by primary and races each group frame
 	// across the group's copies (hedgedRead).
-	retarget func(ctx context.Context, key string, primary dht.Remote) transport.Addr
+	retarget func(ctx context.Context, key string, primary dht.Remote) dht.Remote
 	hedge    time.Duration
 }
 
@@ -408,30 +405,33 @@ func (ix *Index) planReplicaRead(op *batchOp, policy ReadPolicy, hedge time.Dura
 // error propagates. Whatever the first round leaves unserved climbs one
 // recovery ladder, the same for every operation:
 //
-//  1. A group whose frame failed has its cached route dropped — and,
-//     for a replica-addressed group, the replica sets naming the failed
-//     peer and the primary routes that produced it, since a stale
-//     primary mapping is a failure the unchecked replica frame cannot
-//     detect on its own. Its items join the redrive set only when
-//     re-applying them is safe: the operation is idempotent, or the
-//     failure proves the frame never ran (retryProvablySafe). An
+//  1. A group whose frame failed has the resolver's route to its peer
+//     dropped — the replica sets through that peer go with it, since
+//     they are read from the same intervals — and, for a
+//     replica-addressed group, the primary routes that produced it,
+//     since a stale primary mapping is a failure the unchecked replica
+//     frame cannot detect on its own. Its items join the redrive set
+//     only when re-applying them is safe: the operation is idempotent,
+//     or the failure proves the frame never ran (retryProvablySafe). An
 //     interrupted call or a garbled response of a non-idempotent frame
 //     surfaces as the operation's error.
 //  2. The shed suffix of a partially served frame joins the redrive set
 //     unconditionally: items apply in frame order, so the suffix
 //     provably never ran.
-//  3. The redrive set is re-resolved with fresh ring walks, regrouped
-//     per owner and resent once. Writes and frequency probes stay
-//     responsibility-checked: an owner that still rejects them (the ring
-//     is in flux) fails the operation rather than stranding a write.
+//  3. The redrive set is re-resolved through the resolver — the routes
+//     rule 1 dropped miss and take a fresh ring walk, a shed suffix
+//     keeps its owner — regrouped per owner and resent once. Writes and
+//     frequency probes stay responsibility-checked: an owner that still
+//     rejects them (the ring is in flux) fails the operation rather than
+//     stranding a write.
 //     Moded reads go in readAny mode: the fresh walk is the best route
 //     there is, and a soft-state read answered by a copy that is about
 //     to hand the key over beats a failed query.
 //  4. A moded read with R > 1 whose redriven frame is still unserved —
-//     owner dead or shedding — asks the owner's replicas, at most R−1 of
-//     them (walkReplicas). Whatever is unserved after that fails the
-//     operation with the owner's error (ErrShed for a suffix shed
-//     twice).
+//     owner dead or shedding — asks the owner's replicas, the R−1 nodes
+//     following it in the resolver's chain (replicaTargets). Whatever is
+//     unserved after that fails the operation with the owner's error
+//     (ErrShed for a suffix shed twice).
 func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error {
 	if len(keys) == 0 {
 		return nil
@@ -444,7 +444,7 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error 
 	if op.retarget != nil {
 		serve = make([]dht.Remote, len(primaries))
 		for i, p := range primaries {
-			serve[i] = dht.Remote{ID: p.ID, Addr: op.retarget(ctx, keys[i], p)}
+			serve[i] = op.retarget(ctx, keys[i], p)
 		}
 	}
 	groups := chunkGroups(groupByPeer(serve), MaxBatchItems)
@@ -471,7 +471,7 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error 
 		if retargeted(g) {
 			gop.mode = readAny
 		}
-		served[gi], errs[gi] = ix.sendGroup(ctx, g.addr, keys, g.items, gop)
+		served[gi], errs[gi] = ix.sendGroup(ctx, g.peer, keys, g.items, gop)
 	})
 	if stopped != nil {
 		return stopped
@@ -489,10 +489,9 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error 
 			// cancellation instead of burning a redrive.
 			return gerr
 		}
-		ix.resolver.Invalidate(g.addr)
+		ix.resolver.Invalidate(g.peer.Addr)
 		if op.retarget != nil && retargeted(g) {
-			ix.invalidateReplicaTarget(g.addr)
-			dropped := map[transport.Addr]bool{g.addr: true}
+			dropped := map[transport.Addr]bool{g.peer.Addr: true}
 			for _, i := range g.items {
 				if p := primaries[i].Addr; !dropped[p] {
 					dropped[p] = true
@@ -523,11 +522,11 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error 
 // redrive is rules 3 and 4 of runBatch's ladder over the item subset
 // items (indices into keys).
 func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op batchOp) error {
-	hashes := make([]ids.ID, len(items))
+	sub := make([]string, len(items))
 	for j, i := range items {
-		hashes[j] = ids.HashString(keys[i])
+		sub[j] = keys[i]
 	}
-	owners, err := ix.node.LookupBatch(ctx, hashes)
+	owners, err := ix.resolveAll(ctx, sub)
 	if err != nil {
 		return err
 	}
@@ -539,20 +538,22 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op bat
 		op.mode = readAny
 	}
 	stopped := dht.RunBounded(ctx, len(groups), func(gi int) {
-		owner := owners[groups[gi].items[0]]
+		owner := groups[gi].peer
 		rest := make([]int, len(groups[gi].items))
 		for j, k := range groups[gi].items {
 			rest[j] = items[k]
 		}
-		n, err := ix.sendGroup(ctx, owner.Addr, keys, rest, op)
+		n, err := ix.sendGroup(ctx, owner, keys, rest, op)
 		rest = rest[n:]
 		if len(rest) > 0 && read && ctx.Err() == nil && (err == nil || retryProvablySafe(err)) {
-			ix.walkReplicas(ctx, owner, func(replica transport.Addr) bool {
+			for _, replica := range ix.replicaTargets(ctx, owner) {
 				if n, rerr := ix.sendGroup(ctx, replica, keys, rest, op); rerr == nil {
 					rest = rest[n:]
 				}
-				return len(rest) == 0
-			})
+				if len(rest) == 0 {
+					break
+				}
+			}
 		}
 		if len(rest) > 0 {
 			if err == nil {
@@ -573,12 +574,12 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op bat
 }
 
 // sendGroup ships the items (indices into keys) as one op.msg frame to
-// addr — raced over addr's copies when the plan hedges — and decodes the
+// peer — raced over peer's copies when the plan hedges — and decodes the
 // served prefix. served < len(items) with a nil error is a batch-level
 // partial shed: the remote's admission control applied exactly that
 // prefix. A write that applied anything is replayed on the peer's
 // replicas before returning.
-func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []string, items []int, op batchOp) (served int, err error) {
+func (ix *Index) sendGroup(ctx context.Context, peer dht.Remote, keys []string, items []int, op batchOp) (served int, err error) {
 	encode := func(items []int) []byte {
 		w := wire.NewWriter(64 * len(items))
 		if op.moded {
@@ -593,9 +594,9 @@ func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []stri
 	body := encode(items)
 	var resp []byte
 	if op.hedge > 0 {
-		resp, err = ix.hedgedRead(ctx, addr, keys[items[0]], len(items) == 1, body, op.hedge)
+		resp, err = ix.hedgedRead(ctx, peer, keys[items[0]], len(items) == 1, body, op.hedge)
 	} else {
-		_, resp, err = ix.timedCall(ctx, addr, op.msg, body)
+		_, resp, err = ix.timedCall(ctx, peer.Addr, op.msg, body)
 	}
 	if err != nil {
 		return 0, err
@@ -605,12 +606,12 @@ func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []stri
 	// negative through int() and slip past a signed check into the slice.
 	count := r.Uvarint()
 	if r.Err() != nil || count > uint64(len(items)) {
-		return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w: bad response count", op.msg, addr, wire.ErrCorrupt)
+		return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w: bad response count", op.msg, peer.Addr, wire.ErrCorrupt)
 	}
 	served = int(count)
 	for _, i := range items[:served] {
 		if err := op.decode(r, i); err != nil {
-			return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w", op.msg, addr, err)
+			return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w", op.msg, peer.Addr, err)
 		}
 	}
 	if op.write && ix.repl.factor > 1 && served > 0 {
@@ -626,7 +627,7 @@ func (ix *Index) sendGroup(ctx context.Context, addr transport.Addr, keys []stri
 			body = append([]byte(nil), body...)
 			body[0] = readAny
 		}
-		ix.replicate(ctx, addr, op.msg, body)
+		ix.replicate(ctx, peer, op.msg, body)
 	}
 	return served, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dht"
 	"repro/internal/postings"
 	"repro/internal/wire"
 )
@@ -347,8 +348,8 @@ func TestChunkGroupsSplitsOversized(t *testing.T) {
 		items[i] = i
 	}
 	in := []group{
-		{addr: "a", items: items},
-		{addr: "b", items: []int{100}},
+		{peer: dht.Remote{Addr: "a"}, items: items},
+		{peer: dht.Remote{Addr: "b"}, items: []int{100}},
 	}
 	out := chunkGroups(in, 10)
 	if len(out) != 4 {
@@ -356,8 +357,8 @@ func TestChunkGroupsSplitsOversized(t *testing.T) {
 	}
 	var flat []int
 	for _, g := range out[:3] {
-		if g.addr != "a" {
-			t.Fatalf("chunk addr %q", g.addr)
+		if g.peer.Addr != "a" {
+			t.Fatalf("chunk addr %q", g.peer.Addr)
 		}
 		if len(g.items) > 10 {
 			t.Fatalf("chunk size %d over max", len(g.items))
@@ -369,7 +370,7 @@ func TestChunkGroupsSplitsOversized(t *testing.T) {
 			t.Fatalf("item order broken at %d: %d", i, v)
 		}
 	}
-	if out[3].addr != "b" || len(out[3].items) != 1 {
+	if out[3].peer.Addr != "b" || len(out[3].items) != 1 {
 		t.Fatalf("small group mangled: %+v", out[3])
 	}
 }

@@ -312,3 +312,102 @@ func TestRecoveredPeerKeepsAbsorbedRange(t *testing.T) {
 		t.Fatalf("%d of the %d keys in the dead peer's range were lost cluster-wide", lost, len(inDead))
 	}
 }
+
+// TestRecoveredPeerAfterDoubleFailureKeepsDeadRange is the regression
+// test for a rejoin sweep wider than the recovered slice: a peer and its
+// predecessor both die, the ring closes over the gap, and the peer
+// restarts from its disk image, whose watermark still names (pred, self].
+// Its first walk covers the dead predecessor's range too. The successor
+// never held that range and, at R=2, the image holds its last copy, so
+// the sweep may delete only keys inside the watermark.
+func TestRecoveredPeerAfterDoubleFailureKeepsDeadRange(t *testing.T) {
+	const R = 2
+	ctx := context.Background()
+	net := transport.NewMem()
+	rng := rand.New(rand.NewSource(14))
+	nodes := make([]*dht.Node, 8)
+	idxs := make([]*Index, 8)
+	for i := range nodes {
+		d := transport.NewDispatcher()
+		nodes[i] = dht.NewNode(ids.ID(rng.Uint64()), net.Endpoint(fmt.Sprintf("r%d", i), d.Serve), d, dht.Options{})
+		idxs[i] = New(nodes[i], d)
+		idxs[i].EnableReplication(ctx, R)
+	}
+	dht.BuildOracleTables(nodes)
+	populateRing(t, idxs[0], 400, "double")
+
+	// The crash image of node 3, with the watermark its last
+	// anti-entropy pass recorded.
+	rec := nodes[3]
+	image := idxs[3].Store().(*Memory)
+	image.SetWatermark(rec.Predecessor().ID, rec.ID())
+	dead, _ := findNode(t, nodes, idxs, rec.Predecessor().Addr)
+	var inDead []string
+	for i := 0; i < 400; i++ {
+		key := ids.KeyString([]string{fmt.Sprintf("double%04d", i)})
+		if ids.Between(ids.HashString(key), dead.Predecessor().ID, dead.ID()) {
+			if _, ok := image.Peek(key); !ok {
+				t.Fatalf("fixture broken: the image lacks %q of its predecessor's range", key)
+			}
+			inDead = append(inDead, key)
+		}
+	}
+	if len(inDead) == 0 {
+		t.Fatal("fixture broken: no key in the predecessor's range")
+	}
+
+	// Both die; the ring closes over them.
+	net.SetDown(dead.Self().Addr, true)
+	net.SetDown(rec.Self().Addr, true)
+	var live []*dht.Node
+	var liveIdxs []*Index
+	for i, n := range nodes {
+		if n != dead && n != rec {
+			live = append(live, n)
+			liveIdxs = append(liveIdxs, idxs[i])
+		}
+	}
+	stabilize := func(ns []*dht.Node) {
+		for r := 0; r < 10; r++ {
+			for _, n := range ns {
+				_ = n.Stabilize(ctx)
+			}
+		}
+	}
+	stabilize(live)
+
+	// Node 3 restarts from its image under its old ring ID.
+	d := transport.NewDispatcher()
+	back := dht.NewNode(rec.ID(), net.Endpoint("r3-restarted", d.Serve), d, dht.Options{})
+	backIdx := NewWithEngine(back, d, recoveredMemory{image})
+	backIdx.EnableReplication(ctx, R)
+	if err := back.Join(ctx, live[0].Self().Addr); err != nil {
+		t.Fatal(err)
+	}
+	stabilize(append(live, back))
+	backIdx.MaintainReplication()
+	if backIdx.repl.rejoinPending.Load() {
+		t.Fatal("fixture broken: the restarted peer's rejoin walk never completed")
+	}
+	if pred := back.Predecessor(); pred.Addr != dead.Predecessor().Addr {
+		t.Fatalf("fixture broken: restarted peer's predecessor is %v, want %v", pred, dead.Predecessor())
+	}
+
+	lost := 0
+	for _, key := range inDead {
+		holders := 0
+		for _, ix := range append(liveIdxs, backIdx) {
+			if _, ok := ix.Store().Peek(key); ok {
+				holders++
+			}
+		}
+		if holders == 0 {
+			lost++
+		} else if holders < R {
+			t.Errorf("key %q held by %d live peers after the rejoin, want %d", key, holders, R)
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of the %d keys in the dead predecessor's range were lost cluster-wide", lost, len(inDead))
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/dht"
 	"repro/internal/ids"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -92,14 +93,14 @@ type hedgeTarget struct {
 // signal the rotation order survives unchanged; a measurably slow copy
 // sinks to the end of the chain. A derived soft peer holding no live
 // copy fails fast and the hedge escalates past it.
-func (ix *Index) readChain(ctx context.Context, seed string, primary transport.Addr, soft bool) []hedgeTarget {
-	addrs := []transport.Addr{primary}
+func (ix *Index) readChain(ctx context.Context, seed string, primary dht.Remote, soft bool) []hedgeTarget {
+	addrs := []transport.Addr{primary.Addr}
 	for _, r := range ix.replicaTargets(ctx, primary) {
 		addrs = append(addrs, r.Addr)
 	}
 	isSoft := make(map[transport.Addr]bool)
 	if soft {
-		for _, a := range ix.softTargets(ctx, seed, primary) {
+		for _, a := range ix.softTargets(ctx, seed, primary.Addr) {
 			if !slices.Contains(addrs, a) {
 				addrs = append(addrs, a)
 				isSoft[a] = true
@@ -127,13 +128,16 @@ func (ix *Index) readChain(ctx context.Context, seed string, primary transport.A
 // the seed IS that key; multi-key groups (soft copies are per-key, a
 // group frame cannot split across them) and cold keys race the hard
 // copies only.
-func (ix *Index) hedgedRead(ctx context.Context, primary transport.Addr, seed string, single bool, body []byte, delay time.Duration) ([]byte, error) {
+func (ix *Index) hedgedRead(ctx context.Context, primary dht.Remote, seed string, single bool, body []byte, delay time.Duration) ([]byte, error) {
 	soft := single && ix.hot.threshold > 0 && ix.hotScore(seed) >= ix.hot.threshold
-	resp, err := ix.callHedgedTargets(ctx, ix.readChain(ctx, seed, primary, soft), body, delay)
+	chain := ix.readChain(ctx, seed, primary, soft)
+	resp, err := ix.callHedgedTargets(ctx, chain, body, delay)
 	if err != nil && ctx.Err() == nil {
-		// Every copy in the chain failed on its own: some cached member
-		// is stale, refetch the set on the next read.
-		ix.dropReplicaSet(primary)
+		// Every copy in the chain failed on its own: some cached route is
+		// stale, re-resolve the chain on the next read.
+		for _, t := range chain {
+			ix.resolver.Invalidate(t.addr)
+		}
 	}
 	return resp, err
 }
@@ -234,15 +238,4 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, b
 			return nil, fmt.Errorf("%w: %w", transport.ErrCallInterrupted, ctx.Err())
 		}
 	}
-}
-
-// dropReplicaSet forgets the cached replica set of primary; the next
-// read re-fetches the primary's successor list. The hedged path calls it
-// when a whole chain failed — some member of the cached set is stale.
-func (ix *Index) dropReplicaSet(primary transport.Addr) {
-	ix.repl.mu.Lock()
-	if ix.repl.succsOf != nil {
-		delete(ix.repl.succsOf, primary)
-	}
-	ix.repl.mu.Unlock()
 }

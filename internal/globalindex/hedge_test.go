@@ -98,8 +98,8 @@ func TestShedThenRetryOnReplicaConverges(t *testing.T) {
 		key, pi, want = putReplicated(t, nodes, idxs, terms)
 		primary := nodes[pi].Self()
 		serve := reader.readTarget(context.Background(), key, primary)
-		if serve != primary.Addr {
-			serveIdx, primaryIdx = peerIndexOf(t, nodes, serve), pi
+		if serve != primary {
+			serveIdx, primaryIdx = peerIndexOf(t, nodes, serve.Addr), pi
 			break
 		}
 	}
@@ -262,7 +262,7 @@ func TestHedgedReadLearnsToAvoidSlowReplica(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
 		t.Fatalf("4 hedged reads with a demoted slow copy took %s", elapsed)
 	}
-	chain := reader.readChain(context.Background(), string(primaryAddr), primaryAddr, false)
+	chain := reader.readChain(context.Background(), string(primaryAddr), nodes[primaryIdx].Self(), false)
 	if len(chain) < 2 {
 		t.Fatalf("chain = %v, want primary + replicas", chain)
 	}
@@ -282,13 +282,13 @@ func TestHedgeCountersLaunchedAndWon(t *testing.T) {
 	nodes, idxs, _, net, _ := hedgeRing(t, 8, 3)
 	terms := []string{"hedge", "counters"}
 	key, primaryIdx, want := putReplicated(t, nodes, idxs, terms)
-	primaryAddr := nodes[primaryIdx].Self().Addr
+	primary := nodes[primaryIdx].Self()
 	// The reader holds no copy: a peer's call to itself skips the
 	// network, and with it the injected delay.
 	var reader *Index
 	for i := range idxs {
 		holds := false
-		for _, c := range idxs[i].readChain(context.Background(), key, primaryAddr, false) {
+		for _, c := range idxs[i].readChain(context.Background(), key, primary, false) {
 			holds = holds || c.addr == nodes[i].Self().Addr
 		}
 		if !holds {
@@ -312,7 +312,7 @@ func TestHedgeCountersLaunchedAndWon(t *testing.T) {
 	}
 
 	// The copy the hedged read asks first is the one made slow.
-	first := reader.readChain(context.Background(), key, primaryAddr, false)[0].addr
+	first := reader.readChain(context.Background(), key, primary, false)[0].addr
 	net.SetPeerDelay(first, 300*time.Millisecond)
 	before := reader.TopKStats()
 	read()
@@ -331,5 +331,56 @@ func TestHedgeCountersLaunchedAndWon(t *testing.T) {
 	if after.HedgesLaunched != before.HedgesLaunched || after.HedgesWon != before.HedgesWon {
 		t.Fatalf("fast copies: hedges launched %d won %d, want none",
 			after.HedgesLaunched-before.HedgesLaunched, after.HedgesWon-before.HedgesWon)
+	}
+}
+
+// TestHedgedChainFailureDropsReplicaRoutes: a hedged read whose every
+// copy failed drops the resolver's routes to the whole chain, so the
+// next read re-resolves the replica set with a fresh lookup instead of
+// racing the same cached copies again.
+func TestHedgedChainFailureDropsReplicaRoutes(t *testing.T) {
+	nodes, idxs, _, net, _ := hedgeRing(t, 8, 3)
+	ctx := context.Background()
+	terms := []string{"whole", "chain"}
+	_, primaryIdx, _ := putReplicated(t, nodes, idxs, terms)
+	primary := nodes[primaryIdx].Self()
+	var reader *Index
+	var chain []hedgeTarget
+	for i := range idxs {
+		chain = idxs[i].readChain(ctx, "", primary, false)
+		holds := false
+		for _, c := range chain {
+			holds = holds || c.addr == nodes[i].Self().Addr
+		}
+		if !holds {
+			reader = idxs[i]
+			break
+		}
+	}
+	if reader == nil || len(chain) != 3 {
+		t.Fatalf("fixture broken: reader %v, chain %v", reader, chain)
+	}
+	hedged := func() error {
+		_, err := reader.MultiGet(ctx, []GetItem{{Terms: terms}}, ReadAnyReplica, WithHedge(10*time.Millisecond))
+		return err
+	}
+	if err := hedged(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chain {
+		net.SetDown(c.addr, true)
+	}
+	if err := hedged(); err == nil {
+		t.Fatal("a read with every copy down succeeded")
+	}
+	for _, c := range chain {
+		net.SetDown(c.addr, false)
+	}
+	before := net.Meter().Snapshot()
+	if got := reader.replicaTargets(ctx, primary); len(got) != 2 {
+		t.Fatalf("replica set after the copies came back = %v, want 2 nodes", got)
+	}
+	if n := net.Meter().Snapshot().Sub(before).PerType[dht.MsgNextHop].Messages; n == 0 {
+		t.Fatal("the replica set was answered from routes to copies that all failed")
 	}
 }

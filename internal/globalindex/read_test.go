@@ -181,7 +181,7 @@ func TestHotHedgedReadLandsOnSoftCopy(t *testing.T) {
 			ownerAddr := nodes[ownerIdx].Self().Addr
 			holders := owner.softTargets(context.Background(), key, ownerAddr)
 			hard := map[transport.Addr]bool{ownerAddr: true}
-			for _, rep := range owner.replicaTargets(context.Background(), ownerAddr) {
+			for _, rep := range owner.replicaTargets(context.Background(), nodes[ownerIdx].Self()) {
 				hard[rep.Addr] = true
 			}
 			// The reader is neither a copy nor a holder, so every attempt

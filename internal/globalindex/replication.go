@@ -3,7 +3,6 @@ package globalindex
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dht"
@@ -31,11 +30,9 @@ const (
 	MsgFetchEntries  uint8 = 0x26 // (n, n×key) -> (n, n×(present, [approxDF, list]))
 )
 
-// replicator holds the replication state of one Index: the configured
-// factor R and a cache of primary → successor-list mappings (where a
-// primary's replicas live). The cache is soft state like the Resolver's
-// intervals: it is dropped wholesale on any local ring change, and a
-// stale entry costs only a wasted best-effort RPC.
+// replicator holds the replication state of one Index. Where a primary's
+// replicas live is not state of its own: the index's Resolver answers it
+// from the same cached ring view that routes keys (replicaTargets).
 type replicator struct {
 	factor int // replication factor R; <= 1 disables replication
 
@@ -43,9 +40,6 @@ type replicator struct {
 	// anti-entropy passes that run from ring-maintenance callbacks,
 	// outside any query, run under it so Close unwinds their RPCs.
 	life context.Context
-
-	mu      sync.Mutex
-	succsOf map[transport.Addr][]dht.Remote
 
 	// Pull transfer accounting, for the persistence experiments: how
 	// many manifest (key, fingerprint) pairs this peer's pull walks
@@ -98,7 +92,6 @@ func (ix *Index) EnableReplication(life context.Context, r int) {
 	}
 	ix.repl.life = life
 	ix.repl.factor = r
-	ix.repl.succsOf = make(map[transport.Addr][]dht.Remote)
 	ix.repl.rejoinPending.Store(ix.store.Recovered())
 	ix.node.OnRingChange(ix.onRingChange)
 }
@@ -249,98 +242,12 @@ type syncItem struct {
 }
 
 // replicaTargets returns where primary's replicas live: the first R−1
-// live entries of its successor list, fetched once per ring-stable period
-// and cached. It returns nil when replication is off, when the primary
-// cannot be asked (write-through only talks to live primaries), or when
-// the answer is degenerate.
-func (ix *Index) replicaTargets(ctx context.Context, primary transport.Addr) []dht.Remote {
-	want := ix.repl.factor - 1
-	if want <= 0 {
-		return nil
-	}
-	ix.repl.mu.Lock()
-	cached, ok := ix.repl.succsOf[primary]
-	ix.repl.mu.Unlock()
-	if ok {
-		return cached
-	}
-	_, succs, err := ix.node.StateOf(ctx, primary)
-	if err != nil {
-		return nil
-	}
-	targets := selectReplicas(primary, succs, want)
-	ix.repl.mu.Lock()
-	if ix.repl.succsOf != nil {
-		ix.repl.succsOf[primary] = targets
-	}
-	ix.repl.mu.Unlock()
-	return targets
-}
-
-// invalidateReplicaTarget drops every cached replica set naming addr as
-// a replica. The batch client calls it when a replica-read group fails:
-// the set that routed there is stale (the replica died or moved), and
-// without the drop every subsequent AnyReplica read would retarget the
-// same dead peer until an unrelated local ring change cleared the cache.
-// The next read refetches the primary's successor list.
-func (ix *Index) invalidateReplicaTarget(addr transport.Addr) {
-	ix.repl.mu.Lock()
-	for primary, targets := range ix.repl.succsOf {
-		for _, t := range targets {
-			if t.Addr == addr {
-				delete(ix.repl.succsOf, primary)
-				break
-			}
-		}
-	}
-	ix.repl.mu.Unlock()
-}
-
-// cachedReplicaTargets returns the cached replica set of primary without
-// any network traffic.
-func (ix *Index) cachedReplicaTargets(primary transport.Addr) []dht.Remote {
-	ix.repl.mu.Lock()
-	defer ix.repl.mu.Unlock()
-	return ix.repl.succsOf[primary]
-}
-
-// walkReplicas offers the peers that hold primary's replicas to try, one
-// at a time, until try reports done or R−1 of them were asked — there
-// are no more copies than that. The cached replica set comes first (the
-// only routing information that survives into the churn window), then a
-// ring walk past the primary: Lookup(prev.ID+1) resolves the next live
-// owner once stabilization has begun routing around a failure. It is the
-// fallover order of every read whose primary cannot serve it.
-func (ix *Index) walkReplicas(ctx context.Context, primary dht.Remote, try func(replica transport.Addr) (done bool)) {
-	left := ix.repl.factor - 1
-	if left <= 0 {
-		return
-	}
-	tried := map[transport.Addr]bool{primary.Addr: true}
-	stop := func(r dht.Remote) bool {
-		if r.IsZero() || tried[r.Addr] {
-			return false
-		}
-		tried[r.Addr] = true
-		left--
-		return try(r.Addr) || left == 0
-	}
-	for _, t := range ix.cachedReplicaTargets(primary.Addr) {
-		if stop(t) {
-			return
-		}
-	}
-	cur := primary
-	for i := 1; i < ix.repl.factor; i++ {
-		next, _, err := ix.node.Lookup(ctx, cur.ID+1)
-		if err != nil || next.IsZero() || next.Addr == primary.Addr {
-			return // unroutable, or walked back around to the primary
-		}
-		if stop(next) {
-			return
-		}
-		cur = next
-	}
+// distinct nodes following it on the ring, from the resolver's cached
+// ring view (see dht.Resolver.Successors). It returns nil with
+// replication off, and fewer nodes when the ring is smaller or a step
+// cannot be resolved.
+func (ix *Index) replicaTargets(ctx context.Context, primary dht.Remote) []dht.Remote {
+	return ix.resolver.Successors(ctx, primary, ix.repl.factor-1)
 }
 
 // selectReplicas picks the first want distinct successors of primary,
@@ -366,16 +273,16 @@ func selectReplicas(primary transport.Addr, succs []dht.Remote, want int) []dht.
 // Best effort: a replica that cannot be reached is repaired later by the
 // anti-entropy pass, and a failed replica write must not fail the
 // client's operation.
-func (ix *Index) replicate(ctx context.Context, primary transport.Addr, msg uint8, body []byte) {
+func (ix *Index) replicate(ctx context.Context, primary dht.Remote, msg uint8, body []byte) {
 	for _, t := range ix.replicaTargets(ctx, primary) {
 		_, _, err := ix.node.Endpoint().Call(ctx, t.Addr, msg, body)
 		if errors.Is(err, transport.ErrUnreachable) {
-			// An unreachable replica means the cached set is stale: drop
-			// it so the next write-through re-resolves the successor list
-			// instead of re-hammering the dead peer until an unrelated
-			// ring change clears the cache. The write itself stays best
+			// An unreachable replica means the cached route is stale: drop
+			// it so the next write-through re-resolves the chain instead
+			// of re-hammering the dead peer until an unrelated ring
+			// change clears the cache. The write itself stays best
 			// effort — anti-entropy repairs the missed frame.
-			ix.invalidateReplicaTarget(t.Addr)
+			ix.resolver.Invalidate(t.Addr)
 		}
 	}
 }
@@ -383,8 +290,6 @@ func (ix *Index) replicate(ctx context.Context, primary transport.Addr, msg uint
 // onRingChange is the anti-entropy/handoff pass, invoked synchronously on
 // every change to the node's ring pointers:
 //
-//   - any change invalidates the replica-target cache (where a primary's
-//     replicas live may have moved);
 //   - a new (non-zero) predecessor redefines this node's responsibility
 //     range (pred, self]: a joining node pulls the keys it now owns from
 //     its successor (which held them as primary until now), and a node
@@ -402,11 +307,6 @@ func (ix *Index) replicate(ctx context.Context, primary transport.Addr, msg uint
 // the responsibility range is unknown until the repairing notify arrives,
 // and acting on "I own everything" would flood the ring.
 func (ix *Index) onRingChange(ch dht.RingChange) {
-	// Anti-entropy runs from ring-maintenance callbacks, outside any
-	// query: it proceeds under the index's lifetime context.
-	ix.repl.mu.Lock()
-	ix.repl.succsOf = make(map[transport.Addr][]dht.Remote)
-	ix.repl.mu.Unlock()
 	if ch.PredChanged && !ch.NewPred.IsZero() {
 		ix.pullOwnedRange()
 		ix.pushOwnedRange()
@@ -502,13 +402,16 @@ func (ix *Index) walkManifest(ctx context.Context, peer transport.Addr, from, to
 // recovered slice moves only the writes that landed while it was down.
 //
 // Deletions propagate only on the rejoin walk of a recovered slice whose
-// persisted watermark ends at this node's ring position: a recovered key
-// the successor — the range's primary throughout the downtime — no longer
-// holds was removed cluster-wide meanwhile, and keeping it would
-// resurrect withdrawn postings. Any later walk keeps what it holds: a
-// range absorbed from a dead predecessor was never at the successor. A
-// walk cut short by an RPC failure or unsettled ring pointers leaves the
-// rejoin pending, so the maintenance cadence retries it.
+// persisted watermark (wfrom, wto] ends at this node's ring position, and
+// only for keys inside that watermark: a recovered key the successor —
+// the range's primary throughout the downtime — no longer holds was
+// removed cluster-wide meanwhile, and keeping it would resurrect
+// withdrawn postings. Everything else the walk covers keeps what it
+// holds: a range absorbed from a dead predecessor, before the restart
+// (a double failure) or after it, was never at the successor, and this
+// copy may be its last. A walk cut short by an RPC failure or unsettled
+// ring pointers leaves the rejoin pending, so the maintenance cadence
+// retries it.
 func (ix *Index) pullOwnedRange() {
 	ctx := ix.lifetimeCtx()
 	self := ix.node.Self()
@@ -517,7 +420,7 @@ func (ix *Index) pullOwnedRange() {
 	if pred.IsZero() || succ.IsZero() || succ.Addr == self.Addr {
 		return
 	}
-	_, wto, ok := ix.store.Watermark()
+	wfrom, wto, ok := ix.store.Watermark()
 	sweep := ix.repl.rejoinPending.Load() && ok && wto == self.ID
 	complete := ix.walkManifest(ctx, succ.Addr, pred.ID, self.ID, func(lo, hi ids.ID, keys []string, fps map[string]uint64) bool {
 		ix.repl.manifestKeys.Add(int64(len(keys)))
@@ -532,7 +435,7 @@ func (ix *Index) pullOwnedRange() {
 		}
 		if sweep {
 			for _, key := range ix.store.KeysInRange(lo, hi) {
-				if _, held := fps[key]; !held {
+				if _, held := fps[key]; !held && ids.Between(ids.HashString(key), wfrom, wto) {
 					ix.store.Remove(key)
 				}
 			}
@@ -665,17 +568,11 @@ const (
 // key's hash indexes deterministically into [primary, replica1, ...], so
 // a given key always reads from the same copy (cache-friendly) while
 // distinct keys of one hot primary spread across its replica set.
-func (ix *Index) readTarget(ctx context.Context, key string, primary dht.Remote) transport.Addr {
-	if ix.repl.factor <= 1 {
-		return primary.Addr
-	}
-	replicas := ix.replicaTargets(ctx, primary.Addr)
-	if len(replicas) == 0 {
-		return primary.Addr
-	}
+func (ix *Index) readTarget(ctx context.Context, key string, primary dht.Remote) dht.Remote {
+	replicas := ix.replicaTargets(ctx, primary)
 	idx := int(uint64(ids.HashString(key)) % uint64(1+len(replicas)))
 	if idx == 0 {
-		return primary.Addr
+		return primary
 	}
-	return replicas[idx-1].Addr
+	return replicas[idx-1]
 }

@@ -2,11 +2,11 @@ package globalindex
 
 import (
 	"context"
-
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/dht"
 	"repro/internal/ids"
@@ -162,41 +162,56 @@ func TestReplicationFactorOneUnchanged(t *testing.T) {
 }
 
 // TestReplicateInvalidatesDeadReplica pins the errsink-found fix in
-// replicate(): a write-through that finds a cached replica unreachable
-// must drop that cached replica set, so the next write re-resolves the
-// successor list instead of hammering the dead peer until an unrelated
-// ring change clears the cache. (Before the fix the Call error was
-// discarded wholesale and the stale set lived forever.)
+// replicate(): a write-through that finds a replica unreachable must drop
+// the resolver's route to it, so the next write-through re-resolves the
+// chain past the primary with a fresh lookup instead of hammering the
+// cached dead peer until an unrelated ring change clears the cache.
+// (Before the fix the Call error was discarded wholesale and the stale
+// route lived forever.)
 func TestReplicateInvalidatesDeadReplica(t *testing.T) {
 	nodes, idxs, net := replRing(t, 10, 3)
+	ctx := context.Background()
 	terms := []string{"invalidate", "me"}
 	key := ids.KeyString(terms)
 	list := &postings.List{Entries: []postings.Posting{post("x", 1, 4.0)}}
-
-	// The writer runs the write-through, so the first Put warms the
-	// writer's replica-target cache for the key's primary.
-	if _, err := putOne(context.Background(), idxs[0], terms, list, 100); err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err := nodes[0].Lookup(context.Background(), ids.HashString(key))
+	resp, _, err := nodes[0].Lookup(ctx, ids.HashString(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached := idxs[0].cachedReplicaTargets(resp.Addr)
-	if len(cached) == 0 {
-		t.Fatal("no cached replica set on the writer after write-through")
+	primary, _ := findNode(t, nodes, idxs, resp.Addr)
+	reps := ringSuccessors(nodes, primary, 3)
+	// The writer runs the write-through; it holds no copy, so resolving
+	// the chain past the primary takes a routed lookup.
+	var writer *Index
+	for i, n := range nodes {
+		if n != primary && n != reps[0] && n != reps[1] {
+			writer = idxs[i]
+			break
+		}
+	}
+	lookups := func(put func()) int64 {
+		before := net.Meter().Snapshot()
+		put()
+		return net.Meter().Snapshot().Sub(before).PerType[dht.MsgNextHop].Messages
+	}
+	put := func() {
+		t.Helper()
+		if _, err := putOne(ctx, writer, terms, list, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put() // warms the writer's resolver for the key and the primary's chain
+	if n := lookups(put); n != 0 {
+		t.Fatalf("warm write-through routed %d lookup messages, want 0", n)
 	}
 
-	// Kill one cached replica and write through again: the unreachable
-	// write-through must invalidate the stale set.
-	net.SetDown(cached[0].Addr, true)
-	if _, err := putOne(context.Background(), idxs[0], terms, list, 100); err != nil {
-		t.Fatal(err)
+	// Kill the first replica and write through again: the unreachable
+	// write-through must drop its route, so the next one looks it up.
+	net.SetDown(reps[0].Self().Addr, true)
+	put()
+	if n := lookups(put); n == 0 {
+		t.Fatal("the write-through after an unreachable replica re-used the cached route")
 	}
-	if got := idxs[0].cachedReplicaTargets(resp.Addr); len(got) != 0 {
-		t.Fatalf("cached replica set survived an unreachable write-through: %v", got)
-	}
-	_ = nodes
 }
 
 // TestReadFalloverToReplica kills the primary and checks a reader whose
@@ -402,5 +417,47 @@ func TestKeysInRange(t *testing.T) {
 	// Full ring (from == to) selects everything.
 	if got := s.KeysInRange(42, 42); len(got) != len(keys) {
 		t.Errorf("full-ring range = %v", got)
+	}
+}
+
+// TestReplicaPlacementSendsNoStateFetch pins that a replica set costs no
+// ring-state fetch of its own: the resolver that routed a key already
+// learned the owner's successor chain, and a replica set is read from
+// that chain. A write-through from a writer whose resolver a read has
+// warmed fetches no state at all, and a cold reader's hedged replica
+// read fetches only the state its key resolution needs. The meter books
+// two GetState messages (request and response) per call.
+func TestReplicaPlacementSendsNoStateFetch(t *testing.T) {
+	_, idxs, net := replRing(t, 8, 3)
+	ctx := context.Background()
+	items := multiItems(64, 3)
+	gets := make([]GetItem, len(items))
+	for i, it := range items {
+		gets[i] = GetItem{Terms: it.Terms}
+	}
+	stateCalls := func(op func() error) int64 {
+		t.Helper()
+		before := net.Meter().Snapshot()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		return net.Meter().Snapshot().Sub(before).PerType[dht.MsgGetState].Messages / 2
+	}
+
+	writer := idxs[0]
+	if _, err := writer.MultiGet(ctx, gets, ReadPrimary); err != nil {
+		t.Fatal(err)
+	}
+	if n := stateCalls(func() error { _, err := writer.MultiAppend(ctx, items); return err }); n != 0 {
+		t.Fatalf("warm writer's write-through made %d GetState calls, want 0", n)
+	}
+
+	reader := idxs[len(idxs)-1]
+	n := stateCalls(func() error {
+		_, err := reader.MultiGet(ctx, gets, ReadAnyReplica, WithHedge(time.Second))
+		return err
+	})
+	if n > 1 {
+		t.Fatalf("cold reader's hedged read made %d GetState calls, want at most 1", n)
 	}
 }

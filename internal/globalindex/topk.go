@@ -788,7 +788,7 @@ func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState
 	served := make([]int, len(groups))
 	errs := make([]error, len(groups))
 	stopped := dht.RunBounded(ctx, len(groups), func(gi int) {
-		served[gi], errs[gi] = s.ix.sendGroup(ctx, groups[gi].addr, keys, groups[gi].items, op)
+		served[gi], errs[gi] = s.ix.sendGroup(ctx, groups[gi].peer, keys, groups[gi].items, op)
 	})
 	if stopped != nil {
 		return stopped
@@ -802,7 +802,7 @@ func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState
 			// The serving copy is gone, overloaded or garbling: stop
 			// routing there and re-open the whole group (a read is always
 			// safe to redrive; absorb drops what was already decoded).
-			s.ix.resolver.Invalidate(g.addr)
+			s.ix.resolver.Invalidate(g.peer.Addr)
 		}
 		for j, i := range g.items {
 			if j >= served[gi] || lost[i] {

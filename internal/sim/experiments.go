@@ -1143,8 +1143,9 @@ func runE11ReadArm(p e11Params, hedged bool) (p99ms, slowReads int, err error) {
 		}
 		return items
 	}
-	// Warm pass (no slow peer yet): resolver routes and replica sets are
-	// cached, as they would be on any steady-state peer.
+	// Warm pass (no slow peer yet): the resolver learns every owner's
+	// route and successor chain — the replica sets are read from it — as
+	// it would have on any steady-state peer.
 	for _, q := range queries {
 		if _, err := reader.MultiGet(context.Background(), itemsFor(q), globalindex.ReadAnyReplica); err != nil {
 			return 0, 0, err
