@@ -117,9 +117,9 @@ func (p *Peer) buildTelemetry() *telemetry.Registry {
 			emit(float64(store.Stats().Bytes))
 		})
 	r.RegisterGauge("alvis_index_tracked_keys",
-		"usage records held for query-adaptive truncation",
+		"keys whose probe counts QDI tracks for activation and eviction",
 		func(emit func(float64, ...telemetry.Label)) {
-			emit(float64(store.TrackedKeys()))
+			emit(float64(p.qdiMgr.TrackedKeys()))
 		})
 
 	r.RegisterCounter("alvis_index_topk_rounds_total",

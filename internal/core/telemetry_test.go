@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/globalindex"
 	"repro/internal/hdk"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -153,6 +155,37 @@ func TestTelemetryRegistryCounts(t *testing.T) {
 		if sc.Types[name] == "" {
 			t.Fatalf("family %s missing from exposition", name)
 		}
+	}
+}
+
+// TestTelemetryTrackedKeysCountsProbes checks that alvis_index_tracked_keys
+// reads QDI's probe tracker: after probes of N distinct absent keys at a
+// peer, the gauge reads N.
+func TestTelemetryTrackedKeysCountsProbes(t *testing.T) {
+	n := sim.NewNetwork(sim.Options{NumPeers: 1, Seed: 71, Core: hdkTestCfg})
+	p := n.Peers[0]
+	const distinct = 25
+	items := make([]globalindex.GetItem, 0, 2*distinct)
+	for i := 0; i < distinct; i++ {
+		terms := []string{fmt.Sprintf("absent%02d", i), "pair"}
+		items = append(items, globalindex.GetItem{Terms: terms}, globalindex.GetItem{Terms: terms})
+	}
+	if _, err := p.GlobalIndex().MultiGet(context.Background(), items, globalindex.ReadPrimary); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := p.Telemetry().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := telemetry.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := sc.Value("alvis_index_tracked_keys"); !ok || v != distinct {
+		t.Fatalf("alvis_index_tracked_keys = %v (ok=%v), want %d", v, ok, distinct)
+	}
+	if sc.Types["alvis_index_tracked_keys"] != "gauge" {
+		t.Fatalf("alvis_index_tracked_keys type %q, want gauge", sc.Types["alvis_index_tracked_keys"])
 	}
 }
 

@@ -177,10 +177,12 @@ func (r *Resolver) checkEpoch() {
 	r.mu.Unlock()
 }
 
-// Resolve returns the responsible node for each key, in input order. Each
-// round resolves at most FanOut cache misses, concurrently. Keeping rounds
-// small is deliberate: every miss widens the cache by a whole successor
-// chain, so most keys left for later rounds resolve for free. Distinct keys
+// Resolve returns the responsible node for each key, in input order. The
+// first round resolves one cache miss; each later round resolves at most
+// FanOut, concurrently. Keeping rounds small is deliberate: every miss
+// widens the cache by a whole successor chain, so most keys left for
+// later rounds resolve for free — on a small ring the first state fetch
+// reveals every owner, and a cold resolve costs one lookup. Distinct keys
 // mapping into one already-discovered interval cost no RPC at all, which
 // is what turns N per-key resolutions into roughly one lookup + one state
 // fetch per distinct responsible peer. A cancelled context stops the
@@ -189,7 +191,7 @@ func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error)
 	r.checkEpoch()
 	out := make([]Remote, len(keys))
 	resolved := make([]bool, len(keys))
-	for {
+	for width := 1; ; width = FanOut {
 		// Satisfy what the cache covers; collect the distinct missing keys.
 		var missing []ids.ID
 		seen := make(map[ids.ID]bool)
@@ -217,7 +219,7 @@ func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error)
 		// fetches the responsible node's ring state to widen the cache.
 		// Sorting makes the batch deterministic for a given cache state.
 		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-		batch := missing[:min(FanOut, len(missing))]
+		batch := missing[:min(width, len(missing))]
 		got := make([]Remote, len(batch))
 		errs := make([]error, len(batch))
 		stopped := RunBounded(ctx, len(batch), func(i int) {

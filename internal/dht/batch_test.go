@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,50 @@ func TestResolverMatchesSequentialAndSavesRPCs(t *testing.T) {
 	for i := range keys {
 		if again[i] != want[i] {
 			t.Fatalf("warm key %d: got %v want %v", i, again[i], want[i])
+		}
+	}
+}
+
+// TestResolverColdResolveOneLookup counts the frames of a cold resolve
+// on a ring small enough for one state fetch to reveal every owner: the
+// first round resolves a single miss, so the whole resolve costs one
+// lookup's NextHop frames and one GetState call, not a lookup per miss.
+func TestResolverColdResolveOneLookup(t *testing.T) {
+	net := transport.NewMem()
+	nodes := buildRing(t, net, randomIDs(8, 3), Options{})
+	src := nodes[0]
+	keys := randomIDs(64, 4)
+	first := slices.Min(keys)
+	if src.Responsible(first) {
+		t.Fatal("fixture: the first miss must be owned by a remote node")
+	}
+	// The meter books a call's request and its reply under the call's
+	// type: one call is two frames.
+	frames := func(typ uint8) int64 { return net.Meter().Snapshot().PerType[typ].Messages }
+
+	nextHop, getState := frames(MsgNextHop), frames(MsgGetState)
+	got, err := src.NewResolver().Resolve(context.Background(), keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextHop, getState = frames(MsgNextHop)-nextHop, frames(MsgGetState)-getState
+
+	// One plain lookup of the first miss is the NextHop budget.
+	before := frames(MsgNextHop)
+	if _, _, err := src.Lookup(context.Background(), first); err != nil {
+		t.Fatal(err)
+	}
+	oneLookup := frames(MsgNextHop) - before
+	if nextHop != oneLookup || getState != 2 {
+		t.Fatalf("cold resolve of %d keys: %d NextHop and %d GetState frames, want %d and 2", len(keys), nextHop, getState, oneLookup)
+	}
+	for i, k := range keys {
+		want, _, err := src.Lookup(context.Background(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Fatalf("key %d: got %v want %v", i, got[i], want)
 		}
 	}
 }

@@ -131,17 +131,23 @@ func TestMultiAppendAndMultiGetEndToEnd(t *testing.T) {
 }
 
 func TestMultiGetRecordsProbes(t *testing.T) {
-	nodes, idxs, _ := ring(t, 6)
+	_, idxs, _ := ring(t, 6)
+	counters := make([]*probeCounter, len(idxs))
+	for i, ix := range idxs {
+		counters[i] = newProbeCounter()
+		ix.SetProbeHook(counters[i].hook)
+	}
 	if _, err := idxs[0].MultiGet(context.Background(), []GetItem{{Terms: []string{"absent"}}, {Terms: []string{"absent"}}}, ReadPrimary); err != nil {
 		t.Fatal(err)
 	}
 	// Whichever peer is responsible recorded exactly two probes.
-	total := 0.0
-	for i := range nodes {
-		total += idxs[i].Store().Popularity("absent").Count
+	total := 0
+	for _, c := range counters {
+		n, _ := c.get("absent")
+		total += n
 	}
 	if total != 2 {
-		t.Fatalf("probe count across ring = %v, want 2", total)
+		t.Fatalf("probe count across ring = %d, want 2", total)
 	}
 }
 

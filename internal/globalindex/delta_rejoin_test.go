@@ -93,12 +93,12 @@ func TestDeltaRejoinTransfersOnlyChangedKeys(t *testing.T) {
 	nodes2, idxs2, net2 := replRing(t, 8, 3)
 	populateRing(t, idxs2[0], 150, "delta")
 	recovered := NewStore()
-	entries, probes, clock := coldIx.Store().(*Memory).ExportState()
+	entries := coldIx.Store().(*Memory).ExportState()
 	missed := 3
 	if len(entries) <= missed {
 		t.Fatalf("recovered slice too small (%d entries)", len(entries))
 	}
-	recovered.RestoreState(entries[missed:], probes, clock)
+	recovered.RestoreState(entries[missed:])
 	recovered.SetWatermark(coldJoiner.Predecessor().ID, coldJoiner.ID())
 	// And one key that was deleted cluster-wide while the peer was down:
 	// it survives in the recovered slice but the live ring no longer has

@@ -6,8 +6,10 @@ import (
 )
 
 // StorageEngine is the mutation and query surface of one peer's slice of
-// the global index. The protocol layers (batch frames, replication,
-// QDI's activation policy) operate exclusively through this
+// the global index. It holds index content only: the usage statistics
+// QDI keys on are collected by the read handler (Index.SetProbeHook),
+// not by the engine. The protocol layers (batch frames, replication,
+// QDI's activations and evictions) operate exclusively through this
 // interface, so the state behind it is swappable:
 //
 //   - Memory (this package) is the default engine: pure in-RAM maps,
@@ -26,18 +28,10 @@ type StorageEngine interface {
 	// Append merges new entries into key's list (creating it if absent),
 	// accumulating announcedDF into the approximate global DF.
 	Append(key string, list *postings.List, bound, announcedDF int) int
-	// Get returns a copy of key's list capped to maxResults (0 = all),
-	// recording the probe in the usage statistics either way. wantIndex
-	// is the QDI activation signal for missing-but-popular keys. No
-	// handler calls it any more — every read is a GetPrefix — it stays
-	// only because the frozen bench/ decorates it (see ROADMAP).
-	Get(key string, maxResults int) (list *postings.List, found, wantIndex bool)
 	// GetPrefix returns the score-ordered chunk [offset, offset+limit) of
 	// key's stored list (limit 0 = to the end) — what MsgRead serves.
-	// Only the first chunk (offset 0) records a probe — a continuation
-	// is part of the same logical probe, not new popularity evidence.
 	GetPrefix(key string, offset, limit int) PrefixResult
-	// Peek returns the stored list without touching usage statistics.
+	// Peek returns a copy of the whole stored list.
 	Peek(key string) (*postings.List, bool)
 	// Remove deletes the key, reporting whether it was present.
 	Remove(key string) bool
@@ -54,18 +48,6 @@ type StorageEngine interface {
 	Keys() []string
 	// Stats summarizes the store for monitoring.
 	Stats() Stats
-	// SetActivationPolicy installs QDI's on-demand indexing predicate.
-	SetActivationPolicy(f func(key string, ks KeyStats) bool)
-	// Popularity returns the usage record for key.
-	Popularity(key string) KeyStats
-	// PopularAbsentKeys returns the QDI indexing candidates.
-	PopularAbsentKeys(minCount float64) []string
-	// ColdIndexedKeys returns the QDI eviction candidates.
-	ColdIndexedKeys(maxCount float64) []string
-	// Decay ages every probe count by factor.
-	Decay(factor float64)
-	// TrackedKeys returns the number of usage records currently held.
-	TrackedKeys() int
 
 	// Watermark returns the persisted responsibility watermark: the ring
 	// interval (from, to] this engine's slice covered when it was last

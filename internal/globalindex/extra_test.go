@@ -28,33 +28,44 @@ func TestStoreHardCapEnforced(t *testing.T) {
 	}
 }
 
+// TestStoreActivationPolicyLifecycle drives the activation signal
+// through the probe hook: the hook's answer reaches the reader as
+// wantIndex for a missing key only, and a nil hook never raises it.
 func TestStoreActivationPolicyLifecycle(t *testing.T) {
-	s := NewStore()
-	calls := 0
-	s.SetActivationPolicy(func(key string, ks KeyStats) bool {
-		calls++
-		return ks.Count >= 2
+	ix := selfIndex(t)
+	probes := newProbeCounter()
+	ix.SetProbeHook(func(key string, found bool) bool {
+		probes.hook(key, found)
+		return probes.count(key) >= 2
 	})
-	if _, _, want := s.Get("pair of terms", 0); want {
+	read := func(terms ...string) bool {
+		t.Helper()
+		_, _, want, err := getOne(context.Background(), ix, terms, 0, ReadPrimary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+	if read("pair", "terms") {
 		t.Fatal("first probe below threshold")
 	}
-	if _, _, want := s.Get("pair of terms", 0); !want {
+	if !read("pair", "terms") {
 		t.Fatal("second probe should activate")
 	}
 	// Present keys never request activation.
-	s.Put("indexed key", &postings.List{}, 10)
+	ix.Store().Put(ids.KeyString([]string{"indexed", "key"}), &postings.List{}, 10)
 	for i := 0; i < 3; i++ {
-		if _, _, want := s.Get("indexed key", 0); want {
+		if read("indexed", "key") {
 			t.Fatal("present key requested activation")
 		}
 	}
-	// Disabling the policy stops requests.
-	s.SetActivationPolicy(nil)
-	if _, _, want := s.Get("pair of terms", 0); want {
-		t.Fatal("nil policy must never activate")
+	// Without a hook nothing is recorded and nothing activates.
+	ix.SetProbeHook(nil)
+	if read("pair", "terms") {
+		t.Fatal("nil hook must never activate")
 	}
-	if calls == 0 {
-		t.Fatal("policy never consulted")
+	if n := probes.count("pair terms"); n != 2 {
+		t.Fatalf("hook saw %d probes of the missing key, want 2", n)
 	}
 }
 

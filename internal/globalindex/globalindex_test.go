@@ -115,85 +115,31 @@ func TestStoreGetCapMarksTruncated(t *testing.T) {
 	}
 }
 
+// TestStoreProbeStats checks the usage statistics a probe feeds: every
+// one-shot read, hit or miss, reaches the index's probe hook once with
+// the key's presence, and Peek reaches it not at all.
 func TestStoreProbeStats(t *testing.T) {
-	s := NewStore()
-	s.Put("present", &postings.List{Entries: []postings.Posting{post("a", 1, 1)}}, 10)
-	s.Get("present", 0)
-	s.Get("absent", 0)
-	s.Get("absent", 0)
-	if ks := s.Popularity("present"); ks.Count != 1 || !ks.Present {
-		t.Fatalf("present stats: %+v", ks)
+	ix := selfIndex(t)
+	probes := newProbeCounter()
+	ix.SetProbeHook(probes.hook)
+	ix.Store().Put("present", &postings.List{Entries: []postings.Posting{post("a", 1, 1)}}, 10)
+	for _, key := range []string{"present", "absent", "absent"} {
+		if _, _, _, err := getOne(context.Background(), ix, []string{key}, 0, ReadPrimary); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if ks := s.Popularity("absent"); ks.Count != 2 || ks.Present {
-		t.Fatalf("absent stats: %+v", ks)
+	if n, found := probes.get("present"); n != 1 || !found {
+		t.Fatalf("present: %d probes, found=%v", n, found)
 	}
-	if ks := s.Popularity("never"); ks.Count != 0 {
-		t.Fatalf("never stats: %+v", ks)
+	if n, found := probes.get("absent"); n != 2 || found {
+		t.Fatalf("absent: %d probes, found=%v", n, found)
 	}
-	// Peek must not touch stats.
-	s.Peek("present")
-	if ks := s.Popularity("present"); ks.Count != 1 {
+	if n, _ := probes.get("never"); n != 0 {
+		t.Fatalf("never: %d probes", n)
+	}
+	ix.Store().Peek("present")
+	if n, _ := probes.get("present"); n != 1 {
 		t.Fatal("Peek must not record a probe")
-	}
-}
-
-func TestPopularAbsentKeys(t *testing.T) {
-	s := NewStore()
-	s.Put("indexed", &postings.List{}, 10)
-	for i := 0; i < 5; i++ {
-		s.Get("hot", 0)
-		s.Get("indexed", 0)
-	}
-	s.Get("cold", 0)
-	got := s.PopularAbsentKeys(3)
-	if len(got) != 1 || got[0] != "hot" {
-		t.Fatalf("candidates = %v", got)
-	}
-}
-
-func TestColdIndexedKeys(t *testing.T) {
-	s := NewStore()
-	s.Put("hot", &postings.List{}, 10)
-	s.Put("cold", &postings.List{}, 10)
-	for i := 0; i < 5; i++ {
-		s.Get("hot", 0)
-	}
-	got := s.ColdIndexedKeys(1)
-	if len(got) != 1 || got[0] != "cold" {
-		t.Fatalf("cold keys = %v", got)
-	}
-}
-
-func TestDecay(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 8; i++ {
-		s.Get("k", 0)
-	}
-	s.Decay(0.5)
-	if ks := s.Popularity("k"); ks.Count != 4 {
-		t.Fatalf("decayed count = %v", ks.Count)
-	}
-	// Decay to oblivion drops the record.
-	for i := 0; i < 12; i++ {
-		s.Decay(0.5)
-	}
-	if s.TrackedKeys() != 0 {
-		t.Fatalf("tracked = %d after heavy decay", s.TrackedKeys())
-	}
-}
-
-func TestProbeTrackingBounded(t *testing.T) {
-	s := NewStore()
-	last := fmt.Sprintf("key-%d", maxTracked+99)
-	for i := 0; i < maxTracked+100; i++ {
-		s.Get(fmt.Sprintf("key-%d", i), 0)
-	}
-	if got := s.TrackedKeys(); got > maxTracked {
-		t.Fatalf("tracked %d records, cap is %d", got, maxTracked)
-	}
-	// The most recent keys survive.
-	if ks := s.Popularity(last); ks.Count != 1 {
-		t.Fatal("most recent record must survive eviction")
 	}
 }
 

@@ -7,11 +7,13 @@ package globalindex
 
 import (
 	"context"
-
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/loadstat"
 	"repro/internal/postings"
 )
 
@@ -54,15 +56,11 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 				case 3:
 					s.Peek(k)
 					s.ApproxDF(k)
-					s.Popularity(k)
+					s.GetPrefix(k, r%3, 2)
 				case 4:
 					s.Stats()
 					s.Keys()
-					s.TrackedKeys()
-					s.PopularAbsentKeys(2)
-					s.ColdIndexedKeys(1)
 				case 5:
-					s.Decay(0.9)
 					if r%20 == 5 {
 						s.Remove(k)
 					}
@@ -80,30 +78,48 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentActivationPolicy exercises the QDI activation hook
-// while probes and policy swaps race.
+// TestStoreConcurrentActivationPolicy exercises the probe hook the way
+// QDI installs it — a decayed tracker read and written from every read
+// handler, outside the store lock — while reads, writes and the
+// tracker's clock ticks race.
 func TestStoreConcurrentActivationPolicy(t *testing.T) {
-	s := NewStore()
+	ix := selfIndex(t)
+	var ticks atomic.Int64
+	rate := loadstat.NewKeyRate(time.Second, 16, func() time.Time { return time.Unix(ticks.Load(), 0) })
+	ix.SetProbeHook(func(key string, found bool) bool {
+		return rate.Observe(key) > 1 && !found
+	})
 	rounds := stressScale(100, 1000, t)
 	var wg sync.WaitGroup
-	wg.Add(2)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				key := fmt.Sprintf("missing multi term %d", (w+i)%24)
+				body := readRequest(uint8(i%2), readItem{key, 0, 0}, readItem{"stored", uint64(i % 3), 2})
+				if _, _, err := ix.handleRead(context.Background(), "tester", MsgRead, body); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			if i%2 == 0 {
-				s.SetActivationPolicy(func(_ string, ks KeyStats) bool { return ks.Count > 1 })
-			} else {
-				s.SetActivationPolicy(nil)
+			ix.Store().Append("stored", &postings.List{Entries: []postings.Posting{post("p", uint32(i), 1)}}, 8, 1)
+			if i%10 == 0 {
+				ticks.Add(1)
+				rate.Hot(1)
 			}
 		}
 	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			s.Get("missing multi term", 0)
-		}
-	}()
 	wg.Wait()
+	if n := rate.Len(); n == 0 || n > 16 {
+		t.Fatalf("tracker holds %d keys, want 1..16", n)
+	}
 }
 
 // TestBatchClientConcurrentPublishers runs many peers batch-publishing

@@ -28,6 +28,9 @@ type Index struct {
 	repl     replicator
 	lat      *loadstat.Tracker // per-peer latency EWMAs fed by timedCall
 
+	// probeHook sees every probe handleRead serves; see SetProbeHook.
+	probeHook func(key string, found bool) (wantIndex bool)
+
 	// Hot-key read path (softreplica.go): client-side posting-prefix
 	// cache, per-key popularity tracker, and the soft-replica state.
 	// pcache and hotRate stay nil until EnableHotKeyPath arms them —
@@ -81,6 +84,20 @@ func NewWithEngine(node *dht.Node, d *transport.Dispatcher, engine StorageEngine
 // storage engine behind the protocol layers (the QDI layer and the
 // monitoring UI read it).
 func (ix *Index) Store() StorageEngine { return ix.store }
+
+// SetProbeHook installs the observer of this peer's probes (paper §2:
+// "each contacted peer also updates the usage statistics for the
+// requested term combination"). handleRead calls it once per logical
+// probe — the opening chunk (cursor 0) of an owner or any-mode read,
+// never a continuation and never a soft-copy read — for present and
+// absent keys alike, after the store lookup so found is known. A true
+// answer for an absent key raises the read's wantIndex flag, asking the
+// querying peer to index the key on demand. The QDI layer installs it;
+// nil records nothing. Like EnableHotKeyPath it must be called before
+// the node serves: the handler reads it without a lock.
+func (ix *Index) SetProbeHook(hook func(key string, found bool) (wantIndex bool)) {
+	ix.probeHook = hook
+}
 
 // Node returns the underlying DHT node.
 func (ix *Index) Node() *dht.Node { return ix.node }

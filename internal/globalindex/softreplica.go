@@ -280,7 +280,7 @@ func (ix *Index) SoftCopyCount() int {
 // and serve soft copies for others.
 func (ix *Index) EnableHotKeyPath(cfg HotKeyConfig) {
 	cfg.fillDefaults()
-	ix.hotRate = loadstat.NewKeyRate(cfg.HalfLife, 0)
+	ix.hotRate = loadstat.NewKeyRate(cfg.HalfLife, 0, nil)
 	if cfg.PrefixCache > 0 {
 		ix.pcache = readcache.New(cfg.PrefixCache, cfg.PrefixCacheTTL)
 		ix.node.OnRingChange(func(dht.RingChange) { ix.pcache.Clear() })

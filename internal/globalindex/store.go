@@ -7,8 +7,10 @@
 // Every probe for a key — hit or miss — updates usage statistics at the
 // responsible peer (paper §2: "during the exploration, each contacted
 // peer also updates the usage statistics for the requested term
-// combination"); the query-driven indexing layer reads those statistics
-// to decide which keys to index or evict.
+// combination"). The read handler reports each probe to the hook the
+// query-driven indexing layer installs (Index.SetProbeHook), which keeps
+// those statistics and decides which keys to index or evict; the store
+// itself holds index content only.
 package globalindex
 
 import (
@@ -40,16 +42,6 @@ type Memory struct {
 	// is exact as long as each peer publishes each (key, doc) once.
 	approxDF map[string]int64
 
-	// Usage statistics: probe counts per canonical key, for both present
-	// and absent keys (QDI candidates are exactly the popular absent
-	// keys). A logical clock orders observations; decay divides counts.
-	probes map[string]*KeyStats
-	clock  int64
-
-	// activation, when set (by the QDI layer), decides whether a probe of
-	// a missing key should ask the querying peer to index it on demand.
-	activation func(key string, ks KeyStats) bool
-
 	// Responsibility watermark: the ring interval this slice covered when
 	// it was last known stable. The memory engine only ever holds it in
 	// RAM — it exists so durable engines wrapping a Memory can journal it.
@@ -61,23 +53,11 @@ type Memory struct {
 // callers and tests compile unchanged.
 type Store = Memory
 
-// KeyStats is the usage record of one key.
-type KeyStats struct {
-	Count     float64 // decayed probe count
-	LastProbe int64   // logical time of the most recent probe
-	Present   bool    // whether the key was indexed at last probe
-}
-
-// maxTracked bounds the key-usage records a memory engine keeps; the
-// coldest record is evicted to make room for a new one.
-const maxTracked = 4096
-
 // NewStore returns an empty memory engine.
 func NewStore() *Memory {
 	return &Memory{
 		entries:  make(map[string]*postings.List),
 		approxDF: make(map[string]int64),
-		probes:   make(map[string]*KeyStats),
 	}
 }
 
@@ -131,39 +111,17 @@ func (s *Memory) Append(key string, list *postings.List, bound, announcedDF int)
 	return merged.Len()
 }
 
-// SetActivationPolicy installs the QDI layer's on-demand indexing
-// predicate: given a missing key's usage statistics, should the querying
-// peer be asked to index it? Passing nil disables activation.
-func (s *Memory) SetActivationPolicy(f func(key string, ks KeyStats) bool) {
-	s.mu.Lock()
-	s.activation = f
-	s.mu.Unlock()
-}
-
 // Get returns (a copy of) the list stored under key capped to maxResults
-// entries (0 = all), and whether the key is present. The probe is
-// recorded in the usage statistics either way. wantIndex is the QDI
-// activation signal: true when the key is missing, popular, and the
-// activation policy asks the caller to index it on demand.
+// entries (0 = all), and whether the key is present. A list cut short by
+// the cap is marked truncated. wantIndex is always false: the activation
+// signal belongs to the read handler's probe hook, not to the store.
 func (s *Memory) Get(key string, maxResults int) (list *postings.List, found, wantIndex bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := s.entries[key]
-	s.recordProbeLocked(key, ok)
-	if !ok {
-		if s.activation != nil {
-			if ks := s.probes[key]; ks != nil && s.activation(key, *ks) {
-				wantIndex = true
-			}
-		}
-		return nil, false, wantIndex
+	res := s.GetPrefix(key, 0, maxResults)
+	if !res.Found {
+		return nil, false, false
 	}
-	out := cur.Clone()
-	if maxResults > 0 && out.Len() > maxResults {
-		out.Entries = out.Entries[:maxResults]
-		out.Truncated = true
-	}
-	return out, true, false
+	trunc := res.Truncated || (maxResults > 0 && res.Total > maxResults)
+	return &postings.List{Entries: res.Entries, Truncated: trunc}, true, false
 }
 
 // PrefixResult is one chunk of a stored list served in canonical
@@ -173,7 +131,7 @@ type PrefixResult struct {
 	Total     int                // stored list length (continuation horizon)
 	Truncated bool               // the STORED list's truncation mark
 	Found     bool               // whether the key is present
-	WantIndex bool               // QDI activation signal (offset-0 probes only)
+	WantIndex bool               // QDI activation signal, set by the read handler's probe hook
 }
 
 // GetPrefix returns the chunk [offset, offset+limit) of key's stored
@@ -182,26 +140,16 @@ type PrefixResult struct {
 // cursor is a stored-list offset. Truncated reports the stored list's
 // own truncation mark — NOT whether this chunk cut the list short; the
 // retrieval layer's pruning decisions must match a whole-list read, and
-// the chunk horizon travels separately as Total. Only an offset-0 call
-// records a probe (and can raise the QDI activation signal): the
-// continuations of a streamed read are part of the same logical probe.
+// the chunk horizon travels separately as Total. WantIndex is never set
+// here; see Index.SetProbeHook.
 func (s *Memory) GetPrefix(key string, offset, limit int) PrefixResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	cur, ok := s.entries[key]
-	if offset <= 0 {
-		offset = 0
-		s.recordProbeLocked(key, ok)
-	}
 	if !ok {
-		res := PrefixResult{}
-		if offset == 0 && s.activation != nil {
-			if ks := s.probes[key]; ks != nil && s.activation(key, *ks) {
-				res.WantIndex = true
-			}
-		}
-		return res
+		return PrefixResult{}
 	}
+	offset = max(offset, 0)
 	res := PrefixResult{Total: cur.Len(), Truncated: cur.Truncated, Found: true}
 	if offset >= cur.Len() {
 		return res
@@ -216,8 +164,7 @@ func (s *Memory) GetPrefix(key string, offset, limit int) PrefixResult {
 	return res
 }
 
-// Peek returns the stored list without touching usage statistics
-// (monitoring and tests).
+// Peek returns the stored list (monitoring and tests).
 func (s *Memory) Peek(key string) (*postings.List, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -353,131 +300,6 @@ func (s *Memory) Stats() Stats {
 	return st
 }
 
-// recordProbeLocked updates usage statistics for a key probe.
-func (s *Memory) recordProbeLocked(key string, present bool) {
-	s.clock++
-	ks, ok := s.probes[key]
-	if !ok {
-		if len(s.probes) >= maxTracked {
-			s.evictColdestLocked()
-		}
-		ks = &KeyStats{}
-		s.probes[key] = ks
-	}
-	ks.Count++
-	ks.LastProbe = s.clock
-	ks.Present = present
-}
-
-// evictColdestLocked drops the least recently probed record.
-func (s *Memory) evictColdestLocked() {
-	var coldest string
-	var coldestTime int64 = 1<<63 - 1
-	for k, ks := range s.probes {
-		if ks.LastProbe < coldestTime {
-			coldest, coldestTime = k, ks.LastProbe
-		}
-	}
-	if coldest != "" {
-		delete(s.probes, coldest)
-	}
-}
-
-// Popularity returns the usage record for key (zero value if untracked).
-func (s *Memory) Popularity(key string) KeyStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ks, ok := s.probes[key]; ok {
-		return *ks
-	}
-	return KeyStats{}
-}
-
-// PopularAbsentKeys returns keys probed at least minCount times that are
-// not currently indexed — the QDI indexing candidates — most popular
-// first.
-func (s *Memory) PopularAbsentKeys(minCount float64) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	type kc struct {
-		key string
-		c   float64
-	}
-	var cands []kc
-	for k, ks := range s.probes {
-		if _, indexed := s.entries[k]; indexed {
-			continue
-		}
-		if ks.Count >= minCount {
-			cands = append(cands, kc{k, ks.Count})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].c != cands[j].c {
-			return cands[i].c > cands[j].c
-		}
-		return cands[i].key < cands[j].key
-	})
-	out := make([]string, len(cands))
-	for i, c := range cands {
-		out[i] = c.key
-	}
-	return out
-}
-
-// ColdIndexedKeys returns indexed keys whose decayed popularity has
-// fallen below maxCount — the QDI eviction candidates — coldest first.
-func (s *Memory) ColdIndexedKeys(maxCount float64) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	type kc struct {
-		key string
-		c   float64
-	}
-	var cands []kc
-	for k := range s.entries {
-		var c float64
-		if ks, ok := s.probes[k]; ok {
-			c = ks.Count
-		}
-		if c <= maxCount {
-			cands = append(cands, kc{k, c})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].c != cands[j].c {
-			return cands[i].c < cands[j].c
-		}
-		return cands[i].key < cands[j].key
-	})
-	out := make([]string, len(cands))
-	for i, c := range cands {
-		out[i] = c.key
-	}
-	return out
-}
-
-// Decay multiplies every probe count by factor (0 < factor < 1), the
-// aging mechanism that lets QDI track the *current* query distribution.
-// Records that decay below 0.01 are dropped.
-func (s *Memory) Decay(factor float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, ks := range s.probes {
-		ks.Count *= factor
-		if ks.Count < 0.01 {
-			delete(s.probes, k)
-		}
-	}
-}
-
-// TrackedKeys returns the number of usage records currently held.
-func (s *Memory) TrackedKeys() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.probes)
-}
-
 // Watermark returns the recorded responsibility watermark; see
 // StorageEngine.Watermark.
 func (s *Memory) Watermark() (from, to ids.ID, ok bool) {
@@ -509,35 +331,24 @@ type EntryState struct {
 	List     *postings.List
 }
 
-// ProbeState is one usage record as captured by ExportState.
-type ProbeState struct {
-	Key   string
-	Stats KeyStats
-}
-
 // ExportState captures the engine's complete state in deterministic
 // (key-sorted) order — the durable engine's snapshot writer consumes it.
 // The returned lists are deep copies.
-func (s *Memory) ExportState() (entries []EntryState, probes []ProbeState, clock int64) {
+func (s *Memory) ExportState() []EntryState {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	entries = make([]EntryState, 0, len(s.entries))
+	entries := make([]EntryState, 0, len(s.entries))
 	for k, l := range s.entries {
 		entries = append(entries, EntryState{Key: k, ApproxDF: s.approxDF[k], List: l.Clone()})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	probes = make([]ProbeState, 0, len(s.probes))
-	for k, ks := range s.probes {
-		probes = append(probes, ProbeState{Key: k, Stats: *ks})
-	}
-	sort.Slice(probes, func(i, j int) bool { return probes[i].Key < probes[j].Key })
-	return entries, probes, s.clock
+	return entries
 }
 
 // RestoreState replaces the engine's state wholesale with a snapshot
 // produced by ExportState — the durable engine's recovery path. Incoming
 // lists are deep-copied, so the caller may keep its buffers.
-func (s *Memory) RestoreState(entries []EntryState, probes []ProbeState, clock int64) {
+func (s *Memory) RestoreState(entries []EntryState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries = make(map[string]*postings.List, len(entries))
@@ -546,10 +357,4 @@ func (s *Memory) RestoreState(entries []EntryState, probes []ProbeState, clock i
 		s.entries[e.Key] = e.List.Clone()
 		s.approxDF[e.Key] = e.ApproxDF
 	}
-	s.probes = make(map[string]*KeyStats, len(probes))
-	for _, p := range probes {
-		ks := p.Stats
-		s.probes[p.Key] = &ks
-	}
-	s.clock = clock
 }

@@ -115,6 +115,9 @@ func (ix *Index) handleRead(ctx context.Context, _ transport.Addr, _ uint8, body
 				ix.observeRead(keys[i])
 			}
 			res = ix.store.GetPrefix(keys[i], cursors[i], chunks[i])
+			if cursors[i] == 0 && ix.probeHook != nil && ix.probeHook(keys[i], res.Found) && !res.Found {
+				res.WantIndex = true
+			}
 		}
 		if !res.Found && mode != readOwner {
 			if sres, ok := ix.hot.getPrefix(keys[i], cursors[i], chunks[i], epoch); ok {
@@ -469,9 +472,9 @@ func (s *TopKSession) open(ctx context.Context, sts []*topkKeyState, chunkOf fun
 // truncation mark (the lattice must prune exactly as it would on a whole
 // list; Refine extends the prefix in place); in a one-shot session it is
 // the item's capped list, marked truncated when the cap cut it. Found and
-// WantIndex are the probe semantics either way: the serving store
-// records the probe on the opening chunk only. Keys group per serving
-// peer into MsgRead frames (see runBatch for modes and recovery).
+// WantIndex are the probe semantics either way: the serving peer reports
+// the probe to its probe hook on the opening chunk only. Keys group per
+// serving peer into MsgRead frames (see runBatch for modes and recovery).
 //
 // With the hot-key path armed, two things short-circuit the fan-out:
 // a fresh item whose key has a live posting-prefix cache entry (same

@@ -32,33 +32,19 @@ func TestGetPrefixSemantics(t *testing.T) {
 	if res.Entries[0].Score != 100 || res.Entries[3].Score != 97 {
 		t.Fatalf("chunk entries: %v", res.Entries)
 	}
-	if s.Popularity("k").Count != 1 {
-		t.Fatalf("offset-0 read must record exactly one probe, got %v", s.Popularity("k").Count)
-	}
-
-	// A continuation is the same logical probe: no new statistics.
 	res = s.GetPrefix("k", 4, 100)
 	if len(res.Entries) != 6 || res.Entries[0].Score != 96 {
 		t.Fatalf("continuation chunk: %v", res.Entries)
-	}
-	if s.Popularity("k").Count != 1 {
-		t.Fatalf("continuation must not record a probe, got %v", s.Popularity("k").Count)
 	}
 	// Past the end: empty chunk, metadata intact.
 	res = s.GetPrefix("k", 10, 5)
 	if len(res.Entries) != 0 || res.Total != 10 || !res.Found {
 		t.Fatalf("past-end chunk: %+v", res)
 	}
-	// Missing keys record a probe at offset 0 only.
-	if res := s.GetPrefix("absent", 0, 5); res.Found {
-		t.Fatal("absent key found")
-	}
-	if s.Popularity("absent").Count != 1 {
-		t.Fatal("absent-key probe not recorded")
-	}
-	s.GetPrefix("absent", 3, 5)
-	if s.Popularity("absent").Count != 1 {
-		t.Fatal("absent-key continuation must not record a probe")
+	for _, off := range []int{0, 3} {
+		if res := s.GetPrefix("absent", off, 5); res.Found || res.WantIndex {
+			t.Fatalf("absent key at offset %d: %+v", off, res)
+		}
 	}
 }
 

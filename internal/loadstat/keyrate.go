@@ -11,9 +11,11 @@ import (
 // KeyRate tracks per-key read popularity as a bounded, exponentially
 // decayed read count: each Observe adds 1, and the accumulated count
 // halves every half-life. The score is therefore "reads in the last few
-// half-lives", the signal the hot-key promoter thresholds on — keys whose
-// score crosses HotKeyThreshold get soft replicas, and the score falls
-// back below the threshold by itself once the key cools.
+// half-lives", the signal two decisions threshold on: keys whose score
+// crosses HotKeyThreshold get soft replicas, and the score falls back
+// below the threshold by itself once the key cools; QDI indexes popular
+// missing keys and evicts cold indexed ones, on a clock that advances
+// once per maintenance round.
 //
 // The table is bounded: inserting beyond maxKeys evicts the coldest
 // tracked key, so a zipfian tail of one-off keys cannot grow the map.
@@ -34,7 +36,7 @@ type KeyRate struct {
 	keys    map[string]*keyRateEntry
 	cold    rateHeap         // every tracked entry, coldest at the root
 	origin  time.Time        // zero point of the rank: the first observation
-	clock   func() time.Time // test seam; nil = time.Now
+	clock   func() time.Time // time source; never nil
 }
 
 type keyRateEntry struct {
@@ -51,22 +53,21 @@ type keyRateEntry struct {
 const DefaultKeyRateHalfLife = 10 * time.Second
 
 // NewKeyRate returns a bounded decayed-count tracker. maxKeys <= 0
-// selects a default bound of 4096 keys.
-func NewKeyRate(halfLife time.Duration, maxKeys int) *KeyRate {
+// selects a default bound of 4096 keys. clock is the time source the
+// decay runs on; nil selects time.Now. A caller that decays in rounds
+// rather than in wall time passes a clock that advances one fixed step
+// per round.
+func NewKeyRate(halfLife time.Duration, maxKeys int, clock func() time.Time) *KeyRate {
 	if halfLife <= 0 {
 		halfLife = DefaultKeyRateHalfLife
 	}
 	if maxKeys <= 0 {
 		maxKeys = 4096
 	}
-	return &KeyRate{half: halfLife, maxKeys: maxKeys, keys: make(map[string]*keyRateEntry)}
-}
-
-func (r *KeyRate) now() time.Time {
-	if r.clock != nil {
-		return r.clock()
+	if clock == nil {
+		clock = time.Now
 	}
-	return time.Now()
+	return &KeyRate{half: halfLife, maxKeys: maxKeys, keys: make(map[string]*keyRateEntry), clock: clock}
 }
 
 // decayedLocked returns e's count decayed to now without mutating it.
@@ -88,9 +89,10 @@ func (r *KeyRate) rankLocked(e *keyRateEntry) float64 {
 	return math.Log2(frac) + (float64(exp) + float64(e.last.Sub(r.origin))/float64(r.half))
 }
 
-// Observe records one read of key.
-func (r *KeyRate) Observe(key string) {
-	now := r.now()
+// Observe records one read of key and returns its decayed count, this
+// read included.
+func (r *KeyRate) Observe(key string) float64 {
+	now := r.clock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.keys[key]; ok {
@@ -102,7 +104,7 @@ func (r *KeyRate) Observe(key string) {
 		e.count = r.decayedLocked(e, now) + 1
 		e.last = now
 		e.stale = true
-		return
+		return e.count
 	}
 	if r.origin.IsZero() {
 		r.origin = now
@@ -114,6 +116,7 @@ func (r *KeyRate) Observe(key string) {
 	e.rank = r.rankLocked(e)
 	r.keys[key] = e
 	heap.Push(&r.cold, e)
+	return e.count
 }
 
 // evictColdestLocked drops the key with the smallest decayed count, key
@@ -130,7 +133,7 @@ func (r *KeyRate) evictColdestLocked() {
 
 // Score returns key's decayed read count (0 for an untracked key).
 func (r *KeyRate) Score(key string) float64 {
-	now := r.now()
+	now := r.clock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.keys[key]
@@ -143,7 +146,7 @@ func (r *KeyRate) Score(key string) float64 {
 // Hot returns every key whose decayed count is at least threshold,
 // hottest first (key order on ties, so the result is deterministic).
 func (r *KeyRate) Hot(threshold float64) []string {
-	now := r.now()
+	now := r.clock()
 	r.mu.Lock()
 	type scored struct {
 		key   string

@@ -78,12 +78,12 @@ func (r *scanKeyRate) hot(threshold float64, now time.Time) []string {
 // TestKeyRateMatchesScan drives the heap tracker and the linear scan with
 // the same random read stream and compares them after every operation:
 // the tracked key set (so every eviction picked the same victim), Len,
-// the Score of every key and Hot at several thresholds. The fake clock
-// moves in whole milliseconds, often not at all, and the half-lives are
-// powers of two milliseconds: every age is then an exact binary fraction
-// of a half-life, so the exact ties the scan breaks by key (two reads at
-// one instant against one read a half-life later, say) are exact ties of
-// the rank too.
+// the count Observe returns, the Score of every key and Hot at several
+// thresholds. The fake clock moves in whole milliseconds, often not at
+// all, and the half-lives are powers of two milliseconds: every age is
+// then an exact binary fraction of a half-life, so the exact ties the
+// scan breaks by key (two reads at one instant against one read a
+// half-life later, say) are exact ties of the rank too.
 func TestKeyRateMatchesScan(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -91,8 +91,7 @@ func TestKeyRateMatchesScan(t *testing.T) {
 		maxKeys := 4 + rng.Intn(61)
 		universe := 3 * maxKeys
 		now := time.Unix(500, 0)
-		kr := NewKeyRate(half, maxKeys)
-		kr.clock = func() time.Time { return now }
+		kr := NewKeyRate(half, maxKeys, func() time.Time { return now })
 		oracle := &scanKeyRate{half: half, maxKeys: maxKeys, keys: map[string]*keyRateEntry{}}
 		for op := 0; op < 1000; op++ {
 			now = now.Add(time.Duration(rng.Intn(4)) * time.Millisecond)
@@ -103,8 +102,11 @@ func TestKeyRateMatchesScan(t *testing.T) {
 				i = rng.Intn(4)
 			}
 			key := "k" + strconv.Itoa(i)
-			kr.Observe(key)
+			count := kr.Observe(key)
 			oracle.observe(key, now)
+			if want := oracle.score(key, now); count != want {
+				t.Fatalf("seed %d op %d: Observe(%s) = %v, scan %v", seed, op, key, count, want)
+			}
 
 			if kr.Len() != len(oracle.keys) {
 				t.Fatalf("seed %d op %d: Len %d, scan %d", seed, op, kr.Len(), len(oracle.keys))
@@ -145,8 +147,7 @@ func TestKeyRateExactTiesEvictByKey(t *testing.T) {
 				older, younger := names[0], names[1]
 				t0 := time.Unix(500, 0)
 				now := t0
-				kr := NewKeyRate(half, 2)
-				kr.clock = func() time.Time { return now }
+				kr := NewKeyRate(half, 2, func() time.Time { return now })
 				oracle := &scanKeyRate{half: half, maxKeys: 2, keys: map[string]*keyRateEntry{}}
 				read := func(key string, n int) {
 					for i := 0; i < n; i++ {
@@ -173,9 +174,8 @@ func TestKeyRateExactTiesEvictByKey(t *testing.T) {
 // for the lock) counts at the later instant, so the decay origin of every
 // later Score stays put.
 func TestKeyRateObserveNeverMovesBack(t *testing.T) {
-	kr := NewKeyRate(DefaultKeyRateHalfLife, 0)
 	now := time.Unix(10, 0)
-	kr.clock = func() time.Time { return now }
+	kr := NewKeyRate(DefaultKeyRateHalfLife, 0, func() time.Time { return now })
 	kr.Observe("k")
 	now = time.Unix(5, 0)
 	kr.Observe("k")
@@ -190,7 +190,7 @@ func TestKeyRateObserveNeverMovesBack(t *testing.T) {
 // goroutines on the real clock, then checks the bound and that the heap
 // and the map still describe the same entries.
 func TestKeyRateConcurrent(t *testing.T) {
-	kr := NewKeyRate(time.Second, 16)
+	kr := NewKeyRate(time.Second, 16, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -221,7 +221,7 @@ func TestKeyRateConcurrent(t *testing.T) {
 // fed a stream of new keys: every call evicts.
 func BenchmarkKeyRateObserveFull(b *testing.B) {
 	const full = 4096
-	kr := NewKeyRate(DefaultKeyRateHalfLife, full)
+	kr := NewKeyRate(DefaultKeyRateHalfLife, full, nil)
 	for i := 0; i < full; i++ {
 		kr.Observe(fmt.Sprintf("warm-%d", i))
 	}

@@ -195,9 +195,8 @@ func TestIdleDecayCapsBacklog(t *testing.T) {
 }
 
 func TestKeyRateObserveAndDecay(t *testing.T) {
-	kr := NewKeyRate(time.Second, 16)
 	now := time.Unix(500, 0)
-	kr.clock = func() time.Time { return now }
+	kr := NewKeyRate(time.Second, 16, func() time.Time { return now })
 	for i := 0; i < 8; i++ {
 		kr.Observe("hot")
 	}
@@ -220,9 +219,8 @@ func TestKeyRateObserveAndDecay(t *testing.T) {
 }
 
 func TestKeyRateBounded(t *testing.T) {
-	kr := NewKeyRate(time.Minute, 4)
 	now := time.Unix(500, 0)
-	kr.clock = func() time.Time { return now }
+	kr := NewKeyRate(time.Minute, 4, func() time.Time { return now })
 	// One genuinely hot key, then a long tail of one-off keys.
 	for i := 0; i < 10; i++ {
 		kr.Observe("hot")

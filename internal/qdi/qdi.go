@@ -7,10 +7,11 @@
 // Division of labour (paper §2):
 //
 //   - the peer *responsible* for a key monitors its query popularity
-//     (decentralized statistics collected by the global-index store on
-//     every probe) and, when a missing key crosses the popularity
+//     (decentralized statistics: the global-index read handler reports
+//     every probe to this layer's hook, which counts it in a decayed
+//     per-key tracker) and, when a missing key crosses the popularity
 //     threshold, asks the next querying peer to index it (the wantIndex
-//     flag on the Get response);
+//     flag on the read answer);
 //   - the *querying* peer, which has just explored the query lattice and
 //     ranked the union, checks that the key is non-redundant (no
 //     untruncated indexed sub-combination already answers it exactly)
@@ -26,12 +27,16 @@ package qdi
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/globalindex"
 	"repro/internal/ids"
 	"repro/internal/lattice"
+	"repro/internal/loadstat"
 	"repro/internal/postings"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -80,42 +85,67 @@ type Manager struct {
 	cfg  Config
 	gidx *globalindex.Index
 
-	mu      sync.Mutex
-	owned   map[string]bool // QDI-activated keys stored at this peer
-	enabled bool
+	// probes holds the decayed probe count of the keys this peer served,
+	// present or absent. Its clock is ticks, so one MaintenanceTick ages
+	// every count by DecayFactor.
+	probes  *loadstat.KeyRate
+	ticks   atomic.Int64
+	enabled atomic.Bool
+
+	mu    sync.Mutex
+	owned map[string]bool // QDI-activated keys stored at this peer
 }
 
 // New creates the component, registers its RPC handler on d and installs
-// the activation policy on the peer's global-index store. The manager
-// starts enabled.
+// its probe hook on the peer's global index. It must run before the node
+// serves (see Index.SetProbeHook). The manager starts enabled.
 func New(cfg Config, gidx *globalindex.Index, d *transport.Dispatcher) *Manager {
 	cfg.FillDefaults()
-	m := &Manager{cfg: cfg, gidx: gidx, owned: make(map[string]bool), enabled: true}
+	m := &Manager{cfg: cfg, gidx: gidx, owned: make(map[string]bool)}
+	m.enabled.Store(true)
+	m.probes = loadstat.NewKeyRate(tickHalfLife(cfg.DecayFactor), 0, m.tickTime)
 	d.Handle(MsgActivate, m.handleActivate)
-	gidx.Store().SetActivationPolicy(func(key string, ks globalindex.KeyStats) bool {
-		m.mu.Lock()
-		enabled := m.enabled
-		m.mu.Unlock()
-		if !enabled {
-			return false
-		}
-		// Only multi-term combinations are QDI candidates; single terms
-		// belong to the base index.
-		if !strings.Contains(key, " ") {
-			return false
-		}
-		return ks.Count >= cfg.ActivateThreshold
-	})
+	gidx.SetProbeHook(m.observeProbe)
 	return m
 }
 
+// tickSpan is the time one maintenance tick advances the probe tracker's
+// clock by. The half-life is a whole number of nanoseconds, so a longer
+// span rounds the per-tick factor less; a minute keeps it within 1e-11
+// of DecayFactor, and the clock's durations overflow only after 150
+// million ticks.
+const tickSpan = time.Minute
+
+// tickTime is the probe tracker's clock.
+func (m *Manager) tickTime() time.Time {
+	return time.Unix(m.ticks.Load()*int64(tickSpan/time.Second), 0)
+}
+
+// tickHalfLife is the half-life under which one tick multiplies a count
+// by factor. A factor of 1 or more never decays.
+func tickHalfLife(factor float64) time.Duration {
+	if factor >= 1 {
+		return math.MaxInt64
+	}
+	return time.Duration(float64(tickSpan) / -math.Log2(factor))
+}
+
+// observeProbe is the index's probe hook: it counts every probe, also
+// while activation is off, so toggling QDI on finds current statistics.
+// While enabled it asks for a missing multi-term key to be indexed once
+// its count reaches ActivateThreshold; single terms belong to the base
+// index.
+func (m *Manager) observeProbe(key string, found bool) (wantIndex bool) {
+	count := m.probes.Observe(key)
+	return !found && m.enabled.Load() && strings.Contains(key, " ") && count >= m.cfg.ActivateThreshold
+}
+
+// TrackedKeys returns the number of keys whose probe counts are held.
+func (m *Manager) TrackedKeys() int { return m.probes.Len() }
+
 // SetEnabled switches query-driven activation on or off — the demo's
 // live HDK/QDI toggle. Already activated keys stay until evicted.
-func (m *Manager) SetEnabled(enabled bool) {
-	m.mu.Lock()
-	m.enabled = enabled
-	m.mu.Unlock()
-}
+func (m *Manager) SetEnabled(enabled bool) { m.enabled.Store(enabled) }
 
 func (m *Manager) handleActivate(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	r := wire.NewReader(body)
@@ -161,13 +191,13 @@ func (m *Manager) OwnedKeys() []string {
 	return out
 }
 
-// MaintenanceTick ages the popularity statistics and evicts activated
-// keys that have gone cold, returning how many were removed. Peers run it
-// periodically (the simulator after every workload slice, the real peer
-// on a timer).
+// MaintenanceTick ages the popularity statistics by one tick and evicts
+// activated keys that have gone cold, returning how many were removed.
+// Peers run it periodically (the simulator after every workload slice,
+// the real peer on a timer).
 func (m *Manager) MaintenanceTick() int {
+	m.ticks.Add(1)
 	store := m.gidx.Store()
-	store.Decay(m.cfg.DecayFactor)
 	evicted := 0
 	m.mu.Lock()
 	ownedKeys := make([]string, 0, len(m.owned))
@@ -176,7 +206,7 @@ func (m *Manager) MaintenanceTick() int {
 	}
 	m.mu.Unlock()
 	for _, key := range ownedKeys {
-		if ks := store.Popularity(key); ks.Count <= m.cfg.EvictThreshold {
+		if m.probes.Score(key) <= m.cfg.EvictThreshold {
 			if store.Remove(key) {
 				evicted++
 			}

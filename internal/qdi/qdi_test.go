@@ -2,15 +2,18 @@ package qdi
 
 import (
 	"context"
-
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/dht"
 	"repro/internal/globalindex"
 	"repro/internal/ids"
 	"repro/internal/lattice"
+	"repro/internal/loadstat"
 	"repro/internal/postings"
 	"repro/internal/transport"
 )
@@ -239,6 +242,84 @@ func TestEvictionOfColdKeys(t *testing.T) {
 	}
 }
 
+// TestTickDecay pins the tracker's clock: one MaintenanceTick multiplies
+// every probe count by DecayFactor, as the per-round decay of the paper's
+// usage statistics requires.
+func TestTickDecay(t *testing.T) {
+	for _, factor := range []float64{0.5, 0.6} {
+		f := newFleet(t, 4, Config{DecayFactor: factor})
+		key := ids.KeyString([]string{"x", "y"})
+		for i := 0; i < 8; i++ {
+			if _, _, _, err := getOne(f.gidx[i%4], []string{"x", "y"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		score := func() float64 {
+			total := 0.0
+			for _, m := range f.mgrs {
+				total += m.probes.Score(key)
+			}
+			return total
+		}
+		if got := score(); got != 8 {
+			t.Fatalf("factor %v: %v probes counted, want 8", factor, got)
+		}
+		for _, m := range f.mgrs {
+			m.MaintenanceTick()
+		}
+		got := score()
+		if factor == 0.5 && got != 4 {
+			t.Fatalf("after one tick at factor 0.5: score %v, want exactly 4", got)
+		}
+		if math.Abs(got-8*factor) > 1e-9 {
+			t.Fatalf("after one tick at factor %v: score %v, want %v", factor, got, 8*factor)
+		}
+	}
+}
+
+// TestConcurrentProbeHookAndMaintenanceTick races reads (each one a call
+// of the probe hook, outside the store lock) against maintenance ticks,
+// activations and the HDK/QDI toggle. Its value is running cleanly under
+// the race detector.
+func TestConcurrentProbeHookAndMaintenanceTick(t *testing.T) {
+	f := newFleet(t, 4, Config{ActivateThreshold: 2, TruncK: 10})
+	rounds := 200
+	if testing.Short() {
+		rounds = 40
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				terms := []string{"t" + strconv.Itoa((g+i)%6), "u" + strconv.Itoa(i%3)}
+				if _, _, _, err := getOne(f.gidx[g], terms); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds/4; i++ {
+			m := f.mgrs[i%4]
+			if err := m.Activate(context.Background(), []string{"t0", "u" + strconv.Itoa(i%3)}, pl(true, "h", 1)); err != nil {
+				t.Error(err)
+				return
+			}
+			m.SetEnabled(i%2 == 0)
+			for _, mm := range f.mgrs {
+				mm.MaintenanceTick()
+				mm.TrackedKeys()
+			}
+		}
+	}()
+	wg.Wait()
+}
+
 func findOwner(t *testing.T, f *fleet, key string) int {
 	t.Helper()
 	for i := range f.gidx {
@@ -294,3 +375,29 @@ func getOne(ix *globalindex.Index, terms []string) (*postings.List, bool, bool, 
 	res, err := ix.MultiGet(context.Background(), []globalindex.GetItem{{Terms: terms}}, globalindex.ReadPrimary)
 	return res[0].List, res[0].Found, res[0].WantIndex, err
 }
+
+// BenchmarkObserveProbeFull times the probe hook on a full tracker fed a
+// stream of new multi-term keys: every call evicts the coldest key and
+// scores the new one. Compare BenchmarkKeyRateObserveFull.
+func BenchmarkObserveProbeFull(b *testing.B) {
+	m := &Manager{cfg: Config{ActivateThreshold: 3}}
+	m.cfg.FillDefaults()
+	m.enabled.Store(true)
+	m.probes = loadstat.NewKeyRate(tickHalfLife(m.cfg.DecayFactor), 0, m.tickTime)
+	const full = 4096
+	for i := 0; i < full; i++ {
+		m.observeProbe(fmt.Sprintf("warm %d", i), false)
+	}
+	fresh := make([]string, 2*full)
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("new %d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probeSink = m.observeProbe(fresh[i%len(fresh)], false)
+	}
+}
+
+// probeSink keeps the benchmarked call from being optimized away.
+var probeSink bool

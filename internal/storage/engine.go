@@ -21,11 +21,10 @@
 //     and every WAL record carries a monotonic sequence number that the
 //     snapshot stores too, so replaying a WAL over a snapshot that
 //     already contains its effects is a no-op (crash between "snapshot
-//     renamed" and "WAL truncated" is safe);
-//   - probe/usage statistics are soft state: they are persisted by
-//     snapshots (hence by a graceful Close) but not journaled per probe
-//     — a crash loses the statistics observed since the last
-//     compaction, never index content.
+//     renamed" and "WAL truncated" is safe).
+//
+// The engine holds index content only: reads change nothing, so nothing
+// but the journaled mutations above needs to survive a restart.
 package storage
 
 import (
@@ -110,8 +109,8 @@ func (e *Engine) Dir() string { return e.dir }
 // Recovered reports whether Open restored state from disk.
 func (e *Engine) Recovered() bool { return e.recovered }
 
-// Close compacts the current state into a final snapshot (persisting
-// the soft probe statistics too), syncs, and releases the WAL file.
+// Close compacts the current state into a final snapshot, syncs, and
+// releases the WAL file.
 // Close is idempotent; it returns the first background I/O error the
 // engine swallowed while running, if any.
 func (e *Engine) Close() error {
@@ -224,16 +223,16 @@ func (e *Engine) SetWatermark(from, to ids.ID) {
 	e.journalLocked(encodeWatermark(from, to))
 }
 
-// --- StorageEngine reads and soft-state operations (delegated) ---
+// --- StorageEngine reads (delegated) ---
 
-// Get implements StorageEngine.Get. The probe statistics it updates are
-// snapshot-persisted soft state, not journaled per probe.
+// Get returns a copy of key's list capped to maxResults; see Memory.Get.
+// It is not part of StorageEngine: no handler reads whole lists this
+// way, but decorators of the concrete engine forward it.
 func (e *Engine) Get(key string, maxResults int) (*postings.List, bool, bool) {
 	return e.mem.Get(key, maxResults)
 }
 
-// GetPrefix implements StorageEngine.GetPrefix (delegated; probe soft
-// state is snapshot-persisted like Get's).
+// GetPrefix implements StorageEngine.GetPrefix.
 func (e *Engine) GetPrefix(key string, offset, limit int) globalindex.PrefixResult {
 	return e.mem.GetPrefix(key, offset, limit)
 }
@@ -255,28 +254,6 @@ func (e *Engine) Keys() []string { return e.mem.Keys() }
 
 // Stats implements StorageEngine.Stats.
 func (e *Engine) Stats() globalindex.Stats { return e.mem.Stats() }
-
-// SetActivationPolicy implements StorageEngine.SetActivationPolicy.
-func (e *Engine) SetActivationPolicy(f func(key string, ks globalindex.KeyStats) bool) {
-	e.mem.SetActivationPolicy(f)
-}
-
-// Popularity implements StorageEngine.Popularity.
-func (e *Engine) Popularity(key string) globalindex.KeyStats { return e.mem.Popularity(key) }
-
-// PopularAbsentKeys implements StorageEngine.PopularAbsentKeys.
-func (e *Engine) PopularAbsentKeys(minCount float64) []string {
-	return e.mem.PopularAbsentKeys(minCount)
-}
-
-// ColdIndexedKeys implements StorageEngine.ColdIndexedKeys.
-func (e *Engine) ColdIndexedKeys(maxCount float64) []string { return e.mem.ColdIndexedKeys(maxCount) }
-
-// Decay implements StorageEngine.Decay (soft state, not journaled).
-func (e *Engine) Decay(factor float64) { e.mem.Decay(factor) }
-
-// TrackedKeys implements StorageEngine.TrackedKeys.
-func (e *Engine) TrackedKeys() int { return e.mem.TrackedKeys() }
 
 // Watermark implements StorageEngine.Watermark.
 func (e *Engine) Watermark() (from, to ids.ID, ok bool) { return e.mem.Watermark() }

@@ -22,6 +22,11 @@ import (
 //	clock,
 //	[CRC-32C over everything above : 4 bytes BE]
 //
+// probes and clock are reserved: they carried usage statistics the store
+// no longer keeps. The writer emits an empty probe section and a zero
+// clock; the reader still parses a populated section from an older
+// snapshot and drops it.
+//
 // A snapshot is written to snapshot.tmp, fsynced, then renamed into
 // place — readers see either the old or the new file, never a torn one.
 // lastSeq is the sequence of the newest WAL record whose effect the
@@ -62,7 +67,7 @@ func (e *Engine) compactLocked() {
 }
 
 func (e *Engine) writeSnapshot() error {
-	entries, probes, clock := e.mem.ExportState()
+	entries := e.mem.ExportState()
 	wmFrom, wmTo, wmSet := e.mem.Watermark()
 
 	w := wire.NewWriter(1 << 16)
@@ -77,14 +82,8 @@ func (e *Engine) writeSnapshot() error {
 		w.Uvarint(uint64(en.ApproxDF))
 		en.List.Encode(w)
 	}
-	w.Uvarint(uint64(len(probes)))
-	for _, p := range probes {
-		w.String(p.Key)
-		w.Float64(p.Stats.Count)
-		w.Varint(p.Stats.LastProbe)
-		w.Bool(p.Stats.Present)
-	}
-	w.Varint(clock)
+	w.Uvarint(0) // reserved probe section: no records
+	w.Varint(0)  // reserved clock
 	body := w.Bytes()
 	framed := binary.BigEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crcTable))
 
@@ -157,24 +156,18 @@ func (e *Engine) loadSnapshot() (lastSeq uint64, loaded bool, err error) {
 	if r.Err() != nil || numProbes > 1<<24 {
 		return 0, false, fmt.Errorf("storage: snapshot probes corrupt")
 	}
-	probes := make([]globalindex.ProbeState, 0, min(numProbes, 4096))
 	for i := uint64(0); i < numProbes; i++ {
-		key := r.String()
-		ks := globalindex.KeyStats{
-			Count:     r.Float64(),
-			LastProbe: r.Varint(),
-			Present:   r.Bool(),
-		}
+		// key, count, lastProbe, present: parsed and dropped.
+		_, _, _, _ = r.String(), r.Float64(), r.Varint(), r.Bool()
 		if r.Err() != nil {
 			return 0, false, fmt.Errorf("storage: snapshot probes corrupt")
 		}
-		probes = append(probes, globalindex.ProbeState{Key: key, Stats: ks})
 	}
-	clock := r.Varint()
+	r.Varint() // reserved clock
 	if r.Err() != nil {
 		return 0, false, fmt.Errorf("storage: snapshot trailer corrupt")
 	}
-	e.mem.RestoreState(entries, probes, clock)
+	e.mem.RestoreState(entries)
 	if wmSet {
 		e.mem.SetWatermark(wmFrom, wmTo)
 	}

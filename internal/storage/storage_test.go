@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/postings"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func plist(peer string, scored ...float64) *postings.List {
@@ -59,8 +62,7 @@ func sameState(t *testing.T, got, want map[string]string) {
 }
 
 // TestPersistReopenRestoresState covers the graceful path: Close writes
-// a snapshot, Open restores every entry, the watermark, and the
-// snapshot-persisted probe statistics.
+// a snapshot, Open restores every entry and the watermark.
 func TestPersistReopenRestoresState(t *testing.T) {
 	dir := t.TempDir()
 	e := mustOpen(t, dir, Options{})
@@ -73,8 +75,6 @@ func TestPersistReopenRestoresState(t *testing.T) {
 	e.Put("gone", plist("p1", 1), 10)
 	e.Remove("gone")
 	e.AdoptReplica("gamma", plist("p4", 9, 8), 11)
-	e.Get("alpha", 0) // probe statistics: persisted by the Close snapshot
-	e.Get("missing key", 0)
 	e.SetWatermark(100, 200)
 	want := stateOf(t, e)
 	if err := e.Close(); err != nil {
@@ -96,11 +96,84 @@ func TestPersistReopenRestoresState(t *testing.T) {
 	if from, to, ok := re.Watermark(); !ok || from != 100 || to != 200 {
 		t.Fatalf("watermark = (%d, %d, %v), want (100, 200, true)", from, to, ok)
 	}
-	if ks := re.Popularity("alpha"); ks.Count != 1 || !ks.Present {
-		t.Fatalf("probe stats not restored: %+v", ks)
+}
+
+// TestSnapshotCarriesNoProbeState checks that reads leave nothing in
+// the durable state: an engine that served 1,000 probes of absent keys
+// writes a snapshot byte-identical to one that served none.
+func TestSnapshotCarriesNoProbeState(t *testing.T) {
+	snapshot := func(probes int) []byte {
+		dir := t.TempDir()
+		e := mustOpen(t, dir, Options{})
+		e.Put("alpha", plist("p1", 3, 2, 1), 10)
+		e.Append("beta", plist("p2", 5), 10, 7)
+		e.SetWatermark(100, 200)
+		for i := 0; i < probes; i++ {
+			e.GetPrefix(fmt.Sprintf("absent-%d", i), 0, 0)
+			e.Get(fmt.Sprintf("absent-%d", i), 0)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		buf, err := os.ReadFile(filepath.Join(dir, "snapshot"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
 	}
-	if ks := re.Popularity("missing key"); ks.Count != 1 || ks.Present {
-		t.Fatalf("absent-key probe stats not restored: %+v", ks)
+	if quiet, probed := snapshot(0), snapshot(1000); !bytes.Equal(quiet, probed) {
+		t.Fatalf("probes changed the snapshot: %d bytes without, %d with", len(quiet), len(probed))
+	}
+}
+
+// TestRecoverV1ProbeSection opens a snapshot whose reserved probe
+// section still holds records, as older engines wrote it: every entry
+// and the watermark restore, and the records are dropped.
+func TestRecoverV1ProbeSection(t *testing.T) {
+	dir := t.TempDir()
+	entries := map[string]*postings.List{"alpha": plist("p1", 3, 2, 1), "beta": plist("p2", 5)}
+	w := wire.NewWriter(256)
+	w.String(snapshotMagic)
+	w.Uvarint(7) // lastSeq
+	w.Bool(true)
+	w.Uint64(100)
+	w.Uint64(200)
+	w.Uvarint(uint64(len(entries)))
+	for _, k := range []string{"alpha", "beta"} {
+		w.String(k)
+		w.Uvarint(9)
+		entries[k].Encode(w)
+	}
+	w.Uvarint(2)
+	for _, k := range []string{"alpha", "missing key"} {
+		w.String(k)
+		w.Float64(1.5) // count
+		w.Varint(3)    // lastProbe
+		w.Bool(k == "alpha")
+	}
+	w.Varint(42) // clock
+	body := w.Bytes()
+	framed := binary.BigEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crcTable))
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), framed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e := mustOpen(t, dir, Options{})
+	defer e.Close()
+	if !e.Recovered() {
+		t.Fatal("engine opened over a snapshot must report recovered state")
+	}
+	if keys := e.Keys(); len(keys) != 2 {
+		t.Fatalf("restored keys %v, want alpha and beta", keys)
+	}
+	for k, want := range entries {
+		got, df, ok := e.Export(k)
+		if !ok || df != 9 || !bytes.Equal(got.EncodeBytes(), want.EncodeBytes()) {
+			t.Fatalf("%s: restored df=%d ok=%v list=%v, want df=9 list=%v", k, df, ok, got, want)
+		}
+	}
+	if from, to, ok := e.Watermark(); !ok || from != 100 || to != 200 {
+		t.Fatalf("watermark = (%d, %d, %v), want (100, 200, true)", from, to, ok)
 	}
 }
 

@@ -26,9 +26,8 @@ import (
 // first record that does not verify and truncates the file there — the
 // torn-tail tolerance a crash mid-append requires.
 
-// Record ops. The set mirrors the journaled half of the StorageEngine
-// mutation surface; probe statistics and Decay are snapshot-only soft
-// state (see the package comment).
+// Record ops. The set mirrors the StorageEngine mutation surface; reads
+// change nothing and are not journaled.
 const (
 	opPut       byte = 1 // key, bound, list
 	opAppend    byte = 2 // key, bound, announcedDF, list
