@@ -566,8 +566,9 @@ func (p *Peer) ImportDigest(dg *docs.Digest) (int, error) {
 }
 
 // RemoveDocument withdraws a document locally and from the statistics.
-// Global index entries referring to it age out with QDI eviction or are
-// overwritten by future publishes (the stored lists are soft state).
+// Its global index postings stay: nothing withdraws them, and a later
+// publish unions into the stored lists (Memory.Append) rather than
+// overwriting them. ROADMAP item 1 (per-origin replace) is the fix.
 func (p *Peer) RemoveDocument(ctx context.Context, id uint32) error {
 	ctx, cancel, err := p.opCtx(ctx)
 	defer cancel()
@@ -639,8 +640,9 @@ func (p *Peer) NewHDKPublisher(ctx context.Context) (*hdk.Publisher, error) {
 // under QDI). Correct for a peer joining an already indexed network; for
 // simultaneous fleet-wide indexing use the phase methods in lockstep.
 // Cancelling the context stops the publication between batches; already
-// shipped postings remain (the global index is merge-idempotent soft
-// state, so re-running the publication later converges).
+// shipped postings remain. Re-running it does not converge: the store
+// unions lists and adds every announced DF (Memory.Append), inflating key
+// DFs and the HDK vocabulary (ROADMAP item 1: 3,235 → 4,334 keys).
 func (p *Peer) PublishIndex(ctx context.Context) (hdk.Result, error) {
 	ctx, cancel, err := p.opCtx(ctx)
 	defer cancel()

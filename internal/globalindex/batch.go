@@ -179,9 +179,6 @@ func decodeAppendItems(r *wire.Reader) (keys []string, bounds, dfs []int, lists 
 		if lists[i], err = postings.Decode(r); err != nil {
 			return nil, nil, nil, nil, err
 		}
-		if err := r.Err(); err != nil {
-			return nil, nil, nil, nil, err
-		}
 	}
 	return keys, bounds, dfs, lists, nil
 }
@@ -302,7 +299,7 @@ func (ix *Index) MultiKeyInfo(ctx context.Context, items []KeyInfoItem) ([]KeyIn
 		msg:        MsgMultiKeyInfo,
 		idempotent: true,
 		encode:     func(w *wire.Writer, i int) { w.String(keys[i]) },
-		decode: func(r *wire.Reader, i int) error {
+		decode: func(r *wire.Reader, i int, _ transport.Addr) error {
 			out[i] = KeyInfoResult{Present: r.Bool(), DF: int64(r.Uvarint()), Truncated: r.Bool()}
 			return r.Err()
 		},
@@ -335,7 +332,8 @@ type KeyedOp struct {
 // ladder and write-through. Groups decode concurrently, so Decode must
 // write only to item i's own slot.
 func (ix *Index) RunKeyed(ctx context.Context, keys []string, op KeyedOp) error {
-	return ix.runBatch(ctx, keys, batchOp{msg: op.Msg, moded: true, write: op.Write, idempotent: !op.Write, encode: op.Encode, decode: op.Decode})
+	return ix.runBatch(ctx, keys, batchOp{msg: op.Msg, moded: true, write: op.Write, idempotent: !op.Write, encode: op.Encode,
+		decode: func(r *wire.Reader, i int, _ transport.Addr) error { return op.Decode(r, i) }})
 }
 
 // AdmitKeyed is the receiving half of RunKeyed. It rejects an unknown
@@ -365,7 +363,8 @@ type batchOp struct {
 	// mode, on the serving peer's replicas (write-through).
 	write  bool
 	encode func(w *wire.Writer, i int)
-	decode func(r *wire.Reader, i int) error
+	// decode reads item i's answer from the copy at from.
+	decode func(r *wire.Reader, i int, from transport.Addr) error
 
 	// moded marks a request body led by the mode byte (MsgRead and the
 	// keyed ops). The engine picks the mode per group: readOwner for a
@@ -575,7 +574,8 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op bat
 
 // sendGroup ships the items (indices into keys) as one op.msg frame to
 // peer — raced over peer's copies when the plan hedges — and decodes the
-// served prefix. served < len(items) with a nil error is a batch-level
+// served prefix as the answer of the copy that sent it: peer, or the
+// hedge's winner. served < len(items) with a nil error is a batch-level
 // partial shed: the remote's admission control applied exactly that
 // prefix. A write that applied anything is replayed on the peer's
 // replicas before returning.
@@ -592,9 +592,10 @@ func (ix *Index) sendGroup(ctx context.Context, peer dht.Remote, keys []string, 
 		return w.Bytes()
 	}
 	body := encode(items)
+	from := peer.Addr
 	var resp []byte
 	if op.hedge > 0 {
-		resp, err = ix.hedgedRead(ctx, peer, keys[items[0]], len(items) == 1, body, op.hedge)
+		resp, from, err = ix.hedgedRead(ctx, peer, keys[items[0]], len(items) == 1, body, op.hedge)
 	} else {
 		_, resp, err = ix.timedCall(ctx, peer.Addr, op.msg, body)
 	}
@@ -610,8 +611,8 @@ func (ix *Index) sendGroup(ctx context.Context, peer dht.Remote, keys []string, 
 	}
 	served = int(count)
 	for _, i := range items[:served] {
-		if err := op.decode(r, i); err != nil {
-			return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w", op.msg, peer.Addr, err)
+		if err := op.decode(r, i, from); err != nil {
+			return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w", op.msg, from, err)
 		}
 	}
 	if op.write && ix.repl.factor > 1 && served > 0 {

@@ -1,6 +1,7 @@
 package globalindex
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -276,18 +277,24 @@ func TestReadWireRoundTrip(t *testing.T) {
 		if n := r.Uvarint(); n != 3 {
 			t.Fatalf("mode %d: count %d", mode, n)
 		}
-		a, err := readTopKAnswer(r)
+		// The answer names no peer; the decoder is told who answered.
+		self := wire.NewWriter(8)
+		self.String(string(ix.node.Self().Addr))
+		if bytes.Contains(resp, self.Bytes()) {
+			t.Fatalf("mode %d: answer carries the serving address: % x", mode, resp)
+		}
+		a, err := readTopKAnswer(r, "answering-copy")
 		if err != nil || !a.found || a.wantIndex || len(a.entries) != 6 || a.cursor != 6 || a.total != 20 || a.truncated {
 			t.Fatalf("mode %d: bounded chunk %+v err=%v", mode, a, err)
 		}
-		if a.bound != big.Entries[5].Score || a.served != ix.node.Self().Addr {
-			t.Fatalf("mode %d: bound %v served %q", mode, a.bound, a.served)
+		if a.bound != big.Entries[5].Score || a.peer != "answering-copy" {
+			t.Fatalf("mode %d: bound %v peer %q", mode, a.bound, a.peer)
 		}
-		a, err = readTopKAnswer(r)
+		a, err = readTopKAnswer(r, "answering-copy")
 		if err != nil || len(a.entries) != 14 || a.cursor != 20 || a.entries[0] != big.Entries[6] {
 			t.Fatalf("mode %d: continuation to the end %+v err=%v", mode, a, err)
 		}
-		a, err = readTopKAnswer(r)
+		a, err = readTopKAnswer(r, "answering-copy")
 		if err != nil || a.found || a.wantIndex {
 			t.Fatalf("mode %d: missing key %+v err=%v", mode, a, err)
 		}

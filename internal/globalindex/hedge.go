@@ -127,11 +127,11 @@ func (ix *Index) readChain(ctx context.Context, seed string, primary dht.Remote,
 // scores at or above the hot threshold gets the soft-augmented chain —
 // the seed IS that key; multi-key groups (soft copies are per-key, a
 // group frame cannot split across them) and cold keys race the hard
-// copies only.
-func (ix *Index) hedgedRead(ctx context.Context, primary dht.Remote, seed string, single bool, body []byte, delay time.Duration) ([]byte, error) {
+// copies only. It returns the winning answer and the copy that sent it.
+func (ix *Index) hedgedRead(ctx context.Context, primary dht.Remote, seed string, single bool, body []byte, delay time.Duration) ([]byte, transport.Addr, error) {
 	soft := single && ix.hot.threshold > 0 && ix.hotScore(seed) >= ix.hot.threshold
 	chain := ix.readChain(ctx, seed, primary, soft)
-	resp, err := ix.callHedgedTargets(ctx, chain, body, delay)
+	resp, from, err := ix.callHedgedTargets(ctx, chain, body, delay)
 	if err != nil && ctx.Err() == nil {
 		// Every copy in the chain failed on its own: some cached route is
 		// stale, re-resolve the chain on the next read.
@@ -139,7 +139,7 @@ func (ix *Index) hedgedRead(ctx context.Context, primary dht.Remote, seed string
 			ix.resolver.Invalidate(t.addr)
 		}
 	}
-	return resp, err
+	return resp, from, err
 }
 
 // callHedgedTargets fires the MsgRead request body at the targets in
@@ -150,11 +150,12 @@ func (ix *Index) hedgedRead(ctx context.Context, primary dht.Remote, seed string
 // answers with an error, which is exactly a fast failure escalating to
 // the next copy. The first success wins and every other in-flight
 // attempt is cancelled through a shared child context; their goroutines
-// drain into a buffered channel, so nothing leaks. If every target
-// fails, the last error is returned.
-func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, body []byte, delay time.Duration) ([]byte, error) {
+// drain into a buffered channel, so nothing leaks. The winner's answer
+// returns with its address; if every target fails, the last error is
+// returned.
+func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, body []byte, delay time.Duration) ([]byte, transport.Addr, error) {
 	if len(targets) == 0 {
-		return nil, transport.ErrUnreachable
+		return nil, "", transport.ErrUnreachable
 	}
 	_, span := telemetry.StartSpan(ctx, "hedge")
 	defer span.Finish()
@@ -202,13 +203,13 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, b
 				if hedged[a.idx] {
 					ix.hedgesWon.Add(1)
 				}
-				return a.resp, nil
+				return a.resp, targets[a.idx].addr, nil
 			}
 			lastErr = a.err
 			if ctx.Err() != nil {
 				// The caller's own context died: the losers are already
 				// being cancelled, surface the failure as-is.
-				return nil, lastErr
+				return nil, "", lastErr
 			}
 			if next < len(targets) {
 				// The attempt failed fast (shed / unreachable / rejected):
@@ -218,7 +219,7 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, b
 				next++
 				inflight++
 			} else if inflight == 0 {
-				return nil, lastErr
+				return nil, "", lastErr
 			}
 		case <-timerC:
 			if next < len(targets) {
@@ -235,7 +236,7 @@ func (ix *Index) callHedgedTargets(ctx context.Context, targets []hedgeTarget, b
 			// Abandon the hedge wholesale; in-flight attempts unwind via
 			// cctx and drain into the buffered channel. At least one
 			// request was on the wire, so this is the in-flight taxonomy.
-			return nil, fmt.Errorf("%w: %w", transport.ErrCallInterrupted, ctx.Err())
+			return nil, "", fmt.Errorf("%w: %w", transport.ErrCallInterrupted, ctx.Err())
 		}
 	}
 }

@@ -226,6 +226,63 @@ func TestHedgedReadWinsOverSlowPrimary(t *testing.T) {
 	// own bounded retry (3s ≫ slow) outlasts the slow peer's drain.
 }
 
+// TestHedgedStreamContinuesAtWinner: a streamed session whose open the
+// hedge won — its read chain asks the slow primary first — sends its
+// continuation MsgRead to the copy that answered the open, not to the
+// primary. The answer names no peer, so this pins that sendGroup tells
+// the decoder which copy won.
+func TestHedgedStreamContinuesAtWinner(t *testing.T) {
+	defer leakcheck.Check(t)()
+	nodes, idxs, _, net, _ := hedgeRing(t, 8, 3)
+	reader := idxs[3]
+	self := nodes[3].Self().Addr
+	ctx := context.Background()
+	var key string
+	var terms []string
+	var primary, winner transport.Addr
+	var want *postings.List
+	for i := 0; primary == ""; i++ {
+		if i == 64 {
+			t.Fatal("no key whose read chain leads with its primary")
+		}
+		ts := []string{"continue", fmt.Sprint(i)}
+		k, primaryIdx, l := putReplicated(t, nodes, idxs, ts)
+		p := nodes[primaryIdx].Self()
+		chain := reader.readChain(ctx, k, p, false)
+		if chain[0].addr == p.Addr && p.Addr != self && chain[1].addr != self {
+			key, terms, primary, winner, want = k, ts, p.Addr, chain[1].addr, l
+		}
+	}
+	reads := func(addr transport.Addr) int64 { return net.Load(addr).Snapshot().PerType[MsgRead].Messages }
+
+	const slow = 400 * time.Millisecond
+	net.SetPeerDelay(primary, slow)
+	defer net.SetPeerDelay(primary, 0)
+
+	s := reader.NewTopKSession(want.Len(), 2, ReadAnyReplica, WithHedge(20*time.Millisecond))
+	start := time.Now()
+	res, err := s.FetchPrefixes(ctx, []GetItem{{Terms: terms}})
+	if err != nil || !res[0].Found || res[0].List.Len() != 2 {
+		t.Fatalf("hedged open: %+v, %v", res, err)
+	}
+	if since := time.Since(start); since >= slow {
+		t.Fatalf("hedged open took %s, not faster than the slow primary (%s)", since, slow)
+	}
+	winnerBefore, primaryBefore := reads(winner), reads(primary)
+	if err := s.Refine(ctx, func(perKey map[string]*postings.List) []postings.Posting { return perKey[key].Entries }); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Lists()[key]; got.Len() != want.Len() {
+		t.Fatalf("refined list has %d entries, want %d", got.Len(), want.Len())
+	}
+	if n := reads(winner) - winnerBefore; n != 1 {
+		t.Fatalf("winning copy %s received %d continuation reads, want 1", winner, n)
+	}
+	if n := reads(primary) - primaryBefore; n != 0 {
+		t.Fatalf("slow primary %s received %d continuation reads, want 0", primary, n)
+	}
+}
+
 // TestHedgedReadLearnsToAvoidSlowReplica: after a few hedged reads the
 // latency EWMA demotes the slow copy to the end of the chain, so later
 // reads go straight to a fast copy (no hedge fires, under one hedge

@@ -66,7 +66,7 @@ func TestProbeHookSemantics(t *testing.T) {
 		r := wire.NewReader(resp)
 		out := make([]topKAnswer, r.Uvarint())
 		for i := range out {
-			if out[i], err = readTopKAnswer(r); err != nil {
+			if out[i], err = readTopKAnswer(r, ix.node.Self().Addr); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -283,7 +283,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{readAny, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	answer := wire.NewWriter(64)
 	answer.Uvarint(1)
-	writeTopKAnswer(answer, "peer", 0, false, PrefixResult{
+	writeTopKAnswer(answer, 0, false, PrefixResult{
 		Entries: []postings.Posting{post("a", 1, 3), post("b", 2, 2)}, Total: 5, Found: true})
 	f.Add(answer.Bytes())
 
@@ -312,7 +312,7 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("handler answered a corrupt count: %v", err)
 			}
 			for i := 0; i < n; i++ {
-				a, err := readTopKAnswer(r)
+				a, err := readTopKAnswer(r, "fuzz")
 				if err != nil {
 					t.Fatalf("handler answer %d does not decode: %v", i, err)
 				}
@@ -325,7 +325,7 @@ func FuzzReadFrame(f *testing.F) {
 		r := wire.NewReader(data)
 		if count := r.Uvarint(); r.Err() == nil && count <= MaxBatchItems {
 			for i := uint64(0); i < count; i++ {
-				a, err := readTopKAnswer(r)
+				a, err := readTopKAnswer(r, "fuzz")
 				if err != nil {
 					break
 				}

@@ -423,9 +423,6 @@ func (ix *Index) handleSoftAnnounce(_ context.Context, _ transport.Addr, _ uint8
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
 	if list.Len() > HardCap {
 		return 0, nil, wire.ErrCorrupt
 	}

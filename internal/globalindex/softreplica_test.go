@@ -101,7 +101,7 @@ func TestPromoteHotKeysInstallsSoftCopies(t *testing.T) {
 // cache miss must escalate, never read as authoritative absence — and
 // reads as plain found=false in any mode.
 func TestSoftCopyReadModes(t *testing.T) {
-	nodes, idxs, _ := ring(t, 8)
+	_, idxs, _ := ring(t, 8)
 	for _, ix := range idxs {
 		ix.EnableHotKeyPath(HotKeyConfig{HotThreshold: 1, SoftReplicas: 2, SoftReplicaTTL: time.Minute})
 	}
@@ -125,23 +125,28 @@ func TestSoftCopyReadModes(t *testing.T) {
 			holderIx = ix
 		}
 	}
+	// call sends one MsgRead frame to the holder through the batch
+	// engine's sendGroup, whose decoder learns the serving peer.
 	call := func(mode uint8, items ...readItem) ([]topKAnswer, error) {
-		_, resp, err := nodes[0].Endpoint().Call(context.Background(), holder, MsgRead, readRequest(mode, items...))
-		if err != nil {
-			return nil, err
+		keys := make([]string, len(items))
+		order := make([]int, len(items))
+		for i, it := range items {
+			keys[i], order[i] = it.key, i
 		}
-		r := wire.NewReader(resp)
-		n, err := readBatchCount(r)
-		if err != nil {
-			t.Fatal(err)
+		out := make([]topKAnswer, len(items))
+		op := batchOp{msg: MsgRead, moded: true, mode: mode,
+			encode: func(w *wire.Writer, i int) {
+				w.String(items[i].key)
+				w.Uvarint(items[i].cursor)
+				w.Uvarint(items[i].chunk)
+			},
+			decode: func(r *wire.Reader, i int, from transport.Addr) (err error) {
+				out[i], err = readTopKAnswer(r, from)
+				return err
+			},
 		}
-		out := make([]topKAnswer, n)
-		for i := range out {
-			if out[i], err = readTopKAnswer(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out, nil
+		n, err := idxs[0].sendGroup(context.Background(), dht.Remote{Addr: holder}, keys, order, op)
+		return out[:n], err
 	}
 
 	for _, tc := range []struct {
@@ -158,8 +163,8 @@ func TestSoftCopyReadModes(t *testing.T) {
 		if !a.found || len(a.entries) != 2 || a.total != 4 || a.entries[0] != list.Entries[tc.cursor] || a.cursor != int(tc.cursor)+2 {
 			t.Fatalf("%s: answer %+v", tc.name, a)
 		}
-		if a.served != holder {
-			t.Fatalf("%s: served by %s, want %s", tc.name, a.served, holder)
+		if a.peer != holder {
+			t.Fatalf("%s: served by %s, want %s", tc.name, a.peer, holder)
 		}
 		if got := holderIx.SoftReplicaStats().Served - served; got != 1 {
 			t.Fatalf("%s: soft-served counter moved by %d, want 1", tc.name, got)
@@ -357,7 +362,7 @@ func TestPrefixCacheHitDoesNotResetTTL(t *testing.T) {
 	if !ok {
 		t.Fatal("cache entry vanished after the cache-hit session")
 	}
-	// Put always stores a fresh cachedPrefix copy, so pointer identity
+	// Put always stores a fresh cache entry, so pointer identity
 	// distinguishes "entry untouched" from "entry re-filled".
 	if v1 != v2 {
 		t.Fatal("pure cache-hit session re-filled the entry, resetting its TTL clock")

@@ -27,12 +27,13 @@ import (
 // MsgRead reads posting lists: (mode, n, n×(key, cursor, chunk)) ->
 // (n, n×answer). cursor is 0 on an open and a stored-list offset on a
 // continuation; chunk 0 reads to the end of the list. Each answer carries
-// the serving peer's address, the continuation cursor, the stored-list
-// total and the exact score bound on unserved entries; its entries are
-// exact-encoded when chunk == 0 and compressed (delta-gap, quantized
-// scores) otherwise. The frame sheds at item granularity like the other
-// batch frames. 0x1D, 0x1E and 0x27 carried the retired continuation,
-// replica and soft-copy variants of this frame and stay unassigned.
+// the continuation cursor, the stored-list total and the exact score
+// bound on unserved entries; its entries are one list frame, exact when
+// chunk == 0 and quantized otherwise. The answer names no peer: the
+// caller knows which copy it asked. The frame sheds at item granularity
+// like the other batch frames. 0x1D, 0x1E and 0x27 carried the retired
+// continuation, replica and soft-copy variants of this frame and stay
+// unassigned.
 const MsgRead uint8 = 0x1C
 
 // The read modes — the leading byte of a MsgRead request — say which
@@ -104,7 +105,6 @@ func (ix *Index) handleRead(ctx context.Context, _ transport.Addr, _ uint8, body
 		}
 	}
 	start := time.Now()
-	self := ix.node.Self().Addr
 	w := wire.NewWriter(64 * serve)
 	w.Uvarint(uint64(serve))
 	epoch := ix.node.RingEpoch()
@@ -127,7 +127,7 @@ func (ix *Index) handleRead(ctx context.Context, _ transport.Addr, _ uint8, body
 				return 0, nil, fmt.Errorf("globalindex: no soft copy of %q", keys[i])
 			}
 		}
-		writeTopKAnswer(w, self, cursors[i], chunks[i] == 0, res)
+		writeTopKAnswer(w, cursors[i], chunks[i] == 0, res)
 	}
 	ix.disp.ObserveBatch(MsgRead, time.Since(start), serve)
 	return MsgRead, w.Bytes(), nil
@@ -148,17 +148,17 @@ func clampPrefixArg(v uint64) int {
 // writeTopKAnswer encodes one read item answer:
 //
 //	found bool; wantIndex bool;
-//	if found: served addr; truncated bool; total uvarint; cursor uvarint;
+//	if found: total uvarint; cursor uvarint;
 //	          if cursor < total: bound Float64;
-//	          chunk entries (postings frame, exact or compressed)
+//	          chunk (postings list frame, exact or quantized)
 //
-// truncated is the STORED list's truncation mark — the retrieval layer's
-// pruning must decide exactly as a whole-list read would; the chunk
-// horizon travels separately as (cursor, total). bound is the exact
-// stored score of the last served entry: every unserved entry scores at
-// most that, and because the compressed chunk encoding floors its
-// quantized scores, every *decoded* score respects the same bound.
-func writeTopKAnswer(w *wire.Writer, self transport.Addr, offset int, exact bool, res PrefixResult) {
+// The chunk frame's truncation flag is the STORED list's truncation mark
+// — the retrieval layer's pruning must decide exactly as a whole-list
+// read would; the chunk horizon travels separately as (cursor, total).
+// bound is the exact stored score of the last served entry: every
+// unserved entry scores at most that, and because the quantized frame
+// floors its scores, every *decoded* score respects the same bound.
+func writeTopKAnswer(w *wire.Writer, offset int, exact bool, res PrefixResult) {
 	w.Bool(res.Found)
 	w.Bool(res.WantIndex)
 	if !res.Found {
@@ -168,8 +168,6 @@ func writeTopKAnswer(w *wire.Writer, self transport.Addr, offset int, exact bool
 	if cursor > res.Total {
 		cursor = res.Total
 	}
-	w.String(string(self))
-	w.Bool(res.Truncated)
 	w.Uvarint(uint64(res.Total))
 	w.Uvarint(uint64(cursor))
 	if cursor < res.Total {
@@ -191,7 +189,7 @@ func writeTopKAnswer(w *wire.Writer, self transport.Addr, offset int, exact bool
 type topKAnswer struct {
 	found     bool
 	wantIndex bool
-	served    transport.Addr
+	peer      transport.Addr // the copy that answered
 	truncated bool
 	total     int
 	cursor    int
@@ -199,8 +197,9 @@ type topKAnswer struct {
 	entries   []postings.Posting
 }
 
-func readTopKAnswer(r *wire.Reader) (topKAnswer, error) {
-	var a topKAnswer
+// readTopKAnswer decodes one read item answer from the copy at from.
+func readTopKAnswer(r *wire.Reader, from transport.Addr) (topKAnswer, error) {
+	a := topKAnswer{peer: from}
 	a.found = r.Bool()
 	a.wantIndex = r.Bool()
 	if err := r.Err(); err != nil {
@@ -209,8 +208,6 @@ func readTopKAnswer(r *wire.Reader) (topKAnswer, error) {
 	if !a.found {
 		return a, nil
 	}
-	a.served = transport.Addr(r.String())
-	a.truncated = r.Bool()
 	// Compared as uint64: values in [2^63, 2^64) would wrap negative
 	// through int() and pass a signed check as a pair.
 	total, cursor := r.Uvarint(), r.Uvarint()
@@ -228,7 +225,7 @@ func readTopKAnswer(r *wire.Reader) (topKAnswer, error) {
 	if err != nil {
 		return a, err
 	}
-	a.entries = chunk.Entries
+	a.truncated, a.entries = chunk.Truncated, chunk.Entries
 	return a, nil
 }
 
@@ -259,7 +256,7 @@ func (st *topkKeyState) pending() bool { return st.found && !st.done }
 // serves the top again — builds the seen set (ids from refIDs) that
 // drops the entries already held.
 func (st *topkKeyState) absorb(a topKAnswer, refIDs *postings.RefIDs) {
-	st.found, st.peer = true, a.served
+	st.found, st.peer = true, a.peer
 	st.list.Truncated = a.truncated
 	if st.seen == nil && len(st.list.Entries) == 0 {
 		st.list.Entries = a.entries
@@ -366,45 +363,20 @@ func (s *TopKSession) state(key string, terms []string) *topkKeyState {
 	return st
 }
 
-// cachedPrefix is a posting-prefix cache entry: one key's last known
-// chunk answer, replayable into a fresh session state exactly as the
-// wire answer it condenses. entries is immutable once cached — a replay
-// hands absorb a copy, and fills always store a fresh copy.
-type cachedPrefix struct {
-	entries   []postings.Posting
-	truncated bool
-	wantIndex bool
-	peer      transport.Addr
-	cursor    int
-	total     int
-	bound     float64
-}
-
-// cachedPrefixOf snapshots a key state for the cache. Callers hold s.mu.
-func cachedPrefixOf(st *topkKeyState) *cachedPrefix {
-	return &cachedPrefix{
-		entries:   append([]postings.Posting(nil), st.list.Entries...),
-		truncated: st.list.Truncated,
+// cachedPrefixOf snapshots a key state as a posting-prefix cache entry:
+// the chunk answer that replays the state into a fresh session. Its
+// entries are a fresh copy, immutable once cached — a replay hands absorb
+// another copy. Callers hold s.mu.
+func cachedPrefixOf(st *topkKeyState) *topKAnswer {
+	return &topKAnswer{
+		found:     true,
 		wantIndex: st.wantIndex,
 		peer:      st.peer,
-		cursor:    st.cursor,
+		truncated: st.list.Truncated,
 		total:     st.total,
+		cursor:    st.cursor,
 		bound:     st.bound,
-	}
-}
-
-// answerOf replays the cached prefix as the chunk answer it condenses,
-// over a copy of the entries for absorb to own.
-func (cp *cachedPrefix) answerOf() topKAnswer {
-	return topKAnswer{
-		found:     true,
-		wantIndex: cp.wantIndex,
-		served:    cp.peer,
-		truncated: cp.truncated,
-		total:     cp.total,
-		cursor:    cp.cursor,
-		bound:     cp.bound,
-		entries:   slices.Clone(cp.entries),
+		entries:   slices.Clone(st.list.Entries),
 	}
 }
 
@@ -430,8 +402,8 @@ func (s *TopKSession) readOp(sts []*topkKeyState, chunkOf func(i int) int, lost 
 			w.Uvarint(uint64(cursor))
 			w.Uvarint(uint64(chunkOf(i)))
 		},
-		decode: func(r *wire.Reader, i int) error {
-			a, err := readTopKAnswer(r)
+		decode: func(r *wire.Reader, i int, from transport.Addr) error {
+			a, err := readTopKAnswer(r, from)
 			if err != nil {
 				return err
 			}
@@ -510,9 +482,10 @@ func (s *TopKSession) FetchPrefixes(ctx context.Context, items []GetItem) ([]Get
 			if v, ok := s.ix.pcache.Get(key, epoch); ok {
 				// A one-shot read can only use an entry that covers its
 				// cap: nothing will fetch the rest.
-				cp := v.(*cachedPrefix)
+				cp := *v.(*topKAnswer)
 				if s.chunk > 0 || cp.cursor >= cp.total || (want > 0 && cp.cursor >= want) {
-					st.absorb(cp.answerOf(), &s.refIDs)
+					cp.entries = slices.Clone(cp.entries)
+					st.absorb(cp, &s.refIDs)
 					st.wantIndex = st.wantIndex || cp.wantIndex
 					continue
 				}

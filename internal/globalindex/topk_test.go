@@ -1,6 +1,7 @@
 package globalindex
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -488,7 +489,7 @@ func TestHandleReadHostileCursorChunk(t *testing.T) {
 		if n := r.Uvarint(); n != 1 {
 			t.Fatalf("cursor=%d chunk=%d: served %d items", c[0], c[1], n)
 		}
-		a, err := readTopKAnswer(r)
+		a, err := readTopKAnswer(r, ix.node.Self().Addr)
 		if err != nil {
 			t.Fatalf("cursor=%d chunk=%d: decode: %v", c[0], c[1], err)
 		}
@@ -535,13 +536,11 @@ func TestReadTopKAnswerRejectsHostileHorizon(t *testing.T) {
 		w := wire.NewWriter(64)
 		w.Bool(true)  // found
 		w.Bool(false) // wantIndex
-		w.String("peer")
-		w.Bool(false) // truncated
 		w.Uvarint(c.total)
 		w.Uvarint(c.cursor)
 		w.Float64(1) // bound
 		(&postings.List{}).EncodeCompressed(w)
-		if _, err := readTopKAnswer(wire.NewReader(w.Bytes())); !errors.Is(err, wire.ErrCorrupt) {
+		if _, err := readTopKAnswer(wire.NewReader(w.Bytes()), "peer"); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("total=%d cursor=%d: got %v, want ErrCorrupt", c.total, c.cursor, err)
 		}
 	}
@@ -553,30 +552,50 @@ func TestTopKAnswerRoundTrip(t *testing.T) {
 		l.Add(post("h", uint32(i), float64(50-i)))
 	}
 	l.Normalize()
-	res := PrefixResult{Entries: l.Entries[:5], Total: 12, Truncated: true, Found: true}
 	// The decoder takes either chunk encoding; only the exact one (what a
 	// chunk-0 request gets) is guaranteed to round-trip scores bit for bit.
 	for _, exact := range []bool{false, true} {
-		w := wire.NewWriter(256)
-		writeTopKAnswer(w, "peer-x:1", 0, exact, res)
-		a, err := readTopKAnswer(wire.NewReader(w.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.found || a.served != "peer-x:1" || !a.truncated || a.total != 12 || a.cursor != 5 {
-			t.Fatalf("exact=%v answer: %+v", exact, a)
-		}
-		if a.bound != l.Entries[4].Score {
-			t.Fatalf("exact=%v bound %v, want last served score %v", exact, a.bound, l.Entries[4].Score)
-		}
-		if len(a.entries) != 5 || (exact && a.entries[4] != l.Entries[4]) {
-			t.Fatalf("exact=%v entries: %v", exact, a.entries)
+		for _, truncated := range []bool{false, true} {
+			res := PrefixResult{Entries: l.Entries[:5], Total: 12, Truncated: truncated, Found: true}
+			w := wire.NewWriter(256)
+			writeTopKAnswer(w, 0, exact, res)
+			// The answer says each thing once: no peer address, and the
+			// stored list's truncation mark only in the chunk frame.
+			want := wire.NewWriter(256)
+			want.Bool(true)  // found
+			want.Bool(false) // wantIndex
+			want.Uvarint(12)
+			want.Uvarint(5)
+			want.Float64(l.Entries[4].Score)
+			chunk := postings.List{Entries: res.Entries, Truncated: truncated}
+			if exact {
+				chunk.Encode(want)
+			} else {
+				chunk.EncodeCompressed(want)
+			}
+			if !bytes.Equal(w.Bytes(), want.Bytes()) {
+				t.Fatalf("exact=%v truncated=%v layout:\n got % x\nwant % x", exact, truncated, w.Bytes(), want.Bytes())
+			}
+			// The serving peer is whoever the decoder was told answered.
+			a, err := readTopKAnswer(wire.NewReader(w.Bytes()), "peer-x:1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !a.found || a.peer != "peer-x:1" || a.truncated != truncated || a.total != 12 || a.cursor != 5 {
+				t.Fatalf("exact=%v answer: %+v", exact, a)
+			}
+			if a.bound != l.Entries[4].Score {
+				t.Fatalf("exact=%v bound %v, want last served score %v", exact, a.bound, l.Entries[4].Score)
+			}
+			if len(a.entries) != 5 || (exact && a.entries[4] != l.Entries[4]) {
+				t.Fatalf("exact=%v entries: %v", exact, a.entries)
+			}
 		}
 	}
 	// Exhausted answers omit the bound.
 	w := wire.NewWriter(256)
-	writeTopKAnswer(w, "peer-x:1", 7, false, PrefixResult{Entries: l.Entries[7:], Total: 12, Found: true})
-	a, err := readTopKAnswer(wire.NewReader(w.Bytes()))
+	writeTopKAnswer(w, 7, false, PrefixResult{Entries: l.Entries[7:], Total: 12, Found: true})
+	a, err := readTopKAnswer(wire.NewReader(w.Bytes()), "peer-x:1")
 	if err != nil || !a.found || a.cursor != 12 || a.bound != 0 {
 		t.Fatalf("exhausted answer: %+v err=%v", a, err)
 	}
@@ -585,7 +604,7 @@ func TestTopKAnswerRoundTrip(t *testing.T) {
 // chunkAnswer is the read answer serving entries[from:to] of a stored
 // list of len(entries).
 func chunkAnswer(entries []postings.Posting, from, to int) topKAnswer {
-	a := topKAnswer{found: true, served: "s", total: len(entries), cursor: to,
+	a := topKAnswer{found: true, peer: "s", total: len(entries), cursor: to,
 		entries: append([]postings.Posting(nil), entries[from:to]...)}
 	if to < len(entries) {
 		a.bound = entries[to-1].Score

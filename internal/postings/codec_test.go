@@ -86,14 +86,23 @@ func TestCompressedGroupMaxIsExact(t *testing.T) {
 }
 
 func TestCompressedRawFallback(t *testing.T) {
-	// Negative, infinite and all-zero groups cannot be quantized and
-	// must round-trip exactly through the raw per-group mode.
+	// Negative, infinite and all-zero groups cannot be quantized: a list
+	// holding any of them goes exact as a whole — byte for byte the exact
+	// frame — and round-trips exactly, its quantizable groups included.
 	l := &List{}
 	l.Add(Posting{Ref: DocRef{Peer: "neg:1", Doc: 1}, Score: -2.5})
 	l.Add(Posting{Ref: DocRef{Peer: "neg:1", Doc: 2}, Score: 3.5})
 	l.Add(Posting{Ref: DocRef{Peer: "zero:1", Doc: 1}, Score: 0})
 	l.Add(Posting{Ref: DocRef{Peer: "inf:1", Doc: 1}, Score: math.Inf(1)})
+	l.Add(Posting{Ref: DocRef{Peer: "fine:1", Doc: 1}, Score: 0.1})
 	l.Normalize()
+	for _, bad := range []Posting{{Ref: DocRef{Peer: "zero:1", Doc: 1}, Score: 0}, l.Entries[0], l.Entries[len(l.Entries)-1]} {
+		one := &List{Entries: []Posting{{Ref: DocRef{Peer: "fine:1", Doc: 1}, Score: 0.1}, bad}}
+		one.Normalize()
+		if got, want := one.EncodeBytesCompressed(), one.EncodeBytes(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("list with %v: compressed frame % x, want the exact frame % x", bad, got, want)
+		}
+	}
 	got, err := DecodeBytes(l.EncodeBytesCompressed())
 	if err != nil {
 		t.Fatal(err)
@@ -115,16 +124,59 @@ func TestCompressedEmptyList(t *testing.T) {
 
 func TestCompressedSmallerThanLegacy(t *testing.T) {
 	l := randomList(3, 500)
-	legacy, compact := l.EncodedSize(), l.EncodedSizeCompressed()
+	legacy, compact := l.EncodedSize(), len(l.EncodeBytesCompressed())
 	if compact >= legacy*2/3 {
 		t.Fatalf("compressed %d bytes not smaller than legacy %d", compact, legacy)
 	}
 }
 
-func TestCompressedEncodedSizeMatches(t *testing.T) {
-	l := randomList(9, 40)
-	if got, want := l.EncodedSizeCompressed(), len(l.EncodeBytesCompressed()); got != want {
-		t.Fatalf("EncodedSizeCompressed = %d, len = %d", got, want)
+// TestQuantizationFloor pins the property the threshold loop's soundness
+// rests on: a quantized score never decodes above the stored score, even
+// where score/max rounds up across a quantization step.
+func TestQuantizationFloor(t *testing.T) {
+	const max, score = 24.22006116640428, 0.8867918952285541
+	l := &List{Entries: []Posting{
+		{Ref: DocRef{Peer: "p:1", Doc: 1}, Score: max},
+		{Ref: DocRef{Peer: "p:1", Doc: 2}, Score: score},
+	}}
+	got, err := DecodeBytes(l.EncodeBytesCompressed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Entries[0].Score != max || got.Entries[1].Score > score {
+		t.Fatalf("decoded %v, %v; want %v and at most %v", got.Entries[0].Score, got.Entries[1].Score, max, score)
+	}
+
+	// Scores one ulp below a step, under random group maxima: the floor
+	// of score/max lands on the step above for a few percent of them.
+	rng := rand.New(rand.NewSource(38))
+	l = &List{}
+	for g := 0; g < 20; g++ {
+		peer := transport.Addr("peer-" + string(rune('a'+g)))
+		max := rng.Float64()*100 + 0.01
+		l.Add(Posting{Ref: DocRef{Peer: peer, Doc: 0}, Score: max})
+		for d := 1; d <= 500; d++ {
+			step := float64(1+rng.Intn(quantScale-1)) / quantScale * max
+			l.Add(Posting{Ref: DocRef{Peer: peer, Doc: uint32(d)}, Score: math.Nextafter(step, 0)})
+		}
+	}
+	l.Normalize()
+	exact := make(map[DocRef]float64, l.Len())
+	for _, p := range l.Entries {
+		exact[p.Ref] = p.Score
+	}
+	got, err = DecodeBytes(l.EncodeBytesCompressed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := 0
+	for _, p := range got.Entries {
+		if p.Score > exact[p.Ref] {
+			over++
+		}
+	}
+	if over > 0 {
+		t.Fatalf("%d of %d near-step scores decoded above the stored score", over, got.Len())
 	}
 }
 
@@ -136,54 +188,45 @@ func TestCompressedDecodeCorruptInputs(t *testing.T) {
 			t.Fatalf("decoding %d/%d bytes should fail", i, len(full))
 		}
 	}
-	// Unknown format marker.
-	if _, err := DecodeBytes([]byte{0x7F}); err == nil {
-		t.Fatal("unknown format byte must be rejected")
+	// Unknown flag bits, the retired 0xC2 marker among them.
+	for _, b := range []byte{0x04, 0x7F, 0xC2} {
+		if _, err := DecodeBytes([]byte{b, 0}); err == nil {
+			t.Fatalf("flags byte 0x%02x must be rejected", b)
+		}
 	}
 	// Hostile counts and invalid group metadata.
 	hostile := func(build func(w *wire.Writer)) {
 		t.Helper()
 		w := wire.NewWriter(32)
-		w.Byte(compressedMagic)
+		w.Byte(flagQuantized)
 		build(w)
 		if _, err := DecodeBytes(w.Bytes()); err == nil {
-			t.Fatalf("hostile compressed frame must be rejected: % x", w.Bytes())
+			t.Fatalf("hostile quantized frame must be rejected: % x", w.Bytes())
 		}
 	}
-	hostile(func(w *wire.Writer) { w.Byte(0); w.Uvarint(1 << 30) }) // absurd peer count
-	hostile(func(w *wire.Writer) { w.Byte(9); w.Uvarint(0) })       // unknown flags
-	hostile(func(w *wire.Writer) {                                  // absurd group count
-		w.Byte(0)
+	hostile(func(w *wire.Writer) { w.Uvarint(1 << 30) }) // absurd peer count
+	hostile(func(w *wire.Writer) {                       // absurd group count
 		w.Uvarint(1)
 		w.String("p:1")
 		w.Uvarint(1 << 30)
-	})
-	hostile(func(w *wire.Writer) { // unknown score mode
-		w.Byte(0)
-		w.Uvarint(1)
-		w.String("p:1")
-		w.Uvarint(1)
-		w.Uvarint(0)
-		w.Byte(7)
-	})
-	hostile(func(w *wire.Writer) { // non-positive quantization max
-		w.Byte(0)
-		w.Uvarint(1)
-		w.String("p:1")
-		w.Uvarint(1)
-		w.Uvarint(0)
-		w.Byte(groupScoresQuantized)
-		w.Float64(-1)
-		w.Uvarint(5)
-	})
-	hostile(func(w *wire.Writer) { // quantized value above scale
-		w.Byte(0)
-		w.Uvarint(1)
-		w.String("p:1")
-		w.Uvarint(1)
-		w.Uvarint(0)
-		w.Byte(groupScoresQuantized)
 		w.Float64(1)
+	})
+	for _, max := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		hostile(func(w *wire.Writer) { // group maximum not positive and finite
+			w.Uvarint(1)
+			w.String("p:1")
+			w.Uvarint(1)
+			w.Float64(max)
+			w.Uvarint(0)
+			w.Uvarint(5)
+		})
+	}
+	hostile(func(w *wire.Writer) { // quantized value above scale
+		w.Uvarint(1)
+		w.String("p:1")
+		w.Uvarint(1)
+		w.Float64(1)
+		w.Uvarint(0)
 		w.Uvarint(quantScale + 1)
 	})
 }

@@ -1,14 +1,16 @@
 package postings
 
 import (
+	"bytes"
 	"testing"
 )
 
-// FuzzDecodeBytes drives the list decoder — both the legacy and the
-// compressed format share the entry point — with arbitrary byte strings.
-// Torn or corrupted frames must return an error; a panic or a hang is a
-// bug. Frames that do decode must re-encode and decode to the same list
-// (decode output is canonical, so a second round trip is a fixed point).
+// FuzzDecodeBytes drives the list decoder — one entry point for the
+// exact and the quantized frame — with arbitrary byte strings. Torn or
+// corrupted frames must return an error; a panic or a hang is a bug. For
+// a frame that does decode to l, the exact encoding is a fixed point:
+// EncodeBytes(DecodeBytes(EncodeBytes(l))) equals EncodeBytes(l) byte for
+// byte, and the quantized encoding of l decodes to a list of l's shape.
 func FuzzDecodeBytes(f *testing.F) {
 	empty := &List{}
 	small := &List{Truncated: true}
@@ -21,23 +23,41 @@ func FuzzDecodeBytes(f *testing.F) {
 		f.Add(l.EncodeBytesCompressed())
 	}
 	f.Add([]byte{})
-	f.Add([]byte{compressedMagic})
+	f.Add([]byte{0xC2}) // the retired compressed-format marker
 	f.Add([]byte{0xFF, 0x00})
+	// An exact list as a WAL append record carries it (a truncated
+	// publisher delta), and a quantized chunk as a streamed read ships it
+	// (a bounded prefix of a stored list).
+	journal := &List{Truncated: true}
+	for d := uint32(0); d < 12; d++ {
+		journal.Add(Posting{Ref: DocRef{Peer: "publisher:7", Doc: 3 * d}, Score: float64(d%5) + 0.125})
+	}
+	journal.Normalize()
+	f.Add(journal.EncodeBytes())
+	chunk := randomList(22, 64)
+	chunk.Truncate(16)
+	f.Add(chunk.EncodeBytesCompressed())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := DecodeBytes(data)
 		if err != nil {
 			return
 		}
-		for _, enc := range [][]byte{l.EncodeBytes(), l.EncodeBytesCompressed()} {
-			l2, err := DecodeBytes(enc)
-			if err != nil {
-				t.Fatalf("re-decoding own encoding failed: %v", err)
-			}
-			if l2.Len() != l.Len() || l2.Truncated != l.Truncated {
-				t.Fatalf("re-decode changed shape: %d/%v vs %d/%v",
-					l2.Len(), l2.Truncated, l.Len(), l.Truncated)
-			}
+		enc := l.EncodeBytes()
+		l2, err := DecodeBytes(enc)
+		if err != nil {
+			t.Fatalf("re-decoding own exact encoding failed: %v", err)
+		}
+		if again := l2.EncodeBytes(); !bytes.Equal(again, enc) {
+			t.Fatalf("exact round trip is not a fixed point:\n first % x\nsecond % x", enc, again)
+		}
+		lq, err := DecodeBytes(l.EncodeBytesCompressed())
+		if err != nil {
+			t.Fatalf("re-decoding own quantized encoding failed: %v", err)
+		}
+		if lq.Len() != l.Len() || lq.Truncated != l.Truncated {
+			t.Fatalf("quantized re-decode changed shape: %d/%v vs %d/%v",
+				lq.Len(), lq.Truncated, l.Len(), l.Truncated)
 		}
 	})
 }

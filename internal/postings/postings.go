@@ -245,35 +245,92 @@ func Intersect(a, b *List) *List {
 	return out
 }
 
-// Encode serializes the list. Entries are grouped by peer with
-// delta-encoded document numbers, which compresses the repeated peer
-// addresses that dominate naive encodings; canonical score order is
-// restored at decode time from the stored scores.
-func (l *List) Encode(w *wire.Writer) {
-	w.Bool(l.Truncated)
+// The list frame — the one encoding of a posting list, on the wire and
+// on disk:
+//
+//	flags byte (bit 0 Truncated, bit 1 quantized scores); groups uvarint;
+//	per peer group, ascending by (peer, document):
+//	  peer string; count uvarint; if quantized: group maximum Float64;
+//	  count × (document gap uvarint, score)
+//
+// A score is a Float64, or if quantized a uvarint q in [0, quantScale]
+// standing for q/quantScale × the group maximum. Grouping by peer with
+// delta-gap document numbers compresses the repeated peer addresses that
+// dominate naive encodings; canonical order is restored at decode time.
+// With bit 1 clear the flags byte is the Truncated bool, so the exact
+// frame is the one writes, WAL records and snapshots have always carried.
+const (
+	flagTruncated byte = 1 << 0
+	flagQuantized byte = 1 << 1
+
+	// Quantized scores keep quantBits of precision relative to the group
+	// maximum, rounded down: a decoded score never exceeds the stored
+	// score, and the group maximum decodes exactly — what the top-k
+	// threshold loop relies on when it compares streamed scores with
+	// exact per-key bounds.
+	quantBits  = 21
+	quantScale = 1 << quantBits
+)
+
+// Encode writes the list's exact frame.
+func (l *List) Encode(w *wire.Writer) { l.encode(w, false) }
+
+// EncodeCompressed writes the list's quantized frame: one Float64 group
+// maximum plus one uvarint per entry instead of one Float64 per entry.
+// A list the quantized form cannot carry goes exact (see quantizable).
+func (l *List) EncodeCompressed(w *wire.Writer) { l.encode(w, true) }
+
+func (l *List) encode(w *wire.Writer, quantize bool) {
 	sorted, peers := peerGroups(l.Entries)
+	quantize = quantize && quantizable(sorted)
+	var flags byte
+	if l.Truncated {
+		flags |= flagTruncated
+	}
+	if quantize {
+		flags |= flagQuantized
+	}
+	w.Byte(flags)
 	w.Uvarint(uint64(peers))
 	for rest := sorted; len(rest) > 0; {
 		group := nextGroup(rest)
 		rest = rest[len(group):]
 		w.String(string(group[0].Ref.Peer))
 		w.Uvarint(uint64(len(group)))
+		max := 0.0
+		if quantize {
+			max = groupMax(group)
+			w.Float64(max)
+		}
 		prev := uint32(0)
 		for _, p := range group {
 			w.Uvarint(uint64(p.Ref.Doc - prev))
 			prev = p.Ref.Doc
-			w.Float64(p.Score)
+			if quantize {
+				w.Uvarint(quantum(p.Score, max))
+			} else {
+				w.Float64(p.Score)
+			}
 		}
 	}
 }
 
 // peerGroups returns a copy of entries ordered by peer, then document
-// number — the group order both encodings write — and the number of
-// distinct peers. The sort is stable: entries repeating a ref keep their
-// list order.
+// number — the group order of the frame — and the number of distinct
+// peers. Entries repeating a ref follow in canonical order, ties by
+// score bits, so the frame is a function of the entries alone, whatever
+// their order in the list.
 func peerGroups(entries []Posting) ([]Posting, int) {
 	sorted := slices.Clone(entries)
-	slices.SortStableFunc(sorted, func(a, b Posting) int { return a.Ref.Compare(b.Ref) })
+	slices.SortFunc(sorted, func(a, b Posting) int {
+		if c := a.Ref.Compare(b.Ref); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return cmp.Compare(math.Float64bits(a.Score), math.Float64bits(b.Score))
+	})
 	peers := 0
 	for i := range sorted {
 		if i == 0 || sorted[i].Ref.Peer != sorted[i-1].Ref.Peer {
@@ -293,92 +350,48 @@ func nextGroup(sorted []Posting) []Posting {
 	return sorted[:end]
 }
 
+// quantizable reports whether the quantized form can carry every group
+// of a peerGroups result: no NaN, infinite or negative score, and no
+// group whose maximum is 0.
+func quantizable(sorted []Posting) bool {
+	for rest := sorted; len(rest) > 0; {
+		group := nextGroup(rest)
+		rest = rest[len(group):]
+		if groupMax(group) == 0 {
+			return false
+		}
+		for _, p := range group {
+			if math.IsNaN(p.Score) || math.IsInf(p.Score, 0) || p.Score < 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func groupMax(group []Posting) float64 {
+	m := 0.0
+	for _, p := range group {
+		m = max(m, p.Score)
+	}
+	return m
+}
+
+// quantum returns the largest q whose decoded score q/quantScale×max does
+// not exceed score. The floor of score/max can round up across a step,
+// so it steps down until the decoder's own expression agrees.
+func quantum(score, max float64) uint64 {
+	q := uint64(math.Floor(score / max * quantScale))
+	for q > 0 && float64(q)/quantScale*max > score {
+		q--
+	}
+	return q
+}
+
 // EncodedSize returns the exact number of bytes Encode would produce.
 func (l *List) EncodedSize() int {
 	w := wire.NewWriter(16 + 12*len(l.Entries))
 	l.Encode(w)
-	return w.Len()
-}
-
-// Compressed-encoding constants. A legacy frame's first byte is the
-// Truncated bool (0 or 1), so any first byte >= 2 is free to act as a
-// format marker; Decode sniffs it and accepts both formats.
-const (
-	compressedMagic byte = 0xC2
-
-	// Scores are quantized to quantBits of relative precision against
-	// the group maximum. Quantization floors, so a decoded score never
-	// exceeds the exact stored score — the property the top-k threshold
-	// loop relies on when comparing streamed scores against exact
-	// per-key upper bounds.
-	quantBits  = 21
-	quantScale = 1 << quantBits
-
-	groupScoresRaw       byte = 0 // count * Float64
-	groupScoresQuantized byte = 1 // maxScore Float64 + count * uvarint
-)
-
-// EncodeCompressed serializes the list in the compact wire format:
-// per-peer groups with delta-gap varint document numbers (as in Encode)
-// and quantized score blocks — one Float64 group maximum plus one
-// uvarint per entry instead of one Float64 per entry. Groups whose
-// scores cannot be quantized (non-finite or negative values, or an
-// all-zero group) fall back to raw Float64 scores per group. Decode
-// accepts both this and the legacy Encode format transparently.
-func (l *List) EncodeCompressed(w *wire.Writer) {
-	w.Byte(compressedMagic)
-	var flags byte
-	if l.Truncated {
-		flags |= 1
-	}
-	w.Byte(flags)
-	sorted, peers := peerGroups(l.Entries)
-	w.Uvarint(uint64(peers))
-	for rest := sorted; len(rest) > 0; {
-		group := nextGroup(rest)
-		rest = rest[len(group):]
-		w.String(string(group[0].Ref.Peer))
-		w.Uvarint(uint64(len(group)))
-		prev := uint32(0)
-		for _, p := range group {
-			w.Uvarint(uint64(p.Ref.Doc - prev))
-			prev = p.Ref.Doc
-		}
-		max := 0.0
-		quantizable := true
-		for _, p := range group {
-			if math.IsNaN(p.Score) || math.IsInf(p.Score, 0) || p.Score < 0 {
-				quantizable = false
-				break
-			}
-			if p.Score > max {
-				max = p.Score
-			}
-		}
-		if !quantizable || max == 0 {
-			w.Byte(groupScoresRaw)
-			for _, p := range group {
-				w.Float64(p.Score)
-			}
-			continue
-		}
-		w.Byte(groupScoresQuantized)
-		w.Float64(max)
-		for _, p := range group {
-			q := uint64(math.Floor(p.Score / max * quantScale))
-			if q > quantScale {
-				q = quantScale
-			}
-			w.Uvarint(q)
-		}
-	}
-}
-
-// EncodedSizeCompressed returns the exact number of bytes
-// EncodeCompressed would produce.
-func (l *List) EncodedSizeCompressed() int {
-	w := wire.NewWriter(16 + 5*len(l.Entries))
-	l.EncodeCompressed(w)
 	return w.Len()
 }
 
@@ -389,112 +402,48 @@ func (l *List) EncodeBytesCompressed() []byte {
 	return append([]byte(nil), w.Bytes()...)
 }
 
-func decodeCompressed(r *wire.Reader) (*List, error) {
-	l := &List{}
+// Decode reads one list frame, exact or quantized, and returns the list
+// in canonical order. It reports an error on corrupt input, and on any
+// earlier failed read of r: a nil error means every read of r succeeded.
+func Decode(r *wire.Reader) (*List, error) {
 	flags := r.Byte()
-	l.Truncated = flags&1 != 0
-	numPeers := r.Uvarint()
+	groups := r.Uvarint()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if flags > 1 || numPeers > 1<<20 {
+	if flags&^(flagTruncated|flagQuantized) != 0 || groups > 1<<20 {
 		return nil, wire.ErrCorrupt
 	}
-	for i := uint64(0); i < numPeers; i++ {
+	quantized := flags&flagQuantized != 0
+	l := &List{Truncated: flags&flagTruncated != 0}
+	for i := uint64(0); i < groups; i++ {
 		peer := transport.Addr(r.String())
 		count := r.Uvarint()
+		max := 0.0
+		if quantized {
+			max = r.Float64()
+		}
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
 		// Every entry takes at least one byte, its document gap: a count
 		// beyond the bytes left is corrupt, and anything else bounds the
 		// allocation.
-		if count > 1<<24 || count > uint64(r.Remaining()) {
+		if count > 1<<24 || count > uint64(r.Remaining()) || quantized && !(max > 0 && max <= math.MaxFloat64) {
 			return nil, wire.ErrCorrupt
 		}
 		l.Entries = slices.Grow(l.Entries, int(count))
-		start := len(l.Entries)
 		doc := uint32(0)
 		for j := uint64(0); j < count; j++ {
 			doc += uint32(r.Uvarint())
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			l.Entries = append(l.Entries, Posting{Ref: DocRef{Peer: peer, Doc: doc}})
-		}
-		switch mode := r.Byte(); mode {
-		case groupScoresRaw:
-			for j := uint64(0); j < count; j++ {
-				l.Entries[start+int(j)].Score = r.Float64()
-			}
-		case groupScoresQuantized:
-			max := r.Float64()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if math.IsNaN(max) || math.IsInf(max, 0) || max <= 0 {
+			score := 0.0
+			if !quantized {
+				score = r.Float64()
+			} else if q := r.Uvarint(); q <= quantScale {
+				score = float64(q) / quantScale * max
+			} else {
 				return nil, wire.ErrCorrupt
 			}
-			for j := uint64(0); j < count; j++ {
-				q := r.Uvarint()
-				if q > quantScale {
-					return nil, wire.ErrCorrupt
-				}
-				l.Entries[start+int(j)].Score = float64(q) / quantScale * max
-			}
-		default:
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			return nil, wire.ErrCorrupt
-		}
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-	}
-	sortCanonical(l.Entries)
-	return l, nil
-}
-
-// Decode reads a list written by Encode or EncodeCompressed and returns
-// it in canonical order, sniffing the format from the first byte. It
-// reports an error on corrupt input.
-func Decode(r *wire.Reader) (*List, error) {
-	first := r.Byte()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	switch first {
-	case 0, 1:
-		// Legacy format: first byte is the Truncated bool.
-	case compressedMagic:
-		return decodeCompressed(r)
-	default:
-		return nil, wire.ErrCorrupt
-	}
-	l := &List{}
-	l.Truncated = first == 1
-	numPeers := r.Uvarint()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if numPeers > 1<<20 {
-		return nil, wire.ErrCorrupt
-	}
-	for i := uint64(0); i < numPeers; i++ {
-		peer := transport.Addr(r.String())
-		count := r.Uvarint()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if count > 1<<24 || count > uint64(r.Remaining()) {
-			return nil, wire.ErrCorrupt // see decodeCompressed
-		}
-		l.Entries = slices.Grow(l.Entries, int(count))
-		doc := uint32(0)
-		for j := uint64(0); j < count; j++ {
-			doc += uint32(r.Uvarint())
-			score := r.Float64()
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
@@ -512,12 +461,8 @@ func (l *List) EncodeBytes() []byte {
 	return append([]byte(nil), w.Bytes()...)
 }
 
-// DecodeBytes decodes a buffer produced by EncodeBytes.
+// DecodeBytes decodes a buffer produced by EncodeBytes or
+// EncodeBytesCompressed.
 func DecodeBytes(b []byte) (*List, error) {
-	r := wire.NewReader(b)
-	l, err := Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	return l, nil
+	return Decode(wire.NewReader(b))
 }

@@ -180,6 +180,13 @@ func TestDecodeCorruptInputs(t *testing.T) {
 	if _, err := DecodeBytes(w.Bytes()); err == nil {
 		t.Fatal("hostile peer count must be rejected")
 	}
+	// A failed read before Decode fails Decode too, even ahead of a good
+	// frame: callers take its nil error to mean every read succeeded.
+	r := wire.NewReader(append([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, full...))
+	_ = r.String() // an absurd length prefix
+	if _, err := Decode(r); err == nil {
+		t.Fatal("Decode after a failed read must report it")
+	}
 }
 
 func TestDeltaEncodingCompacts(t *testing.T) {
