@@ -48,7 +48,7 @@ func NewService(gidx *globalindex.Index, d *transport.Dispatcher) *Service {
 func (s *Service) handleIntersect(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	r := wire.NewReader(body)
 	term := r.String()
-	cand, err := postings.Decode(r)
+	cand, err := postings.Decode(r, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -159,7 +159,7 @@ func (s *Service) Query(ctx context.Context, terms []string) (*postings.List, Qu
 			return nil, cost, fmt.Errorf("baseline: intersect %q at %s: %w", td.term, peer.Addr, err)
 		}
 		r := wire.NewReader(resp)
-		cand, err = postings.Decode(r)
+		cand, err = postings.Decode(r, nil)
 		if err != nil {
 			return nil, cost, err
 		}

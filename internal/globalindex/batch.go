@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/dht"
@@ -22,9 +24,18 @@ import (
 // Posting lists are read through the one MsgRead frame (topk.go); 0x18
 // and 0x1B carried the retired one-shot read frames and stay unassigned
 // (0x1A is the single-term baseline's MsgIntersect).
+//
+// The two publish-side frames carry their items in key order and each
+// key front-coded (keyCoder): the length of the prefix it shares with
+// the frame's previous key, then the rest of it. A MultiAppend frame
+// also leads with a peer table (postings.PeerTable) that names every
+// peer its lists hold, once; each list names its groups' peers by index
+// into it (list flag bit 2). Publishers ship lists of their own
+// documents, so without the table every item repeated the publisher's
+// address.
 const (
-	MsgMultiAppend  uint8 = 0x17 // (mode, n, n×(key, bound, announcedDF, list)) -> n×storedLen
-	MsgMultiKeyInfo uint8 = 0x19 // (n, n×key) -> n×(present, approxDF, truncated)
+	MsgMultiAppend  uint8 = 0x17 // (mode, peers: n×addr, n, n×(sharedPrefixLen, keySuffix, bound, announcedDF, list)) -> n×storedLen
+	MsgMultiKeyInfo uint8 = 0x19 // (n, n×(sharedPrefixLen, keySuffix)) -> n×(present, approxDF, truncated)
 )
 
 // MaxBatchItems bounds the item count a batch handler accepts in one
@@ -92,7 +103,7 @@ func (ix *Index) checkResponsible(keys []string) error {
 func (ix *Index) handleMultiAppend(ctx context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	r := wire.NewReader(body)
 	mode := r.Byte()
-	keys, bounds, dfs, lists, err := decodeAppendItems(r)
+	keys, items, err := readAppendFrame(r)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -106,27 +117,19 @@ func (ix *Index) handleMultiAppend(ctx context.Context, _ transport.Addr, _ uint
 	start := time.Now()
 	w := wire.NewWriter(8 + 4*serve)
 	w.Uvarint(uint64(serve))
-	for i := 0; i < serve; i++ {
-		w.Uvarint(uint64(ix.store.Append(keys[i], lists[i], bounds[i], dfs[i])))
+	for i, it := range items[:serve] {
+		w.Uvarint(uint64(ix.store.Append(keys[i], it.List, it.Bound, it.AnnouncedDF)))
 	}
 	ix.disp.ObserveBatch(MsgMultiAppend, time.Since(start), serve)
 	return MsgMultiAppend, w.Bytes(), nil
 }
 
 func (ix *Index) handleMultiKeyInfo(ctx context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	r := wire.NewReader(body)
-	count, err := readBatchCount(r)
+	keys, err := readKeys(wire.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
-	keys := make([]string, count)
-	for i := 0; i < count; i++ {
-		keys[i] = r.String()
-	}
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
-	serve := ix.disp.BatchQuota(ctx, MsgMultiKeyInfo, count)
+	serve := ix.disp.BatchQuota(ctx, MsgMultiKeyInfo, len(keys))
 	if err := ix.checkResponsible(keys[:serve]); err != nil {
 		return 0, nil, err
 	}
@@ -161,34 +164,138 @@ func readBatchCount(r *wire.Reader) (int, error) {
 	return int(count), nil
 }
 
-// decodeAppendItems decodes a MultiAppend frame's items fully before
-// returning, so the handler applies either every item or none.
-func decodeAppendItems(r *wire.Reader) (keys []string, bounds, dfs []int, lists []*postings.List, err error) {
-	count, err := readBatchCount(r)
-	if err != nil {
-		return nil, nil, nil, nil, err
+// keyCoder front-codes the keys of one MultiAppend or MultiKeyInfo
+// frame: each key travels as the length of the prefix it shares with the
+// frame's previous key, at most maxSharedPrefix, then the rest of it.
+// Senders put a frame's keys in sorted order, where HDK's
+// term-combination keys share most of their bytes with their
+// neighbours; keys in any order decode.
+type keyCoder struct{ prev string }
+
+// maxSharedPrefix bounds the prefix a key may take from the previous
+// one. A shared prefix costs the sender a varint but the receiver a copy
+// in a new string, which it also hashes; with the bound a frame's keys
+// cost at most its body plus MaxBatchItems × maxSharedPrefix bytes (4
+// MiB) to rebuild, where a few MiB of keys sharing all of a long
+// previous key could otherwise cost tens of GiB. HDK keys are a few
+// terms long and stay under it.
+const maxSharedPrefix = 255
+
+func (c *keyCoder) write(w *wire.Writer, key string) {
+	n := 0
+	for n < len(key) && n < len(c.prev) && n < maxSharedPrefix && key[n] == c.prev[n] {
+		n++
 	}
-	keys = make([]string, count)
-	bounds = make([]int, count)
-	dfs = make([]int, count)
-	lists = make([]*postings.List, count)
-	for i := 0; i < count; i++ {
-		keys[i] = r.String()
-		bounds[i] = int(r.Uvarint())
-		dfs[i] = int(r.Uvarint())
-		if lists[i], err = postings.Decode(r); err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-	return keys, bounds, dfs, lists, nil
+	w.Uvarint(uint64(n))
+	w.String(key[n:])
+	c.prev = key
 }
 
-// writeAppendItem writes one (key, bound, announcedDF, list) append item.
-func writeAppendItem(w *wire.Writer, key string, it AppendItem) {
-	w.String(key)
-	w.Uvarint(uint64(it.Bound))
-	w.Uvarint(uint64(it.AnnouncedDF))
-	it.List.Encode(w)
+// read rebuilds the next key. A shared prefix longer than the previous
+// key or than maxSharedPrefix, or a key longer than any string the wire
+// carries, is corrupt.
+func (c *keyCoder) read(r *wire.Reader) (string, error) {
+	shared := r.Uvarint()
+	suffix := r.String()
+	if err := r.Err(); err != nil {
+		return "", err
+	}
+	if shared > uint64(min(len(c.prev), maxSharedPrefix)) || uint64(len(suffix)) > wire.MaxStringLen-shared {
+		return "", wire.ErrCorrupt
+	}
+	c.prev = c.prev[:shared] + suffix
+	return c.prev, nil
+}
+
+// writeKeys writes the keys at items (indices into keys) as a
+// MultiKeyInfo request body: (n, n×key), keys front-coded.
+func writeKeys(w *wire.Writer, keys []string, items []int) {
+	w.Uvarint(uint64(len(items)))
+	var kc keyCoder
+	for _, i := range items {
+		kc.write(w, keys[i])
+	}
+}
+
+// readKeys reads a body written by writeKeys.
+func readKeys(r *wire.Reader) ([]string, error) {
+	count, err := readBatchCount(r)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]string, count)
+	var kc keyCoder
+	for i := range keys {
+		if keys[i], err = kc.read(r); err != nil {
+			return nil, err
+		}
+	}
+	return keys, nil
+}
+
+// writeAppendFrame writes the MultiAppend items at idx (indices into keys
+// and items) as the frame body after the mode byte: the peer table of
+// their lists, the count, then each item — key front-coded, bound,
+// announced DF, and the list naming its peers by table index. It is the
+// one encoder of the frame; sendGroup replays what it wrote.
+func writeAppendFrame(w *wire.Writer, keys []string, items []AppendItem, idx []int) {
+	lists := make([]*postings.List, len(idx))
+	for j, i := range idx {
+		lists[j] = items[i].List
+	}
+	peers := postings.NewPeerTable(lists...)
+	peers.Encode(w)
+	w.Uvarint(uint64(len(idx)))
+	var kc keyCoder
+	for _, i := range idx {
+		kc.write(w, keys[i])
+		w.Uvarint(uint64(items[i].Bound))
+		w.Uvarint(uint64(items[i].AnnouncedDF))
+		items[i].List.EncodeIndexed(w, peers)
+	}
+}
+
+// readAppendFrame decodes a body written by writeAppendFrame fully
+// before returning, so the handler applies either every item or none.
+// The items' Terms stay empty: the frame carries canonical keys.
+func readAppendFrame(r *wire.Reader) ([]string, []AppendItem, error) {
+	peers, err := postings.DecodePeerTable(r, MaxBatchItems)
+	if err != nil {
+		return nil, nil, err
+	}
+	count, err := readBatchCount(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := make([]string, count)
+	items := make([]AppendItem, count)
+	var kc keyCoder
+	for i := range items {
+		if keys[i], err = kc.read(r); err != nil {
+			return nil, nil, err
+		}
+		items[i].Bound = int(r.Uvarint())
+		items[i].AnnouncedDF = int(r.Uvarint())
+		if items[i].List, err = postings.Decode(r, peers); err != nil {
+			return nil, nil, err
+		}
+	}
+	return keys, items, nil
+}
+
+// inKeyOrder returns keys stably sorted, and for each position of that
+// order the caller's index: the item order of the front-coded frames.
+func inKeyOrder(keys []string) (sorted []string, order []int) {
+	order = make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
+	sorted = make([]string, len(keys))
+	for j, i := range order {
+		sorted[j] = keys[i]
+	}
+	return sorted, order
 }
 
 // group maps each item index to a responsible peer and collects the per
@@ -261,13 +368,19 @@ func (ix *Index) MultiAppend(ctx context.Context, items []AppendItem) ([]int, er
 		keys[i] = ids.KeyString(it.Terms)
 		ix.pcache.Invalidate(keys[i]) // write watermark: never serve a pre-write prefix
 	}
+	keys, order := inKeyOrder(keys)
+	sorted := make([]AppendItem, len(items))
+	for j, i := range order {
+		sorted[j] = items[i]
+	}
 	out := make([]int, len(items))
-	err := ix.RunKeyed(ctx, keys, KeyedOp{
-		Msg:    MsgMultiAppend,
-		Write:  true,
-		Encode: func(w *wire.Writer, i int) { writeAppendItem(w, keys[i], items[i]) },
-		Decode: func(r *wire.Reader, i int) error {
-			out[i] = int(r.Uvarint())
+	err := ix.runBatch(ctx, keys, batchOp{
+		msg:    MsgMultiAppend,
+		moded:  true,
+		write:  true,
+		encode: func(w *wire.Writer, idx []int) { writeAppendFrame(w, keys, sorted, idx) },
+		decode: func(r *wire.Reader, j int, _ transport.Addr) error {
+			out[order[j]] = int(r.Uvarint())
 			return r.Err()
 		},
 	})
@@ -294,25 +407,25 @@ func (ix *Index) MultiKeyInfo(ctx context.Context, items []KeyInfoItem) ([]KeyIn
 	for i, it := range items {
 		keys[i] = ids.KeyString(it.Terms)
 	}
+	keys, order := inKeyOrder(keys)
 	out := make([]KeyInfoResult, len(items))
 	err := ix.runBatch(ctx, keys, batchOp{
 		msg:        MsgMultiKeyInfo,
 		idempotent: true,
-		encode:     func(w *wire.Writer, i int) { w.String(keys[i]) },
-		decode: func(r *wire.Reader, i int, _ transport.Addr) error {
-			out[i] = KeyInfoResult{Present: r.Bool(), DF: int64(r.Uvarint()), Truncated: r.Bool()}
+		encode:     func(w *wire.Writer, idx []int) { writeKeys(w, keys, idx) },
+		decode: func(r *wire.Reader, j int, _ transport.Addr) error {
+			out[order[j]] = KeyInfoResult{Present: r.Bool(), DF: int64(r.Uvarint()), Truncated: r.Bool()}
 			return r.Err()
 		},
 	})
 	return out, err
 }
 
-// KeyedOp describes a keyed operation — MultiAppend, or one of a sibling
-// service's such as the ranking layer's statistics — to the batch
-// engine. Its request body is (mode, n, n×item), mode being MsgRead's
-// owner/any byte, and its answer (n, n×value); the receiver checks the
-// mode with AdmitKeyed before it applies anything. Encode writes item i,
-// Decode reads item i's value.
+// KeyedOp describes a sibling service's keyed operation — such as the
+// ranking layer's statistics — to the batch engine. Its request body is
+// (mode, n, n×item), mode being MsgRead's owner/any byte, and its answer
+// (n, n×value); the receiver checks the mode with AdmitKeyed before it
+// applies anything. Encode writes item i, Decode reads item i's value.
 //
 // A Write goes in owner mode on both rounds of the recovery ladder, is
 // redriven only when the failure proves the frame never ran, and each
@@ -332,7 +445,7 @@ type KeyedOp struct {
 // ladder and write-through. Groups decode concurrently, so Decode must
 // write only to item i's own slot.
 func (ix *Index) RunKeyed(ctx context.Context, keys []string, op KeyedOp) error {
-	return ix.runBatch(ctx, keys, batchOp{msg: op.Msg, moded: true, write: op.Write, idempotent: !op.Write, encode: op.Encode,
+	return ix.runBatch(ctx, keys, batchOp{msg: op.Msg, moded: true, write: op.Write, idempotent: !op.Write, encode: eachItem(op.Encode),
 		decode: func(r *wire.Reader, i int, _ transport.Addr) error { return op.Decode(r, i) }})
 }
 
@@ -361,8 +474,11 @@ type batchOp struct {
 	idempotent bool
 	// write marks a keyed write: each applied frame is replayed, in any
 	// mode, on the serving peer's replicas (write-through).
-	write  bool
-	encode func(w *wire.Writer, i int)
+	write bool
+	// encode writes the frame body after the mode byte for items
+	// (indices into keys), in that order: (n, n×item), MultiAppend's led
+	// by its peer table.
+	encode func(w *wire.Writer, items []int)
 	// decode reads item i's answer from the copy at from.
 	decode func(r *wire.Reader, i int, from transport.Addr) error
 
@@ -509,6 +625,9 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error 
 	if len(redrive) == 0 {
 		return nil
 	}
+	// In index order, so a redriven frame of an op whose keys are sorted
+	// (MultiAppend, MultiKeyInfo) carries them sorted too.
+	slices.Sort(redrive)
 	if err := ix.redrive(ctx, keys, redrive, op); err != nil {
 		if cause != nil {
 			return fmt.Errorf("globalindex: batch redrive after %v: %w", cause, err)
@@ -585,10 +704,7 @@ func (ix *Index) sendGroup(ctx context.Context, peer dht.Remote, keys []string, 
 		if op.moded {
 			w.Byte(op.mode)
 		}
-		w.Uvarint(uint64(len(items)))
-		for _, i := range items {
-			op.encode(w, i)
-		}
+		op.encode(w, items)
 		return w.Bytes()
 	}
 	body := encode(items)
@@ -631,6 +747,17 @@ func (ix *Index) sendGroup(ctx context.Context, peer dht.Remote, keys []string, 
 		ix.replicate(ctx, peer, op.msg, body)
 	}
 	return served, nil
+}
+
+// eachItem adapts an item encoder to the (n, n×item) frame body of the
+// ops whose items are encoded independently.
+func eachItem(enc func(w *wire.Writer, i int)) func(w *wire.Writer, items []int) {
+	return func(w *wire.Writer, items []int) {
+		w.Uvarint(uint64(len(items)))
+		for _, i := range items {
+			enc(w, i)
+		}
+	}
 }
 
 // retryProvablySafe reports whether err guarantees the batch frame was

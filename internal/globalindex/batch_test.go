@@ -5,11 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dht"
 	"repro/internal/postings"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -66,6 +69,52 @@ func TestMultiAppendMatchesSequential(t *testing.T) {
 				t.Fatalf("peer %d key %q: seq (%d,%v) batch (%d,%v)",
 					i, k, sl.Len(), sl.Truncated, bl.Len(), bl.Truncated)
 			}
+		}
+	}
+}
+
+// TestPublishFramesAnswerInCallerOrder: the publish frames carry their
+// items in key order and answer in the caller's. The items come in
+// reverse key order, each key with a list length and a DF of its own,
+// and one key twice — stable order applies its two appends as given.
+func TestPublishFramesAnswerInCallerOrder(t *testing.T) {
+	_, idxs, _ := ring(t, 6)
+	var items []AppendItem
+	var infos []KeyInfoItem
+	var want []int
+	for i := 20; i > 0; i-- {
+		l := &postings.List{}
+		for d := 0; d < i; d++ {
+			l.Add(post("src", uint32(d), float64(d+1)))
+		}
+		l.Normalize()
+		terms := []string{fmt.Sprintf("order%02d", i)}
+		items = append(items, AppendItem{Terms: terms, List: l, Bound: 100, AnnouncedDF: 10 * i})
+		infos = append(infos, KeyInfoItem{Terms: terms})
+		want = append(want, i)
+	}
+	again := &postings.List{Entries: []postings.Posting{post("src", 100, 1), post("src", 101, 1)}}
+	items = append(items, AppendItem{Terms: []string{"order05"}, List: again, Bound: 100, AnnouncedDF: 2})
+	want = append(want, 7)
+	ns, err := idxs[0].MultiAppend(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ns, want) {
+		t.Fatalf("stored lengths %v, want %v", ns, want)
+	}
+	res, err := idxs[0].MultiKeyInfo(context.Background(), infos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, r := range res {
+		i := 20 - j
+		wantDF := int64(10 * i)
+		if i == 5 {
+			wantDF += 2
+		}
+		if !r.Present || r.DF != wantDF {
+			t.Errorf("order%02d: present %v, DF %d; want DF %d", i, r.Present, r.DF, wantDF)
 		}
 	}
 }
@@ -173,18 +222,18 @@ func TestMultiAppendWireRoundTripBounds(t *testing.T) {
 		{"beta", 0, 4},        // bound 0 = hard cap only
 		{"gamma", 1 << 30, 2}, // bound above HardCap clamps to HardCap
 	}
-	w := wire.NewWriter(256)
-	w.Byte(readOwner)
-	w.Uvarint(uint64(len(items)))
+	var keys []string
+	var appends []AppendItem
 	for _, it := range items {
 		l := &postings.List{}
 		for j := 0; j < it.n; j++ {
 			l.Add(post("p", uint32(j), float64(it.n-j)))
 		}
 		l.Normalize()
-		writeAppendItem(w, it.key, AppendItem{List: l, Bound: it.bound})
+		keys = append(keys, it.key)
+		appends = append(appends, AppendItem{List: l, Bound: it.bound})
 	}
-	msg, resp, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, w.Bytes())
+	msg, resp, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, appendFrame(readOwner, keys, appends))
 	if err != nil || msg != MsgMultiAppend {
 		t.Fatalf("handler: %v (msg 0x%02x)", err, msg)
 	}
@@ -213,11 +262,8 @@ func TestMultiAppendWireRoundTripBounds(t *testing.T) {
 func TestMultiAppendWireRoundTripAnnouncedDF(t *testing.T) {
 	ix := selfIndex(t)
 	l := &postings.List{Entries: []postings.Posting{post("p", 1, 2), post("p", 2, 1)}}
-	w := wire.NewWriter(128)
-	w.Byte(readOwner)
-	w.Uvarint(1)
-	writeAppendItem(w, "df-key", AppendItem{List: l, Bound: 10, AnnouncedDF: 50})
-	_, resp, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, w.Bytes())
+	body := appendFrame(readOwner, []string{"df-key"}, []AppendItem{{List: l, Bound: 10, AnnouncedDF: 50}})
+	_, resp, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,21 +360,42 @@ func TestReadWireRoundTrip(t *testing.T) {
 	}
 }
 
+// rawAppendItem hand-writes one MultiAppend item whose key is the
+// previous key's first shared bytes then suffix, and whose one-posting
+// list names its peer by index into the frame's peer table.
+func rawAppendItem(w *wire.Writer, shared uint64, suffix string, peer uint64) {
+	w.Uvarint(shared)
+	w.String(suffix)
+	w.Uvarint(10)  // bound
+	w.Uvarint(1)   // announced DF
+	w.Byte(1 << 2) // list flags: peers by index
+	w.Uvarint(1)   // groups
+	w.Uvarint(peer)
+	w.Uvarint(1) // count
+	w.Uvarint(1) // document gap
+	w.Float64(1)
+}
+
 func TestMultiHandlersRejectMalformed(t *testing.T) {
 	ix := selfIndex(t)
+	longKey := strings.Repeat("k", 1<<12)
 	l := &postings.List{Entries: []postings.Posting{post("p", 1, 1)}}
-	good := wire.NewWriter(64)
-	good.Uvarint(1)
-	writeAppendItem(good, "k", AppendItem{List: l, Bound: 10})
+	good := appendFrame(readOwner, []string{"k"}, []AppendItem{{List: l, Bound: 10}})[1:]
 
 	cases := map[string][]byte{
-		"empty-truncated":   good.Bytes()[:1],
+		"empty-truncated":   good[:1],
 		"hostile count":     func() []byte { w := wire.NewWriter(8); w.Uvarint(uint64(MaxBatchItems) + 1); return w.Bytes() }(),
 		"overflow count":    func() []byte { w := wire.NewWriter(16); w.Uvarint(1 << 63); return w.Bytes() }(), // would wrap negative through int()
 		"count beyond body": func() []byte { w := wire.NewWriter(8); w.Uvarint(3); w.String("k"); return w.Bytes() }(),
 		"garbage":           {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 	}
 	for name, body := range cases {
+		// MultiAppend reads its item count after the peer table: an
+		// empty table brings each body to the count, and the bare body
+		// breaks the table itself.
+		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, append([]byte{readOwner, 0}, body...)); err == nil {
+			t.Errorf("MultiAppend accepted %s body after an empty peer table", name)
+		}
 		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, append([]byte{readOwner}, body...)); err == nil {
 			t.Errorf("MultiAppend accepted %s body", name)
 		}
@@ -341,18 +408,243 @@ func TestMultiHandlersRejectMalformed(t *testing.T) {
 		t.Errorf("unknown read mode: got %v, want ErrCorrupt", err)
 	}
 	// A malformed later item must not leave earlier items applied.
-	w := wire.NewWriter(128)
-	w.Byte(readOwner)
-	w.Uvarint(2)
-	writeAppendItem(w, "first", AppendItem{List: l, Bound: 10})
-	w.String("second")
-	// second item is cut off after the key
-	if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, w.Bytes()); err == nil {
+	two := appendFrame(readOwner, []string{"first", "second"}, []AppendItem{{List: l, Bound: 10}, {List: l, Bound: 10}})
+	if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, two[:len(two)-1]); err == nil {
 		t.Fatal("truncated second item accepted")
 	}
 	if _, ok := ix.Store().Peek("first"); ok {
 		t.Fatal("partial batch applied before rejection")
 	}
+
+	// The frame-scoped parts of a MultiAppend frame: its peer table and
+	// its front-coded keys.
+	appendCases := map[string]func(w *wire.Writer){
+		"peer table above the batch bound": func(w *wire.Writer) {
+			w.Uvarint(MaxBatchItems + 1)
+			for i := 0; i <= MaxBatchItems; i++ {
+				w.String("")
+			}
+			w.Uvarint(0)
+		},
+		"peer index at the table size": func(w *wire.Writer) {
+			w.Uvarint(1)
+			w.String("p")
+			w.Uvarint(1)
+			rawAppendItem(w, 0, "k", 1)
+		},
+		"peer index with no table entries": func(w *wire.Writer) {
+			w.Uvarint(0)
+			w.Uvarint(1)
+			rawAppendItem(w, 0, "k", 0)
+		},
+		"shared prefix beyond the previous key": func(w *wire.Writer) {
+			w.Uvarint(1)
+			w.String("p")
+			w.Uvarint(2)
+			rawAppendItem(w, 0, "k", 0)
+			rawAppendItem(w, 2, "x", 0)
+		},
+		"shared prefix on the first key": func(w *wire.Writer) {
+			w.Uvarint(1)
+			w.String("p")
+			w.Uvarint(1)
+			rawAppendItem(w, 1, "k", 0)
+		},
+		// A few bytes per item would otherwise rebuild the whole long
+		// key each time.
+		"shared prefix beyond maxSharedPrefix": func(w *wire.Writer) {
+			w.Uvarint(1)
+			w.String("p")
+			w.Uvarint(MaxBatchItems)
+			rawAppendItem(w, 0, longKey, 0)
+			for i := 1; i < MaxBatchItems; i++ {
+				rawAppendItem(w, uint64(len(longKey)), "x", 0)
+			}
+		},
+	}
+	for name, build := range appendCases {
+		w := wire.NewWriter(64)
+		w.Byte(readAny)
+		build(w)
+		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, w.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("MultiAppend %s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+	if keys := ix.Store().Keys(); len(keys) != 0 {
+		t.Fatalf("rejected frames applied %d keys", len(keys))
+	}
+	// MultiKeyInfo reads its keys through the same coder.
+	infoCases := map[string]func(w *wire.Writer){
+		"shared prefix beyond the previous key": func(w *wire.Writer) {
+			w.Uvarint(2)
+			w.Uvarint(0)
+			w.String("k")
+			w.Uvarint(2)
+			w.String("x")
+		},
+		"shared prefix beyond maxSharedPrefix": func(w *wire.Writer) {
+			w.Uvarint(MaxBatchItems)
+			w.Uvarint(0)
+			w.String(longKey)
+			for i := 1; i < MaxBatchItems; i++ {
+				w.Uvarint(uint64(len(longKey)))
+				w.String("x")
+			}
+		},
+	}
+	for name, build := range infoCases {
+		w := wire.NewWriter(64)
+		build(w)
+		if _, _, err := ix.handleMultiKeyInfo(context.Background(), "tester", MsgMultiKeyInfo, w.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("MultiKeyInfo %s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+	// The same frame with the index in range is accepted: the cases above
+	// fail on the one field each breaks.
+	w := wire.NewWriter(64)
+	w.Byte(readAny)
+	w.Uvarint(1)
+	w.String("p")
+	w.Uvarint(2)
+	rawAppendItem(w, 0, "k", 0)
+	rawAppendItem(w, 1, "x", 0)
+	if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, w.Bytes()); err != nil {
+		t.Fatalf("well-formed hand-built frame: %v", err)
+	}
+	if got := ix.Store().Keys(); !reflect.DeepEqual(got, []string{"k", "kx"}) {
+		t.Fatalf("stored keys %v, want [k kx]", got)
+	}
+}
+
+// TestKeyCoderRejectsOverlongKey pins the last of the key coder's
+// bounds: a key rebuilt from a shared prefix and a suffix may not exceed
+// the longest string the wire carries, though each part alone does not.
+func TestKeyCoderRejectsOverlongKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("holds a 64 MiB key")
+	}
+	kc := keyCoder{prev: strings.Repeat("k", maxSharedPrefix)}
+	w := wire.NewWriter(wire.MaxStringLen + 16)
+	w.Uvarint(maxSharedPrefix)
+	w.String(strings.Repeat("x", wire.MaxStringLen-maxSharedPrefix+1))
+	if _, err := kc.read(wire.NewReader(w.Bytes())); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("rebuilt key of MaxStringLen+1 bytes: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestKeyCoderCapsSharedPrefix checks that keys sharing more than
+// maxSharedPrefix bytes still round-trip: the writer takes only that
+// much of the previous key and spells out the rest.
+func TestKeyCoderCapsSharedPrefix(t *testing.T) {
+	stem := strings.Repeat("s", maxSharedPrefix+100)
+	keys := []string{stem + "a", stem + "b", stem + "b", "t"}
+	w := wire.NewWriter(1024)
+	writeKeys(w, keys, []int{0, 1, 2, 3})
+	r := wire.NewReader(w.Bytes())
+	got, err := readKeys(r)
+	if err != nil || !reflect.DeepEqual(got, keys) || r.Remaining() != 0 {
+		t.Fatalf("round trip: %d keys, err %v, %d bytes left", len(got), err, r.Remaining())
+	}
+	// Past the count and the first key, spelled in full, the second
+	// key's shared length.
+	r = wire.NewReader(w.Bytes())
+	r.Uvarint()
+	r.Uvarint()
+	_ = r.String()
+	if shared := r.Uvarint(); shared != maxSharedPrefix {
+		t.Fatalf("second key shares %d bytes, want %d", shared, maxSharedPrefix)
+	}
+}
+
+// FuzzAppendFrame drives the MultiAppend handler and the frame decoder
+// with arbitrary bytes: neither may panic, the handler accepts exactly
+// the frames that decode under a known mode, and whatever decodes
+// re-encodes through the frame's one encoder to a frame that decodes to
+// the same items.
+func FuzzAppendFrame(f *testing.F) {
+	lists := []*postings.List{
+		{Entries: []postings.Posting{post("10.0.0.7:7001", 3, 2.5), post("10.0.0.7:7001", 9, 1)}},
+		{Entries: []postings.Posting{post("10.0.0.7:7001", 4, 1), post("10.0.0.8:7001", 1, 0.5)}, Truncated: true},
+		{},
+	}
+	f.Add(appendFrame(readOwner, []string{"alpha", "alpha beta", "gamma"},
+		[]AppendItem{{List: lists[0], Bound: 10, AnnouncedDF: 2}, {List: lists[1], Bound: 1}, {List: lists[2]}}))
+	f.Add(appendFrame(readAny, []string{"k", "k"}, []AppendItem{{List: lists[1], Bound: 5}, {List: lists[0], Bound: 5}}))
+	f.Add(appendBody(readAny))
+	f.Add(appendBody(readSoft, "mode"))
+	for _, build := range []func(w *wire.Writer){
+		func(w *wire.Writer) { w.Uvarint(MaxBatchItems + 1) },
+		func(w *wire.Writer) { w.Uvarint(1); w.String("p"); w.Uvarint(1); rawAppendItem(w, 0, "k", 1) },
+		func(w *wire.Writer) {
+			w.Uvarint(1)
+			w.String("p")
+			w.Uvarint(2)
+			rawAppendItem(w, 0, "k", 0)
+			rawAppendItem(w, 2, "x", 0)
+		},
+		func(w *wire.Writer) {
+			w.Uvarint(1)
+			w.String("p")
+			w.Uvarint(2)
+			rawAppendItem(w, 0, strings.Repeat("k", maxSharedPrefix+1), 0)
+			rawAppendItem(w, maxSharedPrefix+1, "x", 0)
+		},
+	} {
+		w := wire.NewWriter(64)
+		w.Byte(readOwner)
+		build(w)
+		f.Add(w.Bytes())
+	}
+	f.Add([]byte{readAny, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+
+	net := transport.NewMem()
+	d := transport.NewDispatcher()
+	node := dht.NewNode(42, net.Endpoint("fuzz", d.Serve), d, dht.Options{})
+	dht.BuildOracleTables([]*dht.Node{node})
+	ix := New(node, d)
+	store := ix.Store().(*Memory)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		store.RestoreState(nil)
+		_, resp, err := ix.handleMultiAppend(context.Background(), "fuzzer", MsgMultiAppend, data)
+		var keys []string
+		var items []AppendItem
+		derr := wire.ErrCorrupt
+		if len(data) > 0 {
+			keys, items, derr = readAppendFrame(wire.NewReader(data[1:]))
+		}
+		known := len(data) > 0 && (data[0] == readOwner || data[0] == readAny)
+		if (err == nil) != (derr == nil && known) {
+			t.Fatalf("handler error %v, decoder error %v, mode known %v", err, derr, known)
+		}
+		if err == nil {
+			if n := wire.NewReader(resp).Uvarint(); n != uint64(len(items)) {
+				t.Fatalf("handler served %d of %d items", n, len(items))
+			}
+		}
+		if derr != nil {
+			return
+		}
+		idx := make([]int, len(items))
+		for i := range idx {
+			idx[i] = i
+		}
+		w := wire.NewWriter(len(data))
+		writeAppendFrame(w, keys, items, idx)
+		keys2, items2, err := readAppendFrame(wire.NewReader(w.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decoding own encoding failed: %v", err)
+		}
+		if !slices.Equal(keys2, keys) {
+			t.Fatalf("keys %q re-decode as %q", keys, keys2)
+		}
+		for i, it := range items {
+			it2 := items2[i]
+			if it2.Bound != it.Bound || it2.AnnouncedDF != it.AnnouncedDF || !bytes.Equal(it2.List.EncodeBytes(), it.List.EncodeBytes()) {
+				t.Fatalf("item %d re-decodes differently", i)
+			}
+		}
+	})
 }
 
 func TestChunkGroupsSplitsOversized(t *testing.T) {

@@ -1,10 +1,11 @@
 package globalindex
 
 import (
+	"bytes"
 	"context"
-
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dht"
@@ -259,5 +260,122 @@ func TestGetBandwidthBoundedByCap(t *testing.T) {
 
 	if capped*10 > full {
 		t.Fatalf("capped transfer %d should be far below full %d", capped, full)
+	}
+}
+
+// TestMemoryAppendMatchesUnion checks the store's one-pass merge against
+// the definition it replaces: Append is Union with the stored list then
+// Truncate to the bound (0 and above HardCap meaning HardCap), and
+// AdoptReplica the same at HardCap, with the approximate-DF truncation
+// mark on top. Few score values make equal scores common, a small
+// document space repeats refs within one incoming list and across the
+// stored one, and some incoming lists carry a truncation mark.
+func TestMemoryAppendMatchesUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	peers := []string{"a:1", "b:2", "c:3"}
+	scores := []float64{0.5, 1, 2, 3.25}
+	incoming := func() *postings.List {
+		l := &postings.List{Truncated: rng.Intn(6) == 0}
+		for n := rng.Intn(9); n > 0; n-- {
+			l.Add(post(peers[rng.Intn(len(peers))], uint32(rng.Intn(10)), scores[rng.Intn(len(scores))]))
+		}
+		return l
+	}
+	for _, bound := range []int{0, 1, 3, 8, HardCap, HardCap + 1} {
+		s := NewStore()
+		model := make(map[string]*postings.List)
+		modelDF := make(map[string]int64)
+		for step := 0; step < 600; step++ {
+			key := fmt.Sprintf("k%d", rng.Intn(4))
+			in := incoming()
+			sent := in.EncodeBytes()
+			cur := model[key]
+			if cur == nil {
+				cur = &postings.List{}
+			}
+			want := postings.Union(cur, in)
+			var n int
+			if rng.Intn(4) == 0 {
+				df := int64(rng.Intn(24))
+				want.Truncate(HardCap)
+				modelDF[key] = max(modelDF[key], df)
+				n = s.AdoptReplica(key, in, df)
+			} else {
+				df := rng.Intn(12)
+				cut := bound
+				if cut <= 0 || cut > HardCap {
+					cut = HardCap
+				}
+				want.Truncate(cut)
+				modelDF[key] += int64(max(df, in.Len()))
+				n = s.Append(key, in, bound, df)
+			}
+			if modelDF[key] > int64(want.Len()) {
+				want.Truncated = true
+			}
+			model[key] = want
+			got, _ := s.Peek(key)
+			if n != want.Len() || !reflect.DeepEqual(got.Entries, want.Entries) || got.Truncated != want.Truncated {
+				t.Fatalf("bound %d, step %d, key %s: stored %d %v (truncated %v), want %v (truncated %v)",
+					bound, step, key, n, got.Entries, got.Truncated, want.Entries, want.Truncated)
+			}
+			if !bytes.Equal(in.EncodeBytes(), sent) {
+				t.Fatalf("bound %d, step %d: the store changed the caller's list", bound, step)
+			}
+		}
+	}
+}
+
+// BenchmarkMemoryAppend measures the store's share of a publish: one
+// publisher's few postings merged into a list at its bound that 40 other
+// peers filled.
+func BenchmarkMemoryAppend(b *testing.B) {
+	const keys, bound = 64, 200
+	rng := rand.New(rand.NewSource(1))
+	s := NewStore()
+	names := make([]string, keys)
+	for k := range names {
+		names[k] = fmt.Sprintf("term%02d other%02d", k, k)
+		l := &postings.List{}
+		for i := 0; i < bound; i++ {
+			l.Add(post(fmt.Sprintf("10.0.0.%d:7000", rng.Intn(40)), uint32(rng.Intn(1<<16)), rng.Float64()*20))
+		}
+		s.Append(names[k], l, bound, l.Len())
+	}
+	adds := make([]*postings.List, 256)
+	for i := range adds {
+		l := &postings.List{}
+		for j := 0; j < 3; j++ {
+			l.Add(post("10.0.0.99:7000", uint32(3*i+j), rng.Float64()*20))
+		}
+		l.Normalize()
+		adds[i] = l
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Append(names[i%keys], adds[i%len(adds)], bound, 3)
+	}
+}
+
+// TestRestoreStateNormalizes pins that recovery hands the one-pass merge
+// the stored list it assumes: a snapshot list with a repeated ref and out
+// of canonical order is stored normalized, and the next Append still
+// equals Union + Truncate.
+func TestRestoreStateNormalizes(t *testing.T) {
+	s := NewStore()
+	raw := &postings.List{Entries: []postings.Posting{post("a", 1, 1), post("b", 2, 3), post("a", 1, 2)}}
+	s.RestoreState([]EntryState{{Key: "k", ApproxDF: 3, List: raw}})
+	want := postings.Union(raw)
+	if got, _ := s.Peek("k"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored %v, want %v", got, want)
+	}
+	add := &postings.List{Entries: []postings.Posting{post("a", 1, 2.5), post("c", 3, 2)}}
+	want = postings.Union(want, add)
+	want.Truncate(2)
+	want.Truncated = true // approximate DF 5 exceeds the stored length
+	s.Append("k", add, 2, 2)
+	if got, _ := s.Peek("k"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("append after restore: %v, want %v", got, want)
 	}
 }

@@ -218,7 +218,7 @@ func (ix *Index) handleReplSync(_ context.Context, _ transport.Addr, _ uint8, bo
 	for i := range items {
 		items[i].key = r.String()
 		items[i].df = int64(r.Uvarint())
-		if items[i].list, err = postings.Decode(r); err != nil {
+		if items[i].list, err = postings.Decode(r, nil); err != nil {
 			return 0, nil, err
 		}
 	}
@@ -476,7 +476,7 @@ func (ix *Index) fetchEntries(ctx context.Context, succ dht.Remote, need []strin
 				continue // removed at the successor since the manifest page
 			}
 			df := int64(r.Uvarint())
-			list, err := postings.Decode(r)
+			list, err := postings.Decode(r, nil)
 			if err != nil {
 				return false
 			}

@@ -419,7 +419,7 @@ func (ix *Index) handleSoftAnnounce(_ context.Context, _ transport.Addr, _ uint8
 	key := r.String()
 	ttlSec := r.Uvarint()
 	df := int64(r.Uvarint())
-	list, err := postings.Decode(r)
+	list, err := postings.Decode(r, nil)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -135,11 +135,11 @@ func TestSoftCopyReadModes(t *testing.T) {
 		}
 		out := make([]topKAnswer, len(items))
 		op := batchOp{msg: MsgRead, moded: true, mode: mode,
-			encode: func(w *wire.Writer, i int) {
+			encode: eachItem(func(w *wire.Writer, i int) {
 				w.String(items[i].key)
 				w.Uvarint(items[i].cursor)
 				w.Uvarint(items[i].chunk)
-			},
+			}),
 			decode: func(r *wire.Reader, i int, from transport.Addr) (err error) {
 				out[i], err = readTopKAnswer(r, from)
 				return err

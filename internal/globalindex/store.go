@@ -33,7 +33,10 @@ const HardCap = 1 << 20
 // Nothing survives a restart; see internal/storage for the durable
 // engine that wraps a Memory behind a write-ahead log and snapshots.
 type Memory struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// entries holds each key's list in canonical order without repeated
+	// refs: Put and RestoreState normalize, Append and AdoptReplica merge
+	// (postings.Merge relies on it).
 	entries map[string]*postings.List
 
 	// approxDF approximates each key's global document frequency: the
@@ -99,10 +102,9 @@ func (s *Memory) Append(key string, list *postings.List, bound, announcedDF int)
 	if !ok {
 		cur = &postings.List{}
 	}
-	merged := postings.Union(cur, list)
-	// Union marks the result truncated if either input was; appending to
+	// Merge marks the result truncated if either input was; appending to
 	// a previously truncated list keeps that mark.
-	merged.Truncate(bound)
+	merged := postings.Merge(cur, list, bound)
 	s.approxDF[key] += int64(announcedDF)
 	if s.approxDF[key] > int64(merged.Len()) {
 		merged.Truncated = true
@@ -257,8 +259,7 @@ func (s *Memory) AdoptReplica(key string, list *postings.List, approxDF int64) i
 	if !ok {
 		cur = &postings.List{}
 	}
-	merged := postings.Union(cur, list)
-	merged.Truncate(HardCap)
+	merged := postings.Merge(cur, list, HardCap)
 	if approxDF > s.approxDF[key] {
 		s.approxDF[key] = approxDF
 	}
@@ -347,14 +348,19 @@ func (s *Memory) ExportState() []EntryState {
 
 // RestoreState replaces the engine's state wholesale with a snapshot
 // produced by ExportState — the durable engine's recovery path. Incoming
-// lists are deep-copied, so the caller may keep its buffers.
+// lists are deep-copied, so the caller may keep its buffers, and
+// normalized: Append and AdoptReplica merge into a stored list on the
+// condition that it is canonical without repeated refs, and a snapshot
+// is read from disk.
 func (s *Memory) RestoreState(entries []EntryState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries = make(map[string]*postings.List, len(entries))
 	s.approxDF = make(map[string]int64, len(entries))
 	for _, e := range entries {
-		s.entries[e.Key] = e.List.Clone()
+		l := e.List.Clone()
+		l.Normalize()
+		s.entries[e.Key] = l
 		s.approxDF[e.Key] = e.ApproxDF
 	}
 }

@@ -221,7 +221,7 @@ func readTopKAnswer(r *wire.Reader, from transport.Addr) (topKAnswer, error) {
 	if a.cursor < a.total {
 		a.bound = r.Float64()
 	}
-	chunk, err := postings.Decode(r)
+	chunk, err := postings.Decode(r, nil)
 	if err != nil {
 		return a, err
 	}
@@ -391,7 +391,7 @@ func (s *TopKSession) readOp(sts []*topkKeyState, chunkOf func(i int) int, lost 
 	return batchOp{
 		msg:   MsgRead,
 		moded: true,
-		encode: func(w *wire.Writer, i int) {
+		encode: eachItem(func(w *wire.Writer, i int) {
 			cursor := 0
 			if lost != nil {
 				s.mu.Lock()
@@ -401,7 +401,7 @@ func (s *TopKSession) readOp(sts []*topkKeyState, chunkOf func(i int) int, lost 
 			w.String(sts[i].key)
 			w.Uvarint(uint64(cursor))
 			w.Uvarint(uint64(chunkOf(i)))
-		},
+		}),
 		decode: func(r *wire.Reader, i int, from transport.Addr) error {
 			a, err := readTopKAnswer(r, from)
 			if err != nil {

@@ -1,12 +1,17 @@
 package globalindex
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dht"
 	"repro/internal/ids"
 	"repro/internal/postings"
 	"repro/internal/transport"
@@ -22,16 +27,27 @@ func receivedFrames(net *transport.Mem, addr transport.Addr) map[uint8]int64 {
 	return out
 }
 
-// appendBody hand-encodes a MultiAppend frame in the given mode, one
-// single-posting item per key.
-func appendBody(mode uint8, keys ...string) []byte {
+// appendFrame encodes a MultiAppend frame in the given mode through the
+// frame's one encoder, items in the order given.
+func appendFrame(mode uint8, keys []string, items []AppendItem) []byte {
+	idx := make([]int, len(keys))
+	for i := range idx {
+		idx[i] = i
+	}
 	w := wire.NewWriter(64 * len(keys))
 	w.Byte(mode)
-	w.Uvarint(uint64(len(keys)))
-	for i, key := range keys {
-		writeAppendItem(w, key, AppendItem{List: &postings.List{Entries: []postings.Posting{post("m", uint32(i), 1)}}, Bound: 10})
-	}
+	writeAppendFrame(w, keys, items, idx)
 	return w.Bytes()
+}
+
+// appendBody encodes a MultiAppend frame in the given mode, one
+// single-posting item per key.
+func appendBody(mode uint8, keys ...string) []byte {
+	items := make([]AppendItem, len(keys))
+	for i := range keys {
+		items[i] = AppendItem{List: &postings.List{Entries: []postings.Posting{post("m", uint32(i), 1)}}, Bound: 10}
+	}
+	return appendFrame(mode, keys, items)
 }
 
 // TestWriteThroughIsOneAnyModeAppendPerReplica pins the write-through
@@ -218,5 +234,138 @@ func TestWriteThroughReplayIgnoresBatchQuota(t *testing.T) {
 		if _, ok := idxs[serverIdx].Store().Peek(k); !ok {
 			t.Fatalf("replayed key %q not applied", k)
 		}
+	}
+}
+
+// owned counts the keys of pool that n owns.
+func owned(n *dht.Node, pool [][]string) int {
+	c := 0
+	for _, terms := range pool {
+		if n.Responsible(ids.HashKey(terms)) {
+			c++
+		}
+	}
+	return c
+}
+
+// TestMultiAppendFrameNamesPeerAndPrefixOnce measures the publish frame
+// on a metered 8-node ring at R=3. The fixture is shaped like the frames
+// of the benchmark's publish workloads: one publisher at a loopback TCP
+// address, HDK keys of one to three stemmed terms, a short list of the
+// publisher's documents per key, and an owner's frame carrying its
+// eighth of a larger publish — here the 64 keys one node owns out of the
+// terms, pairs and triples of a few documents. The frame costs at most
+// 0.65× the bytes its items take with every key and every list's peer
+// spelled out — Σ(key, bound, announced DF, EncodedSize) — and each
+// replica receives the primary's frame unchanged but for the mode byte.
+func TestMultiAppendFrameNamesPeerAndPrefixOnce(t *testing.T) {
+	const R = 3
+	net := transport.NewMem()
+	rng := rand.New(rand.NewSource(14))
+	type frame struct {
+		to   transport.Addr
+		body []byte
+	}
+	var mu sync.Mutex
+	var frames []frame
+	nodes := make([]*dht.Node, 8)
+	idxs := make([]*Index, len(nodes))
+	for i := range nodes {
+		d := transport.NewDispatcher()
+		addr := transport.Addr(fmt.Sprintf("r%d", i))
+		ep := net.Endpoint(string(addr), func(ctx context.Context, from transport.Addr, msg uint8, body []byte) (uint8, []byte, error) {
+			if msg == MsgMultiAppend {
+				mu.Lock()
+				frames = append(frames, frame{addr, bytes.Clone(body)})
+				mu.Unlock()
+			}
+			return d.Serve(ctx, from, msg, body)
+		})
+		nodes[i] = dht.NewNode(ids.ID(rng.Uint64()), ep, d, dht.Options{})
+		idxs[i] = New(nodes[i], d)
+		idxs[i].EnableReplication(context.Background(), R)
+	}
+	dht.BuildOracleTables(nodes)
+
+	const publisher = "127.0.0.1:40001"
+	terms := []string{"bandwidth", "distribut", "document", "frequenc", "index", "keyword", "lattice", "network",
+		"overlai", "peer", "posting", "queri", "rank", "relev", "retriev", "scalabl"}
+	var pool [][]string
+	for i := range terms {
+		pool = append(pool, terms[i:i+1])
+		for j := i + 1; j < len(terms); j++ {
+			pool = append(pool, []string{terms[i], terms[j]})
+			for k := j + 1; k < len(terms); k++ {
+				pool = append(pool, []string{terms[i], terms[j], terms[k]})
+			}
+		}
+	}
+	owner := nodes[0]
+	for _, n := range nodes {
+		if owned(n, pool) > owned(owner, pool) {
+			owner = n
+		}
+	}
+	var items []AppendItem
+	for _, c := range pool {
+		if len(items) == 64 {
+			break
+		}
+		if !owner.Responsible(ids.HashKey(c)) {
+			continue
+		}
+		l := &postings.List{}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			l.Add(post(publisher, uint32(rng.Intn(400)), rng.Float64()*10))
+		}
+		l.Normalize()
+		items = append(items, AppendItem{Terms: c, List: l, Bound: 100, AnnouncedDF: l.Len()})
+	}
+	if len(items) != 64 {
+		t.Fatalf("the owner holds %d keys of the pool, want 64", len(items))
+	}
+	inline := 0
+	for _, it := range items {
+		w := wire.NewWriter(64)
+		w.String(ids.KeyString(it.Terms))
+		w.Uvarint(uint64(it.Bound))
+		w.Uvarint(uint64(it.AnnouncedDF))
+		inline += w.Len() + it.List.EncodedSize()
+	}
+
+	if _, err := idxs[0].MultiAppend(context.Background(), items); err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	replays := make(map[string][]transport.Addr)
+	for _, f := range frames {
+		if f.body[0] == readAny {
+			replays[string(f.body[1:])] = append(replays[string(f.body[1:])], f.to)
+		}
+	}
+	primaries := 0
+	for _, f := range frames {
+		if f.body[0] != readOwner {
+			continue
+		}
+		primaries++
+		sent += len(f.body)
+		primary, _ := findNode(t, nodes, idxs, f.to)
+		var want []transport.Addr
+		for _, s := range ringSuccessors(nodes, primary, R) {
+			want = append(want, s.Self().Addr)
+		}
+		got := replays[string(f.body[1:])]
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("frame to %s replayed unchanged at %v, want its replicas %v", f.to, got, want)
+		}
+	}
+	if primaries != 1 || len(frames) != R {
+		t.Fatalf("%d frames, %d of them to the owner; want one owner frame and %d replays", len(frames), primaries, R-1)
+	}
+	if ratio := float64(sent) / float64(inline); ratio > 0.65 {
+		t.Fatalf("the owner frame takes %d B, %.3f× the %d B of the inline items; want at most 0.65×", sent, ratio, inline)
 	}
 }

@@ -1,6 +1,8 @@
 package postings
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -250,5 +252,92 @@ func TestLegacyEncodingUnchanged(t *testing.T) {
 	w.Float64(0.5)
 	if !reflect.DeepEqual(got, append([]byte(nil), w.Bytes()...)) {
 		t.Fatalf("legacy frame drifted:\n got % x\nwant % x", got, w.Bytes())
+	}
+}
+
+// gapFrame is an exact one-group list frame carrying the document gaps
+// as given, its peer inline or, with peers, by index 0.
+func gapFrame(peers *PeerTable, gaps ...uint64) []byte {
+	w := wire.NewWriter(64)
+	if peers == nil {
+		w.Byte(0)
+		w.Uvarint(1)
+		w.String("p:1")
+	} else {
+		w.Byte(flagPeerIndex)
+		w.Uvarint(1)
+		w.Uvarint(0)
+	}
+	w.Uvarint(uint64(len(gaps)))
+	for _, g := range gaps {
+		w.Uvarint(g)
+		w.Float64(1)
+	}
+	return w.Bytes()
+}
+
+// TestDecodeRejectsGapOverflow pins that a document gap carrying the
+// document number past 2^32−1 is corrupt on both peer paths: wrapped,
+// gaps 5 and 2^32 would name p:1/5 twice.
+func TestDecodeRejectsGapOverflow(t *testing.T) {
+	table := NewPeerTable(&List{Entries: []Posting{{Ref: DocRef{Peer: "p:1"}}}})
+	for _, peers := range []*PeerTable{nil, table} {
+		for _, gaps := range [][]uint64{{5, 1 << 32}, {1 << 32}, {math.MaxUint32, 1}, {math.MaxUint64}} {
+			if l, err := Decode(wire.NewReader(gapFrame(peers, gaps...)), peers); !errors.Is(err, wire.ErrCorrupt) {
+				t.Errorf("table %v, gaps %v: got %v, %v; want ErrCorrupt", peers != nil, gaps, l, err)
+			}
+		}
+		l, err := Decode(wire.NewReader(gapFrame(peers, 5, math.MaxUint32-5)), peers)
+		if err != nil || l.Len() != 2 || l.Entries[0].Ref.Doc != 5 || l.Entries[1].Ref.Doc != math.MaxUint32 {
+			t.Errorf("table %v: gaps reaching the last document number: %v, %v", peers != nil, l, err)
+		}
+	}
+}
+
+// TestPeerTableRoundTrip pins the frame-scoped peer table: lists encoded
+// against one table decode to the lists the inline frame carries, the
+// frame spells each address once, and an indexed list decodes only
+// against a table that holds its peers.
+func TestPeerTableRoundTrip(t *testing.T) {
+	lists := []*List{randomList(31, 40), randomList(32, 3), {}, randomList(34, 1)}
+	peers := NewPeerTable(lists...)
+	w := wire.NewWriter(1024)
+	peers.Encode(w)
+	for _, l := range lists {
+		l.EncodeIndexed(w, peers)
+	}
+	frame := w.Bytes()
+	for _, addr := range []string{"peer-a:1", "peer-b:2", "peer-c:3", "peer-d:4"} {
+		if n := bytes.Count(frame, []byte(addr)); n != 1 {
+			t.Errorf("frame spells %s %d times, want once", addr, n)
+		}
+	}
+	r := wire.NewReader(frame)
+	got, err := DecodePeerTable(r, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range lists {
+		d, err := Decode(r, got)
+		if err != nil {
+			t.Fatalf("list %d: %v", i, err)
+		}
+		if !bytes.Equal(d.EncodeBytes(), l.EncodeBytes()) {
+			t.Fatalf("list %d decoded to a different list", i)
+		}
+	}
+	if r.Remaining() != 0 {
+		t.Fatalf("%d trailing bytes", r.Remaining())
+	}
+	if _, err := DecodePeerTable(wire.NewReader(frame), 3); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("table of 4 peers under a bound of 3: got %v, want ErrCorrupt", err)
+	}
+	one := wire.NewWriter(64)
+	lists[3].EncodeIndexed(one, peers)
+	if _, err := DecodeBytes(one.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("indexed list without a table: got %v, want ErrCorrupt", err)
+	}
+	if _, err := Decode(wire.NewReader(one.Bytes()), &PeerTable{}); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("indexed list against an empty table: got %v, want ErrCorrupt", err)
 	}
 }

@@ -37,6 +37,8 @@ func FuzzDecodeBytes(f *testing.F) {
 	chunk := randomList(22, 64)
 	chunk.Truncate(16)
 	f.Add(chunk.EncodeBytesCompressed())
+	// A group whose second gap carries the document number past 2^32−1.
+	f.Add(gapFrame(nil, 5, 1<<32))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := DecodeBytes(data)

@@ -195,6 +195,62 @@ func Union(lists ...*List) *List {
 	return out
 }
 
+// Merge returns Union(stored, add) cut to its top bound entries (bound >=
+// 0), as Truncate would cut it, in one pass over stored. stored must be
+// in canonical order without repeated refs, as every stored list is; add
+// may be any list. A ref in both keeps its higher score. Neither input is
+// modified.
+func Merge(stored, add *List, bound int) *List {
+	in := add.Clone()
+	in.Normalize()
+	// skip lists, ascending, the stored entries an incoming entry
+	// supersedes; in keeps the incoming entries that supersede or are new.
+	var skip []int
+	if len(stored.Entries) > 0 && len(in.Entries) > 0 {
+		pos := make(map[DocRef]int, len(in.Entries))
+		for j, p := range in.Entries {
+			pos[p.Ref] = j
+		}
+		for i, p := range stored.Entries {
+			j, ok := pos[p.Ref]
+			switch {
+			case !ok:
+			case cmp.Compare(in.Entries[j].Score, p.Score) > 0:
+				skip = append(skip, i)
+			default:
+				delete(pos, p.Ref)
+			}
+		}
+		if len(pos) < len(in.Entries) {
+			in.Entries = slices.DeleteFunc(in.Entries, func(p Posting) bool {
+				_, ok := pos[p.Ref]
+				return !ok
+			})
+		}
+	}
+	cur, inc := stored.Entries, in.Entries
+	total := len(cur) - len(skip) + len(inc)
+	out := &List{
+		Entries:   make([]Posting, 0, min(bound, total)),
+		Truncated: stored.Truncated || in.Truncated || total > bound,
+	}
+	for i, j := 0, 0; len(out.Entries) < bound && (i < len(cur) || j < len(inc)); {
+		if len(skip) > 0 && skip[0] == i {
+			skip = skip[1:]
+			i++
+			continue
+		}
+		if j == len(inc) || i < len(cur) && CompareCanonical(cur[i], inc[j]) < 0 {
+			out.Entries = append(out.Entries, cur[i])
+			i++
+		} else {
+			out.Entries = append(out.Entries, inc[j])
+			j++
+		}
+	}
+	return out
+}
+
 // IntersectSum returns the postings whose refs appear in every input
 // list, with scores summed across lists. Because BM25 is additive over
 // query terms, intersecting single-term lists with summed scores
@@ -248,20 +304,24 @@ func Intersect(a, b *List) *List {
 // The list frame — the one encoding of a posting list, on the wire and
 // on disk:
 //
-//	flags byte (bit 0 Truncated, bit 1 quantized scores); groups uvarint;
+//	flags byte (bit 0 Truncated, bit 1 quantized scores, bit 2 peers by
+//	index); groups uvarint;
 //	per peer group, ascending by (peer, document):
-//	  peer string; count uvarint; if quantized: group maximum Float64;
-//	  count × (document gap uvarint, score)
+//	  peer (string, or with bit 2 a uvarint index into the enclosing
+//	  frame's PeerTable); count uvarint; if quantized: group maximum
+//	  Float64; count × (document gap uvarint, score)
 //
 // A score is a Float64, or if quantized a uvarint q in [0, quantScale]
 // standing for q/quantScale × the group maximum. Grouping by peer with
 // delta-gap document numbers compresses the repeated peer addresses that
 // dominate naive encodings; canonical order is restored at decode time.
-// With bit 1 clear the flags byte is the Truncated bool, so the exact
-// frame is the one writes, WAL records and snapshots have always carried.
+// With bits 1 and 2 clear the flags byte is the Truncated bool, so the
+// exact frame is the one writes, WAL records and snapshots have always
+// carried. Bit 2 appears only inside a frame that carries a peer table.
 const (
 	flagTruncated byte = 1 << 0
 	flagQuantized byte = 1 << 1
+	flagPeerIndex byte = 1 << 2
 
 	// Quantized scores keep quantBits of precision relative to the group
 	// maximum, rounded down: a decoded score never exceeds the stored
@@ -272,15 +332,78 @@ const (
 	quantScale = 1 << quantBits
 )
 
+// PeerTable is the peer table of a frame that carries many lists: the
+// frame spells each peer address once, ahead of its lists, and every list
+// encoded against the table names its groups' peers by index (flag bit
+// 2). The sender builds it from the lists it is about to encode
+// (NewPeerTable), the receiver reads it from the frame (DecodePeerTable).
+type PeerTable struct {
+	addrs []transport.Addr
+	index map[transport.Addr]uint64
+}
+
+// NewPeerTable numbers the peers the lists name, in order of first
+// appearance.
+func NewPeerTable(lists ...*List) *PeerTable {
+	t := &PeerTable{index: make(map[transport.Addr]uint64)}
+	var last transport.Addr
+	for _, l := range lists {
+		for _, p := range l.Entries {
+			if len(t.addrs) > 0 && p.Ref.Peer == last {
+				continue
+			}
+			last = p.Ref.Peer
+			if _, ok := t.index[last]; !ok {
+				t.index[last] = uint64(len(t.addrs))
+				t.addrs = append(t.addrs, last)
+			}
+		}
+	}
+	return t
+}
+
+// Encode writes the table: its size, then each address.
+func (t *PeerTable) Encode(w *wire.Writer) {
+	w.Uvarint(uint64(len(t.addrs)))
+	for _, a := range t.addrs {
+		w.String(string(a))
+	}
+}
+
+// DecodePeerTable reads a table written by Encode. A table of more than
+// max peers is corrupt.
+func DecodePeerTable(r *wire.Reader, max int) (*PeerTable, error) {
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	// Every address takes at least its length byte.
+	if n > uint64(max) || n > uint64(r.Remaining()) {
+		return nil, wire.ErrCorrupt
+	}
+	t := &PeerTable{addrs: make([]transport.Addr, n)}
+	for i := range t.addrs {
+		t.addrs[i] = transport.Addr(r.String())
+	}
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	return t, nil
+}
+
 // Encode writes the list's exact frame.
-func (l *List) Encode(w *wire.Writer) { l.encode(w, false) }
+func (l *List) Encode(w *wire.Writer) { l.encode(w, false, nil) }
 
 // EncodeCompressed writes the list's quantized frame: one Float64 group
 // maximum plus one uvarint per entry instead of one Float64 per entry.
 // A list the quantized form cannot carry goes exact (see quantizable).
-func (l *List) EncodeCompressed(w *wire.Writer) { l.encode(w, true) }
+func (l *List) EncodeCompressed(w *wire.Writer) { l.encode(w, true, nil) }
 
-func (l *List) encode(w *wire.Writer, quantize bool) {
+// EncodeIndexed writes the list's exact frame naming its peers by index
+// into peers, which must hold every peer the list names.
+func (l *List) EncodeIndexed(w *wire.Writer, peers *PeerTable) { l.encode(w, false, peers) }
+
+func (l *List) encode(w *wire.Writer, quantize bool, table *PeerTable) {
 	sorted, peers := peerGroups(l.Entries)
 	quantize = quantize && quantizable(sorted)
 	var flags byte
@@ -290,12 +413,21 @@ func (l *List) encode(w *wire.Writer, quantize bool) {
 	if quantize {
 		flags |= flagQuantized
 	}
+	if table != nil {
+		flags |= flagPeerIndex
+	}
 	w.Byte(flags)
 	w.Uvarint(uint64(peers))
 	for rest := sorted; len(rest) > 0; {
 		group := nextGroup(rest)
 		rest = rest[len(group):]
-		w.String(string(group[0].Ref.Peer))
+		if table == nil {
+			w.String(string(group[0].Ref.Peer))
+		} else if i, ok := table.index[group[0].Ref.Peer]; ok {
+			w.Uvarint(i)
+		} else {
+			panic(fmt.Sprintf("postings: peer %q missing from the frame's peer table", group[0].Ref.Peer))
+		}
 		w.Uvarint(uint64(len(group)))
 		max := 0.0
 		if quantize {
@@ -403,21 +535,37 @@ func (l *List) EncodeBytesCompressed() []byte {
 }
 
 // Decode reads one list frame, exact or quantized, and returns the list
-// in canonical order. It reports an error on corrupt input, and on any
+// in canonical order. peers is the enclosing frame's peer table, nil for
+// a list that travels alone; a list naming its peers by index decodes
+// only against a table. It reports an error on corrupt input, and on any
 // earlier failed read of r: a nil error means every read of r succeeded.
-func Decode(r *wire.Reader) (*List, error) {
+func Decode(r *wire.Reader, peers *PeerTable) (*List, error) {
 	flags := r.Byte()
 	groups := r.Uvarint()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if flags&^(flagTruncated|flagQuantized) != 0 || groups > 1<<20 {
+	known := flagTruncated | flagQuantized
+	if peers != nil {
+		known |= flagPeerIndex
+	}
+	if flags&^known != 0 || groups > 1<<20 {
 		return nil, wire.ErrCorrupt
 	}
 	quantized := flags&flagQuantized != 0
+	indexed := flags&flagPeerIndex != 0
 	l := &List{Truncated: flags&flagTruncated != 0}
 	for i := uint64(0); i < groups; i++ {
-		peer := transport.Addr(r.String())
+		var peer transport.Addr
+		if indexed {
+			if j := r.Uvarint(); j < uint64(len(peers.addrs)) {
+				peer = peers.addrs[j]
+			} else if r.Err() == nil {
+				return nil, wire.ErrCorrupt
+			}
+		} else {
+			peer = transport.Addr(r.String())
+		}
 		count := r.Uvarint()
 		max := 0.0
 		if quantized {
@@ -435,7 +583,13 @@ func Decode(r *wire.Reader) (*List, error) {
 		l.Entries = slices.Grow(l.Entries, int(count))
 		doc := uint32(0)
 		for j := uint64(0); j < count; j++ {
-			doc += uint32(r.Uvarint())
+			// A gap past the last document number would wrap around and
+			// could repeat a reference.
+			gap := r.Uvarint()
+			if gap > uint64(math.MaxUint32-doc) {
+				return nil, wire.ErrCorrupt
+			}
+			doc += uint32(gap)
 			score := 0.0
 			if !quantized {
 				score = r.Float64()
@@ -464,5 +618,5 @@ func (l *List) EncodeBytes() []byte {
 // DecodeBytes decodes a buffer produced by EncodeBytes or
 // EncodeBytesCompressed.
 func DecodeBytes(b []byte) (*List, error) {
-	return Decode(wire.NewReader(b))
+	return Decode(wire.NewReader(b), nil)
 }

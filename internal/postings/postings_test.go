@@ -184,7 +184,7 @@ func TestDecodeCorruptInputs(t *testing.T) {
 	// frame: callers take its nil error to mean every read succeeded.
 	r := wire.NewReader(append([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, full...))
 	_ = r.String() // an absurd length prefix
-	if _, err := Decode(r); err == nil {
+	if _, err := Decode(r, nil); err == nil {
 		t.Fatal("Decode after a failed read must report it")
 	}
 }
@@ -247,6 +247,36 @@ func TestUnionIdempotentAndCommutative(t *testing.T) {
 		return reflect.DeepEqual(ab, ba) && reflect.DeepEqual(aa.Entries, a.Entries)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMergeMatchesUnionTruncate checks Merge against its definition at
+// every bound from 0 past the union's length, on its own: the store's
+// DF-based truncation mark would hide a missing cut mark.
+func TestMergeMatchesUnionTruncate(t *testing.T) {
+	f := func(docsA, docsB []uint32, truncA, truncB bool) bool {
+		build := func(docs []uint32, trunc bool) *List {
+			l := &List{Truncated: trunc}
+			for _, d := range docs {
+				l.Add(mk(string(rune('a'+d%3)), d%16, float64(d%5)))
+			}
+			return l
+		}
+		stored, add := build(docsA, truncA), build(docsB, truncB)
+		stored.Normalize()
+		for bound := 0; bound <= len(docsA)+len(docsB)+1; bound++ {
+			want := Union(stored, add)
+			want.Truncate(bound)
+			got := Merge(stored, add, bound)
+			if !slices.Equal(got.Entries, want.Entries) || got.Truncated != want.Truncated {
+				t.Logf("bound %d: got %v (truncated %v), want %v (truncated %v)", bound, got.Entries, got.Truncated, want.Entries, want.Truncated)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

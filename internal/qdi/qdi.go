@@ -150,7 +150,7 @@ func (m *Manager) SetEnabled(enabled bool) { m.enabled.Store(enabled) }
 func (m *Manager) handleActivate(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	r := wire.NewReader(body)
 	key := r.String()
-	list, err := postings.Decode(r)
+	list, err := postings.Decode(r, nil)
 	if err != nil {
 		return 0, nil, err
 	}

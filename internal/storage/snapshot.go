@@ -146,7 +146,7 @@ func (e *Engine) loadSnapshot() (lastSeq uint64, loaded bool, err error) {
 	for i := uint64(0); i < numEntries; i++ {
 		key := r.String()
 		df := int64(r.Uvarint())
-		list, derr := postings.Decode(r)
+		list, derr := postings.Decode(r, nil)
 		if derr != nil || r.Err() != nil {
 			return 0, false, fmt.Errorf("storage: snapshot entry corrupt")
 		}

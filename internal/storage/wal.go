@@ -182,7 +182,7 @@ func (e *Engine) applyRecord(payload []byte, snapSeq uint64) (seq uint64, op byt
 	case opPut:
 		key := r.String()
 		bound := int(r.Uvarint())
-		list, err := postings.Decode(r)
+		list, err := postings.Decode(r, nil)
 		if err != nil || r.Err() != nil {
 			return 0, 0, false
 		}
@@ -193,7 +193,7 @@ func (e *Engine) applyRecord(payload []byte, snapSeq uint64) (seq uint64, op byt
 		key := r.String()
 		bound := int(r.Uvarint())
 		df := int(r.Uvarint())
-		list, err := postings.Decode(r)
+		list, err := postings.Decode(r, nil)
 		if err != nil || r.Err() != nil {
 			return 0, 0, false
 		}
@@ -211,7 +211,7 @@ func (e *Engine) applyRecord(payload []byte, snapSeq uint64) (seq uint64, op byt
 	case opAdopt:
 		key := r.String()
 		df := int64(r.Uvarint())
-		list, err := postings.Decode(r)
+		list, err := postings.Decode(r, nil)
 		if err != nil || r.Err() != nil {
 			return 0, 0, false
 		}
