@@ -94,11 +94,6 @@ func (p *Peer) buildTelemetry() *telemetry.Registry {
 			_, late := p.disp.AdmissionStats()
 			emit(float64(late))
 		})
-	r.RegisterCounter("alvis_admission_item_sheds_total",
-		"batch items shed individually by partial admission control",
-		func(emit func(float64, ...telemetry.Label)) {
-			emit(float64(p.disp.ItemSheds()))
-		})
 
 	store := p.gidx.Store()
 	r.RegisterGauge("alvis_index_keys",

@@ -94,49 +94,40 @@ func (ix *Index) checkResponsible(keys []string) error {
 	return nil
 }
 
-// handleMultiAppend applies a MultiAppend frame. Its leading byte is
-// MsgRead's mode: an owner-mode frame is a client write, served up to the
-// batch quota and only if this node owns every served key; an any-mode
-// frame is a primary's write-through replay, applied whole — the replica
-// owns none of its keys, and the primary, which already answered the
-// client, ignores the replica's count, so a shed suffix would be lost.
-func (ix *Index) handleMultiAppend(ctx context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
+// handleMultiAppend applies a MultiAppend frame whole. Its leading byte
+// is MsgRead's mode: an owner-mode frame is a client write, applied only
+// if this node owns every key; an any-mode frame is a primary's
+// write-through replay, applied whatever it names, since a replica owns
+// none of its keys.
+func (ix *Index) handleMultiAppend(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	r := wire.NewReader(body)
 	mode := r.Byte()
 	keys, items, err := readAppendFrame(r)
 	if err != nil {
 		return 0, nil, err
 	}
-	serve := len(keys)
-	if mode == readOwner {
-		serve = ix.disp.BatchQuota(ctx, MsgMultiAppend, serve)
-	}
-	if err := ix.AdmitKeyed(mode, keys[:serve]); err != nil {
+	if err := ix.AdmitKeyed(mode, keys); err != nil {
 		return 0, nil, err
 	}
-	start := time.Now()
-	w := wire.NewWriter(8 + 4*serve)
-	w.Uvarint(uint64(serve))
-	for i, it := range items[:serve] {
+	w := wire.NewWriter(8 + 4*len(keys))
+	w.Uvarint(uint64(len(keys)))
+	for i, it := range items {
 		w.Uvarint(uint64(ix.store.Append(keys[i], it.List, it.Bound, it.AnnouncedDF)))
 	}
-	ix.disp.ObserveBatch(MsgMultiAppend, time.Since(start), serve)
 	return MsgMultiAppend, w.Bytes(), nil
 }
 
-func (ix *Index) handleMultiKeyInfo(ctx context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
+func (ix *Index) handleMultiKeyInfo(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	keys, err := readKeys(wire.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
-	serve := ix.disp.BatchQuota(ctx, MsgMultiKeyInfo, len(keys))
-	if err := ix.checkResponsible(keys[:serve]); err != nil {
+	if err := ix.checkResponsible(keys); err != nil {
 		return 0, nil, err
 	}
-	start := time.Now()
-	w := wire.NewWriter(16 * serve)
-	w.Uvarint(uint64(serve))
-	for _, key := range keys[:serve] {
+	w := wire.NewWriter(16 * len(keys))
+	w.Uvarint(uint64(len(keys)))
+	for _, key := range keys {
 		df, present := ix.store.ApproxDF(key)
 		truncated := false
 		if present {
@@ -148,7 +139,6 @@ func (ix *Index) handleMultiKeyInfo(ctx context.Context, _ transport.Addr, _ uin
 		w.Uvarint(uint64(df))
 		w.Bool(truncated)
 	}
-	ix.disp.ObserveBatch(MsgMultiKeyInfo, time.Since(start), serve)
 	return MsgMultiKeyInfo, w.Bytes(), nil
 }
 
@@ -515,10 +505,11 @@ func (ix *Index) planReplicaRead(op *batchOp, policy ReadPolicy, hedge time.Dura
 
 // runBatch is the one engine of the keyed operations: resolve all keys
 // through the caching resolver, group per serving peer, one concurrent
-// frame per peer, decode per-item answers in order. The context stops
-// the fan-out from dispatching further frames once it dies, and its
-// error propagates. Whatever the first round leaves unserved climbs one
-// recovery ladder, the same for every operation:
+// frame per peer, decode per-item answers in order. Every frame is all or
+// nothing: it is served whole or fails whole, a shed included. The
+// context stops the fan-out from dispatching further frames once it
+// dies, and its error propagates. The groups whose frames failed climb
+// one recovery ladder, the same for every operation:
 //
 //  1. A group whose frame failed has the resolver's route to its peer
 //     dropped — the replica sets through that peer go with it, since
@@ -530,23 +521,20 @@ func (ix *Index) planReplicaRead(op *batchOp, policy ReadPolicy, hedge time.Dura
 //     or the failure proves the frame never ran (retryProvablySafe). An
 //     interrupted call or a garbled response of a non-idempotent frame
 //     surfaces as the operation's error.
-//  2. The shed suffix of a partially served frame joins the redrive set
-//     unconditionally: items apply in frame order, so the suffix
-//     provably never ran.
-//  3. The redrive set is re-resolved through the resolver — the routes
-//     rule 1 dropped miss and take a fresh ring walk, a shed suffix
-//     keeps its owner — regrouped per owner and resent once. Writes and
-//     frequency probes stay responsibility-checked: an owner that still
-//     rejects them (the ring is in flux) fails the operation rather than
-//     stranding a write.
+//  2. The redrive set is re-resolved through the resolver — the routes
+//     rule 1 dropped miss and take a fresh ring walk, a shedding owner's
+//     route is re-learned — regrouped per owner and resent once. Writes
+//     and frequency probes stay responsibility-checked: an owner that
+//     still rejects them (the ring is in flux) fails the operation
+//     rather than stranding a write.
 //     Moded reads go in readAny mode: the fresh walk is the best route
 //     there is, and a soft-state read answered by a copy that is about
 //     to hand the key over beats a failed query.
-//  4. A moded read with R > 1 whose redriven frame is still unserved —
+//  3. A moded read with R > 1 whose redriven frame provably never ran —
 //     owner dead or shedding — asks the owner's replicas, the R−1 nodes
-//     following it in the resolver's chain (replicaTargets). Whatever is
-//     unserved after that fails the operation with the owner's error
-//     (ErrShed for a suffix shed twice).
+//     following it in the resolver's chain (replicaTargets), until one
+//     serves the group whole. A group no copy serves fails the operation
+//     with the owner's error.
 func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error {
 	if len(keys) == 0 {
 		return nil
@@ -579,14 +567,13 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error 
 		}
 		return false
 	}
-	served := make([]int, len(groups))
 	errs := make([]error, len(groups))
 	stopped := dht.RunBounded(ctx, len(groups), func(gi int) {
 		g, gop := groups[gi], op
 		if retargeted(g) {
 			gop.mode = readAny
 		}
-		served[gi], errs[gi] = ix.sendGroup(ctx, g.peer, keys, g.items, gop)
+		errs[gi] = ix.sendGroup(ctx, g.peer, keys, g.items, gop)
 	})
 	if stopped != nil {
 		return stopped
@@ -596,7 +583,6 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error 
 	for gi, g := range groups {
 		gerr := errs[gi]
 		if gerr == nil {
-			redrive = append(redrive, g.items[served[gi]:]...)
 			continue
 		}
 		if ctx.Err() != nil {
@@ -629,15 +615,12 @@ func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error 
 	// (MultiAppend, MultiKeyInfo) carries them sorted too.
 	slices.Sort(redrive)
 	if err := ix.redrive(ctx, keys, redrive, op); err != nil {
-		if cause != nil {
-			return fmt.Errorf("globalindex: batch redrive after %v: %w", cause, err)
-		}
-		return fmt.Errorf("globalindex: partial-shed redrive: %w", err)
+		return fmt.Errorf("globalindex: batch redrive after %v: %w", cause, err)
 	}
 	return nil
 }
 
-// redrive is rules 3 and 4 of runBatch's ladder over the item subset
+// redrive is rules 2 and 3 of runBatch's ladder over the item subset
 // items (indices into keys).
 func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op batchOp) error {
 	sub := make([]string, len(items))
@@ -661,24 +644,16 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op bat
 		for j, k := range groups[gi].items {
 			rest[j] = items[k]
 		}
-		n, err := ix.sendGroup(ctx, owner, keys, rest, op)
-		rest = rest[n:]
-		if len(rest) > 0 && read && ctx.Err() == nil && (err == nil || retryProvablySafe(err)) {
+		err := ix.sendGroup(ctx, owner, keys, rest, op)
+		if err != nil && read && ctx.Err() == nil && retryProvablySafe(err) {
 			for _, replica := range ix.replicaTargets(ctx, owner) {
-				if n, rerr := ix.sendGroup(ctx, replica, keys, rest, op); rerr == nil {
-					rest = rest[n:]
-				}
-				if len(rest) == 0 {
+				if ix.sendGroup(ctx, replica, keys, rest, op) == nil {
+					err = nil
 					break
 				}
 			}
 		}
-		if len(rest) > 0 {
-			if err == nil {
-				err = fmt.Errorf("%w: %d items shed twice at %s", transport.ErrShed, len(rest), owner.Addr)
-			}
-			errs[gi] = err
-		}
+		errs[gi] = err
 	})
 	if stopped != nil {
 		return stopped
@@ -692,61 +667,47 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op bat
 }
 
 // sendGroup ships the items (indices into keys) as one op.msg frame to
-// peer — raced over peer's copies when the plan hedges — and decodes the
-// served prefix as the answer of the copy that sent it: peer, or the
-// hedge's winner. served < len(items) with a nil error is a batch-level
-// partial shed: the remote's admission control applied exactly that
-// prefix. A write that applied anything is replayed on the peer's
-// replicas before returning.
-func (ix *Index) sendGroup(ctx context.Context, peer dht.Remote, keys []string, items []int, op batchOp) (served int, err error) {
-	encode := func(items []int) []byte {
-		w := wire.NewWriter(64 * len(items))
-		if op.moded {
-			w.Byte(op.mode)
-		}
-		op.encode(w, items)
-		return w.Bytes()
+// peer — raced over peer's copies when the plan hedges — and decodes
+// every item's answer as the answer of the copy that sent it: peer, or
+// the hedge's winner. The remote serves a frame whole or fails it, so an
+// answer whose count is not len(items) is corrupt. A write is replayed
+// on the peer's replicas before returning.
+func (ix *Index) sendGroup(ctx context.Context, peer dht.Remote, keys []string, items []int, op batchOp) error {
+	w := wire.NewWriter(64 * len(items))
+	if op.moded {
+		w.Byte(op.mode)
 	}
-	body := encode(items)
+	op.encode(w, items)
+	body := w.Bytes()
 	from := peer.Addr
 	var resp []byte
+	var err error
 	if op.hedge > 0 {
 		resp, from, err = ix.hedgedRead(ctx, peer, keys[items[0]], len(items) == 1, body, op.hedge)
 	} else {
 		_, resp, err = ix.timedCall(ctx, peer.Addr, op.msg, body)
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
 	r := wire.NewReader(resp)
-	// Compared as uint64: a garbled count in [2^63, 2^64) would wrap
-	// negative through int() and slip past a signed check into the slice.
-	count := r.Uvarint()
-	if r.Err() != nil || count > uint64(len(items)) {
-		return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w: bad response count", op.msg, peer.Addr, wire.ErrCorrupt)
+	if count := r.Uvarint(); r.Err() != nil || count != uint64(len(items)) {
+		return fmt.Errorf("globalindex: batch 0x%02x at %s: %w: bad response count", op.msg, from, wire.ErrCorrupt)
 	}
-	served = int(count)
-	for _, i := range items[:served] {
+	for _, i := range items {
 		if err := op.decode(r, i, from); err != nil {
-			return 0, fmt.Errorf("globalindex: batch 0x%02x at %s: %w", op.msg, from, err)
+			return fmt.Errorf("globalindex: batch 0x%02x at %s: %w", op.msg, from, err)
 		}
 	}
-	if op.write && ix.repl.factor > 1 && served > 0 {
-		// Write-through: the replay is the *applied* frame in any mode,
+	if op.write && ix.repl.factor > 1 {
+		// Write-through: the replay is the applied frame in any mode,
 		// since a replica owns none of its keys — the sent body with its
-		// mode byte flipped, re-encoded only to the served prefix after a
-		// partial shed (replicas must not replay items the primary
-		// refused).
-		if served < len(items) {
-			op.mode = readAny
-			body = encode(items[:served])
-		} else {
-			body = append([]byte(nil), body...)
-			body[0] = readAny
-		}
+		// mode byte flipped.
+		body = append([]byte(nil), body...)
+		body[0] = readAny
 		ix.replicate(ctx, peer, op.msg, body)
 	}
-	return served, nil
+	return nil
 }
 
 // eachItem adapts an item encoder to the (n, n×item) frame body of the

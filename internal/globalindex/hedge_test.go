@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,19 +17,21 @@ import (
 
 // hedgeRing is replRing plus access to every peer's dispatcher (the shed
 // tests configure admission control on individual peers) and a stall
-// handler registered on each dispatcher under msgType 0x7E.
-func hedgeRing(t *testing.T, n, r int) ([]*dht.Node, []*Index, []*transport.Dispatcher, *transport.Mem, chan struct{}) {
+// handler registered on each dispatcher under msgType 0x7E. The stall
+// holds every call until release, which the test's cleanup also runs.
+func hedgeRing(t *testing.T, n, r int) ([]*dht.Node, []*Index, []*transport.Dispatcher, *transport.Mem, func()) {
 	t.Helper()
 	net := transport.NewMem()
 	rng := rand.New(rand.NewSource(14))
-	release := make(chan struct{})
+	stalled := make(chan struct{})
+	release := sync.OnceFunc(func() { close(stalled) })
 	nodes := make([]*dht.Node, n)
 	idxs := make([]*Index, n)
 	disps := make([]*transport.Dispatcher, n)
 	for i := 0; i < n; i++ {
 		d := transport.NewDispatcher()
 		d.Handle(0x7E, func(context.Context, transport.Addr, uint8, []byte) (uint8, []byte, error) {
-			<-release
+			<-stalled
 			return 0x7E, nil, nil
 		})
 		ep := tapped(net, fmt.Sprintf("h%d", i), d)
@@ -38,7 +41,7 @@ func hedgeRing(t *testing.T, n, r int) ([]*dht.Node, []*Index, []*transport.Disp
 		disps[i] = d
 	}
 	dht.BuildOracleTables(nodes)
-	t.Cleanup(func() { close(release) })
+	t.Cleanup(release)
 	return nodes, idxs, disps, net, release
 }
 
@@ -104,20 +107,7 @@ func TestShedThenRetryOnReplicaConverges(t *testing.T) {
 		}
 	}
 	_ = primaryIdx
-
-	// Overload the serving replica: watermark 1 with a huge service
-	// floor, and one stuck handler holding its in-flight count up.
-	disps[serveIdx].SetAdmissionControl(1, 10*time.Second)
-	go func() {
-		_, _, _ = idxs[1].Node().Endpoint().Call(context.Background(), nodes[serveIdx].Self().Addr, 0x7E, nil)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for disps[serveIdx].Inflight() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stall call never occupied the replica")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	overload(t, nodes, idxs, disps, serveIdx)
 
 	// A deadlined AnyReplica read: its budget (~500ms) is far below the
 	// replica's 10s floor, so the replica sheds it; the batch layer must
@@ -137,42 +127,30 @@ func TestShedThenRetryOnReplicaConverges(t *testing.T) {
 	}
 }
 
-// TestGetShedAtPrimaryFallsOverToReplica pins the single-key half of
-// shed handling: a primary that refuses a Get under admission control
+// TestGetShedAtPrimaryFallsOverToReplica pins the read half of shed
+// handling: a primary that refuses a read under admission control
 // provably never recorded the probe, so the read must fall over to the
-// replica chain instead of failing — the same escalation the batch
-// layer gets from retryProvablySafe. (The partial-shed redrive path
-// relies on this: a shed suffix redriven per-item must not die on the
-// same overloaded peer.)
+// replica chain instead of failing — the same escalation the batch layer
+// gets from retryProvablySafe.
 func TestGetShedAtPrimaryFallsOverToReplica(t *testing.T) {
 	nodes, idxs, disps, _, _ := hedgeRing(t, 8, 3)
 	reader := idxs[0]
-	terms := []string{"shed", "fallover"}
-	_, primaryIdx, want := putReplicated(t, nodes, idxs, terms)
-	// The write warmed the reader's replica-set cache (reader == writer).
-
-	disps[primaryIdx].SetAdmissionControl(1, 10*time.Second)
-	go func() {
-		_, _, _ = idxs[1].Node().Endpoint().Call(context.Background(), nodes[primaryIdx].Self().Addr, 0x7E, nil)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for disps[primaryIdx].Inflight() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stall call never occupied the primary")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	const primary = 2
+	terms := termsOwnedBy(t, nodes[primary], 1, "fallover")
+	// The write warms the reader's replica-set cache (reader == writer).
+	appendOwned(t, reader, terms, 0)
+	overload(t, nodes, idxs, disps, primary)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	l, found, _, err := getOne(ctx, reader, terms, 0, ReadPrimary)
+	l, found, _, err := getOne(ctx, reader, terms[0], 0, ReadPrimary)
 	if err != nil {
 		t.Fatalf("Get with shedding primary: %v", err)
 	}
-	if !found || l.Len() != want.Len() {
-		t.Fatalf("fallover read returned found=%v len=%d, want %d postings", found, l.Len(), want.Len())
+	if !found || l.Len() != 1 || l.Entries[0].Ref.Doc != 0 {
+		t.Fatalf("fallover read returned found=%v %+v, want the stored posting", found, l)
 	}
-	if sheds, _ := disps[primaryIdx].AdmissionStats(); sheds == 0 {
+	if sheds, _ := disps[primary].AdmissionStats(); sheds == 0 {
 		t.Fatal("the primary never shed — the fallover path was not exercised")
 	}
 }

@@ -121,39 +121,72 @@ func TestReadShapesAndPoliciesAgree(t *testing.T) {
 }
 
 // TestHostileReplyCountIsTypedError: a peer answering a batch frame with
-// an item count in [2^63, 2^64) — which wraps negative through int() —
-// must cost the client a typed error, never a panic at the served-prefix
-// slice. One row per frame family the client decodes.
+// an item count other than the request's must cost the client a typed
+// error, never a panic or a silent partial answer. A count in [2^63,
+// 2^64) wraps negative through int(); a short count, with every item it
+// names well formed, is no shed either — a frame is served whole or
+// refused. One subtest per count, one check per frame family the client
+// decodes.
 func TestHostileReplyCountIsTypedError(t *testing.T) {
-	net := transport.NewMem()
-	hostile := func(msg uint8) transport.Handler {
-		return func(context.Context, transport.Addr, uint8, []byte) (uint8, []byte, error) {
-			w := wire.NewWriter(16)
-			w.Uvarint(1 << 63)
-			return msg, w.Bytes(), nil
-		}
-	}
-	cd, sd := transport.NewDispatcher(), transport.NewDispatcher()
-	client := dht.NewNode(1<<62, net.Endpoint("client", cd.Serve), cd, dht.Options{})
-	stub := dht.NewNode(3<<62, net.Endpoint("stub", sd.Serve), sd, dht.Options{})
-	sd.Handle(MsgMultiAppend, hostile(MsgMultiAppend))
-	sd.Handle(MsgRead, hostile(MsgRead))
-	dht.BuildOracleTables([]*dht.Node{client, stub})
-	ix := New(client, cd)
-	terms := termsOwnedBy(t, stub, 3, "hostile")
-	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		count func(n int) uint64 // the answer's count for an n-item request
+	}{
+		{"wrapping count", func(int) uint64 { return 1 << 63 }},
+		{"short count", func(n int) uint64 { return uint64(n - 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewMem()
+			// reply answers with tc.count items, each a well-formed answer
+			// (a stored length, an absent key), up to the request's n.
+			reply := func(_ context.Context, _ transport.Addr, msg uint8, body []byte) (uint8, []byte, error) {
+				r := wire.NewReader(body)
+				r.Byte() // mode
+				var n int
+				if msg == MsgMultiAppend {
+					keys, _, err := readAppendFrame(r)
+					if err != nil {
+						return 0, nil, err
+					}
+					n = len(keys)
+				} else if n, _ = readBatchCount(r); n == 0 {
+					return 0, nil, wire.ErrCorrupt
+				}
+				count := tc.count(n)
+				w := wire.NewWriter(16)
+				w.Uvarint(count)
+				for i := uint64(0); i < count && i < uint64(n); i++ {
+					if msg == MsgMultiAppend {
+						w.Uvarint(1)
+					} else {
+						writeTopKAnswer(w, 0, true, PrefixResult{})
+					}
+				}
+				return msg, w.Bytes(), nil
+			}
+			cd, sd := transport.NewDispatcher(), transport.NewDispatcher()
+			client := dht.NewNode(1<<62, net.Endpoint("client", cd.Serve), cd, dht.Options{})
+			stub := dht.NewNode(3<<62, net.Endpoint("stub", sd.Serve), sd, dht.Options{})
+			sd.Handle(MsgMultiAppend, reply)
+			sd.Handle(MsgRead, reply)
+			dht.BuildOracleTables([]*dht.Node{client, stub})
+			ix := New(client, cd)
+			terms := termsOwnedBy(t, stub, 3, "hostile")
+			ctx := context.Background()
 
-	appends := make([]AppendItem, len(terms))
-	gets := make([]GetItem, len(terms))
-	for i, ts := range terms {
-		appends[i] = AppendItem{Terms: ts, List: &postings.List{Entries: []postings.Posting{post("h", 1, 1)}}, Bound: 10}
-		gets[i] = GetItem{Terms: ts}
-	}
-	if _, err := ix.MultiAppend(ctx, appends); !errors.Is(err, wire.ErrCorrupt) {
-		t.Errorf("append frame: got %v, want ErrCorrupt", err)
-	}
-	if _, err := ix.MultiGet(ctx, gets, ReadPrimary); !errors.Is(err, wire.ErrCorrupt) {
-		t.Errorf("read frame: got %v, want ErrCorrupt", err)
+			appends := make([]AppendItem, len(terms))
+			gets := make([]GetItem, len(terms))
+			for i, ts := range terms {
+				appends[i] = AppendItem{Terms: ts, List: &postings.List{Entries: []postings.Posting{post("h", 1, 1)}}, Bound: 10}
+				gets[i] = GetItem{Terms: ts}
+			}
+			if _, err := ix.MultiAppend(ctx, appends); !errors.Is(err, wire.ErrCorrupt) {
+				t.Errorf("append frame: got %v, want ErrCorrupt", err)
+			}
+			if _, err := ix.MultiGet(ctx, gets, ReadPrimary); !errors.Is(err, wire.ErrCorrupt) {
+				t.Errorf("read frame: got %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 type Index struct {
 	node     *dht.Node
 	store    StorageEngine
-	disp     *transport.Dispatcher // for batch-quota consultation (partial sheds)
 	resolver *dht.Resolver
 	repl     replicator
 	lat      *loadstat.Tracker // per-peer latency EWMAs fed by timedCall
@@ -64,18 +63,12 @@ func NewWithEngine(node *dht.Node, d *transport.Dispatcher, engine StorageEngine
 	if engine == nil {
 		engine = NewStore()
 	}
-	ix := &Index{node: node, store: engine, disp: d, resolver: node.NewResolver(), lat: loadstat.NewTracker()}
+	ix := &Index{node: node, store: engine, resolver: node.NewResolver(), lat: loadstat.NewTracker()}
 	ix.repl.factor = 1
 	d.Handle(MsgMultiAppend, ix.handleMultiAppend)
 	d.Handle(MsgMultiKeyInfo, ix.handleMultiKeyInfo)
 	d.Handle(MsgRead, ix.handleRead)
 	d.Handle(MsgSoftAnnounce, ix.handleSoftAnnounce)
-	// The batch frames shed at item granularity under admission control:
-	// an under-budget frame is served as a prefix instead of refused
-	// whole, and the client redrives only the shed suffix.
-	for _, m := range []uint8{MsgMultiAppend, MsgMultiKeyInfo, MsgRead} {
-		d.SetPartialShed(m)
-	}
 	ix.registerReplicationHandlers(d)
 	return ix
 }

@@ -145,8 +145,8 @@ func TestSoftCopyReadModes(t *testing.T) {
 				return err
 			},
 		}
-		n, err := idxs[0].sendGroup(context.Background(), dht.Remote{Addr: holder}, keys, order, op)
-		return out[:n], err
+		err := idxs[0].sendGroup(context.Background(), dht.Remote{Addr: holder}, keys, order, op)
+		return out, err
 	}
 
 	for _, tc := range []struct {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/dht"
 	"repro/internal/ids"
@@ -30,8 +29,8 @@ import (
 // the continuation cursor, the stored-list total and the exact score
 // bound on unserved entries; its entries are one list frame, exact when
 // chunk == 0 and quantized otherwise. The answer names no peer: the
-// caller knows which copy it asked. The frame sheds at item granularity
-// like the other batch frames. 0x1D, 0x1E and 0x27 carried the retired
+// caller knows which copy it asked. Like every batch frame it is served
+// whole or refused whole. 0x1D, 0x1E and 0x27 carried the retired
 // continuation, replica and soft-copy variants of this frame and stay
 // unassigned.
 const MsgRead uint8 = 0x1C
@@ -39,8 +38,8 @@ const MsgRead uint8 = 0x1C
 // The read modes — the leading byte of a MsgRead request — say which
 // copy may answer.
 const (
-	// readOwner: the receiver must be responsible for every served key,
-	// else it rejects the frame — how a stale cached route is detected.
+	// readOwner: the receiver must be responsible for every key of the
+	// frame, else it rejects it — how a stale cached route is detected.
 	readOwner uint8 = iota
 	// readAny: serve the stored copy whoever owns the key (a replica
 	// read, a continuation at the copy that served the prefix, a
@@ -80,7 +79,7 @@ func (ix *Index) TopKStats() TopKStats {
 }
 
 // handleRead serves MsgRead in all three modes.
-func (ix *Index) handleRead(ctx context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
+func (ix *Index) handleRead(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	r := wire.NewReader(body)
 	mode := r.Byte()
 	count, err := readBatchCount(r)
@@ -98,17 +97,15 @@ func (ix *Index) handleRead(ctx context.Context, _ transport.Addr, _ uint8, body
 	if err := r.Err(); err != nil {
 		return 0, nil, err
 	}
-	serve := ix.disp.BatchQuota(ctx, MsgRead, count)
 	if mode == readOwner {
-		if err := ix.checkResponsible(keys[:serve]); err != nil {
+		if err := ix.checkResponsible(keys); err != nil {
 			return 0, nil, err
 		}
 	}
-	start := time.Now()
-	w := wire.NewWriter(64 * serve)
-	w.Uvarint(uint64(serve))
+	w := wire.NewWriter(64 * count)
+	w.Uvarint(uint64(count))
 	epoch := ix.node.RingEpoch()
-	for i := 0; i < serve; i++ {
+	for i := 0; i < count; i++ {
 		var res PrefixResult
 		if mode != readSoft {
 			if cursors[i] == 0 {
@@ -129,7 +126,6 @@ func (ix *Index) handleRead(ctx context.Context, _ transport.Addr, _ uint8, body
 		}
 		writeTopKAnswer(w, cursors[i], chunks[i] == 0, res)
 	}
-	ix.disp.ObserveBatch(MsgRead, time.Since(start), serve)
 	return MsgRead, w.Bytes(), nil
 }
 
@@ -744,11 +740,11 @@ func (s *TopKSession) couldImprove(ranked []postings.Posting, pending []*topkKey
 
 // continueRound fetches the next chunk of every pending key from the
 // copy that served its prefix, one readAny frame per serving peer (the
-// copy may legitimately not own the key anymore). Items a group leaves
-// unserved — its call failed, it shed them, or the copy lost the key —
-// are re-opened whole in one batch: they end the session exhausted, so
-// the threshold loop stays sound, and the extra probe the re-open
-// records is the same soft-state cost a one-shot read pays.
+// copy may legitimately not own the key anymore). The keys of a group
+// whose call failed — a shed included — and the keys a copy lost are
+// re-opened whole in one batch: they end the session exhausted, so the
+// threshold loop stays sound, and the extra probe the re-open records is
+// the same soft-state cost a one-shot read pays.
 func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState, chunk int) error {
 	keys := make([]string, len(pending))
 	peers := make([]dht.Remote, len(pending))
@@ -761,17 +757,17 @@ func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState
 	lost := make([]bool, len(pending))
 	op := s.readOp(pending, func(int) int { return chunk }, lost)
 	op.mode = readAny
-	served := make([]int, len(groups))
 	errs := make([]error, len(groups))
 	stopped := dht.RunBounded(ctx, len(groups), func(gi int) {
-		served[gi], errs[gi] = s.ix.sendGroup(ctx, groups[gi].peer, keys, groups[gi].items, op)
+		errs[gi] = s.ix.sendGroup(ctx, groups[gi].peer, keys, groups[gi].items, op)
 	})
 	if stopped != nil {
 		return stopped
 	}
 	var reopen []*topkKeyState
 	for gi, g := range groups {
-		if errs[gi] != nil {
+		failed := errs[gi] != nil
+		if failed {
 			if ctx.Err() != nil {
 				return errs[gi]
 			}
@@ -780,8 +776,8 @@ func (s *TopKSession) continueRound(ctx context.Context, pending []*topkKeyState
 			// safe to redrive; absorb drops what was already decoded).
 			s.ix.resolver.Invalidate(g.peer.Addr)
 		}
-		for j, i := range g.items {
-			if j >= served[gi] || lost[i] {
+		for _, i := range g.items {
+			if failed || lost[i] {
 				reopen = append(reopen, pending[i])
 			}
 		}

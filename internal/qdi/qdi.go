@@ -147,12 +147,19 @@ func (m *Manager) TrackedKeys() int { return m.probes.Len() }
 // live HDK/QDI toggle. Already activated keys stay until evicted.
 func (m *Manager) SetEnabled(enabled bool) { m.enabled.Store(enabled) }
 
+// handleActivate stores an acquired list under its key. Like every owner
+// write it is refused unless this node is responsible for the key: a
+// stale or hostile activation would otherwise strand the key where no
+// lookup finds it.
 func (m *Manager) handleActivate(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	r := wire.NewReader(body)
 	key := r.String()
 	list, err := postings.Decode(r, nil)
 	if err != nil {
 		return 0, nil, err
+	}
+	if !m.gidx.Node().Responsible(ids.HashString(key)) {
+		return 0, nil, fmt.Errorf("qdi: not responsible for %q", key)
 	}
 	n := m.gidx.Store().Put(key, list, m.cfg.TruncK)
 	m.mu.Lock()

@@ -16,6 +16,7 @@ import (
 	"repro/internal/loadstat"
 	"repro/internal/postings"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 type fleet struct {
@@ -239,6 +240,40 @@ func TestEvictionOfColdKeys(t *testing.T) {
 	}
 	if len(f.mgrs[owner].OwnedKeys()) != 0 {
 		t.Fatal("ownership record not cleaned up")
+	}
+}
+
+// TestActivationAtNonOwnerRefused: an activation is an owner write. One
+// that reaches a node not responsible for its key — a stale route or a
+// hostile peer — is refused and stores nothing, so the key cannot be
+// stranded where no lookup finds it; the owner accepts the same frame.
+func TestActivationAtNonOwnerRefused(t *testing.T) {
+	f := newFleet(t, 6, Config{})
+	key := ids.KeyString([]string{"stale", "route"})
+	owner, _, err := f.nodes[0].Lookup(context.Background(), ids.HashString(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wire.NewWriter(64)
+	w.String(key)
+	pl(true, "h", 1, 2).Encode(w)
+	for i, n := range f.nodes {
+		_, _, err := f.nodes[0].Endpoint().Call(context.Background(), n.Self().Addr, MsgActivate, w.Bytes())
+		if n.Self().Addr == owner.Addr {
+			if err != nil {
+				t.Fatalf("owner refused the activation: %v", err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("non-owner %s accepted an activation of %q", n.Self().Addr, key)
+		}
+		if _, ok := f.gidx[i].Store().Peek(key); ok {
+			t.Errorf("non-owner %s stores %q", n.Self().Addr, key)
+		}
+		if keys := f.mgrs[i].OwnedKeys(); len(keys) != 0 {
+			t.Errorf("non-owner %s records %v as activated", n.Self().Addr, keys)
+		}
 	}
 }
 

@@ -177,26 +177,34 @@ func TestRecoverV1ProbeSection(t *testing.T) {
 	}
 }
 
+// journalOptions are the engine options the crash-recovery tests run
+// over: the default page-cache journal and an fsync after every record.
+var journalOptions = []Options{{}, {Fsync: true}}
+
 // TestPersistCrashKeepsJournaledWrites covers the kill-9 path: the
 // engine is never Closed, yet every journaled mutation survives a
 // reopen (the WAL was written, only the snapshot is missing).
 func TestPersistCrashKeepsJournaledWrites(t *testing.T) {
-	dir := t.TempDir()
-	e := mustOpen(t, dir, Options{})
-	e.Put("k1", plist("p1", 2, 1), 10)
-	e.Append("k2", plist("p2", 4), 10, 6)
-	e.SetWatermark(7, 9)
-	want := stateOf(t, e)
-	// No Close: simulate the process dying.
+	for _, opts := range journalOptions {
+		t.Run(fmt.Sprintf("fsync=%v", opts.Fsync), func(t *testing.T) {
+			dir := t.TempDir()
+			e := mustOpen(t, dir, opts)
+			e.Put("k1", plist("p1", 2, 1), 10)
+			e.Append("k2", plist("p2", 4), 10, 6)
+			e.SetWatermark(7, 9)
+			want := stateOf(t, e)
+			// No Close: simulate the process dying.
 
-	re := mustOpen(t, dir, Options{})
-	defer re.Close()
-	if !re.Recovered() {
-		t.Fatal("crash reopen must report recovered state")
-	}
-	sameState(t, stateOf(t, re), want)
-	if from, to, ok := re.Watermark(); !ok || from != 7 || to != 9 {
-		t.Fatalf("watermark = (%d, %d, %v)", from, to, ok)
+			re := mustOpen(t, dir, opts)
+			defer re.Close()
+			if !re.Recovered() {
+				t.Fatal("crash reopen must report recovered state")
+			}
+			sameState(t, stateOf(t, re), want)
+			if from, to, ok := re.Watermark(); !ok || from != 7 || to != 9 {
+				t.Fatalf("watermark = (%d, %d, %v)", from, to, ok)
+			}
+		})
 	}
 }
 
@@ -204,40 +212,44 @@ func TestPersistCrashKeepsJournaledWrites(t *testing.T) {
 // final write — and checks replay keeps everything before the tear and
 // truncates the file cleanly.
 func TestRecoverTornWALTail(t *testing.T) {
-	dir := t.TempDir()
-	e := mustOpen(t, dir, Options{})
-	e.Put("keep1", plist("p1", 1), 10)
-	e.Put("keep2", plist("p1", 2), 10)
-	want := stateOf(t, e)
-	walSize := e.WALSize()
+	for _, opts := range journalOptions {
+		t.Run(fmt.Sprintf("fsync=%v", opts.Fsync), func(t *testing.T) {
+			dir := t.TempDir()
+			e := mustOpen(t, dir, opts)
+			e.Put("keep1", plist("p1", 1), 10)
+			e.Put("keep2", plist("p1", 2), 10)
+			want := stateOf(t, e)
+			walSize := e.WALSize()
 
-	wal := filepath.Join(dir, "wal.log")
-	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x55, 0xaa, 0x01}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+			wal := filepath.Join(dir, "wal.log")
+			f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{0x55, 0xaa, 0x01}); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	re := mustOpen(t, dir, Options{})
-	defer re.Close()
-	sameState(t, stateOf(t, re), want)
-	fi, err := os.Stat(wal)
-	if err != nil {
-		t.Fatal(err)
+			re := mustOpen(t, dir, opts)
+			defer re.Close()
+			sameState(t, stateOf(t, re), want)
+			fi, err := os.Stat(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != walSize {
+				t.Fatalf("torn tail not truncated: wal size %d, want %d", fi.Size(), walSize)
+			}
+			// The engine keeps journaling cleanly past the truncation.
+			re.Put("after", plist("p2", 3), 10)
+			re2state := stateOf(t, re)
+			re.Close()
+			re2 := mustOpen(t, dir, opts)
+			defer re2.Close()
+			sameState(t, stateOf(t, re2), re2state)
+		})
 	}
-	if fi.Size() != walSize {
-		t.Fatalf("torn tail not truncated: wal size %d, want %d", fi.Size(), walSize)
-	}
-	// The engine keeps journaling cleanly past the truncation.
-	re.Put("after", plist("p2", 3), 10)
-	re2state := stateOf(t, re)
-	re.Close()
-	re2 := mustOpen(t, dir, Options{})
-	defer re2.Close()
-	sameState(t, stateOf(t, re2), re2state)
 }
 
 // TestRecoverCorruptRecordCRC flips a byte inside the last record's

@@ -19,8 +19,10 @@ import (
 // whose wire-shipped deadline budget has already expired, or whose
 // remaining budget cannot cover the peer's observed per-message-type
 // service time while the peer is above its in-flight watermark, is
-// refused with ErrShed *before* the handler runs. The caller can tell a
-// shed from a real remote failure and retry on another replica.
+// refused with ErrShed *before* the handler runs. The rule is the same for
+// every message type, and a batch frame is refused whole, never cut to a
+// prefix. The caller can tell a shed from a real remote failure and retry
+// on another replica.
 type Dispatcher struct {
 	mu       sync.RWMutex
 	handlers map[uint8]Handler
@@ -30,7 +32,6 @@ type Dispatcher struct {
 
 	inflight     atomic.Int64 // handlers currently executing
 	sheds        atomic.Int64 // requests refused before work
-	itemSheds    atomic.Int64 // batch items shed out of partially-served frames
 	lateExecuted atomic.Int64 // expired-budget requests that ran anyway
 }
 
@@ -41,15 +42,6 @@ type admissionState struct {
 	watermark  int           // 0 = admission control disabled
 	minService time.Duration // floor under the EWMA estimates
 	svc        map[uint8]time.Duration
-	// perItem tracks the per-*item* service time of batch frames, fed by
-	// the batch handlers through ObserveBatch; BatchQuota divides a
-	// request's remaining budget by it to size the servable prefix.
-	perItem map[uint8]time.Duration
-	// partial marks message types whose handlers shed at item
-	// granularity: the frame-level "budget < service time" refusal is
-	// skipped for them (an expired budget is still refused whole), and
-	// the handler consults BatchQuota instead.
-	partial map[uint8]bool
 }
 
 // ewmaWeight is the weight of a new observation in the service-time
@@ -110,13 +102,20 @@ func (d *Dispatcher) Inflight() int { return int(d.inflight.Load()) }
 // the learned EWMA, floored at the configured minimum (0 if neither is
 // set yet).
 func (d *Dispatcher) ServiceEstimate(msgType uint8) time.Duration {
+	_, est := d.admissionFor(msgType)
+	return est
+}
+
+// admissionFor returns the in-flight watermark and msgType's service-time
+// estimate, read together under the admission lock.
+func (d *Dispatcher) admissionFor(msgType uint8) (watermark int, est time.Duration) {
 	d.admission.mu.Lock()
 	defer d.admission.mu.Unlock()
-	est := d.admission.svc[msgType]
+	est = d.admission.svc[msgType]
 	if est < d.admission.minService {
 		est = d.admission.minService
 	}
-	return est
+	return d.admission.watermark, est
 }
 
 // admit decides whether a request may run, based on its reconstructed
@@ -130,18 +129,7 @@ func (d *Dispatcher) admit(ctx context.Context, msgType uint8) error {
 		return nil // no budget announced: never shed
 	}
 	remaining := time.Until(deadline)
-	d.admission.mu.Lock()
-	watermark := d.admission.watermark
-	partial := d.admission.partial[msgType]
-	itemEst := d.admission.perItem[msgType]
-	if itemEst <= 0 {
-		itemEst = d.admission.minService // cold start: one item ~ one request
-	}
-	est := d.admission.svc[msgType]
-	if est < d.admission.minService {
-		est = d.admission.minService
-	}
-	d.admission.mu.Unlock()
+	watermark, est := d.admissionFor(msgType)
 	if watermark <= 0 {
 		if remaining <= 0 {
 			d.lateExecuted.Add(1)
@@ -155,103 +143,13 @@ func (d *Dispatcher) admit(ctx context.Context, msgType uint8) error {
 		d.sheds.Add(1)
 		return fmt.Errorf("%w: budget expired for 0x%02x", ErrShed, msgType)
 	}
-	if int(d.inflight.Load()) >= watermark {
-		if partial {
-			// A partial-capable batch frame sheds at item granularity: it
-			// is refused whole only when the budget cannot cover even one
-			// item; otherwise the handler serves the affordable prefix
-			// (sized by BatchQuota) and the client redrives the rest.
-			if remaining < itemEst {
-				d.sheds.Add(1)
-				return fmt.Errorf("%w: %s budget < %s per-item service time for 0x%02x under load",
-					ErrShed, remaining.Round(time.Microsecond), itemEst.Round(time.Microsecond), msgType)
-			}
-			return nil
-		}
-		if remaining < est {
-			d.sheds.Add(1)
-			return fmt.Errorf("%w: %s budget < %s service time for 0x%02x under load",
-				ErrShed, remaining.Round(time.Microsecond), est.Round(time.Microsecond), msgType)
-		}
+	if int(d.inflight.Load()) >= watermark && remaining < est {
+		d.sheds.Add(1)
+		return fmt.Errorf("%w: %s budget < %s service time for 0x%02x under load",
+			ErrShed, remaining.Round(time.Microsecond), est.Round(time.Microsecond), msgType)
 	}
 	return nil
 }
-
-// SetPartialShed declares msgType's handler capable of batch-level
-// partial sheds: its frames carry independent items applied in order,
-// and the handler serves the longest prefix the request's budget covers
-// (sized by BatchQuota) while the client redrives the shed suffix. The
-// global index registers its Multi* frames.
-func (d *Dispatcher) SetPartialShed(msgType uint8) {
-	d.admission.mu.Lock()
-	if d.admission.partial == nil {
-		d.admission.partial = make(map[uint8]bool)
-	}
-	d.admission.partial[msgType] = true
-	d.admission.mu.Unlock()
-}
-
-// BatchQuota returns how many of a batch frame's n items the handler
-// should serve under the current load and ctx's remaining deadline
-// budget: all n when admission control is off, the request carries no
-// budget, or the peer is below its in-flight watermark; otherwise the
-// prefix the budget still covers at the per-item service-time estimate
-// — the EWMA the batch handlers feed through ObserveBatch, or the
-// minService floor before it has warmed up (one unobserved item is
-// budgeted like one whole request, matching the frame-level cold
-// start). Items beyond the quota are counted as item sheds; the handler
-// answers with the served prefix only, which the batch client treats as
-// a typed partial shed and redrives individually.
-func (d *Dispatcher) BatchQuota(ctx context.Context, msgType uint8, n int) int {
-	deadline, hasDeadline := ctx.Deadline()
-	if !hasDeadline || n <= 0 {
-		return n
-	}
-	d.admission.mu.Lock()
-	watermark := d.admission.watermark
-	per := d.admission.perItem[msgType]
-	if per <= 0 {
-		per = d.admission.minService
-	}
-	d.admission.mu.Unlock()
-	if watermark <= 0 || int(d.inflight.Load()) < watermark || per <= 0 {
-		return n
-	}
-	quota := int(time.Until(deadline) / per)
-	if quota >= n {
-		return n
-	}
-	if quota < 0 {
-		quota = 0
-	}
-	d.itemSheds.Add(int64(n - quota))
-	return quota
-}
-
-// ObserveBatch folds one batch handler execution over items items into
-// the per-item service-time EWMA BatchQuota divides budgets by.
-func (d *Dispatcher) ObserveBatch(msgType uint8, took time.Duration, items int) {
-	if items <= 0 {
-		return
-	}
-	per := took / time.Duration(items)
-	d.admission.mu.Lock()
-	if d.admission.perItem == nil {
-		d.admission.perItem = make(map[uint8]time.Duration)
-	}
-	old, seen := d.admission.perItem[msgType]
-	if !seen {
-		d.admission.perItem[msgType] = per
-	} else {
-		d.admission.perItem[msgType] = old + (per-old)/ewmaWeight
-	}
-	d.admission.mu.Unlock()
-}
-
-// ItemSheds reports how many individual batch items were shed out of
-// partially-served Multi frames (the batch-granular counterpart of
-// AdmissionStats' frame sheds).
-func (d *Dispatcher) ItemSheds() int64 { return d.itemSheds.Load() }
 
 // observe folds one successful handler execution into the per-type
 // service-time EWMA.

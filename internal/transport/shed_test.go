@@ -151,6 +151,47 @@ func TestShedExpiredBudget(t *testing.T) {
 	}
 }
 
+// TestShedBelowTrainedEstimate: under load, a budget must cover the
+// learned service time of its message type, not only the configured
+// floor. A budget above the floor but below a trained estimate is shed,
+// counted, and never reaches the handler; a budget the estimate fits in
+// runs.
+func TestShedBelowTrainedEstimate(t *testing.T) {
+	d := NewDispatcher()
+	executed := 0
+	d.Handle(0x50, func(context.Context, Addr, uint8, []byte) (uint8, []byte, error) {
+		executed++
+		return 0x50, nil, nil
+	})
+	d.SetAdmissionControl(1, 40*time.Millisecond)
+	d.inflight.Add(1) // park the peer at its watermark
+	defer d.inflight.Add(-1)
+	for i := 0; i < 32; i++ {
+		d.observe(0x50, 100*time.Millisecond)
+	}
+
+	mid, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
+	if _, _, err := d.Serve(mid, "x", 0x50, nil); !errors.Is(err, ErrShed) {
+		t.Fatalf("60ms budget against a 100ms estimate: err = %v, want ErrShed", err)
+	}
+	if executed != 0 {
+		t.Fatalf("handler ran %d times; a shed must happen before the work", executed)
+	}
+	if sheds, _ := d.AdmissionStats(); sheds != 1 {
+		t.Fatalf("sheds = %d, want 1", sheds)
+	}
+
+	long, cancel2 := context.WithTimeout(context.Background(), time.Second)
+	defer cancel2()
+	if _, _, err := d.Serve(long, "x", 0x50, nil); err != nil {
+		t.Fatalf("1s budget against a 100ms estimate: %v", err)
+	}
+	if executed != 1 {
+		t.Fatalf("handler executions = %d, want 1", executed)
+	}
+}
+
 // TestAdmissionDisabledCountsWastedWork: with admission off (the PR 3
 // behaviour) an expired request still runs, but the dispatcher counts it
 // so experiments can report the wasted work.
