@@ -268,7 +268,8 @@ func (p *Peer) AddFile(name string, content []byte) (*Document, error) {
 	return p.inner.AddFile(name, content)
 }
 
-// RemoveDocument withdraws a shared document.
+// RemoveDocument withdraws a shared document; the next PublishIndex
+// withdraws it from the global index.
 func (p *Peer) RemoveDocument(ctx context.Context, id uint32) error {
 	return p.inner.RemoveDocument(ctx, id)
 }
@@ -288,10 +289,11 @@ func (p *Peer) BuildDigest() *Digest {
 	return docs.BuildDigest(p.inner.Documents().List(), p.inner.LocalIndex().Analyzer())
 }
 
-// PublishIndex pushes the not-yet-published local documents into the
-// global index (statistics, then keys per the active strategy).
-// Cancelling the context stops the publication between batches;
-// re-running it later converges (the index is merge-idempotent).
+// PublishIndex pushes the local collection into the global index
+// (statistics of the not-yet-published documents, then keys per the
+// active strategy). Each key it writes replaces this peer's share of
+// it, so re-running it converges, and a removed document leaves the
+// index. Cancelling the context stops the publication between batches.
 func (p *Peer) PublishIndex(ctx context.Context) error {
 	_, err := p.inner.PublishIndex(ctx)
 	return err

@@ -228,6 +228,7 @@ type Peer struct {
 	gidx   *globalindex.Index
 	gstats *ranking.GlobalStats
 	qdiMgr *qdi.Manager
+	held   *hdk.Held // the keys this peer's publishes hold a share of
 
 	tel    *telemetry.Registry
 	scount searchCounters
@@ -328,6 +329,7 @@ func OpenPeer(id ids.ID, ep transport.Endpoint, d *transport.Dispatcher, cfg Con
 		gidx:      gidx,
 		gstats:    ranking.NewGlobalStats(gidx, d),
 		qdiMgr:    qdi.New(cfg.QDI, gidx, d),
+		held:      hdk.NewHeld(),
 		published: make(map[uint32]statsState),
 	}
 	p.qdiMgr.SetEnabled(cfg.Strategy == StrategyQDI)
@@ -566,9 +568,9 @@ func (p *Peer) ImportDigest(dg *docs.Digest) (int, error) {
 }
 
 // RemoveDocument withdraws a document locally and from the statistics.
-// Its global index postings stay: nothing withdraws them, and a later
-// publish unions into the stored lists (Memory.Append) rather than
-// overwriting them. ROADMAP item 1 (per-origin replace) is the fix.
+// The next publish withdraws it from the global index: every key this
+// peer writes replaces its whole share of the key, and the keys it no
+// longer holds get an empty write (see hdk.Held).
 func (p *Peer) RemoveDocument(ctx context.Context, id uint32) error {
 	ctx, cancel, err := p.opCtx(ctx)
 	defer cancel()
@@ -621,6 +623,8 @@ func (p *Peer) PublishStats(ctx context.Context) error {
 // NewHDKPublisher builds the key publisher for the current local
 // collection, with fresh global statistics. Fleet simulations drive its
 // PublishTerms/ExpandRound in lockstep; single peers use PublishIndex.
+// Once its run completes, the keys earlier runs published and this one
+// did not are withdrawn.
 func (p *Peer) NewHDKPublisher(ctx context.Context) (*hdk.Publisher, error) {
 	stats, err := p.gstats.Fetch(ctx, p.local.Terms())
 	if err != nil {
@@ -632,7 +636,7 @@ func (p *Peer) NewHDKPublisher(ctx context.Context) (*hdk.Publisher, error) {
 		// appear on demand.
 		cfg.SMax = 1
 	}
-	return hdk.NewPublisher(cfg, p.local, p.gidx, stats, p.Addr()), nil
+	return hdk.NewPublisher(cfg, p.local, p.gidx, stats, p.Addr(), p.held), nil
 }
 
 // PublishIndex pushes the local collection into the network: statistics
@@ -640,9 +644,10 @@ func (p *Peer) NewHDKPublisher(ctx context.Context) (*hdk.Publisher, error) {
 // under QDI). Correct for a peer joining an already indexed network; for
 // simultaneous fleet-wide indexing use the phase methods in lockstep.
 // Cancelling the context stops the publication between batches; already
-// shipped postings remain. Re-running it does not converge: the store
-// unions lists and adds every announced DF (Memory.Append), inflating key
-// DFs and the HDK vocabulary (ROADMAP item 1: 3,235 → 4,334 keys).
+// shipped postings remain. Each key written replaces this peer's share
+// of it (Memory.Replace), so re-running it converges: once every peer
+// has published, republishing an unchanged collection leaves every store
+// as it was, and a removed document leaves the index.
 func (p *Peer) PublishIndex(ctx context.Context) (hdk.Result, error) {
 	ctx, cancel, err := p.opCtx(ctx)
 	defer cancel()

@@ -191,6 +191,10 @@ func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error)
 	r.checkEpoch()
 	out := make([]Remote, len(keys))
 	resolved := make([]bool, len(keys))
+	// The nodes whose state fetch failed during this call, guarded by
+	// r.mu: a shedding or failing owner is asked once per call, not once
+	// per round.
+	failed := make(map[transport.Addr]bool)
 	for width := 1; ; width = FanOut {
 		// Satisfy what the cache covers; collect the distinct missing keys.
 		var missing []ids.ID
@@ -229,7 +233,7 @@ func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error)
 				return
 			}
 			got[i] = rem
-			r.learn(ctx, rem)
+			r.learn(ctx, rem, failed)
 		})
 		for _, err := range errs {
 			if err != nil {
@@ -311,10 +315,12 @@ func extendsWalk(of Remote, out []Remote, next Remote) bool {
 
 // learn records the responsibility intervals observable from rem: its
 // predecessor and successor list (fetched locally when rem is this node).
-// Each node's state is fetched at most once per cache lifetime.
-func (r *Resolver) learn(ctx context.Context, rem Remote) {
+// Each node's state is fetched at most once per cache lifetime, and a
+// node whose fetch failed is not asked again within the same Resolve
+// call (failed, guarded by r.mu); a later call retries it.
+func (r *Resolver) learn(ctx context.Context, rem Remote, failed map[transport.Addr]bool) {
 	r.mu.Lock()
-	if r.known[rem.Addr] {
+	if r.known[rem.Addr] || failed[rem.Addr] {
 		r.mu.Unlock()
 		return
 	}
@@ -330,9 +336,10 @@ func (r *Resolver) learn(ctx context.Context, rem Remote) {
 		pred, succs, err = r.n.rpcGetState(ctx, rem.Addr)
 		if err != nil {
 			// The node answered the lookup but not the state fetch; cache
-			// nothing and let a later round retry.
+			// nothing and let a later call retry.
 			r.mu.Lock()
 			delete(r.known, rem.Addr)
+			failed[rem.Addr] = true
 			r.mu.Unlock()
 			return
 		}

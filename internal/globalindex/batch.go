@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -27,14 +28,14 @@ import (
 //
 // The two publish-side frames carry their items in key order and each
 // key front-coded (keyCoder): the length of the prefix it shares with
-// the frame's previous key, then the rest of it. A MultiAppend frame
-// also leads with a peer table (postings.PeerTable) that names every
-// peer its lists hold, once; each list names its groups' peers by index
-// into it (list flag bit 2). Publishers ship lists of their own
-// documents, so without the table every item repeated the publisher's
-// address.
+// the frame's previous key, then the rest of it. A MultiAppend frame is
+// one origin's write: it leads with the frame's peer table, which names
+// the origin — the peer whose documents its lists hold — once, with the
+// origin's sequence number for the write, and each list names its peer
+// by index into it (list flag bit 2). Every item replaces the origin's
+// share of its key (Memory.Replace).
 const (
-	MsgMultiAppend  uint8 = 0x17 // (mode, peers: n×addr, n, n×(sharedPrefixLen, keySuffix, bound, announcedDF, list)) -> n×storedLen
+	MsgMultiAppend  uint8 = 0x17 // (mode, origin, seq, n, n×(sharedPrefixLen, keySuffix, bound, announcedDF, list)) -> n×storedLen
 	MsgMultiKeyInfo uint8 = 0x19 // (n, n×(sharedPrefixLen, keySuffix)) -> n×(present, approxDF, truncated)
 )
 
@@ -42,7 +43,9 @@ const (
 // frame; hostile counts beyond it are rejected as corrupt.
 const MaxBatchItems = 1 << 14
 
-// AppendItem is one element of a MultiAppend.
+// AppendItem is one element of a MultiAppend: the complete list of one
+// peer's documents under a key (empty to withdraw the peer from it) and
+// the peer's document frequency for the key.
 type AppendItem struct {
 	Terms       []string
 	List        *postings.List
@@ -102,17 +105,17 @@ func (ix *Index) checkResponsible(keys []string) error {
 func (ix *Index) handleMultiAppend(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
 	r := wire.NewReader(body)
 	mode := r.Byte()
-	keys, items, err := readAppendFrame(r)
+	wr, err := DecodeWrite(r)
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := ix.AdmitKeyed(mode, keys); err != nil {
+	if err := ix.AdmitKeyed(mode, wr.Keys); err != nil {
 		return 0, nil, err
 	}
-	w := wire.NewWriter(8 + 4*len(keys))
-	w.Uvarint(uint64(len(keys)))
-	for i, it := range items {
-		w.Uvarint(uint64(ix.store.Append(keys[i], it.List, it.Bound, it.AnnouncedDF)))
+	w := wire.NewWriter(8 + 4*len(wr.Keys))
+	w.Uvarint(uint64(len(wr.Keys)))
+	for _, n := range ix.store.Write(wr) {
+		w.Uvarint(uint64(n))
 	}
 	return MsgMultiAppend, w.Bytes(), nil
 }
@@ -224,17 +227,15 @@ func readKeys(r *wire.Reader) ([]string, error) {
 }
 
 // writeAppendFrame writes the MultiAppend items at idx (indices into keys
-// and items) as the frame body after the mode byte: the peer table of
-// their lists, the count, then each item — key front-coded, bound,
-// announced DF, and the list naming its peers by table index. It is the
-// one encoder of the frame; sendGroup replays what it wrote.
-func writeAppendFrame(w *wire.Writer, keys []string, items []AppendItem, idx []int) {
-	lists := make([]*postings.List, len(idx))
-	for j, i := range idx {
-		lists[j] = items[i].List
-	}
-	peers := postings.NewPeerTable(lists...)
-	peers.Encode(w)
+// and items), every list naming only origin's documents, as the frame
+// body after the mode byte: origin and seq, the count, then each item —
+// key front-coded, bound, announced DF, and the list naming its peer by
+// index into the one-entry table. It is the one encoder of the frame;
+// sendGroup replays what it wrote, and DecodeWrite reads it.
+func writeAppendFrame(w *wire.Writer, origin transport.Addr, seq uint64, keys []string, items []AppendItem, idx []int) {
+	peers := postings.NewPeerTable(origin)
+	w.String(string(origin))
+	w.Uvarint(seq)
 	w.Uvarint(uint64(len(idx)))
 	var kc keyCoder
 	for _, i := range idx {
@@ -245,32 +246,78 @@ func writeAppendFrame(w *wire.Writer, keys []string, items []AppendItem, idx []i
 	}
 }
 
-// readAppendFrame decodes a body written by writeAppendFrame fully
-// before returning, so the handler applies either every item or none.
-// The items' Terms stay empty: the frame carries canonical keys.
-func readAppendFrame(r *wire.Reader) ([]string, []AppendItem, error) {
-	peers, err := postings.DecodePeerTable(r, MaxBatchItems)
-	if err != nil {
-		return nil, nil, err
+// EncodeWrite writes w as the MultiAppend frame body after the mode
+// byte — the form a durable engine journals it in too.
+func EncodeWrite(wr *wire.Writer, w Write) {
+	idx := make([]int, len(w.Keys))
+	for i := range idx {
+		idx[i] = i
 	}
+	writeAppendFrame(wr, w.Origin, w.Seq, w.Keys, w.Items, idx)
+}
+
+// DecodeWrite decodes a body written by writeAppendFrame fully before
+// returning, so the handler applies either every item or none. A list
+// naming any peer but the origin, or a DF beyond maxShareDF, is corrupt.
+// The items' Terms stay empty: the frame carries canonical keys.
+func DecodeWrite(r *wire.Reader) (Write, error) {
+	origin := transport.Addr(r.String())
+	seq := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return Write{}, err
+	}
+	peers := postings.NewPeerTable(origin)
 	count, err := readBatchCount(r)
 	if err != nil {
-		return nil, nil, err
+		return Write{}, err
 	}
-	keys := make([]string, count)
-	items := make([]AppendItem, count)
+	w := Write{Origin: origin, Seq: seq, Keys: make([]string, count), Items: make([]AppendItem, count)}
 	var kc keyCoder
-	for i := range items {
-		if keys[i], err = kc.read(r); err != nil {
-			return nil, nil, err
+	for i := range w.Items {
+		it := &w.Items[i]
+		if w.Keys[i], err = kc.read(r); err != nil {
+			return Write{}, err
 		}
-		items[i].Bound = int(r.Uvarint())
-		items[i].AnnouncedDF = int(r.Uvarint())
-		if items[i].List, err = postings.Decode(r, peers); err != nil {
-			return nil, nil, err
+		it.Bound = int(r.Uvarint())
+		df := r.Uvarint()
+		if it.List, err = postings.Decode(r, peers); err != nil {
+			return Write{}, err
+		}
+		if df > maxShareDF || originOf(it.List, origin) != origin {
+			return Write{}, wire.ErrCorrupt
+		}
+		it.AnnouncedDF = int(df)
+	}
+	return w, nil
+}
+
+// originOf returns the one peer list names, or def for an empty list;
+// a list naming several peers has no origin and yields "".
+func originOf(list *postings.List, def transport.Addr) transport.Addr {
+	if list.Len() == 0 {
+		return def
+	}
+	o := list.Entries[0].Ref.Peer
+	for _, p := range list.Entries[1:] {
+		if p.Ref.Peer != o {
+			return ""
 		}
 	}
-	return keys, items, nil
+	return o
+}
+
+// nextSeq returns the sequence number of this peer's next write: the
+// wall clock in milliseconds, held strictly above the previous write's.
+// A restarted peer's clock has moved on, so its writes still supersede
+// the ones it made before the restart.
+func (ix *Index) nextSeq() uint64 {
+	for {
+		last := ix.lastSeq.Load()
+		next := max(uint64(time.Now().UnixMilli()), last+1)
+		if ix.lastSeq.CompareAndSwap(last, next) {
+			return next
+		}
+	}
 }
 
 // inKeyOrder returns keys stably sorted, and for each position of that
@@ -344,37 +391,61 @@ func (ix *Index) resolveAll(ctx context.Context, keys []string) ([]dht.Remote, e
 	return peers, nil
 }
 
-// MultiAppend merges every item's list into the entry stored under its
-// canonical key, announcing the publisher's true local document
-// frequency (see Store.Append). All items that resolve to the same
-// responsible peer travel in one MsgMultiAppend round trip and the
-// per-peer calls are issued concurrently (at most dht.FanOut in flight).
-// It returns the stored length per item, in input order. Items whose
-// frame provably was not applied — a stale or dead route, a shed — are
-// redriven once over fresh ring walks (see runBatch).
+// MultiAppend writes every item as its origin's share of the entry
+// stored under its canonical key: the item's list replaces the postings
+// the origin stored there before, and its announced DF the origin's
+// (see Memory.Replace). An item's origin is the one peer its list names,
+// or this peer for an empty list, which withdraws it from the key; a
+// list naming several peers is refused. Each origin's items are one
+// write under one fresh sequence number. All items of an origin that
+// resolve to the same responsible peer travel in one MsgMultiAppend round
+// trip and the per-peer calls are issued concurrently (at most dht.FanOut
+// in flight). It returns the stored length per item, in input order.
+// Items whose frame provably was not applied — a stale or dead route, a
+// shed — are redriven once over fresh ring walks (see runBatch).
 func (ix *Index) MultiAppend(ctx context.Context, items []AppendItem) ([]int, error) {
-	keys := make([]string, len(items))
+	self := ix.node.Self().Addr
+	out := make([]int, len(items))
+	byOrigin := make(map[transport.Addr][]int)
 	for i, it := range items {
-		keys[i] = ids.KeyString(it.Terms)
-		ix.pcache.Invalidate(keys[i]) // write watermark: never serve a pre-write prefix
+		o := originOf(it.List, self)
+		if o == "" {
+			return out, fmt.Errorf("globalindex: append %q: list names more than one peer", ids.KeyString(it.Terms))
+		}
+		byOrigin[o] = append(byOrigin[o], i)
+	}
+	for _, origin := range slices.Sorted(maps.Keys(byOrigin)) {
+		if err := ix.appendFrom(ctx, origin, items, byOrigin[origin], out); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// appendFrom runs the items at idx, all of origin, as one write, storing
+// each item's stored length in out.
+func (ix *Index) appendFrom(ctx context.Context, origin transport.Addr, items []AppendItem, idx []int, out []int) error {
+	keys := make([]string, len(idx))
+	for j, i := range idx {
+		keys[j] = ids.KeyString(items[i].Terms)
+		ix.pcache.Invalidate(keys[j]) // write watermark: never serve a pre-write prefix
 	}
 	keys, order := inKeyOrder(keys)
-	sorted := make([]AppendItem, len(items))
-	for j, i := range order {
-		sorted[j] = items[i]
+	sorted := make([]AppendItem, len(idx))
+	for j, k := range order {
+		sorted[j] = items[idx[k]]
 	}
-	out := make([]int, len(items))
-	err := ix.runBatch(ctx, keys, batchOp{
+	seq := ix.nextSeq()
+	return ix.runBatch(ctx, keys, batchOp{
 		msg:    MsgMultiAppend,
 		moded:  true,
 		write:  true,
-		encode: func(w *wire.Writer, idx []int) { writeAppendFrame(w, keys, sorted, idx) },
+		encode: func(w *wire.Writer, at []int) { writeAppendFrame(w, origin, seq, keys, sorted, at) },
 		decode: func(r *wire.Reader, j int, _ transport.Addr) error {
-			out[order[j]] = int(r.Uvarint())
+			out[idx[order[j]]] = int(r.Uvarint())
 			return r.Err()
 		},
 	})
-	return out, err
 }
 
 // MultiGet fetches every item's posting list in one shot, capped to the
@@ -458,8 +529,8 @@ func (ix *Index) AdmitKeyed(mode uint8, keys []string) error {
 type batchOp struct {
 	msg uint8
 	// idempotent declares that re-applying an already-applied item is
-	// harmless (KeyInfo reads without side effects). Append accumulates
-	// the announced DF and a read records a usage probe, so their frames
+	// harmless (KeyInfo reads without side effects). A read records a
+	// usage probe and a keyed write may not be idempotent, so their frames
 	// are redriven only when the failure proves they never ran.
 	idempotent bool
 	// write marks a keyed write: each applied frame is replayed, in any

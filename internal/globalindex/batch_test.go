@@ -93,7 +93,7 @@ func TestPublishFramesAnswerInCallerOrder(t *testing.T) {
 		infos = append(infos, KeyInfoItem{Terms: terms})
 		want = append(want, i)
 	}
-	again := &postings.List{Entries: []postings.Posting{post("src", 100, 1), post("src", 101, 1)}}
+	again := &postings.List{Entries: []postings.Posting{post("src2", 100, 1), post("src2", 101, 1)}}
 	items = append(items, AppendItem{Terms: []string{"order05"}, List: again, Bound: 100, AnnouncedDF: 2})
 	want = append(want, 7)
 	ns, err := idxs[0].MultiAppend(context.Background(), items)
@@ -362,7 +362,8 @@ func TestReadWireRoundTrip(t *testing.T) {
 
 // rawAppendItem hand-writes one MultiAppend item whose key is the
 // previous key's first shared bytes then suffix, and whose one-posting
-// list names its peer by index into the frame's peer table.
+// list names its peer by index into the frame's peer table, which holds
+// the origin alone.
 func rawAppendItem(w *wire.Writer, shared uint64, suffix string, peer uint64) {
 	w.Uvarint(shared)
 	w.String(suffix)
@@ -390,11 +391,11 @@ func TestMultiHandlersRejectMalformed(t *testing.T) {
 		"garbage":           {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 	}
 	for name, body := range cases {
-		// MultiAppend reads its item count after the peer table: an
-		// empty table brings each body to the count, and the bare body
-		// breaks the table itself.
-		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, append([]byte{readOwner, 0}, body...)); err == nil {
-			t.Errorf("MultiAppend accepted %s body after an empty peer table", name)
+		// MultiAppend reads its item count after the origin and its
+		// sequence number: an empty origin and sequence 1 bring each body
+		// to the count, and the bare body breaks the origin itself.
+		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, append([]byte{readOwner, 0, 1}, body...)); err == nil {
+			t.Errorf("MultiAppend accepted %s body after an origin", name)
 		}
 		if _, _, err := ix.handleMultiAppend(context.Background(), "tester", MsgMultiAppend, append([]byte{readOwner}, body...)); err == nil {
 			t.Errorf("MultiAppend accepted %s body", name)
@@ -416,45 +417,43 @@ func TestMultiHandlersRejectMalformed(t *testing.T) {
 		t.Fatal("partial batch applied before rejection")
 	}
 
-	// The frame-scoped parts of a MultiAppend frame: its peer table and
-	// its front-coded keys.
+	// The frame-scoped parts of a MultiAppend frame: its origin, whose
+	// documents alone its lists may name, and its front-coded keys.
 	appendCases := map[string]func(w *wire.Writer){
-		"peer table above the batch bound": func(w *wire.Writer) {
-			w.Uvarint(MaxBatchItems + 1)
-			for i := 0; i <= MaxBatchItems; i++ {
-				w.String("")
-			}
-			w.Uvarint(0)
-		},
-		"peer index at the table size": func(w *wire.Writer) {
-			w.Uvarint(1)
+		"peer index past the origin": func(w *wire.Writer) {
 			w.String("p")
+			w.Uvarint(1)
 			w.Uvarint(1)
 			rawAppendItem(w, 0, "k", 1)
 		},
-		"peer index with no table entries": func(w *wire.Writer) {
-			w.Uvarint(0)
+		"list naming another peer": func(w *wire.Writer) {
+			w.String("p")
 			w.Uvarint(1)
-			rawAppendItem(w, 0, "k", 0)
+			w.Uvarint(1)
+			w.Uvarint(0)
+			w.String("k")
+			w.Uvarint(10) // bound
+			w.Uvarint(1)  // announced DF
+			(&postings.List{Entries: []postings.Posting{post("q", 1, 1)}}).Encode(w)
 		},
 		"shared prefix beyond the previous key": func(w *wire.Writer) {
-			w.Uvarint(1)
 			w.String("p")
+			w.Uvarint(1)
 			w.Uvarint(2)
 			rawAppendItem(w, 0, "k", 0)
 			rawAppendItem(w, 2, "x", 0)
 		},
 		"shared prefix on the first key": func(w *wire.Writer) {
-			w.Uvarint(1)
 			w.String("p")
+			w.Uvarint(1)
 			w.Uvarint(1)
 			rawAppendItem(w, 1, "k", 0)
 		},
 		// A few bytes per item would otherwise rebuild the whole long
 		// key each time.
 		"shared prefix beyond maxSharedPrefix": func(w *wire.Writer) {
-			w.Uvarint(1)
 			w.String("p")
+			w.Uvarint(1)
 			w.Uvarint(MaxBatchItems)
 			rawAppendItem(w, 0, longKey, 0)
 			for i := 1; i < MaxBatchItems; i++ {
@@ -503,8 +502,8 @@ func TestMultiHandlersRejectMalformed(t *testing.T) {
 	// fail on the one field each breaks.
 	w := wire.NewWriter(64)
 	w.Byte(readAny)
-	w.Uvarint(1)
 	w.String("p")
+	w.Uvarint(1)
 	w.Uvarint(2)
 	rawAppendItem(w, 0, "k", 0)
 	rawAppendItem(w, 1, "x", 0)
@@ -556,6 +555,41 @@ func TestKeyCoderCapsSharedPrefix(t *testing.T) {
 	}
 }
 
+// TestAppendFrameGolden pins the MultiAppend frame byte for byte: the
+// mode, the origin spelled once with its sequence number — a wall-clock
+// millisecond count takes 6 bytes as a uvarint — the count, then each
+// item's front-coded key, bound, announced DF and list naming its peer
+// by index 0.
+func TestAppendFrameGolden(t *testing.T) {
+	const seq = 1_760_000_000_000 // 2025-10-09 in Unix milliseconds
+	items := []AppendItem{
+		{List: &postings.List{Entries: []postings.Posting{post("h:1", 3, 2)}}, Bound: 300, AnnouncedDF: 1},
+		{List: &postings.List{}, Bound: 300},
+	}
+	w := wire.NewWriter(64)
+	w.Byte(readOwner)
+	writeAppendFrame(w, "h:1", seq, []string{"ab", "ac"}, items, []int{0, 1})
+	want := []byte{
+		readOwner,
+		3, 'h', ':', '1', // origin
+		0x80, 0x80, 0xb3, 0xc1, 0x9c, 0x33, // seq
+		2,              // items
+		0, 2, 'a', 'b', // key: shares 0, suffix "ab"
+		0xac, 0x02, // bound 300
+		1,          // announced DF
+		1 << 2,     // list flags: peers by index
+		1, 0, 1, 3, // one group: peer 0, one entry, document 3
+		0x40, 0, 0, 0, 0, 0, 0, 0, // score 2.0
+		1, 1, 'c', // key: shares "a", suffix "c"
+		0xac, 0x02, // bound 300
+		0,         // announced DF
+		1 << 2, 0, // empty list
+	}
+	if got := w.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("frame\n got % x\nwant % x", got, want)
+	}
+}
+
 // FuzzAppendFrame drives the MultiAppend handler and the frame decoder
 // with arbitrary bytes: neither may panic, the handler accepts exactly
 // the frames that decode under a known mode, and whatever decodes
@@ -564,7 +598,7 @@ func TestKeyCoderCapsSharedPrefix(t *testing.T) {
 func FuzzAppendFrame(f *testing.F) {
 	lists := []*postings.List{
 		{Entries: []postings.Posting{post("10.0.0.7:7001", 3, 2.5), post("10.0.0.7:7001", 9, 1)}},
-		{Entries: []postings.Posting{post("10.0.0.7:7001", 4, 1), post("10.0.0.8:7001", 1, 0.5)}, Truncated: true},
+		{Entries: []postings.Posting{post("10.0.0.7:7001", 4, 1), post("10.0.0.7:7001", 1, 0.5)}, Truncated: true},
 		{},
 	}
 	f.Add(appendFrame(readOwner, []string{"alpha", "alpha beta", "gamma"},
@@ -573,18 +607,18 @@ func FuzzAppendFrame(f *testing.F) {
 	f.Add(appendBody(readAny))
 	f.Add(appendBody(readSoft, "mode"))
 	for _, build := range []func(w *wire.Writer){
-		func(w *wire.Writer) { w.Uvarint(MaxBatchItems + 1) },
-		func(w *wire.Writer) { w.Uvarint(1); w.String("p"); w.Uvarint(1); rawAppendItem(w, 0, "k", 1) },
+		func(w *wire.Writer) { w.String("p"); w.Uvarint(1); w.Uvarint(MaxBatchItems + 1) },
+		func(w *wire.Writer) { w.String("p"); w.Uvarint(1); w.Uvarint(1); rawAppendItem(w, 0, "k", 1) },
 		func(w *wire.Writer) {
-			w.Uvarint(1)
 			w.String("p")
+			w.Uvarint(1)
 			w.Uvarint(2)
 			rawAppendItem(w, 0, "k", 0)
 			rawAppendItem(w, 2, "x", 0)
 		},
 		func(w *wire.Writer) {
-			w.Uvarint(1)
 			w.String("p")
+			w.Uvarint(1)
 			w.Uvarint(2)
 			rawAppendItem(w, 0, strings.Repeat("k", maxSharedPrefix+1), 0)
 			rawAppendItem(w, maxSharedPrefix+1, "x", 0)
@@ -607,12 +641,12 @@ func FuzzAppendFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store.RestoreState(nil)
 		_, resp, err := ix.handleMultiAppend(context.Background(), "fuzzer", MsgMultiAppend, data)
-		var keys []string
-		var items []AppendItem
+		var wr Write
 		derr := wire.ErrCorrupt
 		if len(data) > 0 {
-			keys, items, derr = readAppendFrame(wire.NewReader(data[1:]))
+			wr, derr = DecodeWrite(wire.NewReader(data[1:]))
 		}
+		keys, items := wr.Keys, wr.Items
 		known := len(data) > 0 && (data[0] == readOwner || data[0] == readAny)
 		if (err == nil) != (derr == nil && known) {
 			t.Fatalf("handler error %v, decoder error %v, mode known %v", err, derr, known)
@@ -630,13 +664,14 @@ func FuzzAppendFrame(f *testing.F) {
 			idx[i] = i
 		}
 		w := wire.NewWriter(len(data))
-		writeAppendFrame(w, keys, items, idx)
-		keys2, items2, err := readAppendFrame(wire.NewReader(w.Bytes()))
+		writeAppendFrame(w, wr.Origin, wr.Seq, keys, items, idx)
+		wr2, err := DecodeWrite(wire.NewReader(w.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decoding own encoding failed: %v", err)
 		}
-		if !slices.Equal(keys2, keys) {
-			t.Fatalf("keys %q re-decode as %q", keys, keys2)
+		keys2, items2 := wr2.Keys, wr2.Items
+		if wr2.Origin != wr.Origin || wr2.Seq != wr.Seq || !slices.Equal(keys2, keys) {
+			t.Fatalf("origin %q seq %d keys %q re-decode as %q, %d, %q", wr.Origin, wr.Seq, keys, wr2.Origin, wr2.Seq, keys2)
 		}
 		for i, it := range items {
 			it2 := items2[i]

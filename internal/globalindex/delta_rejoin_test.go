@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dht"
@@ -94,6 +95,16 @@ func TestDeltaRejoinTransfersOnlyChangedKeys(t *testing.T) {
 	populateRing(t, idxs2[0], 150, "delta")
 	recovered := NewStore()
 	entries := coldIx.Store().(*Memory).ExportState()
+	// The recovered slice holds this ring's own writes: pass 1's keys and
+	// postings, under the sequence numbers pass 2's writer stamped.
+	for i := range entries {
+		for _, ix := range idxs2 {
+			if list, shares, ok := ix.Store().Export(entries[i].Key); ok {
+				entries[i].List, entries[i].Shares = list, shares
+				break
+			}
+		}
+	}
 	missed := 3
 	if len(entries) <= missed {
 		t.Fatalf("recovered slice too small (%d entries)", len(entries))
@@ -133,7 +144,15 @@ func TestDeltaRejoinTransfersOnlyChangedKeys(t *testing.T) {
 	t.Logf("cold pulled %d, delta pulled %d over %d manifest pairs (%d owned keys)",
 		coldPulled, deltaPulled, manifest, len(ownedKeys))
 
-	// Both joiners must answer identically for every key they own.
+	// Both joiners must answer identically for every key they own; their
+	// rings stamped the same writes with different sequence numbers.
+	unstamped := func(shares []Share) []Share {
+		out := slices.Clone(shares)
+		for i := range out {
+			out[i].Seq = 0
+		}
+		return out
+	}
 	for _, it := range items {
 		k := ids.KeyString(it.Terms)
 		if !deltaJoiner.Responsible(ids.HashString(k)) {
@@ -141,8 +160,8 @@ func TestDeltaRejoinTransfersOnlyChangedKeys(t *testing.T) {
 		}
 		dl, ddf, dok := deltaIx.Store().Export(k)
 		cl, cdf, cok := coldIx.Store().Export(k)
-		if dok != cok || ddf != cdf {
-			t.Fatalf("key %q diverged: delta (df=%d ok=%v) vs cold (df=%d ok=%v)", k, ddf, dok, cdf, cok)
+		if dok != cok || !slices.Equal(unstamped(ddf), unstamped(cdf)) {
+			t.Fatalf("key %q diverged: delta (shares %v ok=%v) vs cold (shares %v ok=%v)", k, ddf, dok, cdf, cok)
 		}
 		if dok && string(dl.EncodeBytes()) != string(cl.EncodeBytes()) {
 			t.Fatalf("key %q content diverged after delta rejoin", k)
@@ -205,24 +224,28 @@ func TestMaintainReplicationRetriesRejoinPull(t *testing.T) {
 }
 
 // TestEntryFingerprint pins the manifest digest: equal entries agree,
-// and any change to the list or the accumulated DF changes the
-// fingerprint.
+// and any change to the list or to a share's DF or sequence number
+// changes the fingerprint.
 func TestEntryFingerprint(t *testing.T) {
 	a := &postings.List{Entries: []postings.Posting{post("x", 1, 2.0), post("x", 2, 1.0)}}
 	b := a.Clone()
-	if entryFingerprint(5, a) != entryFingerprint(5, b) {
+	sh := []Share{{Origin: "x", Seq: 7, DF: 5}}
+	if entryFingerprint(sh, a) != entryFingerprint(slices.Clone(sh), b) {
 		t.Fatal("identical entries must fingerprint equal")
 	}
-	if entryFingerprint(5, a) == entryFingerprint(6, a) {
+	if entryFingerprint(sh, a) == entryFingerprint([]Share{{Origin: "x", Seq: 7, DF: 6}}, a) {
 		t.Fatal("a DF change must change the fingerprint")
 	}
+	if entryFingerprint(sh, a) == entryFingerprint([]Share{{Origin: "x", Seq: 8, DF: 5}}, a) {
+		t.Fatal("a sequence change must change the fingerprint")
+	}
 	b.Entries[0].Score = 9
-	if entryFingerprint(5, a) == entryFingerprint(5, b) {
+	if entryFingerprint(sh, a) == entryFingerprint(sh, b) {
 		t.Fatal("a content change must change the fingerprint")
 	}
 	c := a.Clone()
 	c.Truncated = true
-	if entryFingerprint(5, a) == entryFingerprint(5, c) {
+	if entryFingerprint(sh, a) == entryFingerprint(sh, c) {
 		t.Fatal("a truncation-mark change must change the fingerprint")
 	}
 }

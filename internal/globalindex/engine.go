@@ -22,12 +22,13 @@ import (
 // Implementations must be safe for concurrent use; every method's
 // semantics are documented on Memory, the reference implementation.
 type StorageEngine interface {
-	// Put replaces the list stored under key, truncated to bound (and to
-	// the hard cap), returning the stored length.
+	// Put replaces the entry stored under key with list, truncated to
+	// bound (and to the hard cap), returning the stored length.
 	Put(key string, list *postings.List, bound int) int
-	// Append merges new entries into key's list (creating it if absent),
-	// accumulating announcedDF into the approximate global DF.
-	Append(key string, list *postings.List, bound, announcedDF int) int
+	// Write applies one origin's write of many keys whole: each item
+	// replaces the origin's slice of its key's list and its share, unless
+	// the stored share is as new. It returns the stored lengths.
+	Write(w Write) []int
 	// GetPrefix returns the score-ordered chunk [offset, offset+limit) of
 	// key's stored list (limit 0 = to the end) — what MsgRead serves.
 	GetPrefix(key string, offset, limit int) PrefixResult
@@ -35,15 +36,17 @@ type StorageEngine interface {
 	Peek(key string) (*postings.List, bool)
 	// Remove deletes the key, reporting whether it was present.
 	Remove(key string) bool
-	// ApproxDF returns the approximate global document frequency of key.
+	// ApproxDF returns the approximate global document frequency of key:
+	// the sum of its shares' DFs.
 	ApproxDF(key string) (int64, bool)
 	// KeysInRange returns the stored keys hashing into the half-open ring
 	// interval (from, to], in clockwise ring order starting at from.
 	KeysInRange(from, to ids.ID) []string
 	// Export atomically snapshots one entry for replication transfer.
-	Export(key string) (list *postings.List, approxDF int64, ok bool)
-	// AdoptReplica idempotently merges a replicated entry into the store.
-	AdoptReplica(key string, list *postings.List, approxDF int64) int
+	Export(key string) (list *postings.List, shares []Share, ok bool)
+	// Adopt idempotently merges a replicated entry into the store, per
+	// origin keeping the share with the higher sequence number.
+	Adopt(key string, shares []Share, list *postings.List) int
 	// Keys returns all stored keys, sorted.
 	Keys() []string
 	// Stats summarizes the store for monitoring.

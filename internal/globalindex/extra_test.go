@@ -70,9 +70,9 @@ func TestStoreActivationPolicyLifecycle(t *testing.T) {
 }
 
 func TestStoreQuickAppendInvariants(t *testing.T) {
-	// Property: after any sequence of bounded appends, the stored list
-	// (a) never exceeds the bound, (b) is in canonical order, and
-	// (c) approxDF equals the sum of announced DFs.
+	// Property: after any sequence of bounded writes from distinct
+	// origins, the stored list (a) never exceeds the bound, (b) is in
+	// canonical order, and (c) approxDF equals the sum of announced DFs.
 	f := func(batches [][]uint16, bound8 uint8) bool {
 		bound := int(bound8)%20 + 1
 		s := NewStore()
@@ -89,7 +89,7 @@ func TestStoreQuickAppendInvariants(t *testing.T) {
 				})
 			}
 			l.Normalize()
-			s.Append("k", l, bound, l.Len())
+			write(s, "k", l, bound, l.Len())
 			announced += int64(l.Len())
 		}
 		got, ok := s.Peek("k")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dht"
@@ -16,6 +17,17 @@ import (
 
 func post(peer string, doc uint32, score float64) postings.Posting {
 	return postings.Posting{Ref: postings.DocRef{Peer: transport.Addr(peer), Doc: doc}, Score: score}
+}
+
+// write replaces the share of the peer list's first entry names under
+// key, as that peer's newest write, announcing df.
+func write(s StorageEngine, key string, list *postings.List, bound, df int) int {
+	var origin transport.Addr
+	if list.Len() > 0 {
+		origin = list.Entries[0].Ref.Peer
+	}
+	return s.Write(Write{Origin: origin, Seq: frameSeq.Add(1), Keys: []string{key},
+		Items: []AppendItem{{List: list, Bound: bound, AnnouncedDF: df}}})[0]
 }
 
 func TestStorePutGetRemove(t *testing.T) {
@@ -55,14 +67,17 @@ func TestStorePutTruncates(t *testing.T) {
 	}
 }
 
+// TestStoreAppendMergesAndBounds pins a key written by three origins:
+// their shares merge into one list cut to the bound, and the DF is the
+// sum of theirs.
 func TestStoreAppendMergesAndBounds(t *testing.T) {
 	s := NewStore()
 	a := &postings.List{Entries: []postings.Posting{post("a", 1, 5), post("a", 2, 4)}}
 	b := &postings.List{Entries: []postings.Posting{post("b", 1, 6)}}
-	if n := s.Append("k", a, 3, 0); n != 2 {
+	if n := write(s, "k", a, 3, 0); n != 2 {
 		t.Fatalf("first append len = %d", n)
 	}
-	if n := s.Append("k", b, 3, 0); n != 3 {
+	if n := write(s, "k", b, 3, 0); n != 3 {
 		t.Fatalf("merged len = %d", n)
 	}
 	got, _, _ := s.Get("k", 0)
@@ -77,7 +92,7 @@ func TestStoreAppendMergesAndBounds(t *testing.T) {
 	}
 	// A fourth distinct ref pushes the list over the bound.
 	c := &postings.List{Entries: []postings.Posting{post("c", 9, 7)}}
-	if n := s.Append("k", c, 3, 0); n != 3 {
+	if n := write(s, "k", c, 3, 0); n != 3 {
 		t.Fatalf("post-overflow len = %d", n)
 	}
 	got, _, _ = s.Get("k", 0)
@@ -178,7 +193,7 @@ func ring(t *testing.T, n int) ([]*dht.Node, []*Index, *transport.Mem) {
 func TestDistributedPutGet(t *testing.T) {
 	nodes, idxs, _ := ring(t, 12)
 	terms := []string{"peer", "retrieval"}
-	list := &postings.List{Entries: []postings.Posting{post("p3", 7, 1.5), post("p4", 1, 0.5)}}
+	list := &postings.List{Entries: []postings.Posting{post("p3", 7, 1.5), post("p3", 1, 0.5)}}
 	if _, err := putOne(context.Background(), idxs[0], terms, list, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -263,61 +278,95 @@ func TestGetBandwidthBoundedByCap(t *testing.T) {
 	}
 }
 
-// TestMemoryAppendMatchesUnion checks the store's one-pass merge against
-// the definition it replaces: Append is Union with the stored list then
-// Truncate to the bound (0 and above HardCap meaning HardCap), and
-// AdoptReplica the same at HardCap, with the approximate-DF truncation
-// mark on top. Few score values make equal scores common, a small
-// document space repeats refs within one incoming list and across the
-// stored one, and some incoming lists carry a truncation mark.
-func TestMemoryAppendMatchesUnion(t *testing.T) {
+// TestMemoryReplaceMatchesUnion checks the store's one-pass merge
+// against the definition it implements: a write from an origin newer
+// than its stored share is the union of the stored list without the
+// origin's entries and the incoming list, cut to the bound (0 and above
+// HardCap meaning HardCap), and Adopt the same at HardCap for a share
+// newer than the stored one; a stale write or copy changes nothing, and
+// the list is marked truncated exactly when the shares' DF exceeds its
+// length. Few score values make equal scores common, a small document
+// space repeats refs within one incoming list, and some incoming lists
+// carry a truncation mark.
+func TestMemoryReplaceMatchesUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	peers := []string{"a:1", "b:2", "c:3"}
 	scores := []float64{0.5, 1, 2, 3.25}
-	incoming := func() *postings.List {
+	incoming := func(peer string) *postings.List {
 		l := &postings.List{Truncated: rng.Intn(6) == 0}
 		for n := rng.Intn(9); n > 0; n-- {
-			l.Add(post(peers[rng.Intn(len(peers))], uint32(rng.Intn(10)), scores[rng.Intn(len(scores))]))
+			l.Add(post(peer, uint32(rng.Intn(10)), scores[rng.Intn(len(scores))]))
 		}
 		return l
 	}
 	for _, bound := range []int{0, 1, 3, 8, HardCap, HardCap + 1} {
 		s := NewStore()
 		model := make(map[string]*postings.List)
-		modelDF := make(map[string]int64)
+		modelShares := make(map[string]map[transport.Addr]Share)
 		for step := 0; step < 600; step++ {
 			key := fmt.Sprintf("k%d", rng.Intn(4))
-			in := incoming()
+			origin := peers[rng.Intn(len(peers))]
+			in := incoming(origin)
 			sent := in.EncodeBytes()
 			cur := model[key]
 			if cur == nil {
 				cur = &postings.List{}
 			}
-			want := postings.Union(cur, in)
+			if modelShares[key] == nil {
+				modelShares[key] = make(map[transport.Addr]Share)
+			}
+			shares := modelShares[key]
+			old, held := shares[transport.Addr(origin)]
+			// Half the sequence numbers are stale, some equal to the stored.
+			sh := Share{Origin: transport.Addr(origin), Seq: old.Seq + uint64(rng.Intn(3)) - 1}
+			if !held {
+				sh.Seq = 1 + uint64(rng.Intn(3))
+			}
+			adopt := rng.Intn(4) == 0
+			cut := HardCap
+			if !adopt && bound > 0 && bound <= HardCap {
+				cut = bound
+			}
 			var n int
-			if rng.Intn(4) == 0 {
-				df := int64(rng.Intn(24))
-				want.Truncate(HardCap)
-				modelDF[key] = max(modelDF[key], df)
-				n = s.AdoptReplica(key, in, df)
+			if adopt {
+				sh.DF = int64(rng.Intn(24))
+				n = s.Adopt(key, []Share{sh}, in)
 			} else {
-				df := rng.Intn(12)
-				cut := bound
-				if cut <= 0 || cut > HardCap {
-					cut = HardCap
-				}
+				sh.DF = int64(rng.Intn(12))
+				n = s.Replace(key, sh, in, bound)
+				sh.DF = max(sh.DF, int64(in.Len()))
+			}
+			want := cur
+			if !held || sh.Seq > old.Seq {
+				rest := cur.Clone()
+				rest.Entries = slices.DeleteFunc(rest.Entries, func(p postings.Posting) bool { return p.Ref.Peer == sh.Origin })
+				want = postings.Union(rest, in)
 				want.Truncate(cut)
-				modelDF[key] += int64(max(df, in.Len()))
-				n = s.Append(key, in, bound, df)
+				if adopt || sh.DF > 0 {
+					shares[sh.Origin] = sh
+				} else {
+					delete(shares, sh.Origin)
+				}
 			}
-			if modelDF[key] > int64(want.Len()) {
-				want.Truncated = true
+			var df int64
+			for _, x := range shares {
+				df += x.DF
 			}
+			want.Truncated = df > int64(want.Len())
 			model[key] = want
-			got, _ := s.Peek(key)
-			if n != want.Len() || !reflect.DeepEqual(got.Entries, want.Entries) || got.Truncated != want.Truncated {
+			got, ok := s.Peek(key)
+			if !ok {
+				got = &postings.List{}
+				if len(shares) > 0 || want.Len() > 0 {
+					t.Fatalf("bound %d, step %d, key %s: key gone, want %v", bound, step, key, want.Entries)
+				}
+			}
+			if n != want.Len() || !slices.Equal(got.Entries, want.Entries) || got.Truncated != want.Truncated {
 				t.Fatalf("bound %d, step %d, key %s: stored %d %v (truncated %v), want %v (truncated %v)",
 					bound, step, key, n, got.Entries, got.Truncated, want.Entries, want.Truncated)
+			}
+			if got, _ := s.ApproxDF(key); got != df {
+				t.Fatalf("bound %d, step %d, key %s: DF %d, want %d", bound, step, key, got, df)
 			}
 			if !bytes.Equal(in.EncodeBytes(), sent) {
 				t.Fatalf("bound %d, step %d: the store changed the caller's list", bound, step)
@@ -327,8 +376,8 @@ func TestMemoryAppendMatchesUnion(t *testing.T) {
 }
 
 // BenchmarkMemoryAppend measures the store's share of a publish: one
-// publisher's few postings merged into a list at its bound that 40 other
-// peers filled.
+// publisher's few postings replacing its share of a list at its bound
+// that 40 other peers filled.
 func BenchmarkMemoryAppend(b *testing.B) {
 	const keys, bound = 64, 200
 	rng := rand.New(rand.NewSource(1))
@@ -340,7 +389,7 @@ func BenchmarkMemoryAppend(b *testing.B) {
 		for i := 0; i < bound; i++ {
 			l.Add(post(fmt.Sprintf("10.0.0.%d:7000", rng.Intn(40)), uint32(rng.Intn(1<<16)), rng.Float64()*20))
 		}
-		s.Append(names[k], l, bound, l.Len())
+		s.Put(names[k], l, bound)
 	}
 	adds := make([]*postings.List, 256)
 	for i := range adds {
@@ -354,28 +403,28 @@ func BenchmarkMemoryAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Append(names[i%keys], adds[i%len(adds)], bound, 3)
+		s.Replace(names[i%keys], Share{Origin: "10.0.0.99:7000", Seq: uint64(i + 1), DF: 3}, adds[i%len(adds)], bound)
 	}
 }
 
 // TestRestoreStateNormalizes pins that recovery hands the one-pass merge
 // the stored list it assumes: a snapshot list with a repeated ref and out
-// of canonical order is stored normalized, and the next Append still
+// of canonical order is stored normalized, and the next write still
 // equals Union + Truncate.
 func TestRestoreStateNormalizes(t *testing.T) {
 	s := NewStore()
 	raw := &postings.List{Entries: []postings.Posting{post("a", 1, 1), post("b", 2, 3), post("a", 1, 2)}}
-	s.RestoreState([]EntryState{{Key: "k", ApproxDF: 3, List: raw}})
+	s.RestoreState([]EntryState{{Key: "k", Shares: []Share{{Origin: "b", DF: 1}, {Origin: "a", DF: 1}}, List: raw}})
 	want := postings.Union(raw)
 	if got, _ := s.Peek("k"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored %v, want %v", got, want)
 	}
-	add := &postings.List{Entries: []postings.Posting{post("a", 1, 2.5), post("c", 3, 2)}}
-	want = postings.Union(want, add)
+	add := &postings.List{Entries: []postings.Posting{post("a", 1, 2.5), post("a", 3, 2)}}
+	want = postings.Union(&postings.List{Entries: []postings.Posting{post("b", 2, 3)}}, add)
 	want.Truncate(2)
-	want.Truncated = true // approximate DF 5 exceeds the stored length
-	s.Append("k", add, 2, 2)
+	want.Truncated = true // approximate DF 3 exceeds the stored length
+	write(s, "k", add, 2, 2)
 	if got, _ := s.Peek("k"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("append after restore: %v, want %v", got, want)
+		t.Fatalf("write after restore: %v, want %v", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package globalindex
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,9 +18,23 @@ func putOne(ctx context.Context, ix *Index, terms []string, list *postings.List,
 	return appendOne(ctx, ix, terms, list, bound, 0)
 }
 
+// appendOne writes list under terms as the writes of the peers it names
+// — an item per peer, the first announcing announcedDF — and returns the
+// stored length they leave.
 func appendOne(ctx context.Context, ix *Index, terms []string, list *postings.List, bound, announcedDF int) (int, error) {
-	ns, err := ix.MultiAppend(ctx, []AppendItem{{Terms: terms, List: list, Bound: bound, AnnouncedDF: announcedDF}})
-	return ns[0], err
+	items := []AppendItem{{Terms: terms, List: &postings.List{}, Bound: bound, AnnouncedDF: announcedDF}}
+	of := make(map[transport.Addr]int)
+	for _, p := range list.Entries {
+		i, ok := of[p.Ref.Peer]
+		if !ok && len(of) > 0 {
+			i = len(items)
+			items = append(items, AppendItem{Terms: terms, List: &postings.List{}, Bound: bound})
+		}
+		of[p.Ref.Peer] = i
+		items[i].List.Add(p)
+	}
+	ns, err := ix.MultiAppend(ctx, items)
+	return slices.Max(ns), err
 }
 
 func getOne(ctx context.Context, ix *Index, terms []string, maxResults int, policy ReadPolicy, opts ...ReadOption) (*postings.List, bool, bool, error) {

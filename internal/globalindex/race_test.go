@@ -48,7 +48,7 @@ func TestStoreConcurrentMixedOps(t *testing.T) {
 					s.Put(k, l, 8)
 				case 1:
 					l := &postings.List{Entries: []postings.Posting{post(fmt.Sprintf("p%d", w), uint32(r), float64(r%13))}}
-					s.Append(k, l, 8, 3)
+					write(s, k, l, 8, 3)
 				case 2:
 					if l, found, _ := s.Get(k, 4); found && l.Len() > 4 {
 						t.Errorf("capped get returned %d entries", l.Len())
@@ -109,7 +109,7 @@ func TestStoreConcurrentActivationPolicy(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			ix.Store().Append("stored", &postings.List{Entries: []postings.Posting{post("p", uint32(i), 1)}}, 8, 1)
+			write(ix.Store(), "stored", &postings.List{Entries: []postings.Posting{post("p", uint32(i), 1)}}, 8, 1)
 			if i%10 == 0 {
 				ticks.Add(1)
 				rate.Hot(1)

@@ -144,11 +144,11 @@ func TestHostileReplyCountIsTypedError(t *testing.T) {
 				r.Byte() // mode
 				var n int
 				if msg == MsgMultiAppend {
-					keys, _, err := readAppendFrame(r)
+					wr, err := DecodeWrite(r)
 					if err != nil {
 						return 0, nil, err
 					}
-					n = len(keys)
+					n = len(wr.Keys)
 				} else if n, _ = readBatchCount(r); n == 0 {
 					return 0, nil, wire.ErrCorrupt
 				}

@@ -19,15 +19,16 @@ import (
 // digest of the entry's stored bytes, paginated in ring order — diffed
 // against the local copy. A puller fetches the entries it lacks or holds
 // differently with MsgFetchEntries; an owner ships the entries a replica
-// lacks or holds differently with MsgReplSync. Receivers merge stored
-// entries (list plus accumulated approximate DF) idempotently
-// (Store.AdoptReplica), so repeated passes converge. 0x20–0x23 carried
-// the retired ReplPut, ReplAppend, ReplRemove and PullRange and stay
-// unassigned.
+// lacks or holds differently with MsgReplSync. An entry travels as its
+// per-origin shares and its list (EncodeEntry), against a peer table the
+// frame leads with. Receivers merge entries idempotently, per origin
+// keeping the newer write (Store.Adopt), so repeated passes converge.
+// 0x20–0x23 carried the retired ReplPut, ReplAppend, ReplRemove and
+// PullRange and stay unassigned.
 const (
-	MsgReplSync      uint8 = 0x24 // (n, n×(key, approxDF, list)) -> n×storedLen
+	MsgReplSync      uint8 = 0x24 // (peers, n, n×(key, shares, list)) -> n×storedLen
 	MsgRangeManifest uint8 = 0x25 // (from, to) -> (n, n×(key, fingerprint), more)
-	MsgFetchEntries  uint8 = 0x26 // (n, n×key) -> (n, n×(present, [approxDF, list]))
+	MsgFetchEntries  uint8 = 0x26 // (n, n×key) -> (peers, n, n×(key, shares, list)) for the keys held
 )
 
 // replicator holds the replication state of one Index. Where a primary's
@@ -149,15 +150,50 @@ func pageRangeKeys(keys []string) (page []string, more bool) {
 	return keys[:cut], true
 }
 
-// entryFingerprint digests one stored entry (its accumulated approximate
-// DF and the exact encoded list bytes) into the 64-bit value the range
-// manifest ships. Two peers holding byte-identical entries produce equal
-// fingerprints, so a walk skips their transfer.
-func entryFingerprint(df int64, list *postings.List) uint64 {
-	w := wire.NewWriter(16 + 12*list.Len())
-	w.Varint(df)
-	list.Encode(w)
+// entryFingerprint digests one stored entry (its shares and the exact
+// encoded list bytes) into the 64-bit value the range manifest ships. Two
+// peers holding byte-identical entries produce equal fingerprints, so a
+// walk skips their transfer.
+func entryFingerprint(shares []Share, list *postings.List) uint64 {
+	w := wire.NewWriter(32 + 12*list.Len())
+	writeEntries(w, []syncItem{{shares: shares, list: list}})
 	return uint64(ids.HashBytes(w.Bytes()))
+}
+
+// writeEntries writes items as the peer table of their shares and lists,
+// the count, then each item's key and entry.
+func writeEntries(w *wire.Writer, items []syncItem) {
+	states := make([]EntryState, len(items))
+	for i, it := range items {
+		states[i] = EntryState{Shares: it.shares, List: it.list}
+	}
+	peers := PeerTableOf(states...)
+	peers.Encode(w)
+	w.Uvarint(uint64(len(items)))
+	for _, it := range items {
+		w.String(it.key)
+		EncodeEntry(w, peers, it.shares, it.list)
+	}
+}
+
+// readEntries reads a body written by writeEntries.
+func readEntries(r *wire.Reader) ([]syncItem, error) {
+	peers, err := postings.DecodePeerTable(r, MaxBatchItems)
+	if err != nil {
+		return nil, err
+	}
+	count, err := readBatchCount(r)
+	if err != nil {
+		return nil, err
+	}
+	items := make([]syncItem, count)
+	for i := range items {
+		items[i].key = r.String()
+		if items[i].shares, items[i].list, err = DecodeEntry(r, peers); err != nil {
+			return nil, err
+		}
+	}
+	return items, nil
 }
 
 func (ix *Index) handleRangeManifest(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
@@ -171,12 +207,12 @@ func (ix *Index) handleRangeManifest(_ context.Context, _ transport.Addr, _ uint
 	w := wire.NewWriter(16 * len(keys))
 	w.Uvarint(uint64(len(keys)))
 	for _, key := range keys {
-		list, df, ok := ix.store.Export(key)
+		list, shares, ok := ix.store.Export(key)
 		if !ok {
 			list = &postings.List{}
 		}
 		w.String(key)
-		w.Uint64(entryFingerprint(df, list))
+		w.Uint64(entryFingerprint(shares, list))
 	}
 	w.Bool(more)
 	return MsgRangeManifest, w.Bytes(), nil
@@ -195,50 +231,38 @@ func (ix *Index) handleFetchEntries(_ context.Context, _ transport.Addr, _ uint8
 	if err := r.Err(); err != nil {
 		return 0, nil, err
 	}
-	w := wire.NewWriter(64 * count)
-	w.Uvarint(uint64(count))
+	// The held entries travel as a ReplSync body; a key this store lacks
+	// is left out.
+	var held []syncItem
 	for _, key := range keys {
-		list, df, ok := ix.store.Export(key)
-		w.Bool(ok)
-		if ok {
-			w.Uvarint(uint64(df))
-			list.Encode(w)
+		if list, shares, ok := ix.store.Export(key); ok {
+			held = append(held, syncItem{key, shares, list})
 		}
 	}
+	w := wire.NewWriter(64 * count)
+	writeEntries(w, held)
 	return MsgFetchEntries, w.Bytes(), nil
 }
 
 func (ix *Index) handleReplSync(_ context.Context, _ transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
-	r := wire.NewReader(body)
-	count, err := readBatchCount(r)
+	items, err := readEntries(wire.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
-	items := make([]syncItem, count)
-	for i := range items {
-		items[i].key = r.String()
-		items[i].df = int64(r.Uvarint())
-		if items[i].list, err = postings.Decode(r, nil); err != nil {
-			return 0, nil, err
-		}
-	}
-	if err := r.Err(); err != nil {
-		return 0, nil, err
-	}
-	w := wire.NewWriter(8 + 4*count)
-	w.Uvarint(uint64(count))
+	w := wire.NewWriter(8 + 4*len(items))
+	w.Uvarint(uint64(len(items)))
 	for _, it := range items {
-		w.Uvarint(uint64(ix.store.AdoptReplica(it.key, it.list, it.df)))
+		w.Uvarint(uint64(ix.store.Adopt(it.key, it.shares, it.list)))
 	}
 	return MsgReplSync, w.Bytes(), nil
 }
 
-// syncItem is one stored entry (key, accumulated approximate DF, list)
-// in anti-entropy transfer.
+// syncItem is one stored entry (key, per-origin shares, list) in
+// anti-entropy transfer.
 type syncItem struct {
-	key  string
-	df   int64
-	list *postings.List
+	key    string
+	shares []Share
+	list   *postings.List
 }
 
 // replicaTargets returns where primary's replicas live: the first R−1
@@ -426,7 +450,7 @@ func (ix *Index) pullOwnedRange() {
 		ix.repl.manifestKeys.Add(int64(len(keys)))
 		var need []string
 		for _, key := range keys {
-			if list, df, ok := ix.store.Export(key); !ok || entryFingerprint(df, list) != fps[key] {
+			if list, shares, ok := ix.store.Export(key); !ok || entryFingerprint(shares, list) != fps[key] {
 				need = append(need, key)
 			}
 		}
@@ -462,25 +486,24 @@ func (ix *Index) fetchEntries(ctx context.Context, succ dht.Remote, need []strin
 		if err != nil {
 			return false
 		}
-		r := wire.NewReader(resp)
-		count, err := readBatchCount(r)
-		if err != nil || count != len(chunk) {
+		// Keys the successor no longer holds were removed there since the
+		// manifest page; only the held ones come back as entries, and
+		// nothing that was not asked for.
+		items, err := readEntries(wire.NewReader(resp))
+		if err != nil {
 			return false
 		}
+		asked := make(map[string]bool, len(chunk))
 		for _, key := range chunk {
-			present := r.Bool()
-			if r.Err() != nil {
+			asked[key] = true
+		}
+		for _, it := range items {
+			if !asked[it.key] {
 				return false
 			}
-			if !present {
-				continue // removed at the successor since the manifest page
-			}
-			df := int64(r.Uvarint())
-			list, err := postings.Decode(r, nil)
-			if err != nil {
-				return false
-			}
-			ix.store.AdoptReplica(key, list, df)
+		}
+		for _, it := range items {
+			ix.store.Adopt(it.key, it.shares, it.list)
 			ix.repl.pulledKeys.Add(1)
 		}
 	}
@@ -518,23 +541,18 @@ func (ix *Index) pushOwnedRange() int {
 			var ship []syncItem
 			for ; next < len(owned) && ids.Between(hashes[next], lo, hi); next++ {
 				key := owned[next]
-				list, df, ok := ix.store.Export(key)
+				list, shares, ok := ix.store.Export(key)
 				if !ok {
 					continue // removed since the range listing
 				}
-				if fp, held := fps[key]; !held || fp != entryFingerprint(df, list) {
-					ship = append(ship, syncItem{key, df, list})
+				if fp, held := fps[key]; !held || fp != entryFingerprint(shares, list) {
+					ship = append(ship, syncItem{key, shares, list})
 				}
 			}
 			for start := 0; start < len(ship); start += MaxBatchItems {
 				chunk := ship[start:min(start+MaxBatchItems, len(ship))]
 				w := wire.NewWriter(64 * len(chunk))
-				w.Uvarint(uint64(len(chunk)))
-				for _, it := range chunk {
-					w.String(it.key)
-					w.Uvarint(uint64(it.df))
-					it.list.Encode(w)
-				}
+				writeEntries(w, chunk)
 				if _, _, err := ix.node.Endpoint().Call(ctx, t.Addr, MsgReplSync, w.Bytes()); err != nil {
 					return false // the replica is gone or refusing; the next pass retries
 				}

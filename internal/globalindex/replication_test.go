@@ -220,7 +220,7 @@ func TestReadFalloverToReplica(t *testing.T) {
 	nodes, idxs, net := replRing(t, 10, 3)
 	terms := []string{"fail", "over"}
 	key := ids.KeyString(terms)
-	list := &postings.List{Entries: []postings.Posting{post("x", 3, 9.0), post("y", 4, 5.0)}}
+	list := &postings.List{Entries: []postings.Posting{post("x", 3, 9.0), post("x", 4, 5.0)}}
 	// The writer's replica cache warms during the write-through.
 	if _, err := putOne(context.Background(), idxs[2], terms, list, 100); err != nil {
 		t.Fatal(err)
@@ -375,14 +375,17 @@ func TestJoinPullsOwnedRange(t *testing.T) {
 	}
 }
 
-// TestAdoptReplicaIdempotent pins the anti-entropy merge semantics.
+// TestAdoptReplicaIdempotent pins the anti-entropy merge semantics:
+// adopting a copy twice changes nothing, and per origin the share with
+// the higher sequence number wins, with its slice of the list.
 func TestAdoptReplicaIdempotent(t *testing.T) {
 	s := NewStore()
 	l := &postings.List{Entries: []postings.Posting{post("a", 1, 3.0), post("a", 2, 2.0)}}
-	if n := s.AdoptReplica("k", l, 5); n != 2 {
+	sh := []Share{{Origin: "a", Seq: 4, DF: 5}}
+	if n := s.Adopt("k", sh, l); n != 2 {
 		t.Fatalf("first adopt len = %d", n)
 	}
-	if n := s.AdoptReplica("k", l, 5); n != 2 {
+	if n := s.Adopt("k", sh, l); n != 2 {
 		t.Fatalf("second adopt len = %d", n)
 	}
 	df, present := s.ApproxDF("k")
@@ -393,10 +396,19 @@ func TestAdoptReplicaIdempotent(t *testing.T) {
 	if !got.Truncated {
 		t.Fatal("df above stored length must mark the list incomplete")
 	}
-	// A lower incoming df does not shrink the accumulated one.
-	s.AdoptReplica("k", l, 2)
+	// An older copy changes nothing, a higher DF notwithstanding.
+	older := &postings.List{Entries: []postings.Posting{post("a", 9, 9.0)}}
+	s.Adopt("k", []Share{{Origin: "a", Seq: 3, DF: 8}}, older)
 	if df, _ := s.ApproxDF("k"); df != 5 {
-		t.Fatalf("df shrank to %d", df)
+		t.Fatalf("an older copy moved the df to %d", df)
+	}
+	// A newer copy replaces the origin's slice and DF, shrinking both.
+	s.Adopt("k", []Share{{Origin: "a", Seq: 5, DF: 1}}, older)
+	if got, _ := s.Peek("k"); got.Len() != 1 || got.Entries[0] != post("a", 9, 9.0) || got.Truncated {
+		t.Fatalf("newer copy adopted as %v", got)
+	}
+	if df, _ := s.ApproxDF("k"); df != 1 {
+		t.Fatalf("df = %d after the newer copy, want 1", df)
 	}
 }
 

@@ -47,6 +47,10 @@ type Index struct {
 	// Hedged-read counters (hedge.go); see TopKStats.
 	hedgesLaunched atomic.Int64
 	hedgesWon      atomic.Int64
+
+	// lastSeq is the sequence number of this peer's latest write (see
+	// nextSeq).
+	lastSeq atomic.Uint64
 }
 
 // New creates the component for node with the default in-memory engine,

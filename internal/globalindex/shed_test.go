@@ -159,6 +159,36 @@ func TestShedMultiGetWithoutReplicasFails(t *testing.T) {
 	}
 }
 
+// TestShedResolveFetchesStateOncePerCall pins what a shedding owner's
+// failed state fetch costs it in the same setting: each Resolve asks it
+// for its ring state (MsgGetState) at most once, however many later
+// rounds look up keys it owns. The read resolves twice — the batch and
+// the redrive — so the owner receives at most two.
+func TestShedResolveFetchesStateOncePerCall(t *testing.T) {
+	nodes, idxs, disps, net, _ := hedgeRing(t, 6, 1)
+	const owner = 1
+	terms := termsOwnedBy(t, nodes[owner], 16, "shed")
+	appendOwned(t, idxs[0], terms, 0)
+	overload(t, nodes, idxs, disps, owner)
+
+	gets := make([]GetItem, len(terms))
+	for i, ts := range terms {
+		gets[i] = GetItem{Terms: ts}
+	}
+	addr := nodes[owner].Self().Addr
+	before := receivedFrames(net, addr)[dht.MsgGetState]
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	if _, err := idxs[0].MultiGet(ctx, gets, ReadPrimary); !errors.Is(err, transport.ErrShed) {
+		t.Fatalf("read shed at its only copy: got %v, want ErrShed", err)
+	}
+	got := receivedFrames(net, addr)[dht.MsgGetState] - before
+	t.Logf("the shedding owner received %d MsgGetState frames over the read's two resolves", got)
+	if got > 2 {
+		t.Errorf("the shedding owner received %d MsgGetState frames, want at most one per Resolve call (2)", got)
+	}
+}
+
 // TestShedMultiAppendAppliesNothing pins the write half: a MultiAppend
 // the owner sheds twice fails with the typed shed and applies none of
 // its items, so a retry once the load is gone lands every key's DF at

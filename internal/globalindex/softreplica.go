@@ -367,7 +367,7 @@ func (ix *Index) PromoteHotKeys(ctx context.Context) int {
 		if !ix.hot.shouldAnnounce(key, sweepStart) {
 			continue
 		}
-		list, df, ok := ix.store.Export(key)
+		list, shares, ok := ix.store.Export(key)
 		if !ok {
 			continue
 		}
@@ -375,7 +375,7 @@ func (ix *Index) PromoteHotKeys(ctx context.Context) int {
 		if len(targets) == 0 {
 			continue
 		}
-		body := encodeSoftAnnounce(key, ix.hot.ttl, df, list)
+		body := encodeSoftAnnounce(key, ix.hot.ttl, sumDF(shares), list)
 		for _, t := range targets {
 			_, resp, err := ix.node.Endpoint().Call(ctx, t, MsgSoftAnnounce, body)
 			if errors.Is(err, transport.ErrUnreachable) {

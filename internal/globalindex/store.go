@@ -14,11 +14,16 @@
 package globalindex
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/postings"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // HardCap bounds any posting list a store will retain, whatever bound the
@@ -28,6 +33,37 @@ import (
 // lists through the same machinery.
 const HardCap = 1 << 20
 
+// Share is one origin's part of a stored key. The origin is the
+// publishing peer, and its slice of the key's list is exactly the
+// entries whose Ref.Peer is the origin: a list names the documents of the
+// peers that host them, and only a peer publishes its own. DF is the
+// document frequency the origin announced for the key — at least its
+// slice's length before truncation — and a key's approximate global DF is
+// the sum over its shares. Seq orders the origin's writes: a write, or a
+// replica copy, whose Seq is not above the stored share's is a replay or
+// out of date and changes nothing.
+type Share struct {
+	Origin transport.Addr
+	Seq    uint64
+	DF     int64
+}
+
+// sumDF returns the approximate global document frequency of a key: the
+// sum of its shares' DFs.
+func sumDF(shares []Share) int64 {
+	var df int64
+	for _, sh := range shares {
+		df += sh.DF
+	}
+	return df
+}
+
+// findShare returns the index of origin's share in shares (sorted by
+// origin), or where it would go, and whether it is there.
+func findShare(shares []Share, origin transport.Addr) (int, bool) {
+	return slices.BinarySearchFunc(shares, origin, func(sh Share, o transport.Addr) int { return cmp.Compare(sh.Origin, o) })
+}
+
 // Memory is the in-RAM storage engine — the default, and the reference
 // implementation of StorageEngine. It is safe for concurrent use.
 // Nothing survives a restart; see internal/storage for the durable
@@ -35,15 +71,15 @@ const HardCap = 1 << 20
 type Memory struct {
 	mu sync.RWMutex
 	// entries holds each key's list in canonical order without repeated
-	// refs: Put and RestoreState normalize, Append and AdoptReplica merge
-	// (postings.Merge relies on it).
+	// refs: every write merges into it (postings.Merge relies on it), and
+	// Put and RestoreState normalize.
 	entries map[string]*postings.List
 
-	// approxDF approximates each key's global document frequency: the
-	// total number of postings publishers have pushed for it, counted
-	// before truncation. HDK's frequency test (df > DFmax) reads it; it
-	// is exact as long as each peer publishes each (key, doc) once.
-	approxDF map[string]int64
+	// shares holds each key's per-origin table, sorted by origin. Every
+	// write replaces one origin's share, so a key's DF counts each
+	// origin's documents once however often it publishes. A list is
+	// marked Truncated exactly when the shares' DF exceeds its length.
+	shares map[string][]Share
 
 	// Responsibility watermark: the ring interval this slice covered when
 	// it was last known stable. The memory engine only ever holds it in
@@ -59,58 +95,127 @@ type Store = Memory
 // NewStore returns an empty memory engine.
 func NewStore() *Memory {
 	return &Memory{
-		entries:  make(map[string]*postings.List),
-		approxDF: make(map[string]int64),
+		entries: make(map[string]*postings.List),
+		shares:  make(map[string][]Share),
 	}
 }
 
-// Put replaces the list stored under key, truncating to bound (and to the
-// hard cap). It returns the stored length.
+// storeLocked installs key's list and shares, marking the list truncated
+// exactly when the shares announce more documents than it holds. It
+// returns the stored length.
+func (s *Memory) storeLocked(key string, list *postings.List, shares []Share) int {
+	list.Truncated = sumDF(shares) > int64(list.Len())
+	s.entries[key] = list
+	s.shares[key] = shares
+	return list.Len()
+}
+
+// SharesOf returns the shares a list stands for on its own: one per peer
+// it names, with that peer's entry count as its DF and sequence 0, older
+// than any write. A list marked Truncated is incomplete by its own
+// account, so its first share announces one document more than the list
+// holds — the mark survives as DF above the stored length.
+func SharesOf(list *postings.List) []Share {
+	var shares []Share
+	for _, p := range list.Entries {
+		i, ok := findShare(shares, p.Ref.Peer)
+		if !ok {
+			shares = slices.Insert(shares, i, Share{Origin: p.Ref.Peer})
+		}
+		shares[i].DF++
+	}
+	if list.Truncated && len(shares) > 0 {
+		shares[0].DF++
+	}
+	return shares
+}
+
+// Put replaces the entry stored under key with list, truncating it to
+// bound (and to the hard cap); the shares become SharesOf the list. It
+// returns the stored length.
 func (s *Memory) Put(key string, list *postings.List, bound int) int {
 	if bound <= 0 || bound > HardCap {
 		bound = HardCap
 	}
 	cp := list.Clone()
 	cp.Normalize()
-	preTruncate := cp.Len()
+	shares := SharesOf(cp)
 	cp.Truncate(bound)
 	s.mu.Lock()
-	s.entries[key] = cp
-	s.approxDF[key] = int64(preTruncate)
-	s.mu.Unlock()
-	return cp.Len()
+	defer s.mu.Unlock()
+	return s.storeLocked(key, cp, shares)
 }
 
-// Append merges new entries into the list stored under key (creating it
-// if absent), truncating to bound. announcedDF is the publisher's true
-// local document frequency for the key — publishers cap the postings they
-// ship (sending more than the bound is wasted bandwidth) but must still
-// announce the real count so the store can (a) approximate the global DF
-// for HDK's frequency test and (b) mark lists that are incomplete.
-// announcedDF below the shipped length is corrected upward. It returns
-// the resulting stored length.
-func (s *Memory) Append(key string, list *postings.List, bound, announcedDF int) int {
+// Write is one origin's write of many keys: what one MsgMultiAppend
+// frame carries, and what a durable engine journals as one record. Each
+// item replaces the origin's share of its key (Memory.Replace), all under
+// the one sequence number, so a write applies whole or not at all.
+type Write struct {
+	Origin transport.Addr
+	Seq    uint64
+	Keys   []string
+	Items  []AppendItem // Items[i] is written under Keys[i]; Terms are unused
+}
+
+// Write applies w, returning each key's resulting stored length. Each
+// key takes the lock on its own, so reads interleave with a long write.
+func (s *Memory) Write(w Write) []int {
+	out := make([]int, len(w.Keys))
+	for i, it := range w.Items {
+		out[i] = s.Replace(w.Keys[i], Share{Origin: w.Origin, Seq: w.Seq, DF: int64(it.AnnouncedDF)}, it.List, it.Bound)
+	}
+	return out
+}
+
+// Replace is an origin's write to key (creating it if absent): the
+// entries of sh.Origin in the stored list give way to list's, cut with
+// the rest to bound, and sh replaces the origin's share. list must name
+// only sh.Origin's documents; entries naming other peers are ignored.
+// Publishers cap the postings they ship (sending more than the bound is
+// wasted bandwidth) but announce their true local document frequency in
+// sh.DF, so the store can (a) approximate the global DF for HDK's
+// frequency test and (b) mark lists that are incomplete; a DF below the
+// shipped length is corrected upward. An empty list with DF 0 withdraws
+// the origin from the key, and the last origin to leave takes the key
+// with it. A write whose sequence is not above the stored share's is a
+// replay or out of date and changes nothing. It returns the resulting
+// stored length.
+func (s *Memory) Replace(key string, sh Share, list *postings.List, bound int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.replaceLocked(key, sh, list, bound)
+}
+
+func (s *Memory) replaceLocked(key string, sh Share, list *postings.List, bound int) int {
 	if bound <= 0 || bound > HardCap {
 		bound = HardCap
 	}
-	if announcedDF < list.Len() {
-		announcedDF = list.Len()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	sh.DF = max(sh.DF, int64(list.Len()))
 	cur, ok := s.entries[key]
 	if !ok {
 		cur = &postings.List{}
 	}
-	// Merge marks the result truncated if either input was; appending to
-	// a previously truncated list keeps that mark.
-	merged := postings.Merge(cur, list, bound)
-	s.approxDF[key] += int64(announcedDF)
-	if s.approxDF[key] > int64(merged.Len()) {
-		merged.Truncated = true
+	old := s.shares[key]
+	i, found := findShare(old, sh.Origin)
+	if found && old[i].Seq >= sh.Seq {
+		return cur.Len()
 	}
-	s.entries[key] = merged
-	return merged.Len()
+	shares := slices.Clone(old)
+	switch {
+	case found && sh.DF == 0:
+		shares = slices.Delete(shares, i, i+1)
+	case found:
+		shares[i] = sh
+	case sh.DF > 0:
+		shares = slices.Insert(shares, i, sh)
+	}
+	merged := postings.Merge(cur, list, func(p transport.Addr) bool { return p == sh.Origin }, bound)
+	if len(shares) == 0 && merged.Len() == 0 {
+		delete(s.entries, key)
+		delete(s.shares, key)
+		return 0
+	}
+	return s.storeLocked(key, merged, shares)
 }
 
 // Get returns (a copy of) the list stored under key capped to maxResults
@@ -185,18 +290,17 @@ func (s *Memory) Remove(key string) bool {
 		return false
 	}
 	delete(s.entries, key)
-	delete(s.approxDF, key)
+	delete(s.shares, key)
 	return true
 }
 
-// ApproxDF returns the approximate global document frequency of key (the
-// number of postings ever pushed for it, pre-truncation) and whether the
-// key is present.
+// ApproxDF returns the approximate global document frequency of key —
+// the sum of its origins' announced DFs — and whether the key is present.
 func (s *Memory) ApproxDF(key string) (int64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	_, present := s.entries[key]
-	return s.approxDF[key], present
+	return sumDF(s.shares[key]), present
 }
 
 // KeysInRange returns the stored keys whose canonical hash lies in the
@@ -234,40 +338,49 @@ func (s *Memory) KeysInRange(from, to ids.ID) []string {
 }
 
 // Export atomically snapshots one entry for replication transfer: the
-// stored list (with its truncation mark) and the accumulated approximate
-// document frequency.
-func (s *Memory) Export(key string) (list *postings.List, approxDF int64, ok bool) {
+// stored list (with its truncation mark) and its per-origin shares.
+func (s *Memory) Export(key string) (list *postings.List, shares []Share, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	cur, ok := s.entries[key]
 	if !ok {
-		return nil, 0, false
+		return nil, nil, false
 	}
-	return cur.Clone(), s.approxDF[key], true
+	return cur.Clone(), slices.Clone(s.shares[key]), true
 }
 
-// AdoptReplica merges a replicated entry into the store during
-// anti-entropy: the stored list becomes the union of the current and the
-// incoming copy (keeping truncation marks), and the approximate DF
-// becomes the larger of the two accumulations — both idempotent, so
-// repeated synchronization passes converge instead of double-counting.
-// It returns the resulting stored length.
-func (s *Memory) AdoptReplica(key string, list *postings.List, approxDF int64) int {
+// Adopt merges a replicated entry into the store during anti-entropy:
+// per origin, the share with the higher sequence number wins, and with it
+// that origin's slice of its side's list (the stored copy keeps a tie).
+// Entries naming a peer the incoming shares do not cover are not adopted.
+// Adopting is idempotent and order-free, so repeated synchronization
+// passes converge on each origin's newest write. It returns the
+// resulting stored length.
+func (s *Memory) Adopt(key string, shares []Share, list *postings.List) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur, ok := s.entries[key]
 	if !ok {
 		cur = &postings.List{}
 	}
-	merged := postings.Merge(cur, list, HardCap)
-	if approxDF > s.approxDF[key] {
-		s.approxDF[key] = approxDF
+	merged := slices.Clone(s.shares[key])
+	won := make(map[transport.Addr]bool)
+	for _, sh := range shares {
+		i, found := findShare(merged, sh.Origin)
+		switch {
+		case !found:
+			merged = slices.Insert(merged, i, sh)
+		case sh.Seq > merged[i].Seq:
+			merged[i] = sh
+		default:
+			continue
+		}
+		won[sh.Origin] = true
 	}
-	if s.approxDF[key] > int64(merged.Len()) {
-		merged.Truncated = true
+	if len(won) == 0 {
+		return cur.Len()
 	}
-	s.entries[key] = merged
-	return merged.Len()
+	return s.storeLocked(key, postings.Merge(cur, list, func(p transport.Addr) bool { return won[p] }, HardCap), merged)
 }
 
 // Keys returns all stored keys, sorted.
@@ -325,22 +438,22 @@ func (s *Memory) Recovered() bool { return false }
 func (s *Memory) Close() error { return nil }
 
 // EntryState is one stored entry as captured by ExportState: the key,
-// its accumulated approximate document frequency, and the stored list.
+// its per-origin shares, and the stored list.
 type EntryState struct {
-	Key      string
-	ApproxDF int64
-	List     *postings.List
+	Key    string
+	Shares []Share
+	List   *postings.List
 }
 
 // ExportState captures the engine's complete state in deterministic
 // (key-sorted) order — the durable engine's snapshot writer consumes it.
-// The returned lists are deep copies.
+// The returned lists and shares are copies.
 func (s *Memory) ExportState() []EntryState {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	entries := make([]EntryState, 0, len(s.entries))
 	for k, l := range s.entries {
-		entries = append(entries, EntryState{Key: k, ApproxDF: s.approxDF[k], List: l.Clone()})
+		entries = append(entries, EntryState{Key: k, Shares: slices.Clone(s.shares[k]), List: l.Clone()})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	return entries
@@ -349,18 +462,88 @@ func (s *Memory) ExportState() []EntryState {
 // RestoreState replaces the engine's state wholesale with a snapshot
 // produced by ExportState — the durable engine's recovery path. Incoming
 // lists are deep-copied, so the caller may keep its buffers, and
-// normalized: Append and AdoptReplica merge into a stored list on the
-// condition that it is canonical without repeated refs, and a snapshot
-// is read from disk.
+// normalized: every write merges into a stored list on the condition
+// that it is canonical without repeated refs, and a snapshot is read from
+// disk. Shares are sorted by origin, the first of a repeated origin kept.
 func (s *Memory) RestoreState(entries []EntryState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.entries = make(map[string]*postings.List, len(entries))
-	s.approxDF = make(map[string]int64, len(entries))
+	s.shares = make(map[string][]Share, len(entries))
 	for _, e := range entries {
 		l := e.List.Clone()
 		l.Normalize()
-		s.entries[e.Key] = l
-		s.approxDF[e.Key] = e.ApproxDF
+		shares := slices.Clone(e.Shares)
+		slices.SortStableFunc(shares, func(a, b Share) int { return cmp.Compare(a.Origin, b.Origin) })
+		shares = slices.CompactFunc(shares, func(a, b Share) bool { return a.Origin == b.Origin })
+		s.storeLocked(e.Key, l, shares)
 	}
+}
+
+// maxShareDF bounds a decoded share's DF, far above any real collection:
+// summing the shares of a key can then never overflow.
+const maxShareDF = 1 << 40
+
+// PeerTableOf numbers every origin and every listed peer of entries, the
+// origins first: the peer table their encodings are written against.
+func PeerTableOf(entries ...EntryState) *postings.PeerTable {
+	var addrs []transport.Addr
+	for _, e := range entries {
+		for _, sh := range e.Shares {
+			addrs = append(addrs, sh.Origin)
+		}
+	}
+	for _, e := range entries {
+		for _, p := range e.List.Entries {
+			addrs = append(addrs, p.Ref.Peer)
+		}
+	}
+	return postings.NewPeerTable(addrs...)
+}
+
+// EncodeEntry writes one stored entry against peers, which must hold its
+// every origin and listed peer (PeerTableOf): the shares as (n, n×(origin
+// index, seq, DF)), then the list naming its peers by index. Replica
+// transfers, the write-ahead log and snapshots carry entries this way.
+func EncodeEntry(w *wire.Writer, peers *postings.PeerTable, shares []Share, list *postings.List) {
+	w.Uvarint(uint64(len(shares)))
+	for _, sh := range shares {
+		i, ok := peers.Index(sh.Origin)
+		if !ok {
+			panic(fmt.Sprintf("globalindex: origin %q missing from the peer table", sh.Origin))
+		}
+		w.Uvarint(i)
+		w.Uvarint(sh.Seq)
+		w.Uvarint(uint64(sh.DF))
+	}
+	list.EncodeIndexed(w, peers)
+}
+
+// DecodeEntry reads an entry written by EncodeEntry against peers.
+func DecodeEntry(r *wire.Reader, peers *postings.PeerTable) ([]Share, *postings.List, error) {
+	addrs := peers.Addrs()
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return nil, nil, r.Err()
+	}
+	// Every share takes at least three bytes.
+	if n > uint64(r.Remaining()/3) {
+		return nil, nil, wire.ErrCorrupt
+	}
+	shares := make([]Share, n)
+	for i := range shares {
+		idx, seq, df := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		if r.Err() != nil {
+			return nil, nil, r.Err()
+		}
+		if idx >= uint64(len(addrs)) || df > maxShareDF {
+			return nil, nil, wire.ErrCorrupt
+		}
+		shares[i] = Share{Origin: addrs[idx], Seq: seq, DF: int64(df)}
+	}
+	list, err := postings.Decode(r, peers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return shares, list, nil
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dht"
@@ -26,16 +27,26 @@ func receivedFrames(net *transport.Mem, addr transport.Addr) map[uint8]int64 {
 	return out
 }
 
+// frameSeq numbers the hand-built MultiAppend frames, so that no frame
+// is a replay of an earlier one.
+var frameSeq atomic.Uint64
+
 // appendFrame encodes a MultiAppend frame in the given mode through the
-// frame's one encoder, items in the order given.
+// frame's one encoder, items in the order given: a write of the peer the
+// first non-empty list names ("m" if none), under a fresh sequence
+// number.
 func appendFrame(mode uint8, keys []string, items []AppendItem) []byte {
 	idx := make([]int, len(keys))
+	origin := transport.Addr("m")
 	for i := range idx {
 		idx[i] = i
+		if l := items[i].List; l.Len() > 0 && origin == "m" {
+			origin = l.Entries[0].Ref.Peer
+		}
 	}
 	w := wire.NewWriter(64 * len(keys))
 	w.Byte(mode)
-	writeAppendFrame(w, keys, items, idx)
+	writeAppendFrame(w, origin, frameSeq.Add(1), keys, items, idx)
 	return w.Bytes()
 }
 
@@ -124,8 +135,8 @@ func TestWriteThroughIsOneAnyModeAppendPerReplica(t *testing.T) {
 	for _, r := range replicas {
 		_, rix := findNode(t, nodes, idxs, r.Self().Addr)
 		l, df, ok := rix.Store().Export(key)
-		if !ok || df != wantDF || string(l.EncodeBytes()) != string(wantList.EncodeBytes()) {
-			t.Errorf("replica %s diverged from the owner: df %d vs %d", r.Self().Addr, df, wantDF)
+		if !ok || !slices.Equal(df, wantDF) || string(l.EncodeBytes()) != string(wantList.EncodeBytes()) {
+			t.Errorf("replica %s diverged from the owner: shares %v vs %v", r.Self().Addr, df, wantDF)
 		}
 	}
 }

@@ -26,6 +26,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 
 	"repro/internal/globalindex"
 	"repro/internal/ids"
@@ -84,10 +86,13 @@ type Publisher struct {
 	global *globalindex.Index
 	stats  ranking.Stats // global statistics for posting scores
 	self   transport.Addr
+	held   *Held // nil: nothing to withdraw
 
 	frontier [][]string // keys this peer published at the current level
 	level    int
 	res      Result
+	wrote    map[string]bool // keys this run published
+	done     bool            // the run completed and withdrew
 
 	// frequentTerm caches the global single-term frequency test.
 	frequentTerm map[string]bool
@@ -96,7 +101,10 @@ type Publisher struct {
 // NewPublisher builds a publisher. stats supplies the global collection
 // statistics used both to score postings (BM25) and to test single-term
 // frequency; self is this peer's address, used in document references.
-func NewPublisher(cfg Config, local *localindex.Index, global *globalindex.Index, stats ranking.Stats, self transport.Addr) *Publisher {
+// held is the set of keys this peer's earlier runs published (nil when
+// there is nothing to withdraw): once the run completes, the keys in it
+// that the run did not publish again are withdrawn from the index.
+func NewPublisher(cfg Config, local *localindex.Index, global *globalindex.Index, stats ranking.Stats, self transport.Addr, held *Held) *Publisher {
 	cfg.FillDefaults()
 	return &Publisher{
 		cfg:          cfg,
@@ -104,9 +112,25 @@ func NewPublisher(cfg Config, local *localindex.Index, global *globalindex.Index
 		global:       global,
 		stats:        stats,
 		self:         self,
+		held:         held,
+		wrote:        make(map[string]bool),
 		frequentTerm: make(map[string]bool),
 	}
 }
+
+// Held is the set of keys a peer holds a share of in the global index:
+// what its publishing runs wrote and have not withdrawn. Every write of a
+// key replaces the peer's whole share of it, so a run publishing the
+// current collection corrects every key it writes; Held is what lets it
+// also reach the keys it no longer writes, such as those of a removed
+// document. It is safe for concurrent use.
+type Held struct {
+	mu   sync.Mutex
+	keys map[string]bool
+}
+
+// NewHeld returns an empty set.
+func NewHeld() *Held { return &Held{keys: make(map[string]bool)} }
 
 // Result summarizes one peer's publishing run so far.
 type Result struct {
@@ -126,16 +150,12 @@ func (p *Publisher) Run(ctx context.Context) (Result, error) {
 	if err := p.PublishTerms(ctx); err != nil {
 		return p.res, err
 	}
-	for s := 1; s < p.cfg.SMax; s++ {
+	for {
 		n, err := p.ExpandRound(ctx)
-		if err != nil {
+		if err != nil || n == 0 {
 			return p.res, err
 		}
-		if n == 0 {
-			break
-		}
 	}
-	return p.res, nil
 }
 
 // PublishTerms pushes this peer's postings for every local term (level 1),
@@ -168,21 +188,64 @@ func (p *Publisher) PublishTerms(ctx context.Context) error {
 }
 
 // publishItems ships prepared append items as one MultiAppend and
-// accounts them in the result counters.
+// accounts them in the result counters and the held keys.
 func (p *Publisher) publishItems(ctx context.Context, items []globalindex.AppendItem) error {
+	if p.held != nil {
+		// Held before the write: a run cut short still withdraws later.
+		p.held.mu.Lock()
+		for _, it := range items {
+			p.held.keys[ids.KeyString(it.Terms)] = true
+		}
+		p.held.mu.Unlock()
+	}
 	if _, err := p.global.MultiAppend(ctx, items); err != nil {
 		return fmt.Errorf("hdk: publish %d keys: %w", len(items), err)
 	}
 	for _, it := range items {
+		p.wrote[ids.KeyString(it.Terms)] = true
 		p.res.KeysPublished++
 		p.res.PostingsPublished += it.List.Len()
 	}
 	return nil
 }
 
+// finish completes the run: every held key the run did not publish gets
+// an empty write, withdrawing this peer from it, and leaves the held set.
+// It runs once; later calls do nothing.
+func (p *Publisher) finish(ctx context.Context) error {
+	if p.done || p.held == nil {
+		return nil
+	}
+	p.held.mu.Lock()
+	var gone []string
+	for key := range p.held.keys {
+		if !p.wrote[key] {
+			gone = append(gone, key)
+		}
+	}
+	p.held.mu.Unlock()
+	sort.Strings(gone)
+	items := make([]globalindex.AppendItem, len(gone))
+	for i, key := range gone {
+		items[i] = globalindex.AppendItem{Terms: strings.Split(key, " "), List: &postings.List{}, Bound: p.cfg.TruncK}
+	}
+	if _, err := p.global.MultiAppend(ctx, items); err != nil {
+		return fmt.Errorf("hdk: withdraw %d keys: %w", len(items), err)
+	}
+	p.held.mu.Lock()
+	for _, key := range gone {
+		delete(p.held.keys, key)
+	}
+	p.held.mu.Unlock()
+	p.done = true
+	return nil
+}
+
 // ExpandRound probes the frequency of the current frontier keys and
 // publishes the expansions of the frequent ones, advancing one level. It
-// returns the number of keys published this round (0 = process finished).
+// returns the number of keys published this round; 0 means the process
+// finished, and the round that first returns it withdraws the keys of
+// earlier runs this one did not publish.
 //
 // The round runs in two batched phases — frequency probes for the whole
 // frontier (one MultiKeyInfo), then all expansion appends (one
@@ -194,7 +257,7 @@ func (p *Publisher) ExpandRound(ctx context.Context) (int, error) {
 		return 0, fmt.Errorf("hdk: ExpandRound before PublishTerms")
 	}
 	if p.level >= p.cfg.SMax {
-		return 0, nil
+		return 0, p.finish(ctx)
 	}
 	frequent, err := p.frontierFrequent(ctx)
 	if err != nil {
@@ -229,9 +292,10 @@ func (p *Publisher) ExpandRound(ctx context.Context) (int, error) {
 	}
 	p.frontier = next
 	p.level++
-	if len(next) > 0 {
-		p.res.Levels = p.level
+	if len(next) == 0 {
+		return 0, p.finish(ctx)
 	}
+	p.res.Levels = p.level
 	return len(next), nil
 }
 

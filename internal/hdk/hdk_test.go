@@ -234,7 +234,7 @@ func TestDistributedMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pubs[i] = NewPublisher(cfg, f.locals[i], f.gidx[i], gs, f.nodes[i].Self().Addr)
+		pubs[i] = NewPublisher(cfg, f.locals[i], f.gidx[i], gs, f.nodes[i].Self().Addr, nil)
 		if err := pubs[i].PublishTerms(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestPublisherTruncationAtStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{DFMax: 3, SMax: 2, Window: 5, TruncK: 5}
-	pub := NewPublisher(cfg, f.locals[0], f.gidx[0], gs, f.nodes[0].Self().Addr)
+	pub := NewPublisher(cfg, f.locals[0], f.gidx[0], gs, f.nodes[0].Self().Addr, nil)
 	if _, err := pub.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestPublisherTruncationAtStore(t *testing.T) {
 
 func TestExpandRoundBeforePublishFails(t *testing.T) {
 	f := newFleet(t, 2)
-	pub := NewPublisher(Config{}, f.locals[0], f.gidx[0], &ranking.FixedStats{}, f.nodes[0].Self().Addr)
+	pub := NewPublisher(Config{}, f.locals[0], f.gidx[0], &ranking.FixedStats{}, f.nodes[0].Self().Addr, nil)
 	if _, err := pub.ExpandRound(context.Background()); err == nil {
 		t.Fatal("ExpandRound before PublishTerms must fail")
 	}
@@ -322,7 +322,7 @@ func TestPublishCapBoundsShippedPostings(t *testing.T) {
 	}
 	gs := &ranking.FixedStats{N: 50, AvgLen: 2, DF: map[string]int64{"shared": 50, "term": 50}}
 	cfg := Config{DFMax: 100, SMax: 2, Window: 5, TruncK: 10} // a peer ships at most TruncK per key
-	pub := NewPublisher(cfg, f.locals[0], f.gidx[0], gs, f.nodes[0].Self().Addr)
+	pub := NewPublisher(cfg, f.locals[0], f.gidx[0], gs, f.nodes[0].Self().Addr, nil)
 	if err := pub.PublishTerms(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func publishFleet(t *testing.T, peers int, texts []string, cfg Config, serial bo
 		if err != nil {
 			t.Fatal(err)
 		}
-		pubs[i] = NewPublisher(cfg, f.locals[i], f.gidx[i], gs, f.nodes[i].Self().Addr)
+		pubs[i] = NewPublisher(cfg, f.locals[i], f.gidx[i], gs, f.nodes[i].Self().Addr, nil)
 		if err := pubs[i].PublishTerms(context.Background()); err != nil {
 			t.Fatal(err)
 		}

@@ -280,7 +280,7 @@ func gapFrame(peers *PeerTable, gaps ...uint64) []byte {
 // document number past 2^32−1 is corrupt on both peer paths: wrapped,
 // gaps 5 and 2^32 would name p:1/5 twice.
 func TestDecodeRejectsGapOverflow(t *testing.T) {
-	table := NewPeerTable(&List{Entries: []Posting{{Ref: DocRef{Peer: "p:1"}}}})
+	table := NewPeerTable("p:1")
 	for _, peers := range []*PeerTable{nil, table} {
 		for _, gaps := range [][]uint64{{5, 1 << 32}, {1 << 32}, {math.MaxUint32, 1}, {math.MaxUint64}} {
 			if l, err := Decode(wire.NewReader(gapFrame(peers, gaps...)), peers); !errors.Is(err, wire.ErrCorrupt) {
@@ -300,7 +300,7 @@ func TestDecodeRejectsGapOverflow(t *testing.T) {
 // against a table that holds its peers.
 func TestPeerTableRoundTrip(t *testing.T) {
 	lists := []*List{randomList(31, 40), randomList(32, 3), {}, randomList(34, 1)}
-	peers := NewPeerTable(lists...)
+	peers := NewPeerTable("peer-a:1", "peer-b:2", "peer-c:3", "peer-d:4")
 	w := wire.NewWriter(1024)
 	peers.Encode(w)
 	for _, l := range lists {

@@ -195,50 +195,32 @@ func Union(lists ...*List) *List {
 	return out
 }
 
-// Merge returns Union(stored, add) cut to its top bound entries (bound >=
-// 0), as Truncate would cut it, in one pass over stored. stored must be
-// in canonical order without repeated refs, as every stored list is; add
-// may be any list. A ref in both keeps its higher score. Neither input is
-// modified.
-func Merge(stored, add *List, bound int) *List {
+// Merge returns the union of stored's entries of the peers fromAdd
+// rejects and add's entries of the peers it accepts, cut to its top bound
+// entries (bound >= 0) as Truncate would cut it, in one pass over stored:
+// the writes of the global index replace whole peers' slices of a stored
+// list. stored must be in canonical order without repeated refs, as every
+// stored list is; add may be any list (a ref it repeats keeps its higher
+// score). The result is marked truncated if either input was or the cut
+// dropped entries. Neither input is modified.
+func Merge(stored, add *List, fromAdd func(transport.Addr) bool, bound int) *List {
 	in := add.Clone()
+	in.Entries = slices.DeleteFunc(in.Entries, func(p Posting) bool { return !fromAdd(p.Ref.Peer) })
 	in.Normalize()
-	// skip lists, ascending, the stored entries an incoming entry
-	// supersedes; in keeps the incoming entries that supersede or are new.
-	var skip []int
-	if len(stored.Entries) > 0 && len(in.Entries) > 0 {
-		pos := make(map[DocRef]int, len(in.Entries))
-		for j, p := range in.Entries {
-			pos[p.Ref] = j
-		}
-		for i, p := range stored.Entries {
-			j, ok := pos[p.Ref]
-			switch {
-			case !ok:
-			case cmp.Compare(in.Entries[j].Score, p.Score) > 0:
-				skip = append(skip, i)
-			default:
-				delete(pos, p.Ref)
-			}
-		}
-		if len(pos) < len(in.Entries) {
-			in.Entries = slices.DeleteFunc(in.Entries, func(p Posting) bool {
-				_, ok := pos[p.Ref]
-				return !ok
-			})
-		}
-	}
 	cur, inc := stored.Entries, in.Entries
-	total := len(cur) - len(skip) + len(inc)
 	out := &List{
-		Entries:   make([]Posting, 0, min(bound, total)),
-		Truncated: stored.Truncated || in.Truncated || total > bound,
+		Entries:   make([]Posting, 0, min(bound, len(cur)+len(inc))),
+		Truncated: stored.Truncated || in.Truncated,
 	}
-	for i, j := 0, 0; len(out.Entries) < bound && (i < len(cur) || j < len(inc)); {
-		if len(skip) > 0 && skip[0] == i {
-			skip = skip[1:]
+	i, j := 0, 0
+	for i < len(cur) || j < len(inc) {
+		if i < len(cur) && fromAdd(cur[i].Ref.Peer) {
 			i++
 			continue
+		}
+		if len(out.Entries) == bound {
+			out.Truncated = true
+			break
 		}
 		if j == len(inc) || i < len(cur) && CompareCanonical(cur[i], inc[j]) < 0 {
 			out.Entries = append(out.Entries, cur[i])
@@ -335,31 +317,34 @@ const (
 // PeerTable is the peer table of a frame that carries many lists: the
 // frame spells each peer address once, ahead of its lists, and every list
 // encoded against the table names its groups' peers by index (flag bit
-// 2). The sender builds it from the lists it is about to encode
-// (NewPeerTable), the receiver reads it from the frame (DecodePeerTable).
+// 2). The sender numbers the peers its lists may name (NewPeerTable), the
+// receiver reads the table from the frame (DecodePeerTable).
 type PeerTable struct {
 	addrs []transport.Addr
 	index map[transport.Addr]uint64
 }
 
-// NewPeerTable numbers the peers the lists name, in order of first
+// NewPeerTable numbers the distinct addresses in order of first
 // appearance.
-func NewPeerTable(lists ...*List) *PeerTable {
-	t := &PeerTable{index: make(map[transport.Addr]uint64)}
-	var last transport.Addr
-	for _, l := range lists {
-		for _, p := range l.Entries {
-			if len(t.addrs) > 0 && p.Ref.Peer == last {
-				continue
-			}
-			last = p.Ref.Peer
-			if _, ok := t.index[last]; !ok {
-				t.index[last] = uint64(len(t.addrs))
-				t.addrs = append(t.addrs, last)
-			}
+func NewPeerTable(addrs ...transport.Addr) *PeerTable {
+	t := &PeerTable{index: make(map[transport.Addr]uint64, len(addrs))}
+	for _, a := range addrs {
+		if _, ok := t.index[a]; !ok {
+			t.index[a] = uint64(len(t.addrs))
+			t.addrs = append(t.addrs, a)
 		}
 	}
 	return t
+}
+
+// Addrs returns the table's addresses in index order; the caller must
+// not modify them.
+func (t *PeerTable) Addrs() []transport.Addr { return t.addrs }
+
+// Index returns a's index in the table and whether the table holds it.
+func (t *PeerTable) Index(a transport.Addr) (uint64, bool) {
+	i, ok := t.index[a]
+	return i, ok
 }
 
 // Encode writes the table: its size, then each address.
@@ -381,13 +366,15 @@ func DecodePeerTable(r *wire.Reader, max int) (*PeerTable, error) {
 	if n > uint64(max) || n > uint64(r.Remaining()) {
 		return nil, wire.ErrCorrupt
 	}
-	t := &PeerTable{addrs: make([]transport.Addr, n)}
-	for i := range t.addrs {
-		t.addrs[i] = transport.Addr(r.String())
+	addrs := make([]transport.Addr, n)
+	for i := range addrs {
+		addrs[i] = transport.Addr(r.String())
 	}
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	t := NewPeerTable(addrs...)
+	t.addrs = addrs // a repeated address keeps its every index
 	return t, nil
 }
 

@@ -253,9 +253,11 @@ func TestUnionIdempotentAndCommutative(t *testing.T) {
 
 // TestMergeMatchesUnionTruncate checks Merge against its definition at
 // every bound from 0 past the union's length, on its own: the store's
-// DF-based truncation mark would hide a missing cut mark.
+// DF-based truncation mark would hide a missing cut mark. Each peer's
+// entries come from add when fromAdd picks the peer and from stored
+// otherwise.
 func TestMergeMatchesUnionTruncate(t *testing.T) {
-	f := func(docsA, docsB []uint32, truncA, truncB bool) bool {
+	f := func(docsA, docsB []uint32, truncA, truncB bool, pick uint8) bool {
 		build := func(docs []uint32, trunc bool) *List {
 			l := &List{Truncated: trunc}
 			for _, d := range docs {
@@ -263,12 +265,18 @@ func TestMergeMatchesUnionTruncate(t *testing.T) {
 			}
 			return l
 		}
+		fromAdd := func(p transport.Addr) bool { return pick>>(p[0]-'a')&1 == 1 }
+		only := func(l *List, keep bool) *List {
+			c := l.Clone()
+			c.Entries = slices.DeleteFunc(c.Entries, func(p Posting) bool { return fromAdd(p.Ref.Peer) != keep })
+			return c
+		}
 		stored, add := build(docsA, truncA), build(docsB, truncB)
 		stored.Normalize()
 		for bound := 0; bound <= len(docsA)+len(docsB)+1; bound++ {
-			want := Union(stored, add)
+			want := Union(only(stored, false), only(add, true))
 			want.Truncate(bound)
-			got := Merge(stored, add, bound)
+			got := Merge(stored, add, fromAdd, bound)
 			if !slices.Equal(got.Entries, want.Entries) || got.Truncated != want.Truncated {
 				t.Logf("bound %d: got %v (truncated %v), want %v (truncated %v)", bound, got.Entries, got.Truncated, want.Entries, want.Truncated)
 				return false

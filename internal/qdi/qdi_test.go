@@ -56,11 +56,17 @@ func pl(truncated bool, peer string, docs ...uint32) *postings.List {
 	return l
 }
 
-// seedTerms publishes single-term lists into the fleet's global index.
+// seedTerms publishes single-term lists into the fleet's global index. A
+// list marked truncated announces one document more than it ships, which
+// is what marks it truncated in the store.
 func seedTerms(t *testing.T, f *fleet, terms map[string]*postings.List) {
 	t.Helper()
 	for term, list := range terms {
-		item := globalindex.AppendItem{Terms: []string{term}, List: list}
+		df := list.Len()
+		if list.Truncated {
+			df++
+		}
+		item := globalindex.AppendItem{Terms: []string{term}, List: list, AnnouncedDF: df}
 		if _, err := f.gidx[0].MultiAppend(context.Background(), []globalindex.AppendItem{item}); err != nil {
 			t.Fatal(err)
 		}

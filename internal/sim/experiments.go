@@ -882,7 +882,12 @@ func RunF1() (*metrics.Table, error) {
 	// A minimal 4-peer network with exactly the figure's index state.
 	n := NewNetwork(Options{NumPeers: 4, Seed: 111, Core: core.Config{}})
 	put := func(terms []string, truncated bool, docs ...uint32) error {
-		item := globalindex.AppendItem{Terms: terms, List: figureList(truncated, docs...)}
+		// A truncated list announces one document more than it holds.
+		df := len(docs)
+		if truncated {
+			df++
+		}
+		item := globalindex.AppendItem{Terms: terms, List: figureList(truncated, docs...), AnnouncedDF: df}
 		_, err := n.Peers[0].GlobalIndex().MultiAppend(context.Background(), []globalindex.AppendItem{item})
 		return err
 	}

@@ -8,8 +8,8 @@
 //
 // Durability contract:
 //
-//   - every index mutation (Put / Append / Remove / AdoptReplica, plus
-//     the watermark) is journaled before the call returns; with
+//   - every index mutation (Put / Replace / Remove / Adopt, plus the
+//     watermark) is journaled before the call returns; with
 //     Options.Fsync off (the default) the record reaches the OS page
 //     cache, so a killed *process* loses nothing and only a machine
 //     crash can lose the unsynced WAL tail;
@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/globalindex"
@@ -161,14 +162,16 @@ func (e *Engine) journalLocked(payload []byte) {
 		// durable, like any unsynced tail.
 		return
 	}
-	e.seq++
-	n, err := e.appendRecord(payload, e.seq)
+	// The sequence advances only with a record on disk, so the journal's
+	// sequence numbers stay consecutive (see replayWAL).
+	n, err := e.appendRecord(payload, e.seq+1)
 	if err != nil {
 		if e.lastErr == nil {
 			e.lastErr = err
 		}
 		return
 	}
+	e.seq++
 	e.walBytes += int64(n)
 	if e.walBytes >= e.opts.CompactBytes {
 		e.compactLocked()
@@ -186,13 +189,40 @@ func (e *Engine) Put(key string, list *postings.List, bound int) int {
 	return n
 }
 
-// Append implements StorageEngine.Append.
+// Write implements StorageEngine.Write: the whole write is one record.
+func (e *Engine) Write(w globalindex.Write) []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.writeLocked(w)
+}
+
+func (e *Engine) writeLocked(w globalindex.Write) []int {
+	ns := e.mem.Write(w)
+	e.journalLocked(encodeWrite(w))
+	return ns
+}
+
+// Append is the write surface of the accumulating format, kept for
+// decorators of the concrete engine that still forward it; the index
+// writes through Write. It replaces the share of the peer the list's
+// first entry names with that peer's entries, as its newest write.
 func (e *Engine) Append(key string, list *postings.List, bound, announcedDF int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := e.mem.Append(key, list, bound, announcedDF)
-	e.journalLocked(encodeAppend(key, list, bound, announcedDF))
-	return n
+	own := list.Clone()
+	w := globalindex.Write{Keys: []string{key}, Items: []globalindex.AppendItem{{List: own, Bound: bound, AnnouncedDF: announcedDF}}}
+	if list.Len() > 0 {
+		w.Origin = list.Entries[0].Ref.Peer
+		own.Entries = slices.DeleteFunc(own.Entries, func(p postings.Posting) bool { return p.Ref.Peer != w.Origin })
+	}
+	_, shares, _ := e.mem.Export(key)
+	for _, old := range shares {
+		if old.Origin == w.Origin {
+			w.Seq = old.Seq
+		}
+	}
+	w.Seq++
+	return e.writeLocked(w)[0]
 }
 
 // Remove implements StorageEngine.Remove.
@@ -204,13 +234,21 @@ func (e *Engine) Remove(key string) bool {
 	return removed
 }
 
-// AdoptReplica implements StorageEngine.AdoptReplica.
-func (e *Engine) AdoptReplica(key string, list *postings.List, approxDF int64) int {
+// Adopt implements StorageEngine.Adopt.
+func (e *Engine) Adopt(key string, shares []globalindex.Share, list *postings.List) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := e.mem.AdoptReplica(key, list, approxDF)
-	e.journalLocked(encodeAdopt(key, list, approxDF))
+	n := e.mem.Adopt(key, shares, list)
+	e.journalLocked(encodeAdopt(key, shares, list))
 	return n
+}
+
+// AdoptReplica is Adopt in the accumulating format's terms, kept for
+// decorators of the concrete engine that still forward it: the list is
+// adopted under the shares it stands for on its own
+// (globalindex.SharesOf), which no write is older than.
+func (e *Engine) AdoptReplica(key string, list *postings.List, _ int64) int {
+	return e.Adopt(key, globalindex.SharesOf(list), list)
 }
 
 // SetWatermark implements StorageEngine.SetWatermark; the watermark is
@@ -247,7 +285,9 @@ func (e *Engine) ApproxDF(key string) (int64, bool) { return e.mem.ApproxDF(key)
 func (e *Engine) KeysInRange(from, to ids.ID) []string { return e.mem.KeysInRange(from, to) }
 
 // Export implements StorageEngine.Export.
-func (e *Engine) Export(key string) (*postings.List, int64, bool) { return e.mem.Export(key) }
+func (e *Engine) Export(key string) (*postings.List, []globalindex.Share, bool) {
+	return e.mem.Export(key)
+}
 
 // Keys implements StorageEngine.Keys.
 func (e *Engine) Keys() []string { return e.mem.Keys() }

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
+	"strconv"
+	"strings"
 
 	"repro/internal/globalindex"
 	"repro/internal/ids"
@@ -17,22 +18,22 @@ import (
 //
 //	magic string, lastSeq,
 //	watermark (set, from, to),
-//	entries  (n, n×(key, approxDF, list)),
-//	probes   (n, n×(key, count, lastProbe, present)),
-//	clock,
+//	peers    (n, n×addr): every origin and listed peer, once,
+//	entries  (n, n×(key, shares, list)) against peers (EncodeEntry),
 //	[CRC-32C over everything above : 4 bytes BE]
 //
-// probes and clock are reserved: they carried usage statistics the store
-// no longer keeps. The writer emits an empty probe section and a zero
-// clock; the reader still parses a populated section from an older
-// snapshot and drops it.
+// The magic names the on-disk format version the WAL header carries; a
+// snapshot of another version is refused with a *FormatError.
 //
 // A snapshot is written to snapshot.tmp, fsynced, then renamed into
 // place — readers see either the old or the new file, never a torn one.
 // lastSeq is the sequence of the newest WAL record whose effect the
 // snapshot contains; replay skips records at or below it.
 
-const snapshotMagic = "alvisp2p-snapshot-v1"
+// snapshotMagicPrefix is followed by the format version in the magic.
+const snapshotMagicPrefix = "alvisp2p-snapshot-v"
+
+var snapshotMagic = snapshotMagicPrefix + strconv.Itoa(walVersion)
 
 // compactLocked folds the current state into a fresh snapshot and resets
 // the WAL. Called with e.mu held, which excludes every journaled
@@ -49,21 +50,9 @@ func (e *Engine) compactLocked() {
 	// The snapshot now covers every journaled record: the WAL restarts
 	// empty. A crash before this truncate is safe — replay skips records
 	// with seq <= the snapshot's lastSeq.
-	if e.wal != nil {
-		if err := e.wal.Truncate(0); err != nil {
-			if e.lastErr == nil {
-				e.lastErr = fmt.Errorf("storage: reset wal: %w", err)
-			}
-			return
-		}
-		if _, err := e.wal.Seek(0, io.SeekStart); err != nil {
-			if e.lastErr == nil {
-				e.lastErr = fmt.Errorf("storage: rewind wal: %w", err)
-			}
-			return
-		}
+	if err := e.resetWAL(); err != nil && e.lastErr == nil {
+		e.lastErr = err
 	}
-	e.walBytes = 0
 }
 
 func (e *Engine) writeSnapshot() error {
@@ -76,14 +65,13 @@ func (e *Engine) writeSnapshot() error {
 	w.Bool(wmSet)
 	w.Uint64(uint64(wmFrom))
 	w.Uint64(uint64(wmTo))
+	peers := globalindex.PeerTableOf(entries...)
+	peers.Encode(w)
 	w.Uvarint(uint64(len(entries)))
 	for _, en := range entries {
 		w.String(en.Key)
-		w.Uvarint(uint64(en.ApproxDF))
-		en.List.Encode(w)
+		globalindex.EncodeEntry(w, peers, en.Shares, en.List)
 	}
-	w.Uvarint(0) // reserved probe section: no records
-	w.Varint(0)  // reserved clock
 	body := w.Bytes()
 	framed := binary.BigEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crcTable))
 
@@ -131,13 +119,20 @@ func (e *Engine) loadSnapshot() (lastSeq uint64, loaded bool, err error) {
 		return 0, false, fmt.Errorf("storage: snapshot CRC mismatch")
 	}
 	r := wire.NewReader(body)
-	if r.String() != snapshotMagic {
+	if magic := r.String(); magic != snapshotMagic {
+		if v, err := strconv.Atoi(strings.TrimPrefix(magic, snapshotMagicPrefix)); err == nil && strings.HasPrefix(magic, snapshotMagicPrefix) {
+			return 0, false, &FormatError{File: e.snapPath(), Version: v}
+		}
 		return 0, false, fmt.Errorf("storage: snapshot magic mismatch")
 	}
 	lastSeq = r.Uvarint()
 	wmSet := r.Bool()
 	wmFrom := ids.ID(r.Uint64())
 	wmTo := ids.ID(r.Uint64())
+	peers, err := postings.DecodePeerTable(r, 1<<24)
+	if err != nil {
+		return 0, false, fmt.Errorf("storage: snapshot peer table corrupt")
+	}
 	numEntries := r.Uvarint()
 	if r.Err() != nil || numEntries > 1<<24 {
 		return 0, false, fmt.Errorf("storage: snapshot header corrupt")
@@ -145,26 +140,13 @@ func (e *Engine) loadSnapshot() (lastSeq uint64, loaded bool, err error) {
 	entries := make([]globalindex.EntryState, 0, min(numEntries, 4096))
 	for i := uint64(0); i < numEntries; i++ {
 		key := r.String()
-		df := int64(r.Uvarint())
-		list, derr := postings.Decode(r, nil)
+		shares, list, derr := globalindex.DecodeEntry(r, peers)
 		if derr != nil || r.Err() != nil {
 			return 0, false, fmt.Errorf("storage: snapshot entry corrupt")
 		}
-		entries = append(entries, globalindex.EntryState{Key: key, ApproxDF: df, List: list})
+		entries = append(entries, globalindex.EntryState{Key: key, Shares: shares, List: list})
 	}
-	numProbes := r.Uvarint()
-	if r.Err() != nil || numProbes > 1<<24 {
-		return 0, false, fmt.Errorf("storage: snapshot probes corrupt")
-	}
-	for i := uint64(0); i < numProbes; i++ {
-		// key, count, lastProbe, present: parsed and dropped.
-		_, _, _, _ = r.String(), r.Float64(), r.Varint(), r.Bool()
-		if r.Err() != nil {
-			return 0, false, fmt.Errorf("storage: snapshot probes corrupt")
-		}
-	}
-	r.Varint() // reserved clock
-	if r.Err() != nil {
+	if r.Remaining() != 0 {
 		return 0, false, fmt.Errorf("storage: snapshot trailer corrupt")
 	}
 	e.mem.RestoreState(entries)

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -25,17 +26,30 @@ func plist(peer string, scored ...float64) *postings.List {
 	return l
 }
 
+// write replaces the share of list's peer (its first entry's) under key
+// with an origin write of sequence seq announcing df.
+func write(e globalindex.StorageEngine, key string, list *postings.List, bound, df int, seq uint64) int {
+	return e.Write(globalindex.Write{Origin: list.Entries[0].Ref.Peer, Seq: seq, Keys: []string{key},
+		Items: []globalindex.AppendItem{{List: list, Bound: bound, AnnouncedDF: df}}})[0]
+}
+
+// adopt adopts list as a replica copy of its peer's share with sequence
+// seq and DF df.
+func adopt(e globalindex.StorageEngine, key string, list *postings.List, df int64, seq uint64) int {
+	return e.Adopt(key, []globalindex.Share{{Origin: list.Entries[0].Ref.Peer, Seq: seq, DF: df}}, list)
+}
+
 // stateOf flattens an engine's index content into a comparable map of
-// key -> (approxDF, encoded list bytes).
-func stateOf(t *testing.T, e globalindex.StorageEngine) map[string]string {
+// key -> (shares, encoded list bytes).
+func stateOf(t testing.TB, e globalindex.StorageEngine) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
 	for _, k := range e.Keys() {
-		list, df, ok := e.Export(k)
+		list, shares, ok := e.Export(k)
 		if !ok {
 			t.Fatalf("key %q listed but not exportable", k)
 		}
-		out[k] = fmt.Sprintf("df=%d list=%x", df, list.EncodeBytes())
+		out[k] = fmt.Sprintf("shares=%v list=%x", shares, list.EncodeBytes())
 	}
 	return out
 }
@@ -70,11 +84,11 @@ func TestPersistReopenRestoresState(t *testing.T) {
 		t.Fatal("fresh directory must not report recovered state")
 	}
 	e.Put("alpha", plist("p1", 3, 2, 1), 10)
-	e.Append("beta", plist("p2", 5), 10, 7)
-	e.Append("beta", plist("p3", 4), 10, 2)
+	write(e, "beta", plist("p2", 5), 10, 7, 1)
+	write(e, "beta", plist("p3", 4), 10, 2, 1)
 	e.Put("gone", plist("p1", 1), 10)
 	e.Remove("gone")
-	e.AdoptReplica("gamma", plist("p4", 9, 8), 11)
+	adopt(e, "gamma", plist("p4", 9, 8), 11, 3)
 	e.SetWatermark(100, 200)
 	want := stateOf(t, e)
 	if err := e.Close(); err != nil {
@@ -106,7 +120,7 @@ func TestSnapshotCarriesNoProbeState(t *testing.T) {
 		dir := t.TempDir()
 		e := mustOpen(t, dir, Options{})
 		e.Put("alpha", plist("p1", 3, 2, 1), 10)
-		e.Append("beta", plist("p2", 5), 10, 7)
+		write(e, "beta", plist("p2", 5), 10, 7, 1)
 		e.SetWatermark(100, 200)
 		for i := 0; i < probes; i++ {
 			e.GetPrefix(fmt.Sprintf("absent-%d", i), 0, 0)
@@ -126,54 +140,52 @@ func TestSnapshotCarriesNoProbeState(t *testing.T) {
 	}
 }
 
-// TestRecoverV1ProbeSection opens a snapshot whose reserved probe
-// section still holds records, as older engines wrote it: every entry
-// and the watermark restore, and the records are dropped.
-func TestRecoverV1ProbeSection(t *testing.T) {
+// TestRecoverRefusesV1Directory pins the on-disk version check: a
+// snapshot written in version 1 — one accumulated DF per key and the
+// reserved probe section — and a version 1 WAL, which had no header, are
+// refused with a *FormatError naming the version, not read as empty or
+// guessed into per-origin shares.
+func TestRecoverRefusesV1Directory(t *testing.T) {
 	dir := t.TempDir()
-	entries := map[string]*postings.List{"alpha": plist("p1", 3, 2, 1), "beta": plist("p2", 5)}
 	w := wire.NewWriter(256)
-	w.String(snapshotMagic)
+	w.String("alvisp2p-snapshot-v1")
 	w.Uvarint(7) // lastSeq
 	w.Bool(true)
 	w.Uint64(100)
 	w.Uint64(200)
-	w.Uvarint(uint64(len(entries)))
-	for _, k := range []string{"alpha", "beta"} {
-		w.String(k)
-		w.Uvarint(9)
-		entries[k].Encode(w)
-	}
-	w.Uvarint(2)
-	for _, k := range []string{"alpha", "missing key"} {
-		w.String(k)
-		w.Float64(1.5) // count
-		w.Varint(3)    // lastProbe
-		w.Bool(k == "alpha")
-	}
-	w.Varint(42) // clock
+	w.Uvarint(1)
+	w.String("alpha")
+	w.Uvarint(9) // accumulated DF
+	plist("p1", 3, 2, 1).Encode(w)
+	w.Uvarint(0) // probe section
+	w.Varint(0)  // clock
 	body := w.Bytes()
 	framed := binary.BigEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crcTable))
 	if err := os.WriteFile(filepath.Join(dir, "snapshot"), framed, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	var fe *FormatError
+	if _, err := Open(dir, Options{}); !errors.As(err, &fe) || fe.Version != 1 || fe.File != filepath.Join(dir, "snapshot") {
+		t.Fatalf("v1 snapshot: got %v, want a version 1 *FormatError", err)
+	}
 
-	e := mustOpen(t, dir, Options{})
-	defer e.Close()
-	if !e.Recovered() {
-		t.Fatal("engine opened over a snapshot must report recovered state")
+	// A version 1 WAL: records from the first byte, the first an append.
+	dir = t.TempDir()
+	rec := wire.NewWriter(64)
+	rec.Uvarint(1) // sequence
+	rec.Byte(2)    // the version 1 append op
+	rec.String("alpha")
+	rec.Uvarint(10) // bound
+	rec.Uvarint(3)  // announced DF
+	plist("p1", 3).Encode(rec)
+	payload := rec.Bytes()
+	frame := binary.AppendUvarint(nil, uint64(len(payload)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), append(frame, payload...), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if keys := e.Keys(); len(keys) != 2 {
-		t.Fatalf("restored keys %v, want alpha and beta", keys)
-	}
-	for k, want := range entries {
-		got, df, ok := e.Export(k)
-		if !ok || df != 9 || !bytes.Equal(got.EncodeBytes(), want.EncodeBytes()) {
-			t.Fatalf("%s: restored df=%d ok=%v list=%v, want df=9 list=%v", k, df, ok, got, want)
-		}
-	}
-	if from, to, ok := e.Watermark(); !ok || from != 100 || to != 200 {
-		t.Fatalf("watermark = (%d, %d, %v), want (100, 200, true)", from, to, ok)
+	if _, err := Open(dir, Options{}); !errors.As(err, &fe) || fe.Version != 1 {
+		t.Fatalf("v1 wal: got %v, want a version 1 *FormatError", err)
 	}
 }
 
@@ -190,7 +202,7 @@ func TestPersistCrashKeepsJournaledWrites(t *testing.T) {
 			dir := t.TempDir()
 			e := mustOpen(t, dir, opts)
 			e.Put("k1", plist("p1", 2, 1), 10)
-			e.Append("k2", plist("p2", 4), 10, 6)
+			write(e, "k2", plist("p2", 4), 10, 6, 1)
 			e.SetWatermark(7, 9)
 			want := stateOf(t, e)
 			// No Close: simulate the process dying.
@@ -282,13 +294,13 @@ func TestRecoverCorruptRecordCRC(t *testing.T) {
 
 // TestRecoverIdempotentReplay re-injects an already-compacted WAL (the
 // crash window between snapshot rename and WAL truncate): the sequence
-// check must skip every record the snapshot already contains, so the
-// non-idempotent Append DF accumulation is not double-counted.
+// check must skip every record the snapshot already contains, and the
+// records that are replayed must not double-count any DF.
 func TestRecoverIdempotentReplay(t *testing.T) {
 	dir := t.TempDir()
 	e := mustOpen(t, dir, Options{})
-	e.Append("term", plist("p1", 3), 10, 5)
-	e.Append("term", plist("p2", 2), 10, 4)
+	write(e, "term", plist("p1", 3), 10, 5, 1)
+	write(e, "term", plist("p2", 2), 10, 4, 1)
 	wal := filepath.Join(dir, "wal.log")
 	saved, err := os.ReadFile(wal)
 	if err != nil {
@@ -327,14 +339,14 @@ func TestRecoverCloseMidStreamConverges(t *testing.T) {
 			case 0:
 				eng.Put(key, plist("p1", float64(i), 1), 8)
 			case 1:
-				eng.Append(key, plist("p2", float64(i)), 8, i%5+1)
+				write(eng, key, plist("p2", float64(i)), 8, i%5+1, uint64(i))
 			case 2:
-				eng.AdoptReplica(key, plist("p3", float64(i%7)), int64(i%11))
+				adopt(eng, key, plist("p3", float64(i%7)), int64(i%11), uint64(i%13))
 			case 3:
 				if i%8 == 3 {
 					eng.Remove(key)
 				} else {
-					eng.Append(key, plist("p4", 2.5), 8, 2)
+					write(eng, key, plist("p4", 2.5), 8, 2, uint64(i/2))
 				}
 			}
 		}
@@ -411,9 +423,9 @@ func TestPersistEngineMatchesMemory(t *testing.T) {
 			case 0:
 				eng.Put(key, plist("a", float64(i%9), 4), 6)
 			case 1, 2:
-				eng.Append(key, plist("b", float64(i%5)+0.5), 6, i%4+1)
+				write(eng, key, plist("b", float64(i%5)+0.5), 6, i%4+1, uint64(i%40))
 			case 3:
-				eng.AdoptReplica(key, plist("c", 3, 1), int64(i%13))
+				adopt(eng, key, plist("c", 3, 1), int64(i%13), uint64(i%17))
 			case 4:
 				eng.Remove(key)
 			}
