@@ -2,6 +2,7 @@ package globalindex
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -19,6 +20,11 @@ import (
 // one origin shrinks its share holds the older, longer share until one
 // anti-entropy sweep of the primary hands it the newer one — adopting by
 // sequence number, not by union, so the withdrawn posting leaves it too.
+// An origin that withdraws from a key altogether leaves a tombstone share:
+// the primary's handoff pull from a successor that missed the withdrawal
+// does not bring the withdrawn postings back, and one sweep makes that
+// successor match the primary — for a key other origins still hold and
+// for a key no origin holds any more, which reads as absent everywhere.
 func TestOriginReplicasMatchPrimary(t *testing.T) {
 	nodes, idxs, net := replRing(t, 8, 3)
 	populateRing(t, idxs[0], 100, "held")
@@ -74,6 +80,72 @@ func TestOriginReplicasMatchPrimary(t *testing.T) {
 	agree("after the sweep")
 	if l, _ := downIx.Store().Peek(key); l.Len() != 2 || slices.Contains(l.Entries, post("a", 2, 3)) {
 		t.Fatalf("the repaired replica holds %v, want a's withdrawn posting gone", l)
+	}
+
+	// A live origin o writes the shared key and a key of its own; both
+	// have the same copies, so the downed successor misses the
+	// withdrawal of both.
+	var solo []string
+	var soloKey string
+	for i := 0; ; i++ {
+		solo = []string{"origin", "replica", fmt.Sprintf("solo%d", i)}
+		soloKey = ids.KeyString(solo)
+		if p, _, err := nodes[0].Lookup(context.Background(), ids.HashString(soloKey)); err == nil && p.Addr == primary.Addr {
+			break
+		}
+	}
+	var oix *Index
+	for i, n := range nodes {
+		if n.Self().Addr != down {
+			oix = idxs[i]
+			break
+		}
+	}
+	o := string(oix.node.Self().Addr)
+	publish := func(lists ...*postings.List) {
+		t.Helper()
+		items := []AppendItem{{Terms: terms, List: lists[0], Bound: 10}, {Terms: solo, List: lists[1], Bound: 10}}
+		if _, err := oix.MultiAppend(context.Background(), items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish(&postings.List{Entries: []postings.Posting{post(o, 9, 6)}}, &postings.List{Entries: []postings.Posting{post(o, 9, 6)}})
+	agree("after o's write")
+	net.SetDown(down, true)
+	publish(&postings.List{}, &postings.List{})
+	net.SetDown(down, false)
+	if l, _ := downIx.Store().Peek(soloKey); l.Len() != 1 {
+		t.Fatalf("fixture broken: the downed replica holds %v under the solo key", l)
+	}
+	pix.pullOwnedRange()
+	if l, _ := pix.Store().Peek(key); slices.Contains(l.Entries, post(o, 9, 6)) {
+		t.Fatalf("the handoff pull brought o's withdrawn posting back: %v", l)
+	}
+	if l, ok := pix.Store().Peek(soloKey); ok {
+		t.Fatalf("the handoff pull brought the withdrawn solo key back: %v", l)
+	}
+	if pushed := pix.AntiEntropySweep(); pushed != 2 {
+		t.Fatalf("sweep shipped %d entries, want the two the replica missed", pushed)
+	}
+	agree("after the withdrawal's sweep")
+	if l, _ := downIx.Store().Peek(key); l.Len() != 2 || slices.Contains(l.Entries, post(o, 9, 6)) {
+		t.Fatalf("the repaired replica holds %v, want o's withdrawn posting gone", l)
+	}
+	if df, _ := downIx.Store().ApproxDF(key); df != 2 {
+		t.Fatalf("the repaired replica's DF %d, want 2", df)
+	}
+	for _, c := range copies {
+		_, cix := findNode(t, nodes, idxs, c.Self().Addr)
+		if l, ok := cix.Store().Peek(soloKey); ok {
+			t.Fatalf("%s still serves the withdrawn solo key: %v", c.Self().Addr, l)
+		}
+		_, soloShares, _ := cix.Store().Export(soloKey)
+		if _, soloPrimary, _ := pix.Store().Export(soloKey); !slices.Equal(soloShares, soloPrimary) {
+			t.Fatalf("%s holds the solo key's shares %v, the primary %v", c.Self().Addr, soloShares, soloPrimary)
+		}
+	}
+	if pushed := pix.AntiEntropySweep(); pushed != 0 {
+		t.Fatalf("a second sweep shipped %d entries, want the copies converged", pushed)
 	}
 }
 

@@ -368,7 +368,7 @@ func (ix *Index) PromoteHotKeys(ctx context.Context) int {
 			continue
 		}
 		list, shares, ok := ix.store.Export(key)
-		if !ok {
+		if !ok || withdrawn(list, shares) {
 			continue
 		}
 		targets := ix.softTargets(ctx, key, self)

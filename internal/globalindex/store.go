@@ -41,7 +41,9 @@ const HardCap = 1 << 20
 // slice's length before truncation — and a key's approximate global DF is
 // the sum over its shares. Seq orders the origin's writes: a write, or a
 // replica copy, whose Seq is not above the stored share's is a replay or
-// out of date and changes nothing.
+// out of date and changes nothing. A share with DF 0 is a tombstone: the
+// origin withdrew from the key, and the share stays so that a copy still
+// holding an older share of the origin gives way to it (Memory.Adopt).
 type Share struct {
 	Origin transport.Addr
 	Seq    uint64
@@ -56,6 +58,14 @@ func sumDF(shares []Share) int64 {
 		df += sh.DF
 	}
 	return df
+}
+
+// withdrawn reports whether an entry is only tombstones: every origin
+// that wrote the key withdrew from it. Reads treat such a key as absent;
+// it is kept, and replicated, so that the withdrawals win over older
+// copies.
+func withdrawn(list *postings.List, shares []Share) bool {
+	return list.Len() == 0 && len(shares) > 0 && sumDF(shares) == 0
 }
 
 // findShare returns the index of origin's share in shares (sorted by
@@ -79,6 +89,8 @@ type Memory struct {
 	// write replaces one origin's share, so a key's DF counts each
 	// origin's documents once however often it publishes. A list is
 	// marked Truncated exactly when the shares' DF exceeds its length.
+	// A withdrawal leaves a tombstone share, and a key only tombstones
+	// hold stays stored but invisible to reads (withdrawn).
 	shares map[string][]Share
 
 	// Responsibility watermark: the ring interval this slice covered when
@@ -176,10 +188,10 @@ func (s *Memory) Write(w Write) []int {
 // sh.DF, so the store can (a) approximate the global DF for HDK's
 // frequency test and (b) mark lists that are incomplete; a DF below the
 // shipped length is corrected upward. An empty list with DF 0 withdraws
-// the origin from the key, and the last origin to leave takes the key
-// with it. A write whose sequence is not above the stored share's is a
-// replay or out of date and changes nothing. It returns the resulting
-// stored length.
+// the origin from the key: its share becomes a tombstone, and a key only
+// tombstones hold reads as absent. A write whose sequence is not above
+// the stored share's is a replay or out of date and changes nothing. It
+// returns the resulting stored length.
 func (s *Memory) Replace(key string, sh Share, list *postings.List, bound int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,21 +213,12 @@ func (s *Memory) replaceLocked(key string, sh Share, list *postings.List, bound 
 		return cur.Len()
 	}
 	shares := slices.Clone(old)
-	switch {
-	case found && sh.DF == 0:
-		shares = slices.Delete(shares, i, i+1)
-	case found:
+	if found {
 		shares[i] = sh
-	case sh.DF > 0:
+	} else {
 		shares = slices.Insert(shares, i, sh)
 	}
-	merged := postings.Merge(cur, list, func(p transport.Addr) bool { return p == sh.Origin }, bound)
-	if len(shares) == 0 && merged.Len() == 0 {
-		delete(s.entries, key)
-		delete(s.shares, key)
-		return 0
-	}
-	return s.storeLocked(key, merged, shares)
+	return s.storeLocked(key, postings.Merge(cur, list, func(p transport.Addr) bool { return p == sh.Origin }, bound), shares)
 }
 
 // Get returns (a copy of) the list stored under key capped to maxResults
@@ -252,7 +255,7 @@ type PrefixResult struct {
 func (s *Memory) GetPrefix(key string, offset, limit int) PrefixResult {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	cur, ok := s.entries[key]
+	cur, ok := s.liveLocked(key)
 	if !ok {
 		return PrefixResult{}
 	}
@@ -271,27 +274,36 @@ func (s *Memory) GetPrefix(key string, offset, limit int) PrefixResult {
 	return res
 }
 
+// liveLocked returns key's stored list, unless the key is absent or
+// withdrawn.
+func (s *Memory) liveLocked(key string) (*postings.List, bool) {
+	cur, ok := s.entries[key]
+	if !ok || withdrawn(cur, s.shares[key]) {
+		return nil, false
+	}
+	return cur, true
+}
+
 // Peek returns the stored list (monitoring and tests).
 func (s *Memory) Peek(key string) (*postings.List, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	cur, ok := s.entries[key]
+	cur, ok := s.liveLocked(key)
 	if !ok {
 		return nil, false
 	}
 	return cur.Clone(), true
 }
 
-// Remove deletes the key. It reports whether the key was present.
+// Remove deletes the key, tombstones and all. It reports whether the key
+// was present and not withdrawn.
 func (s *Memory) Remove(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; !ok {
-		return false
-	}
+	_, live := s.liveLocked(key)
 	delete(s.entries, key)
 	delete(s.shares, key)
-	return true
+	return live
 }
 
 // ApproxDF returns the approximate global document frequency of key —
@@ -299,7 +311,7 @@ func (s *Memory) Remove(key string) bool {
 func (s *Memory) ApproxDF(key string) (int64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, present := s.entries[key]
+	_, present := s.liveLocked(key)
 	return sumDF(s.shares[key]), present
 }
 
@@ -338,7 +350,8 @@ func (s *Memory) KeysInRange(from, to ids.ID) []string {
 }
 
 // Export atomically snapshots one entry for replication transfer: the
-// stored list (with its truncation mark) and its per-origin shares.
+// stored list (with its truncation mark) and its per-origin shares,
+// tombstones included — a withdrawn key exports too.
 func (s *Memory) Export(key string) (list *postings.List, shares []Share, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -352,7 +365,8 @@ func (s *Memory) Export(key string) (list *postings.List, shares []Share, ok boo
 // Adopt merges a replicated entry into the store during anti-entropy:
 // per origin, the share with the higher sequence number wins, and with it
 // that origin's slice of its side's list (the stored copy keeps a tie).
-// Entries naming a peer the incoming shares do not cover are not adopted.
+// A winning tombstone takes the origin's slice away. Entries naming a
+// peer the incoming shares do not cover are not adopted.
 // Adopting is idempotent and order-free, so repeated synchronization
 // passes converge on each origin's newest write. It returns the
 // resulting stored length.
@@ -383,13 +397,15 @@ func (s *Memory) Adopt(key string, shares []Share, list *postings.List) int {
 	return s.storeLocked(key, postings.Merge(cur, list, func(p transport.Addr) bool { return won[p] }, HardCap), merged)
 }
 
-// Keys returns all stored keys, sorted.
+// Keys returns all stored keys, sorted; withdrawn keys are left out.
 func (s *Memory) Keys() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		out = append(out, k)
+	for k, l := range s.entries {
+		if !withdrawn(l, s.shares[k]) {
+			out = append(out, k)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -402,12 +418,17 @@ type Stats struct {
 	Bytes    int // exact wire-encoded size of all stored lists
 }
 
-// Stats computes current storage statistics.
+// Stats computes current storage statistics; withdrawn keys are left
+// out.
 func (s *Memory) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := Stats{Keys: len(s.entries)}
-	for _, l := range s.entries {
+	var st Stats
+	for k, l := range s.entries {
+		if withdrawn(l, s.shares[k]) {
+			continue
+		}
+		st.Keys++
 		st.Postings += l.Len()
 		st.Bytes += l.EncodedSize()
 	}

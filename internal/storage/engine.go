@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"repro/internal/globalindex"
@@ -202,27 +201,12 @@ func (e *Engine) writeLocked(w globalindex.Write) []int {
 	return ns
 }
 
-// Append is the write surface of the accumulating format, kept for
-// decorators of the concrete engine that still forward it; the index
-// writes through Write. It replaces the share of the peer the list's
-// first entry names with that peer's entries, as its newest write.
-func (e *Engine) Append(key string, list *postings.List, bound, announcedDF int) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	own := list.Clone()
-	w := globalindex.Write{Keys: []string{key}, Items: []globalindex.AppendItem{{List: own, Bound: bound, AnnouncedDF: announcedDF}}}
-	if list.Len() > 0 {
-		w.Origin = list.Entries[0].Ref.Peer
-		own.Entries = slices.DeleteFunc(own.Entries, func(p postings.Posting) bool { return p.Ref.Peer != w.Origin })
-	}
-	_, shares, _ := e.mem.Export(key)
-	for _, old := range shares {
-		if old.Origin == w.Origin {
-			w.Seq = old.Seq
-		}
-	}
-	w.Seq++
-	return e.writeLocked(w)[0]
+// Append is the write surface of the accumulating format, kept only so
+// that decorators of the concrete engine that still forward it compile;
+// the index writes through Write and never calls it. It adopts the list
+// as AdoptReplica does; bound and announcedDF are not used.
+func (e *Engine) Append(key string, list *postings.List, _, _ int) int {
+	return e.AdoptReplica(key, list, 0)
 }
 
 // Remove implements StorageEngine.Remove.
@@ -243,10 +227,11 @@ func (e *Engine) Adopt(key string, shares []globalindex.Share, list *postings.Li
 	return n
 }
 
-// AdoptReplica is Adopt in the accumulating format's terms, kept for
-// decorators of the concrete engine that still forward it: the list is
-// adopted under the shares it stands for on its own
-// (globalindex.SharesOf), which no write is older than.
+// AdoptReplica is Adopt in the accumulating format's terms, kept only so
+// that decorators of the concrete engine that still forward it compile;
+// the index never calls it. The list is adopted under the shares it
+// stands for on its own (globalindex.SharesOf), which no write is older
+// than.
 func (e *Engine) AdoptReplica(key string, list *postings.List, _ int64) int {
 	return e.Adopt(key, globalindex.SharesOf(list), list)
 }

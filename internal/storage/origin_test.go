@@ -133,3 +133,49 @@ func TestOriginCrashImageRepublishKeepsDF(t *testing.T) {
 		t.Fatalf("the republish rewrote no share on the reopened store (sequence %d, before %d)", after, before)
 	}
 }
+
+// TestOriginTombstoneSurvivesRecovery pins that a withdrawal's tombstone
+// share is durable: after a crash reopen (WAL replay) and after a clean
+// one (snapshot) the withdrawn origin's share is still there with its
+// sequence number and DF 0, a key only tombstones hold still reads as
+// absent, and a replica copy of the origin's older share adopts nothing.
+func TestOriginTombstoneSurvivesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	e := mustOpen(t, dir, Options{})
+	write(e, "shared", plist("p1", 3), 10, 1, 1)
+	write(e, "shared", plist("p2", 2), 10, 1, 1)
+	write(e, "solo", plist("p1", 5), 10, 1, 1)
+	e.Write(globalindex.Write{Origin: "p1", Seq: 2, Keys: []string{"shared", "solo"},
+		Items: []globalindex.AppendItem{{List: &postings.List{}}, {List: &postings.List{}}}})
+	check := func(when string, e *Engine) {
+		t.Helper()
+		_, shares, ok := e.Export("solo")
+		if want := []globalindex.Share{{Origin: "p1", Seq: 2}}; !ok || fmt.Sprint(shares) != fmt.Sprint(want) {
+			t.Fatalf("%s: solo key's shares %v (exported %v), want the tombstone %v", when, shares, ok, want)
+		}
+		if l, ok := e.Peek("solo"); ok {
+			t.Fatalf("%s: the withdrawn solo key reads as %v", when, l)
+		}
+		if keys := e.Keys(); fmt.Sprint(keys) != "[shared]" {
+			t.Fatalf("%s: keys %v, want [shared]", when, keys)
+		}
+		adopt(e, "shared", plist("p1", 3), 1, 1)
+		adopt(e, "solo", plist("p1", 5), 1, 1)
+		if l, _ := e.Peek("shared"); l.Len() != 1 || l.Entries[0].Ref.Peer != "p2" {
+			t.Fatalf("%s: the shared key holds %v after adopting p1's older share, want p2's posting only", when, l)
+		}
+		if df, ok := e.ApproxDF("solo"); ok || df != 0 {
+			t.Fatalf("%s: the solo key came back with DF %d after adopting p1's older share", when, df)
+		}
+	}
+	check("live", e)
+	// No Close: the reopen replays the WAL.
+	re := mustOpen(t, dir, Options{})
+	check("after WAL replay", re)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re2 := mustOpen(t, dir, Options{})
+	defer re2.Close()
+	check("after snapshot load", re2)
+}
