@@ -78,25 +78,26 @@ type interval struct {
 }
 
 // Resolver resolves many keys to their responsible nodes with far fewer
-// RPCs than per-key lookups: every full lookup is followed by one
-// GetState RPC to the responsible node, whose predecessor pointer and
-// successor list reveal a chain of responsibility intervals. Subsequent
-// keys falling into a cached interval resolve without any network
-// traffic. The cache is soft state over the same stabilization-repaired
-// pointers a lookup would traverse; Invalidate drops the entries naming a
-// node observed dead so the next resolution re-routes around it. A
-// Resolver is safe for concurrent use.
+// RPCs than per-key lookups. Every routing step of a lookup answers with
+// the asked node's successor list, and that list is a chain of
+// responsibility intervals: its first entry owns the keys from the asked
+// node up to itself, the next the keys up to the next, and so on. The
+// resolver caches every chain its lookups see, so later keys falling into
+// a cached interval resolve without any network traffic, and no owner is
+// ever contacted just to learn its range. The cache is soft state over
+// the same stabilization-repaired pointers a lookup traverses; an owner's
+// refusal or a failed call makes the caller Invalidate the node, so the
+// next resolution re-routes. A Resolver is safe for concurrent use.
 type Resolver struct {
 	n     *Node
 	mu    sync.Mutex
 	iv    []interval
-	known map[transport.Addr]bool // nodes whose ring state was already fetched
-	epoch uint64                  // owning node's RingEpoch when the cache was filled
+	epoch uint64 // owning node's RingEpoch when the cache was filled
 }
 
 // NewResolver returns an empty resolver for the node.
 func (n *Node) NewResolver() *Resolver {
-	return &Resolver{n: n, known: make(map[transport.Addr]bool)}
+	return &Resolver{n: n}
 }
 
 // cached returns the cached responsible node for key, if any.
@@ -116,34 +117,38 @@ func (r *Resolver) cachedLocked(key ids.ID) (Remote, bool) {
 	return Remote{}, false
 }
 
-// add installs the responsibility intervals revealed by one node's ring
-// state: (pred, node] for the node itself, then one interval per
-// successor-list step, each successor owning the range from its
-// predecessor in the chain up to itself.
-func (r *Resolver) add(pred, node Remote, succs []Remote) {
+// add installs the responsibility intervals one node's successor list
+// reveals: the first successor owns (from, s₁], each later one the range
+// from its predecessor in the chain up to itself. A list runs clockwise
+// from from, so an entry that is not further round the ring than the one
+// before ends the chain: past that point the list wraps or is stale.
+func (r *Resolver) add(from Remote, succs []Remote) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !pred.IsZero() && pred.Addr != node.Addr {
-		r.addLocked(interval{from: pred.ID, to: node.ID, node: node})
-	}
-	prev := node
+	prev, dist := from, uint64(0)
 	for _, s := range succs {
-		if s.IsZero() || s.Addr == prev.Addr {
+		if s.IsZero() {
 			continue
 		}
+		d := ids.Distance(from.ID, s.ID)
+		if d <= dist {
+			break
+		}
 		r.addLocked(interval{from: prev.ID, to: s.ID, node: s})
-		prev = s
+		prev, dist = s, d
 	}
 }
 
-// addLocked installs iv unless the cache already holds it. The chains
-// learned from neighbouring nodes overlap, and every cached resolution
-// and successor step scans the list, so a duplicate only costs time.
-// Callers hold r.mu.
+// addLocked installs iv in place of every cached interval it overlaps.
+// The newer view of a range wins, so the cache stays a partition of the
+// ring it has seen, and the last step of a lookup — the node whose
+// immediate successor owns the key — settles the key's range. Callers
+// hold r.mu.
 func (r *Resolver) addLocked(iv interval) {
-	if !slices.Contains(r.iv, iv) {
-		r.iv = append(r.iv, iv)
-	}
+	r.iv = slices.DeleteFunc(r.iv, func(old interval) bool {
+		return ids.Between(old.to, iv.from, iv.to) || ids.Between(iv.to, old.from, old.to)
+	})
+	r.iv = append(r.iv, iv)
 }
 
 // Invalidate drops every cached interval naming addr. Callers invoke it
@@ -151,14 +156,7 @@ func (r *Resolver) addLocked(iv interval) {
 func (r *Resolver) Invalidate(addr transport.Addr) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := r.iv[:0]
-	for _, iv := range r.iv {
-		if iv.node.Addr != addr {
-			out = append(out, iv)
-		}
-	}
-	r.iv = out
-	delete(r.known, addr)
+	r.iv = slices.DeleteFunc(r.iv, func(iv interval) bool { return iv.node.Addr == addr })
 }
 
 // checkEpoch drops the whole cache when the owning node's own ring
@@ -171,7 +169,6 @@ func (r *Resolver) checkEpoch() {
 	r.mu.Lock()
 	if ep != r.epoch {
 		r.iv = nil
-		r.known = make(map[transport.Addr]bool)
 		r.epoch = ep
 	}
 	r.mu.Unlock()
@@ -179,22 +176,18 @@ func (r *Resolver) checkEpoch() {
 
 // Resolve returns the responsible node for each key, in input order. The
 // first round resolves one cache miss; each later round resolves at most
-// FanOut, concurrently. Keeping rounds small is deliberate: every miss
-// widens the cache by a whole successor chain, so most keys left for
-// later rounds resolve for free — on a small ring the first state fetch
-// reveals every owner, and a cold resolve costs one lookup. Distinct keys
-// mapping into one already-discovered interval cost no RPC at all, which
-// is what turns N per-key resolutions into roughly one lookup + one state
-// fetch per distinct responsible peer. A cancelled context stops the
-// miss-resolution rounds and returns the context's error.
+// FanOut, concurrently. Keeping rounds small is deliberate: every lookup
+// widens the cache by the successor chains of the nodes it asked, so most
+// keys left for later rounds resolve for free — on a small ring one
+// lookup reveals every owner, and a cold resolve costs one lookup.
+// Distinct keys mapping into one already-discovered interval cost no RPC
+// at all, which is what turns N per-key resolutions into roughly one
+// lookup per successor-list span of the ring. A cancelled context stops
+// the miss-resolution rounds and returns the context's error.
 func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error) {
 	r.checkEpoch()
 	out := make([]Remote, len(keys))
 	resolved := make([]bool, len(keys))
-	// The nodes whose state fetch failed during this call, guarded by
-	// r.mu: a shedding or failing owner is asked once per call, not once
-	// per round.
-	failed := make(map[transport.Addr]bool)
 	for width := 1; ; width = FanOut {
 		// Satisfy what the cache covers; collect the distinct missing keys.
 		var missing []ids.ID
@@ -219,21 +212,23 @@ func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error)
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		// Resolve a bounded batch of misses concurrently; each miss also
-		// fetches the responsible node's ring state to widen the cache.
-		// Sorting makes the batch deterministic for a given cache state.
+		// Resolve a bounded batch of misses concurrently; each lookup
+		// widens the cache with the chains it sees. Sorting makes the
+		// batch deterministic for a given cache state.
 		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
 		batch := missing[:min(width, len(missing))]
 		got := make([]Remote, len(batch))
 		errs := make([]error, len(batch))
 		stopped := RunBounded(ctx, len(batch), func(i int) {
-			rem, _, err := r.n.Lookup(ctx, batch[i])
+			rem, _, err := r.n.lookupChain(ctx, batch[i], r.add)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			got[i] = rem
-			r.learn(ctx, rem, failed)
+			if rem.Addr == r.n.self.Addr {
+				r.learnOwn()
+			}
 		})
 		for _, err := range errs {
 			if err != nil {
@@ -244,8 +239,8 @@ func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error)
 			return out, stopped
 		}
 		// Record the batch's own resolutions directly: progress is then
-		// guaranteed every round even when a state fetch added nothing to
-		// the cache.
+		// guaranteed every round even when a lookup added nothing to the
+		// cache.
 		byKey := make(map[ids.ID]Remote, len(batch))
 		for i, k := range batch {
 			byKey[k] = got[i]
@@ -264,12 +259,12 @@ func (r *Resolver) Resolve(ctx context.Context, keys []ids.ID) ([]Remote, error)
 // Successors returns the first n distinct nodes following of on the
 // ring, in ring order: the owner of the point just past of, the owner of
 // the point just past that one, and so on. It is where of's replicas
-// live. Steps the cache covers cost nothing — one state fetch revealed a
-// whole successor chain, and the intervals past of survive
+// live. Steps the cache covers cost nothing — the lookup that found of
+// saw a whole successor chain, and the intervals past of survive
 // Invalidate(of.Addr), so the chain past a dead owner still answers
-// from cache; a step it misses costs one Resolve (a lookup plus a state
-// fetch). The walk stops early when it wraps back to of, revisits a
-// node, or a step cannot be resolved.
+// from cache; a step it misses costs one Resolve (a lookup). The walk
+// stops early when it wraps back to of, revisits a node, or a step
+// cannot be resolved.
 func (r *Resolver) Successors(ctx context.Context, of Remote, n int) []Remote {
 	if n <= 0 {
 		return nil
@@ -313,61 +308,29 @@ func extendsWalk(of Remote, out []Remote, next Remote) bool {
 	return true
 }
 
-// learn records the responsibility intervals observable from rem: its
-// predecessor and successor list (fetched locally when rem is this node).
-// Each node's state is fetched at most once per cache lifetime, and a
-// node whose fetch failed is not asked again within the same Resolve
-// call (failed, guarded by r.mu); a later call retries it.
-func (r *Resolver) learn(ctx context.Context, rem Remote, failed map[transport.Addr]bool) {
+// learnOwn installs the intervals this node's own pointers reveal, with
+// no RPC: (pred, self] and its successor chain. Resolve calls it when a
+// lookup answers with this node, which a key it owns reaches without a
+// routing step to learn from.
+func (r *Resolver) learnOwn() {
+	self := r.n.self
+	pred, succs := r.n.Predecessor(), r.n.Successors()
+	if !pred.IsZero() && pred.Addr != self.Addr {
+		r.add(pred, append([]Remote{self}, succs...))
+		return
+	}
+	// No predecessor also happens transiently on a multi-node ring (right
+	// after PredecessorFailed, before the next notify repairs it); caching
+	// "self owns everything" then would misroute whole batches. Claim the
+	// full ring only when the successor list confirms this node is alone;
+	// otherwise record just the successor-chain intervals, which stay
+	// valid regardless of the predecessor.
+	if slices.ContainsFunc(succs, func(s Remote) bool { return !s.IsZero() && s.Addr != self.Addr }) {
+		r.add(self, succs)
+		return
+	}
+	// (from == to) is exactly the full-ring interval for ids.Between.
 	r.mu.Lock()
-	if r.known[rem.Addr] || failed[rem.Addr] {
-		r.mu.Unlock()
-		return
-	}
-	r.known[rem.Addr] = true
+	r.addLocked(interval{from: self.ID, to: self.ID, node: self})
 	r.mu.Unlock()
-	var pred Remote
-	var succs []Remote
-	if rem.Addr == r.n.self.Addr {
-		pred = r.n.Predecessor()
-		succs = r.n.Successors()
-	} else {
-		var err error
-		pred, succs, err = r.n.rpcGetState(ctx, rem.Addr)
-		if err != nil {
-			// The node answered the lookup but not the state fetch; cache
-			// nothing and let a later call retry.
-			r.mu.Lock()
-			delete(r.known, rem.Addr)
-			failed[rem.Addr] = true
-			r.mu.Unlock()
-			return
-		}
-	}
-	if pred.IsZero() || pred.Addr == rem.Addr {
-		// No predecessor also happens transiently on a multi-node ring
-		// (right after PredecessorFailed, before the next notify repairs
-		// it); caching "rem owns everything" then would misroute whole
-		// batches. Claim the full ring only when rem's successor list
-		// confirms it is alone; otherwise record just the successor-chain
-		// intervals, which stay valid regardless of rem's predecessor.
-		alone := true
-		for _, s := range succs {
-			if !s.IsZero() && s.Addr != rem.Addr {
-				alone = false
-				break
-			}
-		}
-		if alone {
-			// (from == to) is exactly the full-ring interval for
-			// ids.Between.
-			r.mu.Lock()
-			r.addLocked(interval{from: rem.ID, to: rem.ID, node: rem})
-			r.mu.Unlock()
-		} else {
-			r.add(Remote{}, rem, succs)
-		}
-		return
-	}
-	r.add(pred, rem, succs)
 }

@@ -3,6 +3,8 @@ package dht
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -117,9 +119,10 @@ func TestResolverMatchesSequentialAndSavesRPCs(t *testing.T) {
 }
 
 // TestResolverColdResolveOneLookup counts the frames of a cold resolve
-// on a ring small enough for one state fetch to reveal every owner: the
-// first round resolves a single miss, so the whole resolve costs one
-// lookup's NextHop frames and one GetState call, not a lookup per miss.
+// on a ring small enough for one lookup's successor lists to reveal
+// every owner: the first round resolves a single miss, so the whole
+// resolve costs one lookup's NextHop frames and no GetState at all, not
+// a lookup per miss.
 func TestResolverColdResolveOneLookup(t *testing.T) {
 	net := transport.NewMem()
 	nodes := buildRing(t, net, randomIDs(8, 3), Options{})
@@ -146,8 +149,8 @@ func TestResolverColdResolveOneLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	oneLookup := frames(MsgNextHop) - before
-	if nextHop != oneLookup || getState != 2 {
-		t.Fatalf("cold resolve of %d keys: %d NextHop and %d GetState frames, want %d and 2", len(keys), nextHop, getState, oneLookup)
+	if nextHop != oneLookup || getState != 0 {
+		t.Fatalf("cold resolve of %d keys: %d NextHop and %d GetState frames, want %d and 0", len(keys), nextHop, getState, oneLookup)
 	}
 	for i, k := range keys {
 		want, _, err := src.Lookup(context.Background(), k)
@@ -240,6 +243,34 @@ func TestResolverCacheHoldsNoDuplicates(t *testing.T) {
 			t.Fatalf("interval %+v cached twice (%d intervals on an 8-node ring)", iv, len(res.iv))
 		}
 		seen[iv] = true
+	}
+}
+
+// TestResolverAddKeepsPartition pins how a learned chain enters the
+// cache: the chain ends where its list stops running clockwise from the
+// node asked, and a newer interval replaces every cached one it
+// overlaps, so no key has two cached owners.
+func TestResolverAddKeepsPartition(t *testing.T) {
+	res := newTestNode(transport.NewMem(), 1, Options{}).NewResolver()
+	node := func(id ids.ID) Remote { return Remote{ID: id, Addr: transport.Addr(fmt.Sprint(id))} }
+	owners := func() map[ids.ID]ids.ID {
+		got := make(map[ids.ID]ids.ID)
+		for _, key := range []ids.ID{50, 120, 150, 190, 250, 350} {
+			if rem, ok := res.cached(key); ok {
+				got[key] = rem.ID
+			}
+		}
+		return got
+	}
+	// 150 lies behind 300 seen from 100: the list is stale past 300.
+	res.add(node(100), []Remote{node(200), node(300), node(150), node(400)})
+	if got, want := owners(), map[ids.ID]ids.ID{120: 200, 150: 200, 190: 200, 250: 300}; !maps.Equal(got, want) {
+		t.Fatalf("after the first chain: owners %v, want %v", got, want)
+	}
+	// (180, 250] overlaps both cached intervals, so it replaces both.
+	res.add(node(180), []Remote{node(250)})
+	if got, want := owners(), map[ids.ID]ids.ID{190: 250, 250: 250}; !maps.Equal(got, want) {
+		t.Fatalf("after an overlapping chain: owners %v, want %v", got, want)
 	}
 }
 

@@ -111,7 +111,7 @@ func (n *Node) fixFingersIDSpace(ctx context.Context) error {
 	for j := 1; j <= budget; j++ {
 		dist := uint64(1) << (64 - uint(j)) // ring/2^j
 		target := ids.Add(n.id, dist)
-		r, _, err := n.lookupFrom(ctx, n.self, target)
+		r, _, err := n.lookupFrom(ctx, n.self, target, nil)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ids"
@@ -212,6 +213,16 @@ var ErrLookupFailed = errors.New("dht: lookup failed")
 // number of hops (routing RPCs) taken. A cancelled context stops the
 // iterative routing (and its retries) at the next hop boundary.
 func (n *Node) Lookup(ctx context.Context, key ids.ID) (Remote, int, error) {
+	return n.lookupChain(ctx, key, nil)
+}
+
+// lookupChain is Lookup that also hands learn, when non-nil, every
+// routing step's view of the ring: the node asked and its successor
+// list, nearest first. The list says that its first entry owns
+// (from, s₁], the next (s₁, s₂], and so on; a step at this node reads
+// its own list with no RPC. A key this node owns takes no step and
+// learns nothing.
+func (n *Node) lookupChain(ctx context.Context, key ids.ID, learn func(from Remote, succs []Remote)) (Remote, int, error) {
 	if n.Responsible(key) {
 		n.hopHist.Add(0)
 		return n.self, 0, nil
@@ -224,7 +235,7 @@ func (n *Node) Lookup(ctx context.Context, key ids.ID) (Remote, int, error) {
 			}
 			break
 		}
-		r, hops, err := n.lookupFrom(ctx, n.self, key)
+		r, hops, err := n.lookupFrom(ctx, n.self, key, learn)
 		if err == nil {
 			n.hopHist.Add(hops)
 			return r, hops, nil
@@ -242,23 +253,22 @@ func (n *Node) Lookup(ctx context.Context, key ids.ID) (Remote, int, error) {
 }
 
 // lookupFrom runs one iterative lookup for key starting at node start
-// (either self or a bootstrap node). Each loop iteration costs one routing
+// (either self or a bootstrap node), handing learn each step's successor
+// list as lookupChain describes. Each loop iteration costs one routing
 // RPC when the current node is remote. A frontier of untried candidates
 // from the last successful step lets the lookup route around individual
 // dead nodes.
-func (n *Node) lookupFrom(ctx context.Context, start Remote, key ids.ID) (Remote, int, error) {
+func (n *Node) lookupFrom(ctx context.Context, start Remote, key ids.ID, learn func(from Remote, succs []Remote)) (Remote, int, error) {
 	cur := start
 	hops := 0
 	var frontier []Remote
 	for hops <= maxHops {
-		var cands []Remote
-		var curSucc Remote
+		var succs, cands []Remote
 		if cur.Addr == n.self.Addr {
-			curSucc = n.Successor()
-			cands = n.nextHopCandidates(key)
+			succs, cands = n.localNextHop(key)
 		} else {
 			var err error
-			cands, curSucc, err = n.rpcNextHop(ctx, cur.Addr, key)
+			succs, cands, err = n.rpcNextHop(ctx, cur.Addr, key)
 			hops++
 			if err != nil {
 				if cerr := ctx.Err(); cerr != nil {
@@ -275,6 +285,12 @@ func (n *Node) lookupFrom(ctx context.Context, start Remote, key ids.ID) (Remote
 				return Remote{}, hops, fmt.Errorf("%w: next hop %s: %v", errStale, cur.Addr, err)
 			}
 		}
+		if learn != nil {
+			// A remote list longer than any this ring keeps is cut, so a
+			// faulty peer cannot flood the learner's cache.
+			learn(cur, succs[:min(len(succs), n.opts.SuccListLen)])
+		}
+		curSucc := succs[0]
 		if ids.Between(key, cur.ID, curSucc.ID) {
 			return curSucc, hops, nil
 		}
@@ -303,13 +319,13 @@ func (n *Node) lookupFrom(ctx context.Context, start Remote, key ids.ID) (Remote
 	return Remote{}, hops, fmt.Errorf("dht: lookup exceeded %d hops", maxHops)
 }
 
-// nextHopCandidates returns up to four routing-table entries that
-// strictly precede key, best (closest-preceding) first — the same answer
-// the NextHop RPC gives remote callers.
-func (n *Node) nextHopCandidates(key ids.ID) []Remote {
+// localNextHop is this node's own answer to a NextHop for key: a copy of
+// its successor list and up to four routing-table entries that strictly
+// precede key, best (closest-preceding) first.
+func (n *Node) localNextHop(key ids.ID) (succs, cands []Remote) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return closestPreceding(n.id, key, n.fingers, n.succs, 4)
+	return slices.Clone(n.succs), closestPreceding(n.id, key, n.fingers, n.succs, 4)
 }
 
 // closestPreceding selects up to max entries from fingers and succs that
@@ -358,7 +374,7 @@ func (n *Node) Join(ctx context.Context, bootstrap transport.Addr) error {
 	if err != nil {
 		return fmt.Errorf("dht: join via %s: %w", bootstrap, err)
 	}
-	succ, _, err := n.lookupFrom(ctx, boot, n.id)
+	succ, _, err := n.lookupFrom(ctx, boot, n.id, nil)
 	if err != nil {
 		return fmt.Errorf("dht: join via %s: %w", bootstrap, err)
 	}
@@ -413,9 +429,8 @@ func (n *Node) Stabilize(ctx context.Context) error {
 		succ := s
 		if !pred.IsZero() && pred.Addr != n.self.Addr && ids.BetweenOpen(pred.ID, n.id, s.ID) {
 			// A node joined between us and our successor; adopt it if alive.
-			if p2, sl2, err2 := n.rpcGetState(ctx, pred.Addr); err2 == nil {
+			if _, sl2, err2 := n.rpcGetState(ctx, pred.Addr); err2 == nil {
 				succ, slist = pred, sl2
-				_ = p2
 			}
 		}
 		n.adoptSuccessor(succ, slist)
@@ -460,18 +475,6 @@ func (n *Node) adoptSuccessor(succ Remote, theirList []Remote) {
 	ch := delta.fireLocked()
 	n.mu.Unlock()
 	n.deliver(ch)
-}
-
-func remotesEqual(a, b []Remote) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // notify is the handler-side predecessor update: candidate claims to be

@@ -12,8 +12,8 @@ import (
 // DHT message types (range 0x01–0x0F of the shared dispatcher).
 const (
 	MsgPing         uint8 = 0x01 // () -> Remote (the serving node)
-	MsgNextHop      uint8 = 0x02 // (key) -> (successor, candidates)
-	MsgGetState     uint8 = 0x03 // () -> (predecessor, successor list)
+	MsgNextHop      uint8 = 0x02 // (key) -> (successor list, candidates)
+	MsgGetState     uint8 = 0x03 // () -> (predecessor, successor list); stabilization only
 	MsgNotify       uint8 = 0x04 // (candidate) -> ()
 	MsgGetFinger    uint8 = 0x05 // (level) -> Remote (zero if absent)
 	MsgSetSuccessor uint8 = 0x06 // (successor) -> ()
@@ -37,16 +37,67 @@ func encodeRemotes(w *wire.Writer, rs []Remote) {
 	}
 }
 
-func decodeRemotes(r *wire.Reader) []Remote {
+// minRemoteLen is the smallest encoded Remote: an 8-byte ID and a
+// 1-byte address length.
+const minRemoteLen = 9
+
+// decodeRemotes reads a count-prefixed list of Remotes. A count the rest
+// of the body cannot hold is corrupt: checked before the allocation, it
+// keeps a few hostile bytes from reserving memory the body never fills.
+func decodeRemotes(r *wire.Reader) ([]Remote, error) {
 	n := r.Uvarint()
-	if r.Err() != nil || n > 1<<16 {
-		return nil
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	out := make([]Remote, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, decodeRemote(r))
+	if n > uint64(r.Remaining()/minRemoteLen) {
+		return nil, wire.ErrCorrupt
 	}
-	return out
+	out := make([]Remote, n)
+	for i := range out {
+		out[i] = decodeRemote(r)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// decodeRemoteAnswer decodes the answer to MsgPing and MsgGetFinger: one
+// Remote.
+func decodeRemoteAnswer(resp []byte) (Remote, error) {
+	r := wire.NewReader(resp)
+	rem := decodeRemote(r)
+	return rem, r.Err()
+}
+
+// decodeNextHop decodes the answer to MsgNextHop: the replier's
+// successor list, nearest first and never empty, then its routing
+// candidates.
+func decodeNextHop(resp []byte) (succs, cands []Remote, err error) {
+	r := wire.NewReader(resp)
+	succs, err = decodeRemotes(r)
+	if err == nil && len(succs) == 0 {
+		err = wire.ErrCorrupt
+	}
+	if err == nil {
+		cands, err = decodeRemotes(r)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("dht: bad NextHop response: %w", err)
+	}
+	return succs, cands, nil
+}
+
+// decodeState decodes the answer to MsgGetState: the replier's
+// predecessor and successor list.
+func decodeState(resp []byte) (pred Remote, succs []Remote, err error) {
+	r := wire.NewReader(resp)
+	pred = decodeRemote(r)
+	succs, err = decodeRemotes(r)
+	if err != nil {
+		return Remote{}, nil, fmt.Errorf("dht: bad GetState response: %w", err)
+	}
+	return pred, succs, nil
 }
 
 // registerHandlers wires the node's RPC surface onto the dispatcher. All
@@ -64,25 +115,20 @@ func (n *Node) registerHandlers(d *transport.Dispatcher) {
 		if err := r.Err(); err != nil {
 			return 0, nil, err
 		}
+		w := wire.NewWriter(256)
 		n.mu.RLock()
-		succ := n.succs[0]
-		cands := closestPreceding(n.id, key, n.fingers, n.succs, 4)
+		encodeRemotes(w, n.succs)
+		encodeRemotes(w, closestPreceding(n.id, key, n.fingers, n.succs, 4))
 		n.mu.RUnlock()
-		w := wire.NewWriter(64)
-		encodeRemote(w, succ)
-		encodeRemotes(w, cands)
 		return MsgNextHop, w.Bytes(), nil
 	})
 
 	d.Handle(MsgGetState, func(_ context.Context, from transport.Addr, _ uint8, body []byte) (uint8, []byte, error) {
+		w := wire.NewWriter(256)
 		n.mu.RLock()
-		pred := n.pred
-		succs := make([]Remote, len(n.succs))
-		copy(succs, n.succs)
+		encodeRemote(w, n.pred)
+		encodeRemotes(w, n.succs)
 		n.mu.RUnlock()
-		w := wire.NewWriter(128)
-		encodeRemote(w, pred)
-		encodeRemotes(w, succs)
 		return MsgGetState, w.Bytes(), nil
 	})
 
@@ -133,25 +179,17 @@ func (n *Node) rpcPing(ctx context.Context, to transport.Addr) (Remote, error) {
 	if err != nil {
 		return Remote{}, err
 	}
-	r := wire.NewReader(resp)
-	rem := decodeRemote(r)
-	return rem, r.Err()
+	return decodeRemoteAnswer(resp)
 }
 
-func (n *Node) rpcNextHop(ctx context.Context, to transport.Addr, key ids.ID) (cands []Remote, succ Remote, err error) {
+func (n *Node) rpcNextHop(ctx context.Context, to transport.Addr, key ids.ID) (succs, cands []Remote, err error) {
 	w := wire.NewWriter(8)
 	w.Uint64(uint64(key))
 	_, resp, err := n.ep.Call(ctx, to, MsgNextHop, w.Bytes())
 	if err != nil {
-		return nil, Remote{}, err
+		return nil, nil, err
 	}
-	r := wire.NewReader(resp)
-	succ = decodeRemote(r)
-	cands = decodeRemotes(r)
-	if err := r.Err(); err != nil {
-		return nil, Remote{}, fmt.Errorf("dht: bad NextHop response: %w", err)
-	}
-	return cands, succ, nil
+	return decodeNextHop(resp)
 }
 
 func (n *Node) rpcGetState(ctx context.Context, to transport.Addr) (pred Remote, succs []Remote, err error) {
@@ -159,13 +197,7 @@ func (n *Node) rpcGetState(ctx context.Context, to transport.Addr) (pred Remote,
 	if err != nil {
 		return Remote{}, nil, err
 	}
-	r := wire.NewReader(resp)
-	pred = decodeRemote(r)
-	succs = decodeRemotes(r)
-	if err := r.Err(); err != nil {
-		return Remote{}, nil, fmt.Errorf("dht: bad GetState response: %w", err)
-	}
-	return pred, succs, nil
+	return decodeState(resp)
 }
 
 func (n *Node) rpcNotify(ctx context.Context, to transport.Addr, cand Remote) error {
@@ -182,9 +214,7 @@ func (n *Node) rpcGetFinger(ctx context.Context, to transport.Addr, level int) (
 	if err != nil {
 		return Remote{}, err
 	}
-	r := wire.NewReader(resp)
-	rem := decodeRemote(r)
-	return rem, r.Err()
+	return decodeRemoteAnswer(resp)
 }
 
 func (n *Node) rpcSetSuccessor(ctx context.Context, to transport.Addr, succ Remote) error {

@@ -1,5 +1,7 @@
 package dht
 
+import "slices"
+
 // RingChange describes one observed change to a node's ring pointers. It
 // is the delta behind a RingEpoch bump: which pointer moved, from what to
 // what. Upper layers (the global index's replicator) subscribe to react to
@@ -62,7 +64,7 @@ func (d ringDelta) fireLocked() RingChange {
 		ch.PredChanged = true
 		ch.OldPred, ch.NewPred = d.oldPred, n.pred
 	}
-	if !remotesEqual(n.succs, d.oldSuccs) {
+	if !slices.Equal(n.succs, d.oldSuccs) {
 		ch.SuccsChanged = true
 		ch.OldSuccs = d.oldSuccs
 		ch.NewSuccs = append([]Remote(nil), n.succs...)

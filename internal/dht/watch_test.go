@@ -155,9 +155,10 @@ func TestResolverSuccessors(t *testing.T) {
 		if want := []Remote{ring[7].Self(), ring[0].Self()}; !slices.Equal(got, want) {
 			t.Fatalf("cold successors = %v, want %v", got, want)
 		}
-		// One state fetch (request + response) reveals the whole chain.
-		if n := net.Meter().Snapshot().Sub(before).PerType[MsgGetState].Messages; n != 2 {
-			t.Fatalf("cold successor walk booked %d GetState messages, want 2", n)
+		// The lookup's successor lists reveal the whole chain: no owner
+		// is asked for its state.
+		if n := net.Meter().Snapshot().Sub(before).PerType[MsgGetState].Messages; n != 0 {
+			t.Fatalf("cold successor walk booked %d GetState messages, want 0", n)
 		}
 	})
 	t.Run("wraps", func(t *testing.T) {

@@ -605,7 +605,9 @@ func (ix *Index) planReplicaRead(op *batchOp, policy ReadPolicy, hedge time.Dura
 //     owner dead or shedding — asks the owner's replicas, the R−1 nodes
 //     following it in the resolver's chain (replicaTargets), until one
 //     serves the group whole. A group no copy serves fails the operation
-//     with the owner's error.
+//     with the owner's error. A redriven frame that fails drops its
+//     route as rule 1 does: the walk re-learned it from successor lists
+//     that name a dead or refusing copy until stabilization repairs them.
 func (ix *Index) runBatch(ctx context.Context, keys []string, op batchOp) error {
 	if len(keys) == 0 {
 		return nil
@@ -716,11 +718,15 @@ func (ix *Index) redrive(ctx context.Context, keys []string, items []int, op bat
 			rest[j] = items[k]
 		}
 		err := ix.sendGroup(ctx, owner, keys, rest, op)
-		if err != nil && read && ctx.Err() == nil && retryProvablySafe(err) {
-			for _, replica := range ix.replicaTargets(ctx, owner) {
-				if ix.sendGroup(ctx, replica, keys, rest, op) == nil {
-					err = nil
-					break
+		if err != nil && ctx.Err() == nil {
+			ix.resolver.Invalidate(owner.Addr)
+			if read && retryProvablySafe(err) {
+				for _, replica := range ix.replicaTargets(ctx, owner) {
+					if ix.sendGroup(ctx, replica, keys, rest, op) == nil {
+						err = nil
+						break
+					}
+					ix.resolver.Invalidate(replica.Addr)
 				}
 			}
 		}

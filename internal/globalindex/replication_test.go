@@ -433,11 +433,10 @@ func TestKeysInRange(t *testing.T) {
 }
 
 // TestReplicaPlacementSendsNoStateFetch pins that a replica set costs no
-// ring-state fetch of its own: the resolver that routed a key already
-// learned the owner's successor chain, and a replica set is read from
-// that chain. A write-through from a writer whose resolver a read has
-// warmed fetches no state at all, and a cold reader's hedged replica
-// read fetches only the state its key resolution needs. The meter books
+// ring-state fetch: the lookup that routed a key already saw the owner's
+// successor chain, and a replica set is read from that chain. Neither a
+// write-through from a writer whose resolver a read has warmed nor a
+// cold reader's hedged replica read sends a GetState. The meter books
 // two GetState messages (request and response) per call.
 func TestReplicaPlacementSendsNoStateFetch(t *testing.T) {
 	_, idxs, net := replRing(t, 8, 3)
@@ -469,7 +468,7 @@ func TestReplicaPlacementSendsNoStateFetch(t *testing.T) {
 		_, err := reader.MultiGet(ctx, gets, ReadAnyReplica, WithHedge(time.Second))
 		return err
 	})
-	if n > 1 {
-		t.Fatalf("cold reader's hedged read made %d GetState calls, want at most 1", n)
+	if n != 0 {
+		t.Fatalf("cold reader's hedged read made %d GetState calls, want 0", n)
 	}
 }

@@ -159,12 +159,12 @@ func TestShedMultiGetWithoutReplicasFails(t *testing.T) {
 	}
 }
 
-// TestShedResolveFetchesStateOncePerCall pins what a shedding owner's
-// failed state fetch costs it in the same setting: each Resolve asks it
-// for its ring state (MsgGetState) at most once, however many later
-// rounds look up keys it owns. The read resolves twice — the batch and
-// the redrive — so the owner receives at most two.
-func TestShedResolveFetchesStateOncePerCall(t *testing.T) {
+// TestShedResolveSendsNoStateFetch pins what re-resolving around a
+// shedding owner costs it in the same setting: nothing. The read resolves
+// twice — the batch and the redrive — and each lookup learns the owner's
+// range from the routing steps before it, so the owner receives no
+// MsgGetState at all.
+func TestShedResolveSendsNoStateFetch(t *testing.T) {
 	nodes, idxs, disps, net, _ := hedgeRing(t, 6, 1)
 	const owner = 1
 	terms := termsOwnedBy(t, nodes[owner], 16, "shed")
@@ -182,10 +182,8 @@ func TestShedResolveFetchesStateOncePerCall(t *testing.T) {
 	if _, err := idxs[0].MultiGet(ctx, gets, ReadPrimary); !errors.Is(err, transport.ErrShed) {
 		t.Fatalf("read shed at its only copy: got %v, want ErrShed", err)
 	}
-	got := receivedFrames(net, addr)[dht.MsgGetState] - before
-	t.Logf("the shedding owner received %d MsgGetState frames over the read's two resolves", got)
-	if got > 2 {
-		t.Errorf("the shedding owner received %d MsgGetState frames, want at most one per Resolve call (2)", got)
+	if got := receivedFrames(net, addr)[dht.MsgGetState] - before; got != 0 {
+		t.Errorf("the shedding owner received %d MsgGetState frames over the read's two resolves, want 0", got)
 	}
 }
 

@@ -102,10 +102,19 @@ func (sr *staleRing) items(score float64) []AppendItem {
 	return out
 }
 
-// join brings a node up midway through the old owner's range; it takes
-// over the range's lower half (pulling it from the old owner when
-// replication is on).
+// join brings a node up midway through the old owner's range and lets
+// the ring settle; it takes over the range's lower half (pulling it from
+// the old owner when replication is on).
 func (sr *staleRing) join() {
+	sr.t.Helper()
+	sr.enter()
+	sr.stabilize()
+}
+
+// enter joins the new node without a stabilization round: the old owner
+// has taken it as its predecessor, while the node before it still names
+// the old owner as its successor.
+func (sr *staleRing) enter() {
 	sr.t.Helper()
 	d := transport.NewDispatcher()
 	ep := tapped(sr.net, "joiner", d)
@@ -115,6 +124,11 @@ func (sr *staleRing) join() {
 	if err := sr.joiner.Join(context.Background(), sr.nodes[0].Self().Addr); err != nil {
 		sr.t.Fatal(err)
 	}
+}
+
+// stabilize runs maintenance rounds until every pointer names the joiner.
+func (sr *staleRing) stabilize() {
+	sr.t.Helper()
 	all := append(append([]*dht.Node(nil), sr.nodes...), sr.joiner)
 	for round := 0; round < 6; round++ {
 		for _, n := range all {
@@ -199,6 +213,63 @@ func TestBatchRejectionInvalidatesStaleRoute(t *testing.T) {
 	for _, k := range sr.staying {
 		if l, _ := sr.idxs[9].Store().Peek(k); l == nil || l.Entries[0].Score != 3.0 {
 			t.Errorf("staying key %q not updated at its owner", k)
+		}
+	}
+}
+
+// TestResolverStaleChainAfterJoin covers a route learned from a lookup
+// step whose view disagrees with the owner's: right after a join, the
+// node before the joiner still names the old owner as its successor,
+// while the old owner already takes the joiner as its predecessor. A
+// write routed by that view is refused by the old owner, redriven over
+// the same view and refused again, so it fails instead of stranding its
+// keys. The refused route is dropped, and once the ring stabilizes the
+// next write lands the moved keys at the joiner in one clean frame.
+func TestResolverStaleChainAfterJoin(t *testing.T) {
+	sr := newStaleRing(t, 1, func(ids.ID) bool { return true })
+	ctx := context.Background()
+	if _, err := sr.client.MultiAppend(ctx, sr.items(1.0)); err != nil {
+		t.Fatal(err)
+	}
+	sr.enter()
+	joinerAddr := sr.joiner.Self().Addr
+	if p, s := sr.nodes[9].Predecessor(), sr.nodes[8].Successor(); p.Addr != joinerAddr || s.Addr != sr.oldOwner {
+		t.Fatalf("fixture: old owner's predecessor %v and its predecessor's successor %v, want the joiner and the old owner", p, s)
+	}
+
+	oldBefore := sr.frames(sr.oldOwner, MsgMultiAppend)
+	if _, err := sr.client.MultiAppend(ctx, sr.items(2.0)); err == nil {
+		t.Fatal("a write routed by the stale chain succeeded")
+	}
+	sr.checkEpoch()
+	if n := sr.frames(sr.oldOwner, MsgMultiAppend) - oldBefore; n != 2 {
+		t.Errorf("old owner received %d MsgMultiAppend frames, want the write and its redrive, both refused", n)
+	}
+	if n := sr.frames(joinerAddr, MsgMultiAppend); n != 0 {
+		t.Errorf("joiner received %d MsgMultiAppend frames before any route named it", n)
+	}
+	for _, k := range append(append([]string(nil), sr.moved...), sr.staying...) {
+		if l, _ := sr.idxs[9].Store().Peek(k); l == nil || l.Entries[0].Score != 1.0 {
+			t.Fatalf("key %q at the old owner holds %v, want the pre-join write only", k, l)
+		}
+	}
+
+	sr.stabilize()
+	oldBefore, joinBefore := sr.frames(sr.oldOwner, MsgMultiAppend), sr.frames(joinerAddr, MsgMultiAppend)
+	if _, err := sr.client.MultiAppend(ctx, sr.items(3.0)); err != nil {
+		t.Fatalf("write after the ring stabilized: %v", err)
+	}
+	if o, j := sr.frames(sr.oldOwner, MsgMultiAppend)-oldBefore, sr.frames(joinerAddr, MsgMultiAppend)-joinBefore; o != 1 || j != 1 {
+		t.Errorf("write after stabilization cost %d frames at the old owner and %d at the joiner, want 1 and 1: refused route not dropped", o, j)
+	}
+	for _, k := range sr.moved {
+		if l, _ := sr.jix.Store().Peek(k); l == nil || l.Entries[0].Score != 3.0 {
+			t.Errorf("moved key %q did not land at the joiner: %v", k, l)
+		}
+	}
+	for _, k := range sr.staying {
+		if l, _ := sr.idxs[9].Store().Peek(k); l == nil || l.Entries[0].Score != 3.0 {
+			t.Errorf("staying key %q not updated at the old owner: %v", k, l)
 		}
 	}
 }
